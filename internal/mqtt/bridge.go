@@ -195,6 +195,10 @@ func (b *Bridge) dialSource() (*Client, error) {
 	return c, nil
 }
 
+// drainFence is a filter no bridge subscribes to; Drain unsubscribes from
+// it for the round trip through the source session.
+const drainFence = "$bridge/drain-fence"
+
 // enqueue runs on the source client's reader goroutine: copy the borrowed
 // payload into a pooled buffer and hand it to the forward goroutine, or
 // drop-and-count when the queue is full.
@@ -330,11 +334,21 @@ func (b *Bridge) isClosed() bool {
 	}
 }
 
-// Drain blocks until every message accepted so far has been forwarded,
-// then flushes the uplink Link (releasing any held/delayed messages).
-// Call it after the upstream publishers have finished, as Plane.Stream
-// does; a racing publisher can re-fill the queue after Drain returns.
+// Drain blocks until every message the source broker has routed to the
+// bridge so far has been forwarded, then flushes the uplink Link
+// (releasing any held/delayed messages). Call it after the upstream
+// publishers have finished, as Plane.Stream does; a racing publisher can
+// re-fill the queue after Drain returns.
 func (b *Bridge) Drain(ctx context.Context) error {
+	// Fence the source session first: the UNSUBACK travels the broker's
+	// per-session queue behind every publish already routed to the bridge,
+	// so when it is back they have all been accepted (or dropped and
+	// counted). A dead source session has nothing in flight, and
+	// watchSource replaces it: its error is not Drain's.
+	b.mu.Lock()
+	src := b.src
+	b.mu.Unlock()
+	_ = src.Unsubscribe(drainFence)
 	for b.completed.Load() < b.accepted.Load() {
 		select {
 		case <-ctx.Done():

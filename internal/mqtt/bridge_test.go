@@ -103,6 +103,35 @@ func TestBridgeForwardsMatchingTopics(t *testing.T) {
 	}
 }
 
+// TestBridgeDrainCoversRoutedMessages: once the rack broker has routed a
+// message (the closing QoS-1 PUBACK says so for everything before it on
+// the connection), Drain must wait for it even if it is still on its way
+// to the bridge's source session. Plane.Stream's forwarded counts and the
+// same-seed snapshot contract rest on this.
+func TestBridgeDrainCoversRoutedMessages(t *testing.T) {
+	f := newBridgeFixture(t, BridgeOptions{})
+	pub := dialTest(t, f.rack.Addr(), "gw", nil)
+	payload := make([]byte, 2048)
+	total := int64(0)
+	for round := 0; round < 20; round++ {
+		for i := 0; i < 100; i++ {
+			if err := pub.Publish("davide/node01/power", payload, 0, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := pub.Publish("davide/node01/energy", payload, 1, false); err != nil {
+			t.Fatal(err)
+		}
+		total += 101
+		if err := f.bridge.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if st := f.bridge.Stats(); st.Forwarded+st.Dropped != total {
+			t.Fatalf("round %d: drained with %d forwarded + %d dropped, want %d", round, st.Forwarded, st.Dropped, total)
+		}
+	}
+}
+
 // TestBridgeCarriesRetainedSnapshot: live routing clears the RETAIN flag
 // ([MQTT-3.3.1-9]), so retained state crosses the uplink when the bridge
 // (re)subscribes — the source broker replays its retained store flagged,

@@ -9,9 +9,10 @@ import "math"
 // (and therefore its width) is known — so they survive raw-chunk
 // retention and serve coarse queries without touching compressed chunks.
 type rollup struct {
-	width   float64 // bucket width, seconds
-	start   int64   // bucket index of buckets[0]
-	buckets []bucket
+	width   float64  // bucket width, seconds
+	start   int64    // bucket index of buckets[0]
+	buckets []bucket // the dense run
+	spare   []bucket // zeroed headroom ending where buckets begins, left by front growth
 }
 
 type bucket struct {
@@ -20,32 +21,31 @@ type bucket struct {
 	maxW    float64
 }
 
-func newRollup(width float64) *rollup { return &rollup{width: width} }
-
 // idx maps a time to its bucket index.
 func (r *rollup) idx(t float64) int64 { return int64(math.Floor(t / r.width)) }
 
-// bucketAt grows the dense run as needed and returns the bucket for index i.
+// bucketAt grows the dense run as needed and returns the bucket for index
+// i. Growth is geometric both ways, amortised O(1) per new bucket: a front
+// reallocation leaves headroom as long as the run and keeps its tail slack,
+// so growth alternating between the two ends is not quadratic either.
 func (r *rollup) bucketAt(i int64) *bucket {
 	if len(r.buckets) == 0 {
 		r.start = i
-		r.buckets = append(r.buckets, bucket{})
-		return &r.buckets[0]
 	}
-	if i < r.start {
-		grown := make([]bucket, int(r.start-i)+len(r.buckets))
-		copy(grown[r.start-i:], r.buckets)
-		r.buckets = grown
-		r.start = i
+	if k := int(r.start - i); k > 0 {
+		n := k + len(r.buckets)
+		if k > len(r.spare) {
+			r.spare = make([]bucket, n+k, 2*n+cap(r.buckets)-len(r.buckets))
+			copy(r.spare[n+k:2*n], r.buckets)
+		}
+		h := len(r.spare) - k
+		r.spare, r.buckets, r.start = r.spare[:h], r.spare[h:h+n], i
 	}
 	if need := int(i-r.start) + 1; need > len(r.buckets) {
-		if need <= cap(r.buckets) {
-			r.buckets = r.buckets[:need]
-		} else {
-			grown := make([]bucket, need)
-			copy(grown, r.buckets)
-			r.buckets = grown
+		if need > cap(r.buckets) {
+			r.spare = nil // append moves the run to a fresh array; the headroom stays behind
 		}
+		r.buckets = append(r.buckets, make([]bucket, need-len(r.buckets))...)
 	}
 	return &r.buckets[i-r.start]
 }

@@ -45,7 +45,7 @@ type series struct {
 func newSeries(node int, widths []float64) *series {
 	s := &series{node: node}
 	for _, w := range widths {
-		s.rolls = append(s.rolls, newRollup(w))
+		s.rolls = append(s.rolls, &rollup{width: w})
 	}
 	return s
 }
