@@ -11,10 +11,11 @@
 // predictor retraining all work from those measurements (combine with
 // -chaos to watch the scheduler hold the cap on degraded telemetry).
 //
-// With -racks N the telemetry replay runs on the tiered fabric: the
-// fleet is partitioned over N per-rack brokers, each bridged into a
-// spine broker (combine with -chaos bridge-flap to fault the uplinks
-// while the rack tier stays exact).
+// With -racks N the telemetry plane — a -stream replay's or the live
+// control loop's — runs on the tiered fabric: the fleet is partitioned
+// over N per-rack brokers, each bridged into a spine broker (on a replay,
+// combine with -chaos bridge-flap to fault the uplinks while the rack
+// tier stays exact). Results are bit-identical for any N.
 //
 // With -tournament the command runs the scheduler strategy tournament
 // instead: every registered admission policy across clean transport,
@@ -27,7 +28,7 @@
 // Usage:
 //
 //	davide-sim [-jobs N] [-cap kW] [-policy fcfs|easy] [-reactive] [-seed S]
-//	davide-sim -sched power [-tick S] [-jobs N] [-cap kW] [-chaos preset]
+//	davide-sim -sched power [-tick S] [-jobs N] [-cap kW] [-chaos preset] [-racks N]
 //	davide-sim -stream 600 -racks 8 [-chaos bridge-flap] [-cpuprofile cpu.out]
 //	davide-sim -tournament [-policies fifo,power] [-axes clean] [-tournament-out tournament.json] [-ledger STRATEGY_LEDGER.md]
 //	davide-sim -tournament -tournament-from tournament.json -ledger STRATEGY_LEDGER.md
@@ -69,7 +70,7 @@ func main() {
 		"bridge presets ("+strings.Join(davide.ChaosBridgePresetNames(), ", ")+") fault the rack→spine uplinks and require -racks > 1; "+
 		"a comma-separated list stacks gateway presets into one composed plan")
 	chaosBatch := flag.Int("chaos-batch", 64, "samples per MQTT batch under -chaos (smaller batches give per-packet faults statistics)")
-	racks := flag.Int("racks", 1, "rack broker cells for the telemetry replay (>1 = tiered fabric with spine bridges)")
+	racks := flag.Int("racks", 1, "rack broker cells of the telemetry plane, replay or live (1 = one broker, >1 = tiered fabric with spine bridges)")
 	schedMode := flag.String("sched", "", "run the live closed-loop control plane instead of the batch simulator: fifo or power")
 	scenarioName := flag.String("scenario", "", "run a named scenario on the live control plane: "+
 		strings.Join(davide.ScenarioNames(), ", ")+" (arrival shaping, cap trajectories, thermal events and composed chaos; "+
@@ -118,7 +119,7 @@ func main() {
 				log.Fatalf("-chaos %q faults rack→spine uplinks: pass -racks > 1", names[0])
 			}
 			if bridgeChaos && *schedMode != "" {
-				log.Fatalf("-chaos %q needs the tiered replay path (-stream); the live control plane is single-broker", names[0])
+				log.Fatalf("-chaos %q shapes the spine copy, which only a -stream replay verifies; drop -sched", names[0])
 			}
 			plan, err := davide.ChaosPreset(names[0], *seed)
 			if err != nil {
@@ -140,14 +141,11 @@ func main() {
 	if *scenarioName != "" && *chaosName != "" {
 		log.Fatalf("-scenario %q owns its chaos stack; drop -chaos", *scenarioName)
 	}
-	if *scenarioName != "" && (*stream > 0 || *racks > 1) {
-		log.Fatalf("-scenario %q runs on the live control plane; drop -stream/-racks", *scenarioName)
+	if *scenarioName != "" && *stream > 0 {
+		log.Fatalf("-scenario %q runs on the live control plane; drop -stream", *scenarioName)
 	}
 	if *racks < 1 {
 		log.Fatal("-racks must be >= 1")
-	}
-	if *racks > 1 && *schedMode != "" {
-		log.Fatal("-racks applies to -stream replays; the live control plane is single-broker")
 	}
 	if !*tourn && (*tournPolicies != "" || *tournAxes != "" || *tournOut != "" || *ledgerPath != "" || *tournFrom != "") {
 		log.Fatal("-policies/-axes/-tournament-out/-ledger/-tournament-from need -tournament")
@@ -226,6 +224,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	sys.StreamRacks = *racks
 
 	// Observability: one registry for the whole process. Every replay
 	// and live run publishes into it; the optional endpoint serves it
@@ -352,7 +351,6 @@ func main() {
 	if *stream > 0 {
 		sys.StreamWorkers = *workers
 		sys.StreamCodec = davide.WireCodec(*codec)
-		sys.StreamRacks = *racks
 		if chaosPlan != nil {
 			if bridgeChaos {
 				sys.BridgeFaults = chaosPlan

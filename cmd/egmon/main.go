@@ -1,8 +1,11 @@
-// Command egmon demonstrates the live telemetry plane: it starts a real
-// MQTT broker on loopback, attaches PTP-synchronised energy gateways for a
-// handful of simulated nodes, streams their power signals, and runs an
-// aggregator agent that prints per-node mean power and energy — the
-// D.A.V.I.D.E. monitoring pipeline end to end on one machine.
+// Command egmon demonstrates the live telemetry plane: it stands up the
+// same telemetry plane every replay uses (real MQTT broker(s) on
+// loopback, one PTP-synchronised energy gateway per simulated node, an
+// aggregator agent over the compressed store), streams the nodes' power
+// signals, and prints per-node mean power and energy — the D.A.V.I.D.E.
+// monitoring pipeline end to end on one machine. -racks 1 (the default)
+// is the pilot's one broker; -racks N partitions the nodes over per-rack
+// brokers with bridge uplinks into a spine.
 //
 // The aggregator persists the stream into the compressed tsdb store, so
 // a replay can be interrogated after the fact: -node selects a node to
@@ -10,18 +13,16 @@
 // -res picks the resolution (0 = raw samples, else a rollup width in
 // seconds).
 //
-// Two instrumented modes surface the plane's own health counters
-// post-hoc instead of leaving them buried in davide-sim summaries:
-// -racks > 1 streams the same demo signals through the tiered fabric
-// (per-rack brokers, bridge uplinks, spine) with an observability
-// registry attached, then prints per-rack bridge drop / queue
-// high-water counters and per-stage latency quantiles; -live runs the
+// Every run is instrumented and surfaces the plane's own health counters
+// post-hoc instead of leaving them buried in davide-sim summaries: the
+// replay prints per-stage latency quantiles and, with -racks > 1,
+// per-rack bridge drop / queue high-water counters; -live runs the
 // closed-loop control plane and prints the scheduler's fresh/stale
 // telemetry reads (the hold-last-safe events) and the per-rack capping
-// holds. In both modes -metric queries the self-ingested health series
-// after the run (-metric list enumerates them).
+// holds. In both -metric queries the self-ingested health series after
+// the run (-metric list enumerates them).
 //
-// A third instrumented mode, -cap-track <scenario>, runs a named
+// A third mode, -cap-track <scenario>, runs a named
 // scenario (dynamic cap trajectory, composed chaos, thermal events; see
 // internal/scenario) on the live control plane and then interrogates
 // the telemetry store *post hoc*: the scenario's ramp-limited cap
@@ -38,8 +39,7 @@
 //
 // Usage:
 //
-//	egmon [-nodes N] [-window SEC] [-rate S/s] [-node K -t0 T -t1 T -res SEC]
-//	egmon -racks 4 [-nodes N] [-window SEC] [-metric NAME | -metric list]
+//	egmon [-racks R] [-nodes N] [-window SEC] [-rate S/s] [-node K -t0 T -t1 T -res SEC] [-metric NAME | -metric list]
 //	egmon -live [-nodes N] [-jobs N] [-metric NAME | -metric list]
 //	egmon -cap-track dr-ramp [-nodes N] [-jobs N] [-cap KW] [-seed S]
 //	egmon -api 127.0.0.1:9200 [-tenant NAME] [-node K -t0 T -t1 T -res SEC]
@@ -52,14 +52,8 @@ import (
 	"fmt"
 	"log"
 	"strings"
-	"time"
 
-	"davide/internal/gateway"
-	"davide/internal/monitors"
-	"davide/internal/mqtt"
-	"davide/internal/ptp"
 	"davide/internal/sensor"
-	"davide/internal/telemetry"
 
 	davide "davide"
 )
@@ -75,8 +69,8 @@ func main() {
 	qT0 := flag.Float64("t0", -1, "query window start (default: stream start)")
 	qT1 := flag.Float64("t1", -1, "query window end (default: stream end)")
 	qRes := flag.Float64("res", 1, "query resolution in seconds (0 = raw samples)")
-	racks := flag.Int("racks", 1, "stream through the tiered fabric with this many rack cells (>1; instrumented)")
-	live := flag.Bool("live", false, "run the closed-loop control plane instead of the gateway demo (instrumented)")
+	racks := flag.Int("racks", 1, "rack broker cells of the replay's telemetry plane (1 = one broker; more add bridge uplinks into a spine)")
+	live := flag.Bool("live", false, "run the closed-loop control plane instead of the gateway replay")
 	capTrack := flag.String("cap-track", "", "run this named scenario on the live control plane and print the post-hoc "+
 		"cap-trajectory-vs-measured-power overlay per phase: "+strings.Join(davide.ScenarioNames(), ", "))
 	capKW := flag.Float64("cap", 0, "nominal machine power cap in kW for -cap-track (0 = 2.2 kW per node)")
@@ -104,131 +98,7 @@ func main() {
 		runLive(*nodes, *jobs, *seed, *metric, *qRes)
 		return
 	}
-	if *racks > 1 {
-		runTiered(*nodes, *racks, *window, *rate, *metric, *qRes)
-		return
-	}
-	if *metric != "" {
-		log.Fatal("-metric needs an instrumented run: pass -racks > 1 or -live")
-	}
-
-	broker, err := mqtt.NewBroker("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer func() { _ = broker.Close() }()
-	fmt.Printf("MQTT broker listening on %s\n", broker.Addr())
-
-	agg, sub, err := telemetry.Subscribe(broker.Addr(), "egmon-agent")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer func() { _ = sub.Close() }()
-
-	spec := monitors.Spec{
-		Class: monitors.EnergyGateway, RawRate: *rate * 16, OutputRate: *rate,
-		Averaged: true, Bits: 12, NoiseLSB: 0.5, ClockOffsetS: 5e-6, FullScale: 5000,
-	}
-
-	totalSamples := 0
-	for n := 0; n < *nodes; n++ {
-		client, err := mqtt.Dial(broker.Addr(), mqtt.ClientOptions{ClientID: fmt.Sprintf("gw%02d", n)})
-		if err != nil {
-			log.Fatal(err)
-		}
-		mon, err := monitors.New(spec, int64(100+n))
-		if err != nil {
-			log.Fatal(err)
-		}
-		clock := ptp.TypicalOscillator(int64(n))
-		// Discipline the gateway clock before streaming, as the real EG
-		// does at boot.
-		master, err := ptp.NewClock(0, 0, 0, 1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		path, err := ptp.NewPath(1e-6, 0, 50e-9, int64(n))
-		if err != nil {
-			log.Fatal(err)
-		}
-		sess := &ptp.Session{Master: master, Slave: clock, Path: path, Servo: ptp.DefaultServo(), ReqGap: 100e-6}
-		if _, err := sess.Run(0, 1, 30); err != nil {
-			log.Fatal(err)
-		}
-
-		gw, err := gateway.New(n, mon, clock, gateway.ClientPublisher{C: client}, 512)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if _, err := gw.PublishWindow(demoSignal(n), 30, 30+*window); err != nil {
-			log.Fatal(err)
-		}
-		totalSamples += gw.SampleCount()
-		_ = client.Close()
-	}
-
-	// Wait for the broker to drain.
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		got := 0
-		for n := 0; n < *nodes; n++ {
-			got += agg.Samples(n)
-		}
-		if got >= totalSamples {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	fmt.Printf("\n%-6s %12s %12s %10s\n", "node", "mean power", "energy", "samples")
-	for _, n := range agg.Nodes() {
-		mean, err := agg.MeanPower(n, 30, 30+*window)
-		if err != nil {
-			log.Fatal(err)
-		}
-		e, err := agg.NodeEnergy(n, 30, 30+*window)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("node%02d %9.1f W %10.1f J %10d\n", n, mean, e, agg.Samples(n))
-	}
-	fmt.Printf("\nbroker: %d publishes in, %d out, %d dropped, %d B received\n",
-		broker.Stats.PublishesIn.Load(), broker.Stats.PublishesOut.Load(),
-		broker.Stats.Dropped.Load(), broker.Stats.BytesIn.Load())
-
-	st := agg.Store().Stats()
-	fmt.Printf("store:  %d samples in %d chunks, %.2f B/sample compressed (flat slices: 16 B/sample)\n",
-		st.Samples, st.Chunks, st.BytesPerSample)
-
-	if *qNode >= 0 {
-		t0, t1 := 30.0, 30+*window
-		if *qT0 >= 0 {
-			t0 = *qT0
-		}
-		if *qT1 >= 0 {
-			t1 = *qT1
-		}
-		pts, err := agg.Store().Fetch(*qNode, t0, t1, *qRes)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\nnode%02d [%g, %g] at %g s resolution (%d rows)\n",
-			*qNode, t0, t1, *qRes, len(pts))
-		if *qRes == 0 {
-			// Raw samples carry no bucket span or energy — print them as
-			// (time, watts) pairs.
-			fmt.Printf("%-12s %12s\n", "time", "power")
-			for _, p := range pts {
-				fmt.Printf("%12.4f %9.1f W\n", p.T0, p.MeanW)
-			}
-		} else {
-			fmt.Printf("%-22s %12s %12s %12s\n", "bucket", "mean power", "max power", "energy")
-			for _, p := range pts {
-				fmt.Printf("[%8.2f, %8.2f) %9.1f W %9.1f W %10.1f J\n",
-					p.T0, p.T1, p.MeanW, p.MaxW, p.EnergyJ)
-			}
-		}
-	}
+	runPlane(*nodes, *racks, *window, *rate, *metric, *qNode, *qT0, *qT1, *qRes)
 }
 
 // demoSignal is node n's application phase pattern: a per-node base
@@ -241,11 +111,12 @@ func demoSignal(n int) sensor.Signal {
 	}
 }
 
-// runTiered streams the demo signals through an instrumented tiered
-// plane and surfaces the per-rack bridge and stage-latency counters
-// post-hoc from the registry — the figures davide-sim only prints as
-// fleet-wide sums.
-func runTiered(nodes, racks int, window, rate float64, metric string, res float64) {
+// runPlane streams the demo signals through an instrumented telemetry
+// plane — one broker at -racks 1, per-rack brokers bridged into a spine
+// above that — prints the per-node view, and surfaces the plane's own
+// health post-hoc from the registry: per-rack bridge counters and stage
+// latencies, the figures davide-sim only prints as fleet-wide sums.
+func runPlane(nodes, racks int, window, rate float64, metric string, qNode int, qT0, qT1, res float64) {
 	reg := davide.NewObsRegistry()
 	p, err := davide.NewPlane(davide.PlaneSpec{
 		Racks:     racks,
@@ -260,6 +131,12 @@ func runTiered(nodes, racks int, window, rate float64, metric string, res float6
 		log.Fatal(err)
 	}
 	defer func() { _ = p.Close() }()
+	for r := 0; r < racks; r++ {
+		fmt.Printf("rack r%02d MQTT broker listening on %s\n", r, p.RackAddr(r))
+	}
+	if racks > 1 {
+		fmt.Printf("spine MQTT broker listening on %s\n", p.SpineAddr())
+	}
 
 	streams := make([]davide.NodeStream, nodes)
 	for n := 0; n < nodes; n++ {
@@ -274,23 +151,50 @@ func runTiered(nodes, racks int, window, rate float64, metric string, res float6
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("Tiered replay — %d nodes over %d racks: %d samples in %d batches, %s wall\n",
+	fmt.Printf("Replay — %d nodes over %d rack(s): %d samples in %d batches, %s wall\n",
 		st.Nodes, st.Racks, st.Samples, st.Batches, st.Wall)
 
-	snap := reg.Snapshot(true)
-	fmt.Println("\nPer-rack bridge health (from the obs registry):")
-	fmt.Printf("%-6s %12s %10s %12s\n", "rack", "forwarded", "dropped", "high-water")
+	agg := p.Aggregator()
+	fmt.Printf("\n%-6s %12s %12s %10s\n", "node", "mean power", "energy", "samples")
+	for _, n := range agg.Nodes() {
+		mean, err := agg.MeanPower(n, t0, t1)
+		if err != nil {
+			log.Fatal(err)
+		}
+		e, err := agg.NodeEnergy(n, t0, t1)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("node%02d %9.1f W %10.1f J %10d\n", n, mean, e, agg.Samples(n))
+	}
+	fmt.Println()
 	for r := 0; r < racks; r++ {
-		label := fmt.Sprintf("bridge=%q", fmt.Sprintf("r%02d", r))
-		fmt.Printf("r%02d    %12.0f %10.0f %12.0f\n", r,
-			snapValue(snap, "davide_bridge_forwarded_total", label),
-			snapValue(snap, "davide_bridge_dropped_total", label),
-			snapValue(snap, "davide_bridge_queue_high_water", label))
+		bs := &p.RackBroker(r).Stats
+		fmt.Printf("broker r%02d: %d publishes in, %d out, %d dropped, %d B received\n", r,
+			bs.PublishesIn.Load(), bs.PublishesOut.Load(), bs.Dropped.Load(), bs.BytesIn.Load())
+	}
+	ss := p.Store().Stats()
+	fmt.Printf("store:  %d samples in %d chunks, %.2f B/sample compressed (flat slices: 16 B/sample)\n",
+		ss.Samples, ss.Chunks, ss.BytesPerSample)
+
+	snap := reg.Snapshot(true)
+	stages := []string{"encode", "fanout", "decode", "commit"}
+	if racks > 1 {
+		fmt.Println("\nPer-rack bridge health (from the obs registry):")
+		fmt.Printf("%-6s %12s %10s %12s\n", "rack", "forwarded", "dropped", "high-water")
+		for r := 0; r < racks; r++ {
+			label := fmt.Sprintf("bridge=%q", fmt.Sprintf("r%02d", r))
+			fmt.Printf("r%02d    %12.0f %10.0f %12.0f\n", r,
+				snapValue(snap, "davide_bridge_forwarded_total", label),
+				snapValue(snap, "davide_bridge_dropped_total", label),
+				snapValue(snap, "davide_bridge_queue_high_water", label))
+		}
+		stages = []string{"encode", "fanout", "uplink", "decode", "commit"}
 	}
 
 	fmt.Println("\nStage reorder lag per stage (seconds, all racks):")
 	fmt.Printf("%-8s %10s %12s %12s\n", "stage", "batches", "p50", "p99")
-	for _, stage := range []string{"encode", "fanout", "uplink", "decode", "commit"} {
+	for _, stage := range stages {
 		label := fmt.Sprintf("stage=%q", stage)
 		n, p50, p99 := 0.0, 0.0, 0.0
 		for _, m := range snap {
@@ -306,6 +210,35 @@ func runTiered(nodes, racks int, window, rate float64, metric string, res float6
 			}
 		}
 		fmt.Printf("%-8s %10.0f %12.3g %12.3g\n", stage, n, p50, p99)
+	}
+
+	if qNode >= 0 {
+		if qT0 < 0 {
+			qT0 = t0
+		}
+		if qT1 < 0 {
+			qT1 = t1
+		}
+		pts, err := p.Store().Fetch(qNode, qT0, qT1, res)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("\nnode%02d [%g, %g] at %g s resolution (%d rows)\n",
+			qNode, qT0, qT1, res, len(pts))
+		if res == 0 {
+			// Raw samples carry no bucket span or energy — print them as
+			// (time, watts) pairs.
+			fmt.Printf("%-12s %12s\n", "time", "power")
+			for _, p := range pts {
+				fmt.Printf("%12.4f %9.1f W\n", p.T0, p.MeanW)
+			}
+		} else {
+			fmt.Printf("%-22s %12s %12s %12s\n", "bucket", "mean power", "max power", "energy")
+			for _, p := range pts {
+				fmt.Printf("[%8.2f, %8.2f) %9.1f W %9.1f W %10.1f J\n",
+					p.T0, p.T1, p.MeanW, p.MaxW, p.EnergyJ)
+			}
+		}
 	}
 
 	// The end-of-window record needs a right neighbor to get a hold

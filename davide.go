@@ -299,8 +299,9 @@ func NewFleet(brokerAddr string, spec GatewaySpec, workers int) (*Fleet, error) 
 	return fleet.New(brokerAddr, spec, workers)
 }
 
-// Tiered telemetry fabric: per-rack brokers bridged into a spine (see
-// internal/fleet's Plane and internal/mqtt's Bridge, DESIGN.md §8).
+// The telemetry plane: one rack broker, or per-rack brokers bridged into
+// a spine (see internal/fleet's Plane and internal/mqtt's Bridge,
+// DESIGN.md §8).
 type (
 	// Bridge is a broker-to-broker uplink session forwarding topic
 	// filters from a source broker onto a target broker.
@@ -309,10 +310,11 @@ type (
 	BridgeOptions = mqtt.BridgeOptions
 	// BridgeStats snapshots a bridge's traffic accounting.
 	BridgeStats = mqtt.BridgeStats
-	// Plane is the tiered fabric: rack broker cells with bridge uplinks
-	// into one spine broker, aggregating into a shared store.
+	// Plane is a whole telemetry plant — rack broker cells, their
+	// gateway fleets and ingest pools, one shared store — with bridge
+	// uplinks into a spine broker when there is more than one rack.
 	Plane = fleet.Plane
-	// PlaneSpec describes a tiered plane.
+	// PlaneSpec describes a plane.
 	PlaneSpec = fleet.PlaneSpec
 	// PlaneStats reports one Plane.Stream call.
 	PlaneStats = fleet.PlaneStats
@@ -324,7 +326,7 @@ func NewBridge(sourceAddr, targetAddr string, opts BridgeOptions) (*Bridge, erro
 	return mqtt.NewBridge(sourceAddr, targetAddr, opts)
 }
 
-// NewPlane builds a tiered telemetry plane from spec.
+// NewPlane builds a telemetry plane from spec.
 func NewPlane(spec PlaneSpec) (*Plane, error) { return fleet.NewPlane(spec) }
 
 // Chaos engineering: deterministic fault injection for the telemetry

@@ -18,6 +18,11 @@ package davide
 // build tag in fleet_scale_soak_test.go. Speedup assertions only engage
 // with GOMAXPROCS >= 8 — a single-core runner measures the fabric's
 // overhead, not its parallelism.
+//
+// The 1-rack tier is the single-broker path itself: a one-rack plane
+// builds no spine and no bridge. The speedup thresholds were set when
+// that tier also fed a spine (more work per batch) and have not been
+// re-measured on a >= 8-core machine since: unverified, not retuned.
 
 import (
 	"context"

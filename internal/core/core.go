@@ -12,8 +12,10 @@
 //     take milliseconds;
 //   - the wall-clock plane: the MQTT telemetry path is real TCP — the
 //     StreamWindow method replays a virtual-time window through actual
-//     gateways, a broker and subscriber agents, so the telemetry numbers
+//     gateways, broker(s) and subscriber agents, so the telemetry numbers
 //     (throughput, delivered-energy accuracy) are measured, not modelled.
+//     Replays and the live control loop (RunLive) all stand up the same
+//     plant, a fleet.Plane over System.StreamRacks racks.
 package core
 
 import (
@@ -75,18 +77,18 @@ type System struct {
 	// smaller batches so per-packet faults get statistics.
 	StreamBatchSamples int
 
-	// StreamRacks, when > 1, routes telemetry replays through the tiered
-	// fabric (fleet.Plane): per-rack brokers with bridge uplinks into a
-	// spine, instead of one broker for the whole fleet. 0 or 1 keeps the
-	// paper's single-broker pilot layout. RunLive always runs
-	// single-broker (the control plane is pilot-scale by construction).
+	// StreamRacks is the number of rack broker cells of the fleet.Plane
+	// every replay and live run streams through (0 counts as 1). One rack
+	// is the paper's pilot layout — one broker; more partition the fleet
+	// over per-rack brokers with bridge uplinks into a spine. Results are
+	// bit-identical for any value (DESIGN.md §8.2).
 	StreamRacks int
 
 	// BridgeFaults, when non-nil, injects deterministic faults on the
-	// rack→spine uplinks of a tiered replay (plan keyed by rack index;
-	// see fleet.ChaosBridgePresetNames). Requires StreamRacks > 1. The
-	// replay then also attaches a spine-side verification aggregator and
-	// reports the spine copy's accounting in the result.
+	// rack→spine uplinks (plan keyed by rack index; see
+	// fleet.ChaosBridgePresetNames), so it requires StreamRacks > 1.
+	// StreamWindow then also attaches a spine-side verification
+	// aggregator and reports the spine copy's accounting in the result.
 	BridgeFaults chaos.Planner
 
 	// Obs, when non-nil, instruments every replay and live run: stage
@@ -349,12 +351,12 @@ type StreamResult struct {
 	// loss.
 	StoreOutOfOrderDropped int
 	// Racks is the number of rack broker cells the replay streamed
-	// through (1 = the single-broker pilot path). On the tiered path the
-	// Broker* fields above sum over the rack brokers — the primary
-	// ingest tier; the spine's own traffic is accounted by Bridge.
+	// through (1 = the pilot's one broker). The Broker* fields above sum
+	// over the rack brokers — the primary ingest tier; the spine's own
+	// traffic is accounted by Bridge.
 	Racks int
-	// Bridge sums the rack→spine uplink accounting (zero on the
-	// single-broker path).
+	// Bridge sums the rack→spine uplink accounting (zero at one rack,
+	// which has no spine).
 	Bridge mqtt.BridgeStats
 	// BridgeFaults sums the injected uplink faults (zero unless
 	// System.BridgeFaults was set).
@@ -407,88 +409,45 @@ func chaosSafeBatch(plan chaos.Planner, nodes, batchSamples int, opts tsdb.Optio
 	return batchSamples, nil
 }
 
-// plant is one realized telemetry transport: broker → store-backed
-// aggregator behind a parallel-ingest pool → gateway fleet, built from
-// the System's transport knobs (codec, workers, faults, batch size,
-// store options). It is the shared substrate of window replays and
-// closed-loop runs.
-type plant struct {
-	broker *mqtt.Broker
-	db     *tsdb.DB
-	agg    *telemetry.Aggregator
-	ingest *telemetry.Ingest
-	sub    *mqtt.Client
-	fleet  *fleet.Fleet
-}
-
-// newPlant assembles the transport. nodes bounds the chaos hold-span
-// check; prefix/seedBase/aggID keep concurrent plants' client IDs and
-// monitor noise streams distinct.
-func (s *System) newPlant(nodes int, sampleRate float64, prefix string, seedBase int64, aggID string) (*plant, error) {
-	broker, err := mqtt.NewBroker("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	db := tsdb.New(s.StoreOptions)
-	agg := telemetry.NewAggregatorOn(db)
-	var trace *obs.StageTrace
-	if reg := s.Obs; reg != nil {
-		// Single-broker pilot layout: one rack cell's worth of series
-		// (rack "r00"), same names as the tiered plane publishes.
-		trace = obs.NewStageTrace(reg, 1)
-		agg.SetTrace(trace)
-		broker.Trace = fleet.StampHook(trace, obs.StageFanout)
-		obs.RegisterBroker(reg, obs.RackLabel(0), broker)
-		obs.RegisterStore(reg, db)
-		reg.CounterFunc("davide_agg_dropped_total",
-			func() float64 { return float64(agg.Dropped()) })
-		reg.CounterFunc("davide_agg_reordered_total",
-			func() float64 { return float64(agg.Reordered()) })
-	}
-	ingest, sub, err := agg.AttachParallel(broker.Addr(), aggID, 0)
-	if err != nil {
-		_ = broker.Close()
-		return nil, err
-	}
-	p := &plant{broker: broker, db: db, agg: agg, ingest: ingest, sub: sub}
+// newPlane stands up the telemetry plant every replay and live run
+// streams through: a fleet.Plane over max(1, StreamRacks) racks, built
+// from the System's transport knobs (codec, workers, faults, batch size,
+// store options, registry). nodes bounds the node IDs streamed (chaos
+// hold-span check, queue sizing); prefix and seedBase keep different
+// plants' client IDs and monitor noise streams distinct.
+func (s *System) newPlane(nodes int, sampleRate float64, prefix string, seedBase int64) (*fleet.Plane, error) {
 	batchSamples, err := chaosSafeBatch(s.StreamFaults, nodes, s.StreamBatchSamples, s.StoreOptions)
 	if err != nil {
-		p.close()
 		return nil, err
 	}
-	fl, err := fleet.New(broker.Addr(), fleet.GatewaySpec{
-		SampleRate: sampleRate, ClientPrefix: prefix, SeedBase: seedBase,
-		Codec: s.StreamCodec, Faults: s.StreamFaults,
-		BatchSamples: batchSamples,
-	}, s.StreamWorkers)
+	racks := max(1, s.StreamRacks)
+	p, err := fleet.NewPlane(fleet.PlaneSpec{
+		Racks:     racks,
+		NodesHint: nodes,
+		Gateway: fleet.GatewaySpec{
+			SampleRate: sampleRate, ClientPrefix: prefix, SeedBase: seedBase,
+			Codec: s.StreamCodec, Faults: s.StreamFaults,
+			BatchSamples: batchSamples,
+		},
+		WorkersPerRack: s.StreamWorkers,
+		BridgeFaults:   s.BridgeFaults,
+		StoreOptions:   s.StoreOptions,
+		Obs:            s.Obs,
+	})
 	if err != nil {
-		p.close()
-		return nil, err
+		return nil, fmt.Errorf("core: telemetry plane (StreamRacks %d): %w", racks, err)
 	}
-	if s.Obs != nil {
-		fl.AttachObs(s.Obs, obs.RackLabel(0), trace)
-	}
-	p.fleet = fl
 	return p, nil
 }
 
-// close tears the plant down in dependency order: publishers first,
-// then the subscriber session, its decode pool, and the broker.
-func (p *plant) close() {
-	if p.fleet != nil {
-		_ = p.fleet.Close()
-	}
-	_ = p.sub.Close()
-	p.ingest.Close()
-	_ = p.broker.Close()
-}
-
 // StreamWindow replays [t0, t1] of the last run's node signals through
-// real gateways -> MQTT broker -> aggregator agents over loopback TCP,
-// using a monitor of the given output rate (samples/s of virtual time).
-// It verifies the delivered energy against the analytic truth and returns
-// streaming statistics. nodes limits the replay to the first k nodes
-// (0 = all).
+// real gateways -> MQTT broker(s) -> aggregator agents over loopback TCP
+// (a fleet.Plane over StreamRacks racks), using a monitor of the given
+// output rate (samples/s of virtual time). It verifies the delivered
+// energy against the analytic truth and returns streaming statistics.
+// nodes limits the replay to the first k nodes (0 = all). When
+// BridgeFaults is set, a verification aggregator rides the spine and the
+// result carries the spine copy's accounting next to the rack-tier truth.
 func (s *System) StreamWindow(t0, t1, sampleRate float64, nodes int) (StreamResult, error) {
 	if s.signals == nil {
 		return StreamResult{}, errors.New("core: no scheduled run yet")
@@ -502,113 +461,8 @@ func (s *System) StreamWindow(t0, t1, sampleRate float64, nodes int) (StreamResu
 	if nodes <= 0 || nodes > len(s.signals) {
 		nodes = len(s.signals)
 	}
-	if s.BridgeFaults != nil && s.StreamRacks <= 1 {
-		return StreamResult{}, errors.New("core: BridgeFaults requires a tiered replay (StreamRacks > 1)")
-	}
-	if s.StreamRacks > 1 {
-		return s.streamWindowTiered(t0, t1, sampleRate, nodes)
-	}
 	start := time.Now()
-
-	pl, err := s.newPlant(nodes, sampleRate, "gw", 1000, "core-aggregator")
-	if err != nil {
-		return StreamResult{}, err
-	}
-	defer pl.close()
-	db, agg, fl := pl.db, pl.agg, pl.fleet
-
-	streams := make([]fleet.NodeStream, nodes)
-	for n := 0; n < nodes; n++ {
-		streams[n] = fleet.NodeStream{Node: n, Signal: s.signals[n]}
-	}
-	st, err := fl.Stream(context.Background(), streams, t0, t1, agg)
-	if err != nil {
-		return StreamResult{}, err
-	}
-	if st.Faults.Corrupted > 0 {
-		// Corrupted packets carry no samples, so the fleet's per-node
-		// delivery handshake cannot wait on them; a corrupt final packet
-		// may still be in flight here. Barrier on the exact injected
-		// count so Reordered/UndecodableDropped below are settled; on
-		// timeout proceed with whatever arrived (lossy QoS-0 semantics).
-		wctx, cancel := context.WithTimeout(context.Background(), fleet.DefaultWaitTimeout)
-		_ = agg.WaitDropped(wctx, int(st.Faults.Corrupted))
-		cancel()
-	}
-	s.store = db
-	res := StreamResult{
-		Window: t1 - t0, NodesStreamed: nodes, Racks: 1,
-		SamplesSent: st.Samples, BatchesSent: st.Batches, PerNode: st.PerNode,
-		WireBytesPerSample:     st.WireBytesPerSample(),
-		ClientBufReuses:        st.ClientBufReuses,
-		Faults:                 st.Faults,
-		GatewayRestarts:        st.Restarts,
-		ReorderedBatches:       agg.Reordered(),
-		UndecodableDropped:     agg.Dropped(),
-		StoreOutOfOrderDropped: db.Stats().OutOfOrderDropped,
-	}
-
-	res.MaxEnergyErrPct, err = s.maxEnergyErrPct(agg, t0, t1, nodes)
-	if err != nil {
-		return StreamResult{}, err
-	}
-	res.BrokerPublishes = pl.broker.Stats.PublishesOut.Load()
-	res.BrokerDropped = pl.broker.Stats.Dropped.Load()
-	res.BrokerFanoutEncodedOnce = pl.broker.Stats.FanoutEncodedOnce.Load()
-	res.BrokerBufReuses = pl.broker.Stats.BufReuses.Load()
-	if si := s.obsSelfIngest(); si != nil {
-		si.Record(t1)
-	}
-	res.WallClock = time.Since(start)
-	return res, nil
-}
-
-// maxEnergyErrPct verifies the aggregator's per-node energies against
-// the analytic truth over [t0, t1] and returns the worst deviation.
-func (s *System) maxEnergyErrPct(agg *telemetry.Aggregator, t0, t1 float64, nodes int) (float64, error) {
-	worst := 0.0
-	for n := 0; n < nodes; n++ {
-		got, err := agg.NodeEnergy(n, t0, t1)
-		if err != nil {
-			return 0, fmt.Errorf("core: node %d telemetry: %w", n, err)
-		}
-		want, err := s.signals[n].Energy(t0, t1)
-		if err != nil {
-			return 0, err
-		}
-		if want > 0 {
-			if errPct := 100 * math.Abs(got-want) / want; errPct > worst {
-				worst = errPct
-			}
-		}
-	}
-	return worst, nil
-}
-
-// streamWindowTiered is StreamWindow on the tiered fabric: the fleet is
-// partitioned over StreamRacks rack brokers (fleet.Plane), each with its
-// own ingest pool into one shared store, and bridges forward every
-// rack's stream into a spine broker. When BridgeFaults is set, a
-// verification aggregator rides the spine and the result carries the
-// spine copy's accounting next to the rack-tier truth.
-func (s *System) streamWindowTiered(t0, t1, sampleRate float64, nodes int) (StreamResult, error) {
-	start := time.Now()
-	batchSamples, err := chaosSafeBatch(s.StreamFaults, nodes, s.StreamBatchSamples, s.StoreOptions)
-	if err != nil {
-		return StreamResult{}, err
-	}
-	p, err := fleet.NewPlane(fleet.PlaneSpec{
-		Racks:     s.StreamRacks,
-		NodesHint: nodes,
-		Gateway: fleet.GatewaySpec{
-			SampleRate: sampleRate, ClientPrefix: "gw", SeedBase: 1000,
-			Codec: s.StreamCodec, Faults: s.StreamFaults,
-			BatchSamples: batchSamples,
-		},
-		BridgeFaults: s.BridgeFaults,
-		StoreOptions: s.StoreOptions,
-		Obs:          s.Obs,
-	})
+	p, err := s.newPlane(nodes, sampleRate, "gw", 1000)
 	if err != nil {
 		return StreamResult{}, err
 	}
@@ -638,8 +492,11 @@ func (s *System) streamWindowTiered(t0, t1, sampleRate float64, nodes int) (Stre
 		return StreamResult{}, err
 	}
 	if st.Faults.Corrupted > 0 {
-		// Same barrier as the single-broker path: settle the corrupted-
-		// payload counters before reading them.
+		// Corrupted packets carry no samples, so the fleet's per-node
+		// delivery handshake cannot wait on them; a corrupt final packet
+		// may still be in flight here. Barrier on the exact injected
+		// count so Reordered/UndecodableDropped below are settled; on
+		// timeout proceed with whatever arrived (lossy QoS-0 semantics).
 		wctx, cancel := context.WithTimeout(context.Background(), fleet.DefaultWaitTimeout)
 		_ = agg.WaitDropped(wctx, int(st.Faults.Corrupted))
 		cancel()
@@ -715,9 +572,32 @@ func (s *System) streamWindowTiered(t0, t1, sampleRate float64, nodes int) (Stre
 	return res, nil
 }
 
+// maxEnergyErrPct verifies the aggregator's per-node energies against
+// the analytic truth over [t0, t1] and returns the worst deviation.
+func (s *System) maxEnergyErrPct(agg *telemetry.Aggregator, t0, t1 float64, nodes int) (float64, error) {
+	worst := 0.0
+	for n := 0; n < nodes; n++ {
+		got, err := agg.NodeEnergy(n, t0, t1)
+		if err != nil {
+			return 0, fmt.Errorf("core: node %d telemetry: %w", n, err)
+		}
+		want, err := s.signals[n].Energy(t0, t1)
+		if err != nil {
+			return 0, err
+		}
+		if want > 0 {
+			if errPct := 100 * math.Abs(got-want) / want; errPct > worst {
+				worst = errPct
+			}
+		}
+	}
+	return worst, nil
+}
+
 // JobEnergyFromTelemetry recomputes one job's ETS from a telemetry replay
-// of its interval (experiment E14's cross-check), returning telemetry and
-// ledger values.
+// of its interval over its own nodes (experiment E14's cross-check),
+// through the same plane and transport knobs as StreamWindow, returning
+// telemetry and ledger values.
 func (s *System) JobEnergyFromTelemetry(jobID int, sampleRate float64) (telemetryJ, ledgerJ float64, err error) {
 	if s.lastResult == nil {
 		return 0, 0, errors.New("core: no scheduled run yet")
@@ -730,36 +610,21 @@ func (s *System) JobEnergyFromTelemetry(jobID int, sampleRate float64) (telemetr
 	if !ok {
 		return 0, 0, fmt.Errorf("core: job %d has no assignment", jobID)
 	}
-	broker, err := mqtt.NewBroker("127.0.0.1:0")
+	// Any cluster node can be in the job, so the plane is sized for all.
+	p, err := s.newPlane(len(s.signals), sampleRate, "jgw", 2000)
 	if err != nil {
 		return 0, 0, err
 	}
-	defer func() { _ = broker.Close() }()
-	db := tsdb.New(s.StoreOptions)
-	agg := telemetry.NewAggregatorOn(db)
-	ingest, sub, err := agg.AttachParallel(broker.Addr(), "job-ea", 0)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer ingest.Close()
-	defer func() { _ = sub.Close() }()
-
-	fl, err := fleet.New(broker.Addr(), fleet.GatewaySpec{
-		SampleRate: sampleRate, ClientPrefix: "jgw", SeedBase: 2000,
-		Codec: s.StreamCodec,
-	}, s.StreamWorkers)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer func() { _ = fl.Close() }()
+	defer func() { _ = p.Close() }()
 
 	streams := make([]fleet.NodeStream, 0, len(nodes))
 	for _, n := range nodes {
 		streams = append(streams, fleet.NodeStream{Node: n, Signal: s.signals[n]})
 	}
-	if _, err := fl.Stream(context.Background(), streams, rec.StartAt, rec.EndAt, agg); err != nil {
+	if _, err := p.Stream(context.Background(), streams, rec.StartAt, rec.EndAt); err != nil {
 		return 0, 0, err
 	}
+	db := p.Store()
 	s.store = db
 	// Build the telemetry-derived ledger entry straight from the store's
 	// query engine and compare its energy against the analytic record.

@@ -30,8 +30,8 @@ import (
 // hold the cap on stale, lossy measurements.
 
 // LiveConfig configures one closed-loop control-plane run. Transport
-// knobs (codec, workers, faults, batch size, store options) come from
-// the System fields a StreamWindow replay uses.
+// knobs (codec, workers, racks, faults, batch size, store options) come
+// from the System fields a StreamWindow replay uses.
 type LiveConfig struct {
 	// Sched is the controller configuration; Nodes is overridden with
 	// the live machine size below.
@@ -176,12 +176,12 @@ func (s *System) RunLive(jobs []workload.Job, cfg LiveConfig) (*LiveResult, erro
 	}
 
 	start := time.Now()
-	pl, err := s.newPlant(nodes, rate, "live", 3000, "live-aggregator")
+	pl, err := s.newPlane(nodes, rate, "live", 3000)
 	if err != nil {
 		return nil, err
 	}
-	defer pl.close()
-	db, agg, fl := pl.db, pl.agg, pl.fleet
+	defer func() { _ = pl.Close() }()
+	db, agg := pl.Store(), pl.Aggregator()
 
 	// Per-rack capping control loops on the shared telemetry feed: one
 	// NodeCapper per rack (on the rack's first node model) tracking the
@@ -250,7 +250,7 @@ func (s *System) RunLive(jobs []workload.Job, cfg LiveConfig) (*LiveResult, erro
 	hooks := sched.Hooks{
 		Perturb: cfg.Perturb,
 		StreamTick: func(t0, t1 float64, levels []float64) error {
-			st, err := fl.StreamLevels(context.Background(), levels, t0, t1, agg)
+			st, err := pl.StreamLevels(context.Background(), levels, t0, t1)
 			if err != nil {
 				return err
 			}
@@ -322,8 +322,11 @@ func (s *System) RunLive(jobs []workload.Job, cfg LiveConfig) (*LiveResult, erro
 	if res.SamplesSent > 0 {
 		res.WireBytesPerSample = float64(wireBytes) / float64(res.SamplesSent)
 	}
-	res.BrokerPublishes = pl.broker.Stats.PublishesOut.Load()
-	res.BrokerDropped = pl.broker.Stats.Dropped.Load()
+	for r := 0; r < pl.Racks(); r++ {
+		bs := &pl.RackBroker(r).Stats
+		res.BrokerPublishes += bs.PublishesOut.Load()
+		res.BrokerDropped += bs.Dropped.Load()
+	}
 	res.Faults = faultsTotal
 	res.GatewayRestarts = restarts
 	res.ReorderedBatches = agg.Reordered()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -128,5 +129,65 @@ func TestStreamWindowBridgeFaultsNeedRacks(t *testing.T) {
 	_, err = s.StreamWindow(0, 1, 50, 1)
 	if err == nil || !strings.Contains(err.Error(), "StreamRacks") {
 		t.Errorf("BridgeFaults without StreamRacks: err = %v, want config error", err)
+	}
+}
+
+// TestRunLiveDeterministicAcrossRacks carries the determinism contract
+// over to the control plane: the live loop streams through the same
+// plane a replay does, so the same seed must yield the same controller
+// outcome, node assignments and per-node store energy for any rack
+// count — unset, one, or several.
+func TestRunLiveDeterministicAcrossRacks(t *testing.T) {
+	const nodes = 8
+	jobs := scenarioObsJobs(t, 11)
+	type run struct {
+		res    *LiveResult
+		energy []float64
+	}
+	runLive := func(racks int) run {
+		s := newSystem(t)
+		s.StreamRacks = racks
+		res, err := s.RunLive(jobs, LiveConfig{
+			Nodes:      nodes,
+			SampleRate: 4,
+			RackSize:   4,
+			Sched: sched.ControllerConfig{
+				Admission: sched.AdmitPowerAware,
+				Config:    sched.Config{PowerCapW: nodes * 1500, ReactiveCapping: true},
+				TickS:     15,
+			},
+		})
+		if err != nil {
+			t.Fatalf("StreamRacks=%d: %v", racks, err)
+		}
+		r := run{res: res, energy: make([]float64, nodes)}
+		for n := range r.energy {
+			if r.energy[n], err = s.Store().Energy(n, 0, res.Makespan); err != nil {
+				t.Fatalf("StreamRacks=%d node %d: %v", racks, n, err)
+			}
+		}
+		return r
+	}
+
+	base := runLive(0)
+	if base.res.Ticks == 0 || base.res.SamplesSent == 0 || len(base.res.Assignments) != len(jobs) {
+		t.Fatalf("degenerate base run: %d ticks, %d samples, %d of %d jobs assigned",
+			base.res.Ticks, base.res.SamplesSent, len(base.res.Assignments), len(jobs))
+	}
+	for _, racks := range []int{1, 3} {
+		got := runLive(racks)
+		if !reflect.DeepEqual(got.res.ControllerResult, base.res.ControllerResult) {
+			t.Errorf("StreamRacks=%d: controller result differs from the default layout:\n got %+v\nwant %+v",
+				racks, got.res.ControllerResult, base.res.ControllerResult)
+		}
+		if !reflect.DeepEqual(got.res.Assignments, base.res.Assignments) {
+			t.Errorf("StreamRacks=%d: assignments differ from the default layout", racks)
+		}
+		for n := range base.energy {
+			if got.energy[n] != base.energy[n] {
+				t.Errorf("StreamRacks=%d node %d: store energy %v != %v (bit-identical required)",
+					racks, n, got.energy[n], base.energy[n])
+			}
+		}
 	}
 }

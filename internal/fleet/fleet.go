@@ -418,27 +418,43 @@ func (st StreamStats) WireBytesPerSample() float64 {
 // stream. Concurrent Stream calls on one Fleet serialise; the concurrency
 // lives in the per-call worker pool.
 func (f *Fleet) Stream(ctx context.Context, nodes []NodeStream, t0, t1 float64, agg *telemetry.Aggregator) (StreamStats, error) {
-	if len(nodes) == 0 {
-		return StreamStats{}, errors.New("fleet: no nodes to stream")
-	}
-	if t1 <= t0 {
-		return StreamStats{}, errors.New("fleet: empty window")
-	}
-	seen := make(map[int]struct{}, len(nodes))
-	for _, ns := range nodes {
-		if ns.Signal == nil {
-			return StreamStats{}, fmt.Errorf("fleet: node %d has no signal", ns.Node)
-		}
-		if _, dup := seen[ns.Node]; dup {
-			// One gateway per node: two workers must never drive the same
-			// member (its counters, clock and client are single-flight).
-			return StreamStats{}, fmt.Errorf("fleet: node %d listed twice", ns.Node)
-		}
-		seen[ns.Node] = struct{}{}
+	if err := validateStreams(nodes, t0, t1); err != nil {
+		return StreamStats{}, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	return f.stream(ctx, nodes, t0, t1, agg)
+}
+
+// validateStreams rejects a window no fleet can stream: no nodes, an
+// empty interval, a node without a signal, or a node listed twice.
+func validateStreams(nodes []NodeStream, t0, t1 float64) error {
+	if len(nodes) == 0 {
+		return errors.New("fleet: no nodes to stream")
+	}
+	if t1 <= t0 {
+		return errors.New("fleet: empty window")
+	}
+	seen := make(map[int]struct{}, len(nodes))
+	for _, ns := range nodes {
+		if ns.Signal == nil {
+			return fmt.Errorf("fleet: node %d has no signal", ns.Node)
+		}
+		if _, dup := seen[ns.Node]; dup {
+			// One gateway per node: two workers must never drive the same
+			// member (its counters, clock and client are single-flight).
+			return fmt.Errorf("fleet: node %d listed twice", ns.Node)
+		}
+		seen[ns.Node] = struct{}{}
+	}
+	return nil
+}
+
+// stream is Stream past validation: Plane.Stream checks the whole node
+// set once — a duplicate can straddle a rack boundary, where no single
+// rack fleet would see it — and then drives each rack's share here.
+func (f *Fleet) stream(ctx context.Context, nodes []NodeStream, t0, t1 float64, agg *telemetry.Aggregator) (StreamStats, error) {
 	f.streamMu.Lock()
 	defer f.streamMu.Unlock()
 
@@ -506,11 +522,16 @@ func (f *Fleet) Stream(ctx context.Context, nodes []NodeStream, t0, t1 float64, 
 // current power levels go out through the same gateways, broker and
 // aggregator a signal replay uses.
 func (f *Fleet) StreamLevels(ctx context.Context, levels []float64, t0, t1 float64, agg *telemetry.Aggregator) (StreamStats, error) {
+	return f.Stream(ctx, levelStreams(levels), t0, t1, agg)
+}
+
+// levelStreams turns per-node power levels into constant node signals.
+func levelStreams(levels []float64) []NodeStream {
 	streams := make([]NodeStream, len(levels))
 	for n, w := range levels {
 		streams[n] = NodeStream{Node: n, Signal: sensor.Const(w)}
 	}
-	return f.Stream(ctx, streams, t0, t1, agg)
+	return streams
 }
 
 // streamOne publishes one node's window and waits for its delivery.

@@ -1,22 +1,27 @@
 package fleet
 
-// Plane is the tiered telemetry fabric at full scale: N per-rack brokers,
-// each fed by its own slice of the gateway fleet and drained by its own
-// ingest pool, with a bridge session forwarding every rack's telemetry
-// topics into one spine broker for fabric-wide consumers. The paper's
-// pilot (45 nodes, one broker) is the Racks=1 degenerate case; the tiered
-// layout is how the same architecture reaches O(1k–10k) nodes without
-// serialising the whole fleet through one broker goroutine.
+// Plane is the one way to stand up a telemetry plant — broker(s), gateway
+// fleet, ingest pool and store — at any scale: N per-rack brokers, each
+// fed by its own slice of the gateway fleet and drained by its own ingest
+// pool into one shared store. With Racks > 1 a bridge session forwards
+// every rack's telemetry topics into one spine broker for fabric-wide
+// consumers; the tiered layout is how the architecture reaches O(1k–10k)
+// nodes without serialising the whole fleet through one broker goroutine.
+// Racks = 1 is the paper's pilot (45 nodes, one broker): there is nothing
+// above the only rack, so no spine and no bridge are built, and the rack
+// broker already carries the whole stream.
 //
 // Data paths:
 //
 //	gateways ── rack broker ── rack ingest pool ── shared Aggregator/store
 //	                └── bridge ── spine broker ── (attach-on-demand consumers)
+//	                    (Racks > 1 only)
 //
 // The primary aggregator ingests at the rack tier (shortest path, what
 // the E20 benchmarks measure); the spine carries the same stream for
 // consumers that want one subscription over the whole fabric — attach
-// one with telemetry.(*Aggregator).AttachParallel(SpineAddr(), ...).
+// one with telemetry.(*Aggregator).AttachParallel(SpineAddr(), ...),
+// which at one rack is the rack broker itself.
 //
 // Determinism contract (DESIGN.md §8): a node's published samples depend
 // only on (SeedBase+node, its PTP clock seed, the window), its delivery
@@ -44,14 +49,15 @@ import (
 	"davide/internal/tsdb"
 )
 
-// PlaneSpec describes a tiered plane. Zero worker/queue fields are sized
-// to the machine and the NodesHint.
+// PlaneSpec describes a plane. Worker pools and queues are sized to the
+// machine and the NodesHint.
 type PlaneSpec struct {
-	// Racks is the number of per-rack broker cells (>= 1).
+	// Racks is the number of per-rack broker cells (>= 1); spine and
+	// bridges exist iff Racks > 1.
 	Racks int
 	// Gateway configures every rack's fleet (one gateway per node, as in
 	// Fleet). Gateway.Faults, if set, injects per-gateway transport
-	// faults exactly as in a single-broker fleet.
+	// faults, whatever the rack count.
 	Gateway GatewaySpec
 	// NodesHint is the expected total node count, used to size broker
 	// session queues so a full window's batches never overflow a
@@ -60,23 +66,13 @@ type PlaneSpec struct {
 	// WorkersPerRack bounds each rack fleet's publish pool (default
 	// GOMAXPROCS/Racks, min 1 — all racks together saturate the cores).
 	WorkersPerRack int
-	// IngestWorkers sizes each rack's decode pool (default
-	// GOMAXPROCS/Racks, min 1).
-	IngestWorkers int
-	// BridgeQueue bounds each bridge's decoupling queue (default: the
-	// rack broker's session queue depth).
-	BridgeQueue int
-	// BridgeQoS1 upgrades uplink forwards to QoS 1 (lossless across
-	// uplink teardown; see mqtt.BridgeOptions.ForceQoS1).
-	BridgeQoS1 bool
 	// BridgeFaults, when non-nil, injects deterministic faults on the
-	// rack→spine uplinks. The plan is keyed by *rack index*, not node
-	// ID. Faults here only shape the spine copy of the stream — the
-	// primary aggregator sits below the bridges and never sees them.
+	// rack→spine uplinks (so it needs Racks > 1). The plan is keyed by
+	// *rack index*, not node ID. Faults here only shape the spine copy
+	// of the stream — the primary aggregator sits below the bridges and
+	// never sees them.
 	BridgeFaults chaos.Planner
-	// Store, when non-nil, is the shared store the plane aggregates
-	// into; otherwise a fresh store is built from StoreOptions.
-	Store        *tsdb.DB
+	// StoreOptions tunes the shared store the plane aggregates into.
 	StoreOptions tsdb.Options
 	// Obs, when non-nil, instruments the plane: a stage trace stamps
 	// every batch at encode/fanout/uplink/decode/commit, and broker,
@@ -90,14 +86,17 @@ func (sp PlaneSpec) withDefaults() PlaneSpec {
 	if sp.NodesHint <= 0 {
 		sp.NodesHint = 1024
 	}
-	perRack := max(1, runtime.GOMAXPROCS(0)/sp.Racks)
 	if sp.WorkersPerRack <= 0 {
-		sp.WorkersPerRack = perRack
-	}
-	if sp.IngestWorkers <= 0 {
-		sp.IngestWorkers = perRack
+		sp.WorkersPerRack = sp.coresPerRack()
 	}
 	return sp
+}
+
+// coresPerRack is one rack's share of the machine (min 1): the default
+// publish pool and the size of every rack's decode pool, so that all
+// racks together saturate the cores.
+func (sp PlaneSpec) coresPerRack() int {
+	return max(1, runtime.GOMAXPROCS(0)/sp.Racks)
 }
 
 // rackQueueDepth sizes a rack broker's per-session queue: every node in
@@ -120,15 +119,16 @@ type rackCell struct {
 	fleet  *Fleet
 	ingest *telemetry.Ingest
 	sub    *mqtt.Client
-	bridge *mqtt.Bridge
+	bridge *mqtt.Bridge    // nil in a one-rack plane
 	link   chaos.FaultLink // uplink chaos link, nil without BridgeFaults
 }
 
-// Plane owns a spine broker, Racks rack cells, and one shared
-// store-backed aggregator fed at the rack tier.
+// Plane owns Racks rack cells, the spine broker above them when there
+// is more than one, and one shared store-backed aggregator fed at the
+// rack tier.
 type Plane struct {
 	spec  PlaneSpec
-	spine *mqtt.Broker
+	spine *mqtt.Broker // nil in a one-rack plane: the rack broker is the whole fabric
 	db    *tsdb.DB
 	agg   *telemetry.Aggregator
 	trace *obs.StageTrace // nil unless spec.Obs is set
@@ -143,21 +143,25 @@ type PlaneStats struct {
 	StreamStats
 	Racks   int
 	PerRack []StreamStats
-	// Bridge sums the bridges' counter deltas for this stream window.
+	// Bridge sums the bridges' counter deltas for this stream window
+	// (zero in a one-rack plane, which has no bridge).
 	Bridge mqtt.BridgeStats
 	// BridgeFaults sums the uplink chaos deltas for this window (zero
 	// without BridgeFaults).
 	BridgeFaults chaos.Counters
 }
 
-// NewPlane builds the spine, the rack cells and the shared aggregator.
-// Gateways dial lazily on first Stream, so a 10k-node plane costs only
-// its brokers until streamed.
+// NewPlane builds the rack cells, the spine above them (Racks > 1) and
+// the shared aggregator. Gateways dial lazily on first Stream, so a
+// 10k-node plane costs only its brokers until streamed.
 func NewPlane(spec PlaneSpec) (*Plane, error) {
 	if spec.Racks < 1 {
 		return nil, errors.New("fleet: plane needs at least one rack")
 	}
 	if spec.BridgeFaults != nil {
+		if spec.Racks == 1 {
+			return nil, errors.New("fleet: bridge faults need rack→spine uplinks (Racks > 1)")
+		}
 		if err := spec.BridgeFaults.Validate(); err != nil {
 			return nil, fmt.Errorf("fleet: bridge faults: %w", err)
 		}
@@ -166,21 +170,22 @@ func NewPlane(spec PlaneSpec) (*Plane, error) {
 		}
 	}
 	spec = spec.withDefaults()
-	db := spec.Store
-	if db == nil {
-		db = tsdb.New(spec.StoreOptions)
-	}
+	db := tsdb.New(spec.StoreOptions)
 	p := &Plane{spec: spec, db: db, agg: telemetry.NewAggregatorOn(db)}
-	spine, err := mqtt.NewBroker("127.0.0.1:0")
-	if err != nil {
-		return nil, err
+	if spec.Racks > 1 {
+		spine, err := mqtt.NewBroker("127.0.0.1:0")
+		if err != nil {
+			return nil, err
+		}
+		spine.QueueDepth = spec.spineQueueDepth()
+		p.spine = spine
 	}
-	spine.QueueDepth = spec.spineQueueDepth()
-	p.spine = spine
 	if reg := spec.Obs; reg != nil {
 		p.trace = obs.NewStageTrace(reg, spec.Racks)
 		p.agg.SetTrace(p.trace)
-		obs.RegisterBroker(reg, "spine", spine)
+		if p.spine != nil {
+			obs.RegisterBroker(reg, "spine", p.spine)
+		}
 		obs.RegisterStore(reg, db)
 		// telemetry imports obs for stage stamping, so the aggregator's
 		// counters are bridged here rather than from an obs helper.
@@ -215,7 +220,7 @@ func (p *Plane) buildRack(r int) (*rackCell, error) {
 	if p.spec.Obs != nil {
 		// Installed before any client dials, so every routed publish is
 		// stamped from the first window on.
-		broker.Trace = StampHook(p.trace, obs.StageFanout)
+		broker.Trace = stampHook(p.trace, obs.StageFanout)
 		obs.RegisterBroker(p.spec.Obs, obs.RackLabel(r), broker)
 	}
 	cell.fleet, err = New(broker.Addr(), p.spec.Gateway, p.spec.WorkersPerRack)
@@ -226,9 +231,12 @@ func (p *Plane) buildRack(r int) (*rackCell, error) {
 		cell.fleet.AttachObs(p.spec.Obs, obs.RackLabel(r), p.trace)
 	}
 	cell.ingest, cell.sub, err = p.agg.AttachParallel(
-		broker.Addr(), fmt.Sprintf("plane-agg-r%02d", r), p.spec.IngestWorkers)
+		broker.Addr(), fmt.Sprintf("plane-agg-r%02d", r), p.spec.coresPerRack())
 	if err != nil {
 		return fail(err)
+	}
+	if p.spine == nil {
+		return cell, nil // one rack: no spine to forward to
 	}
 	if p.spec.BridgeFaults != nil {
 		cell.link, err = p.spec.BridgeFaults.BuildLink(r)
@@ -237,22 +245,17 @@ func (p *Plane) buildRack(r int) (*rackCell, error) {
 		}
 		cell.link.SetSizer(gateway.PayloadSamples)
 	}
-	queue := p.spec.BridgeQueue
-	if queue <= 0 {
-		queue = p.spec.rackQueueDepth()
-	}
 	bopts := mqtt.BridgeOptions{
 		Name: fmt.Sprintf("bridge-r%02d", r),
 		Filters: []mqtt.Subscription{
 			{Filter: gateway.TopicPrefix + "/+/power", QoS: 0},
 			{Filter: gateway.TopicPrefix + "/+/energy", QoS: 1},
 		},
-		QueueDepth: queue,
-		ForceQoS1:  p.spec.BridgeQoS1,
+		QueueDepth: p.spec.rackQueueDepth(),
 		Link:       linkOrNil(cell.link),
 	}
 	if p.spec.Obs != nil {
-		bopts.OnForward = StampHook(p.trace, obs.StageUplink)
+		bopts.OnForward = stampHook(p.trace, obs.StageUplink)
 	}
 	cell.bridge, err = mqtt.NewBridge(broker.Addr(), p.spine.Addr(), bopts)
 	if err != nil {
@@ -264,12 +267,11 @@ func (p *Plane) buildRack(r int) (*rackCell, error) {
 	return cell, nil
 }
 
-// StampHook adapts a broker/bridge payload hook into a stage stamp. The
+// stampHook adapts a broker/bridge payload hook into a stage stamp. The
 // codec's header peek recovers (node, newest tick) without decoding the
 // samples; non-batch payloads (energy summaries) stamp nothing, keeping
-// the trace a pure power-batch pipeline view. Exported so single-broker
-// plants (internal/core) instrument their broker the same way.
-func StampHook(tr *obs.StageTrace, stage obs.Stage) func(topic string, payload []byte) {
+// the trace a pure power-batch pipeline view.
+func stampHook(tr *obs.StageTrace, stage obs.Stage) func(topic string, payload []byte) {
 	return func(_ string, payload []byte) {
 		if node, _, newest, ok := gateway.PayloadTickInfo(payload); ok {
 			tr.Stamp(stage, node, newest)
@@ -313,13 +315,18 @@ func (p *Plane) Trace() *obs.StageTrace { return p.trace }
 // Store returns the shared store behind the aggregator.
 func (p *Plane) Store() *tsdb.DB { return p.db }
 
-// SpineAddr returns the spine broker's address, for fabric-wide
-// consumers.
-func (p *Plane) SpineAddr() string { return p.spine.Addr() }
+// SpineAddr returns the address a fabric-wide consumer subscribes at.
+func (p *Plane) SpineAddr() string { return p.SpineBroker().Addr() }
 
-// SpineBroker exposes the spine broker (stats inspection, Kick-based
-// resilience drills).
-func (p *Plane) SpineBroker() *mqtt.Broker { return p.spine }
+// SpineBroker exposes the broker that carries the whole fabric's stream
+// (stats inspection, Kick-based resilience drills): the spine, or in a
+// one-rack plane the rack broker.
+func (p *Plane) SpineBroker() *mqtt.Broker {
+	if p.spine == nil {
+		return p.racks[0].broker
+	}
+	return p.spine
+}
 
 // RackAddr returns rack r's broker address.
 func (p *Plane) RackAddr(r int) string { return p.racks[r].broker.Addr() }
@@ -330,6 +337,15 @@ func (p *Plane) RackBroker(r int) *mqtt.Broker { return p.racks[r].broker }
 
 // Racks returns the rack count.
 func (p *Plane) Racks() int { return len(p.racks) }
+
+// uplinked returns the cells with a bridge above them: every rack, or
+// none in a one-rack plane.
+func (p *Plane) uplinked() []*rackCell {
+	if p.spine == nil {
+		return nil
+	}
+	return p.racks
+}
 
 // RackFor returns the rack index Stream assigns the i-th stream of n
 // (contiguous equal shares over the node-sorted order).
@@ -355,15 +371,16 @@ func (p *Plane) partition(streams []NodeStream) [][]NodeStream {
 // copy is complete before the call returns. Delivery accounting is
 // per-node exact, as in Fleet.Stream.
 func (p *Plane) Stream(ctx context.Context, streams []NodeStream, t0, t1 float64) (PlaneStats, error) {
-	if len(streams) == 0 {
-		return PlaneStats{}, errors.New("fleet: no nodes to stream")
+	if err := validateStreams(streams, t0, t1); err != nil {
+		return PlaneStats{}, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	bridgeBefore := make([]mqtt.BridgeStats, len(p.racks))
-	faultsBefore := make([]chaos.Counters, len(p.racks))
-	for r, cell := range p.racks {
+	uplinked := p.uplinked()
+	bridgeBefore := make([]mqtt.BridgeStats, len(uplinked))
+	faultsBefore := make([]chaos.Counters, len(uplinked))
+	for r, cell := range uplinked {
 		bridgeBefore[r] = cell.bridge.Stats()
 		if cell.link != nil {
 			faultsBefore[r] = cell.link.Counters()
@@ -411,7 +428,7 @@ func (p *Plane) Stream(ctx context.Context, streams []NodeStream, t0, t1 float64
 		wg.Add(1)
 		go func(r int, part []NodeStream) {
 			defer wg.Done()
-			perRack[r], errs[r] = p.racks[r].fleet.Stream(ctx, part, t0, t1, p.agg)
+			perRack[r], errs[r] = p.racks[r].fleet.stream(ctx, part, t0, t1, p.agg)
 		}(r, part)
 	}
 	wg.Wait()
@@ -428,14 +445,14 @@ func (p *Plane) Stream(ctx context.Context, streams []NodeStream, t0, t1 float64
 		dctx, cancel = context.WithTimeout(ctx, DefaultWaitTimeout)
 		defer cancel()
 	}
-	for _, cell := range p.racks {
+	for _, cell := range uplinked {
 		if err := cell.bridge.Drain(dctx); err != nil {
 			return PlaneStats{}, fmt.Errorf("fleet: bridge drain: %w", err)
 		}
 	}
 
 	stats := PlaneStats{Racks: len(p.racks), PerRack: perRack}
-	for r, rs := range perRack {
+	for _, rs := range perRack {
 		stats.Nodes += rs.Nodes
 		stats.Samples += rs.Samples
 		stats.Batches += rs.Batches
@@ -445,7 +462,9 @@ func (p *Plane) Stream(ctx context.Context, streams []NodeStream, t0, t1 float64
 		stats.Restarts += rs.Restarts
 		stats.Faults.Add(rs.Faults)
 		stats.PerNode = append(stats.PerNode, rs.PerNode...)
-		delta := p.racks[r].bridge.Stats()
+	}
+	for r, cell := range uplinked {
+		delta := cell.bridge.Stats()
 		delta.Forwarded -= bridgeBefore[r].Forwarded
 		delta.ForwardedBytes -= bridgeBefore[r].ForwardedBytes
 		delta.Dropped -= bridgeBefore[r].Dropped
@@ -453,13 +472,20 @@ func (p *Plane) Stream(ctx context.Context, streams []NodeStream, t0, t1 float64
 		delta.UplinkRedials -= bridgeBefore[r].UplinkRedials
 		delta.SourceRedials -= bridgeBefore[r].SourceRedials
 		stats.Bridge.Add(delta)
-		if p.racks[r].link != nil {
-			stats.BridgeFaults.Add(p.racks[r].link.Counters().Minus(faultsBefore[r]))
+		if cell.link != nil {
+			stats.BridgeFaults.Add(cell.link.Counters().Minus(faultsBefore[r]))
 		}
 	}
 	sort.Slice(stats.PerNode, func(i, j int) bool { return stats.PerNode[i].Node < stats.PerNode[j].Node })
 	stats.Wall = time.Since(start)
 	return stats, nil
+}
+
+// StreamLevels is Stream over one window of constant per-node power
+// levels (levels[n] is node n's draw in watts over [t0, t1)): the live
+// control plane's per-tick publish, as Fleet.StreamLevels.
+func (p *Plane) StreamLevels(ctx context.Context, levels []float64, t0, t1 float64) (PlaneStats, error) {
+	return p.Stream(ctx, levelStreams(levels), t0, t1)
 }
 
 // EnergyTotal sums per-node energy over [t0, t1] in sorted node order —
@@ -478,7 +504,7 @@ func (p *Plane) EnergyTotal(t0, t1 float64) (float64, error) {
 }
 
 // Close tears the plane down: fleets first (no new input), then bridges,
-// ingest pools, rack brokers, spine.
+// ingest pools, rack brokers, and the spine if there is one.
 func (p *Plane) Close() error {
 	var first error
 	p.once.Do(func() {

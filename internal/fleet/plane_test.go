@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"davide/internal/fleet"
+	"davide/internal/mqtt"
 	"davide/internal/sensor"
 	"davide/internal/telemetry"
 )
@@ -100,8 +101,13 @@ func TestPlaneDeterministicAcrossRacks(t *testing.T) {
 		if st.Bridge.Dropped != 0 {
 			t.Fatalf("racks=%d: bridge backpressure dropped %d with sized queues", racks, st.Bridge.Dropped)
 		}
-		// Every power batch and every energy summary crosses the uplink.
-		if want := int64(st.Batches + nodes); st.Bridge.Forwarded != want {
+		// Every power batch and every energy summary crosses the uplink —
+		// where there is one: a one-rack plane has no spine above it.
+		want := int64(st.Batches + nodes)
+		if racks == 1 {
+			want = 0
+		}
+		if st.Bridge.Forwarded != want {
 			t.Fatalf("racks=%d: bridge forwarded %d, want %d", racks, st.Bridge.Forwarded, want)
 		}
 		// The spine carries a complete, identical copy of the stream.
@@ -226,6 +232,81 @@ func TestPlaneBridgeFlapSpineAccounting(t *testing.T) {
 		if errPct := 100 * math.Abs(got-ref) / ref; errPct > bound {
 			t.Errorf("node %d: spine energy error %.2f%% exceeds %v%% bound", n, errPct, bound)
 		}
+	}
+}
+
+// TestPlaneSingleRackIsOneBroker pins the one-rack layout: no spine and
+// no bridge above the only rack, so the rack broker is the fabric-wide
+// attach point and still carries the whole stream.
+func TestPlaneSingleRackIsOneBroker(t *testing.T) {
+	const nodes, t0, t1 = 6, 0.0, 2.0
+	p := newPlane(t, fleet.PlaneSpec{
+		Racks:     1,
+		NodesHint: nodes,
+		Gateway:   fleet.GatewaySpec{SampleRate: 100, BatchSamples: 64},
+	})
+	if p.SpineAddr() != p.RackAddr(0) || p.SpineBroker() != p.RackBroker(0) {
+		t.Fatalf("one-rack plane has a spine at %s apart from its rack broker at %s", p.SpineAddr(), p.RackAddr(0))
+	}
+	spineAgg := attachSpine(t, p)
+	st, err := p.Stream(context.Background(), planeStreams(nodes), t0, t1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Bridge != (mqtt.BridgeStats{}) {
+		t.Errorf("one-rack plane reports bridge traffic: %+v", st.Bridge)
+	}
+	total := func() int {
+		got := 0
+		for n := 0; n < nodes; n++ {
+			got += spineAgg.Samples(n)
+		}
+		return got
+	}
+	waitForCond(t, func() bool { return total() == st.Samples }, "fabric-wide consumer complete")
+	for n := 0; n < nodes; n++ {
+		want, err := p.Aggregator().NodeEnergy(n, t0, t1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := spineAgg.NodeEnergy(n, t0, t1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("node %d: fabric-wide consumer energy %v != primary %v", n, got, want)
+		}
+	}
+
+	plan, err := fleet.ChaosPreset(fleet.ChaosBridgeFlap, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fleet.NewPlane(fleet.PlaneSpec{
+		Racks:        1,
+		Gateway:      fleet.GatewaySpec{SampleRate: 100},
+		BridgeFaults: plan,
+	}); err == nil {
+		t.Error("BridgeFaults accepted by a plane with no uplinks")
+	}
+}
+
+// TestPlaneRejectsDuplicateNodeAcrossRacks: partitioning puts equal node
+// IDs next to each other, so a duplicate can land on two racks where no
+// single rack fleet sees both; the plane must reject it up front.
+func TestPlaneRejectsDuplicateNodeAcrossRacks(t *testing.T) {
+	p := newPlane(t, fleet.PlaneSpec{
+		Racks:     2,
+		NodesHint: 4,
+		Gateway:   fleet.GatewaySpec{SampleRate: 100},
+	})
+	s := planeStreams(3)
+	streams := []fleet.NodeStream{s[0], s[1], s[1], s[2]} // rack 0 gets nodes 0, 1; rack 1 gets 1, 2
+	if _, err := p.Stream(context.Background(), streams, 0, 2); err == nil {
+		t.Fatal("node listed twice across a rack boundary accepted")
+	}
+	if got := p.Store().Stats().Samples; got != 0 {
+		t.Errorf("rejected stream still wrote %d samples", got)
 	}
 }
 

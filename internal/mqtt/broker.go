@@ -270,12 +270,16 @@ func (b *Broker) handle(s *session, hdr FixedHeader, body []byte) bool {
 			return false
 		}
 		b.Stats.PublishesIn.Add(1)
+		// Route before acknowledging: a QoS-1 publisher that holds its
+		// PUBACK may assume every subscriber session already has the
+		// message queued, which is what lets a later fence on another
+		// session (Bridge.Drain) order itself behind it.
+		b.route(p)
 		if p.QoS == 1 {
 			if err := b.send(s, encodedPuback(p.PacketID)); err != nil {
 				return false
 			}
 		}
-		b.route(p)
 	case SUBSCRIBE:
 		sp, err := decodeSubscribe(body)
 		if err != nil {

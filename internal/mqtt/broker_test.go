@@ -78,6 +78,31 @@ func TestPublishQoS1EndToEnd(t *testing.T) {
 	}
 }
 
+// TestPubackFollowsRouting pins the ordering a fence on another session
+// relies on (Bridge.Drain): once a QoS-1 publisher holds its PUBACK, the
+// message is already queued on every subscriber session, so a round trip
+// on the subscriber's session started afterwards returns behind it.
+func TestPubackFollowsRouting(t *testing.T) {
+	b := newTestBroker(t)
+	var got atomic.Int64
+	sub := dialTest(t, b.Addr(), "sub", func(Message) { got.Add(1) })
+	if err := sub.Subscribe(Subscription{Filter: "davide/+/energy", QoS: 1}); err != nil {
+		t.Fatal(err)
+	}
+	pub := dialTest(t, b.Addr(), "pub", nil)
+	for i := int64(1); i <= 300; i++ {
+		if err := pub.Publish("davide/node01/energy", []byte("42"), 1, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := sub.Unsubscribe("fence/never-subscribed"); err != nil {
+			t.Fatal(err)
+		}
+		if n := got.Load(); n != i {
+			t.Fatalf("after publish %d was acknowledged and the subscriber's fence returned, it had %d messages", i, n)
+		}
+	}
+}
+
 func TestNoDeliveryWithoutMatchingSubscription(t *testing.T) {
 	b := newTestBroker(t)
 	var count atomic.Int64
