@@ -242,14 +242,18 @@ func BenchmarkE8ProactiveSched(b *testing.B) {
 	}
 	cap := 45 * 1150.0
 	configs := map[string]sched.Config{
-		"uncapped":  {Nodes: 45, Policy: sched.EASY, IdleNodePowerW: 360},
-		"reactive":  {Nodes: 45, Policy: sched.EASY, PowerCapW: cap, ReactiveCapping: true, IdleNodePowerW: 360},
-		"proactive": {Nodes: 45, Policy: sched.EASY, PowerCapW: cap, Estimator: pred.Predict, ReactiveCapping: true, IdleNodePowerW: 360},
+		"uncapped":  {Nodes: 45, IdleNodePowerW: 360},
+		"reactive":  {Nodes: 45, PowerCapW: cap, ReactiveCapping: true, IdleNodePowerW: 360},
+		"proactive": {Nodes: 45, PowerCapW: cap, Estimator: pred.Predict, ReactiveCapping: true, IdleNodePowerW: 360},
 	}
 	results := map[string]*sched.Result{}
 	for i := 0; i < b.N; i++ {
 		for name, cfg := range configs {
-			sim, err := sched.NewSimulator(cfg, jobs)
+			strategy := sched.NewEASYStrategy()
+			if cfg.Estimator != nil {
+				strategy = sched.NewEASYPowerStrategy()
+			}
+			sim, err := sched.NewSimulator(cfg, strategy, jobs)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -492,7 +496,7 @@ func BenchmarkE14Accounting(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sys.RunScheduled(jobs, sched.Config{Policy: sched.EASY}); err != nil {
+		if _, err := sys.RunScheduled(jobs, sched.Config{}, sched.NewEASYStrategy()); err != nil {
 			b.Fatal(err)
 		}
 		// Shortest job for a fast replay.

@@ -44,7 +44,6 @@ import (
 	"strings"
 	"time"
 
-	"davide/internal/sched"
 	"davide/internal/units"
 	"davide/internal/workload"
 
@@ -57,7 +56,8 @@ func main() {
 
 	jobs := flag.Int("jobs", 300, "number of jobs to schedule")
 	capKW := flag.Float64("cap", 52, "machine power cap in kW (0 disables)")
-	policy := flag.String("policy", "easy", "dispatch policy: fcfs or easy")
+	policy := flag.String("policy", "easy", "batch dispatch strategy: fcfs (strict FIFO) or easy (EASY backfill); "+
+		"with -cap > 0 their power-aware variants, admitting on the trained predictor")
 	reactive := flag.Bool("reactive", true, "enable reactive node capping")
 	seed := flag.Int64("seed", 1, "workload seed")
 	stream := flag.Float64("stream", 0, "replay this many virtual seconds of telemetry over real MQTT (0 disables)")
@@ -71,7 +71,8 @@ func main() {
 		"a comma-separated list stacks gateway presets into one composed plan")
 	chaosBatch := flag.Int("chaos-batch", 64, "samples per MQTT batch under -chaos (smaller batches give per-packet faults statistics)")
 	racks := flag.Int("racks", 1, "rack broker cells of the telemetry plane, replay or live (1 = one broker, >1 = tiered fabric with spine bridges)")
-	schedMode := flag.String("sched", "", "run the live closed-loop control plane instead of the batch simulator: fifo or power")
+	schedMode := flag.String("sched", "", "run the live closed-loop control plane instead of the batch simulator: "+
+		"fifo (AdmitFIFO, the FIFO strategy) or power (AdmitPowerAware, greedy backfill under the cap)")
 	scenarioName := flag.String("scenario", "", "run a named scenario on the live control plane: "+
 		strings.Join(davide.ScenarioNames(), ", ")+" (arrival shaping, cap trajectories, thermal events and composed chaos; "+
 		"seeded by -seed; policy from -sched, default power)")
@@ -194,12 +195,18 @@ func main() {
 		}()
 	}
 
-	var pol sched.Policy
-	switch *policy {
-	case "fcfs":
-		pol = sched.FCFS
-	case "easy":
-		pol = sched.EASY
+	// With a cap the batch run is the paper's proactive configuration:
+	// the same order, admitting on predicted power.
+	var strategy davide.Strategy
+	switch {
+	case *policy == "fcfs" && *capKW > 0:
+		strategy = davide.NewFIFOPowerStrategy()
+	case *policy == "fcfs":
+		strategy = davide.NewFIFOStrategy()
+	case *policy == "easy" && *capKW > 0:
+		strategy = davide.NewEASYPowerStrategy()
+	case *policy == "easy":
+		strategy = davide.NewEASYStrategy()
 	default:
 		log.Printf("unknown policy %q", *policy)
 		flag.Usage()
@@ -315,11 +322,10 @@ func main() {
 	}
 
 	cfg := davide.SchedConfig{
-		Policy:          pol,
 		PowerCapW:       *capKW * 1000,
 		ReactiveCapping: *reactive,
 	}
-	res, err := sys.RunScheduled(work, cfg)
+	res, err := sys.RunScheduled(work, cfg, strategy)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -412,8 +418,9 @@ func lingerAPI(addr string, d time.Duration) {
 	time.Sleep(d)
 }
 
-// runLive executes the closed-loop control plane and prints its summary.
-func runLive(sys *davide.System, work []workload.Job, mode string, capW float64, reactive bool, tick, rate float64, nodes int, chaosName string, seed int64, onPlant func(davide.LivePlant)) {
+// liveConfig maps the -sched mode and the shared flags to a closed-loop
+// run configuration.
+func liveConfig(mode string, capW float64, reactive bool, tick, rate float64, nodes int, onPlant func(davide.LivePlant)) davide.LiveConfig {
 	var adm davide.Admission
 	switch mode {
 	case "fifo":
@@ -425,7 +432,7 @@ func runLive(sys *davide.System, work []workload.Job, mode string, capW float64,
 		flag.Usage()
 		os.Exit(2)
 	}
-	res, err := sys.RunLive(work, davide.LiveConfig{
+	return davide.LiveConfig{
 		Nodes:      nodes,
 		SampleRate: rate,
 		OnPlant:    onPlant,
@@ -437,7 +444,12 @@ func runLive(sys *davide.System, work []workload.Job, mode string, capW float64,
 			},
 			TickS: tick,
 		},
-	})
+	}
+}
+
+// runLive executes the closed-loop control plane and prints its summary.
+func runLive(sys *davide.System, work []workload.Job, mode string, capW float64, reactive bool, tick, rate float64, nodes int, chaosName string, seed int64, onPlant func(davide.LivePlant)) {
+	res, err := sys.RunLive(work, liveConfig(mode, capW, reactive, tick, rate, nodes, onPlant))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -483,30 +495,7 @@ func runLive(sys *davide.System, work []workload.Job, mode string, capW float64,
 // runScenario executes a named scenario on the live control plane and
 // prints its summary plus the per-phase cap-tracking overlay.
 func runScenario(sys *davide.System, work []workload.Job, sc *davide.Scenario, mode string, capW float64, reactive bool, tick, rate float64, nodes int, seed int64, onPlant func(davide.LivePlant)) {
-	var adm davide.Admission
-	switch mode {
-	case "fifo":
-		adm = davide.AdmitFIFO
-	case "power":
-		adm = davide.AdmitPowerAware
-	default:
-		log.Printf("unknown live policy %q (want fifo or power)", mode)
-		flag.Usage()
-		os.Exit(2)
-	}
-	res, err := sys.RunScenario(sc, seed, work, davide.LiveConfig{
-		Nodes:      nodes,
-		SampleRate: rate,
-		OnPlant:    onPlant,
-		Sched: davide.ControllerConfig{
-			Admission: adm,
-			Config: davide.SchedConfig{
-				PowerCapW:       capW,
-				ReactiveCapping: reactive,
-			},
-			TickS: tick,
-		},
-	})
+	res, err := sys.RunScenario(sc, seed, work, liveConfig(mode, capW, reactive, tick, rate, nodes, onPlant))
 	if err != nil {
 		log.Fatal(err)
 	}

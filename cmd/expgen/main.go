@@ -386,20 +386,23 @@ func e8() (*trace.Table, error) {
 	}
 	oracle := func(j workload.Job) (float64, error) { return j.TruePowerPerNode, nil }
 	cap := 45 * 1150.0
+	// Pinned row for row by internal/sched's TestE8Golden.
+	fifo, easy, easyPower := sched.NewFIFOStrategy(), sched.NewEASYStrategy(), sched.NewEASYPowerStrategy()
 	configs := []struct {
-		name string
-		cfg  sched.Config
+		name     string
+		strategy sched.Strategy
+		cfg      sched.Config
 	}{
-		{"FCFS uncapped", sched.Config{Nodes: 45, Policy: sched.FCFS, IdleNodePowerW: 360}},
-		{"EASY uncapped", sched.Config{Nodes: 45, Policy: sched.EASY, IdleNodePowerW: 360}},
-		{"EASY cap-ignored", sched.Config{Nodes: 45, Policy: sched.EASY, PowerCapW: cap, IdleNodePowerW: 360}},
-		{"EASY reactive-only", sched.Config{Nodes: 45, Policy: sched.EASY, PowerCapW: cap, ReactiveCapping: true, IdleNodePowerW: 360}},
-		{"EASY proactive (predictor)", sched.Config{Nodes: 45, Policy: sched.EASY, PowerCapW: cap, Estimator: pred.Predict, IdleNodePowerW: 360}},
-		{"EASY proactive+reactive", sched.Config{Nodes: 45, Policy: sched.EASY, PowerCapW: cap, Estimator: pred.Predict, ReactiveCapping: true, IdleNodePowerW: 360}},
-		{"EASY proactive (oracle)", sched.Config{Nodes: 45, Policy: sched.EASY, PowerCapW: cap, Estimator: oracle, IdleNodePowerW: 360}},
+		{"FCFS uncapped", fifo, sched.Config{Nodes: 45, IdleNodePowerW: 360}},
+		{"EASY uncapped", easy, sched.Config{Nodes: 45, IdleNodePowerW: 360}},
+		{"EASY cap-ignored", easy, sched.Config{Nodes: 45, PowerCapW: cap, IdleNodePowerW: 360}},
+		{"EASY reactive-only", easy, sched.Config{Nodes: 45, PowerCapW: cap, ReactiveCapping: true, IdleNodePowerW: 360}},
+		{"EASY proactive (predictor)", easyPower, sched.Config{Nodes: 45, PowerCapW: cap, Estimator: pred.Predict, IdleNodePowerW: 360}},
+		{"EASY proactive+reactive", easyPower, sched.Config{Nodes: 45, PowerCapW: cap, Estimator: pred.Predict, ReactiveCapping: true, IdleNodePowerW: 360}},
+		{"EASY proactive (oracle)", easyPower, sched.Config{Nodes: 45, PowerCapW: cap, Estimator: oracle, IdleNodePowerW: 360}},
 	}
 	for _, c := range configs {
-		sim, err := sched.NewSimulator(c.cfg, jobs)
+		sim, err := sched.NewSimulator(c.cfg, c.strategy, jobs)
 		if err != nil {
 			return nil, err
 		}
@@ -729,7 +732,7 @@ func e14() (*trace.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := sys.RunScheduled(jobs, sched.Config{Policy: sched.EASY}); err != nil {
+	if _, err := sys.RunScheduled(jobs, sched.Config{}, sched.NewEASYStrategy()); err != nil {
 		return nil, err
 	}
 	// Replay the three shortest jobs through the live MQTT path.
@@ -833,10 +836,10 @@ func e15() (*trace.Table, error) {
 		}
 		start := time.Now()
 		sim, err := sched.NewSimulator(sched.Config{
-			Nodes: nodes, Policy: sched.EASY,
+			Nodes:     nodes,
 			PowerCapW: float64(nodes) * 1150, Estimator: pred.Predict,
 			ReactiveCapping: true, IdleNodePowerW: 360,
-		}, jobs)
+		}, sched.NewEASYPowerStrategy(), jobs)
 		if err != nil {
 			return nil, err
 		}

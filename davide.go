@@ -86,14 +86,6 @@ type (
 	SchedConfig = sched.Config
 	// SchedResult carries scheduling metrics.
 	SchedResult = sched.Result
-	// Policy selects FCFS or EASY dispatching.
-	Policy = sched.Policy
-)
-
-// Scheduling policies.
-const (
-	FCFS = sched.FCFS
-	EASY = sched.EASY
 )
 
 // Live control plane: the closed-loop scheduler that reads the machine's
@@ -135,12 +127,13 @@ func NewController(cfg ControllerConfig, jobs []Job, src TelemetrySource, hooks 
 	return sched.NewController(cfg, jobs, src, hooks)
 }
 
-// Pluggable admission strategies: the live controller's dispatch seam.
+// Pluggable admission strategies: the dispatch seam of the scheduler
+// core, shared by System.RunScheduled (batch) and the live controller.
 // A ControllerConfig may carry a Strategy instead of an Admission; the
 // built-ins below are bit-identical to the corresponding Admission.
 type (
 	// Strategy is a pluggable dispatch discipline consulted once per
-	// control tick.
+	// dispatch pass (batch event or control tick).
 	Strategy = sched.Strategy
 	// DispatchEnv is the sandboxed machine view a Strategy decides over.
 	DispatchEnv = sched.DispatchEnv
@@ -148,12 +141,15 @@ type (
 	WeightedConfig = sched.WeightedConfig
 )
 
-// Admission strategies (the tournament's policy space).
+// Admission strategies (the tournament's policy space, plus the
+// power-aware FIFO and EASY variants the batch experiments use).
 func NewFIFOStrategy() Strategy       { return sched.NewFIFOStrategy() }
+func NewFIFOPowerStrategy() Strategy  { return sched.NewFIFOPowerStrategy() }
 func NewPowerAwareStrategy() Strategy { return sched.NewPowerAwareStrategy() }
 func NewSJFStrategy() Strategy        { return sched.NewSJFStrategy() }
 func NewSJFPowerStrategy() Strategy   { return sched.NewSJFPowerStrategy() }
 func NewEASYStrategy() Strategy       { return sched.NewEASYStrategy() }
+func NewEASYPowerStrategy() Strategy  { return sched.NewEASYPowerStrategy() }
 
 // NewWeightedStrategy builds the weighted-scoring power-aware strategy.
 func NewWeightedStrategy(cfg WeightedConfig) Strategy { return sched.NewWeightedStrategy(cfg) }

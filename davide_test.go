@@ -32,8 +32,8 @@ func TestFacadeQuickPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := sys.RunScheduled(work, SchedConfig{
-		Policy: EASY, PowerCapW: 45 * 1200, ReactiveCapping: true,
-	})
+		PowerCapW: 45 * 1200, ReactiveCapping: true,
+	}, NewEASYPowerStrategy())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,8 +49,9 @@ func main() {
 	fmt.Printf("machine: 45 nodes, cap %.1f kW\n\n", capW/1000)
 	fmt.Printf("%-34s %9s %9s %12s %14s\n", "configuration", "slowdown", "util %", "wait min", "violation s")
 
-	run := func(name string, cfg sched.Config) {
-		sim, err := sched.NewSimulator(cfg, jobs)
+	// Each run is a dispatch strategy plus the config's cap mechanism.
+	run := func(name string, strategy sched.Strategy, cfg sched.Config) {
+		sim, err := sched.NewSimulator(cfg, strategy, jobs)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -62,19 +63,19 @@ func main() {
 			name, res.MeanSlowdown, res.UtilizationPct, res.MeanWait/60, res.CapViolationSec)
 	}
 
-	run("EASY uncapped", sched.Config{Nodes: 45, Policy: sched.EASY, IdleNodePowerW: 360})
-	run("EASY reactive-only", sched.Config{
-		Nodes: 45, Policy: sched.EASY, PowerCapW: capW, ReactiveCapping: true, IdleNodePowerW: 360,
+	run("EASY uncapped", sched.NewEASYStrategy(), sched.Config{Nodes: 45, IdleNodePowerW: 360})
+	run("EASY reactive-only", sched.NewEASYStrategy(), sched.Config{
+		Nodes: 45, PowerCapW: capW, ReactiveCapping: true, IdleNodePowerW: 360,
 	})
 	for _, p := range predictors {
-		run("proactive+reactive / "+p.Name(), sched.Config{
-			Nodes: 45, Policy: sched.EASY, PowerCapW: capW,
+		run("proactive+reactive / "+p.Name(), sched.NewEASYPowerStrategy(), sched.Config{
+			Nodes: 45, PowerCapW: capW,
 			Estimator: p.Predict, ReactiveCapping: true, IdleNodePowerW: 360,
 		})
 	}
 	oracle := func(j workload.Job) (float64, error) { return j.TruePowerPerNode, nil }
-	run("proactive+reactive / oracle", sched.Config{
-		Nodes: 45, Policy: sched.EASY, PowerCapW: capW,
+	run("proactive+reactive / oracle", sched.NewEASYPowerStrategy(), sched.Config{
+		Nodes: 45, PowerCapW: capW,
 		Estimator: oracle, ReactiveCapping: true, IdleNodePowerW: 360,
 	})
 }

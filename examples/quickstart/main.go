@@ -38,12 +38,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 3. Schedule under a 52 kW machine cap, proactive + reactive.
+	// 3. Schedule under a 52 kW machine cap, proactive (EASY backfill
+	// admitting on the trained predictor) + reactive.
 	res, err := sys.RunScheduled(work, davide.SchedConfig{
-		Policy:          davide.EASY,
 		PowerCapW:       52_000,
 		ReactiveCapping: true,
-	})
+	}, davide.NewEASYPowerStrategy())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func benchStreamSystem(tb testing.TB) *System {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := sys.RunScheduled(jobs, sched.Config{Policy: sched.EASY}); err != nil {
+	if _, err := sys.RunScheduled(jobs, sched.Config{}, sched.NewEASYStrategy()); err != nil {
 		tb.Fatal(err)
 	}
 	return sys

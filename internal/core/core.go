@@ -156,59 +156,13 @@ func NewSystem(trainJobs []workload.Job) (*System, error) {
 	return s, nil
 }
 
-// assignNodes replays the schedule to give each job concrete node IDs.
-// The scheduler guaranteed capacity, so a greedy free-list replay always
-// succeeds.
-func assignNodes(jobs []workload.Job, res *sched.Result, nodeCount int) (map[int][]int, error) {
-	type ev struct {
-		t     float64
-		endEv bool
-		job   workload.Job
-	}
-	var evs []ev
-	for _, j := range jobs {
-		start, ok := res.Starts[j.ID]
-		if !ok {
-			return nil, fmt.Errorf("core: job %d missing from schedule", j.ID)
-		}
-		evs = append(evs, ev{t: start, job: j})
-		evs = append(evs, ev{t: res.Ends[j.ID], endEv: true, job: j})
-	}
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].t != evs[j].t {
-			return evs[i].t < evs[j].t
-		}
-		// Process completions before starts at the same instant.
-		return evs[i].endEv && !evs[j].endEv
-	})
-	free := make([]int, nodeCount)
-	for i := range free {
-		free[i] = i
-	}
-	held := make(map[int][]int)
-	out := make(map[int][]int, len(jobs))
-	for _, e := range evs {
-		if e.endEv {
-			free = append(free, held[e.job.ID]...)
-			delete(held, e.job.ID)
-			sort.Ints(free)
-			continue
-		}
-		if len(free) < e.job.Nodes {
-			return nil, fmt.Errorf("core: replay ran out of nodes for job %d", e.job.ID)
-		}
-		take := append([]int(nil), free[:e.job.Nodes]...)
-		free = free[e.job.Nodes:]
-		held[e.job.ID] = take
-		out[e.job.ID] = take
-	}
-	return out, nil
-}
-
-// RunScheduled executes the workload under the given scheduling
-// configuration, assigns concrete nodes, builds per-node power signals and
-// fills the energy ledger with each job's analytic energy-to-solution.
-func (s *System) RunScheduled(jobs []workload.Job, cfg sched.Config) (*sched.Result, error) {
+// RunScheduled executes the workload on the batch simulator under the
+// given dispatch discipline (nil = strict FIFO) and cap configuration,
+// builds per-node power signals from the simulator's node assignment and
+// fills the energy ledger with each job's analytic energy-to-solution. A
+// power-aware strategy without an estimator gets the system predictor,
+// as in RunLive.
+func (s *System) RunScheduled(jobs []workload.Job, cfg sched.Config, strategy sched.Strategy) (*sched.Result, error) {
 	if cfg.Nodes == 0 {
 		cfg.Nodes = s.Cluster.NodeCount()
 	}
@@ -218,10 +172,10 @@ func (s *System) RunScheduled(jobs []workload.Job, cfg sched.Config) (*sched.Res
 	if cfg.IdleNodePowerW == 0 {
 		cfg.IdleNodePowerW = s.IdleNodePowerW
 	}
-	if cfg.Estimator == nil && s.Predictor != nil && cfg.PowerCapW > 0 {
+	if cfg.Estimator == nil && s.Predictor != nil && strategy != nil && strategy.PowerAware() {
 		cfg.Estimator = s.Predictor.Predict
 	}
-	sim, err := sched.NewSimulator(cfg, jobs)
+	sim, err := sched.NewSimulator(cfg, strategy, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -229,10 +183,7 @@ func (s *System) RunScheduled(jobs []workload.Job, cfg sched.Config) (*sched.Res
 	if err != nil {
 		return nil, err
 	}
-	assign, err := assignNodes(jobs, res, cfg.Nodes)
-	if err != nil {
-		return nil, err
-	}
+	assign := sim.Assignments()
 
 	// Build per-node piecewise power signals from the assignment.
 	type edge struct {

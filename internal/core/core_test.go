@@ -51,7 +51,7 @@ func TestNewSystem(t *testing.T) {
 func TestRunScheduledFillsLedgerAndSignals(t *testing.T) {
 	s := newSystem(t)
 	jobs := genJobs(t, 120, 77)
-	res, err := s.RunScheduled(jobs, sched.Config{Policy: sched.EASY})
+	res, err := s.RunScheduled(jobs, sched.Config{}, sched.NewEASYStrategy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestLedgerMatchesSignalEnergy(t *testing.T) {
 	// the integral of all node signals.
 	s := newSystem(t)
 	jobs := genJobs(t, 60, 3)
-	res, err := s.RunScheduled(jobs, sched.Config{Policy: sched.EASY})
+	res, err := s.RunScheduled(jobs, sched.Config{}, sched.NewEASYStrategy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestLedgerMatchesSignalEnergy(t *testing.T) {
 func TestRunScheduledConfigChecks(t *testing.T) {
 	s := newSystem(t)
 	jobs := genJobs(t, 10, 1)
-	if _, err := s.RunScheduled(jobs, sched.Config{Nodes: 10}); err == nil {
+	if _, err := s.RunScheduled(jobs, sched.Config{Nodes: 10}, nil); err == nil {
 		t.Error("mismatched node count should error")
 	}
 	if _, err := s.StreamWindow(0, 1, 100, 0); err == nil {
@@ -155,13 +155,13 @@ func TestProactiveCapUsesTrainedPredictor(t *testing.T) {
 	jobs := genJobs(t, 100, 12)
 	cap := 45 * 1100.0
 	res, err := s.RunScheduled(jobs, sched.Config{
-		Policy: sched.EASY, PowerCapW: cap, ReactiveCapping: true,
-	})
+		PowerCapW: cap, ReactiveCapping: true,
+	}, sched.NewEASYPowerStrategy())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The system auto-wires its predictor: policy must say proactive.
-	if res.Policy != "EASY-backfill+proactive+reactive" {
+	if res.Policy != "live-easy-power+reactive" {
 		t.Errorf("policy = %q", res.Policy)
 	}
 	if res.CapViolationSec > 0.02*res.Makespan {
@@ -172,7 +172,7 @@ func TestProactiveCapUsesTrainedPredictor(t *testing.T) {
 func TestStreamWindowEndToEnd(t *testing.T) {
 	s := newSystem(t)
 	jobs := genJobs(t, 40, 9)
-	if _, err := s.RunScheduled(jobs, sched.Config{Policy: sched.EASY}); err != nil {
+	if _, err := s.RunScheduled(jobs, sched.Config{}, sched.NewEASYStrategy()); err != nil {
 		t.Fatal(err)
 	}
 	// Stream 100 virtual seconds of 8 nodes at 50 S/s over real MQTT.
@@ -228,7 +228,7 @@ func TestStreamWindowEndToEnd(t *testing.T) {
 func TestJobEnergyFromTelemetry(t *testing.T) {
 	s := newSystem(t)
 	jobs := genJobs(t, 30, 4)
-	if _, err := s.RunScheduled(jobs, sched.Config{Policy: sched.EASY}); err != nil {
+	if _, err := s.RunScheduled(jobs, sched.Config{}, sched.NewEASYStrategy()); err != nil {
 		t.Fatal(err)
 	}
 	// Pick a short job to keep the replay quick.
@@ -257,44 +257,6 @@ func TestJobEnergyFromTelemetry(t *testing.T) {
 	}
 }
 
-func TestAssignNodesTieBreak(t *testing.T) {
-	// Job 2 starts exactly when job 1 ends on a cluster that only has
-	// enough nodes if the completion is processed before the start.
-	jobs := []workload.Job{
-		{ID: 1, Nodes: 2},
-		{ID: 2, Nodes: 2},
-	}
-	res := &sched.Result{
-		Starts: map[int]float64{1: 0, 2: 10},
-		Ends:   map[int]float64{1: 10, 2: 20},
-	}
-	out, err := assignNodes(jobs, res, 2)
-	if err != nil {
-		t.Fatalf("equal-timestamp handover failed: %v", err)
-	}
-	if len(out[1]) != 2 || len(out[2]) != 2 {
-		t.Errorf("assignments = %v", out)
-	}
-}
-
-func TestAssignNodesErrors(t *testing.T) {
-	jobs := []workload.Job{{ID: 1, Nodes: 1}}
-	if _, err := assignNodes(jobs, &sched.Result{
-		Starts: map[int]float64{}, Ends: map[int]float64{},
-	}, 4); err == nil {
-		t.Error("job missing from schedule should error")
-	}
-	// Overlapping jobs that exceed capacity cannot be replayed.
-	jobs = []workload.Job{{ID: 1, Nodes: 2}, {ID: 2, Nodes: 2}}
-	res := &sched.Result{
-		Starts: map[int]float64{1: 0, 2: 5},
-		Ends:   map[int]float64{1: 10, 2: 15},
-	}
-	if _, err := assignNodes(jobs, res, 2); err == nil {
-		t.Error("capacity overflow should error")
-	}
-}
-
 func TestStreamWindowErrorPaths(t *testing.T) {
 	fresh, err := NewSystem(nil)
 	if err != nil {
@@ -304,7 +266,7 @@ func TestStreamWindowErrorPaths(t *testing.T) {
 		t.Error("no prior run should error")
 	}
 	s := newSystem(t)
-	if _, err := s.RunScheduled(genJobs(t, 20, 2), sched.Config{Policy: sched.EASY}); err != nil {
+	if _, err := s.RunScheduled(genJobs(t, 20, 2), sched.Config{}, sched.NewEASYStrategy()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.StreamWindow(5, 5, 50, 1); err == nil {
@@ -326,7 +288,7 @@ func TestStreamWindowConcurrencyInvariant(t *testing.T) {
 	// replay publishes, with the same telemetry accuracy: per-node
 	// monitor seeds are fixed by node ID, not by worker order.
 	s := newSystem(t)
-	if _, err := s.RunScheduled(genJobs(t, 40, 9), sched.Config{Policy: sched.EASY}); err != nil {
+	if _, err := s.RunScheduled(genJobs(t, 40, 9), sched.Config{}, sched.NewEASYStrategy()); err != nil {
 		t.Fatal(err)
 	}
 	s.StreamWorkers = 1

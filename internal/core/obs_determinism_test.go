@@ -13,7 +13,7 @@ import (
 func runInstrumentedTiered(t *testing.T, racks int) string {
 	t.Helper()
 	s := newSystem(t)
-	if _, err := s.RunScheduled(genJobs(t, 60, 11), sched.Config{Policy: sched.EASY}); err != nil {
+	if _, err := s.RunScheduled(genJobs(t, 60, 11), sched.Config{}, sched.NewEASYStrategy()); err != nil {
 		t.Fatal(err)
 	}
 	s.StreamRacks = racks

@@ -17,7 +17,7 @@ import (
 func TestStreamWindowTiered(t *testing.T) {
 	const t0, t1, rate, nodes = 0.0, 40.0, 50.0, 9
 	s := newSystem(t)
-	if _, err := s.RunScheduled(genJobs(t, 60, 11), sched.Config{Policy: sched.EASY}); err != nil {
+	if _, err := s.RunScheduled(genJobs(t, 60, 11), sched.Config{}, sched.NewEASYStrategy()); err != nil {
 		t.Fatal(err)
 	}
 	base, err := s.StreamWindow(t0, t1, rate, nodes)
@@ -74,7 +74,7 @@ func TestStreamWindowTiered(t *testing.T) {
 func TestStreamWindowTieredBridgeFaults(t *testing.T) {
 	const t0, t1, rate, nodes = 0.0, 40.0, 50.0, 8
 	s := newSystem(t)
-	if _, err := s.RunScheduled(genJobs(t, 60, 11), sched.Config{Policy: sched.EASY}); err != nil {
+	if _, err := s.RunScheduled(genJobs(t, 60, 11), sched.Config{}, sched.NewEASYStrategy()); err != nil {
 		t.Fatal(err)
 	}
 	plan, err := fleet.ChaosPreset(fleet.ChaosBridgeFlap, 7)
@@ -118,7 +118,7 @@ func TestStreamWindowTieredBridgeFaults(t *testing.T) {
 // TestStreamWindowBridgeFaultsNeedRacks pins the config check.
 func TestStreamWindowBridgeFaultsNeedRacks(t *testing.T) {
 	s := newSystem(t)
-	if _, err := s.RunScheduled(genJobs(t, 20, 3), sched.Config{Policy: sched.EASY}); err != nil {
+	if _, err := s.RunScheduled(genJobs(t, 20, 3), sched.Config{}, sched.NewEASYStrategy()); err != nil {
 		t.Fatal(err)
 	}
 	plan, err := fleet.ChaosPreset(fleet.ChaosBridgeFlap, 1)

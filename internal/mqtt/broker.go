@@ -38,6 +38,12 @@ type Broker struct {
 	mu       sync.RWMutex
 	sessions map[string]*session // by client ID
 	retained map[string]*PublishPacket
+	// retainMu makes "register a subscription + snapshot the retained
+	// store" (SUBSCRIBE) and "store a retained publish + snapshot its
+	// targets" (route) mutually exclusive: interleaved, a retained
+	// publish reaches the new subscriber both live and as the retained
+	// copy. Non-retained publishes never take it.
+	retainMu sync.Mutex
 	closed   atomic.Bool
 	wg       sync.WaitGroup
 	Stats    BrokerStats
@@ -286,16 +292,19 @@ func (b *Broker) handle(s *session, hdr FixedHeader, body []byte) bool {
 			return false
 		}
 		codes := make([]byte, len(sp.Subs))
+		b.retainMu.Lock()
 		s.subsMu.Lock()
 		for i, sub := range sp.Subs {
 			s.subs[sub.Filter] = sub.QoS
 			codes[i] = sub.QoS
 		}
 		s.subsMu.Unlock()
+		matched, qos := b.matchRetained(sp.Subs)
+		b.retainMu.Unlock()
 		if err := b.send(s, encodedSuback(sp.PacketID, codes)); err != nil {
 			return false
 		}
-		b.deliverRetained(s, sp.Subs)
+		b.deliverRetained(s, matched, qos)
 	case UNSUBSCRIBE:
 		up, err := decodeUnsubscribe(body)
 		if err != nil {
@@ -334,6 +343,7 @@ func (b *Broker) route(p *PublishPacket) {
 		b.Trace(p.Topic, p.Payload)
 	}
 	if p.Retain {
+		b.retainMu.Lock() // until the targets are snapshotted
 		b.mu.Lock()
 		if len(p.Payload) == 0 {
 			delete(b.retained, p.Topic)
@@ -367,6 +377,9 @@ func (b *Broker) route(p *PublishPacket) {
 		}
 	}
 	b.mu.RUnlock()
+	if p.Retain {
+		b.retainMu.Unlock()
+	}
 
 	var enc [2][]byte // one shared encoding per effective QoS
 	for i, s := range targets {
@@ -397,11 +410,11 @@ func (b *Broker) route(p *PublishPacket) {
 	}
 }
 
-// deliverRetained sends retained messages matching fresh subscriptions.
-func (b *Broker) deliverRetained(s *session, subs []Subscription) {
+// matchRetained snapshots the retained messages matching fresh
+// subscriptions, with each one's delivery QoS.
+func (b *Broker) matchRetained(subs []Subscription) (matched []*PublishPacket, qos []byte) {
 	b.mu.RLock()
-	var matched []*PublishPacket
-	var qos []byte
+	defer b.mu.RUnlock()
 	for topic, msg := range b.retained {
 		for _, sub := range subs {
 			if TopicMatches(sub.Filter, topic) {
@@ -411,7 +424,11 @@ func (b *Broker) deliverRetained(s *session, subs []Subscription) {
 			}
 		}
 	}
-	b.mu.RUnlock()
+	return matched, qos
+}
+
+// deliverRetained sends a matchRetained snapshot to the subscriber.
+func (b *Broker) deliverRetained(s *session, matched []*PublishPacket, qos []byte) {
 	for i, msg := range matched {
 		out := *msg
 		out.Retain = true

@@ -173,6 +173,52 @@ func TestRetainedMessageDelivery(t *testing.T) {
 	waitFor(t, func() bool { return b.RetainedCount() == 0 }, "retained clear")
 }
 
+// TestRetainedDeliveredOncePerSubscribe races a retained publish against
+// a fresh subscriber's SUBSCRIBE, a fresh topic and client per round:
+// whichever wins, the subscriber must see the message exactly once —
+// live or as the retained copy, never both.
+func TestRetainedDeliveredOncePerSubscribe(t *testing.T) {
+	b := newTestBroker(t)
+	pub := dialTest(t, b.Addr(), "pub", nil)
+	for round := 0; round < 400; round++ {
+		topic := fmt.Sprintf("davide/race/%d", round)
+		var copies atomic.Int32
+		sub, err := Dial(b.Addr(), ClientOptions{
+			ClientID: fmt.Sprintf("sub-%d", round), CleanSession: true,
+			OnMessage: func(Message) { copies.Add(1) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			// QoS 1: the PUBACK follows routing, so on return the live
+			// copy (if any) is already queued for the subscriber.
+			if err := pub.Publish(topic, []byte("1800"), 1, true); err != nil {
+				t.Error(err)
+			}
+		}()
+		close(start)
+		if err := sub.Subscribe(Subscription{Filter: topic, QoS: 1}); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		// Fence: the broker handles this session's packets in order, so
+		// the second SUBACK trails every copy the first subscribe queued.
+		if err := sub.Subscribe(Subscription{Filter: "davide/fence", QoS: 0}); err != nil {
+			t.Fatal(err)
+		}
+		if n := copies.Load(); n != 1 {
+			t.Fatalf("round %d: subscriber received %d copies of one retained publish, want 1", round, n)
+		}
+		_ = sub.Close()
+	}
+}
+
 func TestMultipleSubscribersFanOut(t *testing.T) {
 	b := newTestBroker(t)
 	const nSubs = 8

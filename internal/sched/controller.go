@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
-	"sync"
 
 	"davide/internal/accounting"
 	"davide/internal/obs"
@@ -14,8 +12,8 @@ import (
 	"davide/internal/workload"
 )
 
-// This file is the live half of the package: where Simulator replays a
-// workload against synthetic per-job power constants, Controller closes
+// This file is the live driver of the scheduler core: where Simulator
+// steps it against synthetic per-job power constants, Controller closes
 // the paper's loop — each control tick it streams the cluster's power
 // into the real telemetry plane (gateways → MQTT → tsdb), reads the
 // *measured* power back out of the store, and makes admission, reactive
@@ -25,7 +23,9 @@ import (
 // keeps its last measured value instead of being assumed idle, so lost
 // telemetry can never open phantom headroom under the power cap.
 
-// Admission selects the live dispatch discipline.
+// Admission is shorthand for the two built-in strategies: a
+// ControllerConfig with a nil Strategy dispatches through the one its
+// Admission names.
 type Admission int
 
 const (
@@ -187,27 +187,15 @@ func (c ControllerConfig) Validate() error {
 		return errors.New("sched: CapSchedule needs a nominal power cap")
 	}
 	if c.PowerAware() {
-		if c.PowerCapW <= 0 {
-			return errors.New("sched: power-aware admission needs a power cap")
-		}
-		if c.Estimator == nil && c.Trainer == nil {
-			return errors.New("sched: power-aware admission needs an estimator or trainer")
-		}
+		return powerAwareNeeds(c.PowerCapW, c.Estimator != nil || c.Trainer != nil)
 	}
 	return nil
 }
 
 // PowerAware reports whether the configured discipline consults per-job
-// power predictions — the Strategy's own claim when one is set,
-// otherwise whether Admission is AdmitPowerAware. Power-aware
-// configurations need an estimator or trainer (core.RunLive wires the
-// system predictor when neither is set).
-func (c ControllerConfig) PowerAware() bool {
-	if c.Strategy != nil {
-		return c.Strategy.PowerAware()
-	}
-	return c.Admission == AdmitPowerAware
-}
+// power predictions. Power-aware configurations need an estimator or
+// trainer (core.RunLive wires the system predictor when neither is set).
+func (c ControllerConfig) PowerAware() bool { return c.strategy().PowerAware() }
 
 // strategy resolves the dispatch discipline: the configured Strategy,
 // or the built-in one matching Admission.
@@ -219,22 +207,6 @@ func (c ControllerConfig) strategy() Strategy {
 		return powerAwareStrategy{}
 	}
 	return fifoStrategy{}
-}
-
-// liveJob tracks one job through the live run.
-type liveJob struct {
-	job       workload.Job
-	predicted float64 // per-node predicted power (power-aware only)
-	nodes     []int   // concrete node assignment while running
-	startAt   float64
-	endAt     float64
-	remaining float64
-	started   bool
-	finished  bool
-	// visible reports that the job's telemetry has been measured at
-	// least once since it started; until then admission adds its
-	// predicted draw on top of the (older) measurement.
-	visible bool
 }
 
 // ControllerResult extends the batch metrics with the live plane's
@@ -276,26 +248,14 @@ type ControllerResult struct {
 	FinalCapW float64
 }
 
-// Controller runs the closed-loop power-aware scheduler.
+// Controller runs the closed-loop power-aware scheduler: the scheduler
+// core driven tick by tick against measured power.
 type Controller struct {
-	cfg      ControllerConfig
-	src      TelemetrySource
-	hooks    Hooks
-	strategy Strategy
-
-	// assignMu guards each liveJob's started/nodes pair so Assignments
-	// stays readable from other goroutines (the live query service polls
-	// it mid-run) while the controller goroutine starts jobs.
-	assignMu sync.Mutex
-
-	jobs      []*liveJob
-	pending   []*liveJob
-	running   []*liveJob
-	arrived   int
-	finished  int
-	freeNodes []int
-	now       float64
-	speed     float64 // reactive execution speed for the *next* tick
+	*machine
+	cfg   ControllerConfig
+	src   TelemetrySource
+	hooks Hooks
+	speed float64 // reactive execution speed for the *next* tick
 
 	// Telemetry view: last fresh per-node mean power, the ingested
 	// sample count at the last fresh read (freshness detection), and the
@@ -312,7 +272,6 @@ type Controller struct {
 	trace  *sensor.Piecewise
 
 	fresh, stale    int
-	refused         int
 	measureFailures int
 	capViolSec      float64
 	capOverSq       float64
@@ -369,40 +328,23 @@ func NewController(cfg ControllerConfig, jobs []workload.Job, src TelemetrySourc
 	if hooks.StreamTick == nil {
 		return nil, errors.New("sched: StreamTick hook required")
 	}
-	if len(jobs) == 0 {
-		return nil, errors.New("sched: no jobs")
+	estimate := cfg.Estimator
+	if cfg.Trainer != nil {
+		estimate = cfg.Trainer.Predict
 	}
-	c := &Controller{cfg: cfg, src: src, hooks: hooks, speed: 1,
-		strategy: cfg.strategy(),
-		capNow:   cfg.PowerCapW, ledger: accounting.NewLedger()}
+	m, err := newMachine(cfg.Config, cfg.strategy(), estimate, cfg.HeadReserveS, jobs)
+	if err != nil {
+		return nil, err
+	}
+	c := &Controller{machine: m, cfg: cfg, src: src, hooks: hooks, speed: 1,
+		capNow: cfg.PowerCapW, ledger: accounting.NewLedger()}
 	if cfg.Metrics != nil {
 		c.met = newSchedMetrics(cfg.Metrics)
 	}
-	ids := make(map[int]struct{}, len(jobs))
-	for i, j := range jobs {
-		if err := j.Validate(); err != nil {
-			return nil, fmt.Errorf("sched: job %d: %w", j.ID, err)
-		}
-		if j.Nodes > cfg.Nodes {
-			return nil, fmt.Errorf("sched: job %d requests %d nodes, machine has %d", j.ID, j.Nodes, cfg.Nodes)
-		}
-		if i > 0 && j.SubmitAt < jobs[i-1].SubmitAt {
-			return nil, errors.New("sched: jobs must be sorted by submit time")
-		}
-		if _, dup := ids[j.ID]; dup {
-			// A duplicate would collide in the accounting ledger, the
-			// assignment map and the phase view; reject it up front.
-			return nil, fmt.Errorf("sched: duplicate job ID %d", j.ID)
-		}
-		ids[j.ID] = struct{}{}
-		c.jobs = append(c.jobs, &liveJob{job: j, remaining: j.Duration})
-	}
-	c.freeNodes = make([]int, cfg.Nodes)
 	c.lastSeen = make([]float64, cfg.Nodes)
 	c.seen = make([]int, cfg.Nodes)
 	c.lastFreshT0 = make([]float64, cfg.Nodes)
 	for n := 0; n < cfg.Nodes; n++ {
-		c.freeNodes[n] = n
 		// Before any telemetry exists the machine is provably idle.
 		c.lastSeen[n] = cfg.IdleNodePowerW
 		c.lastFreshT0[n] = -1
@@ -414,20 +356,6 @@ func NewController(cfg ControllerConfig, jobs []workload.Job, src TelemetrySourc
 // Ledger returns the telemetry-derived energy-accounting ledger the run
 // fills as jobs complete (the paper's EA agent view of the machine).
 func (c *Controller) Ledger() *accounting.Ledger { return c.ledger }
-
-// Assignments returns the concrete node IDs each job ran on (filled as
-// jobs start; complete once Run returns).
-func (c *Controller) Assignments() map[int][]int {
-	c.assignMu.Lock()
-	defer c.assignMu.Unlock()
-	out := make(map[int][]int, len(c.jobs))
-	for _, j := range c.jobs {
-		if j.started {
-			out[j.job.ID] = append([]int(nil), j.nodes...)
-		}
-	}
-	return out
-}
 
 // EffectiveCap returns the cap the controller is currently enforcing:
 // the ramp-limited tracker of CapSchedule, or the nominal PowerCapW
@@ -488,57 +416,19 @@ func (c *Controller) measuredTotal() float64 {
 	return t
 }
 
-// predict returns (caching) the per-node power prediction for a job.
-func (c *Controller) predict(js *liveJob) (float64, error) {
-	if js.predicted > 0 {
-		return js.predicted, nil
-	}
-	var p float64
-	var err error
-	if c.cfg.Trainer != nil {
-		p, err = c.cfg.Trainer.Predict(js.job)
-	} else {
-		p, err = c.cfg.Estimator(js.job)
-	}
-	if err != nil {
-		return 0, fmt.Errorf("sched: predict job %d: %w", js.job.ID, err)
-	}
-	// A prediction below idle would subtract headroom for starting a
-	// job; clamp to the physical floor.
-	if p < c.cfg.IdleNodePowerW {
-		p = c.cfg.IdleNodePowerW
-	}
-	js.predicted = p
-	return p, nil
-}
-
-// start launches a job now on concrete nodes from the free list.
-func (c *Controller) start(js *liveJob) {
-	n := js.job.Nodes
-	c.assignMu.Lock()
-	js.nodes = append([]int(nil), c.freeNodes[:n]...)
-	js.started = true
-	c.assignMu.Unlock()
-	c.freeNodes = c.freeNodes[n:]
-	js.startAt = c.now
-	c.running = append(c.running, js)
-}
-
-// dispatch runs one admission pass at the top of a tick through the
-// configured strategy, then drops started jobs from the pending queue
-// (preserving submission order for the rest).
-func (c *Controller) dispatch() error {
-	if err := c.strategy.Dispatch(c.newDispatchEnv()); err != nil {
-		return err
-	}
-	kept := c.pending[:0]
-	for _, js := range c.pending {
-		if !js.started {
-			kept = append(kept, js)
+// belief is what admission holds against the cap: the measured total
+// plus the predicted draw of running jobs the telemetry has not yet
+// measured (started less than a tick ago, or started into a window that
+// was lost). Without that delta, a job admitted last tick would not
+// count against headroom until its power shows up in the store.
+func (c *Controller) belief() float64 {
+	invisibleDelta := 0.0
+	for _, r := range c.running {
+		if !r.visible && r.predicted > 0 {
+			invisibleDelta += (r.predicted - c.cfg.IdleNodePowerW) * float64(r.job.Nodes)
 		}
 	}
-	c.pending = kept
-	return nil
+	return c.measuredTotal() + invisibleDelta
 }
 
 // levels returns each node's true effective power for the coming tick:
@@ -680,30 +570,18 @@ func (c *Controller) updateTrim() {
 
 // advance progresses running jobs by one tick and settles completions at
 // the tick boundary, measuring each finished job's energy from telemetry.
-func (c *Controller) advance(t1 float64) error {
-	still := c.running[:0]
-	for _, r := range c.running {
-		r.remaining -= c.cfg.TickS * c.speed
-		if r.remaining > 1e-9 {
-			still = append(still, r)
-			continue
-		}
-		r.finished = true
-		r.endAt = t1
-		c.freeNodes = append(c.freeNodes, r.nodes...)
-		c.finished++
+func (c *Controller) advance(t1 float64) {
+	c.work(c.cfg.TickS * c.speed)
+	for _, r := range c.retire(t1) {
 		c.measureQ = append(c.measureQ, measureItem{
 			js: r, deadline: t1 + float64(c.cfg.SettleTicks)*c.cfg.TickS,
 		})
 	}
-	sort.Ints(c.freeNodes)
-	c.running = still
-	return nil
 }
 
 // measureItem is one completed job waiting for its accounting to settle.
 type measureItem struct {
-	js       *liveJob
+	js       *job
 	deadline float64
 }
 
@@ -742,7 +620,7 @@ func (c *Controller) settle(now float64, force bool) error {
 // and feeds the measured per-node power to the online trainer. Severe
 // telemetry loss can make the record unbuildable; that degrades
 // accounting (counted), never the run.
-func (c *Controller) complete(r *liveJob) error {
+func (c *Controller) complete(r *job) error {
 	rec, err := c.ledger.AddFromSource(c.src, r.job.ID, r.job.User,
 		r.job.App.String(), r.nodes, r.startAt, r.endAt)
 	if err != nil {
@@ -793,12 +671,13 @@ func (c *Controller) Run() (*ControllerResult, error) {
 		}
 		t0, t1 := c.now, c.now+c.cfg.TickS
 		c.trackCap(t0)
-		for c.arrived < len(c.jobs) && c.jobs[c.arrived].job.SubmitAt <= t0 {
-			c.pending = append(c.pending, c.jobs[c.arrived])
-			c.arrived++
-		}
-		if err := c.dispatch(); err != nil {
+		c.arrive(t0)
+		refused := c.refused
+		if err := c.dispatch(c.belief(), c.admitCap()); err != nil {
 			return nil, err
+		}
+		if c.met != nil {
+			c.met.refused.Add(int64(c.refused - refused))
 		}
 		levels := c.levels()
 		if c.hooks.Perturb != nil {
@@ -830,9 +709,7 @@ func (c *Controller) Run() (*ControllerResult, error) {
 				c.measViolSec += c.cfg.TickS
 			}
 		}
-		if err := c.advance(t1); err != nil {
-			return nil, err
-		}
+		c.advance(t1)
 		if err := c.settle(t1, false); err != nil {
 			return nil, err
 		}
@@ -853,21 +730,11 @@ func (c *Controller) Run() (*ControllerResult, error) {
 
 // collect assembles the final metrics.
 func (c *Controller) collect(ticks int) (*ControllerResult, error) {
-	outs := make([]jobOutcome, 0, len(c.jobs))
-	for _, j := range c.jobs {
-		if !j.finished {
-			return nil, fmt.Errorf("sched: job %d never finished", j.job.ID)
-		}
-		outs = append(outs, jobOutcome{
-			id: j.job.ID, submit: j.job.SubmitAt,
-			start: j.startAt, end: j.endAt, nodes: j.job.Nodes,
-		})
+	outs, err := c.outcomes()
+	if err != nil {
+		return nil, err
 	}
-	name := c.strategy.Name()
-	if c.strategy.PowerAware() && c.cfg.ReactiveCapping {
-		name += "+reactive"
-	}
-	base, err := summarize(name, outs, c.cfg.Nodes, c.cfg.PowerCapW,
+	base, err := summarize(c.label(), outs, c.cfg.Nodes, c.cfg.PowerCapW,
 		c.trace, c.capViolSec, c.capOverSq)
 	if err != nil {
 		return nil, err

@@ -1,62 +1,47 @@
 // Package sched implements the job dispatcher of §III-A2 of the paper:
 // the SLURM-style scheduling layer that D.A.V.I.D.E. extends with power
-// awareness. The same backfill core supports four policies compared in
-// experiment E8:
+// awareness. It is one scheduler core (machine: job records, queues,
+// free-node list, prediction cache and the dispatch pass through a
+// Strategy) under two drivers: the batch Simulator, event-driven over
+// virtual time against each job's true power constants, and the live
+// Controller, tick-driven against power measured through the telemetry
+// plane. The configurations compared in experiment E8 are a Strategy
+// plus the Config's cap mechanism:
 //
-//   - FCFS: first-come-first-served, no power awareness;
-//   - EASY: FCFS with EASY backfilling (aggressive backfill with a
-//     reservation for the queue head);
-//   - proactive: EASY plus admission control against a system power cap,
-//     using per-job power *predictions* (the paper's ML predictors);
-//   - reactive-only: EASY with no admission control; when the machine
-//     exceeds the cap, node-level capping slows every running job down
-//     (performance loss and SLA risk, as the paper warns).
+//   - FIFO (first-come-first-served) or EASY (FCFS with EASY
+//     backfilling: aggressive backfill with a reservation for the queue
+//     head), no power awareness;
+//   - proactive: the power-aware variant of either, admission control
+//     against a system power cap using per-job power *predictions* (the
+//     paper's ML predictors);
+//   - reactive-only: no admission control; when the machine exceeds the
+//     cap, node-level capping slows every running job down (performance
+//     loss and SLA risk, as the paper warns).
 //
 // Proactive and reactive can be combined, the configuration the paper
 // advocates ("mix both proactive and reactive power capping techniques").
 //
-// The simulation is event-driven over virtual time with variable execution
-// speed: when reactive capping engages, running jobs stretch; the recorded
+// When reactive capping engages, running jobs stretch; the recorded
 // power trace and all QoS metrics account for it.
 package sched
 
 import (
 	"errors"
-	"fmt"
 	"math"
-	"sort"
 
 	"davide/internal/sensor"
 	"davide/internal/stats"
 	"davide/internal/workload"
 )
 
-// Policy selects the dispatching algorithm.
-type Policy int
-
-// Dispatching policies.
-const (
-	FCFS Policy = iota
-	EASY
-)
-
-// String names the policy.
-func (p Policy) String() string {
-	if p == FCFS {
-		return "FCFS"
-	}
-	return "EASY-backfill"
-}
-
 // Config describes one scheduling run.
 type Config struct {
-	Nodes  int    // machine size in nodes
-	Policy Policy // base dispatching order
+	Nodes int // machine size in nodes
 	// PowerCapW caps the whole machine's compute power draw; 0 disables.
 	PowerCapW float64
-	// Estimator returns the per-node power prediction for a job. When
-	// non-nil and PowerCapW > 0, admission control (proactive capping)
-	// refuses to start jobs whose predicted power exceeds the headroom.
+	// Estimator returns the per-node power prediction for a job. A
+	// power-aware Strategy (proactive capping) consults it to refuse jobs
+	// whose predicted power exceeds the headroom under PowerCapW.
 	Estimator func(workload.Job) (float64, error)
 	// ReactiveCapping slows all running jobs proportionally whenever true
 	// power exceeds the cap, emulating node-level capping.
@@ -78,20 +63,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// jobState tracks one job through the simulation.
-type jobState struct {
-	job       workload.Job
-	predicted float64 // per-node predicted power (proactive only)
-	startAt   float64
-	endAt     float64
-	remaining float64 // full-speed seconds of work left
-	started   bool
-	finished  bool
-}
-
 // Result carries the metrics of one run.
 type Result struct {
-	Policy          string            // discipline label (Strategy.Name or Policy.String)
+	Policy          string            // discipline label (Strategy.Name, "+reactive" when it also caps reactively)
 	Jobs            int               // jobs submitted
 	Makespan        float64           // seconds from first submit to last completion
 	MeanWait        float64           // mean queue wait, seconds
@@ -109,170 +83,55 @@ type Result struct {
 	Ends            map[int]float64   // job ID -> end time
 }
 
-// Simulator runs one scheduling experiment.
+// simHeadReserveS is the anti-starvation bound strategies see on the
+// batch Simulator: 60 of the Controller's default 30 s ticks.
+const simHeadReserveS = 1800
+
+// Simulator runs one scheduling experiment: the scheduler core driven
+// event to event over virtual time.
 type Simulator struct {
-	cfg        Config
-	pending    []*jobState // submitted, not yet started, in FCFS order
-	running    []*jobState
-	arrived    int
-	jobs       []*jobState // all, in submission order
-	now        float64
+	*machine
 	speed      float64 // current execution speed (1 = nominal)
 	trace      *sensor.Piecewise
 	capViolSec float64
 	capOverSq  float64 // integral of squared overshoot
 }
 
-// NewSimulator validates the config and prepares a run over the jobs.
-func NewSimulator(cfg Config, jobs []workload.Job) (*Simulator, error) {
+// NewSimulator validates the config and prepares a run over the jobs
+// under the given dispatch discipline (nil = strict FIFO). A power-aware
+// strategy needs cfg.PowerCapW and cfg.Estimator.
+func NewSimulator(cfg Config, strategy Strategy, jobs []workload.Job) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(jobs) == 0 {
-		return nil, errors.New("sched: no jobs")
+	m, err := newMachine(cfg, strategy, cfg.Estimator, simHeadReserveS, jobs)
+	if err != nil {
+		return nil, err
 	}
-	s := &Simulator{cfg: cfg, speed: 1}
-	for i, j := range jobs {
-		if err := j.Validate(); err != nil {
-			return nil, fmt.Errorf("sched: job %d: %w", j.ID, err)
-		}
-		if j.Nodes > cfg.Nodes {
-			return nil, fmt.Errorf("sched: job %d requests %d nodes, machine has %d", j.ID, j.Nodes, cfg.Nodes)
-		}
-		if i > 0 && j.SubmitAt < jobs[i-1].SubmitAt {
-			return nil, errors.New("sched: jobs must be sorted by submit time")
-		}
-		s.jobs = append(s.jobs, &jobState{job: j, remaining: j.Duration})
-	}
-	s.trace = sensor.NewPiecewise(0, cfg.IdleNodePowerW*float64(cfg.Nodes))
-	return s, nil
-}
-
-// freeNodes returns currently idle node count.
-func (s *Simulator) freeNodes() int {
-	used := 0
-	for _, r := range s.running {
-		used += r.job.Nodes
-	}
-	return s.cfg.Nodes - used
+	return &Simulator{
+		machine: m, speed: 1,
+		trace: sensor.NewPiecewise(0, cfg.IdleNodePowerW*float64(cfg.Nodes)),
+	}, nil
 }
 
 // truePower returns the actual compute power of running jobs plus idle
 // nodes.
 func (s *Simulator) truePower() float64 {
-	p := float64(s.freeNodes()) * s.cfg.IdleNodePowerW
+	p := float64(len(s.free)) * s.cfg.IdleNodePowerW
 	for _, r := range s.running {
 		p += r.job.TotalPower()
 	}
 	return p
 }
 
-// predictedPower returns the scheduler's belief about current power.
+// predictedPower returns the scheduler's belief about current power:
+// idle nodes at idle draw, running jobs at their predicted draw.
 func (s *Simulator) predictedPower() float64 {
-	p := float64(s.freeNodes()) * s.cfg.IdleNodePowerW
+	p := float64(len(s.free)) * s.cfg.IdleNodePowerW
 	for _, r := range s.running {
 		p += r.predicted * float64(r.job.Nodes)
 	}
 	return p
-}
-
-// admit reports whether the job fits the power envelope under proactive
-// admission control.
-func (s *Simulator) admit(js *jobState) (bool, error) {
-	if s.cfg.PowerCapW == 0 || s.cfg.Estimator == nil {
-		return true, nil
-	}
-	if js.predicted == 0 {
-		pred, err := s.cfg.Estimator(js.job)
-		if err != nil {
-			return false, err
-		}
-		js.predicted = pred
-	}
-	// Starting the job converts idle nodes to active ones.
-	delta := js.predicted*float64(js.job.Nodes) - s.cfg.IdleNodePowerW*float64(js.job.Nodes)
-	return s.predictedPower()+delta <= s.cfg.PowerCapW, nil
-}
-
-// start launches a job now.
-func (s *Simulator) start(js *jobState) {
-	js.started = true
-	js.startAt = s.now
-	s.running = append(s.running, js)
-}
-
-// schedule runs one dispatching pass.
-func (s *Simulator) schedule() error {
-	// FCFS phase: start queue-head jobs while they fit.
-	for len(s.pending) > 0 {
-		head := s.pending[0]
-		if head.job.Nodes > s.freeNodes() {
-			break
-		}
-		ok, err := s.admit(head)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		s.start(head)
-		s.pending = s.pending[1:]
-	}
-	if s.cfg.Policy != EASY || len(s.pending) == 0 {
-		return nil
-	}
-	// EASY backfill: compute the shadow time at which the blocked head
-	// could start, from running jobs' wall-limit-based expected ends.
-	head := s.pending[0]
-	type rel struct {
-		end   float64
-		nodes int
-	}
-	rels := make([]rel, 0, len(s.running))
-	for _, r := range s.running {
-		// Expected end uses the user wall limit (the scheduler cannot
-		// see true durations), at nominal speed.
-		rels = append(rels, rel{end: r.startAt + r.job.WallLimit, nodes: r.job.Nodes})
-	}
-	sort.Slice(rels, func(i, j int) bool { return rels[i].end < rels[j].end })
-	avail := s.freeNodes()
-	shadow := s.now
-	for _, r := range rels {
-		if avail >= head.job.Nodes {
-			break
-		}
-		avail += r.nodes
-		shadow = r.end
-	}
-	if avail < head.job.Nodes {
-		return nil // head cannot ever start (should not happen: validated)
-	}
-	// Nodes spare at the shadow time beyond the head's need.
-	spareAtShadow := avail - head.job.Nodes
-	// Try to backfill the rest of the queue in order.
-	kept := s.pending[:1]
-	for _, cand := range s.pending[1:] {
-		fitsNow := cand.job.Nodes <= s.freeNodes()
-		finishesBeforeShadow := s.now+cand.job.WallLimit <= shadow
-		fitsSpare := cand.job.Nodes <= spareAtShadow
-		if fitsNow && (finishesBeforeShadow || fitsSpare) {
-			ok, err := s.admit(cand)
-			if err != nil {
-				return err
-			}
-			if ok {
-				s.start(cand)
-				if !finishesBeforeShadow {
-					spareAtShadow -= cand.job.Nodes
-				}
-				continue
-			}
-		}
-		kept = append(kept, cand)
-	}
-	s.pending = kept
-	return nil
 }
 
 // updateSpeed recomputes the reactive-capping execution speed.
@@ -341,28 +200,12 @@ func (s *Simulator) Run() (*Result, error) {
 				over := p - s.cfg.PowerCapW
 				s.capOverSq += over * over * dt
 			}
-			for _, r := range s.running {
-				r.remaining -= dt * s.speed
-			}
+			s.work(dt * s.speed)
 		}
 		s.now = t
-		// Completions (tolerance for float error).
-		stillRunning := s.running[:0]
-		for _, r := range s.running {
-			if r.remaining <= 1e-9 {
-				r.finished = true
-				r.endAt = s.now
-			} else {
-				stillRunning = append(stillRunning, r)
-			}
-		}
-		s.running = stillRunning
-		// Arrivals.
-		for s.arrived < len(s.jobs) && s.jobs[s.arrived].job.SubmitAt <= s.now {
-			s.pending = append(s.pending, s.jobs[s.arrived])
-			s.arrived++
-		}
-		if err := s.schedule(); err != nil {
+		s.retire(t)
+		s.arrive(t)
+		if err := s.dispatch(s.predictedPower(), s.cfg.PowerCapW); err != nil {
 			return nil, err
 		}
 		s.updateSpeed()
@@ -370,22 +213,11 @@ func (s *Simulator) Run() (*Result, error) {
 			return nil, err
 		}
 	}
-	return s.collect()
-}
-
-// collect computes the final metrics.
-func (s *Simulator) collect() (*Result, error) {
-	outs := make([]jobOutcome, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		if !j.finished {
-			return nil, fmt.Errorf("sched: job %d never finished", j.job.ID)
-		}
-		outs = append(outs, jobOutcome{
-			id: j.job.ID, submit: j.job.SubmitAt,
-			start: j.startAt, end: j.endAt, nodes: j.job.Nodes,
-		})
+	outs, err := s.outcomes()
+	if err != nil {
+		return nil, err
 	}
-	res, err := summarize(s.policyName(), outs, s.cfg.Nodes, s.cfg.PowerCapW,
+	res, err := summarize(s.label(), outs, s.cfg.Nodes, s.cfg.PowerCapW,
 		s.trace, s.capViolSec, s.capOverSq)
 	if err != nil {
 		return nil, err
@@ -456,22 +288,4 @@ func summarize(policy string, outs []jobOutcome, machineNodes int, capW float64,
 		res.CapOverRMSW = math.Sqrt(capOverSq / capViolSec)
 	}
 	return res, nil
-}
-
-// policyName renders the full policy description.
-func (s *Simulator) policyName() string {
-	name := s.cfg.Policy.String()
-	if s.cfg.PowerCapW > 0 {
-		switch {
-		case s.cfg.Estimator != nil && s.cfg.ReactiveCapping:
-			name += "+proactive+reactive"
-		case s.cfg.Estimator != nil:
-			name += "+proactive"
-		case s.cfg.ReactiveCapping:
-			name += "+reactive"
-		default:
-			name += "+cap-ignored"
-		}
-	}
-	return name
 }

@@ -14,7 +14,7 @@ func TestSingleNodeMachine(t *testing.T) {
 		mkJob(1, 0, 50, 100, 1, 1000),
 		mkJob(2, 0, 50, 100, 1, 1000),
 	}
-	sim, err := NewSimulator(Config{Nodes: 1, Policy: EASY}, jobs)
+	sim, err := NewSimulator(Config{Nodes: 1}, NewEASYStrategy(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestSimultaneousArrivals(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		jobs = append(jobs, mkJob(i, 0, 100, 200, 2, 1200))
 	}
-	sim, err := NewSimulator(Config{Nodes: 10, Policy: EASY, IdleNodePowerW: 360}, jobs)
+	sim, err := NewSimulator(Config{Nodes: 10, IdleNodePowerW: 360}, NewEASYStrategy(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestWallLimitEqualsDuration(t *testing.T) {
 		{ID: 0, Nodes: 2, SubmitAt: 0, WallLimit: 100, Duration: 100, TruePowerPerNode: 1000},
 		{ID: 1, Nodes: 2, SubmitAt: 1, WallLimit: 100, Duration: 100, TruePowerPerNode: 1000},
 	}
-	sim, err := NewSimulator(Config{Nodes: 2, Policy: EASY}, jobs)
+	sim, err := NewSimulator(Config{Nodes: 2}, NewEASYStrategy(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestWholeMachineJobs(t *testing.T) {
 		mkJob(1, 0, 10, 20, 1, 900), // small job behind a whole-machine job
 		mkJob(2, 1, 10, 20, 45, 1500),
 	}
-	sim, err := NewSimulator(Config{Nodes: 45, Policy: EASY, IdleNodePowerW: 360}, jobs)
+	sim, err := NewSimulator(Config{Nodes: 45, IdleNodePowerW: 360}, NewEASYStrategy(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +106,9 @@ func TestWholeMachineJobs(t *testing.T) {
 func TestReactiveSpeedFloor(t *testing.T) {
 	jobs := []workload.Job{mkJob(0, 0, 100, 200, 2, 2000)}
 	sim, err := NewSimulator(Config{
-		Nodes: 2, Policy: EASY, PowerCapW: 100, // below 2x360 idle
+		Nodes: 2, PowerCapW: 100, // below 2x360 idle
 		ReactiveCapping: true, IdleNodePowerW: 360,
-	}, jobs)
+	}, NewEASYStrategy(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestReactiveSpeedFloor(t *testing.T) {
 // when its runtime exceeds the bounded-slowdown threshold.
 func TestZeroWaitAccounting(t *testing.T) {
 	jobs := []workload.Job{mkJob(0, 0, 120, 240, 1, 1000)}
-	sim, err := NewSimulator(Config{Nodes: 4}, jobs)
+	sim, err := NewSimulator(Config{Nodes: 4}, nil, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

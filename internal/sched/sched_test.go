@@ -82,30 +82,53 @@ func TestConfigValidation(t *testing.T) {
 
 func TestNewSimulatorValidation(t *testing.T) {
 	cfg := Config{Nodes: 4}
-	if _, err := NewSimulator(cfg, nil); err == nil {
+	if _, err := NewSimulator(cfg, nil, nil); err == nil {
 		t.Error("no jobs should error")
 	}
-	if _, err := NewSimulator(cfg, []workload.Job{mkJob(0, 0, 10, 20, 8, 1000)}); err == nil {
+	if _, err := NewSimulator(cfg, nil, []workload.Job{mkJob(0, 0, 10, 20, 8, 1000)}); err == nil {
 		t.Error("oversized job should error")
 	}
-	if _, err := NewSimulator(cfg, []workload.Job{mkJob(0, 0, 0, 20, 1, 1000)}); err == nil {
+	if _, err := NewSimulator(cfg, nil, []workload.Job{mkJob(0, 0, 0, 20, 1, 1000)}); err == nil {
 		t.Error("invalid job should error")
 	}
-	if _, err := NewSimulator(cfg, []workload.Job{
+	if _, err := NewSimulator(cfg, nil, []workload.Job{
 		mkJob(0, 100, 10, 20, 1, 1000), mkJob(1, 50, 10, 20, 1, 1000),
 	}); err == nil {
 		t.Error("unsorted jobs should error")
 	}
-}
-
-func TestPolicyString(t *testing.T) {
-	if FCFS.String() == "" || EASY.String() == "" || FCFS.String() == EASY.String() {
-		t.Error("policy names wrong")
+	// A duplicate ID would merge two jobs into one Starts/Ends entry.
+	_, err := NewSimulator(cfg, nil, []workload.Job{
+		mkJob(7, 0, 10, 20, 1, 1000), mkJob(7, 5, 10, 20, 1, 1000),
+	})
+	if err == nil || !strings.Contains(err.Error(), "duplicate job ID 7") {
+		t.Errorf("duplicate job ID: want an error naming it, got %v", err)
+	}
+	// A power-aware strategy cannot run without a cap and an estimator.
+	one := []workload.Job{mkJob(0, 0, 10, 20, 4, 1800)}
+	if _, err := NewSimulator(Config{Nodes: 4, Estimator: oracleEstimator}, NewEASYPowerStrategy(), one); err == nil {
+		t.Error("power-aware strategy without a cap should error")
+	}
+	if _, err := NewSimulator(Config{Nodes: 4, PowerCapW: 5000}, NewEASYPowerStrategy(), one); err == nil {
+		t.Error("power-aware strategy without an estimator should error")
+	}
+	// Never schedulable: idle 4×360 + (1800−360)×4 = 7200 W > 5 kW cap even
+	// on an idle machine. The run must say so, not "job 0 never finished".
+	sim, err := NewSimulator(Config{
+		Nodes: 4, PowerCapW: 5000, IdleNodePowerW: 360, Estimator: oracleEstimator,
+	}, NewEASYPowerStrategy(), one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sim.Run()
+	for _, want := range []string{"job 0", "1800 W/node", "5000 W cap", "cannot fit under"} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("never-schedulable job: error %v does not mention %q", err, want)
+		}
 	}
 }
 
 func TestSingleJobRuns(t *testing.T) {
-	sim, err := NewSimulator(Config{Nodes: 4}, []workload.Job{mkJob(0, 10, 100, 200, 2, 1500)})
+	sim, err := NewSimulator(Config{Nodes: 4}, nil, []workload.Job{mkJob(0, 10, 100, 200, 2, 1500)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +161,7 @@ func TestFCFSOrdering(t *testing.T) {
 		mkJob(1, 1, 100, 150, 3, 1000),
 		mkJob(2, 2, 10, 20, 1, 1000),
 	}
-	sim, err := NewSimulator(Config{Nodes: 4, Policy: FCFS}, jobs)
+	sim, err := NewSimulator(Config{Nodes: 4}, NewFIFOStrategy(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +184,7 @@ func TestEASYBackfillsSmallJob(t *testing.T) {
 		mkJob(1, 1, 100, 150, 3, 1000),
 		mkJob(2, 2, 10, 20, 1, 1000), // fits the free node and ends before the shadow
 	}
-	sim, err := NewSimulator(Config{Nodes: 4, Policy: EASY}, jobs)
+	sim, err := NewSimulator(Config{Nodes: 4}, NewEASYStrategy(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +203,7 @@ func TestEASYBackfillsSmallJob(t *testing.T) {
 
 func TestEASYBeatsOrMatchesFCFSWait(t *testing.T) {
 	jobs := genJobs(t, 300, 5)
-	fc, err := NewSimulator(Config{Nodes: 45, Policy: FCFS}, jobs)
+	fc, err := NewSimulator(Config{Nodes: 45}, NewFIFOStrategy(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +211,7 @@ func TestEASYBeatsOrMatchesFCFSWait(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ea, err := NewSimulator(Config{Nodes: 45, Policy: EASY}, jobs)
+	ea, err := NewSimulator(Config{Nodes: 45}, NewEASYStrategy(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,9 +234,9 @@ func TestProactiveCapNeverViolates(t *testing.T) {
 	oracle := func(j workload.Job) (float64, error) { return j.TruePowerPerNode, nil }
 	cap := 45 * 1200.0
 	sim, err := NewSimulator(Config{
-		Nodes: 45, Policy: EASY, PowerCapW: cap,
+		Nodes: 45, PowerCapW: cap,
 		Estimator: oracle, IdleNodePowerW: 360,
-	}, jobs)
+	}, NewEASYPowerStrategy(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,9 +253,9 @@ func TestReactiveOnlyViolatesButCompletes(t *testing.T) {
 	jobs := genJobs(t, 200, 9)
 	cap := 45 * 1000.0 // tight cap
 	sim, err := NewSimulator(Config{
-		Nodes: 45, Policy: EASY, PowerCapW: cap,
+		Nodes: 45, PowerCapW: cap,
 		ReactiveCapping: true, IdleNodePowerW: 360,
-	}, jobs)
+	}, NewEASYStrategy(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +269,7 @@ func TestReactiveOnlyViolatesButCompletes(t *testing.T) {
 		t.Errorf("reactive trace should track the cap, violated %v s", res.CapViolationSec)
 	}
 	// ...at the cost of a longer makespan than the uncapped baseline.
-	free, err := NewSimulator(Config{Nodes: 45, Policy: EASY, IdleNodePowerW: 360}, jobs)
+	free, err := NewSimulator(Config{Nodes: 45, IdleNodePowerW: 360}, NewEASYStrategy(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,9 +290,9 @@ func TestProactivePredictorKeepsQoSBetterThanReactive(t *testing.T) {
 	est := trainedEstimator(t)
 
 	pro, err := NewSimulator(Config{
-		Nodes: 45, Policy: EASY, PowerCapW: cap,
+		Nodes: 45, PowerCapW: cap,
 		Estimator: est, ReactiveCapping: true, IdleNodePowerW: 360,
-	}, jobs)
+	}, NewEASYPowerStrategy(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,9 +301,9 @@ func TestProactivePredictorKeepsQoSBetterThanReactive(t *testing.T) {
 		t.Fatal(err)
 	}
 	rea, err := NewSimulator(Config{
-		Nodes: 45, Policy: EASY, PowerCapW: cap,
+		Nodes: 45, PowerCapW: cap,
 		ReactiveCapping: true, IdleNodePowerW: 360,
-	}, jobs)
+	}, NewEASYStrategy(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,8 +329,8 @@ func TestCapIgnoredCountsViolations(t *testing.T) {
 	// record violations — the measurement experiment E8 baselines on.
 	jobs := genJobs(t, 150, 33)
 	sim, err := NewSimulator(Config{
-		Nodes: 45, Policy: EASY, PowerCapW: 45 * 900.0, IdleNodePowerW: 360,
-	}, jobs)
+		Nodes: 45, PowerCapW: 45 * 900.0, IdleNodePowerW: 360,
+	}, NewEASYStrategy(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,15 +344,16 @@ func TestCapIgnoredCountsViolations(t *testing.T) {
 	if res.CapOverRMSW <= 0 {
 		t.Error("violations should have positive RMS overshoot")
 	}
-	if res.Policy != "EASY-backfill+cap-ignored" {
+	if res.Policy != "live-easy" {
 		t.Errorf("policy name = %q", res.Policy)
 	}
 }
 
 func TestAllJobsComplete(t *testing.T) {
 	jobs := genJobs(t, 400, 1)
-	for _, policy := range []Policy{FCFS, EASY} {
-		sim, err := NewSimulator(Config{Nodes: 45, Policy: policy, IdleNodePowerW: 360}, jobs)
+	for _, strategy := range []Strategy{NewFIFOStrategy(), NewEASYStrategy()} {
+		policy := strategy.Name()
+		sim, err := NewSimulator(Config{Nodes: 45, IdleNodePowerW: 360}, strategy, jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,7 +383,7 @@ func TestAllJobsComplete(t *testing.T) {
 
 func TestNoStartBeforeSubmit(t *testing.T) {
 	jobs := genJobs(t, 200, 8)
-	sim, err := NewSimulator(Config{Nodes: 45, Policy: EASY, IdleNodePowerW: 360}, jobs)
+	sim, err := NewSimulator(Config{Nodes: 45, IdleNodePowerW: 360}, NewEASYStrategy(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +400,7 @@ func TestNoStartBeforeSubmit(t *testing.T) {
 
 func TestSimulatorSingleUse(t *testing.T) {
 	jobs := []workload.Job{mkJob(0, 0, 10, 20, 1, 1000)}
-	sim, err := NewSimulator(Config{Nodes: 1}, jobs)
+	sim, err := NewSimulator(Config{Nodes: 1}, nil, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +415,7 @@ func TestSimulatorSingleUse(t *testing.T) {
 func TestEstimatorErrorPropagates(t *testing.T) {
 	jobs := []workload.Job{mkJob(0, 0, 10, 20, 1, 1000)}
 	bad := func(workload.Job) (float64, error) { return 0, errTest }
-	sim, err := NewSimulator(Config{Nodes: 1, PowerCapW: 5000, Estimator: bad}, jobs)
+	sim, err := NewSimulator(Config{Nodes: 1, PowerCapW: 5000, Estimator: bad}, NewFIFOPowerStrategy(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

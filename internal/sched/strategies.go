@@ -2,10 +2,10 @@ package sched
 
 import "sort"
 
-// The tournament's policy space beyond the two built-ins: classic
-// power-blind disciplines (SJF, EASY-backfill) and power-aware
-// refinements (SJF under the cap, weighted-scoring admission, a
-// deadline-aware EDF variant). Every strategy here decides only from
+// The policy space beyond the two built-ins: classic power-blind
+// disciplines (SJF, EASY-backfill) and power-aware refinements (SJF and
+// EASY under the cap, weighted-scoring admission, a deadline-aware EDF
+// variant). Every strategy here decides only from
 // the DispatchEnv's scheduler-visible view — wall limits, predictions,
 // measured power — never from hidden true durations or powers, and all
 // orderings break ties on the queue index so dispatch is deterministic.
@@ -46,46 +46,45 @@ func (s *sjfStrategy) Dispatch(env *DispatchEnv) error {
 		if env.Job(i).Nodes > env.FreeNodes() {
 			continue
 		}
-		if s.power {
-			ok, err := env.AdmitUnderCap(i)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				env.Refuse()
-				continue
-			}
+		if ok, err := admits(env, i, s.power); err != nil {
+			return err
+		} else if ok {
+			env.Start(i)
 		}
-		env.Start(i)
 	}
 	return nil
 }
 
-// easyStrategy is live EASY-backfill, power-blind.
-type easyStrategy struct{}
+// easyStrategy is EASY-backfill.
+type easyStrategy struct{ power bool }
 
-// NewEASYStrategy returns live EASY-backfill: FCFS with an aggressive
+// NewEASYStrategy returns EASY-backfill: FCFS with an aggressive
 // backfill pass guarded by a shadow-time reservation for the blocked
 // queue head. The shadow time comes from running jobs' wall-limit
 // expected ends at nominal speed — the scheduler cannot see true
-// durations or reactive-capping stretch, exactly like the batch
-// simulator's EASY policy. Power-blind.
+// durations or reactive-capping stretch. Power-blind.
 func NewEASYStrategy() Strategy { return easyStrategy{} }
 
-func (easyStrategy) Name() string     { return "live-easy" }
-func (easyStrategy) PowerAware() bool { return false }
+// NewEASYPowerStrategy is EASY-backfill with power-aware admission: the
+// same order and reservation, but the head and every backfill candidate
+// also start only when the believed machine power plus their predicted
+// delta fits under the admission cap (the paper's proactive capping).
+func NewEASYPowerStrategy() Strategy { return easyStrategy{power: true} }
 
-func (easyStrategy) Dispatch(env *DispatchEnv) error {
-	// FCFS phase: start queue-head jobs while they fit.
-	i := 0
-	for ; i < env.Len(); i++ {
-		if env.Job(i).Nodes > env.FreeNodes() {
-			break
-		}
-		env.Start(i)
+func (e easyStrategy) Name() string {
+	if e.power {
+		return "live-easy-power"
 	}
-	if i >= env.Len() {
-		return nil
+	return "live-easy"
+}
+
+func (e easyStrategy) PowerAware() bool { return e.power }
+
+func (e easyStrategy) Dispatch(env *DispatchEnv) error {
+	// FCFS phase: start queue-head jobs while they fit.
+	i, err := inOrder(env, e.power)
+	if err != nil || i >= env.Len() {
+		return err
 	}
 	// EASY backfill: compute the shadow time at which the blocked head
 	// could start from running jobs' expected ends.
@@ -113,10 +112,16 @@ func (easyStrategy) Dispatch(env *DispatchEnv) error {
 		fitsNow := cand.Nodes <= env.FreeNodes()
 		finishesBeforeShadow := env.Now()+cand.WallLimit <= shadow
 		fitsSpare := cand.Nodes <= spare
-		if fitsNow && (finishesBeforeShadow || fitsSpare) {
-			if env.Start(j) && !finishesBeforeShadow {
-				spare -= cand.Nodes
-			}
+		if !fitsNow || !(finishesBeforeShadow || fitsSpare) {
+			continue
+		}
+		if ok, err := admits(env, j, e.power); err != nil {
+			return err
+		} else if !ok {
+			continue
+		}
+		if env.Start(j) && !finishesBeforeShadow {
+			spare -= cand.Nodes
 		}
 	}
 	return nil
@@ -214,15 +219,11 @@ func (w *weightedStrategy) Dispatch(env *DispatchEnv) error {
 		if env.Job(i).Nodes > env.FreeNodes() {
 			continue
 		}
-		ok, err := env.AdmitUnderCap(i)
-		if err != nil {
+		if ok, err := admits(env, i, true); err != nil {
 			return err
+		} else if ok {
+			env.Start(i)
 		}
-		if !ok {
-			env.Refuse()
-			continue
-		}
-		env.Start(i)
 	}
 	return nil
 }

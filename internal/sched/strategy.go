@@ -7,21 +7,21 @@ import (
 	"davide/internal/workload"
 )
 
-// This file is the controller's admission seam: Strategy is the
-// pluggable dispatch discipline the live Controller consults once per
-// control tick, and DispatchEnv is the sandboxed view of machine state
-// it decides over. The two built-in disciplines (AdmitFIFO,
-// AdmitPowerAware) are implemented as strategies over the same seam, so
-// a ControllerConfig that names an Admission and one that passes the
-// corresponding built-in Strategy produce bit-identical runs — the
-// contract the tournament's policy comparisons (internal/tournament,
+// This file is the admission seam: Strategy is the pluggable dispatch
+// discipline the scheduler core consults once per dispatch pass (every
+// Controller tick, every Simulator event), and DispatchEnv is the
+// sandboxed view of the core it decides over. The Controller's Admission
+// values (AdmitFIFO, AdmitPowerAware) are shorthand for two of the
+// strategies here, so a ControllerConfig that names an Admission and one
+// that passes the corresponding Strategy produce bit-identical runs —
+// the contract the tournament's policy comparisons (internal/tournament,
 // E24) rest on.
 
-// Strategy is a pluggable admission discipline for the live Controller.
-// Once per control tick the controller hands the strategy a DispatchEnv
-// over the pending queue; the strategy decides which pending jobs start
-// this tick by calling DispatchEnv.Start. Jobs it does not start remain
-// queued in submission order.
+// Strategy is a pluggable admission discipline. Once per dispatch pass
+// the driver hands the strategy a DispatchEnv over the pending queue;
+// the strategy decides which pending jobs start now by calling
+// DispatchEnv.Start. Jobs it does not start remain queued in submission
+// order.
 //
 // Implementations must be deterministic: decisions may depend only on
 // the DispatchEnv view (no wall clock, no randomness, no map iteration),
@@ -33,8 +33,9 @@ type Strategy interface {
 	Name() string
 	// PowerAware reports whether the strategy consults per-job power
 	// predictions. Power-aware strategies require a positive power cap
-	// and an estimator or trainer (ControllerConfig.Validate enforces
-	// this, and core.RunLive wires the system predictor when unset).
+	// and an estimator or trainer (both drivers' constructors enforce
+	// this; core.RunLive and core.RunScheduled wire the system predictor
+	// when unset).
 	PowerAware() bool
 	// Dispatch runs one admission pass over env's pending queue.
 	Dispatch(env *DispatchEnv) error
@@ -50,36 +51,20 @@ type RunningJob struct {
 	Nodes     int
 }
 
-// DispatchEnv is the machine view a Strategy dispatches against for one
-// control tick. Queue positions are indices 0..Len()-1 in submission
-// order; Start consumes free nodes and updates the measured-power view,
-// so accessors reflect admissions already made during this pass.
+// DispatchEnv is the view of the scheduler core a Strategy dispatches
+// against for one pass. Queue positions are indices 0..Len()-1 in
+// submission order; Start consumes free nodes and updates the power
+// view, so accessors reflect admissions already made during this pass.
 type DispatchEnv struct {
-	c *Controller
-	// base is the controller's belief about machine power: measured
-	// totals plus the predicted draw of admitted-but-not-yet-visible
-	// jobs, grown by each power-predicted Start during this pass.
-	base  float64
-	queue []*liveJob
-}
-
-// newDispatchEnv snapshots the tick's admission view.
-func (c *Controller) newDispatchEnv() *DispatchEnv {
-	// invisibleDelta: predicted draw of running jobs the telemetry has
-	// not yet measured (started less than a tick ago, or started into a
-	// window that was lost). Without it, a job admitted last tick would
-	// not count against headroom until its power shows up in the store.
-	invisibleDelta := 0.0
-	for _, r := range c.running {
-		if !r.visible && r.predicted > 0 {
-			invisibleDelta += (r.predicted - c.cfg.IdleNodePowerW) * float64(r.job.Nodes)
-		}
-	}
-	return &DispatchEnv{
-		c:     c,
-		base:  c.measuredTotal() + invisibleDelta,
-		queue: append([]*liveJob(nil), c.pending...),
-	}
+	m *machine
+	// base is the driver's belief about machine power (Controller:
+	// measured totals plus the predicted draw of admitted-but-not-yet-
+	// visible jobs; Simulator: idle nodes plus running jobs' predicted
+	// draw), grown by each power-predicted Start during this pass.
+	base float64
+	// admitCapW is the cap admission runs against this pass.
+	admitCapW float64
+	queue     []*job
 }
 
 // Len returns the pending-queue length.
@@ -95,45 +80,47 @@ func (e *DispatchEnv) Started(i int) bool { return e.queue[i].started }
 
 // WaitS returns how long queue job i has been waiting, in virtual
 // seconds.
-func (e *DispatchEnv) WaitS(i int) float64 { return e.c.now - e.queue[i].job.SubmitAt }
+func (e *DispatchEnv) WaitS(i int) float64 { return e.m.now - e.queue[i].job.SubmitAt }
 
-// Now returns the tick's virtual start time.
-func (e *DispatchEnv) Now() float64 { return e.c.now }
+// Now returns the pass's virtual time (the tick's start on the
+// Controller).
+func (e *DispatchEnv) Now() float64 { return e.m.now }
 
 // FreeNodes returns the number of currently idle nodes, updated as
 // Start consumes them.
-func (e *DispatchEnv) FreeNodes() int { return len(e.c.freeNodes) }
+func (e *DispatchEnv) FreeNodes() int { return len(e.m.free) }
 
 // MachineNodes returns the machine size in nodes.
-func (e *DispatchEnv) MachineNodes() int { return e.c.cfg.Nodes }
+func (e *DispatchEnv) MachineNodes() int { return e.m.cfg.Nodes }
 
 // IdleNodePowerW returns the idle draw of one node in watts.
-func (e *DispatchEnv) IdleNodePowerW() float64 { return e.c.cfg.IdleNodePowerW }
+func (e *DispatchEnv) IdleNodePowerW() float64 { return e.m.cfg.IdleNodePowerW }
 
 // NominalCapW returns the nominal machine power cap (0 = uncapped).
-func (e *DispatchEnv) NominalCapW() float64 { return e.c.cfg.PowerCapW }
+func (e *DispatchEnv) NominalCapW() float64 { return e.m.cfg.PowerCapW }
 
-// AdmitCapW returns the cap admission runs against this tick: the
-// ramp-tracked effective cap tightened by brownout mode and the
-// anti-windup trim (== NominalCapW in legacy static-cap runs).
-func (e *DispatchEnv) AdmitCapW() float64 { return e.c.admitCap() }
+// AdmitCapW returns the cap admission runs against this pass: on the
+// Controller the ramp-tracked effective cap tightened by brownout mode
+// and the anti-windup trim (== NominalCapW in static-cap runs and on the
+// Simulator).
+func (e *DispatchEnv) AdmitCapW() float64 { return e.admitCapW }
 
-// HeadReserveS returns the configured anti-starvation bound: how long
-// the queue head may wait before a strategy should stop backfilling
-// past it.
-func (e *DispatchEnv) HeadReserveS() float64 { return e.c.cfg.HeadReserveS }
+// HeadReserveS returns the anti-starvation bound: how long the queue
+// head may wait before a strategy should stop backfilling past it
+// (ControllerConfig.HeadReserveS; a constant 1800 s on the Simulator).
+func (e *DispatchEnv) HeadReserveS() float64 { return e.m.headReserveS }
 
-// MeasuredW returns the controller's current belief about machine
-// power: measured per-node totals (stale nodes held at their last
-// fresh value) plus the predicted draw of admitted-but-invisible jobs,
-// including jobs started earlier in this pass.
+// MeasuredW returns the driver's current belief about machine power —
+// on the Controller measured per-node totals (stale nodes held at their
+// last fresh value) plus the predicted draw of admitted-but-invisible
+// jobs — including jobs started earlier in this pass.
 func (e *DispatchEnv) MeasuredW() float64 { return e.base }
 
 // Running returns the strategy-visible view of running jobs, in start
 // order.
 func (e *DispatchEnv) Running() []RunningJob {
-	out := make([]RunningJob, 0, len(e.c.running))
-	for _, r := range e.c.running {
+	out := make([]RunningJob, 0, len(e.m.running))
+	for _, r := range e.m.running {
 		out = append(out, RunningJob{StartAt: r.startAt, WallLimit: r.job.WallLimit, Nodes: r.job.Nodes})
 	}
 	return out
@@ -141,16 +128,16 @@ func (e *DispatchEnv) Running() []RunningJob {
 
 // Predict returns the cached per-node power prediction for queue job i
 // in watts, clamped to the idle floor.
-func (e *DispatchEnv) Predict(i int) (float64, error) { return e.c.predict(e.queue[i]) }
+func (e *DispatchEnv) Predict(i int) (float64, error) { return e.m.predict(e.queue[i]) }
 
 // PredictedDeltaW returns the predicted whole-machine power increase of
 // starting queue job i: (per-node prediction − idle) × nodes.
 func (e *DispatchEnv) PredictedDeltaW(i int) (float64, error) {
-	pred, err := e.c.predict(e.queue[i])
+	pred, err := e.m.predict(e.queue[i])
 	if err != nil {
 		return 0, err
 	}
-	return (pred - e.c.cfg.IdleNodePowerW) * float64(e.queue[i].job.Nodes), nil
+	return (pred - e.m.cfg.IdleNodePowerW) * float64(e.queue[i].job.Nodes), nil
 }
 
 // AdmitUnderCap reports whether starting queue job i fits the tick's
@@ -162,27 +149,22 @@ func (e *DispatchEnv) PredictedDeltaW(i int) (float64, error) {
 // wall clock streaming an unschedulable queue.
 func (e *DispatchEnv) AdmitUnderCap(i int) (bool, error) {
 	js := e.queue[i]
-	pred, err := e.c.predict(js)
+	pred, err := e.m.predict(js)
 	if err != nil {
 		return false, err
 	}
-	delta := (pred - e.c.cfg.IdleNodePowerW) * float64(js.job.Nodes)
-	if float64(e.c.cfg.Nodes)*e.c.cfg.IdleNodePowerW+delta > e.c.cfg.PowerCapW {
+	delta := (pred - e.m.cfg.IdleNodePowerW) * float64(js.job.Nodes)
+	if float64(e.m.cfg.Nodes)*e.m.cfg.IdleNodePowerW+delta > e.m.cfg.PowerCapW {
 		return false, fmt.Errorf(
 			"sched: job %d (predicted %.0f W/node × %d nodes) cannot fit under the %.0f W cap even on an idle machine",
-			js.job.ID, pred, js.job.Nodes, e.c.cfg.PowerCapW)
+			js.job.ID, pred, js.job.Nodes, e.m.cfg.PowerCapW)
 	}
-	return e.base+delta <= e.c.admitCap(), nil
+	return e.base+delta <= e.admitCapW, nil
 }
 
 // Refuse counts one admission refused for lack of power headroom (the
 // ControllerResult.RefusedAdmissions metric).
-func (e *DispatchEnv) Refuse() {
-	e.c.refused++
-	if e.c.met != nil {
-		e.c.met.refused.Inc()
-	}
-}
+func (e *DispatchEnv) Refuse() { e.m.refused++ }
 
 // Start launches queue job i now on concrete nodes from the free list
 // and accounts its predicted delta (if one was computed) against the
@@ -190,13 +172,13 @@ func (e *DispatchEnv) Refuse() {
 // the job already started this pass or its node request does not fit.
 func (e *DispatchEnv) Start(i int) bool {
 	js := e.queue[i]
-	if js.started || js.job.Nodes > len(e.c.freeNodes) {
+	if js.started || js.job.Nodes > len(e.m.free) {
 		return false
 	}
 	if js.predicted > 0 {
-		e.base += (js.predicted - e.c.cfg.IdleNodePowerW) * float64(js.job.Nodes)
+		e.base += (js.predicted - e.m.cfg.IdleNodePowerW) * float64(js.job.Nodes)
 	}
-	e.c.start(js)
+	e.m.start(js)
 	return true
 }
 
@@ -212,27 +194,64 @@ func queueOrder(n int, less func(a, b int) bool) []int {
 	return order
 }
 
-// fifoStrategy is the built-in AdmitFIFO discipline: strict submission
-// order, power-blind — the paper's baseline.
-type fifoStrategy struct{}
+// inOrder starts queue jobs strictly in submission order while each
+// fits the free nodes and, when power is set, the admission cap — nothing
+// may overtake the head. It returns the index of the first job left
+// waiting (env.Len() when none is).
+func inOrder(env *DispatchEnv, power bool) (int, error) {
+	i := 0
+	for ; i < env.Len(); i++ {
+		if env.Job(i).Nodes > env.FreeNodes() {
+			break
+		}
+		if ok, err := admits(env, i, power); err != nil || !ok {
+			return i, err
+		}
+		env.Start(i)
+	}
+	return i, nil
+}
+
+// admits reports whether queue job i may start under the discipline's
+// power rule: always when power-blind, else only under the admission
+// cap, counting the refusal.
+func admits(env *DispatchEnv, i int, power bool) (bool, error) {
+	if !power {
+		return true, nil
+	}
+	ok, err := env.AdmitUnderCap(i)
+	if err == nil && !ok {
+		env.Refuse()
+	}
+	return ok, err
+}
+
+// fifoStrategy is strict submission order — the paper's baseline;
+// power-blind it is the built-in AdmitFIFO discipline.
+type fifoStrategy struct{ power bool }
 
 // NewFIFOStrategy returns the built-in FIFO discipline as a Strategy:
 // jobs start strictly in submission order as soon as nodes are free,
 // ignoring the power cap. Bit-identical to Admission: AdmitFIFO.
 func NewFIFOStrategy() Strategy { return fifoStrategy{} }
 
-func (fifoStrategy) Name() string     { return AdmitFIFO.String() }
-func (fifoStrategy) PowerAware() bool { return false }
+// NewFIFOPowerStrategy is FIFO with power-aware admission: the same
+// strict order, but the head also waits until the believed machine power
+// plus its predicted delta fits under the admission cap.
+func NewFIFOPowerStrategy() Strategy { return fifoStrategy{power: true} }
 
-func (fifoStrategy) Dispatch(env *DispatchEnv) error {
-	for i := 0; i < env.Len(); i++ {
-		if env.Job(i).Nodes > env.FreeNodes() {
-			// Strict in-order: nothing may overtake the head.
-			break
-		}
-		env.Start(i)
+func (s fifoStrategy) Name() string {
+	if s.power {
+		return "live-fifo-power"
 	}
-	return nil
+	return AdmitFIFO.String()
+}
+
+func (s fifoStrategy) PowerAware() bool { return s.power }
+
+func (s fifoStrategy) Dispatch(env *DispatchEnv) error {
+	_, err := inOrder(env, s.power)
+	return err
 }
 
 // powerAwareStrategy is the built-in AdmitPowerAware discipline: greedy
