@@ -1,99 +1,20 @@
 package davide
 
-// E23 — the query-service experiment: the multi-tenant energy API served
-// over a completed live replay, driven by a closed-loop load generator.
-// Asserted invariants:
-//
-//   - throughput: cached hot-window reads sustain >= 100k queries/s
-//     through the full HTTP stack (mux, tenant quota accounting, cache,
-//     metrics) — the paper's "account for everything, continuously"
-//     stance is only tenable if interrogating the accounting is cheap;
-//   - coherence: a cached answer is bit-identical to the uncached
-//     (nocache=1) answer for the same window — the cache may only ever
-//     change latency, never bytes (DESIGN.md §11);
-//   - isolation: per-tenant token-bucket rejects are exact — burst
-//     tokens admit, everything past them 429s with a Retry-After hint,
-//     and refill restores precisely rate*dt tokens;
-//   - liveness: the service binds mid-run via LiveConfig.OnPlant and
-//     answers while the replay is still ingesting, race-clean.
-//
-// TestE23APIService is the property suite; BenchmarkE23APIQueries sweeps
-// tenant counts and hit ratios and keeps queries/s in the bench series
-// (gated in CI like E19/E21/E22). Set API_HIST=<path> to dump the
-// service latency histograms from the 16-tenant hot sweep.
+// BenchmarkE23APIQueries is the query-service throughput bound
+// (DESIGN.md §11): cached hot-window reads must sustain >= 100k
+// queries/s through the full HTTP stack (mux, tenant quota accounting,
+// cache, metrics) at 1 and at 16 tenants. The benchmark fails itself;
+// there is no baseline file. Mixed and cold query latency is measured by
+// the query-mix workload of bench/.
 
 import (
-	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
-
-// e23Replay runs one small closed-loop replay (E19 geometry, 8 jobs)
-// exactly once and keeps its plant — store, ledger, assignments — for
-// every E23 server to front. The replay is finished by the time queries
-// run, so cached windows stay valid unless a test ingests more itself.
-var (
-	e23Once  sync.Once
-	e23Plant LivePlant
-	e23Err   error
-)
-
-func e23Replay(tb testing.TB) LivePlant {
-	tb.Helper()
-	e23Once.Do(func() {
-		train, work := e19Workload(tb, 7)
-		work = work[:8]
-		sys, err := NewSystem(train)
-		if err != nil {
-			e23Err = err
-			return
-		}
-		_, err = sys.RunLive(work, LiveConfig{
-			Nodes:      e19Nodes,
-			SampleRate: 4,
-			RackSize:   6,
-			Sched: ControllerConfig{
-				Admission: AdmitPowerAware,
-				Config:    SchedConfig{PowerCapW: e19CapW, ReactiveCapping: true},
-				TickS:     e19Tick,
-			},
-			OnPlant: func(p LivePlant) { e23Plant = p },
-		})
-		if err != nil {
-			e23Err = err
-		}
-	})
-	if e23Err != nil {
-		tb.Fatal(e23Err)
-	}
-	if e23Plant.Store == nil {
-		tb.Fatal("replay handed over no plant")
-	}
-	return e23Plant
-}
-
-// e23Server fronts the shared replay plant with a fresh service (fresh
-// cache, fresh quota buckets).
-func e23Server(tb testing.TB, opts EnergyAPIOptions) *EnergyAPIServer {
-	tb.Helper()
-	p := e23Replay(tb)
-	s := NewEnergyAPIServer(opts)
-	s.Bind(EnergyAPIBackend{
-		Store:       p.Store,
-		Ledger:      p.Ledger,
-		Assignments: p.Assignments,
-		Nodes:       p.Nodes,
-		RackSize:    p.RackSize,
-	})
-	return s
-}
 
 // lightRW is the load generator's ResponseWriter: it counts bytes
 // instead of buffering them, so the measured path is the service, not
@@ -113,200 +34,26 @@ func (w *lightRW) Write(p []byte) (int, error) {
 }
 func (w *lightRW) reset() { w.code = http.StatusOK; w.n = 0 }
 
-func TestE23APIService(t *testing.T) {
-	if testing.Short() {
-		t.Skip("query-service suite: skipped in -short")
-	}
-
-	get := func(t *testing.T, s *EnergyAPIServer, tenant, path string) *httptest.ResponseRecorder {
-		t.Helper()
-		req := httptest.NewRequest(http.MethodGet, path, nil)
-		if tenant != "" {
-			req.Header.Set("X-Tenant", tenant)
-		}
-		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, req)
-		return rec
-	}
-
-	t.Run("cached-vs-uncached-bit-identical", func(t *testing.T) {
-		srv := e23Server(t, EnergyAPIOptions{})
-		windows := []struct{ t0, t1, res float64 }{
-			{0, 240, 1},
-			{0, 240, 60},
-			{10, 50, 0},
-			{5, 123.5, 1},
-		}
-		for node := 0; node < 4; node++ {
-			for _, w := range windows {
-				path := fmt.Sprintf("/v1/nodes/%d/window?t0=%s&t1=%s&res=%s", node,
-					strconv.FormatFloat(w.t0, 'g', -1, 64),
-					strconv.FormatFloat(w.t1, 'g', -1, 64),
-					strconv.FormatFloat(w.res, 'g', -1, 64))
-				miss := get(t, srv, "", path)
-				hit := get(t, srv, "", path)
-				bypass := get(t, srv, "", path+"&nocache=1")
-				if miss.Code != 200 || hit.Code != 200 || bypass.Code != 200 {
-					t.Fatalf("%s: codes %d/%d/%d", path, miss.Code, hit.Code, bypass.Code)
-				}
-				if miss.Header().Get("X-Cache") != "miss" || hit.Header().Get("X-Cache") != "hit" ||
-					bypass.Header().Get("X-Cache") != "bypass" {
-					t.Fatalf("%s: X-Cache %q/%q/%q, want miss/hit/bypass", path,
-						miss.Header().Get("X-Cache"), hit.Header().Get("X-Cache"), bypass.Header().Get("X-Cache"))
-				}
-				if !bytes.Equal(miss.Body.Bytes(), hit.Body.Bytes()) {
-					t.Errorf("%s: cached answer differs from the miss that filled it", path)
-				}
-				if !bytes.Equal(hit.Body.Bytes(), bypass.Body.Bytes()) {
-					t.Errorf("%s: cached answer differs from the uncached recompute", path)
-				}
-			}
-		}
-	})
-
-	t.Run("quota-rejects-exact", func(t *testing.T) {
-		now := 1000.0
-		srv := e23Server(t, EnergyAPIOptions{
-			QuotaRate:  10,
-			QuotaBurst: 5,
-			Now:        func() float64 { return now },
-		})
-		issue := func(tenant string, n int) (ok, rejected int) {
-			for i := 0; i < n; i++ {
-				rec := get(t, srv, tenant, "/v1/users")
-				switch rec.Code {
-				case http.StatusOK:
-					ok++
-				case http.StatusTooManyRequests:
-					rejected++
-					ra, err := strconv.Atoi(rec.Header().Get("Retry-After"))
-					if err != nil || ra < 1 {
-						t.Fatalf("429 Retry-After = %q, want integer >= 1", rec.Header().Get("Retry-After"))
-					}
-				default:
-					t.Fatalf("unexpected status %d", rec.Code)
-				}
-			}
-			return ok, rejected
-		}
-		// Frozen clock: exactly burst tokens admit, per tenant.
-		if ok, rej := issue("alice", 20); ok != 5 || rej != 15 {
-			t.Errorf("alice: %d ok / %d rejected, want 5/15", ok, rej)
-		}
-		if ok, rej := issue("bob", 7); ok != 5 || rej != 2 {
-			t.Errorf("bob: %d ok / %d rejected, want 5/2 — tenants must not share buckets", ok, rej)
-		}
-		// Refill is exact: 0.5 s at 10 req/s restores 5 tokens.
-		now += 0.5
-		if ok, rej := issue("alice", 7); ok != 5 || rej != 2 {
-			t.Errorf("alice after refill: %d ok / %d rejected, want 5/2", ok, rej)
-		}
-	})
-
-	t.Run("live-serving", func(t *testing.T) {
-		srv := NewEnergyAPIServer(EnergyAPIOptions{})
-		var served, early atomic.Int64
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		paths := []string{"/v1/users", "/v1/nodes/0/window?t0=0&t1=60&res=1", "/v1/racks/0/power"}
-		for w := 0; w < 4; w++ {
-			w := w
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; ; i++ {
-					select {
-					case <-stop:
-						return
-					case <-time.After(500 * time.Microsecond):
-						// Paced, not saturating: the point is concurrent
-						// serving during ingest, not starving the replay.
-					}
-					req := httptest.NewRequest(http.MethodGet, paths[(w+i)%len(paths)], nil)
-					rec := httptest.NewRecorder()
-					srv.Handler().ServeHTTP(rec, req)
-					switch rec.Code {
-					case http.StatusOK:
-						served.Add(1)
-					case http.StatusServiceUnavailable:
-						early.Add(1) // before OnPlant bound the backend
-					case http.StatusNotFound:
-						// rack query before any telemetry landed
-					default:
-						t.Errorf("unexpected status %d for %s", rec.Code, paths[(w+i)%len(paths)])
-						return
-					}
-				}
-			}()
-		}
-		train, work := e19Workload(t, 11)
-		work = work[:6]
-		sys, err := NewSystem(train)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = sys.RunLive(work, LiveConfig{
-			Nodes:      e19Nodes,
-			SampleRate: 4,
-			RackSize:   6,
-			Sched: ControllerConfig{
-				Admission: AdmitPowerAware,
-				Config:    SchedConfig{PowerCapW: e19CapW, ReactiveCapping: true},
-				TickS:     e19Tick,
-			},
-			OnPlant: func(p LivePlant) {
-				srv.Bind(EnergyAPIBackend{
-					Store:       p.Store,
-					Ledger:      p.Ledger,
-					Assignments: p.Assignments,
-					Nodes:       p.Nodes,
-					RackSize:    p.RackSize,
-				})
-			},
-		})
-		close(stop)
-		wg.Wait()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if served.Load() == 0 {
-			t.Error("no query was answered while the replay ran")
-		}
-	})
-}
-
 func BenchmarkE23APIQueries(b *testing.B) {
 	const (
 		workers   = 8
 		perWorker = 2000
 		hotNodes  = 4
 	)
-	rows := []struct {
-		name    string
-		tenants int
-		miss    int // 1-in-miss queries ask a never-seen window (0 = pure hot)
-	}{
-		{"hot/tenants=1", 1, 0},
-		{"hot/tenants=16", 16, 0},
-		{"mixed/tenants=4", 4, 2},
-		{"cold/tenants=4", 4, 1},
-	}
-	for _, row := range rows {
-		row := row
-		b.Run(row.name, func(b *testing.B) {
-			reg := NewObsRegistry()
+	for _, tenants := range []int{1, 16} {
+		b.Run(fmt.Sprintf("hot/tenants=%d", tenants), func(b *testing.B) {
 			srv := e23Server(b, EnergyAPIOptions{
 				// Quota accounting stays on the hot path (per-tenant
 				// buckets engaged) but never rejects.
 				QuotaRate: 1e9,
-				Obs:       reg,
+				Obs:       NewObsRegistry(),
 			})
 
 			// Per-worker hot request set: four nodes, one fixed window
 			// each, reused sequentially (never shared across workers).
 			hot := make([][]*http.Request, workers)
 			for w := 0; w < workers; w++ {
-				tenant := fmt.Sprintf("t%02d", w%row.tenants)
+				tenant := fmt.Sprintf("t%02d", w%tenants)
 				for n := 0; n < hotNodes; n++ {
 					req := httptest.NewRequest(http.MethodGet,
 						fmt.Sprintf("/v1/nodes/%d/window?t0=0&t1=240&res=1", n), nil)
@@ -314,7 +61,7 @@ func BenchmarkE23APIQueries(b *testing.B) {
 					hot[w] = append(hot[w], req)
 				}
 			}
-			// Warm the cache once so hot rows measure the hit path.
+			// Warm the cache once so the loop measures the hit path.
 			warm := newLightRW()
 			for _, req := range hot[0] {
 				warm.reset()
@@ -329,25 +76,13 @@ func BenchmarkE23APIQueries(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var wg sync.WaitGroup
 				for w := 0; w < workers; w++ {
-					i, w := i, w
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
 						rw := newLightRW()
-						tenant := fmt.Sprintf("t%02d", w%row.tenants)
 						for q := 0; q < perWorker; q++ {
-							req := hot[w][q%hotNodes]
-							if row.miss != 0 && q%row.miss == 0 {
-								// A window nobody has asked before (and
-								// nobody will again): the honest miss path.
-								seq := (i*workers+w)*perWorker + q
-								req = httptest.NewRequest(http.MethodGet,
-									fmt.Sprintf("/v1/nodes/%d/window?t0=100&t1=%s&res=1", q%hotNodes,
-										strconv.FormatFloat(200+float64(seq)*1e-4, 'f', -1, 64)), nil)
-								req.Header.Set("X-Tenant", tenant)
-							}
 							rw.reset()
-							srv.Handler().ServeHTTP(rw, req)
+							srv.Handler().ServeHTTP(rw, hot[w][q%hotNodes])
 							if rw.code != http.StatusOK {
 								bad.Add(1)
 							}
@@ -361,20 +96,10 @@ func BenchmarkE23APIQueries(b *testing.B) {
 				b.Fatalf("%d queries failed", n)
 			}
 			qps := float64(b.N) * workers * perWorker / b.Elapsed().Seconds()
-			if row.miss == 0 && qps < 100_000 {
+			if qps < 100_000 {
 				b.Errorf("cached hot-window reads sustained %.0f queries/s, below the 100k floor", qps)
 			}
 			b.ReportMetric(qps, "queries/s")
-
-			if path := os.Getenv("API_HIST"); path != "" && row.name == "hot/tenants=16" {
-				var buf bytes.Buffer
-				if err := reg.WriteHistograms(&buf); err != nil {
-					b.Fatalf("API_HIST: %v", err)
-				}
-				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-					b.Fatalf("API_HIST: %v", err)
-				}
-			}
 		})
 	}
 }

@@ -17,15 +17,38 @@ package davide
 //     preset's documented bound (ChaosErrBound), for both codecs;
 //   - no panics, no data races (the suite runs under -race in CI), no
 //     broker queue overflow (which would make loss unaccounted).
-//
-// TestE18ChaosSoak is the property suite; BenchmarkE18ChaosSoak keeps
-// the scenario wall-clock and fault rates visible in the bench series.
 
 import (
 	"fmt"
 	"reflect"
 	"testing"
 )
+
+// e18System builds a scheduled 45-node system whose node signals the
+// chaos replays stream.
+func e18System(t *testing.T) *System {
+	t.Helper()
+	gen, err := NewGenerator(DefaultWorkload(21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := gen.Batch(300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := jobs[0].SubmitAt
+	for i := range jobs {
+		jobs[i].SubmitAt -= base
+	}
+	sys, err := NewSystem(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.RunScheduled(jobs, SchedConfig{}, NewEASYStrategy()); err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
 
 // e18Replay runs one chaos replay: 8 nodes, 20 virtual seconds at
 // 200 S/s with 64-sample batches (≈ 63 packets per node, enough for
@@ -55,7 +78,7 @@ func TestE18ChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak: skipped in -short")
 	}
-	sys := benchStreamSystem(t)
+	sys := e18System(t)
 	const seed = 7
 	for _, preset := range ChaosPresetNames() {
 		bound, err := ChaosErrBound(preset)
@@ -121,32 +144,6 @@ func TestE18ChaosSoak(t *testing.T) {
 				if reflect.DeepEqual(r1.Faults, r3.Faults) {
 					t.Fatalf("seed change did not change fault schedule: %+v", r1.Faults)
 				}
-			})
-		}
-	}
-}
-
-func BenchmarkE18ChaosSoak(b *testing.B) {
-	sys := benchStreamSystem(b)
-	for _, preset := range ChaosPresetNames() {
-		for _, codec := range []WireCodec{CodecBinary, CodecJSON} {
-			b.Run(fmt.Sprintf("%s/%s", preset, codec), func(b *testing.B) {
-				var res StreamResult
-				for i := 0; i < b.N; i++ {
-					res = e18Replay(b, sys, preset, 7, codec)
-					bound, err := ChaosErrBound(preset)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.MaxEnergyErrPct > bound {
-						b.Fatalf("MaxEnergyErrPct %.4f%% exceeds bound %.1f%%", res.MaxEnergyErrPct, bound)
-					}
-				}
-				b.ReportMetric(res.MaxEnergyErrPct, "max-err-%")
-				b.ReportMetric(float64(res.Faults.Lost()), "pkts-lost")
-				b.ReportMetric(float64(res.Faults.ExpectedReorders()), "reorders")
-				b.ReportMetric(float64(res.Faults.Crashes), "crashes")
-				b.ReportMetric(float64(res.SamplesSent), "samples")
 			})
 		}
 	}

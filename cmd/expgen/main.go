@@ -40,19 +40,19 @@ type experiment struct {
 	fn func() (*trace.Table, error)
 }
 
+var exps = []experiment{
+	{"E1", e1}, {"E2", e2}, {"E3", e3}, {"E4", e4}, {"E5", e5},
+	{"E6", e6}, {"E7", e7}, {"E8", e8}, {"E9", e9}, {"E10", e10},
+	{"E11", e11}, {"E12", e12}, {"E13", e13}, {"E14", e14},
+	{"E15", e15},
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("expgen: ")
 	only := flag.String("only", "", "run a single experiment (e.g. E4)")
 	asCSV := flag.Bool("csv", false, "emit CSV instead of markdown")
 	flag.Parse()
-
-	exps := []experiment{
-		{"E1", e1}, {"E2", e2}, {"E3", e3}, {"E4", e4}, {"E5", e5},
-		{"E6", e6}, {"E7", e7}, {"E8", e8}, {"E9", e9}, {"E10", e10},
-		{"E11", e11}, {"E12", e12}, {"E13", e13}, {"E14", e14},
-		{"E15", e15},
-	}
 	for _, e := range exps {
 		if *only != "" && !strings.EqualFold(*only, e.id) {
 			continue

@@ -496,7 +496,7 @@ type (
 	// stages (encode, fan-out, uplink, decode, commit) in virtual time.
 	ObsStageTrace = obs.StageTrace
 	// ObsSelfIngest writes registry snapshots into a health tsdb.
-	ObsSelfIngest = obs.SelfIngest
+	ObsSelfIngest = core.SelfIngest
 	// ObsMetric is one row of a registry snapshot.
 	ObsMetric = obs.Metric
 )
@@ -506,7 +506,7 @@ func NewObsRegistry() *ObsRegistry { return obs.NewRegistry() }
 
 // NewObsSelfIngest creates a self-ingest sink that writes snapshots of
 // reg into its own health tsdb (never the plant store).
-func NewObsSelfIngest(reg *ObsRegistry) *ObsSelfIngest { return obs.NewSelfIngest(reg) }
+func NewObsSelfIngest(reg *ObsRegistry) *ObsSelfIngest { return core.NewSelfIngest(reg) }
 
 // ServeObs serves a registry's Prometheus-text exposition at
 // http://addr/metrics (and an ASCII histogram view at /histograms).

@@ -113,7 +113,7 @@ type System struct {
 	trainJobs []workload.Job
 	// selfIngest writes periodic registry snapshots into its own health
 	// store when Obs is set (lazily built; see SelfIngest).
-	selfIngest *obs.SelfIngest
+	selfIngest *SelfIngest
 }
 
 // SelfIngest returns the health-series store the instrumented plane
@@ -121,15 +121,15 @@ type System struct {
 // tick, one at the end of each replay window) — the plane monitoring
 // itself through the same tsdb machinery it monitors the cluster with.
 // Nil until Obs is set and a replay or live run has executed.
-func (s *System) SelfIngest() *obs.SelfIngest { return s.selfIngest }
+func (s *System) SelfIngest() *SelfIngest { return s.selfIngest }
 
 // obsSelfIngest lazily builds the self-ingest sink for the registry.
-func (s *System) obsSelfIngest() *obs.SelfIngest {
+func (s *System) obsSelfIngest() *SelfIngest {
 	if s.Obs == nil {
 		return nil
 	}
 	if s.selfIngest == nil {
-		s.selfIngest = obs.NewSelfIngest(s.Obs)
+		s.selfIngest = NewSelfIngest(s.Obs)
 	}
 	return s.selfIngest
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"davide/internal/gateway"
 	"davide/internal/sched"
 	"davide/internal/workload"
 )
@@ -316,5 +317,41 @@ func TestStreamWindowConcurrencyInvariant(t *testing.T) {
 		if !ns.Delivered {
 			t.Errorf("node %d not confirmed delivered", ns.Node)
 		}
+	}
+}
+
+// TestStreamWindowCodecsAgree pins the E17 replay claim on the whole
+// 45-node pilot: the wire codec is a transport detail, not a physics
+// change. Each codec holds the 1 % delivered-energy bound, the two agree
+// on MaxEnergyErrPct (both are lossless beyond the store's 100 ns tick
+// grid; the binary T0 quantisation is half a tick), and the binary wire
+// carries the stream in >= 4x fewer bytes per sample (~7x measured).
+func TestStreamWindowCodecsAgree(t *testing.T) {
+	s := newSystem(t)
+	if _, err := s.RunScheduled(genJobs(t, 300, 21), sched.Config{}, sched.NewEASYStrategy()); err != nil {
+		t.Fatal(err)
+	}
+	replay := func(codec gateway.Codec) StreamResult {
+		s.StreamCodec = codec
+		res, err := s.StreamWindow(0, 60, 50, 45)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.NodesStreamed != 45 {
+			t.Fatalf("%s: streamed %d nodes, want 45", codec, res.NodesStreamed)
+		}
+		if res.MaxEnergyErrPct > 1.0 {
+			t.Errorf("%s: energy error %v%% exceeds 1%%", codec, res.MaxEnergyErrPct)
+		}
+		return res
+	}
+	jsn, bin := replay(gateway.CodecJSON), replay(gateway.CodecBinary)
+	if d := math.Abs(jsn.MaxEnergyErrPct - bin.MaxEnergyErrPct); d > 1e-3 {
+		t.Errorf("MaxEnergyErrPct differs across codecs by %v pct-points (json %v, binary %v)",
+			d, jsn.MaxEnergyErrPct, bin.MaxEnergyErrPct)
+	}
+	if jsn.WireBytesPerSample < 4*bin.WireBytesPerSample {
+		t.Errorf("wire bytes/sample: binary %.2f vs json %.2f, want >= 4x fewer",
+			bin.WireBytesPerSample, jsn.WireBytesPerSample)
 	}
 }

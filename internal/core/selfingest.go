@@ -1,9 +1,10 @@
-package obs
+package core
 
 import (
 	"sort"
 	"sync"
 
+	"davide/internal/obs"
 	"davide/internal/tsdb"
 )
 
@@ -18,7 +19,7 @@ import (
 // sorted-name order at first sight, so two same-seed replays that
 // record at the same cadence build identical stores.
 type SelfIngest struct {
-	reg *Registry
+	reg *obs.Registry
 	db  *tsdb.DB
 
 	mu  sync.Mutex
@@ -27,7 +28,7 @@ type SelfIngest struct {
 
 // NewSelfIngest builds a self-ingest sink over reg with its own small
 // health store.
-func NewSelfIngest(reg *Registry) *SelfIngest {
+func NewSelfIngest(reg *obs.Registry) *SelfIngest {
 	return &SelfIngest{
 		reg: reg,
 		db:  tsdb.New(tsdb.Options{ChunkSize: 128, Shards: 16}),
@@ -48,7 +49,7 @@ func (si *SelfIngest) Record(t float64) int {
 	defer si.mu.Unlock()
 	n := 0
 	for _, m := range snap {
-		if m.Kind == KindHistogram {
+		if m.Kind == obs.KindHistogram {
 			if m.Hist.N() == 0 {
 				continue
 			}

@@ -184,11 +184,9 @@ func NewPlane(spec PlaneSpec) (*Plane, error) {
 		p.trace = obs.NewStageTrace(reg, spec.Racks)
 		p.agg.SetTrace(p.trace)
 		if p.spine != nil {
-			obs.RegisterBroker(reg, "spine", p.spine)
+			registerBroker(reg, "spine", p.spine)
 		}
-		obs.RegisterStore(reg, db)
-		// telemetry imports obs for stage stamping, so the aggregator's
-		// counters are bridged here rather than from an obs helper.
+		registerStore(reg, db)
 		agg := p.agg
 		reg.CounterFunc("davide_agg_dropped_total",
 			func() float64 { return float64(agg.Dropped()) })
@@ -221,7 +219,7 @@ func (p *Plane) buildRack(r int) (*rackCell, error) {
 		// Installed before any client dials, so every routed publish is
 		// stamped from the first window on.
 		broker.Trace = stampHook(p.trace, obs.StageFanout)
-		obs.RegisterBroker(p.spec.Obs, obs.RackLabel(r), broker)
+		registerBroker(p.spec.Obs, obs.RackLabel(r), broker)
 	}
 	cell.fleet, err = New(broker.Addr(), p.spec.Gateway, p.spec.WorkersPerRack)
 	if err != nil {
@@ -262,7 +260,7 @@ func (p *Plane) buildRack(r int) (*rackCell, error) {
 		return fail(err)
 	}
 	if p.spec.Obs != nil {
-		obs.RegisterBridge(p.spec.Obs, obs.RackLabel(r), cell.bridge)
+		registerBridge(p.spec.Obs, obs.RackLabel(r), cell.bridge)
 	}
 	return cell, nil
 }

@@ -4,7 +4,10 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
+	"davide/internal/monitors"
+	"davide/internal/sensor"
 	"davide/internal/wire"
 )
 
@@ -242,5 +245,62 @@ func TestSniffJSONWhitespace(t *testing.T) {
 	}
 	if b.Node != 1 || len(b.Samples) != 2 {
 		t.Errorf("decoded %+v", b)
+	}
+}
+
+// TestBinaryBeatsJSONOnWire pins the E17 transport claim on a batch a
+// real EG-class monitor chain produced (ADC quantisation and noise
+// included): the binary frame carries it in >= 4x fewer bytes than the
+// JSON text and decodes >= 5x faster (~11x and ~16x measured). Decode
+// speed is compared head to head in one process on the fastest of five
+// timings per codec, so a scheduling hiccup cannot fake a slow side.
+func TestBinaryBeatsJSONOnWire(t *testing.T) {
+	const n, rate = 512, 50.0
+	mon, err := monitors.NewBuiltin(monitors.EnergyGateway, rate, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig := sensor.Sum{sensor.Const(360), sensor.Square{Low: 0, High: 1530, Period: 4, Duty: 0.6}}
+	obsd, err := mon.Observe(sig, 0, n/rate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(obsd) < n {
+		t.Fatalf("observed %d samples, want %d", len(obsd), n)
+	}
+	batch := Batch{Node: 7, T0: obsd[0].T, Dt: obsd[1].T - obsd[0].T}
+	for _, s := range obsd[:n] {
+		batch.Samples = append(batch.Samples, s.P)
+	}
+	jsn, err := batch.EncodeWith(CodecJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin, err := batch.EncodeWith(CodecBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jsn) < 4*len(bin) {
+		t.Errorf("binary %d B vs JSON %d B for %d samples: want >= 4x fewer wire bytes", len(bin), len(jsn), n)
+	}
+
+	scratch := make([]float64, 0, n)
+	fastest := func(payload []byte) time.Duration {
+		best := time.Duration(math.MaxInt64)
+		for trial := 0; trial < 5; trial++ {
+			start := time.Now()
+			for r := 0; r < 100; r++ {
+				got, err := DecodeBatchInto(payload, scratch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				scratch = got.Samples[:0]
+			}
+			best = min(best, time.Since(start))
+		}
+		return best
+	}
+	if binT, jsonT := fastest(bin), fastest(jsn); jsonT < 5*binT {
+		t.Errorf("binary decode %v vs JSON %v per 100 batches: want >= 5x faster", binT, jsonT)
 	}
 }

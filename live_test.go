@@ -22,9 +22,6 @@ package davide
 //     store sealed-horizon drop count stays zero;
 //   - split-brain partitions actually exercise the degraded path: stale
 //     reads and per-rack control-loop holds are observed.
-//
-// TestE19ClosedLoop is the property suite; BenchmarkE19ClosedLoop keeps
-// the scenario metrics visible in the bench series.
 
 import (
 	"math"
@@ -193,39 +190,4 @@ func TestE19ClosedLoop(t *testing.T) {
 				a.CapViolationSec, b.CapViolationSec, a.MeasuredEnergyJ, b.MeasuredEnergyJ)
 		}
 	})
-}
-
-func BenchmarkE19ClosedLoop(b *testing.B) {
-	const seed = 7
-	scenarios := []struct {
-		name   string
-		adm    Admission
-		react  bool
-		preset string
-	}{
-		{"fifo/clean", AdmitFIFO, false, ""},
-		{"power/clean", AdmitPowerAware, true, ""},
-		{"power/lossy-rack", AdmitPowerAware, true, ChaosLossyRack},
-		{"power/split-brain", AdmitPowerAware, true, ChaosSplitBrain},
-		{"power/flapping-gateway", AdmitPowerAware, true, ChaosFlappingGateway},
-		{"power/corrupt-wire", AdmitPowerAware, true, ChaosCorruptWire},
-	}
-	for _, sc := range scenarios {
-		sc := sc
-		b.Run(sc.name, func(b *testing.B) {
-			var res *LiveResult
-			for i := 0; i < b.N; i++ {
-				res = e19Run(b, sc.adm, sc.react, sc.preset, seed)
-			}
-			if bound, ok := e19Bounds[sc.preset]; ok && sc.adm == AdmitPowerAware && res.MaxOverPct > bound {
-				b.Fatalf("overshoot %.2f%% exceeds documented %g%% bound", res.MaxOverPct, bound)
-			}
-			b.ReportMetric(res.MaxOverPct, "max-over-%")
-			b.ReportMetric(res.CapViolationSec, "cap-viol-s")
-			b.ReportMetric(res.MeanWait, "mean-wait-s")
-			b.ReportMetric(res.UtilizationPct, "util-%")
-			b.ReportMetric(float64(res.StaleReads), "stale-reads")
-			b.ReportMetric(float64(res.Retrains), "retrains")
-		})
-	}
 }

@@ -24,10 +24,6 @@ package davide
 //   - accounting closure: the per-job §IV phase view rebuilt from the
 //     store equals the controller's ledger records, and the store's
 //     sealed-horizon drop count stays zero on every scenario.
-//
-// TestE22ScenarioMatrix is the property suite; BenchmarkE22Scenarios
-// keeps the per-scenario metrics visible in the bench series (gated in
-// CI like E19/E21).
 
 import (
 	"math"
@@ -230,45 +226,4 @@ func TestE22ScenarioMatrix(t *testing.T) {
 			}
 		}
 	})
-}
-
-func BenchmarkE22Scenarios(b *testing.B) {
-	for _, name := range ScenarioNames() {
-		name := name
-		for _, mode := range []struct {
-			label string
-			adm   Admission
-			react bool
-		}{
-			{"fifo", AdmitFIFO, false},
-			{"power", AdmitPowerAware, true},
-		} {
-			mode := mode
-			b.Run(name+"/"+mode.label, func(b *testing.B) {
-				var res *ScenarioResult
-				for i := 0; i < b.N; i++ {
-					res = e22Run(b, name, mode.adm, mode.react, e22Seed)
-				}
-				if mode.adm == AdmitPowerAware {
-					sc, err := GetScenario(name)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.MaxOverPct > sc.MaxOverPct {
-						b.Fatalf("overshoot %.2f%% exceeds documented %g%% bound", res.MaxOverPct, sc.MaxOverPct)
-					}
-					if res.EnergyErrPct > sc.MaxEnergyErrPct {
-						b.Fatalf("energy error %.3f%% exceeds documented %g%% bound", res.EnergyErrPct, sc.MaxEnergyErrPct)
-					}
-				}
-				b.ReportMetric(res.MaxOverPct, "max-over-%")
-				b.ReportMetric(res.WorstOverPct(), "overlay-over-%")
-				b.ReportMetric(res.EnergyErrPct, "energy-err-%")
-				b.ReportMetric(res.CapViolationSec, "cap-viol-s")
-				b.ReportMetric(float64(res.StaleReads), "stale-reads")
-				b.ReportMetric(float64(res.BrownoutTicks), "brownout-ticks")
-				b.ReportMetric(res.UtilizationPct, "util-%")
-			})
-		}
-	}
 }

@@ -21,9 +21,6 @@ package davide
 //     findings section, and the committed STRATEGY_LEDGER.md is
 //     exactly what the committed tournament.json renders to (the CI
 //     no-diff rule, enforced here too).
-//
-// TestE24Tournament is the property suite; BenchmarkE24Tournament keeps
-// a one-axis tournament in the gated bench series.
 
 import (
 	"math"
@@ -282,28 +279,4 @@ func TestE24Tournament(t *testing.T) {
 			t.Errorf("committed tournament covers %d axes, want %d", len(rep.Config.Axes), wantAxes)
 		}
 	})
-}
-
-func BenchmarkE24Tournament(b *testing.B) {
-	// One full-field axis per iteration: all policies on clean transport.
-	var rep *TournamentReport
-	for i := 0; i < b.N; i++ {
-		var err error
-		rep, err = RunTournament(TournamentConfig{Seed: e24Seed, Axes: []string{"clean"}}, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	fifo := rep.Cell("fifo", "clean")
-	power := rep.Cell("power", "clean")
-	if fifo == nil || power == nil {
-		b.Fatal("missing fifo/power cells")
-	}
-	// The E19 gap, visible in the gated series: power-blind FIFO
-	// overshoots hard, power-aware holds the cap.
-	b.ReportMetric(fifo.MaxOverPct, "fifo-max-over-%")
-	b.ReportMetric(power.MaxOverPct, "power-max-over-%")
-	b.ReportMetric(fifo.MeanWaitS, "fifo-mean-wait-s")
-	b.ReportMetric(power.MeanWaitS, "power-mean-wait-s")
-	b.ReportMetric(rep.Standings[0].Composite, "winner-composite")
 }
