@@ -38,6 +38,10 @@ type Broker struct {
 	mu       sync.RWMutex
 	sessions map[string]*session // by client ID
 	retained map[string]*PublishPacket
+	// index is what route walks: every subscription of every registered
+	// session, a session's entries adjacent. reindex rebuilds it wherever
+	// a filter map or the set of subscribed sessions changes.
+	index []subEntry
 	// retainMu makes "register a subscription + snapshot the retained
 	// store" (SUBSCRIBE) and "store a retained publish + snapshot its
 	// targets" (route) mutually exclusive: interleaved, a retained
@@ -127,9 +131,8 @@ func (b *Broker) acceptLoop() {
 type session struct {
 	id        string
 	conn      net.Conn
-	out       chan []byte // pre-encoded packets to send
-	subs      map[string]byte
-	subsMu    sync.RWMutex
+	out       chan []byte     // pre-encoded packets to send
+	subs      map[string]byte // filter -> granted QoS, guarded by Broker.mu
 	closeOnce sync.Once
 	done      chan struct{}
 	keepAlive time.Duration
@@ -142,16 +145,37 @@ func (s *session) close() {
 	})
 }
 
+// subEntry is one subscription in the routing index (and, in route's
+// scratch, one delivery target with its effective QoS).
+type subEntry struct {
+	s      *session
+	filter string
+	qos    byte
+}
+
+// reindex rebuilds the routing index from the registered sessions'
+// filter maps. The caller holds b.mu for writing.
+func (b *Broker) reindex() {
+	index := make([]subEntry, 0, len(b.index))
+	for _, s := range b.sessions {
+		for f, q := range s.subs {
+			index = append(index, subEntry{s, f, q})
+		}
+	}
+	b.index = index
+}
+
 // serve runs one client connection to completion.
 func (b *Broker) serve(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
 	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	hdr, err := ReadFixedHeader(conn)
-	if err != nil || hdr.Type != CONNECT {
+	br := bufio.NewReaderSize(conn, readBufSize)
+	hdr, pb, err := readPacket(br, &b.bufs)
+	if err != nil {
 		return
 	}
-	pb := b.bufs.Get(hdr.Length)
-	if _, err := io.ReadFull(conn, pb.b); err != nil {
+	b.Stats.BytesIn.Add(int64(hdr.wireSize()))
+	if hdr.Type != CONNECT {
 		b.bufs.Put(pb)
 		return
 	}
@@ -177,12 +201,16 @@ func (b *Broker) serve(conn net.Conn) {
 		s.keepAlive = time.Duration(cp.KeepAliveSec) * time.Second * 3 / 2
 	}
 
-	// A reconnecting client ID takes over the old session.
+	// A reconnecting client ID takes over the old session, index entries included.
 	b.mu.Lock()
-	if old, ok := b.sessions[s.id]; ok {
-		old.close()
-	}
+	old := b.sessions[s.id]
 	b.sessions[s.id] = s
+	if old != nil {
+		old.close()
+		if len(old.subs) > 0 {
+			b.reindex()
+		}
+	}
 	b.mu.Unlock()
 	b.Stats.Connections.Add(1)
 	b.Stats.TotalConnects.Add(1)
@@ -191,6 +219,9 @@ func (b *Broker) serve(conn net.Conn) {
 		b.mu.Lock()
 		if b.sessions[s.id] == s {
 			delete(b.sessions, s.id)
+			if len(s.subs) > 0 {
+				b.reindex()
+			}
 		}
 		b.mu.Unlock()
 		b.Stats.Connections.Add(-1)
@@ -203,30 +234,40 @@ func (b *Broker) serve(conn net.Conn) {
 	b.logf("mqtt: client %q connected from %v", s.id, conn.RemoteAddr())
 
 	// Writer goroutine: serialises all outbound traffic for this client.
-	// Writes go through a bufio.Writer that is flushed only once the
-	// outbound queue drains, so a burst of small packets (fan-out to a
-	// fast subscriber, PUBACK trains) coalesces into few syscalls.
+	// A packet with nothing queued behind it goes straight to the socket;
+	// the first time a second one is already waiting the session gets a
+	// bufio.Writer, flushed only once the queue drains, so fan-out bursts
+	// coalesce into few syscalls and a gateway session, which receives
+	// one PUBACK at a time, never pays the 16 KiB.
 	go func() {
-		bw := bufio.NewWriterSize(s.conn, 16<<10)
+		var bw *bufio.Writer
+		w := io.Writer(s.conn)
 		for {
 			select {
 			case pkt := <-s.out:
 				batched := int64(0)
 				for pkt != nil {
-					if _, err := bw.Write(pkt); err != nil {
+					var next []byte
+					select {
+					case next = <-s.out:
+					default:
+					}
+					if next != nil && bw == nil {
+						bw = bufio.NewWriterSize(s.conn, 16<<10)
+						w = bw
+					}
+					if _, err := w.Write(pkt); err != nil {
 						s.close()
 						return
 					}
 					batched += int64(len(pkt))
-					select {
-					case pkt = <-s.out:
-					default:
-						pkt = nil
-					}
+					pkt = next
 				}
-				if err := bw.Flush(); err != nil {
-					s.close()
-					return
+				if bw != nil {
+					if err := bw.Flush(); err != nil {
+						s.close()
+						return
+					}
 				}
 				// Counted only once the batch reached the socket, so the
 				// stat never includes bytes lost in an unflushed buffer.
@@ -241,24 +282,17 @@ func (b *Broker) serve(conn net.Conn) {
 	// every packet is fully handled (or copied, for retained messages)
 	// before its buffer is recycled, which is what lets decodePublish
 	// borrow the payload instead of copying it.
+	_ = conn.SetReadDeadline(time.Time{}) // the CONNECT deadline
 	for {
 		if s.keepAlive > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(s.keepAlive))
-		} else {
-			_ = conn.SetReadDeadline(time.Time{})
 		}
-		hdr, err := ReadFixedHeader(conn)
+		hdr, pb, err := readPacket(br, &b.bufs)
 		if err != nil {
 			return
 		}
-		pb := b.bufs.Get(hdr.Length)
-		body := pb.b
-		if _, err := io.ReadFull(conn, body); err != nil {
-			b.bufs.Put(pb)
-			return
-		}
-		b.Stats.BytesIn.Add(int64(2 + hdr.Length))
-		ok := b.handle(s, hdr, body)
+		b.Stats.BytesIn.Add(int64(hdr.wireSize()))
+		ok := b.handle(s, hdr, pb.b)
 		b.bufs.Put(pb)
 		if !ok {
 			return
@@ -293,12 +327,13 @@ func (b *Broker) handle(s *session, hdr FixedHeader, body []byte) bool {
 		}
 		codes := make([]byte, len(sp.Subs))
 		b.retainMu.Lock()
-		s.subsMu.Lock()
+		b.mu.Lock()
 		for i, sub := range sp.Subs {
 			s.subs[sub.Filter] = sub.QoS
 			codes[i] = sub.QoS
 		}
-		s.subsMu.Unlock()
+		b.reindex()
+		b.mu.Unlock()
 		matched, qos := b.matchRetained(sp.Subs)
 		b.retainMu.Unlock()
 		if err := b.send(s, encodedSuback(sp.PacketID, codes)); err != nil {
@@ -310,11 +345,12 @@ func (b *Broker) handle(s *session, hdr FixedHeader, body []byte) bool {
 		if err != nil {
 			return false
 		}
-		s.subsMu.Lock()
+		b.mu.Lock()
 		for _, f := range up.Filters {
 			delete(s.subs, f)
 		}
-		s.subsMu.Unlock()
+		b.reindex()
+		b.mu.Unlock()
 		if err := b.send(s, encodedUnsuback(up.PacketID)); err != nil {
 			return false
 		}
@@ -334,7 +370,9 @@ func (b *Broker) handle(s *session, hdr FixedHeader, body []byte) bool {
 }
 
 // route fans a publish out to every matching subscriber and stores retained
-// messages. The outbound packet is encoded at most once per effective QoS
+// messages. It walks the subscription index, not the sessions: a publish
+// costs the handful of subscriptions that exist, however many gateways
+// are connected. The outbound packet is encoded at most once per effective QoS
 // (the at-most-once delivery id is the constant 1, so every same-QoS
 // subscriber can share one immutable byte slice) instead of once per
 // subscriber; session writers only ever read the slice.
@@ -356,34 +394,17 @@ func (b *Broker) route(p *PublishPacket) {
 		}
 		b.mu.Unlock()
 	}
+	var scratch [8]subEntry // targets stay on the stack at telemetry fan-outs
 	b.mu.RLock()
-	targets := make([]*session, 0, len(b.sessions))
-	qos := make([]byte, 0, len(b.sessions))
-	for _, s := range b.sessions {
-		s.subsMu.RLock()
-		best, ok := byte(0), false
-		for f, q := range s.subs {
-			if TopicMatches(f, p.Topic) {
-				ok = true
-				if q > best {
-					best = q
-				}
-			}
-		}
-		s.subsMu.RUnlock()
-		if ok {
-			targets = append(targets, s)
-			qos = append(qos, best)
-		}
-	}
+	targets := b.match(scratch[:0], p.Topic)
 	b.mu.RUnlock()
 	if p.Retain {
 		b.retainMu.Unlock()
 	}
 
 	var enc [2][]byte // one shared encoding per effective QoS
-	for i, s := range targets {
-		q := min(p.QoS, qos[i])
+	for _, t := range targets {
+		q := min(p.QoS, t.qos)
 		pkt := enc[q]
 		if pkt == nil {
 			out := *p
@@ -402,12 +423,30 @@ func (b *Broker) route(p *PublishPacket) {
 			b.Stats.FanoutEncodedOnce.Add(1)
 		}
 		select {
-		case s.out <- pkt:
+		case t.s.out <- pkt:
 			b.Stats.PublishesOut.Add(1)
 		default:
 			b.Stats.Dropped.Add(1)
 		}
 	}
+}
+
+// match appends one entry per session subscribed to topic, at the highest
+// QoS any of its matching filters was granted (a session's index entries
+// are adjacent, so overlapping filters fold into one delivery). The
+// caller holds b.mu.
+func (b *Broker) match(dst []subEntry, topic string) []subEntry {
+	for _, e := range b.index {
+		if !TopicMatches(e.filter, topic) {
+			continue
+		}
+		if n := len(dst); n > 0 && dst[n-1].s == e.s {
+			dst[n-1].qos = max(dst[n-1].qos, e.qos)
+		} else {
+			dst = append(dst, e)
+		}
+	}
+	return dst
 }
 
 // matchRetained snapshots the retained messages matching fresh
@@ -514,11 +553,4 @@ func encodedUnsuback(id uint16) []byte {
 
 func encodedEmpty(t PacketType) []byte {
 	return []byte{byte(t) << 4, 0}
-}
-
-func min(a, b byte) byte {
-	if a < b {
-		return a
-	}
-	return b
 }

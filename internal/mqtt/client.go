@@ -1,6 +1,7 @@
 package mqtt
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -122,16 +123,17 @@ func Dial(addr string, opts ClientOptions) (*Client, error) {
 		_ = conn.Close()
 		return nil, err
 	}
-	if hdr.Type != CONNACK {
+	// Length checked before the body is read: the peer sizes no allocation.
+	if hdr.Type != CONNACK || hdr.Length != 2 {
 		_ = conn.Close()
-		return nil, fmt.Errorf("%w: expected CONNACK, got %v", ErrMalformed, hdr.Type)
+		return nil, fmt.Errorf("%w: expected CONNACK, got %v of %d bytes", ErrMalformed, hdr.Type, hdr.Length)
 	}
-	body := make([]byte, hdr.Length)
-	if _, err := io.ReadFull(conn, body); err != nil {
+	var body [2]byte
+	if _, err := io.ReadFull(conn, body[:]); err != nil {
 		_ = conn.Close()
 		return nil, err
 	}
-	_, code, err := decodeConnack(body)
+	_, code, err := decodeConnack(body[:])
 	if err != nil {
 		_ = conn.Close()
 		return nil, err
@@ -381,27 +383,21 @@ func (c *Client) allocID() uint16 {
 
 func (c *Client) readLoop() {
 	defer close(c.readDone)
+	br := bufio.NewReaderSize(c.conn, readBufSize)
 	for {
-		hdr, err := ReadFixedHeader(c.conn)
+		// Bodies come from the client's buffer pool; the packet (and a
+		// PUBLISH payload handed to OnMessage) borrows from it until the
+		// switch completes, then the buffer recycles.
+		hdr, pb, err := readPacket(br, &c.bufs)
 		if err != nil {
 			c.fail(err)
 			return
 		}
-		// Bodies come from the client's buffer pool; the packet (and a
-		// PUBLISH payload handed to OnMessage) borrows from it until the
-		// switch completes, then the buffer recycles.
-		pb := c.bufs.Get(hdr.Length)
-		body := pb.b
-		if _, err := io.ReadFull(c.conn, body); err != nil {
-			c.bufs.Put(pb)
-			c.fail(err)
-			return
-		}
-		if !c.dispatch(hdr, body) {
-			c.bufs.Put(pb)
-			return
-		}
+		ok := c.dispatch(hdr, pb.b)
 		c.bufs.Put(pb)
+		if !ok {
+			return
+		}
 	}
 }
 

@@ -1,0 +1,313 @@
+package mqtt
+
+import (
+	"bufio"
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"math/rand"
+	"net"
+	"runtime"
+	"sort"
+	"testing"
+	"time"
+)
+
+// countingReader hands back everything written so far, as much as the
+// caller has room for, and counts the calls: one call stands for one
+// read syscall on a connection whose peer is ahead of the reader.
+type countingReader struct {
+	data  []byte
+	reads int
+}
+
+func (r *countingReader) Read(p []byte) (int, error) {
+	r.reads++
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, r.data)
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// TestReadPacketOneReadPerBuffer pins the read side of the hop: back-to-
+// back telemetry packets cost one Read per buffer-full, not three per
+// packet, and a body larger than the buffer still arrives intact.
+func TestReadPacketOneReadPerBuffer(t *testing.T) {
+	var stream []byte
+	var want [][]byte
+	for i := 0; i < 200; i++ {
+		payload := bytes.Repeat([]byte{byte(i)}, 180) // ~210 B on the wire
+		if i == 100 {
+			payload = bytes.Repeat([]byte{0xab}, 8*readBufSize+17)
+		}
+		var err error
+		stream, err = appendPublish(stream, &PublishPacket{Topic: "davide/node0007/power", Payload: payload})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, payload)
+	}
+	total := len(stream)
+	cr := &countingReader{data: stream}
+	br := bufio.NewReaderSize(cr, readBufSize)
+	var bufs bufPool
+	for i := 0; ; i++ {
+		hdr, pb, err := readPacket(br, &bufs)
+		if err == io.EOF {
+			if i != len(want) {
+				t.Fatalf("stream ended after %d packets, want %d", i, len(want))
+			}
+			break
+		}
+		if err != nil {
+			t.Fatalf("packet %d: %v", i, err)
+		}
+		p, err := decodePublish(hdr.Flags, pb.b)
+		if err != nil {
+			t.Fatalf("packet %d: %v", i, err)
+		}
+		if !bytes.Equal(p.Payload, want[i]) {
+			t.Fatalf("packet %d: payload corrupted (%d bytes, want %d)", i, len(p.Payload), len(want[i]))
+		}
+		bufs.Put(pb)
+	}
+	if bound := (total+readBufSize-1)/readBufSize + 1; cr.reads > bound {
+		t.Errorf("%d packets (%d bytes) took %d reads, want <= %d (unbuffered: %d)",
+			len(want), total, cr.reads, bound, 3*len(want))
+	}
+}
+
+// TestBrokerBytesInCountsWire: BytesIn is the bytes the client wrote —
+// CONNECT included, and the one- to three-byte remaining length of each
+// packet counted as encoded, not assumed to be one byte.
+func TestBrokerBytesInCountsWire(t *testing.T) {
+	b := newTestBroker(t)
+	conn, err := net.Dial("tcp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	var out bytes.Buffer
+	if err := (&ConnectPacket{ClientID: "raw", CleanSession: true}).encode(&out); err != nil {
+		t.Fatal(err)
+	}
+	const topic = "t"
+	for i, remaining := range []int{127, 128, 16384} {
+		// Remaining length = 2 + len(topic) + 2 (packet ID) + payload.
+		p := &PublishPacket{Topic: topic, QoS: 1, PacketID: uint16(i + 1), Payload: make([]byte, remaining-4-len(topic))}
+		pkt, err := appendPublish(nil, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hdr, err := ReadFixedHeader(bytes.NewReader(pkt)); err != nil || hdr.Length != remaining {
+			t.Fatalf("built remaining length %d, want %d (%v)", hdr.Length, remaining, err)
+		}
+		out.Write(pkt)
+	}
+	wrote := int64(out.Len())
+	if _, err := conn.Write(out.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	// CONNACK, then one PUBACK per publish; each follows its packet's
+	// accounting, so after the last one the counter is final.
+	acks := make([]byte, 4*4)
+	if _, err := io.ReadFull(conn, acks); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Stats.BytesIn.Load(); got != wrote {
+		t.Errorf("BytesIn = %d, want the %d bytes written", got, wrote)
+	}
+}
+
+// TestDialRejectsOversizedConnack: a peer that answers CONNECT with a
+// CONNACK claiming a 1 MiB body is refused on the header alone — no
+// allocation sized by the peer, no wait for a body that never comes.
+func TestDialRejectsOversizedConnack(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ln.Close() }()
+	release := make(chan struct{})
+	defer close(release)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer func() { _ = conn.Close() }()
+		if _, err := ReadFixedHeader(conn); err != nil {
+			return
+		}
+		_, _ = conn.Write(appendRemainingLength([]byte{byte(CONNACK) << 4}, MaxPacketSize))
+		<-release // hold the connection open, send no body
+	}()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	_, err = Dial(ln.Addr().String(), ClientOptions{ClientID: "victim", ConnectWait: 10 * time.Second})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrMalformed) {
+		t.Fatalf("Dial error = %v, want ErrMalformed", err)
+	}
+	if waited := time.Since(start); waited > 5*time.Second {
+		t.Errorf("Dial took %v: it waited for the oversized body", waited)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > MaxPacketSize/2 {
+		t.Errorf("Dial allocated %d bytes on a hostile CONNACK", grew)
+	}
+}
+
+// naiveTargets is the routing oracle: the per-session walk route used to
+// do, every registered session times every filter it holds. The caller
+// holds b.mu.
+func naiveTargets(b *Broker, topic string) map[*session]byte {
+	out := make(map[*session]byte)
+	for _, s := range b.sessions {
+		for f, q := range s.subs {
+			if TopicMatches(f, topic) && q >= out[s] {
+				out[s] = q
+			}
+		}
+	}
+	return out
+}
+
+// TestSubscriptionIndexMatchesSessionWalk drives seeded random session
+// and subscription churn — connects, client-ID takeovers, overlapping
+// subscribes, unsubscribes, clean and abrupt disconnects, kicks — and
+// after every step requires the index route reads to name exactly the
+// targets the naive sessions x filters walk names, and both to equal
+// what the clients were granted.
+func TestSubscriptionIndexMatchesSessionWalk(t *testing.T) {
+	filters := []string{"#", "davide/#", "davide/+/power", "davide/+/energy", "davide/node01/+", "davide/node01/power", "+/+/power", "other/+"}
+	topics := []string{"davide/node01/power", "davide/node02/power", "davide/node01/energy", "davide/node01", "other/x", "x/y/power", "nomatch"}
+	ids := []string{"a", "b", "c", "d", "e"}
+	for _, seed := range []int64{1, 7, 42} {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			b := newTestBroker(t)
+			live := map[string]*Client{}
+			granted := map[string]map[string]byte{} // client ID -> filter -> QoS
+			check := func(step int, op string) {
+				t.Helper()
+				// Removal is asynchronous (the session's reader notices the
+				// close); settle so the model below is comparable.
+				waitFor(t, func() bool { return int(b.Stats.Connections.Load()) == len(live) }, "session count to settle")
+				b.mu.RLock()
+				defer b.mu.RUnlock()
+				for _, topic := range topics {
+					naive := naiveTargets(b, topic)
+					want := map[string]byte{}
+					for id, subs := range granted {
+						for f, q := range subs {
+							if old, ok := want[id]; TopicMatches(f, topic) && (!ok || q > old) {
+								want[id] = q
+							}
+						}
+					}
+					got := b.match(nil, topic)
+					if len(got) != len(naive) || len(got) != len(want) {
+						t.Fatalf("step %d (%s) topic %q: index has %d targets, session walk %d, model %d", step, op, topic, len(got), len(naive), len(want))
+					}
+					for _, e := range got {
+						if q, ok := naive[e.s]; !ok || q != e.qos {
+							t.Fatalf("step %d (%s) topic %q: index targets %q at QoS %d, session walk says %d (present %v)", step, op, topic, e.s.id, e.qos, q, ok)
+						}
+						if q, ok := want[e.s.id]; !ok || q != e.qos {
+							t.Fatalf("step %d (%s) topic %q: index targets %q at QoS %d, model says %d (present %v)", step, op, topic, e.s.id, e.qos, q, ok)
+						}
+					}
+				}
+			}
+			liveIDs := func() []string {
+				out := make([]string, 0, len(live))
+				for id := range live {
+					out = append(out, id)
+				}
+				sort.Strings(out) // map order must not leak into a seeded run
+				return out
+			}
+			for step := 0; step < 120; step++ {
+				op := "connect"
+				if n := len(live); n > 0 {
+					op = []string{"connect", "subscribe", "subscribe", "subscribe", "unsubscribe", "close", "abort", "kick"}[rng.Intn(8)]
+				}
+				id := ids[rng.Intn(len(ids))]
+				if op != "connect" {
+					l := liveIDs()
+					id = l[rng.Intn(len(l))]
+				}
+				c := live[id]
+				switch op {
+				case "connect": // a takeover when the ID is live
+					nc, err := Dial(b.Addr(), ClientOptions{ClientID: id, CleanSession: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { _ = nc.Close() })
+					live[id], granted[id] = nc, map[string]byte{}
+				case "subscribe":
+					subs := make([]Subscription, 1+rng.Intn(3))
+					for i := range subs {
+						subs[i] = Subscription{Filter: filters[rng.Intn(len(filters))], QoS: byte(rng.Intn(2))}
+					}
+					if err := c.Subscribe(subs...); err != nil {
+						t.Fatal(err)
+					}
+					for _, s := range subs {
+						granted[id][s.Filter] = s.QoS
+					}
+				case "unsubscribe":
+					f := filters[rng.Intn(len(filters))]
+					if err := c.Unsubscribe(f); err != nil {
+						t.Fatal(err)
+					}
+					delete(granted[id], f)
+				case "close", "abort", "kick":
+					switch op {
+					case "close":
+						_ = c.Close()
+					case "abort":
+						_ = c.Abort()
+					case "kick":
+						if !b.Kick(id) {
+							t.Fatalf("step %d: Kick(%q) found no session", step, id)
+						}
+					}
+					delete(live, id)
+					delete(granted, id)
+				}
+				check(step, op+" "+id)
+			}
+		})
+	}
+}
+
+// TestRouteAllocatesOnlyThePacket: a non-retained QoS-0 publish with one
+// matching subscriber among many sessions allocates the encoded packet
+// and nothing else — no target slices, no topic splitting.
+func TestRouteAllocatesOnlyThePacket(t *testing.T) {
+	const runs = 200
+	b := &Broker{sessions: map[string]*session{}}
+	for i := 0; i < 64; i++ {
+		id := fmt.Sprintf("gw%02d", i)
+		b.sessions[id] = &session{id: id, subs: map[string]byte{}}
+	}
+	// Buffered for every run (AllocsPerRun adds a warm-up): nothing
+	// drains the queue here.
+	sub := &session{id: "ingest", out: make(chan []byte, runs+1), subs: map[string]byte{"davide/+/power": 0, "davide/+/energy": 1}}
+	b.sessions[sub.id] = sub
+	b.reindex()
+	p := &PublishPacket{Topic: "davide/node0042/power", Payload: make([]byte, 180)}
+	if allocs := testing.AllocsPerRun(runs, func() { b.route(p) }); allocs != 1 {
+		t.Errorf("route allocated %.1f times per publish, want 1 (the encoded packet)", allocs)
+	}
+	if got := b.Stats.PublishesOut.Load(); got != runs+1 {
+		t.Errorf("PublishesOut = %d, want %d", got, runs+1)
+	}
+}

@@ -146,3 +146,39 @@ func FuzzDecodePacket(f *testing.F) {
 		}
 	})
 }
+
+// topicMatchesRef is the matcher TopicMatches replaced, kept as the
+// reference: split both strings into levels, then compare.
+func topicMatchesRef(filter, topic string) bool {
+	f := splitTopic(filter)
+	t := splitTopic(topic)
+	for i := 0; ; i++ {
+		switch {
+		case i == len(f) && i == len(t):
+			return true
+		case i == len(f):
+			return false
+		case f[i] == "#":
+			return true
+		case i == len(t):
+			return false
+		case f[i] == "+":
+			// matches any single level
+		case f[i] != t[i]:
+			return false
+		}
+	}
+}
+
+// FuzzTopicMatches holds the allocation-free matcher to the split-based
+// one on arbitrary strings — filters arrive from SUBSCRIBE packets and
+// topics from PUBLISH packets, and validation is not what keeps the two
+// matchers equal. The seeds are TestTopicMatches's table, committed
+// under testdata/fuzz/FuzzTopicMatches.
+func FuzzTopicMatches(f *testing.F) {
+	f.Fuzz(func(t *testing.T, filter, topic string) {
+		if got, want := TopicMatches(filter, topic), topicMatchesRef(filter, topic); got != want {
+			t.Fatalf("TopicMatches(%q, %q) = %v, split-based reference says %v", filter, topic, got, want)
+		}
+	})
+}

@@ -285,27 +285,47 @@ func TestValidateTopicFilter(t *testing.T) {
 	}
 }
 
+// topicMatchCases is TestTopicMatches's table and, as the committed
+// corpus under testdata/fuzz/FuzzTopicMatches, FuzzTopicMatches's seeds.
+var topicMatchCases = []struct {
+	filter, topic string
+	want          bool
+}{
+	{"a/b/c", "a/b/c", true},
+	{"a/b/c", "a/b/d", false},
+	{"a/+/c", "a/b/c", true},
+	{"a/+/c", "a/b/d", false},
+	{"a/#", "a/b/c/d", true},
+	{"a/#", "a", true}, // '#' matches the parent level too
+	{"#", "anything/at/all", true},
+	{"+", "one", true},
+	{"+", "one/two", false},
+	{"a/+", "a", false},
+	{"davide/+/power", "davide/node07/power", true},
+	{"davide/+/power", "davide/node07/temp", false},
+	{"a/b", "a/b/c", false},
+	{"a/b/c", "a/b", false},
+	// Empty levels are levels: leading, trailing and doubled '/'.
+	{"/a", "/a", true},
+	{"/a", "a", false},
+	{"a/", "a/", true},
+	{"a/", "a", false},
+	{"+/a", "/a", true},
+	{"a/+", "a/", true},
+	{"a//b", "a//b", true},
+	{"a/+/b", "a//b", true},
+	{"", "", true},
+	{"", "a", false},
+	// Strings ValidateTopicFilter rejects still get a defined answer:
+	// '#' ends the match wherever it stands, '+' inside a level is a
+	// literal.
+	{"a/#/b", "a/x/y", true},
+	{"a+/b", "a+/b", true},
+	{"a+/b", "ax/b", false},
+}
+
 func TestTopicMatches(t *testing.T) {
-	cases := []struct {
-		filter, topic string
-		want          bool
-	}{
-		{"a/b/c", "a/b/c", true},
-		{"a/b/c", "a/b/d", false},
-		{"a/+/c", "a/b/c", true},
-		{"a/+/c", "a/b/d", false},
-		{"a/#", "a/b/c/d", true},
-		{"a/#", "a", true}, // '#' matches the parent level too
-		{"#", "anything/at/all", true},
-		{"+", "one", true},
-		{"+", "one/two", false},
-		{"a/+", "a", false},
-		{"davide/+/power", "davide/node07/power", true},
-		{"davide/+/power", "davide/node07/temp", false},
-		{"a/b", "a/b/c", false},
-		{"a/b/c", "a/b", false},
-	}
-	for _, c := range cases {
+	for _, c := range topicMatchCases {
 		if got := TopicMatches(c.filter, c.topic); got != c.want {
 			t.Errorf("TopicMatches(%q, %q) = %v, want %v", c.filter, c.topic, got, c.want)
 		}
