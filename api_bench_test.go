@@ -14,6 +14,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"davide/internal/energyserve"
+	"davide/internal/obs"
 )
 
 // lightRW is the load generator's ResponseWriter: it counts bytes
@@ -42,11 +45,11 @@ func BenchmarkE23APIQueries(b *testing.B) {
 	)
 	for _, tenants := range []int{1, 16} {
 		b.Run(fmt.Sprintf("hot/tenants=%d", tenants), func(b *testing.B) {
-			srv := e23Server(b, EnergyAPIOptions{
+			srv := e23Server(b, energyserve.Options{
 				// Quota accounting stays on the hot path (per-tenant
 				// buckets engaged) but never rejects.
 				QuotaRate: 1e9,
-				Obs:       NewObsRegistry(),
+				Obs:       obs.NewRegistry(),
 			})
 
 			// Per-worker hot request set: four nodes, one fixed window

@@ -30,6 +30,10 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"davide/internal/core"
+	"davide/internal/energyserve"
+	"davide/internal/sched"
 )
 
 // e23Replay runs one small closed-loop replay (E19 geometry, 8 jobs)
@@ -38,30 +42,30 @@ import (
 // run, so cached windows stay valid unless a test ingests more itself.
 var (
 	e23Once  sync.Once
-	e23Plant LivePlant
+	e23Plant core.LivePlant
 	e23Err   error
 )
 
-func e23Replay(tb testing.TB) LivePlant {
+func e23Replay(tb testing.TB) core.LivePlant {
 	tb.Helper()
 	e23Once.Do(func() {
 		train, work := e19Workload(tb, 7)
 		work = work[:8]
-		sys, err := NewSystem(train)
+		sys, err := core.NewSystem(train)
 		if err != nil {
 			e23Err = err
 			return
 		}
-		_, err = sys.RunLive(work, LiveConfig{
+		_, err = sys.RunLive(work, core.LiveConfig{
 			Nodes:      e19Nodes,
 			SampleRate: 4,
 			RackSize:   6,
-			Sched: ControllerConfig{
-				Admission: AdmitPowerAware,
-				Config:    SchedConfig{PowerCapW: e19CapW, ReactiveCapping: true},
+			Sched: sched.ControllerConfig{
+				Admission: sched.AdmitPowerAware,
+				Config:    sched.Config{PowerCapW: e19CapW, ReactiveCapping: true},
 				TickS:     e19Tick,
 			},
-			OnPlant: func(p LivePlant) { e23Plant = p },
+			OnPlant: func(p core.LivePlant) { e23Plant = p },
 		})
 		if err != nil {
 			e23Err = err
@@ -78,11 +82,11 @@ func e23Replay(tb testing.TB) LivePlant {
 
 // e23Server fronts the shared replay plant with a fresh service (fresh
 // cache, fresh quota buckets).
-func e23Server(tb testing.TB, opts EnergyAPIOptions) *EnergyAPIServer {
+func e23Server(tb testing.TB, opts energyserve.Options) *energyserve.Server {
 	tb.Helper()
 	p := e23Replay(tb)
-	s := NewEnergyAPIServer(opts)
-	s.Bind(EnergyAPIBackend{
+	s := energyserve.NewServer(opts)
+	s.Bind(energyserve.Backend{
 		Store:       p.Store,
 		Ledger:      p.Ledger,
 		Assignments: p.Assignments,
@@ -97,7 +101,7 @@ func TestE23APIService(t *testing.T) {
 		t.Skip("query-service suite: skipped in -short")
 	}
 
-	get := func(t *testing.T, s *EnergyAPIServer, tenant, path string) *httptest.ResponseRecorder {
+	get := func(t *testing.T, s *energyserve.Server, tenant, path string) *httptest.ResponseRecorder {
 		t.Helper()
 		req := httptest.NewRequest(http.MethodGet, path, nil)
 		if tenant != "" {
@@ -109,7 +113,7 @@ func TestE23APIService(t *testing.T) {
 	}
 
 	t.Run("cached-vs-uncached-bit-identical", func(t *testing.T) {
-		srv := e23Server(t, EnergyAPIOptions{})
+		srv := e23Server(t, energyserve.Options{})
 		windows := []struct{ t0, t1, res float64 }{
 			{0, 240, 1},
 			{0, 240, 60},
@@ -145,7 +149,7 @@ func TestE23APIService(t *testing.T) {
 
 	t.Run("quota-rejects-exact", func(t *testing.T) {
 		now := 1000.0
-		srv := e23Server(t, EnergyAPIOptions{
+		srv := e23Server(t, energyserve.Options{
 			QuotaRate:  10,
 			QuotaBurst: 5,
 			Now:        func() float64 { return now },
@@ -183,7 +187,7 @@ func TestE23APIService(t *testing.T) {
 	})
 
 	t.Run("live-serving", func(t *testing.T) {
-		srv := NewEnergyAPIServer(EnergyAPIOptions{})
+		srv := energyserve.NewServer(energyserve.Options{})
 		var served, early atomic.Int64
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
@@ -220,21 +224,21 @@ func TestE23APIService(t *testing.T) {
 		}
 		train, work := e19Workload(t, 11)
 		work = work[:6]
-		sys, err := NewSystem(train)
+		sys, err := core.NewSystem(train)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = sys.RunLive(work, LiveConfig{
+		_, err = sys.RunLive(work, core.LiveConfig{
 			Nodes:      e19Nodes,
 			SampleRate: 4,
 			RackSize:   6,
-			Sched: ControllerConfig{
-				Admission: AdmitPowerAware,
-				Config:    SchedConfig{PowerCapW: e19CapW, ReactiveCapping: true},
+			Sched: sched.ControllerConfig{
+				Admission: sched.AdmitPowerAware,
+				Config:    sched.Config{PowerCapW: e19CapW, ReactiveCapping: true},
 				TickS:     e19Tick,
 			},
-			OnPlant: func(p LivePlant) {
-				srv.Bind(EnergyAPIBackend{
+			OnPlant: func(p core.LivePlant) {
+				srv.Bind(energyserve.Backend{
 					Store:       p.Store,
 					Ledger:      p.Ledger,
 					Assignments: p.Assignments,

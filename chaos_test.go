@@ -22,13 +22,19 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"davide/internal/core"
+	"davide/internal/fleet"
+	"davide/internal/gateway"
+	"davide/internal/sched"
+	"davide/internal/workload"
 )
 
 // e18System builds a scheduled 45-node system whose node signals the
 // chaos replays stream.
-func e18System(t *testing.T) *System {
+func e18System(t *testing.T) *core.System {
 	t.Helper()
-	gen, err := NewGenerator(DefaultWorkload(21))
+	gen, err := workload.NewGenerator(workload.DefaultGeneratorConfig(21))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +46,11 @@ func e18System(t *testing.T) *System {
 	for i := range jobs {
 		jobs[i].SubmitAt -= base
 	}
-	sys, err := NewSystem(nil)
+	sys, err := core.NewSystem(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.RunScheduled(jobs, SchedConfig{}, NewEASYStrategy()); err != nil {
+	if _, err := sys.RunScheduled(jobs, sched.Config{}, sched.NewEASYStrategy()); err != nil {
 		t.Fatal(err)
 	}
 	return sys
@@ -53,9 +59,9 @@ func e18System(t *testing.T) *System {
 // e18Replay runs one chaos replay: 8 nodes, 20 virtual seconds at
 // 200 S/s with 64-sample batches (≈ 63 packets per node, enough for
 // per-packet fault statistics on every preset).
-func e18Replay(tb testing.TB, sys *System, preset string, seed int64, codec WireCodec) StreamResult {
+func e18Replay(tb testing.TB, sys *core.System, preset string, seed int64, codec gateway.Codec) core.StreamResult {
 	tb.Helper()
-	plan, err := ChaosPreset(preset, seed)
+	plan, err := fleet.ChaosPreset(preset, seed)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -80,12 +86,12 @@ func TestE18ChaosSoak(t *testing.T) {
 	}
 	sys := e18System(t)
 	const seed = 7
-	for _, preset := range ChaosPresetNames() {
-		bound, err := ChaosErrBound(preset)
+	for _, preset := range fleet.ChaosPresetNames() {
+		bound, err := fleet.ChaosErrBound(preset)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, codec := range []WireCodec{CodecBinary, CodecJSON} {
+		for _, codec := range []gateway.Codec{gateway.CodecBinary, gateway.CodecJSON} {
 			t.Run(fmt.Sprintf("%s/%s", preset, codec), func(t *testing.T) {
 				r1 := e18Replay(t, sys, preset, seed, codec)
 				r2 := e18Replay(t, sys, preset, seed, codec)

@@ -44,10 +44,17 @@ import (
 	"strings"
 	"time"
 
+	"davide/internal/chaos"
+	"davide/internal/core"
+	"davide/internal/energyserve"
+	"davide/internal/fleet"
+	"davide/internal/gateway"
+	"davide/internal/obs"
+	"davide/internal/scenario"
+	"davide/internal/sched"
+	"davide/internal/tournament"
 	"davide/internal/units"
 	"davide/internal/workload"
-
-	davide "davide"
 )
 
 func main() {
@@ -66,15 +73,15 @@ func main() {
 	workers := flag.Int("stream-workers", 0, "concurrent gateways in the replay fleet (0 = one per CPU, 1 = sequential)")
 	codec := flag.String("stream-codec", "binary", "batch wire codec for the replay: binary or json")
 	chaosName := flag.String("chaos", "", "fault-injection preset for the telemetry replay: "+
-		strings.Join(davide.ChaosPresetNames(), ", ")+" (requires -stream or -sched; seeded by -seed); "+
-		"bridge presets ("+strings.Join(davide.ChaosBridgePresetNames(), ", ")+") fault the rack→spine uplinks and require -racks > 1; "+
+		strings.Join(fleet.ChaosPresetNames(), ", ")+" (requires -stream or -sched; seeded by -seed); "+
+		"bridge presets ("+strings.Join(fleet.ChaosBridgePresetNames(), ", ")+") fault the rack→spine uplinks and require -racks > 1; "+
 		"a comma-separated list stacks gateway presets into one composed plan")
 	chaosBatch := flag.Int("chaos-batch", 64, "samples per MQTT batch under -chaos (smaller batches give per-packet faults statistics)")
 	racks := flag.Int("racks", 1, "rack broker cells of the telemetry plane, replay or live (1 = one broker, >1 = tiered fabric with spine bridges)")
 	schedMode := flag.String("sched", "", "run the live closed-loop control plane instead of the batch simulator: "+
 		"fifo (AdmitFIFO, the FIFO strategy) or power (AdmitPowerAware, greedy backfill under the cap)")
 	scenarioName := flag.String("scenario", "", "run a named scenario on the live control plane: "+
-		strings.Join(davide.ScenarioNames(), ", ")+" (arrival shaping, cap trajectories, thermal events and composed chaos; "+
+		strings.Join(scenario.Names(), ", ")+" (arrival shaping, cap trajectories, thermal events and composed chaos; "+
 		"seeded by -seed; policy from -sched, default power)")
 	tick := flag.Float64("tick", 30, "live control period in virtual seconds (with -sched)")
 	obsAddr := flag.String("obs-addr", "", "serve the observability registry at this address while the run executes "+
@@ -84,7 +91,7 @@ func main() {
 	apiQuota := flag.Float64("api-quota", 0, "per-tenant API request budget in req/s (0 = unthrottled; with -api-addr)")
 	apiLinger := flag.Duration("api-linger", 0, "keep the energy query API serving this long after the run completes (with -api-addr)")
 	tourn := flag.Bool("tournament", false, "run the strategy tournament: every admission policy ("+
-		strings.Join(davide.TournamentPolicyNames(), ", ")+") across clean + chaos + scenario axes at the "+
+		strings.Join(tournament.PolicyNames(), ", ")+") across clean + chaos + scenario axes at the "+
 		"E19 reference geometry, scored and ranked (seed from -seed when set, else the reference seed 7)")
 	tournPolicies := flag.String("policies", "", "comma-separated tournament policy subset (with -tournament; empty = all)")
 	tournAxes := flag.String("axes", "", "comma-separated tournament axis subset: clean, chaos/<preset> or scenario/<name> "+
@@ -104,7 +111,7 @@ func main() {
 	// name resolves to its plain preset plan (bridge presets included);
 	// a comma-separated list composes gateway presets into one stacked
 	// plan, every name validated up front against both registries.
-	var chaosPlan davide.ChaosPlanner
+	var chaosPlan chaos.Planner
 	bridgeChaos := false
 	if *chaosName != "" {
 		if *stream <= 0 && *schedMode == "" && *scenarioName == "" {
@@ -115,24 +122,24 @@ func main() {
 			names[i] = strings.TrimSpace(names[i])
 		}
 		if len(names) == 1 {
-			bridgeChaos = davide.IsBridgePreset(names[0])
+			bridgeChaos = fleet.IsBridgePreset(names[0])
 			if bridgeChaos && *racks <= 1 {
 				log.Fatalf("-chaos %q faults rack→spine uplinks: pass -racks > 1", names[0])
 			}
 			if bridgeChaos && *schedMode != "" {
 				log.Fatalf("-chaos %q shapes the spine copy, which only a -stream replay verifies; drop -sched", names[0])
 			}
-			plan, err := davide.ChaosPreset(names[0], *seed)
+			plan, err := fleet.ChaosPreset(names[0], *seed)
 			if err != nil {
 				log.Fatal(err)
 			}
 			chaosPlan = plan
 		} else {
-			phases := make([]davide.ChaosStackPhase, len(names))
+			phases := make([]fleet.ChaosPhase, len(names))
 			for i, n := range names {
-				phases[i] = davide.ChaosStackPhase{Preset: n} // always-on
+				phases[i] = fleet.ChaosPhase{Preset: n} // always-on
 			}
-			stack, err := davide.ChaosStack(*seed, phases...)
+			stack, err := fleet.ChaosStack(*seed, phases...)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -151,24 +158,9 @@ func main() {
 	if !*tourn && (*tournPolicies != "" || *tournAxes != "" || *tournOut != "" || *ledgerPath != "" || *tournFrom != "") {
 		log.Fatal("-policies/-axes/-tournament-out/-ledger/-tournament-from need -tournament")
 	}
-	if *tourn {
-		if *schedMode != "" || *scenarioName != "" || *stream > 0 || *chaosName != "" {
-			log.Fatal("-tournament owns its runs; drop -sched/-scenario/-stream/-chaos")
-		}
-		cfg := davide.TournamentConfig{}
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "seed" {
-				cfg.Seed = *seed
-			}
-		})
-		if *tournPolicies != "" {
-			cfg.Policies = splitList(*tournPolicies)
-		}
-		if *tournAxes != "" {
-			cfg.Axes = splitList(*tournAxes)
-		}
-		runTournament(cfg, *tournFrom, *tournOut, *ledgerPath)
-		return
+	if *tourn && (*schedMode != "" || *scenarioName != "" || *stream > 0 || *chaosName != "" ||
+		*obsAddr != "" || *obsDump != "" || *apiAddr != "") {
+		log.Fatal("-tournament owns its runs; drop -sched/-scenario/-stream/-chaos/-obs-addr/-obs-dump/-api-addr")
 	}
 
 	if *cpuprofile != "" {
@@ -195,25 +187,42 @@ func main() {
 		}()
 	}
 
+	if *tourn {
+		cfg := tournament.Config{}
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "seed" {
+				cfg.Seed = *seed
+			}
+		})
+		if *tournPolicies != "" {
+			cfg.Policies = splitList(*tournPolicies)
+		}
+		if *tournAxes != "" {
+			cfg.Axes = splitList(*tournAxes)
+		}
+		runTournament(cfg, *tournFrom, *tournOut, *ledgerPath)
+		return
+	}
+
 	// With a cap the batch run is the paper's proactive configuration:
 	// the same order, admitting on predicted power.
-	var strategy davide.Strategy
+	var strategy sched.Strategy
 	switch {
 	case *policy == "fcfs" && *capKW > 0:
-		strategy = davide.NewFIFOPowerStrategy()
+		strategy = sched.NewFIFOPowerStrategy()
 	case *policy == "fcfs":
-		strategy = davide.NewFIFOStrategy()
+		strategy = sched.NewFIFOStrategy()
 	case *policy == "easy" && *capKW > 0:
-		strategy = davide.NewEASYPowerStrategy()
+		strategy = sched.NewEASYPowerStrategy()
 	case *policy == "easy":
-		strategy = davide.NewEASYStrategy()
+		strategy = sched.NewEASYStrategy()
 	default:
 		log.Printf("unknown policy %q", *policy)
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	gen, err := davide.NewGenerator(davide.DefaultWorkload(*seed))
+	gen, err := workload.NewGenerator(workload.DefaultGeneratorConfig(*seed))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -227,20 +236,22 @@ func main() {
 	}
 	rebase(work)
 
-	sys, err := davide.NewSystem(train)
+	sys, err := core.NewSystem(train)
 	if err != nil {
 		log.Fatal(err)
 	}
 	sys.StreamRacks = *racks
+	sys.StreamWorkers = *workers
+	sys.StreamCodec = gateway.Codec(*codec)
 
 	// Observability: one registry for the whole process. Every replay
 	// and live run publishes into it; the optional endpoint serves it
 	// live and -obs-dump snapshots it on the way out.
 	if *obsAddr != "" || *obsDump != "" {
-		reg := davide.NewObsRegistry()
+		reg := obs.NewRegistry()
 		sys.Obs = reg
 		if *obsAddr != "" {
-			srv, err := davide.ServeObs(*obsAddr, reg)
+			srv, err := obs.Serve(*obsAddr, reg)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -259,12 +270,12 @@ func main() {
 
 	// Energy query API: listen now, bind the backend once the live plant
 	// exists (OnPlant), so clients can connect from the first tick.
-	var apiOnPlant func(davide.LivePlant)
+	var apiOnPlant func(core.LivePlant)
 	if *apiAddr != "" {
 		if *schedMode == "" && *scenarioName == "" {
 			log.Fatal("-api-addr serves a live run: pass -sched <policy> or -scenario <name>")
 		}
-		apiSrv, err := davide.ServeEnergyAPI(*apiAddr, davide.EnergyAPIOptions{
+		apiSrv, err := energyserve.Serve(*apiAddr, energyserve.Options{
 			QuotaRate: *apiQuota,
 			Obs:       sys.Obs,
 		})
@@ -273,8 +284,8 @@ func main() {
 		}
 		defer func() { _ = apiSrv.Close() }()
 		fmt.Printf("energy API: serving http://%s/v1 (per-tenant quota %g req/s)\n", apiSrv.Addr(), *apiQuota)
-		apiOnPlant = func(p davide.LivePlant) {
-			apiSrv.Bind(davide.EnergyAPIBackend{
+		apiOnPlant = func(p core.LivePlant) {
+			apiSrv.Bind(energyserve.Backend{
 				Store:       p.Store,
 				Ledger:      p.Ledger,
 				Assignments: p.Assignments,
@@ -294,12 +305,10 @@ func main() {
 	})
 
 	if *scenarioName != "" {
-		sc, err := davide.GetScenario(*scenarioName)
+		sc, err := scenario.Get(*scenarioName)
 		if err != nil {
 			log.Fatal(err)
 		}
-		sys.StreamWorkers = *workers
-		sys.StreamCodec = davide.WireCodec(*codec)
 		mode := *schedMode
 		if mode == "" {
 			mode = "power"
@@ -310,8 +319,6 @@ func main() {
 	}
 
 	if *schedMode != "" {
-		sys.StreamWorkers = *workers
-		sys.StreamCodec = davide.WireCodec(*codec)
 		if chaosPlan != nil {
 			sys.StreamFaults = chaosPlan
 			sys.StreamBatchSamples = *chaosBatch
@@ -321,7 +328,7 @@ func main() {
 		return
 	}
 
-	cfg := davide.SchedConfig{
+	cfg := sched.Config{
 		PowerCapW:       *capKW * 1000,
 		ReactiveCapping: *reactive,
 	}
@@ -355,8 +362,6 @@ func main() {
 	}
 
 	if *stream > 0 {
-		sys.StreamWorkers = *workers
-		sys.StreamCodec = davide.WireCodec(*codec)
 		if chaosPlan != nil {
 			if bridgeChaos {
 				sys.BridgeFaults = chaosPlan
@@ -420,25 +425,25 @@ func lingerAPI(addr string, d time.Duration) {
 
 // liveConfig maps the -sched mode and the shared flags to a closed-loop
 // run configuration.
-func liveConfig(mode string, capW float64, reactive bool, tick, rate float64, nodes int, onPlant func(davide.LivePlant)) davide.LiveConfig {
-	var adm davide.Admission
+func liveConfig(mode string, capW float64, reactive bool, tick, rate float64, nodes int, onPlant func(core.LivePlant)) core.LiveConfig {
+	var adm sched.Admission
 	switch mode {
 	case "fifo":
-		adm = davide.AdmitFIFO
+		adm = sched.AdmitFIFO
 	case "power":
-		adm = davide.AdmitPowerAware
+		adm = sched.AdmitPowerAware
 	default:
 		log.Printf("unknown live policy %q (want fifo or power)", mode)
 		flag.Usage()
 		os.Exit(2)
 	}
-	return davide.LiveConfig{
+	return core.LiveConfig{
 		Nodes:      nodes,
 		SampleRate: rate,
 		OnPlant:    onPlant,
-		Sched: davide.ControllerConfig{
+		Sched: sched.ControllerConfig{
 			Admission: adm,
-			Config: davide.SchedConfig{
+			Config: sched.Config{
 				PowerCapW:       capW,
 				ReactiveCapping: reactive,
 			},
@@ -448,7 +453,7 @@ func liveConfig(mode string, capW float64, reactive bool, tick, rate float64, no
 }
 
 // runLive executes the closed-loop control plane and prints its summary.
-func runLive(sys *davide.System, work []workload.Job, mode string, capW float64, reactive bool, tick, rate float64, nodes int, chaosName string, seed int64, onPlant func(davide.LivePlant)) {
+func runLive(sys *core.System, work []workload.Job, mode string, capW float64, reactive bool, tick, rate float64, nodes int, chaosName string, seed int64, onPlant func(core.LivePlant)) {
 	res, err := sys.RunLive(work, liveConfig(mode, capW, reactive, tick, rate, nodes, onPlant))
 	if err != nil {
 		log.Fatal(err)
@@ -494,7 +499,7 @@ func runLive(sys *davide.System, work []workload.Job, mode string, capW float64,
 
 // runScenario executes a named scenario on the live control plane and
 // prints its summary plus the per-phase cap-tracking overlay.
-func runScenario(sys *davide.System, work []workload.Job, sc *davide.Scenario, mode string, capW float64, reactive bool, tick, rate float64, nodes int, seed int64, onPlant func(davide.LivePlant)) {
+func runScenario(sys *core.System, work []workload.Job, sc *scenario.Scenario, mode string, capW float64, reactive bool, tick, rate float64, nodes int, seed int64, onPlant func(core.LivePlant)) {
 	res, err := sys.RunScenario(sc, seed, work, liveConfig(mode, capW, reactive, tick, rate, nodes, onPlant))
 	if err != nil {
 		log.Fatal(err)
@@ -554,14 +559,14 @@ func splitList(s string) []string {
 // runTournament executes (or, with fromPath, reloads) the strategy
 // tournament, prints the leaderboard and writes the requested
 // artifacts.
-func runTournament(cfg davide.TournamentConfig, fromPath, outPath, ledgerPath string) {
-	var rep *davide.TournamentReport
+func runTournament(cfg tournament.Config, fromPath, outPath, ledgerPath string) {
+	var rep *tournament.Report
 	if fromPath != "" {
 		data, err := os.ReadFile(fromPath)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if rep, err = davide.DecodeTournament(data); err != nil {
+		if rep, err = tournament.DecodeJSON(data); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("tournament: loaded %s (%d policies × %d axes)\n",
@@ -570,7 +575,7 @@ func runTournament(cfg davide.TournamentConfig, fromPath, outPath, ledgerPath st
 		start := time.Now()
 		fmt.Println("tournament: running (one live closed-loop run per cell)...")
 		var err error
-		rep, err = davide.RunTournament(cfg, func(done, total int, c davide.TournamentCell) {
+		rep, err = tournament.Run(cfg, func(done, total int, c tournament.Cell) {
 			fmt.Printf("  [%3d/%3d] %-10s %-24s max-over %6.2f %%  mean-wait %5.0f s\n",
 				done, total, c.Policy, c.Axis, c.MaxOverPct, c.MeanWaitS)
 		})
@@ -606,7 +611,7 @@ func runTournament(cfg davide.TournamentConfig, fromPath, outPath, ledgerPath st
 		if b, err := os.ReadFile(ledgerPath); err == nil {
 			prev = string(b)
 		}
-		if err := os.WriteFile(ledgerPath, []byte(davide.RenderStrategyLedger(rep, prev)), 0o644); err != nil {
+		if err := os.WriteFile(ledgerPath, []byte(tournament.RenderLedger(rep, prev)), 0o644); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("tournament: regenerated %s (curated findings preserved)\n", ledgerPath)

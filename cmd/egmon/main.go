@@ -53,9 +53,14 @@ import (
 	"log"
 	"strings"
 
+	"davide/internal/core"
+	"davide/internal/energyserve"
+	"davide/internal/fleet"
+	"davide/internal/obs"
+	"davide/internal/scenario"
+	"davide/internal/sched"
 	"davide/internal/sensor"
-
-	davide "davide"
+	"davide/internal/workload"
 )
 
 func main() {
@@ -72,7 +77,7 @@ func main() {
 	racks := flag.Int("racks", 1, "rack broker cells of the replay's telemetry plane (1 = one broker; more add bridge uplinks into a spine)")
 	live := flag.Bool("live", false, "run the closed-loop control plane instead of the gateway replay")
 	capTrack := flag.String("cap-track", "", "run this named scenario on the live control plane and print the post-hoc "+
-		"cap-trajectory-vs-measured-power overlay per phase: "+strings.Join(davide.ScenarioNames(), ", "))
+		"cap-trajectory-vs-measured-power overlay per phase: "+strings.Join(scenario.Names(), ", "))
 	capKW := flag.Float64("cap", 0, "nominal machine power cap in kW for -cap-track (0 = 2.2 kW per node)")
 	jobs := flag.Int("jobs", 8, "jobs for the live control plane (-live, -cap-track)")
 	seed := flag.Int64("seed", 1, "workload seed (-live, -cap-track)")
@@ -117,11 +122,11 @@ func demoSignal(n int) sensor.Signal {
 // health post-hoc from the registry: per-rack bridge counters and stage
 // latencies, the figures davide-sim only prints as fleet-wide sums.
 func runPlane(nodes, racks int, window, rate float64, metric string, qNode int, qT0, qT1, res float64) {
-	reg := davide.NewObsRegistry()
-	p, err := davide.NewPlane(davide.PlaneSpec{
+	reg := obs.NewRegistry()
+	p, err := fleet.NewPlane(fleet.PlaneSpec{
 		Racks:     racks,
 		NodesHint: nodes,
-		Gateway: davide.GatewaySpec{
+		Gateway: fleet.GatewaySpec{
 			SampleRate: rate, ClientPrefix: "egmon", SeedBase: 100,
 			BatchSamples: 256,
 		},
@@ -138,14 +143,14 @@ func runPlane(nodes, racks int, window, rate float64, metric string, qNode int, 
 		fmt.Printf("spine MQTT broker listening on %s\n", p.SpineAddr())
 	}
 
-	streams := make([]davide.NodeStream, nodes)
+	streams := make([]fleet.NodeStream, nodes)
 	for n := 0; n < nodes; n++ {
-		streams[n] = davide.NodeStream{Node: n, Signal: demoSignal(n)}
+		streams[n] = fleet.NodeStream{Node: n, Signal: demoSignal(n)}
 	}
 	t0, t1 := 30.0, 30+window
 	// Snapshot both window edges: bucketed health queries sample-and-hold
 	// between records, so a lone end-of-window record yields no buckets.
-	si := davide.NewObsSelfIngest(reg)
+	si := core.NewSelfIngest(reg)
 	si.Record(t0)
 	st, err := p.Stream(context.Background(), streams, t0, t1)
 	if err != nil {
@@ -249,21 +254,22 @@ func runPlane(nodes, racks int, window, rate float64, metric string, qNode int, 
 	queryHealth(si, metric, t0, t1, res)
 }
 
-// runLive executes the closed-loop control plane with the registry
-// attached and surfaces the scheduler's telemetry-health counters —
-// fresh vs. stale reads (the hold-last-safe path) and the per-rack
-// capping holds — post-hoc.
-func runLive(nodes, jobs int, seed int64, metric string, res float64) {
-	gen, err := davide.NewGenerator(davide.DefaultWorkload(seed))
+// liveWorkload draws the live modes' training batch and work trace,
+// rebased to t=0. The default trace requests up to 8 nodes; it is clamped
+// to the machine so a small -nodes run cannot draw an unschedulable job.
+func liveWorkload(nodes, jobs int, seed int64) (train, work []workload.Job) {
+	cfg := workload.DefaultGeneratorConfig(seed)
+	if cfg.MaxNodes > nodes {
+		cfg.MaxNodes = nodes
+	}
+	gen, err := workload.NewGenerator(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	train, err := gen.Batch(300)
-	if err != nil {
+	if train, err = gen.Batch(300); err != nil {
 		log.Fatal(err)
 	}
-	work, err := gen.Batch(jobs)
-	if err != nil {
+	if work, err = gen.Batch(jobs); err != nil {
 		log.Fatal(err)
 	}
 	if len(work) > 0 {
@@ -272,19 +278,28 @@ func runLive(nodes, jobs int, seed int64, metric string, res float64) {
 			work[i].SubmitAt -= base
 		}
 	}
-	sys, err := davide.NewSystem(train)
+	return train, work
+}
+
+// runLive executes the closed-loop control plane with the registry
+// attached and surfaces the scheduler's telemetry-health counters —
+// fresh vs. stale reads (the hold-last-safe path) and the per-rack
+// capping holds — post-hoc.
+func runLive(nodes, jobs int, seed int64, metric string, res float64) {
+	train, work := liveWorkload(nodes, jobs, seed)
+	sys, err := core.NewSystem(train)
 	if err != nil {
 		log.Fatal(err)
 	}
-	reg := davide.NewObsRegistry()
+	reg := obs.NewRegistry()
 	sys.Obs = reg
-	lres, err := sys.RunLive(work, davide.LiveConfig{
+	lres, err := sys.RunLive(work, core.LiveConfig{
 		Nodes: nodes,
-		Sched: davide.ControllerConfig{
-			Admission: davide.AdmitPowerAware,
+		Sched: sched.ControllerConfig{
+			Admission: sched.AdmitPowerAware,
 			// Generous cap: the demo surfaces telemetry health, not
 			// cap pressure (pilot jobs draw up to ~2 kW/node).
-			Config: davide.SchedConfig{PowerCapW: 2500 * float64(nodes), ReactiveCapping: true},
+			Config: sched.Config{PowerCapW: 2500 * float64(nodes), ReactiveCapping: true},
 		},
 	})
 	if err != nil {
@@ -315,48 +330,25 @@ func runLive(nodes, jobs int, seed int64, metric string, res float64) {
 // trajectory is reconstructed and scored against the measured machine
 // power, per scenario phase.
 func runCapTrack(name string, nodes, jobs int, seed int64, capW float64) {
-	sc, err := davide.GetScenario(name)
+	sc, err := scenario.Get(name)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if capW <= 0 {
 		capW = 2200 * float64(nodes)
 	}
-	// The default trace requests up to 8 nodes; clamp to the machine so
-	// a small -nodes run cannot draw an unschedulable job.
-	cfg := davide.DefaultWorkload(seed)
-	if cfg.MaxNodes > nodes {
-		cfg.MaxNodes = nodes
-	}
-	gen, err := davide.NewGenerator(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	train, err := gen.Batch(300)
-	if err != nil {
-		log.Fatal(err)
-	}
-	work, err := gen.Batch(jobs)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if len(work) > 0 {
-		base := work[0].SubmitAt
-		for i := range work {
-			work[i].SubmitAt -= base
-		}
-	}
-	sys, err := davide.NewSystem(train)
+	train, work := liveWorkload(nodes, jobs, seed)
+	sys, err := core.NewSystem(train)
 	if err != nil {
 		log.Fatal(err)
 	}
 	const tickS = 15.0
-	res, err := sys.RunScenario(sc, seed, work, davide.LiveConfig{
+	res, err := sys.RunScenario(sc, seed, work, core.LiveConfig{
 		Nodes:      nodes,
 		SampleRate: 4,
-		Sched: davide.ControllerConfig{
-			Admission: davide.AdmitPowerAware,
-			Config:    davide.SchedConfig{PowerCapW: capW, ReactiveCapping: true},
+		Sched: sched.ControllerConfig{
+			Admission: sched.AdmitPowerAware,
+			Config:    sched.Config{PowerCapW: capW, ReactiveCapping: true},
 			TickS:     tickS,
 		},
 	})
@@ -370,7 +362,7 @@ func runCapTrack(name string, nodes, jobs int, seed int64, capW float64) {
 	// The overlay proper: reconstruct the ramp-limited cap trajectory
 	// from the scenario alone and score the *stored* telemetry against
 	// it — nothing below reads the run's in-memory state.
-	overs, err := davide.CapTrack(sys.Store(), nodes, capW, tickS, res.Makespan, sc)
+	overs, err := scenario.CapTrack(sys.Store(), nodes, capW, tickS, res.Makespan, sc)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -403,7 +395,7 @@ func runCapTrack(name string, nodes, jobs int, seed int64, capW float64) {
 
 // snapValue returns the value of the first snapshot row whose name
 // starts with base and contains label ("" matches any labels).
-func snapValue(snap []davide.ObsMetric, base, label string) float64 {
+func snapValue(snap []obs.Metric, base, label string) float64 {
 	for _, m := range snap {
 		if strings.HasPrefix(m.Name, base) && (label == "" || strings.Contains(m.Name, label)) {
 			return m.Value
@@ -414,7 +406,7 @@ func snapValue(snap []davide.ObsMetric, base, label string) float64 {
 
 // queryHealth resolves the -metric post-hoc query against the
 // self-ingested health store.
-func queryHealth(si *davide.ObsSelfIngest, metric string, t0, t1, res float64) {
+func queryHealth(si *core.SelfIngest, metric string, t0, t1, res float64) {
 	if metric == "" || si == nil {
 		return
 	}
@@ -452,7 +444,7 @@ func queryHealth(si *davide.ObsSelfIngest, metric string, t0, t1, res float64) {
 // knobs. Per-tenant quotas apply server-side; a 429 surfaces the
 // server's Retry-After hint instead of silently retrying.
 func runAPI(addr, tenant string, qNode int, t0, t1, res float64) {
-	c := davide.NewEnergyAPIClient(addr, tenant)
+	c := energyserve.NewClient(addr, tenant)
 
 	users, err := c.Users()
 	if err != nil {
@@ -510,7 +502,7 @@ func runAPI(addr, tenant string, qNode int, t0, t1, res float64) {
 
 // fatalAPI dies with a friendlier message for quota rejections.
 func fatalAPI(err error) {
-	var qe *davide.EnergyAPIQuotaError
+	var qe *energyserve.QuotaError
 	if errors.As(err, &qe) {
 		log.Fatalf("quota exceeded for this tenant; retry in %gs (server Retry-After)", qe.RetryAfter)
 	}

@@ -18,6 +18,7 @@ import (
 	"davide/internal/apps"
 	"davide/internal/capping"
 	"davide/internal/cluster"
+	"davide/internal/core"
 	"davide/internal/gateway"
 	"davide/internal/monitors"
 	"davide/internal/mqtt"
@@ -31,8 +32,6 @@ import (
 	"davide/internal/trace"
 	"davide/internal/units"
 	"davide/internal/workload"
-
-	davide "davide"
 )
 
 type experiment struct {
@@ -728,7 +727,7 @@ func e14() (*trace.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys, err := davide.NewSystem(train)
+	sys, err := core.NewSystem(train)
 	if err != nil {
 		return nil, err
 	}

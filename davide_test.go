@@ -3,14 +3,25 @@ package davide
 import (
 	"testing"
 
-	"davide/internal/sensor"
+	"davide/internal/capping"
+	"davide/internal/cluster"
+	"davide/internal/core"
+	"davide/internal/energyapi"
+	"davide/internal/node"
+	"davide/internal/predictor"
+	"davide/internal/sched"
+	"davide/internal/workload"
 )
 
-// TestFacadeQuickPath exercises the public API end to end, mirroring the
-// quickstart example: generate a workload, build the system, run it under
-// a power cap, inspect accounting.
+// Smoke tests of the constructors the examples and CLIs call, one per
+// entry path (the TestFacade* names date from the deleted davide.go
+// facade; CHANGES.md, PR 18, names the internal/ test that covers each).
+
+// TestFacadeQuickPath mirrors the quickstart example end to end: generate
+// a workload, build the system, run it under a power cap, inspect
+// accounting.
 func TestFacadeQuickPath(t *testing.T) {
-	gen, err := NewGenerator(DefaultWorkload(1))
+	gen, err := workload.NewGenerator(workload.DefaultGeneratorConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,13 +38,13 @@ func TestFacadeQuickPath(t *testing.T) {
 	for i := range work {
 		work[i].SubmitAt -= base
 	}
-	sys, err := NewSystem(train)
+	sys, err := core.NewSystem(train)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.RunScheduled(work, SchedConfig{
+	res, err := sys.RunScheduled(work, sched.Config{
 		PowerCapW: 45 * 1200, ReactiveCapping: true,
-	}, NewEASYPowerStrategy())
+	}, sched.NewEASYPowerStrategy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +60,7 @@ func TestFacadeQuickPath(t *testing.T) {
 }
 
 func TestFacadePredictors(t *testing.T) {
-	gen, err := NewGenerator(DefaultWorkload(2))
+	gen, err := workload.NewGenerator(workload.DefaultGeneratorConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,12 +68,12 @@ func TestFacadePredictors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	knn, err := NewKNNPredictor(8)
+	knn, err := predictor.NewKNN(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []Predictor{NewMeanPredictor(), NewOLSPredictor(), knn} {
-		ev, err := EvaluatePredictor(p, jobs[:800], jobs[800:])
+	for _, p := range []predictor.Predictor{predictor.NewMeanPerKey(), predictor.NewOLS(), knn} {
+		ev, err := predictor.Evaluate(p, jobs[:800], jobs[800:])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,36 +83,13 @@ func TestFacadePredictors(t *testing.T) {
 	}
 }
 
-func TestFacadeMonitors(t *testing.T) {
-	sig := sensor.Sum{sensor.Const(800), sensor.Square{Low: 0, High: 800, Period: 0.05, Duty: 0.5}}
-	results, err := CompareMonitors(sig, 0, 1, 3000, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 5 {
-		t.Fatalf("results = %d", len(results))
-	}
-	var ipmiErr, egErr float64
-	for _, r := range results {
-		switch r.Class {
-		case MonitorIPMI:
-			ipmiErr = r.RelErrorPct
-		case MonitorEG:
-			egErr = r.RelErrorPct
-		}
-	}
-	if egErr >= ipmiErr {
-		t.Errorf("EG error %v should beat IPMI %v", egErr, ipmiErr)
-	}
-}
-
 func TestFacadeNodeAndCapping(t *testing.T) {
-	n, err := NewNode(0)
+	n, err := node.New(0, node.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	n.SetLoad(1)
-	c, err := NewNodeCapper(n)
+	c, err := capping.NewNodeCapper(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +105,7 @@ func TestFacadeNodeAndCapping(t *testing.T) {
 }
 
 func TestFacadeCluster(t *testing.T) {
-	c, err := NewPilotCluster()
+	c, err := cluster.New(cluster.PilotConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +122,12 @@ func TestFacadeCluster(t *testing.T) {
 }
 
 func TestFacadeEnergySession(t *testing.T) {
-	n, err := NewNode(0)
+	n, err := node.New(0, node.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	now := 0.0
-	s, err := NewEnergySession(n, func() float64 { return now })
+	s, err := energyapi.NewSession(n, func() float64 { return now })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,7 @@ import (
 
 	"davide/internal/apps"
 	"davide/internal/energyapi"
-
-	davide "davide"
+	"davide/internal/node"
 )
 
 func main() {
@@ -52,12 +51,12 @@ func main() {
 	var points []energyapi.TradeoffPoint
 	fmt.Printf("%-38s %10s %12s %10s\n", "configuration", "TTS s", "ETS kJ", "mean W")
 	for _, c := range configs {
-		n, err := davide.NewNode(0)
+		n, err := node.New(0, node.DefaultConfig())
 		if err != nil {
 			log.Fatal(err)
 		}
 		now := 0.0
-		sess, err := davide.NewEnergySession(n, func() float64 { return now })
+		sess, err := energyapi.NewSession(n, func() float64 { return now })
 		if err != nil {
 			log.Fatal(err)
 		}

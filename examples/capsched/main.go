@@ -8,16 +8,15 @@ import (
 	"fmt"
 	"log"
 
+	"davide/internal/predictor"
 	"davide/internal/sched"
 	"davide/internal/workload"
-
-	davide "davide"
 )
 
 func main() {
 	log.SetFlags(0)
 
-	gen, err := davide.NewGenerator(davide.DefaultWorkload(21))
+	gen, err := workload.NewGenerator(workload.DefaultGeneratorConfig(21))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -25,7 +24,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	histGen, err := davide.NewGenerator(davide.DefaultWorkload(777))
+	histGen, err := workload.NewGenerator(workload.DefaultGeneratorConfig(777))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -34,11 +33,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	knn, err := davide.NewKNNPredictor(8)
+	knn, err := predictor.NewKNN(8)
 	if err != nil {
 		log.Fatal(err)
 	}
-	predictors := []davide.Predictor{davide.NewMeanPredictor(), davide.NewOLSPredictor(), knn}
+	predictors := []predictor.Predictor{predictor.NewMeanPerKey(), predictor.NewOLS(), knn}
 	for _, p := range predictors {
 		if err := p.Train(history); err != nil {
 			log.Fatal(err)

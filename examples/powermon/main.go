@@ -17,8 +17,6 @@ import (
 	"davide/internal/ptp"
 	"davide/internal/sensor"
 	"davide/internal/telemetry"
-
-	davide "davide"
 )
 
 func main() {
@@ -37,7 +35,7 @@ func main() {
 	fmt.Printf("ground-truth energy over 1 s: %.2f J\n\n", truth)
 
 	fmt.Println("monitor class comparison (paper §V-C):")
-	results, err := davide.CompareMonitors(sig, 0, 1, 3000, 42)
+	results, err := monitors.CompareAll(sig, 0, 1, 3000, 42)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,12 +44,12 @@ func main() {
 	}
 
 	// Live path: gateway -> broker -> aggregator over loopback TCP.
-	broker, err := davide.NewBroker("127.0.0.1:0")
+	broker, err := mqtt.NewBroker("127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer func() { _ = broker.Close() }()
-	agg, sub, err := davide.SubscribeTelemetry(broker.Addr(), "powermon-agent")
+	agg, sub, err := telemetry.Subscribe(broker.Addr(), "powermon-agent")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,13 +1,15 @@
 // Quickstart: build the D.A.V.I.D.E. pilot, run a workload under a power
 // cap with the trained predictor, and read the energy accounting — the
-// whole public API in ~60 lines.
+// whole batch path in ~60 lines.
 package main
 
 import (
 	"fmt"
 	"log"
 
-	davide "davide"
+	"davide/internal/core"
+	"davide/internal/sched"
+	"davide/internal/workload"
 )
 
 func main() {
@@ -15,7 +17,7 @@ func main() {
 
 	// 1. A synthetic workload: 1000 historical jobs to train the power
 	//    predictor, 150 fresh jobs to schedule.
-	gen, err := davide.NewGenerator(davide.DefaultWorkload(7))
+	gen, err := workload.NewGenerator(workload.DefaultGeneratorConfig(7))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,17 +35,17 @@ func main() {
 	}
 
 	// 2. The pilot system: 45 Garrison nodes, trained predictor.
-	sys, err := davide.NewSystem(history)
+	sys, err := core.NewSystem(history)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// 3. Schedule under a 52 kW machine cap, proactive (EASY backfill
 	// admitting on the trained predictor) + reactive.
-	res, err := sys.RunScheduled(work, davide.SchedConfig{
+	res, err := sys.RunScheduled(work, sched.Config{
 		PowerCapW:       52_000,
 		ReactiveCapping: true,
-	}, davide.NewEASYPowerStrategy())
+	}, sched.NewEASYPowerStrategy())
 	if err != nil {
 		log.Fatal(err)
 	}

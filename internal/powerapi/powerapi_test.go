@@ -82,6 +82,9 @@ func TestClusterHierarchy(t *testing.T) {
 	if len(plat.Children) != 3 {
 		t.Errorf("cabinets = %v", plat.Children)
 	}
+	if fl, err := h.Get("davide", AttrPeakFlops); err != nil || fl < 0.9e15 {
+		t.Errorf("platform peak = %v,%v, want ~1 PFlops", fl, err)
+	}
 	if _, err := NewHierarchy(nil, 15); err == nil {
 		t.Error("nil cluster should error")
 	}

@@ -10,8 +10,9 @@
 // Since the tsdb rework the Aggregator is a thin ingest shim: it decodes
 // batches, guards against out-of-order/duplicate redelivery, feeds a
 // tsdb.DB (the ExaMon-style back end of §III-A), and delegates every
-// energy/power query to the store's engine. A raw-slice fallback mode
-// (NewRawAggregator) remains for tools that want plain NodeSeries slices.
+// energy/power query to the store's engine. The raw-slice mode
+// (NewRawAggregator, NodeSeries) has no caller outside tests: it stays as
+// the differential reference the store-path tests compare against.
 package telemetry
 
 import (
@@ -704,19 +705,6 @@ func Subscribe(brokerAddr, clientID string) (*Aggregator, *mqtt.Client, error) {
 		return nil, nil, err
 	}
 	return a, c, nil
-}
-
-// SubscribeParallel attaches a fresh aggregator through a sharded decode
-// pool of the given width (0 = one worker per CPU), so batch parsing
-// scales with cores instead of serialising on the subscriber's reader
-// goroutine. Close the client first, then the ingest pool.
-func SubscribeParallel(brokerAddr, clientID string, workers int) (*Aggregator, *Ingest, *mqtt.Client, error) {
-	a := NewAggregator()
-	in, c, err := a.AttachParallel(brokerAddr, clientID, workers)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return a, in, c, nil
 }
 
 // AttachParallel subscribes this aggregator to a broker through a sharded

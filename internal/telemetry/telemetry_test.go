@@ -374,7 +374,8 @@ func TestSubscribeParallelEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = broker.Close() }()
-	a, in, sub, err := SubscribeParallel(broker.Addr(), "par-agg", 3)
+	a := NewAggregator()
+	in, sub, err := a.AttachParallel(broker.Addr(), "par-agg", 3)
 	if err != nil {
 		t.Fatal(err)
 	}

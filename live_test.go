@@ -26,6 +26,11 @@ package davide
 import (
 	"math"
 	"testing"
+
+	"davide/internal/core"
+	"davide/internal/fleet"
+	"davide/internal/sched"
+	"davide/internal/workload"
 )
 
 // e19Bounds documents the worst tolerated true-power overshoot above the
@@ -35,24 +40,24 @@ import (
 // loss pattern can open before reactive capping pulls the machine back
 // under. "" is clean transport.
 var e19Bounds = map[string]float64{
-	"":                   5,
-	ChaosLossyRack:       8,
-	ChaosSplitBrain:      8,
-	ChaosFlappingGateway: 8,
-	ChaosCorruptWire:     12,
+	"":                         5,
+	fleet.ChaosLossyRack:       8,
+	fleet.ChaosSplitBrain:      8,
+	fleet.ChaosFlappingGateway: 8,
+	fleet.ChaosCorruptWire:     12,
 }
 
 // e19Workload is the scaled pilot mix the loop schedules: 24 jobs of
 // 1-4 nodes with ~5 minute runtimes on a 12-node machine, hot enough
 // that running everything at once oversubscribes the 14 kW cap.
-func e19Workload(tb testing.TB, seed int64) (train, work []Job) {
+func e19Workload(tb testing.TB, seed int64) (train, work []workload.Job) {
 	tb.Helper()
-	cfg := DefaultWorkload(seed)
+	cfg := workload.DefaultGeneratorConfig(seed)
 	cfg.MaxNodes = 4
 	cfg.MeanInterarrival = 60
 	cfg.MeanRuntime = 300
 	cfg.RuntimeSigma = 0.6
-	gen, err := NewGenerator(cfg)
+	gen, err := workload.NewGenerator(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -76,28 +81,28 @@ const (
 )
 
 // e19Run executes one closed-loop scenario.
-func e19Run(tb testing.TB, adm Admission, reactive bool, preset string, seed int64) *LiveResult {
+func e19Run(tb testing.TB, adm sched.Admission, reactive bool, preset string, seed int64) *core.LiveResult {
 	tb.Helper()
 	train, work := e19Workload(tb, seed)
-	sys, err := NewSystem(train)
+	sys, err := core.NewSystem(train)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	if preset != "" {
-		plan, err := ChaosPreset(preset, seed)
+		plan, err := fleet.ChaosPreset(preset, seed)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		sys.StreamFaults = plan
 		sys.StreamBatchSamples = 16
 	}
-	res, err := sys.RunLive(work, LiveConfig{
+	res, err := sys.RunLive(work, core.LiveConfig{
 		Nodes:      e19Nodes,
 		SampleRate: 4,
 		RackSize:   6, // two capping racks on the 12-node machine
-		Sched: ControllerConfig{
+		Sched: sched.ControllerConfig{
 			Admission: adm,
-			Config:    SchedConfig{PowerCapW: e19CapW, ReactiveCapping: reactive},
+			Config:    sched.Config{PowerCapW: e19CapW, ReactiveCapping: reactive},
 			TickS:     e19Tick,
 		},
 	})
@@ -112,7 +117,7 @@ func TestE19ClosedLoop(t *testing.T) {
 		t.Skip("closed-loop suite: skipped in -short")
 	}
 	const seed = 7
-	presets := []string{"", ChaosLossyRack, ChaosSplitBrain, ChaosFlappingGateway, ChaosCorruptWire}
+	presets := []string{"", fleet.ChaosLossyRack, fleet.ChaosSplitBrain, fleet.ChaosFlappingGateway, fleet.ChaosCorruptWire}
 	for _, preset := range presets {
 		preset := preset
 		label := preset
@@ -120,8 +125,8 @@ func TestE19ClosedLoop(t *testing.T) {
 			label = "clean"
 		}
 		t.Run(label, func(t *testing.T) {
-			power := e19Run(t, AdmitPowerAware, true, preset, seed)
-			fifo := e19Run(t, AdmitFIFO, false, preset, seed)
+			power := e19Run(t, sched.AdmitPowerAware, true, preset, seed)
+			fifo := e19Run(t, sched.AdmitFIFO, false, preset, seed)
 
 			// Cap holding under (possibly degraded) telemetry.
 			bound := e19Bounds[preset]
@@ -164,7 +169,7 @@ func TestE19ClosedLoop(t *testing.T) {
 	}
 
 	t.Run("degraded-path-exercised", func(t *testing.T) {
-		res := e19Run(t, AdmitPowerAware, true, ChaosSplitBrain, seed)
+		res := e19Run(t, sched.AdmitPowerAware, true, fleet.ChaosSplitBrain, seed)
 		if res.StaleReads == 0 {
 			t.Error("split-brain produced no stale telemetry reads")
 		}
@@ -178,8 +183,8 @@ func TestE19ClosedLoop(t *testing.T) {
 	})
 
 	t.Run("deterministic", func(t *testing.T) {
-		a := e19Run(t, AdmitPowerAware, true, ChaosLossyRack, seed)
-		b := e19Run(t, AdmitPowerAware, true, ChaosLossyRack, seed)
+		a := e19Run(t, sched.AdmitPowerAware, true, fleet.ChaosLossyRack, seed)
+		b := e19Run(t, sched.AdmitPowerAware, true, fleet.ChaosLossyRack, seed)
 		if a.Faults != b.Faults {
 			t.Errorf("fault ledgers differ:\n%+v\n%+v", a.Faults, b.Faults)
 		}

@@ -28,6 +28,10 @@ package davide
 import (
 	"math"
 	"testing"
+
+	"davide/internal/core"
+	"davide/internal/scenario"
+	"davide/internal/sched"
 )
 
 const (
@@ -40,24 +44,24 @@ const (
 // e22Run executes one scenario on the live control plane (same machine
 // geometry as E19: 12 nodes, 14 kW, 15 s ticks, 24 jobs hot enough to
 // oversubscribe the cap).
-func e22Run(tb testing.TB, name string, adm Admission, reactive bool, seed int64) *ScenarioResult {
+func e22Run(tb testing.TB, name string, adm sched.Admission, reactive bool, seed int64) *core.ScenarioResult {
 	tb.Helper()
-	sc, err := GetScenario(name)
+	sc, err := scenario.Get(name)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	train, work := e19Workload(tb, seed)
-	sys, err := NewSystem(train)
+	sys, err := core.NewSystem(train)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	res, err := sys.RunScenario(sc, seed, work, LiveConfig{
+	res, err := sys.RunScenario(sc, seed, work, core.LiveConfig{
 		Nodes:      e22Nodes,
 		SampleRate: 4,
 		RackSize:   6,
-		Sched: ControllerConfig{
+		Sched: sched.ControllerConfig{
 			Admission: adm,
-			Config:    SchedConfig{PowerCapW: e22CapW, ReactiveCapping: reactive},
+			Config:    sched.Config{PowerCapW: e22CapW, ReactiveCapping: reactive},
 			TickS:     e22Tick,
 		},
 	})
@@ -71,15 +75,15 @@ func TestE22ScenarioMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario matrix: skipped in -short")
 	}
-	for _, name := range ScenarioNames() {
+	for _, name := range scenario.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			sc, err := GetScenario(name)
+			sc, err := scenario.Get(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			power := e22Run(t, name, AdmitPowerAware, true, e22Seed)
-			fifo := e22Run(t, name, AdmitFIFO, false, e22Seed)
+			power := e22Run(t, name, sched.AdmitPowerAware, true, e22Seed)
+			fifo := e22Run(t, name, sched.AdmitFIFO, false, e22Seed)
 
 			// Documented degradation bounds, controller view: worst true
 			// overshoot above the ramp-limited effective cap.
@@ -136,7 +140,7 @@ func TestE22ScenarioMatrix(t *testing.T) {
 	}
 
 	t.Run("brownout-engages-and-releases", func(t *testing.T) {
-		res := e22Run(t, ScenarioStaleBrownout, AdmitPowerAware, true, e22Seed)
+		res := e22Run(t, scenario.ScenarioStaleBrownout, sched.AdmitPowerAware, true, e22Seed)
 		if res.StaleReads == 0 {
 			t.Fatal("split-brain window produced no stale telemetry reads")
 		}
@@ -158,24 +162,24 @@ func TestE22ScenarioMatrix(t *testing.T) {
 		// Brownout cannot undo the partition-onset peak (already-running
 		// jobs keep ramping on phantom headroom), but it must strictly
 		// reduce the time spent over cap vs the same run disarmed.
-		sc, err := GetScenario(ScenarioStaleBrownout)
+		sc, err := scenario.Get(scenario.ScenarioStaleBrownout)
 		if err != nil {
 			t.Fatal(err)
 		}
 		disarmed := *sc
 		disarmed.BrownoutStaleFrac = 0
 		train, work := e19Workload(t, e22Seed)
-		sys, err := NewSystem(train)
+		sys, err := core.NewSystem(train)
 		if err != nil {
 			t.Fatal(err)
 		}
-		off, err := sys.RunScenario(&disarmed, e22Seed, work, LiveConfig{
+		off, err := sys.RunScenario(&disarmed, e22Seed, work, core.LiveConfig{
 			Nodes:      e22Nodes,
 			SampleRate: 4,
 			RackSize:   6,
-			Sched: ControllerConfig{
-				Admission: AdmitPowerAware,
-				Config:    SchedConfig{PowerCapW: e22CapW, ReactiveCapping: true},
+			Sched: sched.ControllerConfig{
+				Admission: sched.AdmitPowerAware,
+				Config:    sched.Config{PowerCapW: e22CapW, ReactiveCapping: true},
 				TickS:     e22Tick,
 			},
 		})
@@ -193,8 +197,8 @@ func TestE22ScenarioMatrix(t *testing.T) {
 
 	t.Run("deterministic", func(t *testing.T) {
 		// The fullest composition: cap ramp + windowed chaos + brownout.
-		a := e22Run(t, ScenarioRampChaos, AdmitPowerAware, true, e22Seed)
-		b := e22Run(t, ScenarioRampChaos, AdmitPowerAware, true, e22Seed)
+		a := e22Run(t, scenario.ScenarioRampChaos, sched.AdmitPowerAware, true, e22Seed)
+		b := e22Run(t, scenario.ScenarioRampChaos, sched.AdmitPowerAware, true, e22Seed)
 		if a.Faults != b.Faults {
 			t.Errorf("fault ledgers differ:\n%+v\n%+v", a.Faults, b.Faults)
 		}

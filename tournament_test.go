@@ -29,19 +29,23 @@ import (
 	"strings"
 	"testing"
 
+	"davide/internal/fleet"
+	"davide/internal/scenario"
+	"davide/internal/sched"
 	"davide/internal/stats"
+	"davide/internal/tournament"
 )
 
 const e24Seed = 7
 
 // e24Cells runs a tournament subset and indexes its cells.
-func e24Cells(t *testing.T, pols, axes []string) map[[2]string]TournamentCell {
+func e24Cells(t *testing.T, pols, axes []string) map[[2]string]tournament.Cell {
 	t.Helper()
-	rep, err := RunTournament(TournamentConfig{Seed: e24Seed, Policies: pols, Axes: axes}, nil)
+	rep, err := tournament.Run(tournament.Config{Seed: e24Seed, Policies: pols, Axes: axes}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make(map[[2]string]TournamentCell, len(rep.Cells))
+	out := make(map[[2]string]tournament.Cell, len(rep.Cells))
 	for _, c := range rep.Cells {
 		out[[2]string{c.Policy, c.Axis}] = c
 	}
@@ -75,18 +79,18 @@ func TestE24Tournament(t *testing.T) {
 		// built-in strategies bit-identical to the Admission enum path.
 		cells := e24Cells(t,
 			[]string{"fifo", "power"},
-			[]string{"clean", "chaos/" + ChaosLossyRack})
+			[]string{"clean", "chaos/" + fleet.ChaosLossyRack})
 		refs := []struct {
 			policy string
 			axis   string
-			adm    Admission
+			adm    sched.Admission
 			react  bool
 			preset string
 		}{
-			{"fifo", "clean", AdmitFIFO, false, ""},
-			{"power", "clean", AdmitPowerAware, true, ""},
-			{"fifo", "chaos/" + ChaosLossyRack, AdmitFIFO, false, ChaosLossyRack},
-			{"power", "chaos/" + ChaosLossyRack, AdmitPowerAware, true, ChaosLossyRack},
+			{"fifo", "clean", sched.AdmitFIFO, false, ""},
+			{"power", "clean", sched.AdmitPowerAware, true, ""},
+			{"fifo", "chaos/" + fleet.ChaosLossyRack, sched.AdmitFIFO, false, fleet.ChaosLossyRack},
+			{"power", "chaos/" + fleet.ChaosLossyRack, sched.AdmitPowerAware, true, fleet.ChaosLossyRack},
 		}
 		for _, ref := range refs {
 			res := e19Run(t, ref.adm, ref.react, ref.preset, e24Seed)
@@ -118,17 +122,17 @@ func TestE24Tournament(t *testing.T) {
 	})
 
 	t.Run("anchors-e22", func(t *testing.T) {
-		axis := "scenario/" + ScenarioDRRamp
+		axis := "scenario/" + scenario.ScenarioDRRamp
 		cells := e24Cells(t, []string{"fifo", "power"}, []string{axis})
 		for _, ref := range []struct {
 			policy string
-			adm    Admission
+			adm    sched.Admission
 			react  bool
 		}{
-			{"fifo", AdmitFIFO, false},
-			{"power", AdmitPowerAware, true},
+			{"fifo", sched.AdmitFIFO, false},
+			{"power", sched.AdmitPowerAware, true},
 		} {
-			res := e22Run(t, ScenarioDRRamp, ref.adm, ref.react, e24Seed)
+			res := e22Run(t, scenario.ScenarioDRRamp, ref.adm, ref.react, e24Seed)
 			cell, ok := cells[[2]string{ref.policy, axis}]
 			if !ok {
 				t.Fatalf("no cell for %s on %s", ref.policy, axis)
@@ -149,8 +153,8 @@ func TestE24Tournament(t *testing.T) {
 		// Every policy — the transplanted built-ins and the new
 		// disciplines — must replay bit-identically from the same seed,
 		// including on an axis that stresses dispatch with chaos.
-		pols := TournamentPolicyNames()
-		axes := []string{"clean", "chaos/" + ChaosSplitBrain}
+		pols := tournament.PolicyNames()
+		axes := []string{"clean", "chaos/" + fleet.ChaosSplitBrain}
 		a := e24Cells(t, pols, axes)
 		b := e24Cells(t, pols, axes)
 		if len(a) != len(pols)*len(axes) {
@@ -168,15 +172,15 @@ func TestE24Tournament(t *testing.T) {
 	})
 
 	t.Run("ranking-sanity", func(t *testing.T) {
-		rep, err := RunTournament(TournamentConfig{
+		rep, err := tournament.Run(tournament.Config{
 			Seed: e24Seed,
 			Axes: []string{"clean"},
 		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rep.Standings) != len(TournamentPolicyNames()) {
-			t.Fatalf("%d standings for %d policies", len(rep.Standings), len(TournamentPolicyNames()))
+		if len(rep.Standings) != len(tournament.PolicyNames()) {
+			t.Fatalf("%d standings for %d policies", len(rep.Standings), len(tournament.PolicyNames()))
 		}
 		seen := map[string]bool{}
 		for _, st := range rep.Standings {
@@ -190,8 +194,8 @@ func TestE24Tournament(t *testing.T) {
 		// baseline on the clean axis.
 		worstAware, bestBlind := 0.0, math.Inf(1)
 		for _, c := range rep.Cells {
-			var pol TournamentPolicy
-			for _, p := range TournamentPolicies() {
+			var pol tournament.Policy
+			for _, p := range tournament.Policies() {
 				if p.Name == c.Policy {
 					pol = p
 				}
@@ -213,7 +217,7 @@ func TestE24Tournament(t *testing.T) {
 	})
 
 	t.Run("artifacts", func(t *testing.T) {
-		rep, err := RunTournament(TournamentConfig{
+		rep, err := tournament.Run(tournament.Config{
 			Seed:     e24Seed,
 			Policies: []string{"fifo", "power"},
 			Axes:     []string{"clean"},
@@ -226,7 +230,7 @@ func TestE24Tournament(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := DecodeTournament(data)
+		back, err := tournament.DecodeJSON(data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,15 +243,15 @@ func TestE24Tournament(t *testing.T) {
 		}
 		// Ledger regeneration is idempotent and preserves curated text.
 		const curated = "The weighted policy wins because starvation is priced, not policed."
-		first := RenderStrategyLedger(rep, "")
+		first := tournament.RenderLedger(rep, "")
 		edited := strings.Replace(first,
 			"_No curated findings yet. Edit this section — it survives regeneration._",
 			curated, 1)
-		second := RenderStrategyLedger(rep, edited)
+		second := tournament.RenderLedger(rep, edited)
 		if !strings.Contains(second, curated) {
 			t.Error("regeneration lost the curated findings section")
 		}
-		if third := RenderStrategyLedger(rep, second); third != second {
+		if third := tournament.RenderLedger(rep, second); third != second {
 			t.Error("ledger regeneration is not idempotent")
 		}
 	})
@@ -263,18 +267,18 @@ func TestE24Tournament(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tournament.json committed without STRATEGY_LEDGER.md: %v", err)
 		}
-		rep, err := DecodeTournament(js)
+		rep, err := tournament.DecodeJSON(js)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := RenderStrategyLedger(rep, string(ledger)); got != string(ledger) {
+		if got := tournament.RenderLedger(rep, string(ledger)); got != string(ledger) {
 			t.Error("committed STRATEGY_LEDGER.md is stale: regenerate with " +
 				"`go run ./cmd/davide-sim -tournament -tournament-from tournament.json -ledger STRATEGY_LEDGER.md`")
 		}
 		if len(rep.Standings) < 6 {
 			t.Errorf("committed tournament ranks %d policies, want >= 6", len(rep.Standings))
 		}
-		wantAxes := len(TournamentAxisNames())
+		wantAxes := len(tournament.AxisNames())
 		if len(rep.Config.Axes) != wantAxes {
 			t.Errorf("committed tournament covers %d axes, want %d", len(rep.Config.Axes), wantAxes)
 		}
