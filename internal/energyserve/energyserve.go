@@ -299,6 +299,14 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, b *Backend) {
 	writeJSON(w, rec)
 }
 
+// parseFinite parses one float parameter. strconv accepts "NaN" and "Inf",
+// which no window or phase bound can mean and JSON cannot answer with, so
+// they are refused here, before they reach the store.
+func parseFinite(s string) (float64, bool) {
+	v, err := strconv.ParseFloat(s, 64)
+	return v, err == nil && finite(v)
+}
+
 // parseFloats parses a comma-separated float list ("" -> nil).
 func parseFloats(s string) ([]float64, error) {
 	if s == "" {
@@ -307,8 +315,8 @@ func parseFloats(s string) ([]float64, error) {
 	parts := strings.Split(s, ",")
 	out := make([]float64, len(parts))
 	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
+		v, ok := parseFinite(strings.TrimSpace(p))
+		if !ok {
 			return nil, fmt.Errorf("energyserve: bad boundary %q", p)
 		}
 		out[i] = v
@@ -348,6 +356,10 @@ func (s *Server) handleJobPhases(w http.ResponseWriter, r *http.Request, b *Back
 	}
 	if bounds == nil {
 		bounds = []float64{rec.StartAt, rec.EndAt}
+	}
+	if len(bounds) < 2 {
+		http.Error(w, "energyserve: need at least two bounds", http.StatusBadRequest)
+		return
 	}
 	if names == nil {
 		names = make([]string, len(bounds)-1)
@@ -434,19 +446,20 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request, b *Backend
 		return
 	}
 	q := r.URL.Query()
-	t0, err0 := strconv.ParseFloat(q.Get("t0"), 64)
-	t1, err1 := strconv.ParseFloat(q.Get("t1"), 64)
-	if err0 != nil || err1 != nil || t1 < t0 {
-		http.Error(w, "energyserve: need t0 <= t1", http.StatusBadRequest)
+	t0, ok0 := parseFinite(q.Get("t0"))
+	t1, ok1 := parseFinite(q.Get("t1"))
+	if !ok0 || !ok1 || t1 < t0 {
+		http.Error(w, "energyserve: need finite t0 <= t1", http.StatusBadRequest)
 		return
 	}
 	res := 0.0
 	if rs := q.Get("res"); rs != "" {
-		res, err = strconv.ParseFloat(rs, 64)
-		if err != nil || res < 0 {
+		v, ok := parseFinite(rs)
+		if !ok || v < 0 {
 			http.Error(w, "energyserve: bad res", http.StatusBadRequest)
 			return
 		}
+		res = v
 	}
 	bypass := q.Get("nocache") == "1"
 	key := windowKey(node, t0, t1, res)
@@ -486,7 +499,10 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request, b *Backend
 	if t1 > t0 {
 		rep.MeanW = energy / (t1 - t0)
 	}
-	body, err := json.Marshal(rep)
+	buf := encodeBufs.Get().(*[]byte)
+	defer encodeBufs.Put(buf)
+	body, err := appendWindowReport((*buf)[:0], &rep)
+	*buf = body
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -495,7 +511,9 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request, b *Backend
 		w.Header().Set("X-Cache", "bypass")
 	} else {
 		s.misses.Add(1)
-		s.cache.put(key, cacheEntry{body: body, wm: wm})
+		// An exact-size copy: the scratch's spare capacity, held by four
+		// thousand cached bodies, is a fifth of the service's memory.
+		s.cache.put(key, cacheEntry{body: append([]byte(nil), body...), wm: wm})
 		w.Header().Set("X-Cache", "miss")
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -515,7 +533,8 @@ func (s *Server) handleRackPower(w http.ResponseWriter, r *http.Request, b *Back
 		http.Error(w, "energyserve: bad rack", http.StatusBadRequest)
 		return
 	}
-	if b.RackSize <= 0 || b.Nodes <= 0 || rk*b.RackSize >= b.Nodes {
+	// Compared in racks: rk*RackSize overflows for a large rk.
+	if b.RackSize <= 0 || b.Nodes <= 0 || rk > (b.Nodes-1)/b.RackSize {
 		http.Error(w, fmt.Sprintf("energyserve: no rack %d", rk), http.StatusNotFound)
 		return
 	}

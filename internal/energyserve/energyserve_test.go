@@ -23,7 +23,7 @@ import (
 
 // testBackend builds a small deterministic queryable surface: 4 nodes of
 // telemetry at 0.5 s spacing, 3 jobs across 2 users, racks of 2.
-func testBackend(t *testing.T) (Backend, *tsdb.DB) {
+func testBackend(t testing.TB) (Backend, *tsdb.DB) {
 	t.Helper()
 	db := tsdb.New(tsdb.Options{ChunkSize: 32, Resolutions: []float64{1, 10}})
 	for n := 0; n < 4; n++ {
@@ -149,7 +149,10 @@ func TestJobPhasesMatchesDirect(t *testing.T) {
 
 // TestNodePhasesPropertyEqualDirect pins the report-equivalence
 // contract: the served body is byte-for-byte json.Marshal of the direct
-// energyapi.PhasesFromStore result, across randomized windows.
+// energyapi.PhasesFromStore result, across randomized windows — and a
+// window reply over the same span, which a hand encoder writes, is
+// byte-for-byte json.Marshal of the directly assembled WindowReport, on
+// the miss that encodes it and on the hit that replays it.
 func TestNodePhasesPropertyEqualDirect(t *testing.T) {
 	b, db := testBackend(t)
 	s := NewServer(Options{})
@@ -187,6 +190,33 @@ func TestNodePhasesPropertyEqualDirect(t *testing.T) {
 		if !bytes.Equal(rr.Body.Bytes(), want) {
 			t.Fatalf("trial %d: served body differs from direct marshal\nserved: %s\ndirect: %s",
 				trial, rr.Body.Bytes(), want)
+		}
+
+		w0, w1, res := bounds[0], bounds[k], []float64{0, 1, 10}[trial%3]
+		if trial >= 45 {
+			w0, w1 = -1e300, 4e9 // far past both ends of the data
+		}
+		rep := WindowReport{Node: n, T0: w0, T1: w1, Res: res}
+		if rep.EnergyJ, err = db.EnergyAt(n, w0, w1, res); err != nil {
+			t.Fatal(err)
+		}
+		if rep.Points, err = db.Fetch(n, w0, w1, res); err != nil {
+			t.Fatal(err)
+		}
+		rep.MeanW = rep.EnergyJ / (w1 - w0)
+		if want, err = json.Marshal(rep); err != nil {
+			t.Fatal(err)
+		}
+		path := fmt.Sprintf("/v1/nodes/%d/window?t0=%v&t1=%v&res=%v", n, w0, w1, res)
+		for _, cache := range []string{"miss", "hit"} {
+			rr := doReq(s, "", strings.ReplaceAll(path, "+", "%2B"))
+			if rr.Code != http.StatusOK || rr.Header().Get("X-Cache") != cache {
+				t.Fatalf("trial %d: %s: %d %q, want 200 %q", trial, path, rr.Code, rr.Header().Get("X-Cache"), cache)
+			}
+			if !bytes.Equal(rr.Body.Bytes(), want) {
+				t.Fatalf("trial %d: %s (%s): served body differs from direct marshal\nserved: %.300s\ndirect: %.300s",
+					trial, path, cache, rr.Body.Bytes(), want)
+			}
 		}
 	}
 	if rr := doReq(s, "", "/v1/nodes/77/phases?names=a&bounds=0,1"); rr.Code != http.StatusNotFound {
@@ -254,6 +284,55 @@ func TestWindowCacheCoherence(t *testing.T) {
 	}
 	if rr := doReq(s, "", "/v1/nodes/88/window?t0=0&t1=10"); rr.Code != http.StatusNotFound {
 		t.Errorf("unknown node: %d", rr.Code)
+	}
+}
+
+// TestHostileParameters: strconv parses "NaN" and "Inf", and a comparison
+// with NaN is false, so each of these once reached the marshaller and came
+// back 500; a window far wider than the data once cost a loop over every
+// bucket index in it (15 s for 4e9 s) or overflowed into an empty answer.
+func TestHostileParameters(t *testing.T) {
+	b, _ := testBackend(t)
+	s := NewServer(Options{})
+	s.Bind(b)
+	for path, want := range map[string]int{
+		"/v1/nodes/0/window?t0=NaN&t1=NaN":             http.StatusBadRequest,
+		"/v1/nodes/0/window?t0=0&t1=Inf":               http.StatusBadRequest,
+		"/v1/nodes/0/window?t0=-Inf&t1=5":              http.StatusBadRequest,
+		"/v1/nodes/0/window?t0=0&t1=5&res=NaN":         http.StatusBadRequest,
+		"/v1/nodes/0/window?t0=0&t1=5&res=Inf":         http.StatusBadRequest,
+		"/v1/nodes/0/phases?names=a,b&bounds=0,NaN,10": http.StatusBadRequest,
+		"/v1/nodes/0/phases?names=a&bounds=0,%2BInf":   http.StatusBadRequest,
+		"/v1/jobs/1/phases?names=a&bounds=NaN,5":       http.StatusBadRequest,
+		"/v1/jobs/1/phases?bounds=5":                   http.StatusBadRequest, // one bound is no phase
+		"/v1/racks/4611686018427387904/power":          http.StatusNotFound,   // 1<<62: rk*RackSize overflows
+		"/v1/racks/2/power":                            http.StatusNotFound,
+		"/v1/racks/1/power":                            http.StatusOK,
+	} {
+		if rr := doReq(s, "", path); rr.Code != want {
+			t.Errorf("%s: %d %s, want %d", path, rr.Code, rr.Body, want)
+		}
+	}
+
+	window := func(query string) WindowReport {
+		t.Helper()
+		rr := doReq(s, "", "/v1/nodes/0/window?"+query)
+		var rep WindowReport
+		if err := json.Unmarshal(rr.Body.Bytes(), &rep); rr.Code != http.StatusOK || err != nil {
+			t.Fatalf("%s: %d %v", query, rr.Code, err)
+		}
+		return rep
+	}
+	tight := window("t0=0&t1=500&res=1")
+	for _, q := range []string{"t0=0&t1=4e9&res=1", "t0=0&t1=1e300&res=1", "t0=-1e300&t1=1e300&res=1"} {
+		if wide := window(q); wide.EnergyJ != tight.EnergyJ || len(wide.Points) != len(tight.Points) {
+			t.Errorf("%s: %v J in %d points, want the data's %v J in %d", q, wide.EnergyJ, len(wide.Points), tight.EnergyJ, len(tight.Points))
+		}
+	}
+	// Against the exact raw answer: one bucket width of peak power per
+	// window boundary, the rollup's documented bound.
+	if raw := window("t0=0&t1=1e300"); math.Abs(raw.EnergyJ-tight.EnergyJ) > 2*1*153 {
+		t.Errorf("res=1 %v J, raw %v J", tight.EnergyJ, raw.EnergyJ)
 	}
 }
 

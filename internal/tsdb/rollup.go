@@ -109,19 +109,36 @@ func (r *rollup) addRect(t0, t1, p float64, cover bool) {
 	}
 }
 
+// overlap returns the first and last bucket index of the run that [t0, t1)
+// touches (last < first when none): a read costs O(buckets of the run in
+// the window), never O(window), whatever bounds a caller sends. The bounds
+// are compared as floats before converting, so ±1e300 and ±Inf clamp to the
+// run instead of overflowing int64.
+func (r *rollup) overlap(t0, t1 float64) (first, last int64) {
+	first, last = r.start, r.start+int64(len(r.buckets))-1
+	if t1 <= t0 {
+		return 0, -1
+	}
+	if i := math.Floor(t0 / r.width); i > float64(last) {
+		return 0, -1
+	} else if i > float64(first) {
+		first = int64(i)
+	}
+	if i := math.Floor((t1 - 1e-12) / r.width); i < float64(first) {
+		return 0, -1
+	} else if i < float64(last) {
+		last = int64(i)
+	}
+	return first, last
+}
+
 // energy integrates the rollup over [t0, t1]. Boundary buckets contribute
 // pro-rata by overlap fraction, so the result deviates from the raw
 // integral by at most width*maxPower per boundary.
 func (r *rollup) energy(t0, t1 float64) float64 {
-	if t1 <= t0 || len(r.buckets) == 0 {
-		return 0
-	}
 	e := 0.0
-	first, last := r.idx(t0), r.idx(t1-1e-12)
+	first, last := r.overlap(t0, t1)
 	for i := first; i <= last; i++ {
-		if i < r.start || i >= r.start+int64(len(r.buckets)) {
-			continue
-		}
 		b := r.buckets[i-r.start]
 		if b.energyJ == 0 {
 			continue
@@ -136,13 +153,8 @@ func (r *rollup) energy(t0, t1 float64) float64 {
 // maxPower returns the max bucket power over buckets overlapping [t0, t1].
 func (r *rollup) maxPower(t0, t1 float64) float64 {
 	m := 0.0
-	if t1 <= t0 || len(r.buckets) == 0 {
-		return m
-	}
-	for i := r.idx(t0); i <= r.idx(t1-1e-12); i++ {
-		if i < r.start || i >= r.start+int64(len(r.buckets)) {
-			continue
-		}
+	first, last := r.overlap(t0, t1)
+	for i := first; i <= last; i++ {
 		if b := r.buckets[i-r.start]; b.maxW > m {
 			m = b.maxW
 		}
@@ -153,13 +165,8 @@ func (r *rollup) maxPower(t0, t1 float64) float64 {
 // points emits one Point per non-empty bucket overlapping [t0, t1].
 func (r *rollup) points(t0, t1 float64) []Point {
 	var out []Point
-	if t1 <= t0 || len(r.buckets) == 0 {
-		return out
-	}
-	for i := r.idx(t0); i <= r.idx(t1-1e-12); i++ {
-		if i < r.start || i >= r.start+int64(len(r.buckets)) {
-			continue
-		}
+	first, last := r.overlap(t0, t1)
+	for i := first; i <= last; i++ {
 		b := r.buckets[i-r.start]
 		if b.cover <= 0 {
 			continue

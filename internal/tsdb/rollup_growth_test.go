@@ -1,7 +1,9 @@
 package tsdb
 
 import (
+	"math"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -74,4 +76,56 @@ func BenchmarkAppendAged(b *testing.B) {
 		tick(agedTicks + i)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nodes*len(batch)), "ns/sample")
+}
+
+// TestRollupReadCostIsTheRun is the read-path cost contract: a query costs
+// the buckets of the run inside the window, whatever the window. Bounds far
+// outside the run — a dashboard asking for "everything", a hostile t1=1e300
+// — must visit no more than the run and answer exactly what the tight
+// window answers (looping over the query window's own bucket indices took
+// seconds per 1e9 s under the shard read lock, and ±1e300 overflowed int64
+// into an empty answer).
+func TestRollupReadCostIsTheRun(t *testing.T) {
+	db := New(Options{Resolutions: []float64{1, 60}})
+	for i := 0; i <= 4000; i++ {
+		db.Append(0, 30+float64(i)*0.25, 300+float64(i%17))
+	}
+	inf := math.Inf(1)
+	for _, res := range []float64{1, 60} {
+		// Bucket-aligned at both widths and past both ends of the run, so
+		// no boundary bucket is pro-rated and == is the right comparison.
+		wantE, err := db.EnergyAt(0, 0, 1080, res)
+		if err != nil || wantE <= 0 {
+			t.Fatalf("res %v: tight energy = %v, %v", res, wantE, err)
+		}
+		wantP, _ := db.Fetch(0, 0, 1080, res)
+		for _, w := range [][2]float64{{0, 1e9}, {-1e300, 1e300}, {0, inf}, {-inf, inf}, {-4e18, 4e18}} {
+			gotE, err := db.EnergyAt(0, w[0], w[1], res)
+			if err != nil || gotE != wantE {
+				t.Errorf("res %v window %v: energy = %v (%v), want %v", res, w, gotE, err, wantE)
+			}
+			gotP, err := db.Fetch(0, w[0], w[1], res)
+			if err != nil || !slices.Equal(gotP, wantP) {
+				t.Errorf("res %v window %v: %d points (%v), want the run's %d", res, w, len(gotP), err, len(wantP))
+			}
+		}
+	}
+	// The iteration count itself, on the rollup: never more than the run,
+	// and nothing for a window that misses it.
+	r := &rollup{width: 1}
+	r.addRect(100, 200, 400, true)
+	for _, w := range [][2]float64{{0, 1e9}, {-1e300, 1e300}, {-inf, inf}, {150, 1e300}, {-1e300, 150}} {
+		first, last := r.overlap(w[0], w[1])
+		if first < r.start || last >= r.start+int64(len(r.buckets)) || last < first {
+			t.Errorf("overlap%v = [%d, %d], want within the run [%d, %d)", w, first, last, r.start, r.start+int64(len(r.buckets)))
+		}
+		if got := r.maxPower(w[0], w[1]); got != 400 {
+			t.Errorf("maxPower%v = %v, want 400", w, got)
+		}
+	}
+	for _, w := range [][2]float64{{-1e300, 99}, {200, 1e300}, {inf, inf}, {5, 5}, {1e300, -1e300}} {
+		if first, last := r.overlap(w[0], w[1]); last >= first {
+			t.Errorf("overlap%v = [%d, %d], want empty", w, first, last)
+		}
+	}
 }
