@@ -51,6 +51,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"strings"
 
 	"davide/internal/core"
@@ -62,6 +63,10 @@ import (
 	"davide/internal/sensor"
 	"davide/internal/workload"
 )
+
+// oversample is the replay gateways' raw-to-delivered rate ratio, the
+// paper's 800 kS/s averaged to 50 kS/s.
+const oversample = 16
 
 func main() {
 	log.SetFlags(0)
@@ -89,8 +94,13 @@ func main() {
 		runAPI(*api, *tenant, *qNode, *qT0, *qT1, *qRes)
 		return
 	}
-	if *nodes <= 0 || *window <= 0 || *rate <= 0 {
-		log.Fatal("-nodes, -window and -rate must be positive")
+	// A gateway converts its whole window in one call, oversample raw
+	// conversions per delivered sample, and the sensor refuses more than
+	// MaxRawSamples of them; NaN and Inf fail the comparisons too.
+	if !(*nodes > 0 && *window > 0 && *rate > 0 && *window**rate*oversample <= sensor.MaxRawSamples) {
+		log.Printf("-nodes, -window and -rate must be positive and -window × -rate at most %d samples a node", sensor.MaxRawSamples/oversample)
+		fmt.Fprintln(os.Stderr, "usage: egmon [-racks R] [-nodes N] [-window SEC] [-rate S/s] ... (egmon -h lists every flag)")
+		os.Exit(2)
 	}
 	if *racks < 1 {
 		log.Fatal("-racks must be >= 1")
@@ -127,7 +137,7 @@ func runPlane(nodes, racks int, window, rate float64, metric string, qNode int, 
 		Racks:     racks,
 		NodesHint: nodes,
 		Gateway: fleet.GatewaySpec{
-			SampleRate: rate, ClientPrefix: "egmon", SeedBase: 100,
+			SampleRate: rate, Oversample: oversample, ClientPrefix: "egmon", SeedBase: 100,
 			BatchSamples: 256,
 		},
 		Obs: reg,

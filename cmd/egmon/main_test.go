@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -49,6 +50,17 @@ func TestGoldenModes(t *testing.T) {
 			got, want = volatile.ReplaceAll(got, []byte("$1$2$3$4~")), volatile.ReplaceAll(want, []byte("$1$2$3$4~"))
 			if !bytes.Equal(got, want) {
 				t.Fatalf("stdout differs from testdata/%s.golden:\n got:\n%s\nwant:\n%s", name, got, want)
+			}
+		})
+	}
+	// A window no gateway can convert is a usage error (exit 2) before any
+	// broker listens, not a makeslice panic inside Monitor.Observe.
+	for _, w := range []string{"NaN", "Inf", "1e300"} {
+		t.Run("window-"+w, func(t *testing.T) {
+			out, err := exec.Command(bin, "-window", w, "-nodes", "1").CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 || !bytes.Contains(out, []byte("usage: egmon")) || bytes.Contains(out, []byte("listening")) {
+				t.Fatalf("egmon -window %s: %v, want exit status 2 with a usage line and no broker\n%s", w, err, out)
 			}
 		})
 	}

@@ -14,13 +14,12 @@ import (
 )
 
 // Smoke tests of the constructors the examples and CLIs call, one per
-// entry path (the TestFacade* names date from the deleted davide.go
-// facade; CHANGES.md, PR 18, names the internal/ test that covers each).
+// entry path, named for what each asserts.
 
-// TestFacadeQuickPath mirrors the quickstart example end to end: generate
-// a workload, build the system, run it under a power cap, inspect
+// TestCappedRunFillsLedger mirrors the quickstart example end to end:
+// generate a workload, build the system, run it under a power cap, inspect
 // accounting.
-func TestFacadeQuickPath(t *testing.T) {
+func TestCappedRunFillsLedger(t *testing.T) {
 	gen, err := workload.NewGenerator(workload.DefaultGeneratorConfig(1))
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +58,7 @@ func TestFacadeQuickPath(t *testing.T) {
 	}
 }
 
-func TestFacadePredictors(t *testing.T) {
+func TestPredictorsMAPEUnder20Pct(t *testing.T) {
 	gen, err := workload.NewGenerator(workload.DefaultGeneratorConfig(2))
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +82,7 @@ func TestFacadePredictors(t *testing.T) {
 	}
 }
 
-func TestFacadeNodeAndCapping(t *testing.T) {
+func TestNodeCapperHoldsCap(t *testing.T) {
 	n, err := node.New(0, node.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +103,7 @@ func TestFacadeNodeAndCapping(t *testing.T) {
 	}
 }
 
-func TestFacadeCluster(t *testing.T) {
+func TestPilotClusterShapeAndEfficiency(t *testing.T) {
 	c, err := cluster.New(cluster.PilotConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +120,7 @@ func TestFacadeCluster(t *testing.T) {
 	}
 }
 
-func TestFacadeEnergySession(t *testing.T) {
+func TestEnergySessionReportsOnePhase(t *testing.T) {
 	n, err := node.New(0, node.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -117,10 +117,10 @@ func BuiltinSpec(c Class, fullScale float64) (Spec, error) {
 
 // Monitor samples a ground-truth signal according to its Spec.
 type Monitor struct {
-	spec Spec
-	adc  *sensor.ADC
-	dec  *sensor.Decimator
-	rng  *rand.Rand
+	spec   Spec
+	adc    *sensor.ADC
+	factor int // raw conversions averaged into one delivered sample
+	rng    *rand.Rand
 }
 
 // New builds a monitor from a spec with a deterministic seed.
@@ -139,11 +139,7 @@ func New(spec Spec, seed int64) (*Monitor, error) {
 			factor = 1
 		}
 	}
-	dec, err := sensor.NewDecimator(factor)
-	if err != nil {
-		return nil, err
-	}
-	return &Monitor{spec: spec, adc: adc, dec: dec, rng: rand.New(rand.NewSource(seed ^ 0x5eed))}, nil
+	return &Monitor{spec: spec, adc: adc, factor: factor, rng: rand.New(rand.NewSource(seed ^ 0x5eed))}, nil
 }
 
 // NewBuiltin builds a monitor of the given class.
@@ -167,25 +163,19 @@ func (m *Monitor) Observe(sig sensor.Signal, t0, t1 float64) ([]sensor.Sample, e
 	if t1 < t0 {
 		return nil, errors.New("monitors: t1 < t0")
 	}
-	var raw []sensor.Sample
-	var err error
-	if m.spec.Averaged {
-		raw, err = m.adc.SampleSignal(sig, t0, t1)
-		if err != nil {
-			return nil, err
-		}
-		raw = m.dec.Decimate(raw)
-	} else {
+	adc := m.adc
+	if !m.spec.Averaged {
 		// Non-averaged monitors convert instantaneously at OutputRate:
-		// model by sampling with a slow ADC at the output rate.
-		slow, err2 := sensor.NewADC(m.spec.OutputRate, m.spec.Bits, m.spec.FullScale, m.spec.NoiseLSB, 0, m.rng.Int63())
-		if err2 != nil {
-			return nil, err2
-		}
-		raw, err = slow.SampleSignal(sig, t0, t1)
+		// model by sampling with a slow ADC at the output rate (factor 1).
+		var err error
+		adc, err = sensor.NewADC(m.spec.OutputRate, m.spec.Bits, m.spec.FullScale, m.spec.NoiseLSB, 0, m.rng.Int63())
 		if err != nil {
 			return nil, err
 		}
+	}
+	raw, err := adc.SampleDecimated(sig, t0, t1, m.factor)
+	if err != nil {
+		return nil, err
 	}
 	offset := m.rng.NormFloat64() * m.spec.ClockOffsetS
 	for i := range raw {

@@ -88,7 +88,7 @@ func (q Square) Validate() error {
 
 // PowerAt implements Signal.
 func (q Square) PowerAt(t float64) float64 {
-	frac := math.Mod(t-q.Phase, q.Period)
+	frac := fmod(t-q.Phase, q.Period)
 	if frac < 0 {
 		frac += q.Period
 	}
@@ -96,6 +96,33 @@ func (q Square) PowerAt(t float64) float64 {
 		return q.High
 	}
 	return q.Low
+}
+
+// fmod is math.Mod bit for bit, without its shift-subtract loop where one
+// fused multiply-add is provably exact: finite x, y > 0 and a quotient
+// below 2^52. The rounded quotient is monotone and integers below 2^52 are
+// representable, so q is floor(|x|/y) or one more. |x| - q*y is a multiple
+// of y's ulp no larger than y, hence representable, hence what the
+// single-rounding FMA returns; when q was one too many it is the true
+// remainder minus y, and adding y back is exact because the true remainder
+// is representable. Everything else is math.Mod's.
+func fmod(x, y float64) float64 {
+	ax := math.Abs(x)
+	if !(y > 0 && ax <= math.MaxFloat64) {
+		return math.Mod(x, y)
+	}
+	if ax < y {
+		return x
+	}
+	q := math.Trunc(ax / y)
+	if q >= 1<<52 {
+		return math.Mod(x, y)
+	}
+	r := math.FMA(-q, y, ax)
+	if r < 0 {
+		r += y
+	}
+	return math.Copysign(r, x)
 }
 
 // Energy implements Signal. Exact: counts whole periods plus the partial
