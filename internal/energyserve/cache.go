@@ -1,6 +1,21 @@
 package energyserve
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
+
+// windowKey names one window query. The floats are kept as their bits, so
+// the key is comparable without formatting and -0 and +0, whose bodies
+// differ, stay distinct keys.
+type windowKey struct {
+	node        int
+	t0, t1, res uint64
+}
+
+func keyOf(node int, t0, t1, res float64) windowKey {
+	return windowKey{node, math.Float64bits(t0), math.Float64bits(t1), math.Float64bits(res)}
+}
 
 // cacheEntry is one serialized window answer, stamped with the node's
 // ingest watermark at the time the answer was computed. The entry is a
@@ -12,63 +27,86 @@ type cacheEntry struct {
 	wm   uint64
 }
 
+// cacheShard holds two bounded maps. A miss lands in probation; a key
+// enters protected on its first hit. Eviction drops an arbitrary entry of
+// the segment being inserted into and never crosses segments, so a scan of
+// windows nobody asks for twice churns probation alone: the hot set stays
+// resident and what the scan leaves behind fills an eighth of the cache.
+// Within a segment eviction stays arbitrary — re-filling a dropped entry is
+// one store query, which does not pay for LRU bookkeeping on the hit path.
 type cacheShard struct {
-	mu sync.Mutex
-	m  map[string]cacheEntry
+	mu                   sync.Mutex
+	probation, protected map[windowKey]cacheEntry
 }
 
-// windowCache is a sharded bounded map from window key to serialized
-// answer. Eviction is arbitrary-entry-per-insert once a shard is full:
-// the hot-window working set is small and re-filling a dropped entry is
-// one store query, so LRU bookkeeping on the hit path isn't worth its
-// cost at the request rates the service targets.
 type windowCache struct {
-	shards []cacheShard
-	cap    int // per shard
+	shards              []cacheShard
+	probCap, protectCap int // per shard
 }
 
+// newWindowCache builds a cache of at most totalCap entries, on the
+// requested stripe count rounded up to a power of two or, when the cap
+// would not give each stripe an entry, on fewer.
 func newWindowCache(shards, totalCap int) *windowCache {
 	n := 1
 	for n < shards {
 		n <<= 1
 	}
-	per := totalCap / n
-	if per < 1 {
-		per = 1
+	for n > totalCap && n > 1 {
+		n >>= 1
 	}
-	c := &windowCache{shards: make([]cacheShard, n), cap: per}
+	per := max(totalCap/n, 1)
+	c := &windowCache{shards: make([]cacheShard, n), probCap: max(per/8, 1)}
+	c.protectCap = per - c.probCap
 	for i := range c.shards {
-		c.shards[i].m = make(map[string]cacheEntry)
+		c.shards[i].probation = make(map[windowKey]cacheEntry)
+		c.shards[i].protected = make(map[windowKey]cacheEntry)
 	}
 	return c
 }
 
-func (c *windowCache) shard(key string) *cacheShard {
-	// FNV-1a, inlined to keep the hit path allocation-free.
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
-	}
-	return &c.shards[h&uint32(len(c.shards)-1)]
+func (c *windowCache) shard(k windowKey) *cacheShard {
+	// A multiplicative mix, indexed from the top bits: the low bits of a
+	// round timestamp's float are all zero.
+	const m = 0x9E3779B97F4A7C15
+	h := (uint64(k.node)*m ^ k.t0) * m
+	h = (h ^ k.t1) * m
+	h = (h ^ k.res) * m
+	return &c.shards[(h>>32)&uint64(len(c.shards)-1)]
 }
 
-func (c *windowCache) get(key string) (cacheEntry, bool) {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	e, ok := sh.m[key]
-	sh.mu.Unlock()
-	return e, ok
-}
-
-func (c *windowCache) put(key string, e cacheEntry) {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	if _, exists := sh.m[key]; !exists && len(sh.m) >= c.cap {
-		for k := range sh.m {
-			delete(sh.m, k)
+// insert stores e under k in a segment of at most limit entries.
+func insert(seg map[windowKey]cacheEntry, limit int, k windowKey, e cacheEntry) {
+	if _, exists := seg[k]; !exists && len(seg) >= limit {
+		for old := range seg {
+			delete(seg, old)
 			break
 		}
 	}
-	sh.m[key] = e
-	sh.mu.Unlock()
+	seg[k] = e
+}
+
+func (c *windowCache) get(k windowKey) (cacheEntry, bool) {
+	sh := c.shard(k)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e, ok := sh.protected[k]
+	if !ok {
+		if e, ok = sh.probation[k]; ok && c.protectCap > 0 {
+			delete(sh.probation, k)
+			insert(sh.protected, c.protectCap, k, e)
+		}
+	}
+	return e, ok
+}
+
+func (c *windowCache) put(k windowKey, e cacheEntry) {
+	sh := c.shard(k)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if _, hot := sh.protected[k]; hot {
+		sh.protected[k] = e
+		return
+	}
+	insert(sh.probation, c.probCap, k, e)
 }

@@ -3,8 +3,11 @@ package energyserve
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"strconv"
 	"sync"
+
+	"davide/internal/tsdb"
 )
 
 // The window reply is the one body the service writes on its cold path,
@@ -13,14 +16,24 @@ import (
 // writes the same bytes by hand — TestAppendWindowReportMatchesJSON and
 // FuzzAppendFloat hold it to json.Marshal byte for byte — so the cache,
 // nocache=1 equality and every client are indifferent to which wrote them.
+// A float reaches the shortest-digits search (Ryū) only when neither of two
+// cheaper forms can be verified on the value itself: its exact binary
+// expansion (ADC-grid watts, bucket bounds) or a short decimal (1 kS/s
+// timestamps).
 
 // errNonFinite is the encoder's refusal of a value JSON cannot carry
 // (encoding/json's UnsupportedValueError; the handler answers 500).
 var errNonFinite = errors.New("energyserve: unsupported value: NaN or Inf in window report")
 
-// encodeBufs holds scratch buffers for one encode each; the cache keeps an
-// exact-size copy, never the scratch.
-var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+// scratch is what one cold window reply is built in: the points the store
+// appends and the body encoded from them. The cache keeps an exact-size
+// copy of the body, never the scratch.
+type scratch struct {
+	points []tsdb.Point
+	body   []byte
+}
+
+var windowScratch = sync.Pool{New: func() any { return new(scratch) }}
 
 func finite(f float64) bool { return f-f == 0 }
 
@@ -83,10 +96,22 @@ func appendFloatOrCopy(dst []byte, f, was float64, at span) ([]byte, span) {
 	return dst, span{lo, len(dst)}
 }
 
-var pow10 = [...]float64{1, 10, 100, 1000}
+var pow10 = [...]float64{10, 100, 1000}
+
+// pow5[k] is 5^k; 5^22 is the last below 2^53, so no exact decimal has
+// more than 23 fraction digits.
+var pow5 = func() (p [24]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = 5 * p[k-1]
+	}
+	return p
+}()
 
 // appendFloat appends a finite f as encoding/json writes a float64: the
 // shortest decimal that round-trips, 'e' form below 1e-6 and from 1e21.
+// Three tiers, each verified on the value before it is used: the exact
+// expansion of a dyadic rational, a short decimal, strconv.
 func appendFloat(dst []byte, f float64) []byte {
 	if f == 0 {
 		if math.Signbit(f) {
@@ -94,14 +119,46 @@ func appendFloat(dst []byte, f float64) []byte {
 		}
 		return append(dst, '0')
 	}
-	// Short decimals — timestamps, bucket bounds — skip the shortest-digits
-	// search: if an integer n below 1e15 divided by 10^k rounds to exactly
-	// f, then n·10^-k has at most 15 significant digits, so it is the only
-	// decimal that short which parses to f and therefore f's shortest
-	// round-trip form. The division is correctly rounded, so this verifies
-	// rather than assumes; the first k that matches leaves no trailing
-	// zero, and a match means |f| >= 0.001, inside the 'f' range.
-	for k, p := range pow10 {
+	// Exact decimals. A normal |f| is m·2^-k with m odd, and tz, the zeros
+	// shifted off the 53-bit mantissa, is the precision it leaves unused.
+	// With k <= 0 below 2^53 it is an integer whose neighbours are at most
+	// 1 apart, so its own digits are the shortest that round-trip. With
+	// k > 0 it is m·5^k·10^-k exactly, k fraction digits ending in 5: every
+	// decimal with fewer lies at least 5·10^-k away, which exceeds half an
+	// ulp — the most the round-trip interval reaches — exactly when
+	// 5^(k-1) < 2^(tz+1). Then nothing shorter parses to f and, of the
+	// decimals this long, the exact one is the closest: Ryū's answer
+	// without the search. (The inequality also keeps m·5^k below 5·2^54.)
+	abs := math.Abs(f)
+	if b := math.Float64bits(abs); b>>52 != 0 && abs >= 1e-6 {
+		mant := b&(1<<52-1) | 1<<52
+		tz := bits.TrailingZeros64(mant)
+		m, k := mant>>tz, 1075-int(b>>52)-tz
+		if k <= 0 && abs < 1<<53 || k > 0 && k < len(pow5) && pow5[k-1]>>(tz+1) == 0 {
+			if f < 0 {
+				dst = append(dst, '-')
+			}
+			if k <= 0 {
+				return strconv.AppendUint(dst, m<<-k, 10)
+			}
+			var buf [20]byte
+			digits := strconv.AppendUint(buf[:0], m*pow5[k], 10)
+			n := len(digits) - k
+			if n > 0 {
+				return append(append(append(dst, digits[:n]...), '.'), digits[n:]...)
+			}
+			// |f| >= 1e-6: at most five zeros lead the fraction.
+			return append(append(dst, "0.00000"[:2-n]...), digits...)
+		}
+	}
+	// Short decimals — timestamps off the binary grid — skip the search too:
+	// if an integer n below 1e15 divided by 10^k rounds to exactly f, then
+	// n·10^-k has at most 15 significant digits, so it is the only decimal
+	// that short which parses to f and therefore f's shortest round-trip
+	// form. The division is correctly rounded, so this verifies rather than
+	// assumes; integers went above, so the first k that matches leaves no
+	// trailing zero, and a match means |f| >= 0.001, inside the 'f' range.
+	for _, p := range pow10 {
 		n := math.RoundToEven(f * p)
 		if math.Abs(n) >= 1e15 {
 			break
@@ -113,18 +170,14 @@ func appendFloat(dst []byte, f float64) []byte {
 			dst = append(dst, '-')
 		}
 		u, d := uint64(math.Abs(n)), uint64(p)
-		dst = strconv.AppendUint(dst, u/d, 10)
-		if k == 0 {
-			return dst
-		}
-		dst = append(dst, '.')
+		dst = append(strconv.AppendUint(dst, u/d, 10), '.')
 		for frac := u % d; d > 1; frac %= d {
 			d /= 10
 			dst = append(dst, byte('0'+frac/d))
 		}
 		return dst
 	}
-	abs, format := math.Abs(f), byte('f')
+	format := byte('f')
 	if abs < 1e-6 || abs >= 1e21 {
 		format = 'e'
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/bits"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -15,14 +16,20 @@ import (
 	"davide/internal/tsdb"
 )
 
+// adcWatts is a reading on the monitors' grid: a 12-bit code × 3000/4096 W,
+// boxcar-averaged over four conversions.
+func adcWatts(code int) float64 { return float64(code) * 3000 / 4096 / 4 }
+
 // reportShapes are window reports shaped like the three kinds the store
 // hands the handler — raw samples, 1-s buckets, 60-s buckets — at the
-// given point count, plus the shapes that defeat each byte-copy shortcut.
+// given point count, plus the shapes that defeat each byte-copy shortcut
+// and one whose watts are exact decimals, copied after being written so.
 func reportShapes(n int) map[string]WindowReport {
 	raw := make([]tsdb.Point, n)
 	sec := make([]tsdb.Point, n)
 	minute := make([]tsdb.Point, n)
 	gaps := make([]tsdb.Point, n)
+	adc := make([]tsdb.Point, n)
 	for i := range raw {
 		w := 360 + 1530*math.Abs(math.Sin(float64(i)/7))
 		t := 7200 + float64(i)*0.25
@@ -35,12 +42,14 @@ func reportShapes(n int) map[string]WindowReport {
 		// off-grid bounds, negative time, max == mean == energy.
 		g := -100.125 + 3.3*float64(i)
 		gaps[i] = tsdb.Point{T0: g, T1: g + 1.1, MeanW: w, MaxW: w, EnergyJ: w}
+		a := adcWatts((i * 977) % 4096)
+		adc[i] = tsdb.Point{T0: t, T1: t + 0.25, MeanW: a, MaxW: a + adcWatts(1), EnergyJ: a}
 	}
 	head := func(res float64, pts []tsdb.Point) WindowReport {
 		return WindowReport{Node: 44, T0: 7200, T1: 7245.5, Res: res, EnergyJ: 50227.34159, MeanW: 50227.34159 / 45.5, Points: pts}
 	}
 	return map[string]WindowReport{
-		"raw": head(0, raw), "1s": head(1, sec), "60s": head(60, minute), "gaps": head(0.25, gaps),
+		"raw": head(0, raw), "1s": head(1, sec), "60s": head(60, minute), "gaps": head(0.25, gaps), "adc": head(1, adc),
 	}
 }
 
@@ -106,8 +115,17 @@ func TestWindowNonFiniteStoreValueIs500(t *testing.T) {
 	}
 }
 
-// FuzzAppendFloat is the differential that lets appendFloat's short-decimal
-// path exist: for every finite float64 its bytes are json.Marshal's.
+var grids = func() []float64 {
+	q := []float64{1, 4, 1000}
+	for j := 1; j <= 20; j++ {
+		q = append(q, math.Ldexp(1, j))
+	}
+	return q
+}()
+
+// FuzzAppendFloat is the differential that lets appendFloat's exact and
+// short-decimal tiers exist: for every finite float64 its bytes are
+// json.Marshal's.
 func FuzzAppendFloat(f *testing.F) {
 	seeds := []float64{
 		0, math.Copysign(0, -1), 1, -1, 1e15, 1e15 - 1, 1e15 + 2, 999999999999999.9, 99999999999999.98,
@@ -119,8 +137,33 @@ func FuzzAppendFloat(f *testing.F) {
 	for k := -2000; k <= 2000; k += 37 {
 		seeds = append(seeds, float64(k)/4, float64(k)/1000, float64(k)/8+1e12)
 	}
+	// The exact tier's edges: the last integers with an ulp of 1, the 'e'
+	// boundary, powers of two (a narrower interval below than above) beside
+	// both neighbours, and for each count k of fraction digits the fullest
+	// and emptiest odd mantissas with one spare bit fewer than 5^(k-1)
+	// needs and with just enough.
+	seeds = append(seeds, 1<<53-1, 1<<53, 1<<53+2, 1<<52+1, math.Nextafter(1e-6, 0), math.Nextafter(1e-6, 1))
+	for j := -21; j <= 12; j++ {
+		p := math.Ldexp(1, j)
+		seeds = append(seeds, p, math.Nextafter(p, 0), math.Nextafter(p, 2*p), -p)
+	}
+	for k := 1; k <= 19; k++ {
+		need := bits.Len64(pow5[k-1]) - 1 // spare bits from which 5^(k-1) < 2^(spare+1)
+		for _, spare := range []int{need - 1, need} {
+			if spare < 0 {
+				continue
+			}
+			width := 53 - spare
+			seeds = append(seeds,
+				math.Ldexp(float64(uint64(1)<<width-1), -k),
+				math.Ldexp(float64(uint64(1)<<(width-1)+1), -k))
+		}
+	}
 	for _, v := range seeds {
 		f.Add(math.Float64bits(v))
+	}
+	for code := 0; code < 4096; code++ {
+		f.Add(math.Float64bits(adcWatts(code)))
 	}
 	f.Add(math.Float64bits(math.NaN()))
 	f.Add(math.Float64bits(math.Inf(-1)))
@@ -140,9 +183,10 @@ func FuzzAppendFloat(f *testing.F) {
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("appendFloat(%#016x) = %s, json.Marshal = %s (%v)", bits, got, want, err)
 		}
-		// The same value through the short-decimal grid: most random bit
-		// patterns never reach it, these always do when it applies.
-		for _, q := range []float64{1, 4, 1000} {
+		// The same value through the short-decimal grid and the binary
+		// grids 2^-1 … 2^-20: most random bit patterns reach neither tier,
+		// these always do when one applies.
+		for _, q := range grids {
 			g := math.Round(math.Mod(v, 1e15)*q) / q
 			want, _ := json.Marshal(g)
 			if got := appendFloat(nil, g); !bytes.Equal(got, want) {

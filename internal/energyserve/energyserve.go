@@ -16,6 +16,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -175,18 +176,22 @@ func (s *Server) Close() error {
 
 // tenantOf resolves the requester's tenant: the X-Tenant header, the
 // tenant query parameter, or "anon".
-func tenantOf(r *http.Request) string {
+func tenantOf(r *http.Request, q url.Values) string {
 	if t := r.Header.Get("X-Tenant"); t != "" {
 		return t
 	}
-	if t := r.URL.Query().Get("tenant"); t != "" {
+	if t := q.Get("tenant"); t != "" {
 		return t
 	}
 	return "anon"
 }
 
+// handler is one endpoint: the request, its query string as route parsed
+// it, and the bound backend.
+type handler func(w http.ResponseWriter, r *http.Request, q url.Values, b *Backend)
+
 // route registers one endpoint behind the shared quota/metrics wrapper.
-func (s *Server) route(pattern, name string, fn func(http.ResponseWriter, *http.Request, *Backend)) {
+func (s *Server) route(pattern, name string, fn handler) {
 	var requests *obs.Counter
 	var lat *obs.Histogram
 	if s.opts.Obs != nil {
@@ -202,7 +207,8 @@ func (s *Server) route(pattern, name string, fn func(http.ResponseWriter, *http.
 		if requests != nil {
 			requests.Inc()
 		}
-		if ok, wait := s.quotas.allow(tenantOf(r)); !ok {
+		q := r.URL.Query() // the one parse of the request
+		if ok, wait := s.quotas.allow(tenantOf(r, q)); !ok {
 			// Retry-After is delta-seconds, rounded up so a compliant
 			// client never retries before a token exists.
 			w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(wait))))
@@ -214,7 +220,7 @@ func (s *Server) route(pattern, name string, fn func(http.ResponseWriter, *http.
 			http.Error(w, "energyserve: no backend bound", http.StatusServiceUnavailable)
 			return
 		}
-		fn(w, r, b)
+		fn(w, r, q, b)
 		if lat != nil {
 			lat.Observe(time.Since(start).Microseconds())
 		}
@@ -258,11 +264,11 @@ type RackPower struct {
 	AsOf      float64 `json:"as_of"` // oldest contributing sample time
 }
 
-func (s *Server) handleUsers(w http.ResponseWriter, _ *http.Request, b *Backend) {
+func (s *Server) handleUsers(w http.ResponseWriter, _ *http.Request, _ url.Values, b *Backend) {
 	writeJSON(w, b.Ledger.PerUser())
 }
 
-func (s *Server) handleUser(w http.ResponseWriter, r *http.Request, b *Backend) {
+func (s *Server) handleUser(w http.ResponseWriter, r *http.Request, _ url.Values, b *Backend) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
 		http.Error(w, "energyserve: bad user id", http.StatusBadRequest)
@@ -285,7 +291,7 @@ func (s *Server) handleUser(w http.ResponseWriter, r *http.Request, b *Backend) 
 	writeJSON(w, UserReport{Summary: sum, Records: recs})
 }
 
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, b *Backend) {
+func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, _ url.Values, b *Backend) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
 		http.Error(w, "energyserve: bad job id", http.StatusBadRequest)
@@ -324,7 +330,7 @@ func parseFloats(s string) ([]float64, error) {
 	return out, nil
 }
 
-func (s *Server) handleJobPhases(w http.ResponseWriter, r *http.Request, b *Backend) {
+func (s *Server) handleJobPhases(w http.ResponseWriter, r *http.Request, q url.Values, b *Backend) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
 		http.Error(w, "energyserve: bad job id", http.StatusBadRequest)
@@ -344,7 +350,6 @@ func (s *Server) handleJobPhases(w http.ResponseWriter, r *http.Request, b *Back
 		http.Error(w, fmt.Sprintf("energyserve: job %d has no node assignment", id), http.StatusNotFound)
 		return
 	}
-	q := r.URL.Query()
 	bounds, err := parseFloats(q.Get("bounds"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -383,13 +388,12 @@ func (s *Server) handleJobPhases(w http.ResponseWriter, r *http.Request, b *Back
 	writeJSON(w, out)
 }
 
-func (s *Server) handleNodePhases(w http.ResponseWriter, r *http.Request, b *Backend) {
+func (s *Server) handleNodePhases(w http.ResponseWriter, r *http.Request, q url.Values, b *Backend) {
 	node, err := strconv.Atoi(r.PathValue("n"))
 	if err != nil {
 		http.Error(w, "energyserve: bad node", http.StatusBadRequest)
 		return
 	}
-	q := r.URL.Query()
 	bounds, err := parseFloats(q.Get("bounds"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -439,13 +443,12 @@ func sealedValid(b *Backend, node int, t1, res float64) bool {
 	return t1 <= h
 }
 
-func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request, b *Backend) {
+func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request, q url.Values, b *Backend) {
 	node, err := strconv.Atoi(r.PathValue("n"))
 	if err != nil {
 		http.Error(w, "energyserve: bad node", http.StatusBadRequest)
 		return
 	}
-	q := r.URL.Query()
 	t0, ok0 := parseFinite(q.Get("t0"))
 	t1, ok1 := parseFinite(q.Get("t1"))
 	if !ok0 || !ok1 || t1 < t0 {
@@ -462,7 +465,7 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request, b *Backend
 		res = v
 	}
 	bypass := q.Get("nocache") == "1"
-	key := windowKey(node, t0, t1, res)
+	key := keyOf(node, t0, t1, res)
 	if !bypass {
 		if e, ok := s.cache.get(key); ok {
 			cur := b.Store.Watermark(node)
@@ -485,24 +488,24 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request, b *Backend
 	// conservatively refetches — a cached answer is never staler than
 	// its stamp claims.
 	wm := b.Store.Watermark(node)
-	energy, err := b.Store.EnergyAt(node, t0, t1, res)
-	if err != nil {
-		http.Error(w, err.Error(), storeStatus(err))
-		return
-	}
-	points, err := b.Store.Fetch(node, t0, t1, res)
+	sc := windowScratch.Get().(*scratch)
+	defer windowScratch.Put(sc)
+	// One store call: energy_j and points are one state of the node.
+	energy, points, err := b.Store.Window(node, t0, t1, res, sc.points[:0])
+	sc.points = points
 	if err != nil {
 		http.Error(w, err.Error(), storeStatus(err))
 		return
 	}
 	rep := WindowReport{Node: node, T0: t0, T1: t1, Res: res, EnergyJ: energy, Points: points}
+	if len(points) == 0 {
+		rep.Points = nil // "points":null, as for the nil slice Fetch returns
+	}
 	if t1 > t0 {
 		rep.MeanW = energy / (t1 - t0)
 	}
-	buf := encodeBufs.Get().(*[]byte)
-	defer encodeBufs.Put(buf)
-	body, err := appendWindowReport((*buf)[:0], &rep)
-	*buf = body
+	body, err := appendWindowReport(sc.body[:0], &rep)
+	sc.body = body
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -511,8 +514,8 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request, b *Backend
 		w.Header().Set("X-Cache", "bypass")
 	} else {
 		s.misses.Add(1)
-		// An exact-size copy: the scratch's spare capacity, held by four
-		// thousand cached bodies, is a fifth of the service's memory.
+		// An exact-size copy: the scratch's spare capacity, held by every
+		// cached body, would be a fifth of the service's memory.
 		s.cache.put(key, cacheEntry{body: append([]byte(nil), body...), wm: wm})
 		w.Header().Set("X-Cache", "miss")
 	}
@@ -520,14 +523,7 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request, b *Backend
 	_, _ = w.Write(body)
 }
 
-func windowKey(node int, t0, t1, res float64) string {
-	return strconv.Itoa(node) + "/" +
-		strconv.FormatFloat(t0, 'g', -1, 64) + "/" +
-		strconv.FormatFloat(t1, 'g', -1, 64) + "/" +
-		strconv.FormatFloat(res, 'g', -1, 64)
-}
-
-func (s *Server) handleRackPower(w http.ResponseWriter, r *http.Request, b *Backend) {
+func (s *Server) handleRackPower(w http.ResponseWriter, r *http.Request, _ url.Values, b *Backend) {
 	rk, err := strconv.Atoi(r.PathValue("r"))
 	if err != nil || rk < 0 {
 		http.Error(w, "energyserve: bad rack", http.StatusBadRequest)
@@ -565,12 +561,12 @@ func (s *Server) handleRackPower(w http.ResponseWriter, r *http.Request, b *Back
 	writeJSON(w, out)
 }
 
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request, b *Backend) {
+func (s *Server) handleReport(w http.ResponseWriter, _ *http.Request, q url.Values, b *Backend) {
 	if b.Power == nil {
 		http.Error(w, "energyserve: no power hierarchy bound", http.StatusNotFound)
 		return
 	}
-	root := r.URL.Query().Get("root")
+	root := q.Get("root")
 	if root == "" {
 		root = "davide"
 	}

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -383,6 +384,144 @@ func TestWindowConcurrentSameKey(t *testing.T) {
 	queries.Wait()
 	close(stop)
 	ingest.Wait()
+}
+
+// TestWindowReplyIsOneSnapshot: energy_j and points of one reply must be
+// one state of the store. Over bucket-aligned res=1 windows the energy is
+// the in-order sum of the buckets' own energies, so a reply whose two
+// halves were read around an append shows as a sum that does not add up.
+func TestWindowReplyIsOneSnapshot(t *testing.T) {
+	b, db := testBackend(t)
+	s := NewServer(Options{})
+	s.Bind(b)
+	stop := make(chan struct{})
+	var ingest sync.WaitGroup
+	ingest.Add(1)
+	go func() {
+		defer ingest.Done()
+		for tt := 500.5; ; tt += 0.5 {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			db.Append(1, tt, 300+math.Mod(tt, 7))
+		}
+	}()
+	torn := 0
+	for i := 0; i < 400; i++ {
+		newest, _, err := db.Latest(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t0 := math.Floor(newest) - 30
+		rr := doReq(s, "", fmt.Sprintf("/v1/nodes/1/window?t0=%v&t1=%v&res=1&nocache=1", t0, t0+60))
+		var rep WindowReport
+		if err := json.Unmarshal(rr.Body.Bytes(), &rep); rr.Code != http.StatusOK || err != nil {
+			t.Fatalf("%d %v: %s", rr.Code, err, rr.Body)
+		}
+		sum := 0.0
+		for _, p := range rep.Points {
+			// Past t1 = 16384 s the store also lists the bucket that starts
+			// at t1 (rollup.overlap's 1e-12 guard is below half an ulp there);
+			// it is outside the window and carries none of its energy.
+			if p.T0 < rep.T1 {
+				sum += p.EnergyJ
+			}
+		}
+		if math.Float64bits(sum) != math.Float64bits(rep.EnergyJ) {
+			torn++
+		}
+	}
+	close(stop)
+	ingest.Wait()
+	if torn > 0 {
+		t.Errorf("%d of 400 replies carry an energy_j that is not the sum of their own points", torn)
+	}
+}
+
+// size counts the entries held, both segments of every stripe.
+func (c *windowCache) size() int {
+	n := 0
+	for i := range c.shards {
+		n += len(c.shards[i].probation) + len(c.shards[i].protected)
+	}
+	return n
+}
+
+// TestCacheCapIsABound: Options.CacheCap bounds the entries held whatever
+// the stripe count, with keys that are only written and keys that are read
+// back into the protected segment.
+func TestCacheCapIsABound(t *testing.T) {
+	for _, limit := range []int{1, 4, 17, 4096} {
+		c := newWindowCache(16, limit)
+		for i := 0; i < 10_000; i++ {
+			k := keyOf(i%45, float64(i), float64(i)+60, float64(i%2))
+			c.put(k, cacheEntry{wm: uint64(i)})
+			if i%3 == 0 {
+				if e, ok := c.get(k); !ok || e.wm != uint64(i) {
+					t.Fatalf("cap %d: key %d read back %v %v right after it was put", limit, i, e, ok)
+				}
+			}
+			if n := c.size(); n > limit {
+				t.Fatalf("cap %d: %d entries held after %d keys", limit, n, i+1)
+			}
+		}
+		if n := c.size(); n < min(limit, 8) {
+			t.Errorf("cap %d: only %d entries held", limit, n)
+		}
+	}
+}
+
+// TestScanDoesNotEvictHotSet: keys that were hit once stay resident while
+// any number of never-repeated keys pass through.
+func TestScanDoesNotEvictHotSet(t *testing.T) {
+	c := newWindowCache(16, 4096)
+	rng := rand.New(rand.NewSource(5))
+	hot := make([]windowKey, 256)
+	for i := range hot {
+		t0 := float64(rng.Intn(7000))
+		hot[i] = keyOf(rng.Intn(45), t0, t0+60+float64(rng.Intn(240)), []float64{1, 60}[i%2])
+		c.put(hot[i], cacheEntry{wm: uint64(i)})
+		if _, ok := c.get(hot[i]); !ok {
+			t.Fatalf("hot key %d: second touch is not a hit", i)
+		}
+	}
+	for i := 0; i < 100_000; i++ {
+		t0 := float64(rng.Intn(7000)) + float64(i+1)/100_001
+		c.put(keyOf(rng.Intn(45), t0, t0+120, float64(i%2)), cacheEntry{})
+	}
+	for i, k := range hot {
+		if e, ok := c.get(k); !ok || e.wm != uint64(i) {
+			t.Errorf("hot key %d evicted by the scan", i)
+		}
+	}
+}
+
+// TestTenantTableIsBounded: the tenant name is the client's to choose, so
+// neither the bucket table nor the metrics page may grow with the names
+// seen. A tenant that is never refused leaves no series behind, and one
+// whose bucket has refilled leaves no bucket.
+func TestTenantTableIsBounded(t *testing.T) {
+	now := 0.0
+	reg := obs.NewRegistry()
+	q := newQuotaTable(2, 3, func() float64 { return now }, reg)
+	for i := 0; i < 1_000_000; i++ {
+		now++
+		if ok, _ := q.allow("tenant-" + strconv.Itoa(i)); !ok {
+			t.Fatalf("fresh tenant %d refused", i)
+		}
+	}
+	held := 0
+	for i := range q.shards {
+		held += len(q.shards[i].buckets)
+	}
+	if limit := len(q.shards) * sweepFloor; held > limit {
+		t.Errorf("%d buckets held after 1M one-request tenants, want at most %d", held, limit)
+	}
+	if n := len(reg.Snapshot(true)); n != 0 {
+		t.Errorf("%d series registered for tenants that were never refused", n)
+	}
 }
 
 func TestQuotaExhaustionAndRefill(t *testing.T) {

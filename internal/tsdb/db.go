@@ -205,15 +205,21 @@ func (db *DB) Energy(node int, t0, t1 float64) (float64, error) {
 	if t1 < t0 {
 		return 0, ErrBadWindow
 	}
+	return s.rawEnergy(t0, t1, nil)
+}
+
+// rawEnergy is Energy over a valid window, under the shard lock; a non-nil
+// pts also collects the window's raw samples (see integrate).
+func (s *series) rawEnergy(t0, t1 float64, pts *[]Point) (float64, error) {
 	if s.total < 2 {
-		return 0, fmt.Errorf("%w (node %d)", ErrShortSeries, node)
+		return 0, fmt.Errorf("%w (node %d)", ErrShortSeries, s.node)
 	}
 	e := 0.0
 	if rs := s.rawStart(); s.droppedRaw && t0 < rs && len(s.rolls) > 0 {
 		e += s.rolls[0].energy(t0, math.Min(t1, rs))
 		t0 = math.Min(t1, rs)
 	}
-	return e + s.integrate(t0, t1), nil
+	return e + s.integrate(t0, t1, pts), nil
 }
 
 // MeanPower returns the mean power over [t0, t1].
@@ -278,28 +284,9 @@ type Point struct {
 // streams raw samples, otherwise res must be one of the maintained rollup
 // widths.
 func (db *DB) Fetch(node int, t0, t1, res float64) ([]Point, error) {
-	if res == 0 {
-		var out []Point
-		err := db.Range(node, t0, t1, func(t, w float64) bool {
-			out = append(out, Point{T0: t, T1: t, MeanW: w, MaxW: w})
-			return true
-		})
-		return out, err
-	}
-	s, sh, err := db.get(node)
-	if err != nil {
-		return nil, err
-	}
-	defer sh.mu.RUnlock()
-	if t1 < t0 {
-		return nil, ErrBadWindow
-	}
-	for _, r := range s.rolls {
-		if r.width == res {
-			return r.points(t0, t1), nil
-		}
-	}
-	return nil, fmt.Errorf("%w: %g s (have %v)", ErrBadRes, res, db.opts.Resolutions)
+	var out []Point
+	_, err := db.window(node, t0, t1, res, false, &out)
+	return out, err
 }
 
 // EnergyAt integrates over [t0, t1] at a fixed resolution: res = 0 uses
@@ -308,9 +295,22 @@ func (db *DB) Fetch(node int, t0, t1, res float64) ([]Point, error) {
 // raw-vs-rollup agreement checks and for interrogating what a retention
 // policy would preserve.
 func (db *DB) EnergyAt(node int, t0, t1, res float64) (float64, error) {
-	if res == 0 {
-		return db.Energy(node, t0, t1)
-	}
+	return db.window(node, t0, t1, res, true, nil)
+}
+
+// Window answers EnergyAt and Fetch for one window from one state of the
+// store: the shard lock is held once, so no append lands between the
+// energy and the points, and a raw window decodes each chunk once for
+// both. The energy has EnergyAt's bits and error; the points are Fetch's,
+// appended to dst.
+func (db *DB) Window(node int, t0, t1, res float64, dst []Point) (energyJ float64, pts []Point, err error) {
+	energyJ, err = db.window(node, t0, t1, res, true, &dst)
+	return energyJ, dst, err
+}
+
+// window computes the energy over [t0, t1] at res, appends the points to
+// *pts, or both, as asked, under one hold of the shard lock.
+func (db *DB) window(node int, t0, t1, res float64, energy bool, pts *[]Point) (e float64, err error) {
 	s, sh, err := db.get(node)
 	if err != nil {
 		return 0, err
@@ -319,10 +319,27 @@ func (db *DB) EnergyAt(node int, t0, t1, res float64) (float64, error) {
 	if t1 < t0 {
 		return 0, ErrBadWindow
 	}
-	for _, r := range s.rolls {
-		if r.width == res {
-			return r.energy(t0, t1), nil
+	if res == 0 {
+		if energy {
+			return s.rawEnergy(t0, t1, pts)
 		}
+		s.scan(t0, t1, func(t, w float64) bool {
+			*pts = append(*pts, rawPoint(t, w))
+			return true
+		})
+		return 0, nil
+	}
+	for _, r := range s.rolls {
+		if r.width != res {
+			continue
+		}
+		if energy {
+			e = r.energy(t0, t1)
+		}
+		if pts != nil {
+			*pts = r.points(t0, t1, *pts)
+		}
+		return e, nil
 	}
 	return 0, fmt.Errorf("%w: %g s (have %v)", ErrBadRes, res, db.opts.Resolutions)
 }

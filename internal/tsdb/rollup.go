@@ -162,9 +162,8 @@ func (r *rollup) maxPower(t0, t1 float64) float64 {
 	return m
 }
 
-// points emits one Point per non-empty bucket overlapping [t0, t1].
-func (r *rollup) points(t0, t1 float64) []Point {
-	var out []Point
+// points appends one Point per non-empty bucket overlapping [t0, t1] to out.
+func (r *rollup) points(t0, t1 float64, out []Point) []Point {
 	first, last := r.overlap(t0, t1)
 	for i := first; i <= last; i++ {
 		b := r.buckets[i-r.start]

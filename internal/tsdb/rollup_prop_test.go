@@ -170,7 +170,7 @@ func TestRollupGrowthChangesNoBit(t *testing.T) {
 					if got, want := r.maxPower(t0, t1), ref.maxPower(t0, t1); got != want {
 						t.Fatalf("width %v seed %d step %d: maxPower(%v,%v) = %v, want %v", width, seed, step, t0, t1, got, want)
 					}
-					got, want := r.points(t0, t1), ref.points(t0, t1)
+					got, want := r.points(t0, t1, nil), ref.points(t0, t1)
 					if len(got) != len(want) {
 						t.Fatalf("width %v seed %d step %d: %d points, want %d", width, seed, step, len(got), len(want))
 					}

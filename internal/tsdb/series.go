@@ -251,16 +251,26 @@ func (s *series) chunkSpanEnd(k int) float64 {
 // integrate computes the exact rectangle-rule energy over [t0, t1] from
 // retained raw data: O(log chunks) to locate the window, prefix sums for
 // interior chunks, and decoding only for the chunks the boundaries cut.
-func (s *series) integrate(t0, t1 float64) float64 {
-	if t1 <= t0 {
+//
+// With pts non-nil the same pass also appends the raw samples with t in
+// [t0, t1], in time order: a boundary chunk's one decode feeds the clip sum
+// and the points, an interior chunk is decoded for its points alone. A
+// sample at exactly t1, or a newest sample at t0 with no gap after it, is
+// a point that spans nothing, so with pts the walk reaches those too; that
+// adds only zero-width rectangles and the energy keeps its bits.
+func (s *series) integrate(t0, t1 float64, pts *[]Point) float64 {
+	wide := pts != nil
+	if t1 <= t0 && !wide {
 		return 0
 	}
+	// past: a chunk or head sample starting at t is beyond the walk.
+	past := func(t float64) bool { return t > t1 || t == t1 && !wide }
 	e := 0.0
 	nc := len(s.chunks)
 	// First chunk whose span can overlap the window.
 	lo := sort.Search(nc, func(k int) bool { return s.chunkSpanEnd(k) > t0 })
 	k := lo
-	for k < nc && toSec(s.chunks[k].tFirst) < t1 {
+	for k < nc && !past(toSec(s.chunks[k].tFirst)) {
 		c := &s.chunks[k]
 		spanEnd := s.chunkSpanEnd(k)
 		if toSec(c.tFirst) >= t0 && spanEnd <= t1 {
@@ -268,6 +278,12 @@ func (s *series) integrate(t0, t1 float64) float64 {
 			j := k
 			for j+1 < nc && s.chunkSpanEnd(j+1) <= t1 {
 				j++
+			}
+			for i := k; wide && i <= j; i++ {
+				_ = decodeChunk(s.chunks[i].data, s.chunks[i].count, func(tick int64, w float64) bool {
+					*pts = append(*pts, rawPoint(toSec(tick), w))
+					return true
+				})
 			}
 			if j > k {
 				e += s.cumE[j] - s.cumE[k]
@@ -288,6 +304,9 @@ func (s *series) integrate(t0, t1 float64) float64 {
 			if !first {
 				e += clipRect(prevT, ts, prevW, t0, t1)
 			}
+			if wide && ts >= t0 && ts <= t1 {
+				*pts = append(*pts, rawPoint(ts, w))
+			}
 			prevT, prevW, first = ts, w, false
 			return prevT < t1
 		})
@@ -299,14 +318,14 @@ func (s *series) integrate(t0, t1 float64) float64 {
 	// Head samples: rectangle i spans to its successor; the pending
 	// sample spans the last observed gap.
 	n := len(s.headT)
-	if n > 0 && s.end() > t0 && toSec(s.headT[0]) < t1 {
+	if n > 0 && (wide || s.end() > t0) && !past(toSec(s.headT[0])) {
 		i := sort.Search(n, func(k int) bool { return toSec(s.headT[k]) > t0 })
 		if i > 0 {
 			i--
 		}
 		for ; i < n; i++ {
 			ts := toSec(s.headT[i])
-			if ts >= t1 {
+			if past(ts) {
 				break
 			}
 			end := s.end()
@@ -314,10 +333,16 @@ func (s *series) integrate(t0, t1 float64) float64 {
 				end = toSec(s.headT[i+1])
 			}
 			e += clipRect(ts, end, s.headW[i], t0, t1)
+			if wide && ts >= t0 {
+				*pts = append(*pts, rawPoint(ts, s.headW[i]))
+			}
 		}
 	}
 	return e
 }
+
+// rawPoint is one raw sample as a Point.
+func rawPoint(t, w float64) Point { return Point{T0: t, T1: t, MeanW: w, MaxW: w} }
 
 // clipRect is the overlap energy of one rectangle with the window.
 func clipRect(lo, hi, p, t0, t1 float64) float64 {
