@@ -65,7 +65,6 @@ func e18Replay(tb testing.TB, sys *core.System, preset string, seed int64, codec
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sys.StreamWorkers = 0
 	sys.StreamCodec = codec
 	sys.StreamFaults = plan
 	sys.StreamBatchSamples = 64

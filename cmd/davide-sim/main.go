@@ -38,6 +38,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -57,6 +58,16 @@ import (
 	"davide/internal/workload"
 )
 
+const (
+	// replayRate is a -stream replay's sample rate in S/s of virtual
+	// time: a stress figure (a live loop samples at core.RunLive's
+	// gateway-like 4 S/s).
+	replayRate = 50.0
+	// chaosBatchSamples is the MQTT batch size under -chaos: small
+	// batches give per-packet faults statistics.
+	chaosBatchSamples = 64
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("davide-sim: ")
@@ -69,14 +80,11 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	stream := flag.Float64("stream", 0, "replay this many virtual seconds of telemetry over real MQTT (0 disables)")
 	streamNodes := flag.Int("stream-nodes", 0, "limit the telemetry replay to the first k nodes (0 = all)")
-	streamRate := flag.Float64("stream-rate", 50, "telemetry replay sample rate (S/s of virtual time)")
-	workers := flag.Int("stream-workers", 0, "concurrent gateways in the replay fleet (0 = one per CPU, 1 = sequential)")
 	codec := flag.String("stream-codec", "binary", "batch wire codec for the replay: binary or json")
 	chaosName := flag.String("chaos", "", "fault-injection preset for the telemetry replay: "+
 		strings.Join(fleet.ChaosPresetNames(), ", ")+" (requires -stream or -sched; seeded by -seed); "+
 		"bridge presets ("+strings.Join(fleet.ChaosBridgePresetNames(), ", ")+") fault the rack→spine uplinks and require -racks > 1; "+
 		"a comma-separated list stacks gateway presets into one composed plan")
-	chaosBatch := flag.Int("chaos-batch", 64, "samples per MQTT batch under -chaos (smaller batches give per-packet faults statistics)")
 	racks := flag.Int("racks", 1, "rack broker cells of the telemetry plane, replay or live (1 = one broker, >1 = tiered fabric with spine bridges)")
 	schedMode := flag.String("sched", "", "run the live closed-loop control plane instead of the batch simulator: "+
 		"fifo (AdmitFIFO, the FIFO strategy) or power (AdmitPowerAware, greedy backfill under the cap)")
@@ -105,6 +113,19 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
+
+	// NaN passes every `x <= 0` test below and reaches the controller as a
+	// cap that never admits a job; Inf never ends a replay. Both are usage
+	// errors before anything listens.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"-cap", *capKW}, {"-tick", *tick}, {"-stream", *stream}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			log.Printf("%s %g: want a finite number", f.name, f.v)
+			os.Exit(2)
+		}
+	}
 
 	// Pure flag validation: reject a bad chaos setup before the
 	// scheduled simulation burns minutes of wall clock. A single -chaos
@@ -241,7 +262,6 @@ func main() {
 		log.Fatal(err)
 	}
 	sys.StreamRacks = *racks
-	sys.StreamWorkers = *workers
 	sys.StreamCodec = gateway.Codec(*codec)
 
 	// Observability: one registry for the whole process. Every replay
@@ -295,15 +315,6 @@ func main() {
 		}
 	}
 
-	// The replay default of 50 S/s is a stress figure; a live loop
-	// samples at gateway-like rates unless explicitly overridden.
-	liveRate := 4.0
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "stream-rate" {
-			liveRate = *streamRate
-		}
-	})
-
 	if *scenarioName != "" {
 		sc, err := scenario.Get(*scenarioName)
 		if err != nil {
@@ -313,7 +324,7 @@ func main() {
 		if mode == "" {
 			mode = "power"
 		}
-		runScenario(sys, work, sc, mode, *capKW*1000, *reactive, *tick, liveRate, *streamNodes, *seed, apiOnPlant)
+		runScenario(sys, work, sc, mode, *capKW*1000, *reactive, *tick, *streamNodes, *seed, apiOnPlant)
 		lingerAPI(*apiAddr, *apiLinger)
 		return
 	}
@@ -321,9 +332,9 @@ func main() {
 	if *schedMode != "" {
 		if chaosPlan != nil {
 			sys.StreamFaults = chaosPlan
-			sys.StreamBatchSamples = *chaosBatch
+			sys.StreamBatchSamples = chaosBatchSamples
 		}
-		runLive(sys, work, *schedMode, *capKW*1000, *reactive, *tick, liveRate, *streamNodes, *chaosName, *seed, apiOnPlant)
+		runLive(sys, work, *schedMode, *capKW*1000, *reactive, *tick, *streamNodes, *chaosName, *seed, apiOnPlant)
 		lingerAPI(*apiAddr, *apiLinger)
 		return
 	}
@@ -368,14 +379,14 @@ func main() {
 			} else {
 				sys.StreamFaults = chaosPlan
 			}
-			sys.StreamBatchSamples = *chaosBatch
+			sys.StreamBatchSamples = chaosBatchSamples
 		}
-		sres, err := sys.StreamWindow(0, *stream, *streamRate, *streamNodes)
+		sres, err := sys.StreamWindow(0, *stream, replayRate, *streamNodes)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("\nTelemetry fleet replay — %d gateways over real MQTT:\n", sres.NodesStreamed)
-		fmt.Printf("  window               %.0f virtual s at %.0f S/s\n", sres.Window, *streamRate)
+		fmt.Printf("  window               %.0f virtual s at %.0f S/s\n", sres.Window, replayRate)
 		fmt.Printf("  samples / batches    %d / %d\n", sres.SamplesSent, sres.BatchesSent)
 		fmt.Printf("  broker publishes     %d (dropped %d)\n", sres.BrokerPublishes, sres.BrokerDropped)
 		if sres.Racks > 1 {
@@ -425,7 +436,7 @@ func lingerAPI(addr string, d time.Duration) {
 
 // liveConfig maps the -sched mode and the shared flags to a closed-loop
 // run configuration.
-func liveConfig(mode string, capW float64, reactive bool, tick, rate float64, nodes int, onPlant func(core.LivePlant)) core.LiveConfig {
+func liveConfig(mode string, capW float64, reactive bool, tick float64, nodes int, onPlant func(core.LivePlant)) core.LiveConfig {
 	var adm sched.Admission
 	switch mode {
 	case "fifo":
@@ -438,9 +449,8 @@ func liveConfig(mode string, capW float64, reactive bool, tick, rate float64, no
 		os.Exit(2)
 	}
 	return core.LiveConfig{
-		Nodes:      nodes,
-		SampleRate: rate,
-		OnPlant:    onPlant,
+		Nodes:   nodes,
+		OnPlant: onPlant,
 		Sched: sched.ControllerConfig{
 			Admission: adm,
 			Config: sched.Config{
@@ -453,8 +463,8 @@ func liveConfig(mode string, capW float64, reactive bool, tick, rate float64, no
 }
 
 // runLive executes the closed-loop control plane and prints its summary.
-func runLive(sys *core.System, work []workload.Job, mode string, capW float64, reactive bool, tick, rate float64, nodes int, chaosName string, seed int64, onPlant func(core.LivePlant)) {
-	res, err := sys.RunLive(work, liveConfig(mode, capW, reactive, tick, rate, nodes, onPlant))
+func runLive(sys *core.System, work []workload.Job, mode string, capW float64, reactive bool, tick float64, nodes int, chaosName string, seed int64, onPlant func(core.LivePlant)) {
+	res, err := sys.RunLive(work, liveConfig(mode, capW, reactive, tick, nodes, onPlant))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -499,8 +509,8 @@ func runLive(sys *core.System, work []workload.Job, mode string, capW float64, r
 
 // runScenario executes a named scenario on the live control plane and
 // prints its summary plus the per-phase cap-tracking overlay.
-func runScenario(sys *core.System, work []workload.Job, sc *scenario.Scenario, mode string, capW float64, reactive bool, tick, rate float64, nodes int, seed int64, onPlant func(core.LivePlant)) {
-	res, err := sys.RunScenario(sc, seed, work, liveConfig(mode, capW, reactive, tick, rate, nodes, onPlant))
+func runScenario(sys *core.System, work []workload.Job, sc *scenario.Scenario, mode string, capW float64, reactive bool, tick float64, nodes int, seed int64, onPlant func(core.LivePlant)) {
+	res, err := sys.RunScenario(sc, seed, work, liveConfig(mode, capW, reactive, tick, nodes, onPlant))
 	if err != nil {
 		log.Fatal(err)
 	}

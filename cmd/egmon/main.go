@@ -51,6 +51,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"strings"
 
@@ -100,6 +101,12 @@ func main() {
 	if !(*nodes > 0 && *window > 0 && *rate > 0 && *window**rate*oversample <= sensor.MaxRawSamples) {
 		log.Printf("-nodes, -window and -rate must be positive and -window × -rate at most %d samples a node", sensor.MaxRawSamples/oversample)
 		fmt.Fprintln(os.Stderr, "usage: egmon [-racks R] [-nodes N] [-window SEC] [-rate S/s] ... (egmon -h lists every flag)")
+		os.Exit(2)
+	}
+	if math.IsNaN(*capKW) || math.IsInf(*capKW, 0) {
+		// NaN fails runCapTrack's `<= 0` default test and would reach the
+		// controller as a cap that never admits a job.
+		log.Printf("-cap %g: want a finite number", *capKW)
 		os.Exit(2)
 	}
 	if *racks < 1 {

@@ -85,7 +85,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	_ = telemetry.JobInterval{} // (aggregator also answers per-job queries)
 	fmt.Printf("\nlive MQTT path: gateway estimate %.2f J, aggregator %.2f J (%.4f %% off truth)\n",
 		est, delivered, 100*abs(delivered-truth)/truth)
 	fmt.Printf("broker stats: %d publishes in, %d delivered, %d B in\n",

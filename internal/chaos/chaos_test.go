@@ -19,7 +19,7 @@ func payloadFor(t *testing.T, seq, n int) []byte {
 	for i := 0; i < n; i++ {
 		b.Samples = append(b.Samples, 360+float64(i%7))
 	}
-	p, err := b.EncodeWith(gateway.CodecBinary)
+	p, err := b.AppendEncode(nil, gateway.CodecBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestLinkCorruptionIsAlwaysDetected(t *testing.T) {
 			if derr != nil {
 				t.Fatal(derr)
 			}
-			payload, derr = b.EncodeWith(gateway.CodecJSON)
+			payload, derr = b.AppendEncode(nil, gateway.CodecJSON)
 			if derr != nil {
 				t.Fatal(derr)
 			}

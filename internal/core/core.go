@@ -50,11 +50,6 @@ type System struct {
 	// IdleNodePowerW is the idle draw used in node signals and billing.
 	IdleNodePowerW float64
 
-	// StreamWorkers bounds how many gateways publish concurrently during
-	// telemetry replays; 0 means one worker per CPU, 1 reproduces the
-	// sequential one-node-at-a-time replay.
-	StreamWorkers int
-
 	// StreamCodec selects the batch wire format telemetry replays publish
 	// (gateway.CodecBinary by default, gateway.CodecJSON for the original
 	// text format).
@@ -362,7 +357,7 @@ func chaosSafeBatch(plan chaos.Planner, nodes, batchSamples int, opts tsdb.Optio
 
 // newPlane stands up the telemetry plant every replay and live run
 // streams through: a fleet.Plane over max(1, StreamRacks) racks, built
-// from the System's transport knobs (codec, workers, faults, batch size,
+// from the System's transport knobs (codec, faults, batch size,
 // store options, registry). nodes bounds the node IDs streamed (chaos
 // hold-span check, queue sizing); prefix and seedBase keep different
 // plants' client IDs and monitor noise streams distinct.
@@ -380,10 +375,9 @@ func (s *System) newPlane(nodes int, sampleRate float64, prefix string, seedBase
 			Codec: s.StreamCodec, Faults: s.StreamFaults,
 			BatchSamples: batchSamples,
 		},
-		WorkersPerRack: s.StreamWorkers,
-		BridgeFaults:   s.BridgeFaults,
-		StoreOptions:   s.StoreOptions,
-		Obs:            s.Obs,
+		BridgeFaults: s.BridgeFaults,
+		StoreOptions: s.StoreOptions,
+		Obs:          s.Obs,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: telemetry plane (StreamRacks %d): %w", racks, err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"davide/internal/gateway"
@@ -287,17 +288,19 @@ func TestStreamWindowErrorPaths(t *testing.T) {
 func TestStreamWindowConcurrencyInvariant(t *testing.T) {
 	// The concurrent fleet must publish exactly what the sequential
 	// replay publishes, with the same telemetry accuracy: per-node
-	// monitor seeds are fixed by node ID, not by worker order.
+	// monitor seeds are fixed by node ID, not by worker order. The plane
+	// sizes its publish pool from GOMAXPROCS, so that is what varies.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	s := newSystem(t)
 	if _, err := s.RunScheduled(genJobs(t, 40, 9), sched.Config{}, sched.NewEASYStrategy()); err != nil {
 		t.Fatal(err)
 	}
-	s.StreamWorkers = 1
+	runtime.GOMAXPROCS(1)
 	seq, err := s.StreamWindow(0, 50, 40, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.StreamWorkers = 6
+	runtime.GOMAXPROCS(6)
 	conc, err := s.StreamWindow(0, 50, 40, 6)
 	if err != nil {
 		t.Fatal(err)

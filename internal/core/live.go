@@ -30,7 +30,7 @@ import (
 // hold the cap on stale, lossy measurements.
 
 // LiveConfig configures one closed-loop control-plane run. Transport
-// knobs (codec, workers, racks, faults, batch size, store options) come
+// knobs (codec, racks, faults, batch size, store options) come
 // from the System fields a StreamWindow replay uses.
 type LiveConfig struct {
 	// Sched is the controller configuration; Nodes is overridden with
@@ -45,11 +45,6 @@ type LiveConfig struct {
 	// RackSize groups nodes for the per-rack capping control loops
 	// (default: the cluster's rack width).
 	RackSize int
-	// OnlineEvery is the online predictor's retraining cadence in
-	// completions when RunLive wires the system predictor itself
-	// (default 8; ignored when Sched.Trainer or Sched.Estimator is set).
-	// Negative disables online retraining.
-	OnlineEvery int
 	// Perturb, when non-nil, mutates each tick's per-node power levels
 	// before they are streamed — the scenario engine's thermal-DVFS
 	// seam (see sched.Hooks.Perturb).
@@ -150,29 +145,21 @@ func (s *System) RunLive(jobs []workload.Job, cfg LiveConfig) (*LiveResult, erro
 	if rate == 0 {
 		rate = 4
 	}
-	if rate*scfg.TickS < 2 {
+	if !(rate*scfg.TickS >= 2) { // NaN fails too
 		return nil, fmt.Errorf("core: sample rate %g cannot fill a %g s tick with the 2 samples a gateway window needs", rate, scfg.TickS)
 	}
-	// Wire the online-retraining predictor when the caller didn't bring
-	// an estimator of their own (power-aware built-in admission or any
-	// power-aware Strategy).
+	// Wire the online-retraining predictor (retrained every 8
+	// completions) when the caller didn't bring an estimator of their own
+	// (power-aware built-in admission or any power-aware Strategy).
 	if scfg.PowerAware() && scfg.Trainer == nil && scfg.Estimator == nil {
 		if s.Predictor == nil {
 			return nil, errors.New("core: power-aware admission needs a trained predictor (train the system or set an estimator)")
 		}
-		if cfg.OnlineEvery >= 0 {
-			every := cfg.OnlineEvery
-			if every == 0 {
-				every = 8
-			}
-			online, err := predictor.NewOnline(s.Predictor, s.trainJobs, every, 0)
-			if err != nil {
-				return nil, err
-			}
-			scfg.Trainer = online
-		} else {
-			scfg.Estimator = s.Predictor.Predict
+		online, err := predictor.NewOnline(s.Predictor, s.trainJobs, 8, 0)
+		if err != nil {
+			return nil, err
 		}
+		scfg.Trainer = online
 	}
 
 	start := time.Now()

@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"davide/internal/node"
-	"davide/internal/units"
 )
 
 // Clock supplies the current time to the session; in the simulator this is
@@ -309,6 +308,3 @@ func ParetoFront(points []TradeoffPoint) ([]TradeoffPoint, error) {
 	}
 	return front, nil
 }
-
-// NodePowerAt is a convenience for experiments: the node's current power.
-func NodePowerAt(n *node.Node) units.Watt { return n.Power() }

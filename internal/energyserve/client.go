@@ -105,20 +105,6 @@ func (c *Client) JobPhases(id int) ([]energyapi.Phase, error) {
 	return out, err
 }
 
-// NodePhases rebuilds a §IV phase report for one node from stored
-// telemetry: names[i] labels [bounds[i], bounds[i+1]).
-func (c *Client) NodePhases(node int, names []string, bounds []float64) ([]energyapi.Phase, error) {
-	bs := make([]string, len(bounds))
-	for i, b := range bounds {
-		bs[i] = strconv.FormatFloat(b, 'g', -1, 64)
-	}
-	path := fmt.Sprintf("/v1/nodes/%d/phases?names=%s&bounds=%s",
-		node, strings.Join(names, ","), strings.Join(bs, ","))
-	var out []energyapi.Phase
-	err := c.get(path, &out)
-	return out, err
-}
-
 // Window returns one node's power over [t0, t1] at resolution res
 // (0 = raw samples).
 func (c *Client) Window(node int, t0, t1, res float64) (WindowReport, error) {

@@ -43,25 +43,16 @@ import (
 const DefaultWaitTimeout = 10 * time.Second
 
 // GatewaySpec describes how to build every gateway in a fleet. Zero fields
-// other than SampleRate take the pilot's energy-gateway defaults (§III-A1:
-// 12-bit ADC chain, 16× hardware averaging, PTP-bounded clock offset).
-// Because zero means "unset", the spec cannot model an ideal noiseless or
-// perfectly-synchronised gateway: NoiseLSB and ClockOffsetS are coerced to
-// the pilot's non-zero values — build monitors directly for such studies.
+// other than SampleRate take the pilot's energy-gateway defaults; the ADC
+// chain itself is the pilot's (§III-A1: 12 bits, 0.5 LSB noise, 20 kW full
+// scale, 5 µs residual PTP offset) — build monitors directly to study
+// another one.
 type GatewaySpec struct {
 	// SampleRate is the published output rate in samples per second of
 	// virtual time. Required.
 	SampleRate float64
 	// Oversample is the raw-to-output rate ratio (default 16).
 	Oversample float64
-	// Bits is the ADC resolution (default 12).
-	Bits int
-	// NoiseLSB is the ADC noise in LSBs (default 0.5).
-	NoiseLSB float64
-	// ClockOffsetS is the residual PTP clock offset (default 5e-6).
-	ClockOffsetS float64
-	// FullScale is the ADC full-scale power in watts (default 20000).
-	FullScale float64
 	// BatchSamples is the number of samples per MQTT batch (default 512).
 	BatchSamples int
 	// ClientPrefix prefixes the per-node MQTT client IDs (default "fleet").
@@ -90,18 +81,6 @@ const maxGatewayRestarts = 1024
 func (sp GatewaySpec) withDefaults() GatewaySpec {
 	if sp.Oversample == 0 {
 		sp.Oversample = 16
-	}
-	if sp.Bits == 0 {
-		sp.Bits = 12
-	}
-	if sp.NoiseLSB == 0 {
-		sp.NoiseLSB = 0.5
-	}
-	if sp.ClockOffsetS == 0 {
-		sp.ClockOffsetS = 5e-6
-	}
-	if sp.FullScale == 0 {
-		sp.FullScale = 20000
 	}
 	if sp.BatchSamples == 0 {
 		sp.BatchSamples = 512
@@ -138,10 +117,10 @@ func (sp GatewaySpec) monitorSpec() monitors.Spec {
 		RawRate:      sp.SampleRate * sp.Oversample,
 		OutputRate:   sp.SampleRate,
 		Averaged:     true,
-		Bits:         sp.Bits,
-		NoiseLSB:     sp.NoiseLSB,
-		ClockOffsetS: sp.ClockOffsetS,
-		FullScale:    sp.FullScale,
+		Bits:         12,
+		NoiseLSB:     0.5,
+		ClockOffsetS: 5e-6,
+		FullScale:    20000,
 	}
 }
 

@@ -34,14 +34,11 @@ func newTestRig(t *testing.T, spec GatewaySpec, workers int) (*Fleet, *telemetry
 
 func TestSpecDefaults(t *testing.T) {
 	sp := GatewaySpec{SampleRate: 50}.withDefaults()
-	if sp.Oversample != 16 || sp.Bits != 12 || sp.NoiseLSB != 0.5 {
-		t.Errorf("ADC defaults wrong: %+v", sp)
-	}
-	if sp.BatchSamples != 512 || sp.ClientPrefix != "fleet" || sp.SeedBase != 1000 {
+	if sp.Oversample != 16 || sp.BatchSamples != 512 || sp.ClientPrefix != "fleet" || sp.SeedBase != 1000 {
 		t.Errorf("fleet defaults wrong: %+v", sp)
 	}
 	ms := sp.monitorSpec()
-	if ms.RawRate != 800 || ms.OutputRate != 50 || !ms.Averaged {
+	if ms.RawRate != 800 || ms.OutputRate != 50 || !ms.Averaged || ms.Bits != 12 || ms.NoiseLSB != 0.5 {
 		t.Errorf("monitor spec wrong: %+v", ms)
 	}
 }

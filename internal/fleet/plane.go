@@ -63,9 +63,6 @@ type PlaneSpec struct {
 	// session queues so a full window's batches never overflow a
 	// subscriber queue (default 1024 nodes).
 	NodesHint int
-	// WorkersPerRack bounds each rack fleet's publish pool (default
-	// GOMAXPROCS/Racks, min 1 — all racks together saturate the cores).
-	WorkersPerRack int
 	// BridgeFaults, when non-nil, injects deterministic faults on the
 	// rack→spine uplinks (so it needs Racks > 1). The plan is keyed by
 	// *rack index*, not node ID. Faults here only shape the spine copy
@@ -86,15 +83,12 @@ func (sp PlaneSpec) withDefaults() PlaneSpec {
 	if sp.NodesHint <= 0 {
 		sp.NodesHint = 1024
 	}
-	if sp.WorkersPerRack <= 0 {
-		sp.WorkersPerRack = sp.coresPerRack()
-	}
 	return sp
 }
 
-// coresPerRack is one rack's share of the machine (min 1): the default
-// publish pool and the size of every rack's decode pool, so that all
-// racks together saturate the cores.
+// coresPerRack is one rack's share of the machine (min 1): the size of
+// every rack's publish pool and decode pool, so that all racks together
+// saturate the cores.
 func (sp PlaneSpec) coresPerRack() int {
 	return max(1, runtime.GOMAXPROCS(0)/sp.Racks)
 }
@@ -221,7 +215,7 @@ func (p *Plane) buildRack(r int) (*rackCell, error) {
 		broker.Trace = stampHook(p.trace, obs.StageFanout)
 		registerBroker(p.spec.Obs, obs.RackLabel(r), broker)
 	}
-	cell.fleet, err = New(broker.Addr(), p.spec.Gateway, p.spec.WorkersPerRack)
+	cell.fleet, err = New(broker.Addr(), p.spec.Gateway, p.spec.coresPerRack())
 	if err != nil {
 		return fail(err)
 	}

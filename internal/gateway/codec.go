@@ -87,9 +87,6 @@ func (b Batch) AppendEncode(dst []byte, c Codec) ([]byte, error) {
 	return nil, c.Validate()
 }
 
-// EncodeWith serialises the batch in the given codec.
-func (b Batch) EncodeWith(c Codec) ([]byte, error) { return b.AppendEncode(nil, c) }
-
 // appendBinary emits the version-1 binary frame. The batch is already
 // validated.
 func (b Batch) appendBinary(dst []byte) []byte {

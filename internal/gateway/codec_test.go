@@ -20,21 +20,21 @@ func TestCodecValidate(t *testing.T) {
 	if err := Codec("protobuf").Validate(); err == nil {
 		t.Error("unknown codec should error")
 	}
-	if _, err := (Batch{Node: 1, Dt: 1, Samples: []float64{1}}).EncodeWith("nope"); err == nil {
+	if _, err := (Batch{Node: 1, Dt: 1, Samples: []float64{1}}).AppendEncode(nil, "nope"); err == nil {
 		t.Error("encode with unknown codec should error")
 	}
 }
 
 func TestBinaryRoundTripSniffed(t *testing.T) {
 	b := Batch{Node: 7, T0: 12.345, Dt: 0.02, Samples: []float64{360, 360, 1890.25, 1890.25, 420}}
-	bin, err := b.EncodeWith(CodecBinary)
+	bin, err := b.AppendEncode(nil, CodecBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bin[0] != binMagic || bin[1] != binVersion {
 		t.Fatalf("frame header = %x", bin[:2])
 	}
-	jsn, err := b.EncodeWith(CodecJSON)
+	jsn, err := b.AppendEncode(nil, CodecJSON)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestBinaryRoundTripSniffed(t *testing.T) {
 
 func TestBinarySingleSample(t *testing.T) {
 	b := Batch{Node: 0, T0: -2.5, Dt: 3e-4, Samples: []float64{777.5}}
-	payload, err := b.EncodeWith(CodecBinary)
+	payload, err := b.AppendEncode(nil, CodecBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +101,11 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 			}
 			b.Samples[i] = level + float64(rng.Intn(8))*0.146484375 // ADC codes
 		}
-		bin, err := b.EncodeWith(CodecBinary)
+		bin, err := b.AppendEncode(nil, CodecBinary)
 		if err != nil {
 			t.Fatal(err)
 		}
-		jsn, err := b.EncodeWith(CodecJSON)
+		jsn, err := b.AppendEncode(nil, CodecJSON)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 
 func TestDecodeBatchIntoReusesScratch(t *testing.T) {
 	b := Batch{Node: 3, T0: 1, Dt: 0.02, Samples: []float64{500, 500, 510}}
-	payload, err := b.EncodeWith(CodecBinary)
+	payload, err := b.AppendEncode(nil, CodecBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestDecodeBatchIntoReusesScratch(t *testing.T) {
 }
 
 func TestDecodeBinaryCorrupt(t *testing.T) {
-	good, err := Batch{Node: 2, T0: 5, Dt: 0.01, Samples: []float64{100, 110, 120, 130}}.EncodeWith(CodecBinary)
+	good, err := Batch{Node: 2, T0: 5, Dt: 0.01, Samples: []float64{100, 110, 120, 130}}.AppendEncode(nil, CodecBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,8 +199,8 @@ func FuzzDecodeBatch(f *testing.F) {
 		{Node: 44, T0: 123.456, Dt: 2e-5, Samples: []float64{360, 360, 1890, 1890, 420.5}},
 	}
 	for _, b := range seed {
-		bin, _ := b.EncodeWith(CodecBinary)
-		jsn, _ := b.EncodeWith(CodecJSON)
+		bin, _ := b.AppendEncode(nil, CodecBinary)
+		jsn, _ := b.AppendEncode(nil, CodecJSON)
 		f.Add(bin)
 		f.Add(jsn)
 	}
@@ -217,7 +217,7 @@ func FuzzDecodeBatch(f *testing.F) {
 			t.Fatalf("accepted invalid batch %+v: %v", b, verr)
 		}
 		// Whatever decoded must re-encode and decode to the same samples.
-		re, err := b.EncodeWith(CodecBinary)
+		re, err := b.AppendEncode(nil, CodecBinary)
 		if err != nil {
 			t.Fatalf("re-encode of accepted batch failed: %v", err)
 		}
@@ -272,11 +272,11 @@ func TestBinaryBeatsJSONOnWire(t *testing.T) {
 	for _, s := range obsd[:n] {
 		batch.Samples = append(batch.Samples, s.P)
 	}
-	jsn, err := batch.EncodeWith(CodecJSON)
+	jsn, err := batch.AppendEncode(nil, CodecJSON)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bin, err := batch.EncodeWith(CodecBinary)
+	bin, err := batch.AppendEncode(nil, CodecBinary)
 	if err != nil {
 		t.Fatal(err)
 	}

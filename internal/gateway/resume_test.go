@@ -154,7 +154,7 @@ func TestPayloadSamples(t *testing.T) {
 		b.Samples = append(b.Samples, 500+float64(i))
 	}
 	for _, codec := range []Codec{CodecBinary, CodecJSON} {
-		p, err := b.EncodeWith(codec)
+		p, err := b.AppendEncode(nil, codec)
 		if err != nil {
 			t.Fatal(err)
 		}

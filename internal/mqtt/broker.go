@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -61,7 +60,6 @@ type Broker struct {
 	// clients start publishing; the payload is only valid for the
 	// duration of the call.
 	Trace func(topic string, payload []byte)
-	logf  func(format string, args ...any)
 	// bufs pools per-packet read buffers across all session readers.
 	bufs bufPool
 }
@@ -77,21 +75,11 @@ func NewBroker(addr string) (*Broker, error) {
 		sessions:   make(map[string]*session),
 		retained:   make(map[string]*PublishPacket),
 		QueueDepth: 1024,
-		logf:       func(string, ...any) {},
 	}
 	b.bufs.reuses = &b.Stats.BufReuses
 	b.wg.Add(1)
 	go b.acceptLoop()
 	return b, nil
-}
-
-// SetLogger installs a debug logger (nil disables logging).
-func (b *Broker) SetLogger(l *log.Logger) {
-	if l == nil {
-		b.logf = func(string, ...any) {}
-		return
-	}
-	b.logf = l.Printf
 }
 
 // Addr returns the listening address, useful with port 0.
@@ -231,7 +219,6 @@ func (b *Broker) serve(conn net.Conn) {
 	if err := encodeConnack(conn, false, ConnAccepted); err != nil {
 		return
 	}
-	b.logf("mqtt: client %q connected from %v", s.id, conn.RemoteAddr())
 
 	// Writer goroutine: serialises all outbound traffic for this client.
 	// A packet with nothing queued behind it goes straight to the socket;
@@ -534,12 +521,8 @@ func (b *Broker) RetainedCount() int {
 	return len(b.retained)
 }
 
-// Pre-encoded control-packet helpers: direct byte assembly, no
-// intermediate writer.
-
-func encodedPuback(id uint16) []byte {
-	return []byte{byte(PUBACK) << 4, 2, byte(id >> 8), byte(id)}
-}
+// The broker's acknowledgements, assembled directly (PUBACK and the empty
+// packets, which the client sends too, are in packet.go).
 
 func encodedSuback(id uint16, codes []byte) []byte {
 	body := append([]byte{byte(id >> 8), byte(id)}, codes...)
@@ -549,8 +532,4 @@ func encodedSuback(id uint16, codes []byte) []byte {
 
 func encodedUnsuback(id uint16) []byte {
 	return []byte{byte(UNSUBACK) << 4, 2, byte(id >> 8), byte(id)}
-}
-
-func encodedEmpty(t PacketType) []byte {
-	return []byte{byte(t) << 4, 0}
 }

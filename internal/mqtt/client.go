@@ -157,7 +157,7 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.writeMu.Lock()
-	_ = encodeEmpty(c.conn, DISCONNECT)
+	_, _ = c.conn.Write(encodedEmpty(DISCONNECT))
 	c.writeMu.Unlock()
 	close(c.done)
 	return c.conn.Close()
@@ -413,7 +413,7 @@ func (c *Client) dispatch(hdr FixedHeader, body []byte) bool {
 		}
 		if p.QoS == 1 {
 			c.writeMu.Lock()
-			err := encodePuback(c.conn, p.PacketID)
+			_, err := c.conn.Write(encodedPuback(p.PacketID))
 			c.writeMu.Unlock()
 			if err != nil {
 				c.fail(err)
@@ -474,7 +474,7 @@ func (c *Client) pingLoop() {
 		select {
 		case <-t.C:
 			c.writeMu.Lock()
-			err := encodeEmpty(c.conn, PINGREQ)
+			_, err := c.conn.Write(encodedEmpty(PINGREQ))
 			c.writeMu.Unlock()
 			if err != nil {
 				c.fail(err)

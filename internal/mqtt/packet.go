@@ -86,8 +86,9 @@ type FixedHeader struct {
 	Length int  // remaining length
 }
 
-// appendRemainingLength appends the MQTT variable-length integer; n must
-// already be validated to [0, 268435455].
+// appendRemainingLength appends the MQTT variable-length integer. Its
+// callers (appendPacket, appendPublish) bound n by MaxPacketSize first,
+// well inside the encoding's [0, 268435455].
 func appendRemainingLength(dst []byte, n int) []byte {
 	for {
 		d := byte(n % 128)
@@ -100,16 +101,6 @@ func appendRemainingLength(dst []byte, n int) []byte {
 			return dst
 		}
 	}
-}
-
-// writeRemainingLength encodes the MQTT variable-length integer.
-func writeRemainingLength(w io.Writer, n int) error {
-	if n < 0 || n > 268_435_455 {
-		return errRemainingLength
-	}
-	var buf [4]byte
-	_, err := w.Write(appendRemainingLength(buf[:0], n))
-	return err
 }
 
 // readRemainingLength decodes the MQTT variable-length integer.
@@ -193,20 +184,6 @@ func readPacket(br *bufio.Reader, bufs *bufPool) (FixedHeader, *pbuf, error) {
 		return hdr, nil, err
 	}
 	return hdr, pb, nil
-}
-
-// writeString writes an MQTT UTF-8 prefixed string.
-func writeString(w io.Writer, s string) error {
-	if len(s) > 0xffff {
-		return ErrMalformed
-	}
-	var l [2]byte
-	binary.BigEndian.PutUint16(l[:], uint16(len(s)))
-	if _, err := w.Write(l[:]); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	return err
 }
 
 // readString consumes an MQTT UTF-8 prefixed string from buf, returning the
@@ -360,15 +337,6 @@ func appendPublish(dst []byte, p *PublishPacket) ([]byte, error) {
 	return append(dst, p.Payload...), nil
 }
 
-func (p *PublishPacket) encode(w io.Writer) error {
-	buf, err := appendPublish(nil, p)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
 // decodePublish parses a PUBLISH body. The returned packet's Payload
 // borrows from body — see the PublishPacket ownership note.
 func decodePublish(flags byte, body []byte) (*PublishPacket, error) {
@@ -399,10 +367,8 @@ func decodePublish(flags byte, body []byte) (*PublishPacket, error) {
 	return p, nil
 }
 
-func encodePuback(w io.Writer, id uint16) error {
-	var body [2]byte
-	binary.BigEndian.PutUint16(body[:], id)
-	return writePacket(w, PUBACK, 0, body[:])
+func encodedPuback(id uint16) []byte {
+	return []byte{byte(PUBACK) << 4, 2, byte(id >> 8), byte(id)}
 }
 
 func decodePacketID(body []byte) (uint16, error) {
@@ -524,9 +490,9 @@ func decodeUnsubscribe(body []byte) (*UnsubscribePacket, error) {
 	return p, nil
 }
 
-// encodeEmpty writes a packet with no body (PINGREQ/PINGRESP/DISCONNECT).
-func encodeEmpty(w io.Writer, t PacketType) error {
-	return writePacket(w, t, 0, nil)
+// encodedEmpty is a packet with no body (PINGREQ/PINGRESP/DISCONNECT).
+func encodedEmpty(t PacketType) []byte {
+	return []byte{byte(t) << 4, 0}
 }
 
 // appendPacket assembles fixed header + body into dst.

@@ -27,11 +27,7 @@ func TestPacketTypeString(t *testing.T) {
 
 func TestRemainingLengthRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 127, 128, 16383, 16384, 2097151, 2097152, 268435455} {
-		var buf bytes.Buffer
-		if err := writeRemainingLength(&buf, n); err != nil {
-			t.Fatalf("write %d: %v", n, err)
-		}
-		got, err := readRemainingLength(&buf)
+		got, err := readRemainingLength(bytes.NewReader(appendRemainingLength(nil, n)))
 		if err != nil {
 			t.Fatalf("read %d: %v", n, err)
 		}
@@ -39,12 +35,9 @@ func TestRemainingLengthRoundTrip(t *testing.T) {
 			t.Errorf("round trip %d -> %d", n, got)
 		}
 	}
-	var buf bytes.Buffer
-	if err := writeRemainingLength(&buf, -1); err == nil {
-		t.Error("negative length should error")
-	}
-	if err := writeRemainingLength(&buf, 268435456); err == nil {
-		t.Error("overlong length should error")
+	// The encoders bound the length before it is written.
+	if _, err := appendPacket(nil, PUBLISH, 0, make([]byte, MaxPacketSize+1)); err != ErrPacketTooLarge {
+		t.Errorf("overlong body: err = %v, want ErrPacketTooLarge", err)
 	}
 	// 5 continuation bytes is malformed.
 	bad := bytes.NewReader([]byte{0x80, 0x80, 0x80, 0x80, 0x01})
@@ -84,17 +77,11 @@ func TestConnectDecodeErrors(t *testing.T) {
 		t.Error("empty body should error")
 	}
 	// Wrong protocol name.
-	var buf bytes.Buffer
-	_ = writeString(&buf, "HTTP")
-	buf.Write([]byte{4, 0, 0, 0})
-	if _, err := decodeConnect(buf.Bytes()); err == nil {
+	if _, err := decodeConnect(append(appendString(nil, "HTTP"), 4, 0, 0, 0)); err == nil {
 		t.Error("wrong protocol should error")
 	}
 	// Bad protocol level.
-	buf.Reset()
-	_ = writeString(&buf, "MQTT")
-	buf.Write([]byte{9, 0, 0, 0, 0, 0})
-	if _, err := decodeConnect(buf.Bytes()); err == nil {
+	if _, err := decodeConnect(append(appendString(nil, "MQTT"), 9, 0, 0, 0, 0, 0)); err == nil {
 		t.Error("bad level should error")
 	}
 }
@@ -127,16 +114,17 @@ func TestPublishRoundTrip(t *testing.T) {
 		{Topic: "a", Payload: bytes.Repeat([]byte{0xAB}, 10000), QoS: 1, PacketID: 65535, Dup: true},
 	}
 	for _, p := range cases {
-		var buf bytes.Buffer
-		if err := p.encode(&buf); err != nil {
+		pkt, err := appendPublish(nil, p)
+		if err != nil {
 			t.Fatalf("%+v: %v", p, err)
 		}
-		hdr, err := ReadFixedHeader(&buf)
+		buf := bytes.NewReader(pkt)
+		hdr, err := ReadFixedHeader(buf)
 		if err != nil || hdr.Type != PUBLISH {
 			t.Fatal(err, hdr)
 		}
 		body := make([]byte, hdr.Length)
-		_, _ = io.ReadFull(&buf, body)
+		_, _ = io.ReadFull(buf, body)
 		got, err := decodePublish(hdr.Flags, body)
 		if err != nil {
 			t.Fatal(err)
@@ -150,14 +138,13 @@ func TestPublishRoundTrip(t *testing.T) {
 }
 
 func TestPublishEncodeErrors(t *testing.T) {
-	var buf bytes.Buffer
-	if err := (&PublishPacket{Topic: "", QoS: 0}).encode(&buf); err == nil {
+	if _, err := appendPublish(nil, &PublishPacket{Topic: "", QoS: 0}); err == nil {
 		t.Error("empty topic should error")
 	}
-	if err := (&PublishPacket{Topic: "a/+/b", QoS: 0}).encode(&buf); err == nil {
+	if _, err := appendPublish(nil, &PublishPacket{Topic: "a/+/b", QoS: 0}); err == nil {
 		t.Error("wildcard topic should error")
 	}
-	if err := (&PublishPacket{Topic: "a", QoS: 2}).encode(&buf); err == nil {
+	if _, err := appendPublish(nil, &PublishPacket{Topic: "a", QoS: 2}); err == nil {
 		t.Error("QoS 2 should error")
 	}
 }
@@ -170,9 +157,7 @@ func TestPublishDecodeErrors(t *testing.T) {
 		t.Error("QoS 2 flags should error")
 	}
 	// QoS 1 without packet ID.
-	var buf bytes.Buffer
-	_ = writeString(&buf, "t")
-	if _, err := decodePublish(0x02, buf.Bytes()); err == nil {
+	if _, err := decodePublish(0x02, appendString(nil, "t")); err == nil {
 		t.Error("missing packet ID should error")
 	}
 }
@@ -333,10 +318,8 @@ func TestTopicMatches(t *testing.T) {
 }
 
 func TestFixedHeaderTooLarge(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteByte(byte(PUBLISH) << 4)
-	_ = writeRemainingLength(&buf, MaxPacketSize+1)
-	if _, err := ReadFixedHeader(&buf); err != ErrPacketTooLarge {
+	hdr := appendRemainingLength([]byte{byte(PUBLISH) << 4}, MaxPacketSize+1)
+	if _, err := ReadFixedHeader(bytes.NewReader(hdr)); err != ErrPacketTooLarge {
 		t.Errorf("err = %v, want ErrPacketTooLarge", err)
 	}
 }
@@ -345,11 +328,7 @@ func TestFixedHeaderTooLarge(t *testing.T) {
 func TestRemainingLengthProperty(t *testing.T) {
 	f := func(raw uint32) bool {
 		n := int(raw % 268435456)
-		var buf bytes.Buffer
-		if err := writeRemainingLength(&buf, n); err != nil {
-			return false
-		}
-		got, err := readRemainingLength(&buf)
+		got, err := readRemainingLength(bytes.NewReader(appendRemainingLength(nil, n)))
 		return err == nil && got == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -364,16 +343,17 @@ func TestPublishRoundTripProperty(t *testing.T) {
 		if qos {
 			p.QoS = 1
 		}
-		var buf bytes.Buffer
-		if err := p.encode(&buf); err != nil {
+		pkt, err := appendPublish(nil, p)
+		if err != nil {
 			return len(payload) > MaxPacketSize-16
 		}
-		hdr, err := ReadFixedHeader(&buf)
+		buf := bytes.NewReader(pkt)
+		hdr, err := ReadFixedHeader(buf)
 		if err != nil {
 			return false
 		}
 		body := make([]byte, hdr.Length)
-		if _, err := io.ReadFull(&buf, body); err != nil {
+		if _, err := io.ReadFull(buf, body); err != nil {
 			return false
 		}
 		got, err := decodePublish(hdr.Flags, body)

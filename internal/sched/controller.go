@@ -96,19 +96,6 @@ type ControllerConfig struct {
 	// Trainer, when non-nil, supersedes Config.Estimator and is retrained
 	// online from measured completions (see predictor.Online).
 	Trainer *predictor.Online
-	// HeadReserveS bounds starvation under power-aware backfill: once the
-	// queue head has waited this long, backfill pauses until it starts
-	// (default 60 ticks).
-	HeadReserveS float64
-	// SettleTicks bounds how long a completion's accounting waits for
-	// telemetry newer than the job's end before measuring anyway. A
-	// record built once every participating node has reported past the
-	// job's end is stable: no late-arriving sample can change its energy
-	// integral. Default 8 ticks.
-	SettleTicks int
-	// MaxTicks aborts a run that cannot finish — e.g. a cap no pending
-	// job fits under (default 200000).
-	MaxTicks int
 	// Metrics, when non-nil, mirrors the controller's health counters
 	// (ticks, fresh/stale reads, refused admissions, measure failures)
 	// into the registry as davide_sched_* series, live during the run —
@@ -131,31 +118,35 @@ type ControllerConfig struct {
 	// BrownoutStaleFrac, when > 0, arms the brownout/degraded mode:
 	// when the fraction of per-node telemetry reads holding stale
 	// values reaches this threshold in a tick, admission tightens to
-	// BrownoutCapFrac of the tracked cap instead of silently trusting
+	// brownoutCapFrac of the tracked cap instead of silently trusting
 	// held measurements. Brownout releases with hysteresis, once the
 	// stale fraction falls to half the threshold.
 	BrownoutStaleFrac float64
-	// BrownoutCapFrac is the admission tightening applied while
-	// browned out (default 0.85: admit only to 85% of the cap).
-	BrownoutCapFrac float64
 }
+
+const (
+	// headReserveTicks bounds starvation under power-aware backfill: once
+	// the queue head has waited this many ticks, backfill pauses until it
+	// starts.
+	headReserveTicks = 60
+	// settleTicks bounds how long a completion's accounting waits for
+	// telemetry newer than the job's end before measuring anyway. A
+	// record built once every participating node has reported past the
+	// job's end is stable: no late-arriving sample can change its energy
+	// integral.
+	settleTicks = 8
+	// maxTicks aborts a run that cannot finish — e.g. a cap no pending
+	// job fits under.
+	maxTicks = 200000
+	// brownoutCapFrac is the admission tightening applied while browned
+	// out: admit only to 85% of the cap.
+	brownoutCapFrac = 0.85
+)
 
 // withDefaults fills unset tuning fields.
 func (c ControllerConfig) withDefaults() ControllerConfig {
 	if c.TickS == 0 {
 		c.TickS = 30
-	}
-	if c.HeadReserveS == 0 {
-		c.HeadReserveS = 60 * c.TickS
-	}
-	if c.MaxTicks == 0 {
-		c.MaxTicks = 200000
-	}
-	if c.SettleTicks == 0 {
-		c.SettleTicks = 8
-	}
-	if c.BrownoutCapFrac == 0 {
-		c.BrownoutCapFrac = 0.85
 	}
 	return c
 }
@@ -166,22 +157,14 @@ func (c ControllerConfig) Validate() error {
 		return err
 	}
 	switch {
-	case c.TickS < 0:
-		return errors.New("sched: negative tick period")
-	case c.HeadReserveS < 0:
-		return errors.New("sched: negative head reserve")
-	case c.MaxTicks < 0:
-		return errors.New("sched: negative tick limit")
-	case c.SettleTicks < 0:
-		return errors.New("sched: negative settle bound")
+	case !nonNegFinite(c.TickS):
+		return fmt.Errorf("sched: tick period %g s is not a finite value >= 0", c.TickS)
 	case c.Admission != AdmitFIFO && c.Admission != AdmitPowerAware:
 		return fmt.Errorf("sched: unknown admission discipline %d", int(c.Admission))
-	case c.CapRampWPerS < 0:
-		return errors.New("sched: negative cap ramp rate")
-	case c.BrownoutStaleFrac < 0 || c.BrownoutStaleFrac > 1:
+	case !nonNegFinite(c.CapRampWPerS):
+		return fmt.Errorf("sched: cap ramp rate %g W/s is not a finite value >= 0", c.CapRampWPerS)
+	case !(c.BrownoutStaleFrac >= 0 && c.BrownoutStaleFrac <= 1):
 		return fmt.Errorf("sched: BrownoutStaleFrac %g out of [0, 1]", c.BrownoutStaleFrac)
-	case c.BrownoutCapFrac < 0 || c.BrownoutCapFrac > 1:
-		return fmt.Errorf("sched: BrownoutCapFrac %g out of (0, 1]", c.BrownoutCapFrac)
 	}
 	if c.CapSchedule != nil && c.PowerCapW <= 0 {
 		return errors.New("sched: CapSchedule needs a nominal power cap")
@@ -265,7 +248,7 @@ type Controller struct {
 	lastFreshT0 []float64
 
 	// measureQ holds completed jobs whose accounting waits for
-	// post-completion telemetry (see ControllerConfig.SettleTicks).
+	// post-completion telemetry (see settleTicks).
 	measureQ []measureItem
 
 	ledger *accounting.Ledger
@@ -332,7 +315,7 @@ func NewController(cfg ControllerConfig, jobs []workload.Job, src TelemetrySourc
 	if cfg.Trainer != nil {
 		estimate = cfg.Trainer.Predict
 	}
-	m, err := newMachine(cfg.Config, cfg.strategy(), estimate, cfg.HeadReserveS, jobs)
+	m, err := newMachine(cfg.Config, cfg.strategy(), estimate, headReserveTicks*cfg.TickS, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -397,7 +380,7 @@ func (c *Controller) trackCap(t float64) {
 func (c *Controller) admitCap() float64 {
 	capW := c.capNow
 	if c.brownout {
-		capW *= c.cfg.BrownoutCapFrac
+		capW *= brownoutCapFrac
 	}
 	if c.trim > 0 {
 		capW *= 1 - c.trim
@@ -574,7 +557,7 @@ func (c *Controller) advance(t1 float64) {
 	c.work(c.cfg.TickS * c.speed)
 	for _, r := range c.retire(t1) {
 		c.measureQ = append(c.measureQ, measureItem{
-			js: r, deadline: t1 + float64(c.cfg.SettleTicks)*c.cfg.TickS,
+			js: r, deadline: t1 + settleTicks*c.cfg.TickS,
 		})
 	}
 }
@@ -662,7 +645,7 @@ func (c *Controller) Run() (*ControllerResult, error) {
 	c.consumed = true
 	ticks := 0
 	for ; c.finished < len(c.jobs); ticks++ {
-		if ticks >= c.cfg.MaxTicks {
+		if ticks >= maxTicks {
 			return nil, fmt.Errorf("sched: run incomplete after %d ticks (%d/%d jobs finished — cap too tight for the workload?)",
 				ticks, c.finished, len(c.jobs))
 		}

@@ -21,10 +21,13 @@ func TestControllerConfigValidation(t *testing.T) {
 		{"ok-fifo", ControllerConfig{Config: Config{Nodes: 8}}, ""},
 		{"ok-power", ControllerConfig{Config: ok, Admission: AdmitPowerAware}, ""},
 		{"base-config-checked", ControllerConfig{Config: Config{Nodes: 0}}, "at least one node"},
-		{"negative-tick", ControllerConfig{Config: ok, TickS: -1}, "negative tick period"},
-		{"negative-reserve", ControllerConfig{Config: ok, HeadReserveS: -1}, "negative head reserve"},
-		{"negative-max-ticks", ControllerConfig{Config: ok, MaxTicks: -1}, "negative tick limit"},
-		{"negative-settle", ControllerConfig{Config: ok, SettleTicks: -1}, "negative settle bound"},
+		{"negative-tick", ControllerConfig{Config: ok, TickS: -1}, "tick period -1"},
+		// NaN passes every `x < 0` test; a NaN cap never admits a job.
+		{"nan-tick", ControllerConfig{Config: ok, TickS: math.NaN()}, "tick period NaN"},
+		{"inf-tick", ControllerConfig{Config: ok, TickS: math.Inf(1)}, "tick period +Inf"},
+		{"nan-cap", ControllerConfig{Config: Config{Nodes: 8, PowerCapW: math.NaN(), Estimator: est}}, "power cap NaN"},
+		{"nan-ramp", ControllerConfig{Config: ok, CapRampWPerS: math.NaN()}, "cap ramp rate NaN"},
+		{"nan-brownout", ControllerConfig{Config: ok, BrownoutStaleFrac: math.NaN()}, "BrownoutStaleFrac NaN"},
 		{"unknown-admission", ControllerConfig{Config: ok, Admission: Admission(9)}, "unknown admission"},
 		{"power-without-cap", ControllerConfig{
 			Config: Config{Nodes: 8, Estimator: est}, Admission: AdmitPowerAware}, "needs a power cap"},

@@ -27,6 +27,7 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"math"
 
 	"davide/internal/sensor"
@@ -55,13 +56,18 @@ func (c Config) Validate() error {
 	switch {
 	case c.Nodes <= 0:
 		return errors.New("sched: need at least one node")
-	case c.PowerCapW < 0:
-		return errors.New("sched: negative power cap")
-	case c.IdleNodePowerW < 0:
-		return errors.New("sched: negative idle power")
+	case !nonNegFinite(c.PowerCapW):
+		return fmt.Errorf("sched: power cap %g W is not a finite value >= 0", c.PowerCapW)
+	case !nonNegFinite(c.IdleNodePowerW):
+		return fmt.Errorf("sched: idle power %g W is not a finite value >= 0", c.IdleNodePowerW)
 	}
 	return nil
 }
+
+// nonNegFinite is the range test of every magnitude a config carries. It
+// is written as what must hold because NaN fails every comparison: a
+// `x < 0` rejection lets it through, and a NaN cap never admits a job.
+func nonNegFinite(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
 
 // Result carries the metrics of one run.
 type Result struct {

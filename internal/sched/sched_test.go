@@ -55,11 +55,14 @@ func TestConfigValidation(t *testing.T) {
 		{"ok-full", Config{Nodes: 45, PowerCapW: 52000, IdleNodePowerW: 360, ReactiveCapping: true}, ""},
 		{"zero-nodes", Config{Nodes: 0}, "at least one node"},
 		{"negative-nodes", Config{Nodes: -3}, "at least one node"},
-		{"negative-cap", Config{Nodes: 1, PowerCapW: -1}, "negative power cap"},
-		{"negative-idle", Config{Nodes: 1, IdleNodePowerW: -1}, "negative idle power"},
+		{"negative-cap", Config{Nodes: 1, PowerCapW: -1}, "power cap -1"},
+		{"negative-idle", Config{Nodes: 1, IdleNodePowerW: -1}, "idle power -1"},
+		{"nan-cap", Config{Nodes: 1, PowerCapW: math.NaN()}, "power cap NaN"},
+		{"inf-cap", Config{Nodes: 1, PowerCapW: math.Inf(1)}, "power cap +Inf"},
+		{"nan-idle", Config{Nodes: 1, IdleNodePowerW: math.NaN()}, "idle power NaN"},
 		// The first failing field wins: nodes before cap before idle.
 		{"nodes-before-cap", Config{Nodes: 0, PowerCapW: -1}, "at least one node"},
-		{"cap-before-idle", Config{Nodes: 1, PowerCapW: -1, IdleNodePowerW: -1}, "negative power cap"},
+		{"cap-before-idle", Config{Nodes: 1, PowerCapW: -1, IdleNodePowerW: -1}, "power cap -1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

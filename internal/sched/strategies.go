@@ -133,7 +133,7 @@ func (e easyStrategy) Dispatch(env *DispatchEnv) error {
 // defaults below.
 type WeightedConfig struct {
 	// AgeW rewards queue age: wait seconds normalized by the
-	// controller's HeadReserveS. Unbounded growth is the anti-starvation
+	// env's HeadReserveS. Unbounded growth is the anti-starvation
 	// mechanism — any job eventually outscores the field. Default 1.
 	AgeW float64
 	// PowerW penalises the job's predicted machine power delta as a

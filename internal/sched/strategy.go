@@ -107,7 +107,7 @@ func (e *DispatchEnv) AdmitCapW() float64 { return e.admitCapW }
 
 // HeadReserveS returns the anti-starvation bound: how long the queue
 // head may wait before a strategy should stop backfilling past it
-// (ControllerConfig.HeadReserveS; a constant 1800 s on the Simulator).
+// (60 ticks on the Controller; a constant 1800 s on the Simulator).
 func (e *DispatchEnv) HeadReserveS() float64 { return e.m.headReserveS }
 
 // MeasuredW returns the driver's current belief about machine power —
@@ -145,7 +145,7 @@ func (e *DispatchEnv) PredictedDeltaW(i int) (float64, error) {
 // already admitted this pass plus job i's own predicted delta. It
 // fails fast with an error on a job that could not fit under the
 // nominal cap even on an otherwise-idle machine: such a job will never
-// start, and silently ticking until MaxTicks would burn an hour of
+// start, and silently ticking until maxTicks would burn an hour of
 // wall clock streaming an unschedulable queue.
 func (e *DispatchEnv) AdmitUnderCap(i int) (bool, error) {
 	js := e.queue[i]

@@ -99,9 +99,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) (float64, error) { return Percentile(xs, 50) }
-
 // MAE returns the mean absolute error between predictions and truth.
 func MAE(pred, truth []float64) (float64, error) {
 	if err := checkPair(pred, truth); err != nil {

@@ -1,25 +1,21 @@
 // Package telemetry implements the consumer side of the D.A.V.I.D.E.
 // monitoring plane (§III-A1 of the paper): agents subscribe to the
-// gateways' MQTT topics and turn the raw power streams into per-node and
-// per-job information. The paper's requirement list — "measured values
-// need to be available in real-time to multiple agents with a low-latency
-// and a synchronized timestamp" — maps to the Aggregator (many can attach
-// to one broker) and to the windowed per-job integration that the
-// energy-accounting layer (EA in Fig. 4) consumes.
+// gateways' MQTT topics and land the raw power streams in the store that
+// accounting, profiling and the scheduler read. The paper's requirement
+// list — "measured values need to be available in real-time to multiple
+// agents with a low-latency and a synchronized timestamp" — maps to the
+// Aggregator: many can attach to one broker.
 //
-// Since the tsdb rework the Aggregator is a thin ingest shim: it decodes
-// batches, guards against out-of-order/duplicate redelivery, feeds a
-// tsdb.DB (the ExaMon-style back end of §III-A), and delegates every
-// energy/power query to the store's engine. The raw-slice mode
-// (NewRawAggregator, NodeSeries) has no caller outside tests: it stays as
-// the differential reference the store-path tests compare against.
+// The Aggregator is an ingest shim: it decodes batches, accounts for
+// out-of-order and duplicate redelivery, appends to a tsdb.DB (the
+// ExaMon-style back end of §III-A) and wakes delivery waiters. Every
+// question about stored power is answered by the store; NodeEnergy and
+// MeanPower forward to it.
 package telemetry
 
 import (
 	"context"
 	"errors"
-	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -32,79 +28,7 @@ import (
 	"davide/internal/wire"
 )
 
-// NodeSeries is the reconstructed power series of one node, kept as flat
-// slices — the fallback representation when no tsdb store is attached.
-type NodeSeries struct {
-	Node    int
-	Times   []float64 // sample timestamps (gateway clock), sorted
-	Powers  []float64 // watts
-	Batches int
-}
-
-// energyBetween integrates the series over [t0, t1] by the left-rectangle
-// rule: sample i spans to its successor (so non-uniform rates integrate
-// correctly) and the last sample spans the final observed gap. The query
-// window is located by binary search instead of scanning every sample.
-func (s *NodeSeries) energyBetween(t0, t1 float64) (float64, error) {
-	n := len(s.Times)
-	if n < 2 {
-		return 0, errors.New("telemetry: series too short")
-	}
-	if t1 < t0 {
-		return 0, errors.New("telemetry: t1 < t0")
-	}
-	lastGap := s.Times[n-1] - s.Times[n-2]
-	// First rectangle that can overlap t0: the one whose sample time is
-	// the last at or before t0.
-	i := sort.SearchFloat64s(s.Times, t0)
-	if i > 0 {
-		i--
-	}
-	e := 0.0
-	for ; i < n && s.Times[i] < t1; i++ {
-		lo := s.Times[i]
-		hi := lo + lastGap
-		if i+1 < n {
-			hi = s.Times[i+1]
-		}
-		if lo < t0 {
-			lo = t0
-		}
-		if hi > t1 {
-			hi = t1
-		}
-		if hi > lo {
-			e += s.Powers[i] * (hi - lo)
-		}
-	}
-	return e, nil
-}
-
-// insert places one sample at its sorted position; an exact duplicate
-// timestamp overwrites in place. Returns true if the sample was appended
-// in order (the fast path).
-func (s *NodeSeries) insert(t, p float64) bool {
-	n := len(s.Times)
-	if n == 0 || t > s.Times[n-1] {
-		s.Times = append(s.Times, t)
-		s.Powers = append(s.Powers, p)
-		return true
-	}
-	i := sort.SearchFloat64s(s.Times, t)
-	if i < n && s.Times[i] == t {
-		s.Powers[i] = p
-		return false
-	}
-	s.Times = append(s.Times, 0)
-	s.Powers = append(s.Powers, 0)
-	copy(s.Times[i+1:], s.Times[i:])
-	copy(s.Powers[i+1:], s.Powers[i:])
-	s.Times[i] = t
-	s.Powers[i] = p
-	return false
-}
-
-// nodeMeta tracks per-node ingest accounting common to both modes.
+// nodeMeta tracks per-node ingest accounting.
 type nodeMeta struct {
 	ingested  int // samples ingested, ever (delivery counting)
 	batches   int
@@ -117,17 +41,15 @@ type nodeMeta struct {
 // ingest pools (one per rack in the tiered fabric) only contend when
 // they land on the same stripe — never on one global mutex.
 type aggShard struct {
-	mu       sync.RWMutex
-	series   map[int]*NodeSeries // raw fallback mode only
-	meta     map[int]*nodeMeta
-	energies map[int][]gateway.EnergySummary
-	waiters  waitQueue // WaitSamples, keyed by node
+	mu      sync.RWMutex
+	meta    map[int]*nodeMeta
+	summary map[int]gateway.EnergySummary // newest per node
+	waiters waitQueue                     // WaitSamples, keyed by node
 }
 
-// Aggregator subscribes to gateway topics and maintains per-node series.
-// It is safe for concurrent use (the MQTT reader goroutine feeds it while
-// experiment code queries it). By default it writes through to a tsdb.DB
-// and answers queries from the store's compressed chunks and rollups.
+// Aggregator subscribes to gateway topics and writes every batch through
+// to a tsdb.DB. It is safe for concurrent use (the MQTT reader goroutine
+// feeds it while experiment code queries the store).
 //
 // Per-node state is striped across power-of-two shards sized like the
 // store's (tsdb.ShardCountFor), so N rack-parallel ingest pools feeding
@@ -135,7 +57,7 @@ type aggShard struct {
 // mutex. The only global state is the dropped-message counter, which is
 // off the sample hot path.
 type Aggregator struct {
-	db     *tsdb.DB // nil in raw fallback mode
+	db     *tsdb.DB
 	shards []*aggShard
 	mask   uint32
 
@@ -223,28 +145,12 @@ func NewAggregator() *Aggregator {
 // NewAggregatorOn creates an aggregator writing through to the given
 // store (which may be shared with other readers).
 func NewAggregatorOn(db *tsdb.DB) *Aggregator {
-	a := newAggregatorCommon()
-	a.db = db
-	return a
-}
-
-// NewRawAggregator creates an aggregator in the flat-slice fallback mode:
-// no compression, no rollups, queries scan NodeSeries slices.
-func NewRawAggregator() *Aggregator {
-	a := newAggregatorCommon()
-	for _, sh := range a.shards {
-		sh.series = make(map[int]*NodeSeries)
-	}
-	return a
-}
-
-func newAggregatorCommon() *Aggregator {
 	n := tsdb.ShardCountFor(0)
-	a := &Aggregator{shards: make([]*aggShard, n), mask: uint32(n - 1)}
+	a := &Aggregator{db: db, shards: make([]*aggShard, n), mask: uint32(n - 1)}
 	for i := range a.shards {
 		a.shards[i] = &aggShard{
-			meta:     make(map[int]*nodeMeta),
-			energies: make(map[int][]gateway.EnergySummary),
+			meta:    make(map[int]*nodeMeta),
+			summary: make(map[int]gateway.EnergySummary),
 		}
 	}
 	return a
@@ -258,7 +164,7 @@ func (a *Aggregator) shardFor(node int) *aggShard {
 	return a.shards[uint32(node)&a.mask]
 }
 
-// Store returns the tsdb store behind this aggregator (nil in raw mode).
+// Store returns the tsdb store behind this aggregator.
 func (a *Aggregator) Store() *tsdb.DB { return a.db }
 
 // SetTrace installs (or clears) the obs stage trace this aggregator
@@ -311,7 +217,7 @@ func (a *Aggregator) consumeWith(m mqtt.Message, scratch []float64) []float64 {
 		}
 		sh := a.shardFor(e.Node)
 		sh.mu.Lock()
-		sh.energies[e.Node] = append(sh.energies[e.Node], e)
+		sh.summary[e.Node] = e
 		sh.mu.Unlock()
 	default:
 		a.drop()
@@ -321,9 +227,9 @@ func (a *Aggregator) consumeWith(m mqtt.Message, scratch []float64) []float64 {
 
 // AddBatch ingests one decoded power batch (also usable without MQTT).
 // Out-of-order and duplicate-timestamp redelivery (lossy QoS-0 semantics)
-// is tolerated: samples are placed at their sorted position and exact
-// duplicates overwrite, so energy integrals cannot be corrupted by the
-// transport. b.Samples is not retained — the caller may reuse it as
+// is tolerated: the store places samples at their sorted position and
+// exact duplicates overwrite, so energy integrals cannot be corrupted by
+// the transport. b.Samples is not retained — the caller may reuse it as
 // decode scratch after the call returns.
 func (a *Aggregator) AddBatch(b gateway.Batch) {
 	sh := a.shardFor(b.Node)
@@ -337,19 +243,7 @@ func (a *Aggregator) AddBatch(b gateway.Batch) {
 	if m.batches > 0 && b.T0 <= m.lastT {
 		m.reordered++
 	}
-	if a.db != nil {
-		a.db.AppendBatch(b.Node, b.T0, b.Dt, b.Samples)
-	} else {
-		s := sh.series[b.Node]
-		if s == nil {
-			s = &NodeSeries{Node: b.Node}
-			sh.series[b.Node] = s
-		}
-		for i, p := range b.Samples {
-			s.insert(b.T0+float64(i)*b.Dt, p)
-		}
-		s.Batches++
-	}
+	a.db.AppendBatch(b.Node, b.T0, b.Dt, b.Samples)
 	last := b.T0 + float64(len(b.Samples)-1)*b.Dt
 	if last > m.lastT {
 		m.lastT = last
@@ -441,53 +335,9 @@ func (a *Aggregator) Samples(node int) int {
 	return 0
 }
 
-// Series returns a copy of the node's flat series: the fallback slices in
-// raw mode, or a materialisation decoded from the store.
-func (a *Aggregator) Series(node int) (*NodeSeries, error) {
-	sh := a.shardFor(node)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if a.db == nil {
-		s := sh.series[node]
-		if s == nil {
-			return nil, fmt.Errorf("telemetry: no data for node %d", node)
-		}
-		return &NodeSeries{
-			Node:    node,
-			Times:   append([]float64(nil), s.Times...),
-			Powers:  append([]float64(nil), s.Powers...),
-			Batches: s.Batches,
-		}, nil
-	}
-	m := sh.meta[node]
-	if m == nil {
-		return nil, fmt.Errorf("telemetry: no data for node %d", node)
-	}
-	out := &NodeSeries{Node: node, Batches: m.batches}
-	err := a.db.Range(node, math.Inf(-1), math.Inf(1), func(t, w float64) bool {
-		out.Times = append(out.Times, t)
-		out.Powers = append(out.Powers, w)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// NodeEnergy integrates a node's power series over [t0, t1].
+// NodeEnergy integrates a node's stored power over [t0, t1].
 func (a *Aggregator) NodeEnergy(node int, t0, t1 float64) (float64, error) {
-	if a.db != nil {
-		return a.db.Energy(node, t0, t1) // the store has its own stripes
-	}
-	sh := a.shardFor(node)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	s := sh.series[node]
-	if s == nil {
-		return 0, fmt.Errorf("telemetry: no data for node %d", node)
-	}
-	return s.energyBetween(t0, t1)
+	return a.db.Energy(node, t0, t1)
 }
 
 // MeanPower returns the mean power of a node's series over [t0, t1].
@@ -502,80 +352,20 @@ func (a *Aggregator) MeanPower(node int, t0, t1 float64) (float64, error) {
 	return e / (t1 - t0), nil
 }
 
-// Summaries returns the retained energy summaries received for a node.
-func (a *Aggregator) Summaries(node int) []gateway.EnergySummary {
+// LastSummary returns the newest energy summary received for a node.
+func (a *Aggregator) LastSummary(node int) (gateway.EnergySummary, bool) {
 	sh := a.shardFor(node)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return append([]gateway.EnergySummary(nil), sh.energies[node]...)
-}
-
-// JobInterval describes where and when a job ran, for per-job accounting.
-type JobInterval struct {
-	JobID int
-	Nodes []int
-	T0    float64
-	T1    float64
-}
-
-// Validate reports whether the interval is usable.
-func (ji JobInterval) Validate() error {
-	if len(ji.Nodes) == 0 {
-		return errors.New("telemetry: job interval has no nodes")
-	}
-	if ji.T1 <= ji.T0 {
-		return errors.New("telemetry: job interval is empty")
-	}
-	return nil
-}
-
-// JobEnergy computes the job's energy-to-solution by integrating every
-// participating node's series over the job's interval — the paper's
-// per-job energy accounting (EA) primitive.
-func (a *Aggregator) JobEnergy(ji JobInterval) (float64, error) {
-	if err := ji.Validate(); err != nil {
-		return 0, err
-	}
-	total := 0.0
-	for _, n := range ji.Nodes {
-		e, err := a.NodeEnergy(n, ji.T0, ji.T1)
-		if err != nil {
-			return 0, fmt.Errorf("telemetry: job %d: %w", ji.JobID, err)
-		}
-		total += e
-	}
-	return total, nil
-}
-
-// CorrelatePhases aligns a power series with application phase markers:
-// given phase boundaries (timestamps from the application, synchronised
-// via PTP), it returns the mean power within each phase — the profiling
-// (Pr) functionality of Fig. 4.
-func (a *Aggregator) CorrelatePhases(node int, boundaries []float64) ([]float64, error) {
-	if len(boundaries) < 2 {
-		return nil, errors.New("telemetry: need at least two boundaries")
-	}
-	for i := 1; i < len(boundaries); i++ {
-		if boundaries[i] <= boundaries[i-1] {
-			return nil, errors.New("telemetry: boundaries must increase")
-		}
-	}
-	out := make([]float64, 0, len(boundaries)-1)
-	for i := 1; i < len(boundaries); i++ {
-		m, err := a.MeanPower(node, boundaries[i-1], boundaries[i])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
-	return out, nil
+	e, ok := sh.summary[node]
+	return e, ok
 }
 
 // Ingest fans message decoding out to a pool of worker goroutines, so one
 // subscriber connection can keep every core busy parsing gateway batches
 // instead of serialising the whole fleet's stream on the client's reader
 // goroutine. Messages are sharded by topic, which preserves the per-node
-// arrival order the series reconstruction relies on.
+// arrival order the reorder accounting relies on.
 //
 // Buffers are pooled end to end: the handler copies each borrowed MQTT
 // payload into a pooled buffer (the payload is only valid during the

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"davide/internal/accounting"
+	"davide/internal/energyapi"
 	"davide/internal/gateway"
 	"davide/internal/monitors"
 	"davide/internal/mqtt"
@@ -52,45 +54,51 @@ func TestAddBatchAndQueries(t *testing.T) {
 	}
 }
 
+// TestJobEnergy: a job's energy-to-solution is the store integral over
+// its nodes and interval — asked of the aggregator's store through
+// accounting.RecordFromSource, the paper's per-job accounting (EA)
+// primitive.
 func TestJobEnergy(t *testing.T) {
 	a := NewAggregator()
 	for _, n := range []int{0, 1} {
 		a.AddBatch(mkBatch(n, 0, 1, 1000, 1000, 1000, 1000, 1000))
 	}
-	ji := JobInterval{JobID: 9, Nodes: []int{0, 1}, T0: 1, T1: 4}
-	e, err := a.JobEnergy(ji)
+	r, err := accounting.RecordFromSource(a.Store(), 9, 1, "x", []int{0, 1}, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(e-6000) > 1e-9 { // 2 nodes x 1 kW x 3 s
-		t.Errorf("job energy = %v, want 6000", e)
+	if math.Abs(r.EnergyJ-6000) > 1e-9 { // 2 nodes x 1 kW x 3 s
+		t.Errorf("job energy = %v, want 6000", r.EnergyJ)
 	}
-	if _, err := a.JobEnergy(JobInterval{JobID: 1, T0: 0, T1: 1}); err == nil {
+	if _, err := accounting.RecordFromSource(a.Store(), 1, 1, "x", nil, 0, 1); err == nil {
 		t.Error("no nodes should error")
 	}
-	if _, err := a.JobEnergy(JobInterval{JobID: 1, Nodes: []int{0}, T0: 1, T1: 1}); err == nil {
+	if _, err := accounting.RecordFromSource(a.Store(), 1, 1, "x", []int{0}, 1, 1); err == nil {
 		t.Error("empty interval should error")
 	}
-	if _, err := a.JobEnergy(JobInterval{JobID: 1, Nodes: []int{42}, T0: 0, T1: 1}); err == nil {
+	if _, err := accounting.RecordFromSource(a.Store(), 1, 1, "x", []int{42}, 0, 1); err == nil {
 		t.Error("missing node should error")
 	}
 }
 
+// TestCorrelatePhases: mean power within application phase markers — the
+// profiling (Pr) view of Fig. 4, asked of the aggregator's store through
+// energyapi.PhasesFromStore.
 func TestCorrelatePhases(t *testing.T) {
 	a := NewAggregator()
 	// Power: 100 W for t<5, then 300 W.
 	a.AddBatch(mkBatch(0, 0, 1, 100, 100, 100, 100, 100, 300, 300, 300, 300, 300))
-	phases, err := a.CorrelatePhases(0, []float64{0, 5, 10})
+	phases, err := energyapi.PhasesFromStore(a.Store(), 0, []string{"lo", "hi"}, []float64{0, 5, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(phases) != 2 || math.Abs(phases[0]-100) > 1e-9 || math.Abs(phases[1]-300) > 1e-9 {
-		t.Errorf("phases = %v", phases)
+	if len(phases) != 2 || math.Abs(phases[0].MeanW-100) > 1e-9 || math.Abs(phases[1].MeanW-300) > 1e-9 {
+		t.Errorf("phases = %+v", phases)
 	}
-	if _, err := a.CorrelatePhases(0, []float64{1}); err == nil {
+	if _, err := energyapi.PhasesFromStore(a.Store(), 0, nil, []float64{1}); err == nil {
 		t.Error("single boundary should error")
 	}
-	if _, err := a.CorrelatePhases(0, []float64{5, 5}); err == nil {
+	if _, err := energyapi.PhasesFromStore(a.Store(), 0, []string{"a"}, []float64{5, 5}); err == nil {
 		t.Error("non-increasing boundaries should error")
 	}
 }
@@ -111,8 +119,11 @@ func TestConsumeRoutesAndDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	h(mqtt.Message{Topic: "davide/node04/energy", Payload: sum})
-	if got := a.Summaries(4); len(got) != 1 || got[0].Joules != 30 {
-		t.Errorf("Summaries = %v", got)
+	if got, ok := a.LastSummary(4); !ok || got.Joules != 30 {
+		t.Errorf("LastSummary = %v, %v", got, ok)
+	}
+	if _, ok := a.LastSummary(5); ok {
+		t.Error("LastSummary of a node that sent none should report false")
 	}
 	// Garbage payloads and foreign topics are dropped, not fatal.
 	h(mqtt.Message{Topic: "davide/node04/power", Payload: []byte("junk")})
@@ -165,7 +176,7 @@ func TestEndToEndOverMQTT(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if agg.Samples(7) >= 2500 && len(agg.Summaries(7)) == 1 {
+		if _, ok := agg.LastSummary(7); ok && agg.Samples(7) >= 2500 {
 			break
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -180,9 +191,8 @@ func TestEndToEndOverMQTT(t *testing.T) {
 	if math.Abs(got-want) > 0.01*want {
 		t.Errorf("delivered energy %v deviates from gateway estimate %v", got, want)
 	}
-	sums := agg.Summaries(7)
-	if len(sums) != 1 || math.Abs(sums[0].Joules-want) > 1e-9 {
-		t.Errorf("summary = %+v, want %v J", sums, want)
+	if sum, ok := agg.LastSummary(7); !ok || math.Abs(sum.Joules-want) > 1e-9 {
+		t.Errorf("summary = %+v, %v, want %v J", sum, ok, want)
 	}
 }
 
@@ -356,14 +366,16 @@ func TestIngestParallelDecodePreservesPerNodeOrder(t *testing.T) {
 		t.Fatalf("sharded pool let %d batches arrive out of order", n)
 	}
 	for node := 0; node < 4; node++ {
-		s, err := a.Series(node)
+		prev := math.Inf(-1)
+		err := a.Store().Range(node, math.Inf(-1), math.Inf(1), func(ts, _ float64) bool {
+			if ts <= prev {
+				t.Errorf("node %d series out of order: %v after %v", node, ts, prev)
+			}
+			prev = ts
+			return true
+		})
 		if err != nil {
 			t.Fatal(err)
-		}
-		for i := 1; i < len(s.Times); i++ {
-			if s.Times[i] <= s.Times[i-1] {
-				t.Fatalf("node %d series out of order at %d: %v", node, i, s.Times[i-2:i+1])
-			}
 		}
 	}
 }
@@ -410,7 +422,7 @@ func TestSubscribeParallelEndToEnd(t *testing.T) {
 	in.Close() // idempotent
 }
 
-// naiveRectEnergy is the reference integral both aggregator modes must
+// naiveRectEnergy is the flat-scan reference integral the store must
 // reproduce: sample i spans to its successor, the last spans the final
 // observed gap.
 func naiveRectEnergy(ts, ws []float64, t0, t1 float64) float64 {
@@ -435,120 +447,121 @@ func naiveRectEnergy(ts, ws []float64, t0, t1 float64) float64 {
 	return e
 }
 
-// TestNonUniformRateEnergy pins the energyBetween fix: with two batches
-// at different sample periods, each rectangle's width must come from its
-// actual neighbour gap, not from Times[1]-Times[0].
+// TestNonUniformRateEnergy: with two batches at different sample periods,
+// each rectangle's width must come from its actual neighbour gap, not
+// from the first gap of the series. The subtest keeps the name the
+// store-backed arm ran under while a flat-slice mode ran beside it.
 func TestNonUniformRateEnergy(t *testing.T) {
-	for _, mk := range []struct {
-		name string
-		a    *Aggregator
-	}{{"tsdb", NewAggregator()}, {"raw", NewRawAggregator()}} {
-		t.Run(mk.name, func(t *testing.T) {
-			a := mk.a
-			a.AddBatch(mkBatch(0, 0, 1, 100, 100, 100))   // 1 Hz
-			a.AddBatch(mkBatch(0, 3, 0.5, 200, 200, 200)) // 2 Hz
-			// Rectangles: [0,1)[1,2)[2,3) @100, [3,3.5)[3.5,4)[4,4.5) @200.
-			want := 300 + 200*1.5
-			got, err := a.NodeEnergy(0, 0, 4.5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(got-want) > 1e-6 {
-				t.Errorf("energy = %v, want %v", got, want)
-			}
-			// Sub-window cutting the fast half.
-			got, err = a.NodeEnergy(0, 3.25, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(got-200*0.75) > 1e-6 {
-				t.Errorf("sub-window energy = %v, want 150", got)
-			}
-		})
-	}
+	t.Run("tsdb", func(t *testing.T) {
+		a := NewAggregator()
+		a.AddBatch(mkBatch(0, 0, 1, 100, 100, 100))   // 1 Hz
+		a.AddBatch(mkBatch(0, 3, 0.5, 200, 200, 200)) // 2 Hz
+		// Rectangles: [0,1)[1,2)[2,3) @100, [3,3.5)[3.5,4)[4,4.5) @200.
+		want := 300 + 200*1.5
+		got, err := a.NodeEnergy(0, 0, 4.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-want) > 1e-6 {
+			t.Errorf("energy = %v, want %v", got, want)
+		}
+		// Sub-window cutting the fast half.
+		got, err = a.NodeEnergy(0, 3.25, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-200*0.75) > 1e-6 {
+			t.Errorf("sub-window energy = %v, want 150", got)
+		}
+	})
 }
 
 // TestAddBatchOutOfOrderRedelivery is the QoS-0 regression test: batches
 // arriving late, overlapping, or twice must leave the energy integral
-// identical to an in-order ingest, in both modes.
+// identical to an in-order ingest.
 func TestAddBatchOutOfOrderRedelivery(t *testing.T) {
 	batches := []gateway.Batch{
 		mkBatch(1, 0, 1, 100, 110, 120, 130),
 		mkBatch(1, 4, 1, 200, 210, 220, 230),
 		mkBatch(1, 8, 1, 300, 310, 320, 330),
 	}
-	for _, mk := range []struct {
-		name string
-		mk   func() *Aggregator
-	}{{"tsdb", NewAggregator}, {"raw", NewRawAggregator}} {
-		t.Run(mk.name, func(t *testing.T) {
-			ref := mk.mk()
-			for _, b := range batches {
-				ref.AddBatch(b)
-			}
-			want, err := ref.NodeEnergy(1, 0, 12)
-			if err != nil {
-				t.Fatal(err)
-			}
+	t.Run("tsdb", func(t *testing.T) {
+		ref := NewAggregator()
+		for _, b := range batches {
+			ref.AddBatch(b)
+		}
+		want, err := ref.NodeEnergy(1, 0, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			scrambled := mk.mk()
-			scrambled.AddBatch(batches[0])
-			scrambled.AddBatch(batches[2]) // skips ahead
-			scrambled.AddBatch(batches[1]) // arrives late
-			scrambled.AddBatch(batches[1]) // duplicate redelivery
-			got, err := scrambled.NodeEnergy(1, 0, 12)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(got-want) > 1e-9 {
-				t.Errorf("scrambled energy = %v, want %v", got, want)
-			}
-			if scrambled.Reordered() != 2 {
-				t.Errorf("Reordered = %d, want 2", scrambled.Reordered())
-			}
-			if ref.Reordered() != 0 {
-				t.Errorf("in-order Reordered = %d, want 0", ref.Reordered())
-			}
-			// Ingest counting stays monotonic for delivery accounting.
-			if scrambled.Samples(1) != 16 {
-				t.Errorf("Samples = %d, want 16 ingested", scrambled.Samples(1))
-			}
-		})
-	}
+		scrambled := NewAggregator()
+		scrambled.AddBatch(batches[0])
+		scrambled.AddBatch(batches[2]) // skips ahead
+		scrambled.AddBatch(batches[1]) // arrives late
+		scrambled.AddBatch(batches[1]) // duplicate redelivery
+		got, err := scrambled.NodeEnergy(1, 0, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-want) > 1e-9 {
+			t.Errorf("scrambled energy = %v, want %v", got, want)
+		}
+		if scrambled.Reordered() != 2 {
+			t.Errorf("Reordered = %d, want 2", scrambled.Reordered())
+		}
+		if ref.Reordered() != 0 {
+			t.Errorf("in-order Reordered = %d, want 0", ref.Reordered())
+		}
+		// Ingest counting stays monotonic for delivery accounting.
+		if scrambled.Samples(1) != 16 {
+			t.Errorf("Samples = %d, want 16 ingested", scrambled.Samples(1))
+		}
+	})
 }
 
-// TestQueryErrorPaths covers CorrelatePhases and JobEnergy failure modes.
+// TestQueryErrorPaths: what the store cannot answer is an error through
+// every layer that asks it, never a zero.
 func TestQueryErrorPaths(t *testing.T) {
 	a := NewAggregator()
 	a.AddBatch(mkBatch(0, 0, 1, 100, 100, 100, 100))
 	a.AddBatch(mkBatch(2, 0, 1, 50)) // single-sample (empty) series
+	db := a.Store()
 
-	if _, err := a.CorrelatePhases(0, nil); err == nil {
-		t.Error("nil boundaries should error")
-	}
-	if _, err := a.CorrelatePhases(0, []float64{3, 1}); err == nil {
+	if _, err := energyapi.PhasesFromStore(db, 0, []string{"a"}, []float64{3, 1}); err == nil {
 		t.Error("reversed boundaries should error")
 	}
-	if _, err := a.CorrelatePhases(42, []float64{0, 1}); err == nil {
+	if _, err := energyapi.PhasesFromStore(db, 42, []string{"a"}, []float64{0, 1}); err == nil {
 		t.Error("unknown node should error")
 	}
-	if _, err := a.CorrelatePhases(2, []float64{0, 1}); err == nil {
+	if _, err := energyapi.PhasesFromStore(db, 2, []string{"a"}, []float64{0, 1}); err == nil {
 		t.Error("too-short series should error")
 	}
-	if _, err := a.JobEnergy(JobInterval{JobID: 1, Nodes: []int{42}, T0: 0, T1: 1}); err == nil {
-		t.Error("unknown node should error")
-	}
-	if _, err := a.JobEnergy(JobInterval{JobID: 1, Nodes: []int{2}, T0: 0, T1: 1}); err == nil {
+	if _, err := accounting.RecordFromSource(db, 1, 1, "x", []int{2}, 0, 1); err == nil {
 		t.Error("empty series should error")
 	}
-	if _, err := a.JobEnergy(JobInterval{JobID: 1, Nodes: []int{0}, T0: 1, T1: 1}); err == nil {
-		t.Error("reversed/empty interval should error")
+	if _, err := a.MeanPower(42, 0, 1); err == nil {
+		t.Error("MeanPower of unknown node should error")
 	}
-	if _, err := a.Series(42); err == nil {
-		t.Error("Series of unknown node should error")
+}
+
+// TestSummariesKeepOnlyTheNewest: a gateway sends one summary a window
+// for the life of the plant; the shard must hold one per node, not the
+// history.
+func TestSummariesKeepOnlyTheNewest(t *testing.T) {
+	a := NewAggregator()
+	for i := 0; i < 10000; i++ {
+		sum, err := (gateway.EnergySummary{Node: 7, T0: float64(i), T1: float64(i + 1), Joules: float64(i)}).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.consume(mqtt.Message{Topic: gateway.EnergyTopic(7), Payload: sum})
 	}
-	if _, err := NewRawAggregator().Series(0); err == nil {
-		t.Error("raw-mode Series of unknown node should error")
+	if n := len(a.shardFor(7).summary); n != 1 {
+		t.Errorf("shard holds %d summaries after 10000 for one node, want 1", n)
+	}
+	if got, ok := a.LastSummary(7); !ok || got.Joules != 9999 {
+		t.Errorf("LastSummary = %+v, %v, want the newest (9999 J)", got, ok)
 	}
 }
 

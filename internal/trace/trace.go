@@ -96,19 +96,6 @@ func (t *Table) AddRow(cells ...string) error {
 	return nil
 }
 
-// AddRowf appends a row of formatted values.
-func (t *Table) AddRowf(format string, cells ...any) error {
-	if len(cells) != len(t.Header) {
-		return fmt.Errorf("trace: row has %d cells, header has %d", len(cells), len(t.Header))
-	}
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		row[i] = fmt.Sprintf(format, c)
-	}
-	t.Rows = append(t.Rows, row)
-	return nil
-}
-
 // WriteCSV renders the table as CSV.
 func (t *Table) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)

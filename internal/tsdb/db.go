@@ -109,9 +109,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// DefaultResolutions returns the rollup widths a zero-Options DB keeps.
-func DefaultResolutions() []float64 { return []float64{1, 60} }
-
 type shard struct {
 	mu     sync.RWMutex
 	series map[int]*series
