@@ -177,6 +177,17 @@ func TestDecodeBinaryCorrupt(t *testing.T) {
 		"huge count":      {binMagic, binVersion, 0x01, 0xFF, 0xFF, 0xFF, 0x7F, 0x01, 0x00},
 		"not json either": []byte("not a batch"),
 	}
+	// A frame is well-formed bit for bit and still refused when a sample
+	// is not a finite number: appendBinary skips the encoder's validation,
+	// as a foreign or faulty publisher would.
+	for name, samples := range map[string][]float64{
+		"nan first sample": {math.NaN(), 100, 100, 100},
+		"nan and inf":      {100, math.NaN(), math.Inf(1), 100},
+		"-inf last sample": {100, 110, 120, math.Inf(-1)},
+		"payload nan":      {100, math.Float64frombits(0x7FF0000000000001), 100},
+	} {
+		cases[name] = Batch{Node: 2, T0: 5, Dt: 0.01, Samples: samples}.appendBinary(nil)
+	}
 	for name, payload := range cases {
 		if _, err := DecodeBatch(payload); err == nil {
 			t.Errorf("%s: decode should error", name)
@@ -191,8 +202,9 @@ func TestDecodeBinaryCorrupt(t *testing.T) {
 }
 
 // FuzzDecodeBatch drives the sniffing decoder with arbitrary payloads:
-// it must never panic, never return a batch that fails validation, and
-// must round-trip anything it does accept.
+// it must never panic, never return a batch that fails validation or
+// holds a sample that is not finite, and must round-trip anything it does
+// accept.
 func FuzzDecodeBatch(f *testing.F) {
 	seed := []Batch{
 		{Node: 0, T0: 0, Dt: 0.02, Samples: []float64{360}},
@@ -229,7 +241,10 @@ func FuzzDecodeBatch(f *testing.F) {
 			t.Fatalf("re-round-trip mismatch: %+v vs %+v", b2, b)
 		}
 		for i := range b.Samples {
-			if b2.Samples[i] != b.Samples[i] && !(math.IsNaN(b2.Samples[i]) && math.IsNaN(b.Samples[i])) {
+			if math.IsNaN(b.Samples[i]) || math.IsInf(b.Samples[i], 0) {
+				t.Fatalf("accepted sample %d = %v", i, b.Samples[i])
+			}
+			if b2.Samples[i] != b.Samples[i] {
 				t.Fatalf("sample %d: %v != %v", i, b2.Samples[i], b.Samples[i])
 			}
 		}

@@ -42,18 +42,29 @@ type Batch struct {
 	Samples []float64 `json:"p"`  // watts
 }
 
-// Validate reports whether the batch is well-formed.
+// Validate reports whether the batch is well-formed: a node ID, a
+// positive finite spacing and at least one sample, every one finite. It
+// is the trust boundary of both decoders — one NaN or Inf watt reaching
+// the store would poison that node's rollup buckets for good.
 func (b Batch) Validate() error {
 	switch {
 	case b.Node < 0:
 		return errors.New("gateway: negative node ID")
-	case b.Dt <= 0:
-		return errors.New("gateway: non-positive sample spacing")
+	case !(b.Dt > 0 && finite(b.Dt)):
+		return errors.New("gateway: sample spacing not positive and finite")
 	case len(b.Samples) == 0:
 		return errors.New("gateway: empty batch")
 	}
+	for i, s := range b.Samples {
+		if !finite(s) {
+			return fmt.Errorf("gateway: sample %d is not finite", i)
+		}
+	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor an infinity.
+func finite(x float64) bool { return x-x == 0 }
 
 // Encode serialises the batch to its JSON MQTT payload (the original
 // self-describing wire format; see codec.go for the binary codec and the

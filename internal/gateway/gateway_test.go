@@ -102,6 +102,25 @@ func TestBatchValidation(t *testing.T) {
 	if err := (Batch{Node: 0, Dt: 1}).Validate(); err == nil {
 		t.Error("empty samples should error")
 	}
+	for _, dt := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		if err := (Batch{Node: 0, Dt: dt, Samples: []float64{1}}).Validate(); err == nil {
+			t.Errorf("dt %v should error", dt)
+		}
+	}
+	for _, p := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		b := Batch{Node: 0, Dt: 1, Samples: []float64{1, p, 1}}
+		if err := b.Validate(); err == nil {
+			t.Errorf("sample %v should error", p)
+		}
+		for _, c := range []Codec{CodecBinary, CodecJSON} {
+			if _, err := b.AppendEncode(nil, c); err == nil {
+				t.Errorf("%s encode of sample %v should error", c, p)
+			}
+		}
+	}
+	if err := (Batch{Node: 0, Dt: 5e-324, Samples: []float64{math.MaxFloat64, -math.MaxFloat64, 0, 5e-324}}).Validate(); err != nil {
+		t.Errorf("extreme finite values refused: %v", err)
+	}
 	if _, err := (Batch{Node: 0, Dt: 1}).Encode(); err == nil {
 		t.Error("encode of invalid batch should error")
 	}

@@ -14,6 +14,7 @@ import (
 	"davide/internal/mqtt"
 	"davide/internal/ptp"
 	"davide/internal/sensor"
+	"davide/internal/wire"
 )
 
 func mkBatch(node int, t0, dt float64, powers ...float64) gateway.Batch {
@@ -132,6 +133,66 @@ func TestConsumeRoutesAndDrops(t *testing.T) {
 	if a.Dropped() != 3 {
 		t.Errorf("Dropped = %d, want 3", a.Dropped())
 	}
+}
+
+// TestNonFiniteFrameIsDropped publishes a bit-perfect binary frame whose
+// samples are [100, NaN, +Inf, 100] between two good batches of one node.
+// The frame is written here with the wire primitives, as a foreign or
+// faulty publisher would: gateway's own encoder refuses it. Ingested, its
+// NaN would sit in the node's 1-s and 60-s rollup buckets for the life of
+// the store, and every window touching them — the controller's MeanPower
+// among them — would read NaN.
+func TestNonFiniteFrameIsDropped(t *testing.T) {
+	const node, n, dt = 9, 2000, 1e-3
+	good := make([]float64, n)
+	for i := range good {
+		good[i] = 400 + float64(i%7)
+	}
+	var w wire.BitWriter
+	w.Reset([]byte{0xDA, 0x01}) // magic, version
+	w.WriteUvarint(node)
+	w.WriteUvarint(4)
+	w.WriteUvarint(uint64(wire.ToTick(dt)))
+	w.WriteUvarint(wire.Zigzag(wire.ToTick(2)))
+	for i := 0; i < 3; i++ {
+		w.WriteDoD(0)
+	}
+	hostile := []float64{100, math.NaN(), math.Inf(1), 100}
+	w.WriteBits(math.Float64bits(hostile[0]), 64)
+	var xs wire.XORState
+	for i := 1; i < len(hostile); i++ {
+		w.WriteXOR(math.Float64bits(hostile[i]), math.Float64bits(hostile[i-1]), &xs)
+	}
+
+	a := NewAggregator()
+	h := a.Handler()
+	for _, payload := range [][]byte{
+		mustEncode(t, mkBatch(node, 0, dt, good...)),
+		append([]byte(nil), w.Bytes()...),
+		mustEncode(t, mkBatch(node, 2.004, dt, good...)),
+	} {
+		h(mqtt.Message{Topic: "davide/node09/power", Payload: payload})
+	}
+	if a.Dropped() != 1 || a.Samples(node) != 2*n {
+		t.Errorf("Dropped = %d, Samples = %d; want 1 and %d", a.Dropped(), a.Samples(node), 2*n)
+	}
+	for _, res := range []float64{0, 1, 60} {
+		for _, t1 := range []float64{4, 1.5} {
+			e, err := a.Store().EnergyAt(node, 0, t1, res)
+			if err != nil || math.IsNaN(e) || math.IsInf(e, 0) || e <= 0 {
+				t.Errorf("EnergyAt(0, %v, res %v) = %v, %v; want a finite energy", t1, res, e, err)
+			}
+		}
+	}
+}
+
+func mustEncode(t *testing.T, b gateway.Batch) []byte {
+	t.Helper()
+	p, err := b.AppendEncode(nil, gateway.CodecBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // TestEndToEndOverMQTT wires gateway -> broker -> aggregator over real TCP

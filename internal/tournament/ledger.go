@@ -30,16 +30,21 @@ const (
 // defaultFindings seeds the curated section of a fresh ledger.
 const defaultFindings = `_No curated findings yet. Edit this section — it survives regeneration._`
 
-// ExtractFindings returns the curated text between the findings markers
-// of an existing ledger, or the default placeholder when prev is empty
-// or carries no marker pair.
+// ExtractFindings returns the curated text between the first begin marker
+// of an existing ledger and the first end marker after it, or the default
+// placeholder when prev is empty or carries no such pair. An end marker
+// before the begin marker (quoted in a finding, left by a bad merge) is
+// text like any other.
 func ExtractFindings(prev string) string {
-	begin := strings.Index(prev, FindingsBegin)
-	end := strings.Index(prev, FindingsEnd)
-	if begin < 0 || end < 0 || end < begin {
+	_, rest, ok := strings.Cut(prev, FindingsBegin)
+	if !ok {
 		return defaultFindings
 	}
-	return strings.TrimSpace(prev[begin+len(FindingsBegin) : end])
+	body, _, ok := strings.Cut(rest, FindingsEnd)
+	if !ok {
+		return defaultFindings
+	}
+	return strings.TrimSpace(body)
 }
 
 // RenderLedger renders STRATEGY_LEDGER.md from a report, preserving the

@@ -29,7 +29,9 @@ func toSec(tick int64) float64 { return wire.ToSec(tick) }
 // stream. len(ticks) == len(watts) >= 1 and ticks strictly increase.
 func encodeChunk(ticks []int64, watts []float64) []byte {
 	var w wire.BitWriter
-	w.Reset(make([]byte, 0, len(ticks)))
+	// Two bytes a sample holds a chunk of this plant's telemetry (1-2.2
+	// B/sample measured) with at most one regrowth.
+	w.Reset(make([]byte, 0, 2*len(ticks)))
 	w.WriteUvarint(wire.Zigzag(ticks[0]))
 	w.WriteBits(math.Float64bits(watts[0]), 64)
 	if len(ticks) == 1 {

@@ -66,6 +66,20 @@ func (r *rollup) addRect(t0, t1, p float64, cover bool) {
 	if t1 <= t0 {
 		return
 	}
+	// The common case on ingest, a covering rectangle inside one bucket
+	// the run already holds: the loop below would clip nothing and run
+	// once, so these are its three operations in its order. idx stays a
+	// division so that widths a float cannot hold exactly agree with it.
+	if i := r.idx(t0); cover && uint64(i-r.start) < uint64(len(r.buckets)) &&
+		t0 >= float64(i)*r.width && t1 <= float64(i+1)*r.width {
+		b := &r.buckets[i-r.start]
+		b.energyJ += p * (t1 - t0)
+		b.cover += t1 - t0
+		if p > b.maxW {
+			b.maxW = p
+		}
+		return
+	}
 	if (t1-t0)/r.width > maxRectBuckets {
 		return
 	}

@@ -57,28 +57,48 @@ func (r *BitReader) ReadUvarint() (uint64, error) {
 // VLDB 2015): a zero dod costs one bit, small jitters a few more, and the
 // escape level carries 64 raw bits.
 
-// WriteDoD emits one timestamp delta-of-delta.
+// dodLevels are the three biased buckets behind the prefixes 10, 110 and
+// 1110; 1111 escapes to 64 raw bits.
+var dodLevels = [3]struct {
+	n    uint
+	bias int64
+}{{14, 8191}, {17, 65535}, {20, 524287}}
+
+// WriteDoD emits one timestamp delta-of-delta, prefix and payload in one
+// write.
 func (w *BitWriter) WriteDoD(dod int64) {
 	switch {
 	case dod == 0:
-		w.WriteBit(0)
+		w.WriteBits(0, 1)
 	case dod >= -8191 && dod <= 8192:
-		w.WriteBits(0b10, 2)
-		w.WriteBits(uint64(dod+8191), 14)
+		w.WriteBits(0b10<<14|uint64(dod+8191), 16)
 	case dod >= -65535 && dod <= 65536:
-		w.WriteBits(0b110, 3)
-		w.WriteBits(uint64(dod+65535), 17)
+		w.WriteBits(0b110<<17|uint64(dod+65535), 20)
 	case dod >= -524287 && dod <= 524288:
-		w.WriteBits(0b1110, 4)
-		w.WriteBits(uint64(dod+524287), 20)
+		w.WriteBits(0b1110<<20|uint64(dod+524287), 24)
 	default:
 		w.WriteBits(0b1111, 4)
 		w.WriteBits(uint64(dod), 64)
 	}
 }
 
-// ReadDoD consumes one timestamp delta-of-delta.
+// ReadDoD consumes one timestamp delta-of-delta. With a whole biased
+// bucket (at most 24 bits) in the accumulator it decodes from a peek;
+// the escape level and the last bits of a stream go bit by bit.
 func (r *BitReader) ReadDoD() (int64, error) {
+	if r.n < 24 {
+		r.refill()
+	}
+	if ones := uint(bits.LeadingZeros64(^r.acc)); r.n >= 24 && ones < 4 {
+		if ones == 0 {
+			r.skip(1)
+			return 0, nil
+		}
+		lvl := dodLevels[ones-1]
+		v := r.acc << (ones + 1) >> (64 - lvl.n)
+		r.skip(ones + 1 + lvl.n)
+		return int64(v) - lvl.bias, nil
+	}
 	b, err := r.ReadBit()
 	if err != nil {
 		return 0, err
@@ -86,10 +106,7 @@ func (r *BitReader) ReadDoD() (int64, error) {
 	if b == 0 {
 		return 0, nil
 	}
-	for _, lvl := range []struct {
-		n    uint
-		bias int64
-	}{{14, 8191}, {17, 65535}, {20, 524287}} {
+	for _, lvl := range dodLevels {
 		b, err = r.ReadBit()
 		if err != nil {
 			return 0, err
@@ -116,35 +133,65 @@ type XORState struct {
 	seen      bool
 }
 
-// WriteXOR emits one float64 bit pattern against its predecessor.
+// WriteXOR emits one float64 bit pattern against its predecessor: 0 for
+// an unchanged value, 10 + window bits when the previous window still
+// fits, 11 + lead(5) + sig-1(6) + window bits for a fresh one. Control
+// bits and window go out in one write unless they exceed 64 bits.
 func (w *BitWriter) WriteXOR(cur, prev uint64, st *XORState) {
 	xor := cur ^ prev
 	if xor == 0 {
-		w.WriteBit(0)
+		w.WriteBits(0, 1)
 		return
 	}
-	w.WriteBit(1)
 	lead := uint(bits.LeadingZeros64(xor))
 	if lead > 31 {
 		lead = 31
 	}
 	trail := uint(bits.TrailingZeros64(xor))
 	sig := 64 - lead - trail
-	if st.seen && lead >= st.lead && 64-st.lead-st.sig <= trail {
-		// Reuse the previous window.
-		w.WriteBit(0)
-		w.WriteBits(xor>>(64-st.lead-st.sig), st.sig)
+	ctl, win := uint64(0b10), xor>>(64-st.lead-st.sig)
+	n := uint(2)
+	if !st.seen || lead < st.lead || 64-st.lead-st.sig > trail {
+		ctl, win, n = 0b11<<11|uint64(lead)<<6|uint64(sig-1), xor>>trail, 13
+		st.lead, st.sig, st.seen = lead, sig, true
+	}
+	if n+st.sig > 64 {
+		w.WriteBits(ctl, n)
+		w.WriteBits(win, st.sig)
 		return
 	}
-	w.WriteBit(1)
-	w.WriteBits(uint64(lead), 5)
-	w.WriteBits(uint64(sig-1), 6)
-	w.WriteBits(xor>>trail, sig)
-	st.lead, st.sig, st.seen = lead, sig, true
+	w.WriteBits(ctl<<st.sig|win, n+st.sig)
 }
 
-// ReadXOR consumes one float64 bit pattern.
+// ReadXOR consumes one float64 bit pattern. When control bits and window
+// are all in the accumulator it decodes from a peek; a window too wide
+// for that, the last bits of a stream (or none) and a reuse before any
+// window go through readXOR, which is where every error comes from.
 func (r *BitReader) ReadXOR(prev uint64, st *XORState) (uint64, error) {
+	if r.n <= 56 {
+		r.refill()
+	}
+	if r.n > 0 && r.acc>>63 == 0 {
+		r.skip(1)
+		return prev, nil
+	}
+	lead, sig, n := st.lead, st.sig, uint(2)
+	if r.acc>>62 == 0b11 {
+		lead, sig, n = uint(r.acc>>57)&31, uint(r.acc>>51)&63+1, 13
+	} else if !st.seen {
+		n = 65 // no window to reuse: let readXOR refuse it
+	}
+	if n+sig > r.n {
+		return r.readXOR(prev, st)
+	}
+	v := r.acc << n >> (64 - sig)
+	r.skip(n + sig)
+	st.lead, st.sig, st.seen = lead, sig, true
+	return prev ^ v<<(64-lead-sig), nil
+}
+
+// readXOR is ReadXOR one field at a time.
+func (r *BitReader) readXOR(prev uint64, st *XORState) (uint64, error) {
 	b, err := r.ReadBit()
 	if err != nil {
 		return 0, err
