@@ -71,16 +71,7 @@ func (c *NodeCapper) Steps() int { return c.steps }
 // the operating point one notch towards the set point. Returns the power
 // observed before actuation.
 func (c *NodeCapper) Step() (units.Watt, error) {
-	return c.StepWith(c.Node.Power())
-}
-
-// StepWith runs one control period against an externally observed power
-// reading — the telemetry-fed control path, where the observation comes
-// from the monitoring plane instead of a direct node register read.
-// Callers that cannot produce a fresh reading must *not* call StepWith
-// with a stale one: skipping the step holds the last safe operating
-// point (see ControlLoop's feed handling).
-func (c *NodeCapper) StepWith(p units.Watt) (units.Watt, error) {
+	p := c.Node.Power()
 	c.steps++
 	if c.CapW == 0 {
 		return p, nil

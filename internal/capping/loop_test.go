@@ -1,11 +1,108 @@
 package capping
 
 import (
+	"errors"
 	"testing"
 
 	"davide/internal/node"
 	"davide/internal/simclock"
+	"davide/internal/units"
 )
+
+// ControlLoop runs a NodeCapper periodically on the discrete-event engine:
+// the virtual-time equivalent of the firmware control task that enforces
+// the node power cap. It also advances the node's thermal model each
+// period, so capping and thermal throttling interact the way they do on
+// hardware. No program runs it; the tests below drive NodeCapper through
+// it.
+type ControlLoop struct {
+	cancel func()
+	trace  []units.Watt
+	times  []float64
+}
+
+// NewControlLoop registers the capper on the engine with the given control
+// period (seconds of virtual time), observing node power directly.
+func NewControlLoop(eng *simclock.Engine, capper *NodeCapper, period float64) (*ControlLoop, error) {
+	if eng == nil {
+		return nil, errors.New("capping: nil engine")
+	}
+	if capper == nil {
+		return nil, errors.New("capping: nil capper")
+	}
+	if period <= 0 {
+		return nil, errors.New("capping: period must be positive")
+	}
+	cl := &ControlLoop{}
+	cancel, err := eng.Every(period, period, func(now float64) {
+		if _, err := capper.Node.AdvanceThermal(period); err != nil {
+			return
+		}
+		p, err := capper.Step()
+		if err != nil {
+			return
+		}
+		cl.trace = append(cl.trace, p)
+		cl.times = append(cl.times, now)
+	})
+	if err != nil {
+		return nil, err
+	}
+	cl.cancel = cancel
+	return cl, nil
+}
+
+// Stop cancels the periodic control task.
+func (cl *ControlLoop) Stop() {
+	if cl.cancel != nil {
+		cl.cancel()
+	}
+}
+
+// Trace returns the observed power at each control step.
+func (cl *ControlLoop) Trace() []units.Watt { return append([]units.Watt(nil), cl.trace...) }
+
+// Times returns the virtual timestamps of the control steps.
+func (cl *ControlLoop) Times() []float64 { return append([]float64(nil), cl.times...) }
+
+// RunCappedPhases runs a node through load phases (duration, load) on a
+// fresh engine with a capping control loop and returns the tracking
+// analysis: whether the cap holds across load transitions.
+func RunCappedPhases(n *node.Node, cap units.Watt, period float64, phases []struct{ Duration, Load float64 }) (TrackingError, error) {
+	if len(phases) == 0 {
+		return TrackingError{}, errors.New("capping: no phases")
+	}
+	eng := simclock.New()
+	capper, err := NewNodeCapper(n)
+	if err != nil {
+		return TrackingError{}, err
+	}
+	if cap > 0 {
+		if err := capper.SetCap(cap); err != nil {
+			return TrackingError{}, err
+		}
+	}
+	loop, err := NewControlLoop(eng, capper, period)
+	if err != nil {
+		return TrackingError{}, err
+	}
+	t := 0.0
+	for _, ph := range phases {
+		if ph.Duration <= 0 {
+			return TrackingError{}, errors.New("capping: non-positive phase duration")
+		}
+		ph := ph
+		if _, err := eng.At(t, func(float64) { n.SetLoad(ph.Load) }); err != nil {
+			return TrackingError{}, err
+		}
+		t += ph.Duration
+	}
+	if err := eng.RunUntil(t); err != nil {
+		return TrackingError{}, err
+	}
+	loop.Stop()
+	return Analyze(loop.Trace(), cap)
+}
 
 func TestNewControlLoopValidation(t *testing.T) {
 	eng := simclock.New()

@@ -111,7 +111,7 @@ func New(cfg Config) (*Cluster, error) {
 func (c *Cluster) NodeCount() int { return len(c.Nodes) }
 
 // NodesPerRack returns the rack width of the configuration — the group
-// size the live control plane's per-rack capping loops default to.
+// size the live control plane's per-rack report defaults to.
 func (c *Cluster) NodesPerRack() int { return c.cfg.NodesPerRack }
 
 // SetLoad drives all nodes to a utilisation level.

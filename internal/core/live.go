@@ -4,16 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"davide/internal/accounting"
-	"davide/internal/capping"
 	"davide/internal/chaos"
 	"davide/internal/energyapi"
 	"davide/internal/fleet"
+	"davide/internal/obs"
 	"davide/internal/predictor"
 	"davide/internal/sched"
-	"davide/internal/simclock"
 	"davide/internal/tsdb"
 	"davide/internal/units"
 	"davide/internal/workload"
@@ -24,10 +24,10 @@ import (
 // the cluster's power levels go out through per-node gateways over MQTT
 // into the compressed store, and the scheduler's admission, reactive
 // capping and online predictor retraining read the measured values back
-// out. Per-rack capping.ControlLoop instances ride the same feed, so
-// node-level enforcement and machine-level scheduling see one truth —
-// including its degradations: under chaos presets the controller must
-// hold the cap on stale, lossy measurements.
+// out. The controller's reactive speed factor is the one capper; the
+// per-rack report is folded from the same reads — including their
+// degradations: under chaos presets the controller must hold the cap on
+// stale, lossy measurements, and a rack with a silent member is held.
 
 // LiveConfig configures one closed-loop control-plane run. Transport
 // knobs (codec, racks, faults, batch size, store options) come
@@ -42,8 +42,8 @@ type LiveConfig struct {
 	// SampleRate is each gateway's telemetry rate in samples per second
 	// of virtual time (default 4; at least 2 samples must fit one tick).
 	SampleRate float64
-	// RackSize groups nodes for the per-rack capping control loops
-	// (default: the cluster's rack width).
+	// RackSize groups nodes for the per-rack report (default: the
+	// cluster's rack width).
 	RackSize int
 	// Perturb, when non-nil, mutates each tick's per-node power levels
 	// before they are streamed — the scenario engine's thermal-DVFS
@@ -74,16 +74,17 @@ type LivePlant struct {
 	RackSize int
 }
 
-// RackStats reports one per-rack capping control loop's run.
+// RackStats reports one rack's run, folded from the controller's
+// per-tick reads.
 type RackStats struct {
 	Rack      int
 	FirstNode int
 	Nodes     int
-	// CapW is the per-node cap share the loop tracked (0 = uncapped).
+	// CapW is the rack's per-node cap share (0 = uncapped).
 	CapW float64
-	// Steps / Held / Violations: control periods executed, periods held
-	// for stale telemetry (the fail-safe path), and periods whose
-	// measured power exceeded the cap.
+	// Steps / Held / Violations: ticks every member read fresh, ticks
+	// held because some member was stale (the fail-safe path), and fresh
+	// ticks whose members' mean power exceeded the share.
 	Steps      int
 	Held       int
 	Violations int
@@ -108,7 +109,7 @@ type LiveResult struct {
 	StoreOutOfOrderDropped int
 	WallClock              time.Duration
 
-	// Racks reports the per-rack capping loops.
+	// Racks reports each rack of RackSize nodes.
 	Racks []RackStats
 	// JobPhases is the measured §IV phase view of every completed job,
 	// rebuilt from the store (energyapi.JobPhase); it must agree with
@@ -162,6 +163,28 @@ func (s *System) RunLive(jobs []workload.Job, cfg LiveConfig) (*LiveResult, erro
 		scfg.Trainer = online
 	}
 
+	// A per-node share below idle draw admits no operating point: refuse
+	// it before anything listens, or a power-aware run would spin toward
+	// the controller's tick limit.
+	idle := s.Cluster.Nodes[0].IdlePower()
+	share := 0.0
+	if scfg.PowerCapW > 0 {
+		share = scfg.PowerCapW / float64(nodes)
+		if units.Watt(share) < idle {
+			return nil, fmt.Errorf("core: power cap %v per node is below idle power %v", units.Watt(share), idle)
+		}
+	}
+	rackSize := cfg.RackSize
+	if rackSize <= 0 {
+		rackSize = s.Cluster.NodesPerRack()
+	}
+	var racks []RackStats
+	for first := 0; first < nodes; first += rackSize {
+		racks = append(racks, RackStats{
+			Rack: len(racks), FirstNode: first, Nodes: min(rackSize, nodes-first), CapW: share,
+		})
+	}
+
 	start := time.Now()
 	pl, err := s.newPlane(nodes, rate, "live", 3000)
 	if err != nil {
@@ -170,61 +193,11 @@ func (s *System) RunLive(jobs []workload.Job, cfg LiveConfig) (*LiveResult, erro
 	defer func() { _ = pl.Close() }()
 	db, agg := pl.Store(), pl.Aggregator()
 
-	// Per-rack capping control loops on the shared telemetry feed: one
-	// NodeCapper per rack (on the rack's first node model) tracking the
-	// per-node cap share, held fail-safe on stale rack telemetry.
-	rackSize := cfg.RackSize
-	if rackSize <= 0 {
-		rackSize = s.Cluster.NodesPerRack()
-	}
-	eng := simclock.New()
-	type rackLoop struct {
-		loop  *capping.ControlLoop
-		stats RackStats
-	}
-	var racks []*rackLoop
-	for first := 0; first < nodes; first += rackSize {
-		size := rackSize
-		if first+size > nodes {
-			size = nodes - first
-		}
-		group := make([]int, size)
-		for i := range group {
-			group[i] = first + i
-		}
-		feed, err := capping.NewStoreFeed(db, group, scfg.TickS)
-		if err != nil {
-			return nil, err
-		}
-		capper, err := capping.NewNodeCapper(s.Cluster.Nodes[first])
-		if err != nil {
-			return nil, err
-		}
-		share := 0.0
-		if scfg.PowerCapW > 0 {
-			share = scfg.PowerCapW / float64(nodes)
-			if err := capper.SetCap(units.Watt(share)); err != nil {
-				return nil, fmt.Errorf("core: rack %d: %w", len(racks), err)
-			}
-		}
-		loop, err := capping.NewControlLoopWithFeed(eng, capper, scfg.TickS, feed)
-		if err != nil {
-			return nil, err
-		}
-		defer loop.Stop()
-		racks = append(racks, &rackLoop{loop: loop, stats: RackStats{
-			Rack: len(racks), FirstNode: first, Nodes: size, CapW: share,
-		}})
-	}
-
 	// Mirror per-rack fail-safe holds into the deterministic snapshot
-	// (one increment per held control period, pumped on the engine
-	// goroutine inside AfterTick — deterministic per seed).
+	// (one increment per held rack tick; unregistered without a registry).
+	heldCtr := new(obs.Counter)
 	if s.Obs != nil {
-		heldCtr := s.Obs.CounterOf("davide_cap_held_total")
-		for _, rl := range racks {
-			rl.loop.SetOnHold(heldCtr.Inc)
-		}
+		heldCtr = s.Obs.CounterOf("davide_cap_held_total")
 	}
 
 	res := &LiveResult{}
@@ -232,7 +205,7 @@ func (s *System) RunLive(jobs []workload.Job, cfg LiveConfig) (*LiveResult, erro
 	restarts := 0
 	var wireBytes int64
 	// ctrl is assigned below; AfterTick closes over it to retarget the
-	// per-rack cappers when the effective cap is dynamic.
+	// rack share when the effective cap is dynamic.
 	var ctrl *sched.Controller
 	hooks := sched.Hooks{
 		Perturb: cfg.Perturb,
@@ -256,27 +229,33 @@ func (s *System) RunLive(jobs []workload.Job, cfg LiveConfig) (*LiveResult, erro
 			}
 			return nil
 		},
-		AfterTick: func(t0, t1 float64) error {
+		AfterTick: func(t0, t1 float64, watts []float64, fresh []bool) error {
 			if scfg.CapSchedule != nil && scfg.PowerCapW > 0 {
-				// Dynamic cap: the per-rack cappers must track the
-				// controller's ramp-limited effective cap, not the
-				// nominal share computed at setup. The share is clamped
-				// to the node idle floor — a cap below idle is
-				// physically unenforceable and SetCap rejects it.
-				share := ctrl.EffectiveCap() / float64(nodes)
-				for _, rl := range racks {
-					sh := units.Watt(share)
-					if idle := rl.loop.Capper.Node.IdlePower(); sh < idle {
-						sh = idle
-					}
-					if err := rl.loop.Capper.SetCap(sh); err != nil {
-						return fmt.Errorf("core: rack %d cap retarget: %w", rl.stats.Rack, err)
-					}
-					rl.stats.CapW = float64(sh)
-				}
+				// Dynamic cap: the share tracks the controller's
+				// ramp-limited effective cap, not the nominal share
+				// computed at setup, clamped to the node idle floor (a
+				// cap below idle is physically unenforceable).
+				share = float64(max(units.Watt(ctrl.EffectiveCap()/float64(nodes)), idle))
 			}
-			if err := eng.RunUntil(t1); err != nil {
-				return err
+			for i := range racks {
+				rk := &racks[i]
+				rk.CapW = share
+				end := rk.FirstNode + rk.Nodes
+				// A partial mean would underestimate the rack: any stale
+				// member holds the whole rack tick.
+				if slices.Contains(fresh[rk.FirstNode:end], false) {
+					rk.Held++
+					heldCtr.Inc()
+					continue
+				}
+				sum := 0.0
+				for _, w := range watts[rk.FirstNode:end] {
+					sum += w
+				}
+				rk.Steps++
+				if share > 0 && sum/float64(rk.Nodes) > share {
+					rk.Violations++
+				}
 			}
 			if si := s.obsSelfIngest(); si != nil {
 				// One health point per control tick, stamped in virtual
@@ -320,12 +299,7 @@ func (s *System) RunLive(jobs []workload.Job, cfg LiveConfig) (*LiveResult, erro
 	res.UndecodableDropped = agg.Dropped()
 	res.StoreOutOfOrderDropped = db.Stats().OutOfOrderDropped
 	res.WallClock = time.Since(start)
-	for _, rl := range racks {
-		rl.stats.Steps = rl.loop.Capper.Steps()
-		rl.stats.Held = rl.loop.Held()
-		rl.stats.Violations = rl.loop.Capper.Violations()
-		res.Racks = append(res.Racks, rl.stats)
-	}
+	res.Racks = racks
 	// The measured §IV phase view: every completed job rebuilt from the
 	// store the run just filled.
 	res.Ledger = ctrl.Ledger()

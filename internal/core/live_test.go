@@ -1,0 +1,109 @@
+package core
+
+import (
+	"strings"
+	"testing"
+
+	"davide/internal/fleet"
+	"davide/internal/obs"
+	"davide/internal/sched"
+)
+
+// TestRunLiveRefusesCapBelowIdle: a per-node cap share below idle draw
+// admits no operating point, so RunLive refuses it before the telemetry
+// plane exists — no broker registers a series — instead of streaming
+// toward the controller's tick limit.
+func TestRunLiveRefusesCapBelowIdle(t *testing.T) {
+	s, err := NewSystem(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Obs = obs.NewRegistry()
+	_, err = s.RunLive(scenarioObsJobs(t, 11), LiveConfig{
+		Nodes: 4,
+		Sched: sched.ControllerConfig{Config: sched.Config{PowerCapW: 4 * 100}},
+	})
+	if err == nil || !strings.Contains(err.Error(), "below idle power") {
+		t.Fatalf("cap of 100 W/node: err = %v, want a below-idle refusal", err)
+	}
+	if snap := s.Obs.Text(true); strings.Contains(snap, "davide_broker_") {
+		t.Errorf("a broker started before the refusal:\n%s", snap)
+	}
+	if s.Store() != nil {
+		t.Error("the refused run left a telemetry store behind")
+	}
+}
+
+// TestRackReportFoldsControllerReads: the per-rack report is a fold of
+// the controller's own per-tick reads, not a second capper. Under
+// split-brain chaos over two racks every rack tick is either a step or
+// a hold, a hold needs at least one stale member read and each stale
+// read holds its rack, and the capped FIFO run overshoots without any
+// cluster node model moving. Per-rack capping loops that actuated node
+// models fail the last clause (each rack's first node walks down the
+// P-state ladder, 6 -> 0 here); a feed that stops at the first silent
+// member without recording the later members' sample counts can miss a
+// later silence of theirs and break the upper stale-read bound (here
+// the split-brain partitions hit a rack's odd members together, so the
+// counts agree). Not skipped under -short: it is the short suite's
+// stale-hold coverage.
+func TestRackReportFoldsControllerReads(t *testing.T) {
+	const nodes, rackSize = 8, 4
+	s, err := NewSystem(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := fleet.ChaosPreset(fleet.ChaosSplitBrain, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.StreamFaults = plan
+	s.StreamBatchSamples = 16
+	type model struct {
+		pstate int
+		power  float64
+	}
+	before := make([]model, len(s.Cluster.Nodes))
+	for i, n := range s.Cluster.Nodes {
+		before[i] = model{n.PState(), float64(n.Power())}
+	}
+	res, err := s.RunLive(scenarioObsJobs(t, 11), LiveConfig{
+		Nodes:      nodes,
+		SampleRate: 4,
+		RackSize:   rackSize,
+		Sched: sched.ControllerConfig{
+			Admission: sched.AdmitFIFO,
+			Config:    sched.Config{PowerCapW: nodes * 500},
+			TickS:     15,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Racks) != nodes/rackSize {
+		t.Fatalf("%d racks reported, want %d", len(res.Racks), nodes/rackSize)
+	}
+	held, violations := 0, 0
+	for _, r := range res.Racks {
+		if r.Steps+r.Held != res.Ticks {
+			t.Errorf("rack %d: %d steps + %d held != %d ticks", r.Rack, r.Steps, r.Held, res.Ticks)
+		}
+		held += r.Held
+		violations += r.Violations
+	}
+	if held == 0 {
+		t.Error("split-brain never held a rack")
+	}
+	if res.StaleReads < held || res.StaleReads > held*rackSize {
+		t.Errorf("%d stale reads outside [%d, %d] for %d held rack ticks",
+			res.StaleReads, held, held*rackSize, held)
+	}
+	if violations == 0 || res.MaxOverPct == 0 {
+		t.Fatalf("capped FIFO run never overshot (%d rack violations, %.2f%% max over)", violations, res.MaxOverPct)
+	}
+	for i, n := range s.Cluster.Nodes {
+		if got := (model{n.PState(), float64(n.Power())}); got != before[i] {
+			t.Errorf("node model %d moved during the live run: %+v -> %+v", i, before[i], got)
+		}
+	}
+}

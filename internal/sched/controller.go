@@ -18,10 +18,10 @@ import (
 // into the real telemetry plane (gateways → MQTT → tsdb), reads the
 // *measured* power back out of the store, and makes admission, reactive
 // capping and predictor-retraining decisions from those measurements.
-// Degraded telemetry is handled fail-safe with the capping loop's
-// hold-last-safe semantics: a node whose window produced no fresh samples
-// keeps its last measured value instead of being assumed idle, so lost
-// telemetry can never open phantom headroom under the power cap.
+// Degraded telemetry is handled fail-safe by the hold-last-safe rule: a
+// node whose window produced no fresh samples keeps its last measured
+// value instead of being assumed idle, so lost telemetry can never open
+// phantom headroom under the power cap.
 
 // Admission is shorthand for the two built-in strategies: a
 // ControllerConfig with a nil Strategy dispatches through the one its
@@ -65,9 +65,13 @@ type Hooks struct {
 	// By the time it returns, whatever the transport delivered must be
 	// queryable from the controller's TelemetrySource. Required.
 	StreamTick func(t0, t1 float64, levels []float64) error
-	// AfterTick runs after the tick's telemetry has been read back —
-	// the seam where per-rack capping control loops are pumped.
-	AfterTick func(t0, t1 float64) error
+	// AfterTick runs after the tick's telemetry has been read back and
+	// hands over what was read: fresh[n] reports whether node n
+	// delivered new samples this tick, and watts[n] is its newest
+	// measured power (this tick's window mean where fresh, the held value
+	// otherwise). Both slices are the controller's own: read them during
+	// the call only.
+	AfterTick func(t0, t1 float64, watts []float64, fresh []bool) error
 	// Perturb, when non-nil, mutates the tick's per-node power levels
 	// in place before they are streamed — the seam where scenario
 	// physics (thermal DVFS throttling) shapes the power the telemetry
@@ -241,11 +245,13 @@ type Controller struct {
 	speed float64 // reactive execution speed for the *next* tick
 
 	// Telemetry view: last fresh per-node mean power, the ingested
-	// sample count at the last fresh read (freshness detection), and the
-	// start of each node's newest fresh window (accounting settlement).
+	// sample count at the last fresh read (freshness detection), the
+	// start of each node's newest fresh window (accounting settlement),
+	// and which nodes were fresh this tick.
 	lastSeen    []float64
 	seen        []int
 	lastFreshT0 []float64
+	freshNodes  []bool
 
 	// measureQ holds completed jobs whose accounting waits for
 	// post-completion telemetry (see settleTicks).
@@ -327,6 +333,7 @@ func NewController(cfg ControllerConfig, jobs []workload.Job, src TelemetrySourc
 	c.lastSeen = make([]float64, cfg.Nodes)
 	c.seen = make([]int, cfg.Nodes)
 	c.lastFreshT0 = make([]float64, cfg.Nodes)
+	c.freshNodes = make([]bool, cfg.Nodes)
 	for n := 0; n < cfg.Nodes; n++ {
 		// Before any telemetry exists the machine is provably idle.
 		c.lastSeen[n] = cfg.IdleNodePowerW
@@ -342,8 +349,8 @@ func (c *Controller) Ledger() *accounting.Ledger { return c.ledger }
 
 // EffectiveCap returns the cap the controller is currently enforcing:
 // the ramp-limited tracker of CapSchedule, or the nominal PowerCapW
-// without one. Per-rack capping loops retarget from this each tick
-// (see internal/core's live wiring).
+// without one. internal/core's rack report judges each rack against
+// its per-node share of this cap every tick.
 func (c *Controller) EffectiveCap() float64 { return c.capNow }
 
 // trackCap advances the effective cap one tick toward the schedule
@@ -433,10 +440,9 @@ func (c *Controller) levels() []float64 {
 
 // observe reads the tick's telemetry back from the store. A node whose
 // ingested sample count did not grow delivered nothing this tick: its
-// last measurement is held (the capping loop's hold-last-safe rule) and
-// the hold is counted.
+// last measurement is held (the hold-last-safe rule) and the hold is
+// counted.
 func (c *Controller) observe(t0, t1 float64) {
-	freshNodes := make([]bool, c.cfg.Nodes)
 	staleTick := 0
 	for n := 0; n < c.cfg.Nodes; n++ {
 		cnt := c.src.IngestedSamples(n)
@@ -449,10 +455,11 @@ func (c *Controller) observe(t0, t1 float64) {
 				if c.met != nil {
 					c.met.freshReads.Inc()
 				}
-				freshNodes[n] = true
+				c.freshNodes[n] = true
 				continue
 			}
 		}
+		c.freshNodes[n] = false
 		c.stale++
 		staleTick++
 		if c.met != nil {
@@ -491,7 +498,7 @@ func (c *Controller) observe(t0, t1 float64) {
 		}
 		vis := true
 		for _, n := range r.nodes {
-			if !freshNodes[n] {
+			if !c.freshNodes[n] {
 				vis = false
 				break
 			}
@@ -698,7 +705,7 @@ func (c *Controller) Run() (*ControllerResult, error) {
 		}
 		c.updateSpeed()
 		if c.hooks.AfterTick != nil {
-			if err := c.hooks.AfterTick(t0, t1); err != nil {
+			if err := c.hooks.AfterTick(t0, t1, c.lastSeen, c.freshNodes); err != nil {
 				return nil, err
 			}
 		}
