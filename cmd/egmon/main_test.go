@@ -103,3 +103,30 @@ func TestHostileFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestNonFiniteQueryWindow: a NaN or infinite -t0/-t1 reaches the store,
+// which refuses it; egmon exits non-zero with that one error line. At the
+// parent the store's `t1 < t0` check let NaN through, and egmon printed
+// "node00 [NaN, 60] at 1 s resolution (30 rows)" and exited 0.
+func TestNonFiniteQueryWindow(t *testing.T) {
+	bin := build(t)
+	for _, args := range []string{
+		"-nodes 1 -node 0 -t0 NaN",
+		"-nodes 1 -node 0 -t1 Inf",
+	} {
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bin, strings.Fields(args)...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+			t.Errorf("egmon %s: %v, want a non-zero exit", args, err)
+		}
+		if bytes.Count(stderr.Bytes(), []byte("\n")) != 1 || !bytes.Contains(stderr.Bytes(), []byte("window")) {
+			t.Errorf("egmon %s: want one window error line on stderr, got\n%s", args, stderr.Bytes())
+		}
+		if bytes.Contains(stdout.Bytes(), []byte("resolution (")) {
+			t.Errorf("egmon %s printed a query table:\n%s", args, stdout.Bytes())
+		}
+	}
+}

@@ -11,10 +11,11 @@
 // and reused across Stream calls, which is what a real deployment does —
 // the BeagleBone on each node keeps one long-lived broker session.
 //
-// Delivery completion is event-driven: after publishing, each worker waits
-// on telemetry.Aggregator.WaitSamples for exactly the number of samples
-// its gateway put on the wire, so StreamStats.Wall measures the pipeline
-// (encode, TCP, broker fan-out, decode, ingest), not a poll interval.
+// Delivery completion is event-driven: workers only publish, and once
+// every node of the window is on the wire Stream waits on
+// telemetry.Aggregator.WaitSamples for exactly the samples each gateway
+// put there, so StreamStats.Wall measures the pipeline (encode, TCP,
+// broker fan-out, decode, ingest), not a poll interval.
 package fleet
 
 import (
@@ -36,10 +37,10 @@ import (
 	"davide/internal/telemetry"
 )
 
-// DefaultWaitTimeout bounds each node's delivery wait when the Stream
-// context carries no deadline of its own. The clock starts after the
-// node's publish completes, so the bound never shrinks with window size
-// or fleet size.
+// DefaultWaitTimeout bounds a window's delivery waits when the Stream
+// context carries no deadline of its own. The clock starts once every
+// node of the window has published, so the bound never shrinks with
+// window size or fleet size.
 const DefaultWaitTimeout = 10 * time.Second
 
 // GatewaySpec describes how to build every gateway in a fleet. Zero fields
@@ -330,14 +331,13 @@ type NodeStream struct {
 // NodeStats reports one node's share of a Stream call.
 type NodeStats struct {
 	Node      int
-	Samples   int           // power samples published in this window
-	Batches   int           // power batches published in this window
-	EnergyJ   float64       // gateway-side energy estimate for the window
-	Bytes     int64         // MQTT payload bytes sent in this window
-	WireBytes int64         // encoded power-batch bytes (the codec's share of Bytes)
-	BufReuses int64         // client pooled-buffer reuses in this window
-	Wall      time.Duration // publish + delivery wait for this node
-	Delivered bool          // aggregator confirmed every sample arrived
+	Samples   int     // power samples published in this window
+	Batches   int     // power batches published in this window
+	EnergyJ   float64 // gateway-side energy estimate for the window
+	Bytes     int64   // MQTT payload bytes sent in this window
+	WireBytes int64   // encoded power-batch bytes (the codec's share of Bytes)
+	BufReuses int64   // client pooled-buffer reuses in this window
+	Delivered bool    // aggregator confirmed every sample arrived
 	// Faults is this window's injected-fault delta on the node's chaos
 	// link (nil when the fleet runs without fault injection).
 	Faults *chaos.Counters
@@ -387,15 +387,15 @@ func (st StreamStats) WireBytesPerSample() float64 {
 }
 
 // Stream replays [t0, t1) of every node signal through the fleet's
-// gateways over the shared broker, at most Workers nodes in flight at
-// once. If agg is non-nil, each worker blocks until the aggregator has
-// ingested exactly the samples its gateway published (event-driven, no
-// polling); a node whose delivery wait times out is reported with
-// Delivered=false rather than failing the stream, matching lossy QoS-0
-// semantics. Cancelling ctx aborts the fan-out with an error; a ctx
-// *deadline* only bounds the delivery waits. Publish errors fail the
-// stream. Concurrent Stream calls on one Fleet serialise; the concurrency
-// lives in the per-call worker pool.
+// gateways over the shared broker, at most Workers nodes publishing at
+// once. If agg is non-nil, Stream then blocks, node by node, until the
+// aggregator has ingested exactly the samples each gateway published
+// (event-driven, no polling); a node whose delivery wait times out is
+// reported with Delivered=false rather than failing the stream, matching
+// lossy QoS-0 semantics. Cancelling ctx aborts the fan-out with an
+// error; a ctx *deadline* only bounds the delivery waits. Publish errors
+// fail the stream. Concurrent Stream calls on one Fleet serialise; the
+// concurrency lives in the per-call worker pool.
 func (f *Fleet) Stream(ctx context.Context, nodes []NodeStream, t0, t1 float64, agg *telemetry.Aggregator) (StreamStats, error) {
 	if err := validateStreams(nodes, t0, t1); err != nil {
 		return StreamStats{}, err
@@ -403,7 +403,9 @@ func (f *Fleet) Stream(ctx context.Context, nodes []NodeStream, t0, t1 float64, 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return f.stream(ctx, nodes, t0, t1, agg)
+	sorted := append([]NodeStream(nil), nodes...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Node < sorted[j].Node })
+	return f.stream(ctx, sorted, t0, t1, agg)
 }
 
 // validateStreams rejects a window no fleet can stream: no nodes, an
@@ -430,9 +432,10 @@ func validateStreams(nodes []NodeStream, t0, t1 float64) error {
 	return nil
 }
 
-// stream is Stream past validation: Plane.Stream checks the whole node
-// set once — a duplicate can straddle a rack boundary, where no single
-// rack fleet would see it — and then drives each rack's share here.
+// stream is Stream past validation, over nodes sorted by ID (PerNode
+// keeps that order): Plane.Stream checks the whole node set once — a
+// duplicate can straddle a rack boundary, where no single rack fleet
+// would see it — and then drives each rack's sorted share here.
 func (f *Fleet) stream(ctx context.Context, nodes []NodeStream, t0, t1 float64, agg *telemetry.Aggregator) (StreamStats, error) {
 	f.streamMu.Lock()
 	defer f.streamMu.Unlock()
@@ -450,6 +453,7 @@ func (f *Fleet) stream(ctx context.Context, nodes []NodeStream, t0, t1 float64, 
 
 	start := time.Now()
 	perNode := make([]NodeStats, len(nodes))
+	targets := make([]int, len(nodes))
 	errs := make([]error, len(nodes))
 	tasks := make(chan int, len(nodes))
 	for i := range nodes {
@@ -470,16 +474,38 @@ func (f *Fleet) stream(ctx context.Context, nodes []NodeStream, t0, t1 float64, 
 					errs[i] = ctx.Err()
 					continue
 				}
-				perNode[i], errs[i] = f.streamOne(ctx, nodes[i], t0, t1, agg)
+				perNode[i], targets[i], errs[i] = f.streamOne(nodes[i], t0, t1, agg)
 			}
 		}()
 	}
 	wg.Wait()
-
 	if err := errors.Join(errs...); err != nil {
 		return StreamStats{}, err
 	}
-	sort.Slice(perNode, func(i, j int) bool { return perNode[i].Node < perNode[j].Node })
+
+	if agg != nil {
+		// Every node is on the wire: now confirm delivery, in node order,
+		// under one deadline that starts here. Caveat: if a *previous*
+		// window on a node timed out with samples still in flight, those
+		// stragglers count toward this target and Delivered can report
+		// true with this window's tail still pending — once a node times
+		// out, treat later windows on the same aggregator as best-effort
+		// too.
+		waitCtx := ctx
+		if _, ok := ctx.Deadline(); !ok {
+			var cancel context.CancelFunc
+			waitCtx, cancel = context.WithTimeout(ctx, DefaultWaitTimeout)
+			defer cancel()
+		}
+		for i := range perNode {
+			err := agg.WaitSamples(waitCtx, perNode[i].Node, targets[i])
+			if errors.Is(err, context.Canceled) {
+				// Caller abort, not a lossy-delivery timeout: propagate.
+				return StreamStats{}, fmt.Errorf("fleet: node %d: %w", perNode[i].Node, err)
+			}
+			perNode[i].Delivered = err == nil
+		}
+	}
 	stats := StreamStats{Nodes: len(nodes), Wall: time.Since(start), PerNode: perNode}
 	for _, ns := range perNode {
 		stats.Samples += ns.Samples
@@ -513,16 +539,16 @@ func levelStreams(levels []float64) []NodeStream {
 	return streams
 }
 
-// streamOne publishes one node's window and waits for its delivery.
-// Under fault injection it recovers injected session crashes (teardown,
-// redial, resume from the replay cursor) and adjusts the delivery wait
-// for the samples the chaos link provably lost or duplicated.
-func (f *Fleet) streamOne(ctx context.Context, ns NodeStream, t0, t1 float64, agg *telemetry.Aggregator) (NodeStats, error) {
+// streamOne publishes one node's window and returns, beside its stats,
+// the aggregator sample count that confirms its delivery (zero without
+// agg). Under fault injection it recovers injected session crashes
+// (teardown, redial, resume from the replay cursor) and corrects the
+// target for the samples the chaos link provably lost or duplicated.
+func (f *Fleet) streamOne(ns NodeStream, t0, t1 float64, agg *telemetry.Aggregator) (NodeStats, int, error) {
 	m, err := f.member(ns.Node)
 	if err != nil {
-		return NodeStats{}, err
+		return NodeStats{}, 0, err
 	}
-	begin := time.Now()
 	before := m.gw.Stats()
 	restartsBefore := m.restarts
 	var faultsBefore chaos.Counters
@@ -551,15 +577,15 @@ func (f *Fleet) streamOne(ctx context.Context, ns NodeStream, t0, t1 float64, ag
 			}
 		}
 		if m.link == nil || !errors.Is(err, chaos.ErrCrash) {
-			return NodeStats{}, fmt.Errorf("fleet: node %d: %w", ns.Node, err)
+			return NodeStats{}, 0, fmt.Errorf("fleet: node %d: %w", ns.Node, err)
 		}
 		if m.restarts-restartsBefore >= maxGatewayRestarts {
-			return NodeStats{}, fmt.Errorf("fleet: node %d: crash limit (%d restarts) exceeded", ns.Node, maxGatewayRestarts)
+			return NodeStats{}, 0, fmt.Errorf("fleet: node %d: crash limit (%d restarts) exceeded", ns.Node, maxGatewayRestarts)
 		}
 		bytesAcc += m.client.Stats.PublishBytes.Load() - bytesBefore
 		reusesAcc += m.client.Stats.BufReuses.Load() - reusesBefore
 		if rerr := f.restartMember(ns.Node, m); rerr != nil {
-			return NodeStats{}, rerr
+			return NodeStats{}, 0, rerr
 		}
 		bytesBefore, reusesBefore = 0, 0 // fresh client, fresh counters
 	}
@@ -587,39 +613,16 @@ func (f *Fleet) streamOne(ctx context.Context, ns NodeStream, t0, t1 float64, ag
 		lostSamples = int(d.SamplesLost)
 		dupSamples = int(d.SamplesDuplicated)
 	}
-	if agg != nil {
-		// Wait for the aggregator's pre-publish count plus exactly the
-		// samples this window put on the wire: an exact, gateway-reported
-		// target (no rate*window off-by-one arithmetic) that also holds
-		// when a fresh aggregator attaches mid-way through the fleet's
-		// life. The wait deadline starts after the publish, per node.
-		// Caveat: if a *previous* window on this node timed out with
-		// samples still in flight, those stragglers count toward this
-		// target and Delivered can report true with this window's tail
-		// still pending — once a node times out, treat later windows on
-		// the same aggregator as best-effort too.
-		// Under fault injection the target is corrected by the exact
-		// sample counts the link lost (drops, partitions, corruption)
-		// and duplicated, so a lossy window still completes its wait
-		// the moment the last surviving batch is ingested — and the
-		// post-wait aggregator state is deterministic.
-		waitCtx := ctx
-		if _, ok := ctx.Deadline(); !ok {
-			var cancel context.CancelFunc
-			waitCtx, cancel = context.WithTimeout(ctx, DefaultWaitTimeout)
-			defer cancel()
-		}
-		target := baseline + st.Samples - lostSamples + dupSamples
-		if target < baseline {
-			target = baseline
-		}
-		err := agg.WaitSamples(waitCtx, ns.Node, target)
-		if errors.Is(err, context.Canceled) {
-			// Caller abort, not a lossy-delivery timeout: propagate.
-			return st, fmt.Errorf("fleet: node %d: %w", ns.Node, err)
-		}
-		st.Delivered = err == nil
+	if agg == nil {
+		return st, 0, nil
 	}
-	st.Wall = time.Since(begin)
-	return st, nil
+	// The target is the aggregator's pre-publish count plus exactly the
+	// samples this window put on the wire: an exact, gateway-reported
+	// target (no rate*window off-by-one arithmetic) that also holds when
+	// a fresh aggregator attaches mid-way through the fleet's life. Under
+	// fault injection it is corrected by the exact sample counts the link
+	// lost (drops, partitions, corruption) and duplicated, so a lossy
+	// window still completes its wait the moment the last surviving batch
+	// is ingested — and the post-wait aggregator state is deterministic.
+	return st, max(baseline, baseline+st.Samples-lostSamples+dupSamples), nil
 }

@@ -83,9 +83,6 @@ func TestStreamDeliversAndReusesGateways(t *testing.T) {
 		if !ns.Delivered {
 			t.Errorf("node %d not confirmed delivered", ns.Node)
 		}
-		if ns.Wall <= 0 {
-			t.Errorf("node %d wall clock not measured", ns.Node)
-		}
 	}
 	// The aggregator recovered each node's energy to within 1 %.
 	for i, want := range []float64{5000, 7500, 10000} {

@@ -93,11 +93,15 @@ func (sp PlaneSpec) coresPerRack() int {
 	return max(1, runtime.GOMAXPROCS(0)/sp.Racks)
 }
 
-// rackQueueDepth sizes a rack broker's per-session queue: every node in
-// the rack can have a window's worth of batches in flight toward the
-// rack's two subscriber sessions (ingest + bridge), so scale with the
-// rack's node share, 4 messages of slack per node, floor at the broker
-// default.
+// rackQueueDepth sizes a rack broker's per-session queue, scaled with the
+// rack's node share (4 messages of slack per node) and floored at the
+// broker default. A window publishes every node before it waits on any,
+// so all of a rack's batches can be in flight toward a subscriber session
+// at once. The broker drops only what overflows this queue while the
+// consumer's buffer behind it is full too (an ingest shard holds 1024
+// messages, a bridge queue this depth again), so a rack window of up to
+// this depth plus 1024 batches is drop-free even if nothing decodes
+// until the last publish.
 func (sp PlaneSpec) rackQueueDepth() int {
 	nodesPerRack := (sp.NodesHint + sp.Racks - 1) / sp.Racks
 	return max(1024, 4*nodesPerRack)

@@ -352,3 +352,48 @@ func TestPlanePartitionIsContiguousAndTotal(t *testing.T) {
 		}
 	}
 }
+
+// TestPlaneWindowBeyondSessionQueue streams a one-rack window with more
+// batches in flight than the ingest session's queue holds: 45 nodes × 24
+// batches = 1080 > 1024. Every node publishes before Stream waits on any,
+// so the whole window can be on the wire at once; the broker's session
+// queue plus the ingest pool's shard buffer behind it must absorb it
+// without a drop, even if decoding only starts once publishing ends.
+func TestPlaneWindowBeyondSessionQueue(t *testing.T) {
+	const nodes, batch, batches = 45, 64, 24
+	const rate, t0, t1 = 512.0, 0.0, float64(batches*batch) / 512
+	p := newPlane(t, fleet.PlaneSpec{
+		Racks:     1,
+		NodesHint: nodes,
+		Gateway:   fleet.GatewaySpec{SampleRate: rate, Oversample: 1, BatchSamples: batch},
+	})
+	streams := make([]fleet.NodeStream, nodes)
+	for i := range streams {
+		streams[i] = fleet.NodeStream{Node: i, Signal: sensor.Const(400 + 25*float64(i))}
+	}
+	st, err := p.Stream(context.Background(), streams, t0, t1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Batches != nodes*batches {
+		t.Fatalf("window carried %d batches, want %d", st.Batches, nodes*batches)
+	}
+	if d := p.RackBroker(0).Stats.Dropped.Load(); d != 0 {
+		t.Errorf("broker dropped %d of %d batches", d, st.Batches)
+	}
+	for _, ns := range st.PerNode {
+		if !ns.Delivered {
+			t.Errorf("node %d not delivered", ns.Node)
+		}
+	}
+	for _, ns := range streams {
+		want, _ := ns.Signal.Energy(t0, t1)
+		got, err := p.Aggregator().NodeEnergy(ns.Node, t0, t1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-want) > 0.01*want {
+			t.Errorf("node %d: store energy %v J, analytic %v J", ns.Node, got, want)
+		}
+	}
+}

@@ -43,13 +43,14 @@ type nodeMeta struct {
 type aggShard struct {
 	mu      sync.RWMutex
 	meta    map[int]*nodeMeta
-	summary map[int]gateway.EnergySummary // newest per node
-	waiters waitQueue                     // WaitSamples, keyed by node
+	waiters waitQueue // WaitSamples, keyed by node
 }
 
-// Aggregator subscribes to gateway topics and writes every batch through
-// to a tsdb.DB. It is safe for concurrent use (the MQTT reader goroutine
-// feeds it while experiment code queries the store).
+// Aggregator subscribes to the gateways' power topics and writes every
+// batch through to a tsdb.DB; any other topic, the gateways' energy
+// summaries included, counts as unroutable (Dropped). It is safe for
+// concurrent use (the MQTT reader goroutine feeds it while experiment
+// code queries the store).
 //
 // Per-node state is striped across power-of-two shards sized like the
 // store's (tsdb.ShardCountFor), so N rack-parallel ingest pools feeding
@@ -148,10 +149,7 @@ func NewAggregatorOn(db *tsdb.DB) *Aggregator {
 	n := tsdb.ShardCountFor(0)
 	a := &Aggregator{db: db, shards: make([]*aggShard, n), mask: uint32(n - 1)}
 	for i := range a.shards {
-		a.shards[i] = &aggShard{
-			meta:    make(map[int]*nodeMeta),
-			summary: make(map[int]gateway.EnergySummary),
-		}
+		a.shards[i] = &aggShard{meta: make(map[int]*nodeMeta)}
 	}
 	return a
 }
@@ -188,41 +186,29 @@ func (a *Aggregator) consume(m mqtt.Message) { a.consumeWith(m, nil) }
 // on binary batches. Nothing decoded into scratch is retained — AddBatch
 // copies samples into the store before returning.
 func (a *Aggregator) consumeWith(m mqtt.Message, scratch []float64) []float64 {
-	switch {
-	case mqtt.TopicMatches(gateway.TopicPrefix+"/+/power", m.Topic):
-		b, err := gateway.DecodeBatchInto(m.Payload, scratch)
-		if err != nil {
-			a.drop()
-			return scratch
-		}
-		last := b.T0 + float64(len(b.Samples)-1)*b.Dt
-		if tr := a.trace.Load(); tr != nil {
-			tr.Stamp(obs.StageDecode, b.Node, wire.ToTick(last))
-		}
-		a.AddBatch(b)
-		if tr := a.trace.Load(); tr != nil {
-			// Stamped after the shard lock is released: messages are
-			// worker-sticky per node (Ingest shards by topic; a single
-			// client consumes serially), so commit stamps stay in commit
-			// order per node — the determinism the snapshot property test
-			// pins — without lengthening the shard critical section.
-			tr.StampCommit(b.Node, wire.ToTick(b.T0), wire.ToTick(last))
-		}
-		return b.Samples
-	case mqtt.TopicMatches(gateway.TopicPrefix+"/+/energy", m.Topic):
-		e, err := gateway.DecodeEnergySummary(m.Payload)
-		if err != nil {
-			a.drop()
-			return scratch
-		}
-		sh := a.shardFor(e.Node)
-		sh.mu.Lock()
-		sh.summary[e.Node] = e
-		sh.mu.Unlock()
-	default:
+	if !mqtt.TopicMatches(gateway.TopicPrefix+"/+/power", m.Topic) {
 		a.drop()
+		return scratch
 	}
-	return scratch
+	b, err := gateway.DecodeBatchInto(m.Payload, scratch)
+	if err != nil {
+		a.drop()
+		return scratch
+	}
+	last := b.T0 + float64(len(b.Samples)-1)*b.Dt
+	if tr := a.trace.Load(); tr != nil {
+		tr.Stamp(obs.StageDecode, b.Node, wire.ToTick(last))
+	}
+	a.AddBatch(b)
+	if tr := a.trace.Load(); tr != nil {
+		// Stamped after the shard lock is released: messages are
+		// worker-sticky per node (Ingest shards by topic; a single
+		// client consumes serially), so commit stamps stay in commit
+		// order per node — the determinism the snapshot property test
+		// pins — without lengthening the shard critical section.
+		tr.StampCommit(b.Node, wire.ToTick(b.T0), wire.ToTick(last))
+	}
+	return b.Samples
 }
 
 // AddBatch ingests one decoded power batch (also usable without MQTT).
@@ -352,15 +338,6 @@ func (a *Aggregator) MeanPower(node int, t0, t1 float64) (float64, error) {
 	return e / (t1 - t0), nil
 }
 
-// LastSummary returns the newest energy summary received for a node.
-func (a *Aggregator) LastSummary(node int) (gateway.EnergySummary, bool) {
-	sh := a.shardFor(node)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	e, ok := sh.summary[node]
-	return e, ok
-}
-
 // Ingest fans message decoding out to a pool of worker goroutines, so one
 // subscriber connection can keep every core busy parsing gateway batches
 // instead of serialising the whole fleet's stream on the client's reader
@@ -463,8 +440,8 @@ func (in *Ingest) Close() {
 	in.wg.Wait()
 }
 
-// subscribe dials a client with the given handler and subscribes it to the
-// whole telemetry tree.
+// subscribe dials a client with the given handler and subscribes it to
+// every gateway's power topic.
 func subscribe(brokerAddr, clientID string, h mqtt.MessageHandler) (*mqtt.Client, error) {
 	c, err := mqtt.Dial(brokerAddr, mqtt.ClientOptions{
 		ClientID:     clientID,
@@ -474,10 +451,7 @@ func subscribe(brokerAddr, clientID string, h mqtt.MessageHandler) (*mqtt.Client
 	if err != nil {
 		return nil, err
 	}
-	if err := c.Subscribe(
-		mqtt.Subscription{Filter: gateway.TopicPrefix + "/+/power", QoS: 0},
-		mqtt.Subscription{Filter: gateway.TopicPrefix + "/+/energy", QoS: 1},
-	); err != nil {
+	if err := c.Subscribe(mqtt.Subscription{Filter: gateway.TopicPrefix + "/+/power", QoS: 0}); err != nil {
 		_ = c.Close()
 		return nil, err
 	}
@@ -485,7 +459,7 @@ func subscribe(brokerAddr, clientID string, h mqtt.MessageHandler) (*mqtt.Client
 }
 
 // Subscribe attaches the aggregator to a broker by creating an MQTT client
-// subscribed to the whole telemetry tree. Decoding runs inline on the
+// subscribed to every gateway's power topic. Decoding runs inline on the
 // client's reader goroutine. The caller owns the returned client and must
 // Close it.
 func Subscribe(brokerAddr, clientID string) (*Aggregator, *mqtt.Client, error) {

@@ -119,16 +119,14 @@ func TestConsumeRoutesAndDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The aggregator ingests power only: a well-formed energy summary is
+	// as unroutable as a foreign topic.
 	h(mqtt.Message{Topic: "davide/node04/energy", Payload: sum})
-	if got, ok := a.LastSummary(4); !ok || got.Joules != 30 {
-		t.Errorf("LastSummary = %v, %v", got, ok)
-	}
-	if _, ok := a.LastSummary(5); ok {
-		t.Error("LastSummary of a node that sent none should report false")
+	if a.Dropped() != 1 {
+		t.Errorf("Dropped = %d after an energy summary, want 1", a.Dropped())
 	}
 	// Garbage payloads and foreign topics are dropped, not fatal.
 	h(mqtt.Message{Topic: "davide/node04/power", Payload: []byte("junk")})
-	h(mqtt.Message{Topic: "davide/node04/energy", Payload: []byte("junk")})
 	h(mqtt.Message{Topic: "other/topic", Payload: b})
 	if a.Dropped() != 3 {
 		t.Errorf("Dropped = %d, want 3", a.Dropped())
@@ -235,15 +233,10 @@ func TestEndToEndOverMQTT(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, ok := agg.LastSummary(7); ok && agg.Samples(7) >= 2500 {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if agg.Samples(7) < 2500 {
-		t.Fatalf("samples delivered = %d, want 2500", agg.Samples(7))
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := agg.WaitSamples(ctx, 7, 2500); err != nil {
+		t.Fatalf("samples delivered = %d, want 2500: %v", agg.Samples(7), err)
 	}
 	got, err := agg.NodeEnergy(7, 0, 0.05)
 	if err != nil {
@@ -252,8 +245,33 @@ func TestEndToEndOverMQTT(t *testing.T) {
 	if math.Abs(got-want) > 0.01*want {
 		t.Errorf("delivered energy %v deviates from gateway estimate %v", got, want)
 	}
-	if sum, ok := agg.LastSummary(7); !ok || math.Abs(sum.Joules-want) > 1e-9 {
-		t.Errorf("summary = %+v, %v, want %v J", sum, ok, want)
+
+	// The billing summary is not the aggregator's: a consumer subscribing
+	// after the window reads it as the broker's retained copy. The QoS-1
+	// publish returned only after its PUBACK, so the copy is in place.
+	sums := make(chan mqtt.Message, 1)
+	billing, err := mqtt.Dial(broker.Addr(), mqtt.ClientOptions{
+		ClientID: "billing",
+		OnMessage: func(m mqtt.Message) {
+			m.Payload = append([]byte(nil), m.Payload...)
+			sums <- m
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = billing.Close() }()
+	if err := billing.Subscribe(mqtt.Subscription{Filter: gateway.EnergyTopic(7), QoS: 1}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case m := <-sums:
+		sum, err := gateway.DecodeEnergySummary(m.Payload)
+		if err != nil || !m.Retained || math.Abs(sum.Joules-want) > 1e-9 {
+			t.Errorf("summary = %+v (retained %v, err %v), want %v J retained", sum, m.Retained, err, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no retained energy summary")
 	}
 }
 
@@ -428,7 +446,7 @@ func TestIngestParallelDecodePreservesPerNodeOrder(t *testing.T) {
 	}
 	for node := 0; node < 4; node++ {
 		prev := math.Inf(-1)
-		err := a.Store().Range(node, math.Inf(-1), math.Inf(1), func(ts, _ float64) bool {
+		err := a.Store().Range(node, -math.MaxFloat64, math.MaxFloat64, func(ts, _ float64) bool {
 			if ts <= prev {
 				t.Errorf("node %d series out of order: %v after %v", node, ts, prev)
 			}
@@ -603,26 +621,6 @@ func TestQueryErrorPaths(t *testing.T) {
 	}
 	if _, err := a.MeanPower(42, 0, 1); err == nil {
 		t.Error("MeanPower of unknown node should error")
-	}
-}
-
-// TestSummariesKeepOnlyTheNewest: a gateway sends one summary a window
-// for the life of the plant; the shard must hold one per node, not the
-// history.
-func TestSummariesKeepOnlyTheNewest(t *testing.T) {
-	a := NewAggregator()
-	for i := 0; i < 10000; i++ {
-		sum, err := (gateway.EnergySummary{Node: 7, T0: float64(i), T1: float64(i + 1), Joules: float64(i)}).Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		a.consume(mqtt.Message{Topic: gateway.EnergyTopic(7), Payload: sum})
-	}
-	if n := len(a.shardFor(7).summary); n != 1 {
-		t.Errorf("shard holds %d summaries after 10000 for one node, want 1", n)
-	}
-	if got, ok := a.LastSummary(7); !ok || got.Joules != 9999 {
-		t.Errorf("LastSummary = %+v, %v, want the newest (9999 J)", got, ok)
 	}
 }
 

@@ -29,7 +29,7 @@ import (
 var (
 	ErrUnknownNode = errors.New("tsdb: no data for node")
 	ErrShortSeries = errors.New("tsdb: series too short")
-	ErrBadWindow   = errors.New("tsdb: t1 < t0")
+	ErrBadWindow   = errors.New("tsdb: window needs finite t0 <= t1")
 	ErrBadRes      = errors.New("tsdb: resolution not maintained")
 )
 
@@ -199,10 +199,17 @@ func (db *DB) Energy(node int, t0, t1 float64) (float64, error) {
 		return 0, err
 	}
 	defer sh.mu.RUnlock()
-	if t1 < t0 {
+	if !goodWindow(t0, t1) {
 		return 0, ErrBadWindow
 	}
 	return s.rawEnergy(t0, t1, nil)
+}
+
+// goodWindow reports whether [t0, t1] is a window the store answers: both
+// bounds finite and t0 <= t1. It is written as what must hold, so a NaN
+// bound fails it.
+func goodWindow(t0, t1 float64) bool {
+	return t0 <= t1 && !math.IsInf(t0, 0) && !math.IsInf(t1, 0)
 }
 
 // rawEnergy is Energy over a valid window, under the shard lock; a non-nil
@@ -238,7 +245,7 @@ func (db *DB) MaxPower(node int, t0, t1 float64) (float64, error) {
 		return 0, err
 	}
 	defer sh.mu.RUnlock()
-	if t1 < t0 {
+	if !goodWindow(t0, t1) {
 		return 0, ErrBadWindow
 	}
 	if s.total < 1 {
@@ -262,7 +269,7 @@ func (db *DB) Range(node int, t0, t1 float64, fn func(t, w float64) bool) error 
 		return err
 	}
 	defer sh.mu.RUnlock()
-	if t1 < t0 {
+	if !goodWindow(t0, t1) {
 		return ErrBadWindow
 	}
 	s.scan(t0, t1, fn)
@@ -313,7 +320,7 @@ func (db *DB) window(node int, t0, t1, res float64, energy bool, pts *[]Point) (
 		return 0, err
 	}
 	defer sh.mu.RUnlock()
-	if t1 < t0 {
+	if !goodWindow(t0, t1) {
 		return 0, ErrBadWindow
 	}
 	if res == 0 {

@@ -122,3 +122,41 @@ func TestWindowMatchesEnergyAtAndFetch(t *testing.T) {
 		check(0, 374.75, 374.75, res)
 	}
 }
+
+// TestNonFiniteWindowRefused: a NaN or infinite bound at either end is
+// ErrBadWindow at every entry point that takes a window. A check written
+// as `t1 < t0` lets NaN through: `egmon -node 2 -t0 NaN` printed a
+// 30-row table for [NaN, 60] and exited 0.
+func TestNonFiniteWindowRefused(t *testing.T) {
+	db := New(Options{})
+	for i := 0; i < 100; i++ {
+		db.Append(0, float64(i), 500)
+	}
+	entries := map[string]func(t0, t1 float64) error{
+		"Energy":    func(t0, t1 float64) error { _, err := db.Energy(0, t0, t1); return err },
+		"MeanPower": func(t0, t1 float64) error { _, err := db.MeanPower(0, t0, t1); return err },
+		"MaxPower":  func(t0, t1 float64) error { _, err := db.MaxPower(0, t0, t1); return err },
+		"Range": func(t0, t1 float64) error {
+			return db.Range(0, t0, t1, func(_, _ float64) bool { return true })
+		},
+		"Fetch":    func(t0, t1 float64) error { _, err := db.Fetch(0, t0, t1, 1); return err },
+		"EnergyAt": func(t0, t1 float64) error { _, err := db.EnergyAt(0, t0, t1, 0); return err },
+		"Window":   func(t0, t1 float64) error { _, _, err := db.Window(0, t0, t1, 60, nil); return err },
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, call := range entries {
+		if err := call(10, 20); err != nil {
+			t.Fatalf("%s(10, 20): %v", name, err)
+		}
+		for _, w := range [][2]float64{
+			{nan, 20}, {10, nan}, {nan, nan},
+			{-inf, 20}, {10, inf}, {-inf, inf},
+			{inf, inf}, {-inf, -inf}, {inf, 20}, {10, -inf},
+			{20, 10},
+		} {
+			if err := call(w[0], w[1]); !errors.Is(err, ErrBadWindow) {
+				t.Errorf("%s(%v, %v) = %v, want ErrBadWindow", name, w[0], w[1], err)
+			}
+		}
+	}
+}
