@@ -489,7 +489,7 @@ func runLive(sys *core.System, work []workload.Job, mode string, capW float64, r
 	fmt.Printf("  samples streamed     %d (%.2f wire B/sample, %d batches)\n",
 		res.SamplesSent, res.WireBytesPerSample, res.BatchesSent)
 	fmt.Printf("  wall clock           %s\n", res.WallClock)
-	fmt.Println("\nPer-rack capping loops (telemetry-fed):")
+	fmt.Println("\nPer-rack report (folded from the controller's reads):")
 	for _, r := range res.Racks {
 		fmt.Printf("  rack %d (nodes %d-%d): cap %.0f W/node, %d steps, %d held, %d over-cap\n",
 			r.Rack, r.FirstNode, r.FirstNode+r.Nodes-1, r.CapW, r.Steps, r.Held, r.Violations)

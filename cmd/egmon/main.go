@@ -376,17 +376,13 @@ func runCapTrack(name string, nodes, jobs int, seed int64, capW float64) {
 	fmt.Printf("%d jobs on %d nodes over %d ticks, nominal cap %.1f kW, %s wall\n",
 		res.Jobs, nodes, res.Ticks, capW/1000, res.WallClock)
 
-	// The overlay proper: reconstruct the ramp-limited cap trajectory
-	// from the scenario alone and score the *stored* telemetry against
-	// it — nothing below reads the run's in-memory state.
-	overs, err := scenario.CapTrack(sys.Store(), nodes, capW, tickS, res.Makespan, sc)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// The overlay proper (RunScenario's scenario.CapTrack): the
+	// ramp-limited cap trajectory reconstructed from the scenario alone,
+	// scored against the *stored* telemetry.
 	fmt.Println("\nPost-hoc cap tracking (measured rack power vs reconstructed cap trajectory):")
 	fmt.Printf("%-14s %18s %7s %6s %14s %11s %10s %10s\n",
 		"phase", "window", "ticks", "over", "max over", "mean over", "mean cap", "mean power")
-	for _, ph := range overs {
+	for _, ph := range res.PhaseOvershoot {
 		t1 := fmt.Sprintf("%.0f", ph.T1)
 		if ph.T1 > res.Makespan {
 			t1 = "end"
@@ -395,12 +391,7 @@ func runCapTrack(name string, nodes, jobs int, seed int64, capW float64) {
 			ph.Phase, ph.T0, t1, ph.Ticks, ph.OverTicks, ph.MaxOverW, ph.MaxOverPct, ph.MeanOverW, ph.MeanCapW, ph.MeanPowerW)
 	}
 	if sc.MaxOverPct > 0 {
-		worst := 0.0
-		for _, ph := range overs {
-			if ph.MaxOverPct > worst {
-				worst = ph.MaxOverPct
-			}
-		}
+		worst := res.WorstOverPct()
 		verdict := "within"
 		if worst > sc.MaxOverPct {
 			verdict = "EXCEEDS"

@@ -139,9 +139,6 @@ func (s *System) RunLive(jobs []workload.Job, cfg LiveConfig) (*LiveResult, erro
 	if scfg.TickS == 0 {
 		scfg.TickS = 30
 	}
-	if scfg.Metrics == nil {
-		scfg.Metrics = s.Obs // mirror controller health counters when instrumented
-	}
 	rate := cfg.SampleRate
 	if rate == 0 {
 		rate = 4
@@ -193,20 +190,33 @@ func (s *System) RunLive(jobs []workload.Job, cfg LiveConfig) (*LiveResult, erro
 	defer func() { _ = pl.Close() }()
 	db, agg := pl.Store(), pl.Aggregator()
 
-	// Mirror per-rack fail-safe holds into the deterministic snapshot
-	// (one increment per held rack tick; unregistered without a registry).
-	heldCtr := new(obs.Counter)
-	if s.Obs != nil {
-		heldCtr = s.Obs.CounterOf("davide_cap_held_total")
+	// Mirror the controller's counts and the per-rack fail-safe holds
+	// (one per held rack tick) into the deterministic snapshot;
+	// unregistered without a registry. A sync adds each count's increase
+	// since the last one, so runs sharing a registry accumulate.
+	counter := func(name string) *obs.Counter {
+		if s.Obs == nil {
+			return new(obs.Counter)
+		}
+		return s.Obs.CounterOf(name)
+	}
+	heldCtr := counter("davide_cap_held_total")
+	var schedCtrs [len(schedSeries)]*obs.Counter
+	for i, name := range schedSeries {
+		schedCtrs[i] = counter(name)
+	}
+	var synced [len(schedSeries)]int
+	syncCounts := func(c sched.Counts) {
+		for i, v := range schedValues(c) {
+			schedCtrs[i].Add(int64(v - synced[i]))
+			synced[i] = v
+		}
 	}
 
 	res := &LiveResult{}
 	var faultsTotal chaos.Counters
 	restarts := 0
 	var wireBytes int64
-	// ctrl is assigned below; AfterTick closes over it to retarget the
-	// rack share when the effective cap is dynamic.
-	var ctrl *sched.Controller
 	hooks := sched.Hooks{
 		Perturb: cfg.Perturb,
 		StreamTick: func(t0, t1 float64, levels []float64) error {
@@ -229,13 +239,14 @@ func (s *System) RunLive(jobs []workload.Job, cfg LiveConfig) (*LiveResult, erro
 			}
 			return nil
 		},
-		AfterTick: func(t0, t1 float64, watts []float64, fresh []bool) error {
-			if scfg.CapSchedule != nil && scfg.PowerCapW > 0 {
-				// Dynamic cap: the share tracks the controller's
-				// ramp-limited effective cap, not the nominal share
-				// computed at setup, clamped to the node idle floor (a
-				// cap below idle is physically unenforceable).
-				share = float64(max(units.Watt(ctrl.EffectiveCap()/float64(nodes)), idle))
+		AfterTick: func(tk *sched.Tick) error {
+			syncCounts(tk.Counts)
+			if tk.CapW > 0 {
+				// The share tracks the effective cap (under a
+				// CapSchedule the ramp-limited one, not the nominal
+				// share computed at setup), clamped to the node idle
+				// floor (a cap below idle is physically unenforceable).
+				share = float64(max(units.Watt(tk.CapW/float64(nodes)), idle))
 			}
 			for i := range racks {
 				rk := &racks[i]
@@ -243,13 +254,13 @@ func (s *System) RunLive(jobs []workload.Job, cfg LiveConfig) (*LiveResult, erro
 				end := rk.FirstNode + rk.Nodes
 				// A partial mean would underestimate the rack: any stale
 				// member holds the whole rack tick.
-				if slices.Contains(fresh[rk.FirstNode:end], false) {
+				if slices.Contains(tk.Fresh[rk.FirstNode:end], false) {
 					rk.Held++
 					heldCtr.Inc()
 					continue
 				}
 				sum := 0.0
-				for _, w := range watts[rk.FirstNode:end] {
+				for _, w := range tk.Watts[rk.FirstNode:end] {
 					sum += w
 				}
 				rk.Steps++
@@ -260,12 +271,12 @@ func (s *System) RunLive(jobs []workload.Job, cfg LiveConfig) (*LiveResult, erro
 			if si := s.obsSelfIngest(); si != nil {
 				// One health point per control tick, stamped in virtual
 				// time: the plane monitoring itself through its own tsdb.
-				si.Record(t1)
+				si.Record(tk.T1)
 			}
 			return nil
 		},
 	}
-	ctrl, err = sched.NewController(scfg, jobs, db, hooks)
+	ctrl, err := sched.NewController(scfg, jobs, db, hooks)
 	if err != nil {
 		return nil, err
 	}
@@ -282,6 +293,7 @@ func (s *System) RunLive(jobs []workload.Job, cfg LiveConfig) (*LiveResult, erro
 	if err != nil {
 		return nil, err
 	}
+	syncCounts(cres.Counts) // completions measured in the end-of-run flush
 	s.store = db
 
 	res.ControllerResult = *cres
@@ -325,4 +337,21 @@ func (s *System) RunLive(jobs []workload.Job, cfg LiveConfig) (*LiveResult, erro
 		}
 	}
 	return res, nil
+}
+
+// schedSeries names the registry counters that mirror the controller's
+// counts, in schedValues order.
+var schedSeries = [...]string{
+	"davide_sched_ticks_total",
+	"davide_sched_fresh_reads_total",
+	"davide_sched_stale_reads_total",
+	"davide_sched_refused_admissions_total",
+	"davide_sched_measure_failures_total",
+	"davide_sched_brownout_transitions_total",
+}
+
+// schedValues lists the mirrored counts in schedSeries order.
+func schedValues(c sched.Counts) [len(schedSeries)]int {
+	return [...]int{c.Ticks, c.FreshReads, c.StaleReads,
+		c.RefusedAdmissions, c.MeasureFailures, c.BrownoutTransitions}
 }

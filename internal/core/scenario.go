@@ -150,7 +150,7 @@ func (s *System) RunScenario(sc *scenario.Scenario, seed int64, jobs []workload.
 		res.EnergyErrPct = 100 * math.Abs(live.MeasuredEnergyJ-live.EnergyJ) / live.EnergyJ
 	}
 	if nominal > 0 {
-		overs, err := scenario.CapTrack(s.Store(), nodes, nominal, tickS, live.Makespan, sc)
+		overs, err := scenario.CapTrack(s.Store(), nodes, nominal, float64(nodes)*idleW, tickS, live.Makespan, sc)
 		if err != nil {
 			return nil, err
 		}

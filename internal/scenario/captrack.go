@@ -3,6 +3,8 @@ package scenario
 import (
 	"errors"
 	"fmt"
+
+	"davide/internal/sched"
 )
 
 // Post-hoc cap tracking: replay the scenario's cap trajectory against
@@ -40,11 +42,12 @@ type PhaseOvershoot struct {
 }
 
 // CapTrack reconstructs the ramp-limited effective-cap trajectory the
-// controller tracked (same rate limit, same tick grid) and scores the
-// measured machine power from the store against it, per report phase.
-// Nodes whose window has no data simply contribute nothing — CapTrack
-// is a post-hoc query and must work on lossy telemetry.
-func CapTrack(src PowerSource, nodes int, nominalCapW, tickS, horizon float64, sc *Scenario) ([]PhaseOvershoot, error) {
+// controller tracked (its tracker step, rate limit, tick grid and the
+// machine idle floor floorW) and scores the measured machine power from
+// the store against it, per report phase. Nodes whose window has no
+// data simply contribute nothing — CapTrack is a post-hoc query and
+// must work on lossy telemetry.
+func CapTrack(src PowerSource, nodes int, nominalCapW, floorW, tickS, horizon float64, sc *Scenario) ([]PhaseOvershoot, error) {
 	if src == nil {
 		return nil, errors.New("scenario: nil power source")
 	}
@@ -60,21 +63,7 @@ func CapTrack(src PowerSource, nodes int, nominalCapW, tickS, horizon float64, s
 
 	capNow := nominalCapW
 	for t0 := 0.0; t0 < horizon; t0 += tickS {
-		// Same tracker the controller runs: target, then rate-limit.
-		target := nominalCapW * sc.Cap.FracAt(t0)
-		if sc.RampWPerS > 0 {
-			maxStep := sc.RampWPerS * tickS
-			switch d := target - capNow; {
-			case d > maxStep:
-				capNow += maxStep
-			case d < -maxStep:
-				capNow -= maxStep
-			default:
-				capNow = target
-			}
-		} else {
-			capNow = target
-		}
+		capNow = sched.TrackCap(capNow, nominalCapW*sc.Cap.FracAt(t0), floorW, sc.RampWPerS, tickS)
 
 		t1 := t0 + tickS
 		measured := 0.0

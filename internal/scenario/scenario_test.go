@@ -261,8 +261,9 @@ func TestCapTrackArithmetic(t *testing.T) {
 	}
 	// 4 nodes at 300 W each, one node's telemetry missing -> 900 W
 	// measured. Nominal cap 1200 W; target drops to 600 W at t=100 and
-	// ramps there at 10 W/s (100 W per 10 s tick).
-	got, err := CapTrack(rampSource{perNode: 300}, 4, 1200, 10, 400, sc)
+	// ramps there at 10 W/s (100 W per 10 s tick), above the 400 W idle
+	// floor throughout.
+	got, err := CapTrack(rampSource{perNode: 300}, 4, 1200, 400, 10, 400, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +289,7 @@ func TestCapTrackArithmetic(t *testing.T) {
 		t.Fatalf("shed OverTicks = %d of %d: ramp should cross measured power mid-phase", shed.OverTicks, shed.Ticks)
 	}
 	// Determinism: same inputs, identical report.
-	again, err := CapTrack(rampSource{perNode: 300}, 4, 1200, 10, 400, sc)
+	again, err := CapTrack(rampSource{perNode: 300}, 4, 1200, 400, 10, 400, sc)
 	if err != nil {
 		t.Fatal(err)
 	}

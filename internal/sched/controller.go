@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"davide/internal/accounting"
-	"davide/internal/obs"
 	"davide/internal/predictor"
 	"davide/internal/sensor"
 	"davide/internal/workload"
@@ -65,13 +64,11 @@ type Hooks struct {
 	// By the time it returns, whatever the transport delivered must be
 	// queryable from the controller's TelemetrySource. Required.
 	StreamTick func(t0, t1 float64, levels []float64) error
-	// AfterTick runs after the tick's telemetry has been read back and
-	// hands over what was read: fresh[n] reports whether node n
-	// delivered new samples this tick, and watts[n] is its newest
-	// measured power (this tick's window mean where fresh, the held value
-	// otherwise). Both slices are the controller's own: read them during
-	// the call only.
-	AfterTick func(t0, t1 float64, watts []float64, fresh []bool) error
+	// AfterTick runs once the tick's telemetry has been read back and
+	// its completions settled, and hands over the controller's tick
+	// record. The record is the controller's own and reused every
+	// tick: read it during the call only.
+	AfterTick func(*Tick) error
 	// Perturb, when non-nil, mutates the tick's per-node power levels
 	// in place before they are streamed — the seam where scenario
 	// physics (thermal DVFS throttling) shapes the power the telemetry
@@ -100,16 +97,11 @@ type ControllerConfig struct {
 	// Trainer, when non-nil, supersedes Config.Estimator and is retrained
 	// online from measured completions (see predictor.Online).
 	Trainer *predictor.Online
-	// Metrics, when non-nil, mirrors the controller's health counters
-	// (ticks, fresh/stale reads, refused admissions, measure failures)
-	// into the registry as davide_sched_* series, live during the run —
-	// the ControllerResult fields stay the canonical post-run numbers.
-	Metrics *obs.Registry
 
 	// CapSchedule, when non-nil, makes the power cap dynamic: it maps
 	// virtual time to the *target* cap in watts (demand-response ramps,
 	// price/carbon step schedules). The controller tracks the target
-	// with a ramp-rate limit rather than jumping — see EffectiveCap.
+	// with a ramp-rate limit rather than jumping — see TrackCap.
 	// Admission, reactive capping and cap-violation accounting all run
 	// against the tracked cap; Config.PowerCapW stays the nominal cap
 	// (the fail-fast schedulability check and result summary use it).
@@ -196,10 +188,8 @@ func (c ControllerConfig) strategy() Strategy {
 	return fifoStrategy{}
 }
 
-// ControllerResult extends the batch metrics with the live plane's
-// telemetry-facing counters.
-type ControllerResult struct {
-	Result
+// Counts are the controller's cumulative health counts over a run.
+type Counts struct {
 	// Ticks is the number of control periods executed.
 	Ticks int
 	// FreshReads / StaleReads count per-node tick reads that delivered
@@ -210,6 +200,38 @@ type ControllerResult struct {
 	// RefusedAdmissions counts dispatch attempts refused for lack of
 	// power headroom.
 	RefusedAdmissions int
+	// MeasureFailures counts completions whose telemetry-derived energy
+	// record could not be built (severe loss); such jobs skip retraining.
+	MeasureFailures int
+	// BrownoutTransitions counts brownout mode changes (engage +
+	// release each count one); BrownoutTicks counts ticks spent
+	// browned out. Both zero unless BrownoutStaleFrac armed the mode.
+	BrownoutTransitions int
+	BrownoutTicks       int
+}
+
+// Tick is the controller's one per-tick record: what it read this tick
+// and its counts so far. The result's counts and whatever
+// Hooks.AfterTick derives are folds of it.
+type Tick struct {
+	// T1 is the end of the tick's window in virtual seconds.
+	T1 float64
+	// Watts[n] is node n's newest measured power: this tick's window
+	// mean where Fresh[n] (node n delivered new samples), the held
+	// value otherwise.
+	Watts []float64
+	Fresh []bool
+	// CapW is the effective cap enforced this tick: the ramp-limited
+	// tracker of CapSchedule, or the nominal PowerCapW without one.
+	CapW float64
+	Counts
+}
+
+// ControllerResult extends the batch metrics with the live plane's
+// telemetry-facing counters.
+type ControllerResult struct {
+	Result
+	Counts
 	// MeasuredEnergyJ is the telemetry-derived machine energy over the
 	// run (sum of per-node store integrals; EnergyJ is the analytic
 	// effective truth).
@@ -220,16 +242,8 @@ type ControllerResult struct {
 	MeasuredCapViolationSec float64
 	// MaxOverPct is the worst true overshoot above the cap in percent.
 	MaxOverPct float64
-	// MeasureFailures counts completions whose telemetry-derived energy
-	// record could not be built (severe loss); such jobs skip retraining.
-	MeasureFailures int
 	// Retrains is the online predictor's refit count (0 without Trainer).
 	Retrains int
-	// BrownoutTransitions counts brownout mode changes (engage +
-	// release each count one); BrownoutTicks counts ticks spent
-	// browned out. Both zero unless BrownoutStaleFrac armed the mode.
-	BrownoutTransitions int
-	BrownoutTicks       int
 	// FinalCapW is the tracked effective cap at the end of the run
 	// (== PowerCapW without a CapSchedule).
 	FinalCapW float64
@@ -244,14 +258,13 @@ type Controller struct {
 	hooks Hooks
 	speed float64 // reactive execution speed for the *next* tick
 
-	// Telemetry view: last fresh per-node mean power, the ingested
-	// sample count at the last fresh read (freshness detection), the
-	// start of each node's newest fresh window (accounting settlement),
-	// and which nodes were fresh this tick.
-	lastSeen    []float64
+	// tick is the reused per-tick record (newest per-node reads, the
+	// effective cap, the counts). Beside it: the ingested sample count
+	// at each node's last fresh read (freshness detection) and the start
+	// of its newest fresh window (accounting settlement).
+	tick        Tick
 	seen        []int
 	lastFreshT0 []float64
-	freshNodes  []bool
 
 	// measureQ holds completed jobs whose accounting waits for
 	// post-completion telemetry (see settleTicks).
@@ -260,48 +273,17 @@ type Controller struct {
 	ledger *accounting.Ledger
 	trace  *sensor.Piecewise
 
-	fresh, stale    int
-	measureFailures int
-	capViolSec      float64
-	capOverSq       float64
-	measViolSec     float64
-	maxOverPct      float64
-	consumed        bool
+	capViolSec  float64
+	capOverSq   float64
+	measViolSec float64
+	maxOverPct  float64
+	consumed    bool
 
-	// Dynamic-cap tracking state: capNow is the ramp-limited effective
-	// cap; trim is the anti-windup integral admission correction (a
-	// fraction of capNow held back while measured power persistently
+	// trim is the anti-windup integral admission correction (a fraction
+	// of the effective cap held back while measured power persistently
 	// overshoots); brownout is the stale-telemetry degraded mode.
-	capNow        float64
-	trim          float64
-	brownout      bool
-	brownoutTrans int
-	brownoutTicks int
-
-	// met mirrors the counters above into a registry (nil without
-	// ControllerConfig.Metrics).
-	met *schedMetrics
-}
-
-// schedMetrics is the registry view of the controller's health counters.
-type schedMetrics struct {
-	ticks           *obs.Counter
-	freshReads      *obs.Counter
-	staleReads      *obs.Counter
-	refused         *obs.Counter
-	measureFailures *obs.Counter
-	brownoutTrans   *obs.Counter
-}
-
-func newSchedMetrics(reg *obs.Registry) *schedMetrics {
-	return &schedMetrics{
-		ticks:           reg.CounterOf("davide_sched_ticks_total"),
-		freshReads:      reg.CounterOf("davide_sched_fresh_reads_total"),
-		staleReads:      reg.CounterOf("davide_sched_stale_reads_total"),
-		refused:         reg.CounterOf("davide_sched_refused_admissions_total"),
-		measureFailures: reg.CounterOf("davide_sched_measure_failures_total"),
-		brownoutTrans:   reg.CounterOf("davide_sched_brownout_transitions_total"),
-	}
+	trim     float64
+	brownout bool
 }
 
 // NewController validates the configuration and prepares a live run over
@@ -326,17 +308,13 @@ func NewController(cfg ControllerConfig, jobs []workload.Job, src TelemetrySourc
 		return nil, err
 	}
 	c := &Controller{machine: m, cfg: cfg, src: src, hooks: hooks, speed: 1,
-		capNow: cfg.PowerCapW, ledger: accounting.NewLedger()}
-	if cfg.Metrics != nil {
-		c.met = newSchedMetrics(cfg.Metrics)
-	}
-	c.lastSeen = make([]float64, cfg.Nodes)
+		ledger: accounting.NewLedger()}
+	c.tick = Tick{Watts: make([]float64, cfg.Nodes), Fresh: make([]bool, cfg.Nodes), CapW: cfg.PowerCapW}
 	c.seen = make([]int, cfg.Nodes)
 	c.lastFreshT0 = make([]float64, cfg.Nodes)
-	c.freshNodes = make([]bool, cfg.Nodes)
 	for n := 0; n < cfg.Nodes; n++ {
 		// Before any telemetry exists the machine is provably idle.
-		c.lastSeen[n] = cfg.IdleNodePowerW
+		c.tick.Watts[n] = cfg.IdleNodePowerW
 		c.lastFreshT0[n] = -1
 	}
 	c.trace = sensor.NewPiecewise(0, cfg.IdleNodePowerW*float64(cfg.Nodes))
@@ -347,45 +325,32 @@ func NewController(cfg ControllerConfig, jobs []workload.Job, src TelemetrySourc
 // fills as jobs complete (the paper's EA agent view of the machine).
 func (c *Controller) Ledger() *accounting.Ledger { return c.ledger }
 
-// EffectiveCap returns the cap the controller is currently enforcing:
-// the ramp-limited tracker of CapSchedule, or the nominal PowerCapW
-// without one. internal/core's rack report judges each rack against
-// its per-node share of this cap every tick.
-func (c *Controller) EffectiveCap() float64 { return c.capNow }
-
-// trackCap advances the effective cap one tick toward the schedule
-// target, ramp-rate limited and clamped above the machine idle floor
-// (a cap below idle is unenforceable — the capping actuators reject
-// it). With no schedule the effective cap stays pinned at the nominal
-// cap, keeping legacy runs bit-identical.
-func (c *Controller) trackCap(t float64) {
-	if c.cfg.CapSchedule == nil || c.cfg.PowerCapW <= 0 {
-		return
+// TrackCap advances a ramp-limited effective cap one tick of tickS
+// seconds toward target: the target is first clamped up to floorW, the
+// machine's idle draw (a cap below idle is unenforceable — the capping
+// actuators reject it), then approached by at most rampWPerS·tickS
+// watts (rampWPerS 0 jumps to it). The controller's tracker and the
+// post-hoc scenario.CapTrack overlay both step through it.
+func TrackCap(capW, target, floorW, rampWPerS, tickS float64) float64 {
+	target = max(target, floorW)
+	if rampWPerS <= 0 {
+		return target
 	}
-	target := c.cfg.CapSchedule(t)
-	if idle := float64(c.cfg.Nodes) * c.cfg.IdleNodePowerW; target < idle {
-		target = idle
-	}
-	if c.cfg.CapRampWPerS <= 0 {
-		c.capNow = target
-		return
-	}
-	maxStep := c.cfg.CapRampWPerS * c.cfg.TickS
-	switch d := target - c.capNow; {
+	maxStep := rampWPerS * tickS
+	switch d := target - capW; {
 	case d > maxStep:
-		c.capNow += maxStep
+		return capW + maxStep
 	case d < -maxStep:
-		c.capNow -= maxStep
-	default:
-		c.capNow = target
+		return capW - maxStep
 	}
+	return target
 }
 
 // admitCap is the cap admission runs against this tick: the tracked
 // cap, tightened by brownout mode and the anti-windup trim. Both
 // corrections are zero in legacy runs.
 func (c *Controller) admitCap() float64 {
-	capW := c.capNow
+	capW := c.tick.CapW
 	if c.brownout {
 		capW *= brownoutCapFrac
 	}
@@ -400,7 +365,7 @@ func (c *Controller) admitCap() float64 {
 // last fresh value.
 func (c *Controller) measuredTotal() float64 {
 	t := 0.0
-	for _, v := range c.lastSeen {
+	for _, v := range c.tick.Watts {
 		t += v
 	}
 	return t
@@ -438,34 +403,29 @@ func (c *Controller) levels() []float64 {
 	return out
 }
 
-// observe reads the tick's telemetry back from the store. A node whose
-// ingested sample count did not grow delivered nothing this tick: its
-// last measurement is held (the hold-last-safe rule) and the hold is
-// counted.
+// observe reads the tick's telemetry back from the store into the tick
+// record. A node whose ingested sample count did not grow delivered
+// nothing this tick: its last measurement is held (the hold-last-safe
+// rule) and the hold is counted.
 func (c *Controller) observe(t0, t1 float64) {
+	tk := &c.tick
 	staleTick := 0
-	for n := 0; n < c.cfg.Nodes; n++ {
+	for n := range tk.Watts {
 		cnt := c.src.IngestedSamples(n)
 		if cnt > c.seen[n] {
 			if v, err := c.src.MeanPower(n, t0, t1); err == nil {
-				c.lastSeen[n] = v
+				tk.Watts[n] = v
 				c.seen[n] = cnt
 				c.lastFreshT0[n] = t0
-				c.fresh++
-				if c.met != nil {
-					c.met.freshReads.Inc()
-				}
-				c.freshNodes[n] = true
+				tk.Fresh[n] = true
 				continue
 			}
 		}
-		c.freshNodes[n] = false
-		c.stale++
+		tk.Fresh[n] = false
 		staleTick++
-		if c.met != nil {
-			c.met.staleReads.Inc()
-		}
 	}
+	tk.FreshReads += len(tk.Watts) - staleTick
+	tk.StaleReads += staleTick
 	// Brownout hysteresis: engage when the tick's stale fraction
 	// reaches the threshold (the hold-last-safe view is now mostly
 	// guesswork — tighten admission instead of trusting it), release
@@ -473,22 +433,14 @@ func (c *Controller) observe(t0, t1 float64) {
 	if c.cfg.BrownoutStaleFrac > 0 {
 		frac := float64(staleTick) / float64(c.cfg.Nodes)
 		switch {
-		case !c.brownout && frac >= c.cfg.BrownoutStaleFrac:
-			c.brownout = true
-			c.brownoutTrans++
-			if c.met != nil {
-				c.met.brownoutTrans.Inc()
-			}
-		case c.brownout && frac <= c.cfg.BrownoutStaleFrac/2:
-			c.brownout = false
-			c.brownoutTrans++
-			if c.met != nil {
-				c.met.brownoutTrans.Inc()
-			}
+		case !c.brownout && frac >= c.cfg.BrownoutStaleFrac,
+			c.brownout && frac <= c.cfg.BrownoutStaleFrac/2:
+			c.brownout = !c.brownout
+			tk.BrownoutTransitions++
 		}
 	}
 	if c.brownout {
-		c.brownoutTicks++
+		tk.BrownoutTicks++
 	}
 	// A running job becomes visible once every one of its nodes has
 	// reported a window that overlaps its execution.
@@ -498,7 +450,7 @@ func (c *Controller) observe(t0, t1 float64) {
 		}
 		vis := true
 		for _, n := range r.nodes {
-			if !c.freshNodes[n] {
+			if !tk.Fresh[n] {
 				vis = false
 				break
 			}
@@ -518,9 +470,9 @@ func (c *Controller) updateSpeed() {
 	if c.cfg.ReactiveCapping && c.cfg.PowerCapW > 0 && prev > 0 {
 		idle := float64(c.cfg.Nodes) * c.cfg.IdleNodePowerW
 		// The budget comes from the *tracked* cap, so reactive capping
-		// follows a demand-response ramp down (capNow == PowerCapW in
+		// follows a demand-response ramp down (CapW == PowerCapW in
 		// legacy runs).
-		budget := c.capNow - idle
+		budget := c.tick.CapW - idle
 		dynFull := (c.measuredTotal() - idle) / prev
 		if dynFull > budget {
 			if budget <= 0 {
@@ -542,13 +494,14 @@ func (c *Controller) updateSpeed() {
 // winding it further could not reduce power any faster, only delay
 // recovery after the transient (the classic anti-windup rule).
 func (c *Controller) updateTrim() {
-	if c.cfg.CapSchedule == nil || c.capNow <= 0 {
+	capW := c.tick.CapW
+	if c.cfg.CapSchedule == nil || capW <= 0 {
 		return
 	}
 	const speedFloor = 0.05
-	if over := c.measuredTotal() - c.capNow; over > 0 {
+	if over := c.measuredTotal() - capW; over > 0 {
 		if !c.cfg.ReactiveCapping || c.speed > speedFloor {
-			c.trim = math.Min(0.5, c.trim+0.5*over/c.capNow)
+			c.trim = math.Min(0.5, c.trim+0.5*over/capW)
 		}
 	} else {
 		c.trim *= 0.5
@@ -614,10 +567,7 @@ func (c *Controller) complete(r *job) error {
 	rec, err := c.ledger.AddFromSource(c.src, r.job.ID, r.job.User,
 		r.job.App.String(), r.nodes, r.startAt, r.endAt)
 	if err != nil {
-		c.measureFailures++
-		if c.met != nil {
-			c.met.measureFailures.Inc()
-		}
+		c.tick.MeasureFailures++
 		return nil
 	}
 	if c.cfg.Trainer == nil {
@@ -626,10 +576,7 @@ func (c *Controller) complete(r *job) error {
 	measured := r.job
 	measured.TruePowerPerNode = rec.PerNodePowerW()
 	if measured.TruePowerPerNode <= 0 {
-		c.measureFailures++
-		if c.met != nil {
-			c.met.measureFailures.Inc()
-		}
+		c.tick.MeasureFailures++
 		return nil
 	}
 	// Duration as scheduled (capping may have stretched it); the
@@ -650,25 +597,27 @@ func (c *Controller) Run() (*ControllerResult, error) {
 		return nil, errors.New("sched: controller already consumed")
 	}
 	c.consumed = true
-	ticks := 0
-	for ; c.finished < len(c.jobs); ticks++ {
-		if ticks >= maxTicks {
+	tk := &c.tick
+	for c.finished < len(c.jobs) {
+		if tk.Ticks >= maxTicks {
 			return nil, fmt.Errorf("sched: run incomplete after %d ticks (%d/%d jobs finished — cap too tight for the workload?)",
-				ticks, c.finished, len(c.jobs))
+				tk.Ticks, c.finished, len(c.jobs))
 		}
-		if c.met != nil {
-			c.met.ticks.Inc()
-		}
+		tk.Ticks++
 		t0, t1 := c.now, c.now+c.cfg.TickS
-		c.trackCap(t0)
+		tk.T1 = t1
+		if c.cfg.CapSchedule != nil && c.cfg.PowerCapW > 0 {
+			// Without a schedule the effective cap stays pinned at the
+			// nominal cap, keeping legacy runs bit-identical.
+			tk.CapW = TrackCap(tk.CapW, c.cfg.CapSchedule(t0),
+				float64(c.cfg.Nodes)*c.cfg.IdleNodePowerW, c.cfg.CapRampWPerS, c.cfg.TickS)
+		}
 		c.arrive(t0)
-		refused := c.refused
-		if err := c.dispatch(c.belief(), c.admitCap()); err != nil {
+		refused, err := c.dispatch(c.belief(), c.admitCap())
+		if err != nil {
 			return nil, err
 		}
-		if c.met != nil {
-			c.met.refused.Add(int64(c.refused - refused))
-		}
+		tk.RefusedAdmissions += refused
 		levels := c.levels()
 		if c.hooks.Perturb != nil {
 			c.hooks.Perturb(t0, t1, levels)
@@ -688,14 +637,14 @@ func (c *Controller) Run() (*ControllerResult, error) {
 			// Violations are judged against the *tracked* cap — under a
 			// demand-response ramp the machine must honour the cap of
 			// the moment, not the nominal one.
-			if over := trueEff - c.capNow; over > 0 {
+			if over := trueEff - tk.CapW; over > 0 {
 				c.capViolSec += c.cfg.TickS
 				c.capOverSq += over * over * c.cfg.TickS
-				if pct := 100 * over / c.capNow; pct > c.maxOverPct {
+				if pct := 100 * over / tk.CapW; pct > c.maxOverPct {
 					c.maxOverPct = pct
 				}
 			}
-			if c.measuredTotal() > c.capNow {
+			if c.measuredTotal() > tk.CapW {
 				c.measViolSec += c.cfg.TickS
 			}
 		}
@@ -705,7 +654,7 @@ func (c *Controller) Run() (*ControllerResult, error) {
 		}
 		c.updateSpeed()
 		if c.hooks.AfterTick != nil {
-			if err := c.hooks.AfterTick(t0, t1, c.lastSeen, c.freshNodes); err != nil {
+			if err := c.hooks.AfterTick(tk); err != nil {
 				return nil, err
 			}
 		}
@@ -715,11 +664,11 @@ func (c *Controller) Run() (*ControllerResult, error) {
 	if err := c.settle(c.now, true); err != nil {
 		return nil, err
 	}
-	return c.collect(ticks)
+	return c.collect()
 }
 
 // collect assembles the final metrics.
-func (c *Controller) collect(ticks int) (*ControllerResult, error) {
+func (c *Controller) collect() (*ControllerResult, error) {
 	outs, err := c.outcomes()
 	if err != nil {
 		return nil, err
@@ -731,16 +680,10 @@ func (c *Controller) collect(ticks int) (*ControllerResult, error) {
 	}
 	res := &ControllerResult{
 		Result:                  *base,
-		Ticks:                   ticks,
-		FreshReads:              c.fresh,
-		StaleReads:              c.stale,
-		RefusedAdmissions:       c.refused,
+		Counts:                  c.tick.Counts,
 		MeasuredCapViolationSec: c.measViolSec,
 		MaxOverPct:              c.maxOverPct,
-		MeasureFailures:         c.measureFailures,
-		BrownoutTransitions:     c.brownoutTrans,
-		BrownoutTicks:           c.brownoutTicks,
-		FinalCapW:               c.capNow,
+		FinalCapW:               c.tick.CapW,
 	}
 	if c.cfg.Trainer != nil {
 		res.Retrains = c.cfg.Trainer.Retrains()

@@ -52,7 +52,6 @@ type machine struct {
 	finished int
 	free     []int // idle node IDs, ascending
 	now      float64
-	refused  int
 }
 
 // powerAwareNeeds reports what a power-aware discipline cannot run
@@ -175,11 +174,12 @@ func (m *machine) start(js *job) {
 // dispatch runs the one admission pass: the strategy decides over a
 // DispatchEnv whose power view starts at the driver's belief about
 // current machine power and admits against admitCapW; started jobs then
-// leave the pending queue (submission order kept for the rest).
-func (m *machine) dispatch(beliefW, admitCapW float64) error {
+// leave the pending queue (submission order kept for the rest). It
+// returns how many admissions the pass refused for lack of headroom.
+func (m *machine) dispatch(beliefW, admitCapW float64) (int, error) {
 	env := &DispatchEnv{m: m, base: beliefW, admitCapW: admitCapW, queue: m.pending}
 	if err := m.strategy.Dispatch(env); err != nil {
-		return err
+		return 0, err
 	}
 	kept := m.pending[:0]
 	for _, js := range m.pending {
@@ -188,7 +188,7 @@ func (m *machine) dispatch(beliefW, admitCapW float64) error {
 		}
 	}
 	m.pending = kept
-	return nil
+	return env.refused, nil
 }
 
 // work progresses every running job by s full-speed seconds.

@@ -211,7 +211,7 @@ func (s *Simulator) Run() (*Result, error) {
 		s.now = t
 		s.retire(t)
 		s.arrive(t)
-		if err := s.dispatch(s.predictedPower(), s.cfg.PowerCapW); err != nil {
+		if _, err := s.dispatch(s.predictedPower(), s.cfg.PowerCapW); err != nil {
 			return nil, err
 		}
 		s.updateSpeed()

@@ -65,6 +65,7 @@ type DispatchEnv struct {
 	// admitCapW is the cap admission runs against this pass.
 	admitCapW float64
 	queue     []*job
+	refused   int // admissions refused this pass (see Refuse)
 }
 
 // Len returns the pending-queue length.
@@ -163,8 +164,8 @@ func (e *DispatchEnv) AdmitUnderCap(i int) (bool, error) {
 }
 
 // Refuse counts one admission refused for lack of power headroom (the
-// ControllerResult.RefusedAdmissions metric).
-func (e *DispatchEnv) Refuse() { e.m.refused++ }
+// Counts.RefusedAdmissions metric).
+func (e *DispatchEnv) Refuse() { e.refused++ }
 
 // Start launches queue job i now on concrete nodes from the free list
 // and accounts its predicted delta (if one was computed) against the
