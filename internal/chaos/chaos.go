@@ -14,8 +14,7 @@
 // The package plugs into the transport as an mqtt.Link (see
 // internal/mqtt/link.go): it only ever touches QoS-0 application
 // messages — the paper's loss-tolerant streaming data — and passes
-// QoS-1 traffic (retained energy summaries, billing data) through
-// untouched.
+// QoS-1 traffic through untouched.
 package chaos
 
 import (

@@ -242,11 +242,8 @@ func (p *Plane) buildRack(r int) (*rackCell, error) {
 		cell.link.SetSizer(gateway.PayloadSamples)
 	}
 	bopts := mqtt.BridgeOptions{
-		Name: fmt.Sprintf("bridge-r%02d", r),
-		Filters: []mqtt.Subscription{
-			{Filter: gateway.TopicPrefix + "/+/power", QoS: 0},
-			{Filter: gateway.TopicPrefix + "/+/energy", QoS: 1},
-		},
+		Name:       fmt.Sprintf("bridge-r%02d", r),
+		Filters:    []mqtt.Subscription{{Filter: gateway.TopicPrefix + "/+/power", QoS: 0}},
 		QueueDepth: p.spec.rackQueueDepth(),
 		Link:       linkOrNil(cell.link),
 	}
@@ -265,8 +262,7 @@ func (p *Plane) buildRack(r int) (*rackCell, error) {
 
 // stampHook adapts a broker/bridge payload hook into a stage stamp. The
 // codec's header peek recovers (node, newest tick) without decoding the
-// samples; non-batch payloads (energy summaries) stamp nothing, keeping
-// the trace a pure power-batch pipeline view.
+// samples; a payload that is not a power batch stamps nothing.
 func stampHook(tr *obs.StageTrace, stage obs.Stage) func(topic string, payload []byte) {
 	return func(_ string, payload []byte) {
 		if node, _, newest, ok := gateway.PayloadTickInfo(payload); ok {

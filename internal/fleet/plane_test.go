@@ -101,9 +101,9 @@ func TestPlaneDeterministicAcrossRacks(t *testing.T) {
 		if st.Bridge.Dropped != 0 {
 			t.Fatalf("racks=%d: bridge backpressure dropped %d with sized queues", racks, st.Bridge.Dropped)
 		}
-		// Every power batch and every energy summary crosses the uplink —
+		// Every power batch crosses the uplink, and nothing else does —
 		// where there is one: a one-rack plane has no spine above it.
-		want := int64(st.Batches + nodes)
+		want := int64(st.Batches)
 		if racks == 1 {
 			want = 0
 		}
@@ -153,6 +153,39 @@ func TestPlaneDeterministicAcrossRacks(t *testing.T) {
 				t.Errorf("racks=%d node %d: energy %v != 1-rack %v", racks, n, got.perNode[n], base.perNode[n])
 			}
 		}
+	}
+}
+
+// TestPlaneStreamsPowerOnly pins what a window puts on the fabric: the
+// gateways publish their QoS-0 power batches and nothing else, so no
+// broker retains a message and the bridges forward exactly the batches.
+func TestPlaneStreamsPowerOnly(t *testing.T) {
+	const nodes = 6
+	p := newPlane(t, fleet.PlaneSpec{
+		Racks:     2,
+		NodesHint: nodes,
+		Gateway:   fleet.GatewaySpec{SampleRate: 100, BatchSamples: 64},
+	})
+	st, err := p.Stream(context.Background(), planeStreams(nodes), 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Bridge.Forwarded != int64(st.Batches) {
+		t.Fatalf("bridges forwarded %d, want the %d power batches", st.Bridge.Forwarded, st.Batches)
+	}
+	for r := 0; r < p.Racks(); r++ {
+		b := p.RackBroker(r)
+		if in, want := b.Stats.PublishesIn.Load(), int64(st.PerRack[r].Batches); in != want {
+			t.Errorf("rack %d broker took %d publishes, want its %d power batches", r, in, want)
+		}
+		if n := b.RetainedCount(); n != 0 {
+			t.Errorf("rack %d broker retains %d messages, want 0", r, n)
+		}
+	}
+	spine := p.SpineBroker()
+	waitForCond(t, func() bool { return spine.Stats.PublishesIn.Load() == int64(st.Batches) }, "spine to take every forwarded batch")
+	if n := spine.RetainedCount(); n != 0 {
+		t.Errorf("spine retains %d messages, want 0", n)
 	}
 }
 

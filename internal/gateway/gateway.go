@@ -29,7 +29,8 @@ func PowerTopic(nodeID int) string {
 	return fmt.Sprintf("%s/node%02d/power", TopicPrefix, nodeID)
 }
 
-// EnergyTopic returns the per-window energy summary topic for a node.
+// EnergyTopic returns the per-window energy summary topic for a node
+// (see EnergySummary); no gateway publishes on it.
 func EnergyTopic(nodeID int) string {
 	return fmt.Sprintf("%s/node%02d/energy", TopicPrefix, nodeID)
 }
@@ -76,7 +77,9 @@ func (b Batch) Encode() ([]byte, error) {
 	return json.Marshal(b)
 }
 
-// EnergySummary is the retained per-window energy record.
+// EnergySummary is a per-window energy record. The gateway no longer
+// publishes it; its only remaining user is the benchmark's per-layer
+// model of the gateway window.
 type EnergySummary struct {
 	Node   int     `json:"node"`
 	T0     float64 `json:"t0"`
@@ -87,15 +90,6 @@ type EnergySummary struct {
 
 // Encode serialises the summary.
 func (e EnergySummary) Encode() ([]byte, error) { return json.Marshal(e) }
-
-// DecodeEnergySummary parses a summary payload.
-func DecodeEnergySummary(payload []byte) (EnergySummary, error) {
-	var e EnergySummary
-	if err := json.Unmarshal(payload, &e); err != nil {
-		return EnergySummary{}, fmt.Errorf("gateway: decode: %w", err)
-	}
-	return e, nil
-}
 
 // Publisher abstracts the MQTT client so gateways can be tested without a
 // broker and wired to the real client in production.
@@ -191,9 +185,9 @@ func (g *Gateway) Stats() Stats {
 }
 
 // PublishWindow samples the signal over global time [t0, t1), stamps the
-// samples with the gateway clock, publishes the power batches at QoS 0
-// (streaming data, loss-tolerant) and a retained energy summary at QoS 1
-// (billing data, must arrive). Returns the energy estimate for the window.
+// samples with the gateway clock and publishes the power batches at QoS 0
+// (streaming data, loss-tolerant). Returns the gateway's own energy
+// estimate for the window, which is not published.
 func (g *Gateway) PublishWindow(sig sensor.Signal, t0, t1 float64) (float64, error) {
 	var cur Cursor
 	return g.PublishWindowResume(sig, t0, t1, &cur)
@@ -220,8 +214,7 @@ type Cursor struct {
 // Started reports whether the cursor's window has been observed yet.
 func (c *Cursor) Started() bool { return c.samples != nil }
 
-// Done reports whether the whole window (batches and energy summary)
-// has been published.
+// Done reports whether every batch of the window has been published.
 func (c *Cursor) Done() bool { return c.done }
 
 // Remaining returns how many samples are still unpublished.
@@ -241,7 +234,10 @@ func (g *Gateway) PublishWindowResume(sig sensor.Signal, t0, t1 float64, cur *Cu
 		return cur.energyJ, nil
 	}
 	if !cur.Started() {
-		if t1 <= t0 {
+		if err := sensor.CheckWindow(t0, t1); err != nil {
+			return 0, err
+		}
+		if t1 == t0 {
 			return 0, errors.New("gateway: empty window")
 		}
 		if err := g.Codec.Validate(); err != nil {
@@ -296,18 +292,6 @@ func (g *Gateway) PublishWindowResume(sig sensor.Signal, t0, t1 float64, cur *Cu
 
 	energy, err := sensor.EnergyFromSamples(cur.samples, t0, t1)
 	if err != nil {
-		return 0, err
-	}
-	mean, err := sensor.MeanPower(cur.samples)
-	if err != nil {
-		return 0, err
-	}
-	sum := EnergySummary{Node: g.NodeID, T0: t0, T1: t1, Joules: energy, MeanW: mean}
-	payload, err := sum.Encode()
-	if err != nil {
-		return 0, err
-	}
-	if err := g.Pub.Publish(EnergyTopic(g.NodeID), payload, 1, true); err != nil {
 		return 0, err
 	}
 	g.energyJ += energy

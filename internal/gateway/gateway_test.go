@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"math"
-	"strings"
 	"sync"
 	"testing"
 
@@ -127,17 +126,12 @@ func TestBatchValidation(t *testing.T) {
 }
 
 func TestEnergySummaryCodec(t *testing.T) {
-	e := EnergySummary{Node: 5, T0: 0, T1: 10, Joules: 18000, MeanW: 1800}
-	payload, err := e.Encode()
+	payload, err := EnergySummary{Node: 5, T0: 0, T1: 10, Joules: 18000, MeanW: 1800}.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeEnergySummary(payload)
-	if err != nil || got != e {
-		t.Errorf("round trip = %+v, %v", got, err)
-	}
-	if _, err := DecodeEnergySummary([]byte("{")); err == nil {
-		t.Error("bad summary should error")
+	if want := `{"node":5,"t0":0,"t1":10,"j":18000,"mean_w":1800}`; string(payload) != want {
+		t.Errorf("payload = %s, want %s", payload, want)
 	}
 }
 
@@ -170,55 +164,33 @@ func TestPublishWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(energy-180) > 2 {
-		t.Errorf("energy = %v, want ~180 J", energy)
+	if math.Abs(energy/0.1-1800) > 5 {
+		t.Errorf("window mean = %v W, want ~1800", energy/0.1)
 	}
-	// 5000 samples / 1000 per batch = 5 power batches + 1 summary.
+	// 5000 samples / 1000 per batch = 5 power batches and nothing else.
 	if g.Published() != 5 {
 		t.Errorf("Published = %d, want 5", g.Published())
 	}
 	if g.SampleCount() != 5000 {
 		t.Errorf("SampleCount = %d", g.SampleCount())
 	}
-	if len(pub.msgs) != 6 {
-		t.Fatalf("messages = %d, want 6", len(pub.msgs))
+	if len(pub.msgs) != 5 {
+		t.Fatalf("messages = %d, want 5", len(pub.msgs))
 	}
-	// Power batches on the power topic at QoS 0, summary retained QoS 1.
-	var summaries int
 	for _, m := range pub.msgs {
-		switch {
-		case strings.HasSuffix(m.topic, "/power"):
-			if m.qos != 0 || m.retain {
-				t.Error("power stream should be QoS0 non-retained")
-			}
-			b, err := DecodeBatch(m.payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if b.Node != 7 {
-				t.Errorf("batch node = %d", b.Node)
-			}
-			if math.Abs(b.Dt-2e-5) > 1e-9 {
-				t.Errorf("batch dt = %v, want 20 µs", b.Dt)
-			}
-		case strings.HasSuffix(m.topic, "/energy"):
-			summaries++
-			if m.qos != 1 || !m.retain {
-				t.Error("energy summary should be QoS1 retained")
-			}
-			e, err := DecodeEnergySummary(m.payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(e.MeanW-1800) > 5 {
-				t.Errorf("summary mean = %v", e.MeanW)
-			}
-		default:
-			t.Errorf("unexpected topic %q", m.topic)
+		if m.topic != PowerTopic(7) || m.qos != 0 || m.retain {
+			t.Fatalf("message on %q qos %d retain %v, want QoS 0 non-retained power", m.topic, m.qos, m.retain)
 		}
-	}
-	if summaries != 1 {
-		t.Errorf("summaries = %d", summaries)
+		b, err := DecodeBatch(m.payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Node != 7 {
+			t.Errorf("batch node = %d", b.Node)
+		}
+		if math.Abs(b.Dt-2e-5) > 1e-9 {
+			t.Errorf("batch dt = %v, want 20 µs", b.Dt)
+		}
 	}
 }
 

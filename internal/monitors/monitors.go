@@ -160,8 +160,8 @@ func (m *Monitor) Spec() Spec { return m.spec }
 // RMS value (the monitor's clock is off by a constant during a short
 // window).
 func (m *Monitor) Observe(sig sensor.Signal, t0, t1 float64) ([]sensor.Sample, error) {
-	if t1 < t0 {
-		return nil, errors.New("monitors: t1 < t0")
+	if err := sensor.CheckWindow(t0, t1); err != nil {
+		return nil, err
 	}
 	adc := m.adc
 	if !m.spec.Averaged {

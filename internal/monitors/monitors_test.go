@@ -2,6 +2,7 @@ package monitors
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -113,6 +114,40 @@ func TestObserveReversedWindow(t *testing.T) {
 	}
 	if _, err := m.Observe(sensor.Const(1), 1, 0); err == nil {
 		t.Error("reversed window should error")
+	}
+}
+
+// TestObserveRefusesBadWindows holds every monitor class to the sensor
+// window check: a NaN or infinite bound is refused before any draw, so
+// the next observation matches a twin that never saw the bad window.
+func TestObserveRefusesBadWindows(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := [][2]float64{{nan, 1}, {0, nan}, {inf, 1}, {0, inf}, {-inf, 1}, {0, -inf}}
+	for _, c := range []Class{IPMI, ArduPower, PowerInsight, HDEEM, EnergyGateway} {
+		m, err := NewBuiltin(c, 3000, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, err := NewBuiltin(c, 3000, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range bad {
+			if out, err := m.Observe(sensor.Const(1), w[0], w[1]); err == nil {
+				t.Errorf("%v over [%v, %v]: %d samples, want an error", c, w[0], w[1], len(out))
+			}
+		}
+		got, err := m.Observe(sensor.Const(1000), 0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := twin.Observe(sensor.Const(1000), 0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) == 0 || !slices.Equal(got, want) {
+			t.Errorf("%v: a refused window moved the sample stream", c)
+		}
 	}
 }
 

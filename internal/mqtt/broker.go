@@ -382,9 +382,14 @@ func (b *Broker) route(p *PublishPacket) {
 		b.mu.Unlock()
 	}
 	var scratch [8]subEntry // targets stay on the stack at telemetry fan-outs
+	// The read lock is held until every target has the message queued
+	// (the sends below never block). An UNSUBSCRIBE on any session takes
+	// the write lock, so once one subscriber has seen this message, a
+	// fence on another session (Bridge.Drain) queues its reply behind it,
+	// QoS 0 included.
 	b.mu.RLock()
+	defer b.mu.RUnlock()
 	targets := b.match(scratch[:0], p.Topic)
-	b.mu.RUnlock()
 	if p.Retain {
 		b.retainMu.Unlock()
 	}

@@ -103,6 +103,40 @@ func TestPubackFollowsRouting(t *testing.T) {
 	}
 }
 
+// TestFenceFollowsSeenPublish is Bridge.Drain's premise at QoS 0, where
+// no PUBACK orders the publisher behind routing: once one subscriber has
+// received a message, a fence on another subscriber's session returns
+// only after that session has it too.
+func TestFenceFollowsSeenPublish(t *testing.T) {
+	b := newTestBroker(t)
+	seen := make(chan struct{}, 1)
+	var got atomic.Int64
+	first := dialTest(t, b.Addr(), "first", func(Message) { seen <- struct{}{} })
+	fenced := dialTest(t, b.Addr(), "fenced", func(Message) { got.Add(1) })
+	for _, c := range []*Client{first, fenced} {
+		if err := c.Subscribe(Subscription{Filter: "davide/+/power", QoS: 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pub := dialTest(t, b.Addr(), "pub", nil)
+	for i := int64(1); i <= 300; i++ {
+		if err := pub.Publish("davide/node01/power", []byte("42"), 0, false); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-seen:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("publish %d never reached the first subscriber", i)
+		}
+		if err := fenced.Unsubscribe("fence/never-subscribed"); err != nil {
+			t.Fatal(err)
+		}
+		if n := got.Load(); n != i {
+			t.Fatalf("after the first subscriber saw publish %d and the other's fence returned, it had %d messages", i, n)
+		}
+	}
+}
+
 func TestNoDeliveryWithoutMatchingSubscription(t *testing.T) {
 	b := newTestBroker(t)
 	var count atomic.Int64

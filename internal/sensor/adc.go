@@ -98,17 +98,18 @@ const MaxRawSamples = 1 << 24
 // noise; each full group of n yields one sample at the mean nominal instant
 // with the mean power, summed in index order. A trailing partial group is
 // converted and dropped, so the noise stream ends where the two-pass form
-// left it. A reversed or non-finite window, or one of more than
+// left it. A window CheckWindow refuses, or one of more than
 // MaxRawSamples conversions, is an error returned before any draw.
 func (a *ADC) SampleDecimated(s Signal, t0, t1 float64, n int) ([]Sample, error) {
-	raw := math.Floor((t1 - t0) * a.Rate)
-	switch {
-	case n < 1:
+	if n < 1 {
 		return nil, errDecimation
-	case t1 < t0:
-		return nil, errInvalidWindow
-	case !(raw <= MaxRawSamples): // NaN and +Inf fail the comparison too
-		return nil, fmt.Errorf("sensor: window [%g, %g) at %g S/s is not finite or exceeds %d conversions", t0, t1, a.Rate, MaxRawSamples)
+	}
+	if err := CheckWindow(t0, t1); err != nil {
+		return nil, err
+	}
+	raw := math.Floor((t1 - t0) * a.Rate)
+	if !(raw <= MaxRawSamples) { // a span that overflows to +Inf fails too
+		return nil, fmt.Errorf("sensor: window [%g, %g) at %g S/s exceeds %d conversions", t0, t1, a.Rate, MaxRawSamples)
 	}
 	total := int(raw)
 	out := make([]Sample, 0, total/n)
@@ -133,10 +134,7 @@ func (a *ADC) SampleDecimated(s Signal, t0, t1 float64, n int) ([]Sample, error)
 	return out, nil
 }
 
-var (
-	errInvalidWindow = errors.New("sensor: t1 < t0")
-	errDecimation    = errors.New("sensor: decimation factor must be >= 1")
-)
+var errDecimation = errors.New("sensor: decimation factor must be >= 1")
 
 // Decimator performs N:1 boxcar averaging, the hardware decimation the
 // paper uses to turn 800 kS/s raw conversions into 50 kS/s power samples
@@ -185,11 +183,11 @@ func EnergyFromSamples(samples []Sample, t0, t1 float64) (float64, error) {
 	if len(samples) < 2 {
 		return 0, errors.New("sensor: need at least two samples")
 	}
-	if t1 < t0 {
-		return 0, errInvalidWindow
+	if err := CheckWindow(t0, t1); err != nil {
+		return 0, err
 	}
 	dt := samples[1].T - samples[0].T
-	if dt <= 0 {
+	if !(dt > 0) {
 		return 0, errors.New("sensor: non-increasing sample timestamps")
 	}
 	e := 0.0

@@ -338,6 +338,53 @@ func TestEnergyFromSamplesErrors(t *testing.T) {
 	}
 }
 
+func TestEnergyRefusesBadWindows(t *testing.T) {
+	// A NaN or an infinity at either bound, and a reversed span.
+	badWindows := []struct {
+		name   string
+		t0, t1 float64
+	}{
+		{"NaN t0", math.NaN(), 1},
+		{"NaN t1", 0, math.NaN()},
+		{"+Inf t0", math.Inf(1), 1},
+		{"+Inf t1", 0, math.Inf(1)},
+		{"-Inf t0", math.Inf(-1), 1},
+		{"-Inf t1", 0, math.Inf(-1)},
+		{"reversed", 1, 0},
+	}
+	pw := NewPiecewise(0, 100)
+	if err := pw.Set(0.5, 200); err != nil {
+		t.Fatal(err)
+	}
+	train := []Sample{{0, 1}, {0.5, 1}, {1, 1}}
+	entries := map[string]func(t0, t1 float64) (float64, error){
+		"Const":     Const(100).Energy,
+		"Sine":      Sine{Offset: 100, Amp: 10, Freq: 3}.Energy,
+		"Square":    Square{Low: 0, High: 100, Period: 1, Duty: 0.5}.Energy,
+		"Sum":       Sum{Const(100), Const(5)}.Energy,
+		"empty Sum": Sum{}.Energy,
+		"Piecewise": pw.Energy,
+		"EnergyFromSamples": func(t0, t1 float64) (float64, error) {
+			return EnergyFromSamples(train, t0, t1)
+		},
+	}
+	for name, energy := range entries {
+		for _, w := range badWindows {
+			if e, err := energy(w.t0, w.t1); err == nil {
+				t.Errorf("%s over %s = %v, want an error", name, w.name, e)
+			}
+		}
+		for _, w := range [][2]float64{{0, 1}, {0.5, 0.5}} {
+			if _, err := energy(w[0], w[1]); err != nil {
+				t.Errorf("%s over [%v, %v]: %v", name, w[0], w[1], err)
+			}
+		}
+	}
+	if e, err := EnergyFromSamples([]Sample{{math.NaN(), 1}, {1, 1}}, 0, 1); err == nil {
+		t.Errorf("NaN sample spacing = %v, want an error", e)
+	}
+}
+
 // Property: ADC sampling of a constant signal with no noise recovers the
 // value to within one LSB.
 func TestADCAccuracyProperty(t *testing.T) {

@@ -26,6 +26,17 @@ type Signal interface {
 	Energy(t0, t1 float64) (float64, error)
 }
 
+// CheckWindow refuses a window [t0, t1] that is reversed or has a bound
+// that is not finite: the one range check of every Signal.Energy,
+// EnergyFromSamples, SampleDecimated, and the monitors and gateways above
+// them. It is written as what must hold, so a NaN bound fails it.
+func CheckWindow(t0, t1 float64) error {
+	if t0 <= t1 && !math.IsInf(t0, 0) && !math.IsInf(t1, 0) {
+		return nil
+	}
+	return fmt.Errorf("sensor: window [%g, %g] is reversed or not finite", t0, t1)
+}
+
 // Const is a constant-power signal.
 type Const float64
 
@@ -34,8 +45,8 @@ func (c Const) PowerAt(float64) float64 { return float64(c) }
 
 // Energy implements Signal.
 func (c Const) Energy(t0, t1 float64) (float64, error) {
-	if t1 < t0 {
-		return 0, errors.New("sensor: t1 < t0")
+	if err := CheckWindow(t0, t1); err != nil {
+		return 0, err
 	}
 	return float64(c) * (t1 - t0), nil
 }
@@ -53,8 +64,8 @@ func (s Sine) PowerAt(t float64) float64 {
 
 // Energy implements Signal.
 func (s Sine) Energy(t0, t1 float64) (float64, error) {
-	if t1 < t0 {
-		return 0, errors.New("sensor: t1 < t0")
+	if err := CheckWindow(t0, t1); err != nil {
+		return 0, err
 	}
 	if s.Freq == 0 {
 		return (s.Offset + s.Amp*math.Sin(s.Phase)) * (t1 - t0), nil
@@ -131,8 +142,8 @@ func (q Square) Energy(t0, t1 float64) (float64, error) {
 	if err := q.Validate(); err != nil {
 		return 0, err
 	}
-	if t1 < t0 {
-		return 0, errors.New("sensor: t1 < t0")
+	if err := CheckWindow(t0, t1); err != nil {
+		return 0, err
 	}
 	// Energy over [0, t] from phase origin, then difference.
 	e := func(t float64) float64 {
@@ -165,6 +176,9 @@ func (ss Sum) PowerAt(t float64) float64 {
 
 // Energy implements Signal.
 func (ss Sum) Energy(t0, t1 float64) (float64, error) {
+	if err := CheckWindow(t0, t1); err != nil {
+		return 0, err
+	}
 	e := 0.0
 	for _, s := range ss {
 		v, err := s.Energy(t0, t1)
@@ -233,8 +247,8 @@ func (p *Piecewise) PowerAt(t float64) float64 {
 
 // Energy implements Signal with exact piecewise integration.
 func (p *Piecewise) Energy(t0, t1 float64) (float64, error) {
-	if t1 < t0 {
-		return 0, errors.New("sensor: t1 < t0")
+	if err := CheckWindow(t0, t1); err != nil {
+		return 0, err
 	}
 	if t1 == t0 {
 		return 0, nil

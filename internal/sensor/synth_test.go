@@ -69,8 +69,10 @@ func TestSampleDecimatedRefusals(t *testing.T) {
 	}{
 		{"NaN t1", 0, nan, 1},
 		{"NaN t0", nan, 1, 1},
+		{"+Inf t0", inf, 1, 1},
 		{"+Inf t1", 0, inf, 16},
 		{"-Inf t0", -inf, 0, 1},
+		{"-Inf t1", 0, -inf, 1},
 		{"Inf both", inf, inf, 1},
 		{"1e300", 0, 1e300, 16},
 		{"reversed", 1, 0, 1},

@@ -47,10 +47,9 @@ type aggShard struct {
 }
 
 // Aggregator subscribes to the gateways' power topics and writes every
-// batch through to a tsdb.DB; any other topic, the gateways' energy
-// summaries included, counts as unroutable (Dropped). It is safe for
-// concurrent use (the MQTT reader goroutine feeds it while experiment
-// code queries the store).
+// batch through to a tsdb.DB; any other topic counts as unroutable
+// (Dropped). It is safe for concurrent use (the MQTT reader goroutine
+// feeds it while experiment code queries the store).
 //
 // Per-node state is striped across power-of-two shards sized like the
 // store's (tsdb.ShardCountFor), so N rack-parallel ingest pools feeding
