@@ -27,12 +27,6 @@ package mqtt
 // source broker while the bridge was away are gone (normal MQTT
 // semantics for a lost subscriber) and show up only in the redial
 // counter.
-//
-// Retained state: live routing clears the RETAIN flag ([MQTT-3.3.1-9]),
-// so retained messages cross the uplink flagged only when the bridge
-// (re)subscribes and the source broker replays its retained store — a
-// bridge reconnect therefore seeds the spine's retained topics, the same
-// snapshot-on-attach behaviour mosquitto bridges rely on.
 
 import (
 	"context"
@@ -105,10 +99,9 @@ type BridgeStats struct {
 // queuedMsg is one buffered message; payload points into a pooled buffer
 // owned by the forward goroutine until it recycles it.
 type queuedMsg struct {
-	topic    string
-	payload  *[]byte
-	qos      byte
-	retained bool
+	topic   string
+	payload *[]byte
+	qos     byte
 }
 
 // Bridge forwards telemetry from a source broker to a target broker.
@@ -209,7 +202,7 @@ func (b *Bridge) enqueue(m Message) {
 	}
 	*bp = append((*bp)[:0], m.Payload...)
 	select {
-	case b.q <- queuedMsg{topic: m.Topic, payload: bp, qos: m.QoS, retained: m.Retained}:
+	case b.q <- queuedMsg{topic: m.Topic, payload: bp, qos: m.QoS}:
 		b.accepted.Add(1)
 		if depth := int64(len(b.q)); depth > b.highWater.Load() {
 			b.highWater.Store(depth) // racy max is fine for a gauge
@@ -245,7 +238,7 @@ func (b *Bridge) forward(m queuedMsg) {
 		b.mu.Lock()
 		up := b.up
 		b.mu.Unlock()
-		err := up.Publish(m.topic, *m.payload, qos, m.retained)
+		err := up.Publish(m.topic, *m.payload, qos, false)
 		if err == nil {
 			b.forwarded.Add(1)
 			b.forwardedBytes.Add(int64(len(*m.payload)))

@@ -16,7 +16,6 @@ type bridgeFixture struct {
 	bridge      *Bridge
 	mu          sync.Mutex
 	got         map[string]int // payload -> deliveries
-	retained    int
 }
 
 func newBridgeFixture(t *testing.T, opts BridgeOptions) *bridgeFixture {
@@ -29,9 +28,6 @@ func newBridgeFixture(t *testing.T, opts BridgeOptions) *bridgeFixture {
 	sub := dialTest(t, f.spine.Addr(), "spine-sub", func(m Message) {
 		f.mu.Lock()
 		f.got[string(m.Payload)]++
-		if m.Retained {
-			f.retained++
-		}
 		f.mu.Unlock()
 	})
 	if err := sub.Subscribe(
@@ -129,35 +125,6 @@ func TestBridgeDrainCoversRoutedMessages(t *testing.T) {
 		if st := f.bridge.Stats(); st.Forwarded+st.Dropped != total {
 			t.Fatalf("round %d: drained with %d forwarded + %d dropped, want %d", round, st.Forwarded, st.Dropped, total)
 		}
-	}
-}
-
-// TestBridgeCarriesRetainedSnapshot: live routing clears the RETAIN flag
-// ([MQTT-3.3.1-9]), so retained state crosses the uplink when the bridge
-// (re)subscribes — the source broker replays its retained store flagged,
-// and the bridge forwards it flagged, seeding the spine's retained store.
-func TestBridgeCarriesRetainedSnapshot(t *testing.T) {
-	f := newBridgeFixture(t, BridgeOptions{Name: "b4"})
-	pub := dialTest(t, f.rack.Addr(), "gw", nil)
-	if err := pub.Publish("davide/node01/energy", []byte("e-snap"), 1, true); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return f.delivered("e-snap") == 1 }, "live energy delivery")
-	if f.spine.RetainedCount() != 0 {
-		t.Fatal("live forward unexpectedly retained")
-	}
-	// Force a bridge resubscription: the retained snapshot crosses now.
-	if !f.rack.Kick("b4-src") {
-		t.Fatal("rack had no bridge session to kick")
-	}
-	waitFor(t, func() bool { return f.spine.RetainedCount() == 1 }, "retained snapshot on spine")
-	f.mu.Lock()
-	retained := f.retained
-	f.mu.Unlock()
-	if retained != 0 {
-		// spine-sub was subscribed before the snapshot arrived, so its
-		// copy is a live (unflagged) delivery too.
-		t.Errorf("existing subscriber saw %d flagged deliveries, want 0", retained)
 	}
 }
 

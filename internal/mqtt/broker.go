@@ -36,20 +36,13 @@ type Broker struct {
 	ln       net.Listener
 	mu       sync.RWMutex
 	sessions map[string]*session // by client ID
-	retained map[string]*PublishPacket
 	// index is what route walks: every subscription of every registered
 	// session, a session's entries adjacent. reindex rebuilds it wherever
 	// a filter map or the set of subscribed sessions changes.
-	index []subEntry
-	// retainMu makes "register a subscription + snapshot the retained
-	// store" (SUBSCRIBE) and "store a retained publish + snapshot its
-	// targets" (route) mutually exclusive: interleaved, a retained
-	// publish reaches the new subscriber both live and as the retained
-	// copy. Non-retained publishes never take it.
-	retainMu sync.Mutex
-	closed   atomic.Bool
-	wg       sync.WaitGroup
-	Stats    BrokerStats
+	index  []subEntry
+	closed atomic.Bool
+	wg     sync.WaitGroup
+	Stats  BrokerStats
 	// QueueDepth is the per-subscriber outbound buffer; a full buffer
 	// drops QoS-0 messages (matching mosquitto's max_queued_messages
 	// behaviour) rather than stalling the whole broker.
@@ -73,7 +66,6 @@ func NewBroker(addr string) (*Broker, error) {
 	b := &Broker{
 		ln:         ln,
 		sessions:   make(map[string]*session),
-		retained:   make(map[string]*PublishPacket),
 		QueueDepth: 1024,
 	}
 	b.bufs.reuses = &b.Stats.BufReuses
@@ -266,9 +258,8 @@ func (b *Broker) serve(conn net.Conn) {
 	}()
 
 	// Reader loop. Packet bodies come from the broker-wide buffer pool;
-	// every packet is fully handled (or copied, for retained messages)
-	// before its buffer is recycled, which is what lets decodePublish
-	// borrow the payload instead of copying it.
+	// every packet is fully handled before its buffer is recycled, which
+	// is what lets decodePublish borrow the payload instead of copying it.
 	_ = conn.SetReadDeadline(time.Time{}) // the CONNECT deadline
 	for {
 		if s.keepAlive > 0 {
@@ -313,7 +304,6 @@ func (b *Broker) handle(s *session, hdr FixedHeader, body []byte) bool {
 			return false
 		}
 		codes := make([]byte, len(sp.Subs))
-		b.retainMu.Lock()
 		b.mu.Lock()
 		for i, sub := range sp.Subs {
 			s.subs[sub.Filter] = sub.QoS
@@ -321,12 +311,9 @@ func (b *Broker) handle(s *session, hdr FixedHeader, body []byte) bool {
 		}
 		b.reindex()
 		b.mu.Unlock()
-		matched, qos := b.matchRetained(sp.Subs)
-		b.retainMu.Unlock()
 		if err := b.send(s, encodedSuback(sp.PacketID, codes)); err != nil {
 			return false
 		}
-		b.deliverRetained(s, matched, qos)
 	case UNSUBSCRIBE:
 		up, err := decodeUnsubscribe(body)
 		if err != nil {
@@ -356,30 +343,18 @@ func (b *Broker) handle(s *session, hdr FixedHeader, body []byte) bool {
 	return true
 }
 
-// route fans a publish out to every matching subscriber and stores retained
-// messages. It walks the subscription index, not the sessions: a publish
-// costs the handful of subscriptions that exist, however many gateways
-// are connected. The outbound packet is encoded at most once per effective QoS
-// (the at-most-once delivery id is the constant 1, so every same-QoS
-// subscriber can share one immutable byte slice) instead of once per
-// subscriber; session writers only ever read the slice.
+// route fans a publish out to every matching subscriber. The broker keeps
+// no retained store: a RETAIN publish reaches the current subscribers
+// once, flag cleared, and is stored nowhere. route walks the subscription
+// index, not the sessions: a publish costs the handful of subscriptions
+// that exist, however many gateways are connected. The outbound packet
+// is encoded at most once per effective QoS (the at-most-once delivery id
+// is the constant 1, so every same-QoS subscriber can share one immutable
+// byte slice) instead of once per subscriber; session writers only ever
+// read the slice.
 func (b *Broker) route(p *PublishPacket) {
 	if b.Trace != nil {
 		b.Trace(p.Topic, p.Payload)
-	}
-	if p.Retain {
-		b.retainMu.Lock() // until the targets are snapshotted
-		b.mu.Lock()
-		if len(p.Payload) == 0 {
-			delete(b.retained, p.Topic)
-		} else {
-			// The payload borrows from a pooled read buffer: the retained
-			// store outlives the read cycle, so it keeps a deep copy.
-			cp := p.Clone()
-			cp.Dup = false
-			b.retained[p.Topic] = cp
-		}
-		b.mu.Unlock()
 	}
 	var scratch [8]subEntry // targets stay on the stack at telemetry fan-outs
 	// The read lock is held until every target has the message queued
@@ -390,9 +365,6 @@ func (b *Broker) route(p *PublishPacket) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	targets := b.match(scratch[:0], p.Topic)
-	if p.Retain {
-		b.retainMu.Unlock()
-	}
 
 	var enc [2][]byte // one shared encoding per effective QoS
 	for _, t := range targets {
@@ -441,45 +413,6 @@ func (b *Broker) match(dst []subEntry, topic string) []subEntry {
 	return dst
 }
 
-// matchRetained snapshots the retained messages matching fresh
-// subscriptions, with each one's delivery QoS.
-func (b *Broker) matchRetained(subs []Subscription) (matched []*PublishPacket, qos []byte) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	for topic, msg := range b.retained {
-		for _, sub := range subs {
-			if TopicMatches(sub.Filter, topic) {
-				matched = append(matched, msg)
-				qos = append(qos, min(msg.QoS, sub.QoS))
-				break
-			}
-		}
-	}
-	return matched, qos
-}
-
-// deliverRetained sends a matchRetained snapshot to the subscriber.
-func (b *Broker) deliverRetained(s *session, matched []*PublishPacket, qos []byte) {
-	for i, msg := range matched {
-		out := *msg
-		out.Retain = true
-		out.QoS = qos[i]
-		if out.QoS > 0 {
-			out.PacketID = 1
-		}
-		pkt, err := appendPublish(nil, &out)
-		if err != nil {
-			continue
-		}
-		select {
-		case s.out <- pkt:
-			b.Stats.PublishesOut.Add(1)
-		default:
-			b.Stats.Dropped.Add(1)
-		}
-	}
-}
-
 // send enqueues a pre-encoded control packet for the session.
 func (b *Broker) send(s *session, pkt []byte) error {
 	select {
@@ -501,29 +434,6 @@ func (b *Broker) Kick(clientID string) bool {
 		s.close()
 	}
 	return ok
-}
-
-// KickAll abruptly closes every connected session (a broker hiccup:
-// the process stays up, every peer must reconnect). Returns the number
-// of sessions closed.
-func (b *Broker) KickAll() int {
-	b.mu.RLock()
-	victims := make([]*session, 0, len(b.sessions))
-	for _, s := range b.sessions {
-		victims = append(victims, s)
-	}
-	b.mu.RUnlock()
-	for _, s := range victims {
-		s.close()
-	}
-	return len(victims)
-}
-
-// RetainedCount returns the number of retained topics.
-func (b *Broker) RetainedCount() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.retained)
 }
 
 // The broker's acknowledgements, assembled directly (PUBACK and the empty

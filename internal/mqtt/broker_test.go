@@ -182,74 +182,55 @@ func TestUnsubscribeStopsDelivery(t *testing.T) {
 	}
 }
 
-func TestRetainedMessageDelivery(t *testing.T) {
+// TestRetainFlagIsRoutedNotStored: the broker keeps no retained store. A
+// RETAIN publish reaches the current subscribers once with the flag
+// cleared, and a later subscriber gets only what is published after it
+// subscribed.
+func TestRetainFlagIsRoutedNotStored(t *testing.T) {
 	b := newTestBroker(t)
+	const topic = "davide/node05/caps"
+	var mu sync.Mutex
+	logs := map[string][]string{}
+	record := func(id string) MessageHandler {
+		return func(m Message) {
+			mu.Lock()
+			logs[id] = append(logs[id], fmt.Sprintf("%s retained=%v", m.Payload, m.Retained))
+			mu.Unlock()
+		}
+	}
+	live := dialTest(t, b.Addr(), "live", record("live"))
+	if err := live.Subscribe(Subscription{Filter: topic, QoS: 1}); err != nil {
+		t.Fatal(err)
+	}
 	pub := dialTest(t, b.Addr(), "pub", nil)
-	if err := pub.Publish("davide/node05/caps", []byte("1800"), 1, true); err != nil {
+	// QoS 1: the PUBACK follows routing, so both publishes are queued
+	// for every current subscriber when Publish returns.
+	if err := pub.Publish(topic, []byte("1800"), 1, true); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return b.RetainedCount() == 1 }, "retained store")
-	// A late subscriber still receives the retained value.
-	var got atomic.Value
-	sub := dialTest(t, b.Addr(), "late", func(m Message) { got.Store(m.Clone()) })
-	if err := sub.Subscribe(Subscription{Filter: "davide/#", QoS: 1}); err != nil {
+	late := dialTest(t, b.Addr(), "late", record("late"))
+	if err := late.Subscribe(Subscription{Filter: topic, QoS: 1}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return got.Load() != nil }, "retained delivery")
-	m := got.Load().(Message)
-	if !m.Retained || string(m.Payload) != "1800" {
-		t.Errorf("retained = %+v", m)
-	}
-	// Empty retained payload clears the store.
-	if err := pub.Publish("davide/node05/caps", nil, 1, true); err != nil {
+	if err := pub.Publish(topic, []byte("marker"), 1, false); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return b.RetainedCount() == 0 }, "retained clear")
-}
-
-// TestRetainedDeliveredOncePerSubscribe races a retained publish against
-// a fresh subscriber's SUBSCRIBE, a fresh topic and client per round:
-// whichever wins, the subscriber must see the message exactly once —
-// live or as the retained copy, never both.
-func TestRetainedDeliveredOncePerSubscribe(t *testing.T) {
-	b := newTestBroker(t)
-	pub := dialTest(t, b.Addr(), "pub", nil)
-	for round := 0; round < 400; round++ {
-		topic := fmt.Sprintf("davide/race/%d", round)
-		var copies atomic.Int32
-		sub, err := Dial(b.Addr(), ClientOptions{
-			ClientID: fmt.Sprintf("sub-%d", round), CleanSession: true,
-			OnMessage: func(Message) { copies.Add(1) },
-		})
-		if err != nil {
+	// Fence both sessions: the UNSUBACK trails every copy queued before it.
+	for _, c := range []*Client{live, late} {
+		if err := c.Unsubscribe("fence/never-subscribed"); err != nil {
 			t.Fatal(err)
 		}
-		start := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			// QoS 1: the PUBACK follows routing, so on return the live
-			// copy (if any) is already queued for the subscriber.
-			if err := pub.Publish(topic, []byte("1800"), 1, true); err != nil {
-				t.Error(err)
-			}
-		}()
-		close(start)
-		if err := sub.Subscribe(Subscription{Filter: topic, QoS: 1}); err != nil {
-			t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := map[string]string{
+		"live": "[1800 retained=false marker retained=false]",
+		"late": "[marker retained=false]",
+	}
+	for id, w := range want {
+		if g := fmt.Sprint(logs[id]); g != w {
+			t.Errorf("%s subscriber got %s, want %s", id, g, w)
 		}
-		wg.Wait()
-		// Fence: the broker handles this session's packets in order, so
-		// the second SUBACK trails every copy the first subscribe queued.
-		if err := sub.Subscribe(Subscription{Filter: "davide/fence", QoS: 0}); err != nil {
-			t.Fatal(err)
-		}
-		if n := copies.Load(); n != 1 {
-			t.Fatalf("round %d: subscriber received %d copies of one retained publish, want 1", round, n)
-		}
-		_ = sub.Close()
 	}
 }
 

@@ -102,32 +102,3 @@ func TestPooledBufferReuse(t *testing.T) {
 		t.Error("subscriber reported no pooled read-buffer reuse")
 	}
 }
-
-// TestRetainedSurvivesBufferReuse pins the Clone-on-retain path: the
-// retained store must own its payload, not the pooled read buffer it was
-// parsed from.
-func TestRetainedSurvivesBufferReuse(t *testing.T) {
-	b := newTestBroker(t)
-	pub := dialTest(t, b.Addr(), "pub", nil)
-	if err := pub.Publish("davide/node05/energy", []byte(`{"j":123.5}`), 1, true); err != nil {
-		t.Fatal(err)
-	}
-	// Churn the pool with different payloads through the same session.
-	for i := 0; i < 20; i++ {
-		if err := pub.Publish("davide/node05/power", bytes.Repeat([]byte{byte('A' + i)}, 64), 1, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var got atomic.Pointer[Message]
-	sub := dialTest(t, b.Addr(), "late", func(m Message) {
-		c := m.Clone()
-		got.Store(&c)
-	})
-	if err := sub.Subscribe(Subscription{Filter: "davide/+/energy", QoS: 1}); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return got.Load() != nil }, "retained delivery")
-	if m := got.Load(); !m.Retained || string(m.Payload) != `{"j":123.5}` {
-		t.Errorf("retained payload corrupted by buffer reuse: %+v", m)
-	}
-}

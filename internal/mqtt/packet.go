@@ -1,11 +1,12 @@
 // Package mqtt implements the subset of MQTT 3.1.1 used by the
 // D.A.V.I.D.E. telemetry plane (§III-A1 of the paper): CONNECT/CONNACK,
 // PUBLISH with QoS 0 and 1 (PUBACK), SUBSCRIBE/SUBACK with + and #
-// wildcards, UNSUBSCRIBE/UNSUBACK, PINGREQ/PINGRESP, DISCONNECT, and
-// retained messages. It contains a broker (the role mosquitto plays on the
-// D.A.V.I.D.E. management node) and a client (the role the energy gateways
-// and the telemetry agents play), both over real TCP using only the
-// standard library.
+// wildcards, UNSUBSCRIBE/UNSUBACK, PINGREQ/PINGRESP and DISCONNECT. The
+// RETAIN flag is parsed and routed, but there is no retained store: a
+// RETAIN publish reaches the current subscribers only. It contains a
+// broker (the role mosquitto plays on the D.A.V.I.D.E. management node)
+// and a client (the role the energy gateways and the telemetry agents
+// play), both over real TCP using only the standard library.
 package mqtt
 
 import (
@@ -282,8 +283,8 @@ func decodeConnack(body []byte) (sessionPresent bool, code ConnackCode, err erro
 //
 // Ownership: a packet produced by decodePublish borrows Payload from the
 // read buffer the body was parsed out of (zero-copy); it is only valid
-// until that buffer is reused. Paths that retain the packet beyond the
-// read cycle — the broker's retained-message store — must Clone it.
+// until that buffer is reused. The broker handles every packet within
+// its read cycle and keeps none beyond it.
 type PublishPacket struct {
 	Topic    string
 	Payload  []byte
@@ -291,14 +292,6 @@ type PublishPacket struct {
 	Retain   bool
 	Dup      bool
 	PacketID uint16 // present when QoS > 0
-}
-
-// Clone deep-copies the packet so it owns its payload, detaching it from
-// a borrowed read buffer.
-func (p *PublishPacket) Clone() *PublishPacket {
-	cp := *p
-	cp.Payload = append([]byte(nil), p.Payload...)
-	return &cp
 }
 
 // appendPublish appends the full encoded packet (fixed header + body) to

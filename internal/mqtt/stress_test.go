@@ -2,7 +2,6 @@ package mqtt
 
 import (
 	"bytes"
-	"fmt"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -116,33 +115,6 @@ func TestLargePayloadRoundTrip(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("large payload never delivered")
 	}
-}
-
-// TestManyRetainedTopics checks retained-store behaviour at scale: one
-// late subscriber receives the retained value of every node topic.
-func TestManyRetainedTopics(t *testing.T) {
-	if testing.Short() {
-		t.Skip("stress test: skipped in -short")
-	}
-	b := newTestBroker(t)
-	pub := dialTest(t, b.Addr(), "pub", nil)
-	const topics = 45
-	for i := 0; i < topics; i++ {
-		if err := pub.Publish(fmt.Sprintf("davide/node%02d/energy", i), []byte("42"), 1, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, func() bool { return b.RetainedCount() == topics }, "retained store fill")
-	var got atomic.Int64
-	late := dialTest(t, b.Addr(), "late", func(m Message) {
-		if m.Retained {
-			got.Add(1)
-		}
-	})
-	if err := late.Subscribe(Subscription{Filter: "davide/+/energy", QoS: 1}); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return got.Load() == topics }, "all retained values")
 }
 
 // Property: every valid concrete topic matches itself as a filter, and is

@@ -359,10 +359,8 @@ type Ingest struct {
 // ingestMsg is one queued message; payload points into a pooled buffer
 // owned by the receiving worker until it recycles it.
 type ingestMsg struct {
-	topic    string
-	payload  *[]byte
-	qos      byte
-	retained bool
+	topic   string
+	payload *[]byte
 }
 
 // NewIngest starts a decode pool feeding the aggregator. workers <= 0 uses
@@ -388,10 +386,7 @@ func NewIngest(a *Aggregator, workers, depth int) *Ingest {
 			for {
 				select {
 				case m := <-ch:
-					scratch = a.consumeWith(mqtt.Message{
-						Topic: m.topic, Payload: *m.payload,
-						QoS: m.qos, Retained: m.retained,
-					}, scratch[:0])
+					scratch = a.consumeWith(mqtt.Message{Topic: m.topic, Payload: *m.payload}, scratch[:0])
 					in.bufs.Put(m.payload)
 				case <-in.quit:
 					return
@@ -413,7 +408,7 @@ func (in *Ingest) Handler() mqtt.MessageHandler {
 			bp = new([]byte)
 		}
 		*bp = append((*bp)[:0], m.Payload...)
-		msg := ingestMsg{topic: m.Topic, payload: bp, qos: m.QoS, retained: m.Retained}
+		msg := ingestMsg{topic: m.Topic, payload: bp}
 		select {
 		case in.shards[shardOf(m.Topic, len(in.shards))] <- msg:
 		case <-in.quit:
