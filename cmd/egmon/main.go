@@ -1,6 +1,6 @@
 // Command egmon demonstrates the live telemetry plane: it stands up the
-// same telemetry plane every replay uses (real MQTT broker(s) on
-// loopback, one PTP-synchronised energy gateway per simulated node, an
+// same telemetry plane every replay uses (real MQTT broker(s) in
+// process, one PTP-synchronised energy gateway per simulated node, an
 // aggregator agent over the compressed store), streams the nodes' power
 // signals, and prints per-node mean power and energy — the D.A.V.I.D.E.
 // monitoring pipeline end to end on one machine. -racks 1 (the default)

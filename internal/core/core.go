@@ -10,7 +10,7 @@
 //   - the virtual-time plane: job scheduling, node power traces and energy
 //     accounting run on simulated time, so months of machine operation
 //     take milliseconds;
-//   - the wall-clock plane: the MQTT telemetry path is real TCP — the
+//   - the wall-clock plane: the MQTT telemetry path is real MQTT — the
 //     StreamWindow method replays a virtual-time window through actual
 //     gateways, broker(s) and subscriber agents, so the telemetry numbers
 //     (throughput, delivered-energy accuracy) are measured, not modelled.
@@ -386,8 +386,8 @@ func (s *System) newPlane(nodes int, sampleRate float64, prefix string, seedBase
 }
 
 // StreamWindow replays [t0, t1] of the last run's node signals through
-// real gateways -> MQTT broker(s) -> aggregator agents over loopback TCP
-// (a fleet.Plane over StreamRacks racks), using a monitor of the given
+// real gateways -> MQTT broker(s) -> aggregator agents in process (a
+// fleet.Plane over StreamRacks racks), using a monitor of the given
 // output rate (samples/s of virtual time). It verifies the delivered
 // energy against the analytic truth and returns streaming statistics.
 // nodes limits the replay to the first k nodes (0 = all). When

@@ -9,7 +9,9 @@ package fleet
 // nodes without serialising the whole fleet through one broker goroutine.
 // Racks = 1 is the paper's pilot (45 nodes, one broker): there is nothing
 // above the only rack, so no spine and no bridge are built, and the rack
-// broker already carries the whole stream.
+// broker already carries the whole stream. Every broker the plane builds
+// serves in process (an mqtt "pipe:" address): the packets are real
+// MQTT, the stream under them an in-process conn, not a socket.
 //
 // Data paths:
 //
@@ -101,7 +103,8 @@ func (sp PlaneSpec) coresPerRack() int {
 // consumer's buffer behind it is full too (an ingest shard holds 1024
 // messages, a bridge queue this depth again), so a rack window of up to
 // this depth plus 1024 batches is drop-free even if nothing decodes
-// until the last publish.
+// until the last publish. The in-process conn between session and
+// consumer, bounded at 256 KiB unread, only adds slack to that.
 func (sp PlaneSpec) rackQueueDepth() int {
 	nodesPerRack := (sp.NodesHint + sp.Racks - 1) / sp.Racks
 	return max(1024, 4*nodesPerRack)
@@ -171,7 +174,7 @@ func NewPlane(spec PlaneSpec) (*Plane, error) {
 	db := tsdb.New(spec.StoreOptions)
 	p := &Plane{spec: spec, db: db, agg: telemetry.NewAggregatorOn(db)}
 	if spec.Racks > 1 {
-		spine, err := mqtt.NewBroker("127.0.0.1:0")
+		spine, err := mqtt.NewBroker("pipe:")
 		if err != nil {
 			return nil, err
 		}
@@ -203,7 +206,7 @@ func NewPlane(spec PlaneSpec) (*Plane, error) {
 }
 
 func (p *Plane) buildRack(r int) (*rackCell, error) {
-	broker, err := mqtt.NewBroker("127.0.0.1:0")
+	broker, err := mqtt.NewBroker("pipe:")
 	if err != nil {
 		return nil, err
 	}

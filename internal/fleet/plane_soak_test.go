@@ -3,9 +3,8 @@
 package fleet_test
 
 // The 10k-node proof of the tiered fabric (DESIGN.md §8). Behind the
-// `soak` tag because it opens ~2 file descriptors per gateway: raise the
-// limit first (ulimit -n 32768) and expect minutes, not seconds, on a
-// laptop:
+// `soak` tag because it takes minutes, not seconds, on a laptop (its
+// brokers are in process, so it needs no raised file-descriptor limit):
 //
 //	go test -tags soak -run TestPlane10kNodes ./internal/fleet
 //

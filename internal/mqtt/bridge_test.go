@@ -18,11 +18,11 @@ type bridgeFixture struct {
 	got         map[string]int // payload -> deliveries
 }
 
-func newBridgeFixture(t *testing.T, opts BridgeOptions) *bridgeFixture {
+func newBridgeFixture(t *testing.T, listen string, opts BridgeOptions) *bridgeFixture {
 	t.Helper()
 	f := &bridgeFixture{
-		rack:  newTestBroker(t),
-		spine: newTestBroker(t),
+		rack:  newTestBrokerOn(t, listen),
+		spine: newTestBrokerOn(t, listen),
 		got:   make(map[string]int),
 	}
 	sub := dialTest(t, f.spine.Addr(), "spine-sub", func(m Message) {
@@ -67,7 +67,7 @@ func (f *bridgeFixture) distinct() int {
 }
 
 func TestBridgeForwardsMatchingTopics(t *testing.T) {
-	f := newBridgeFixture(t, BridgeOptions{})
+	f := newBridgeFixture(t, "127.0.0.1:0", BridgeOptions{})
 	pub := dialTest(t, f.rack.Addr(), "gw", nil)
 	for i := 0; i < 10; i++ {
 		if err := pub.Publish("davide/node01/power", []byte(fmt.Sprintf("p%d", i)), 0, false); err != nil {
@@ -105,7 +105,11 @@ func TestBridgeForwardsMatchingTopics(t *testing.T) {
 // to the bridge's source session. Plane.Stream's forwarded counts and the
 // same-seed snapshot contract rest on this.
 func TestBridgeDrainCoversRoutedMessages(t *testing.T) {
-	f := newBridgeFixture(t, BridgeOptions{})
+	forEachTransport(t, testBridgeDrainCoversRoutedMessages)
+}
+
+func testBridgeDrainCoversRoutedMessages(t *testing.T, listen string) {
+	f := newBridgeFixture(t, listen, BridgeOptions{})
 	pub := dialTest(t, f.rack.Addr(), "gw", nil)
 	payload := make([]byte, 2048)
 	total := int64(0)
@@ -133,7 +137,7 @@ func TestBridgeDrainCoversRoutedMessages(t *testing.T) {
 // ForceQoS1 the bridge must redial and retry so no message is lost —
 // duplicates are allowed (at-least-once), loss is not.
 func TestBridgeReconnectAfterSpineKick(t *testing.T) {
-	f := newBridgeFixture(t, BridgeOptions{Name: "b1", ForceQoS1: true})
+	f := newBridgeFixture(t, "127.0.0.1:0", BridgeOptions{Name: "b1", ForceQoS1: true})
 	pub := dialTest(t, f.rack.Addr(), "gw", nil)
 	const total = 120
 	kicked := false
@@ -165,7 +169,7 @@ func TestBridgeReconnectAfterSpineKick(t *testing.T) {
 // TestBridgeSourceRedial: if the rack broker kicks the bridge's
 // subscriber session, the bridge must come back and resubscribe.
 func TestBridgeSourceRedial(t *testing.T) {
-	f := newBridgeFixture(t, BridgeOptions{Name: "b2"})
+	f := newBridgeFixture(t, "127.0.0.1:0", BridgeOptions{Name: "b2"})
 	pub := dialTest(t, f.rack.Addr(), "gw", nil)
 	if err := pub.Publish("davide/node01/power", []byte("before"), 0, false); err != nil {
 		t.Fatal(err)
@@ -205,7 +209,7 @@ func (g *gateLink) Flush(DeliverFunc) error { return nil }
 func TestBridgeBackpressureCountsDrops(t *testing.T) {
 	gate := &gateLink{release: make(chan struct{}), quit: make(chan struct{})}
 	defer close(gate.quit)
-	f := newBridgeFixture(t, BridgeOptions{Name: "b3", QueueDepth: 4, Link: gate})
+	f := newBridgeFixture(t, "127.0.0.1:0", BridgeOptions{Name: "b3", QueueDepth: 4, Link: gate})
 	pub := dialTest(t, f.rack.Addr(), "gw", nil)
 	// 1 message stalls in the forward goroutine, 4 fill the queue; the
 	// rest must drop. Publish a healthy margin: QoS-0 delivery to the

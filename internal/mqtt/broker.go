@@ -57,9 +57,10 @@ type Broker struct {
 	bufs bufPool
 }
 
-// NewBroker listens on addr (e.g. "127.0.0.1:0") and starts serving.
+// NewBroker listens on addr and starts serving: over TCP for a host:port
+// such as "127.0.0.1:0", in process for "pipe:" (see pipe.go).
 func NewBroker(addr string) (*Broker, error) {
-	ln, err := net.Listen("tcp", addr)
+	ln, err := listen(addr)
 	if err != nil {
 		return nil, fmt.Errorf("mqtt: listen: %w", err)
 	}
@@ -74,7 +75,7 @@ func NewBroker(addr string) (*Broker, error) {
 	return b, nil
 }
 
-// Addr returns the listening address, useful with port 0.
+// Addr returns the listening address, useful with port 0 or "pipe:".
 func (b *Broker) Addr() string { return b.ln.Addr().String() }
 
 // Close stops the broker and disconnects all clients.

@@ -8,10 +8,30 @@ import (
 	"time"
 )
 
+// transports are the listen addresses the ordering invariants run over:
+// TCP on loopback and the in-process transport a Plane uses. Equal
+// deliveries on both are the in-process conn's differential test.
+var transports = []struct{ name, listen string }{
+	{"tcp", "127.0.0.1:0"},
+	{"pipe", pipeScheme},
+}
+
+// forEachTransport runs test as one subtest per transport.
+func forEachTransport(t *testing.T, test func(t *testing.T, listen string)) {
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) { test(t, tr.listen) })
+	}
+}
+
 // newTestBroker starts a broker on a random loopback port.
 func newTestBroker(t *testing.T) *Broker {
 	t.Helper()
-	b, err := NewBroker("127.0.0.1:0")
+	return newTestBrokerOn(t, "127.0.0.1:0")
+}
+
+func newTestBrokerOn(t *testing.T, listen string) *Broker {
+	t.Helper()
+	b, err := NewBroker(listen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +102,10 @@ func TestPublishQoS1EndToEnd(t *testing.T) {
 // relies on (Bridge.Drain): once a QoS-1 publisher holds its PUBACK, the
 // message is already queued on every subscriber session, so a round trip
 // on the subscriber's session started afterwards returns behind it.
-func TestPubackFollowsRouting(t *testing.T) {
-	b := newTestBroker(t)
+func TestPubackFollowsRouting(t *testing.T) { forEachTransport(t, testPubackFollowsRouting) }
+
+func testPubackFollowsRouting(t *testing.T, listen string) {
+	b := newTestBrokerOn(t, listen)
 	var got atomic.Int64
 	sub := dialTest(t, b.Addr(), "sub", func(Message) { got.Add(1) })
 	if err := sub.Subscribe(Subscription{Filter: "davide/+/energy", QoS: 1}); err != nil {
@@ -107,8 +129,10 @@ func TestPubackFollowsRouting(t *testing.T) {
 // no PUBACK orders the publisher behind routing: once one subscriber has
 // received a message, a fence on another subscriber's session returns
 // only after that session has it too.
-func TestFenceFollowsSeenPublish(t *testing.T) {
-	b := newTestBroker(t)
+func TestFenceFollowsSeenPublish(t *testing.T) { forEachTransport(t, testFenceFollowsSeenPublish) }
+
+func testFenceFollowsSeenPublish(t *testing.T, listen string) {
+	b := newTestBrokerOn(t, listen)
 	seen := make(chan struct{}, 1)
 	var got atomic.Int64
 	first := dialTest(t, b.Addr(), "first", func(Message) { seen <- struct{}{} })

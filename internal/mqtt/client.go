@@ -87,7 +87,8 @@ type Client struct {
 	subWait map[uint16]chan []byte // SUBACK/UNSUBACK waiters
 }
 
-// Dial connects to a broker and completes the CONNECT handshake.
+// Dial connects to a broker, over TCP or in process as its address says
+// (see pipe.go), and completes the CONNECT handshake.
 func Dial(addr string, opts ClientOptions) (*Client, error) {
 	if opts.ClientID == "" {
 		return nil, errors.New("mqtt: client ID required")
@@ -95,7 +96,7 @@ func Dial(addr string, opts ClientOptions) (*Client, error) {
 	if opts.ConnectWait <= 0 {
 		opts.ConnectWait = 5 * time.Second
 	}
-	conn, err := net.Dial("tcp", addr)
+	conn, err := dial(addr)
 	if err != nil {
 		return nil, fmt.Errorf("mqtt: dial: %w", err)
 	}
@@ -165,9 +166,10 @@ func (c *Client) Close() error {
 
 // Abort tears the session down without the DISCONNECT handshake, the
 // way a crashing gateway process does: the write side closes
-// immediately (no new publishes; the kernel sends FIN *behind* data it
-// already accepted, so a crash loses nothing that Publish reported
-// written), then Abort waits — bounded — for the broker to drain the
+// immediately (no new publishes; the end of stream, a TCP FIN or the
+// in-process conn's EOF, arrives *behind* data the conn already
+// accepted, so a crash loses nothing that Publish reported written),
+// then Abort waits — bounded — for the broker to drain the
 // stream, tear the session down and close its side. Waiting matters
 // for crash/reconnect cycles: redialing the same client ID while the
 // old session still has unread data would make the broker's takeover

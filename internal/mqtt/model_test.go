@@ -53,11 +53,15 @@ func (m *brokerModel) publish(topic, payload string, qos byte) {
 // PUBACK means the broker has routed everything that session sent, so
 // the next operation on any session sees it routed.
 func TestBrokerMatchesSequentialModel(t *testing.T) {
+	forEachTransport(t, testBrokerMatchesSequentialModel)
+}
+
+func testBrokerMatchesSequentialModel(t *testing.T, listen string) {
 	const sessions, ops = 4, 200
 	topics := []string{"m/a/x", "m/a/y", "m/b/x", "m/b/y"}
 	filters := []string{"m/a/x", "m/b/y", "m/+/x", "m/a/+", "m/+/+"}
 	for seed := int64(1); seed <= 6; seed++ {
-		b := newTestBroker(t)
+		b := newTestBrokerOn(t, listen)
 		model := &brokerModel{subs: make([]map[string]byte, sessions), queue: make([][]string, sessions)}
 		var mu sync.Mutex
 		got := make([][]string, sessions)

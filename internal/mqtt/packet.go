@@ -6,7 +6,8 @@
 // RETAIN publish reaches the current subscribers only. It contains a
 // broker (the role mosquitto plays on the D.A.V.I.D.E. management node)
 // and a client (the role the energy gateways and the telemetry agents
-// play), both over real TCP using only the standard library.
+// play), both over TCP or an in-process byte stream (pipe.go), using
+// only the standard library.
 package mqtt
 
 import (
