@@ -80,7 +80,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	stream := flag.Float64("stream", 0, "replay this many virtual seconds of telemetry over real MQTT (0 disables)")
 	streamNodes := flag.Int("stream-nodes", 0, "limit the telemetry replay to the first k nodes (0 = all)")
-	codec := flag.String("stream-codec", "binary", "batch wire codec for the replay: binary or json")
 	chaosName := flag.String("chaos", "", "fault-injection preset for the telemetry replay: "+
 		strings.Join(fleet.ChaosPresetNames(), ", ")+" (requires -stream or -sched; seeded by -seed); "+
 		"bridge presets ("+strings.Join(fleet.ChaosBridgePresetNames(), ", ")+") fault the rack→spine uplinks and require -racks > 1; "+
@@ -262,7 +261,6 @@ func main() {
 		log.Fatal(err)
 	}
 	sys.StreamRacks = *racks
-	sys.StreamCodec = gateway.Codec(*codec)
 
 	// Observability: one registry for the whole process. Every replay
 	// and live run publishes into it; the optional endpoint serves it
@@ -394,7 +392,7 @@ func main() {
 				sres.Racks, sres.Bridge.Forwarded, sres.Bridge.Dropped, sres.Bridge.UplinkRedials)
 		}
 		fmt.Printf("  wire codec           %s (%.2f B/sample, %d fan-out encode hits)\n",
-			*codec, sres.WireBytesPerSample, sres.BrokerFanoutEncodedOnce)
+			gateway.CodecBinary, sres.WireBytesPerSample, sres.BrokerFanoutEncodedOnce)
 		fmt.Printf("  pooled buffer reuse  broker %d / clients %d\n",
 			sres.BrokerBufReuses, sres.ClientBufReuses)
 		fmt.Printf("  wall clock           %s\n", sres.WallClock)

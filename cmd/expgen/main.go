@@ -273,7 +273,7 @@ func e6() (*trace.Table, error) {
 			}
 		}
 		batch := gateway.Batch{Node: 1, T0: 0, Dt: 2e-5, Samples: make([]float64, 512)}
-		payload, err := batch.Encode()
+		payload, err := batch.AppendEncode(nil, gateway.CodecBinary)
 		if err != nil {
 			return nil, err
 		}

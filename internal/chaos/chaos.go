@@ -46,9 +46,9 @@ type Spec struct {
 	Dup float64
 	// Corrupt is the probability the payload is scrambled before
 	// delivery. Corruption is guaranteed undecodable (the first byte is
-	// forced to 0xFF, which is neither the binary magic nor a JSON
-	// opener), so every corrupt packet surfaces as one aggregator
-	// undecodable drop — never as silently wrong samples.
+	// forced to 0xFF, which is not the batch frame's magic), so every
+	// corrupt packet surfaces as one aggregator undecodable drop — never
+	// as silently wrong samples.
 	Corrupt float64
 	// Hold is the probability a publish is held back and released after
 	// HoldSpan subsequent publishes — transport reordering.
@@ -406,9 +406,8 @@ func (l *Link) inPartition(seq int64) bool {
 }
 
 // corrupt returns a scrambled copy of the message that is guaranteed
-// undecodable by the sniffing batch decoder: the first byte becomes
-// 0xFF (neither the 0xDA binary magic nor a JSON opener) and a few
-// seeded bytes are flipped.
+// undecodable by the batch decoder: the first byte becomes 0xFF (not the
+// 0xDA frame magic) and a few seeded bytes are flipped.
 func (l *Link) corrupt(m mqtt.Message) mqtt.Message {
 	m = m.Clone()
 	if len(m.Payload) == 0 {

@@ -30,7 +30,6 @@ import (
 	"davide/internal/chaos"
 	"davide/internal/cluster"
 	"davide/internal/fleet"
-	"davide/internal/gateway"
 	"davide/internal/mqtt"
 	"davide/internal/obs"
 	"davide/internal/predictor"
@@ -49,11 +48,6 @@ type System struct {
 
 	// IdleNodePowerW is the idle draw used in node signals and billing.
 	IdleNodePowerW float64
-
-	// StreamCodec selects the batch wire format telemetry replays publish
-	// (gateway.CodecBinary by default, gateway.CodecJSON for the original
-	// text format).
-	StreamCodec gateway.Codec
 
 	// StoreOptions tunes the telemetry store each replay writes into
 	// (chunk size, rollup resolutions, raw retention). Zero value =
@@ -268,8 +262,7 @@ type StreamResult struct {
 	BrokerBufReuses int64
 	ClientBufReuses int64
 	// WireBytesPerSample is the mean encoded batch payload size per power
-	// sample — the figure the wire codec controls (~20 B/sample as JSON,
-	// a fraction of that in the binary format).
+	// sample — the figure the binary batch frame controls.
 	WireBytesPerSample float64
 	WallClock          time.Duration
 	// MaxEnergyErrPct is the worst per-node deviation between the
@@ -357,8 +350,8 @@ func chaosSafeBatch(plan chaos.Planner, nodes, batchSamples int, opts tsdb.Optio
 
 // newPlane stands up the telemetry plant every replay and live run
 // streams through: a fleet.Plane over max(1, StreamRacks) racks, built
-// from the System's transport knobs (codec, faults, batch size,
-// store options, registry). nodes bounds the node IDs streamed (chaos
+// from the System's transport knobs (faults, batch size, store options,
+// registry). nodes bounds the node IDs streamed (chaos
 // hold-span check, queue sizing); prefix and seedBase keep different
 // plants' client IDs and monitor noise streams distinct.
 func (s *System) newPlane(nodes int, sampleRate float64, prefix string, seedBase int64) (*fleet.Plane, error) {
@@ -372,8 +365,7 @@ func (s *System) newPlane(nodes int, sampleRate float64, prefix string, seedBase
 		NodesHint: nodes,
 		Gateway: fleet.GatewaySpec{
 			SampleRate: sampleRate, ClientPrefix: prefix, SeedBase: seedBase,
-			Codec: s.StreamCodec, Faults: s.StreamFaults,
-			BatchSamples: batchSamples,
+			Faults: s.StreamFaults, BatchSamples: batchSamples,
 		},
 		BridgeFaults: s.BridgeFaults,
 		StoreOptions: s.StoreOptions,

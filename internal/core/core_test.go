@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"davide/internal/gateway"
 	"davide/internal/sched"
 	"davide/internal/workload"
 )
@@ -324,37 +323,28 @@ func TestStreamWindowConcurrencyInvariant(t *testing.T) {
 }
 
 // TestStreamWindowCodecsAgree pins the E17 replay claim on the whole
-// 45-node pilot: the wire codec is a transport detail, not a physics
-// change. Each codec holds the 1 % delivered-energy bound, the two agree
-// on MaxEnergyErrPct (both are lossless beyond the store's 100 ns tick
-// grid; the binary T0 quantisation is half a tick), and the binary wire
-// carries the stream in >= 4x fewer bytes per sample (~7x measured).
+// 45-node pilot: the binary wire frame is a transport detail, not a
+// physics change. The replay streams every node, holds the 1 %
+// delivered-energy bound (the frame is lossless beyond the store's
+// 100 ns tick grid; its T0 quantisation is half a tick) and carries the
+// stream in at most 4 B per sample, a quarter of an uncompressed
+// (float64 time, float64 watts) pair (~2 B measured).
 func TestStreamWindowCodecsAgree(t *testing.T) {
 	s := newSystem(t)
 	if _, err := s.RunScheduled(genJobs(t, 300, 21), sched.Config{}, sched.NewEASYStrategy()); err != nil {
 		t.Fatal(err)
 	}
-	replay := func(codec gateway.Codec) StreamResult {
-		s.StreamCodec = codec
-		res, err := s.StreamWindow(0, 60, 50, 45)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.NodesStreamed != 45 {
-			t.Fatalf("%s: streamed %d nodes, want 45", codec, res.NodesStreamed)
-		}
-		if res.MaxEnergyErrPct > 1.0 {
-			t.Errorf("%s: energy error %v%% exceeds 1%%", codec, res.MaxEnergyErrPct)
-		}
-		return res
+	res, err := s.StreamWindow(0, 60, 50, 45)
+	if err != nil {
+		t.Fatal(err)
 	}
-	jsn, bin := replay(gateway.CodecJSON), replay(gateway.CodecBinary)
-	if d := math.Abs(jsn.MaxEnergyErrPct - bin.MaxEnergyErrPct); d > 1e-3 {
-		t.Errorf("MaxEnergyErrPct differs across codecs by %v pct-points (json %v, binary %v)",
-			d, jsn.MaxEnergyErrPct, bin.MaxEnergyErrPct)
+	if res.NodesStreamed != 45 {
+		t.Fatalf("streamed %d nodes, want 45", res.NodesStreamed)
 	}
-	if jsn.WireBytesPerSample < 4*bin.WireBytesPerSample {
-		t.Errorf("wire bytes/sample: binary %.2f vs json %.2f, want >= 4x fewer",
-			bin.WireBytesPerSample, jsn.WireBytesPerSample)
+	if res.MaxEnergyErrPct > 1.0 {
+		t.Errorf("energy error %v%% exceeds 1%%", res.MaxEnergyErrPct)
+	}
+	if res.WireBytesPerSample <= 0 || res.WireBytesPerSample > 4 {
+		t.Errorf("wire bytes/sample = %.2f, want (0, 4]", res.WireBytesPerSample)
 	}
 }

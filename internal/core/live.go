@@ -30,8 +30,8 @@ import (
 // stale, lossy measurements, and a rack with a silent member is held.
 
 // LiveConfig configures one closed-loop control-plane run. Transport
-// knobs (codec, racks, faults, batch size, store options) come
-// from the System fields a StreamWindow replay uses.
+// knobs (racks, faults, batch size, store options) come from the System
+// fields a StreamWindow replay uses.
 type LiveConfig struct {
 	// Sched is the controller configuration; Nodes is overridden with
 	// the live machine size below.

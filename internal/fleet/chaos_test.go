@@ -9,7 +9,6 @@ import (
 
 	"davide/internal/chaos"
 	"davide/internal/fleet"
-	"davide/internal/gateway"
 	"davide/internal/mqtt"
 	"davide/internal/sensor"
 	"davide/internal/telemetry"
@@ -24,7 +23,7 @@ type chaosRig struct {
 	fleet  *fleet.Fleet
 }
 
-func newChaosRig(t *testing.T, preset string, seed int64, codec gateway.Codec) *chaosRig {
+func newChaosRig(t *testing.T, preset string, seed int64) *chaosRig {
 	t.Helper()
 	broker, err := mqtt.NewBroker("127.0.0.1:0")
 	if err != nil {
@@ -42,7 +41,7 @@ func newChaosRig(t *testing.T, preset string, seed int64, codec gateway.Codec) *
 		t.Fatal(err)
 	}
 	fl, err := fleet.New(broker.Addr(), fleet.GatewaySpec{
-		SampleRate: 200, BatchSamples: 32, Codec: codec, Faults: plan,
+		SampleRate: 200, BatchSamples: 32, Faults: plan,
 	}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +62,7 @@ func chaosStreams(n int) []fleet.NodeStream {
 }
 
 func TestFleetChaosCrashResumeDeliversEverything(t *testing.T) {
-	rig := newChaosRig(t, fleet.ChaosFlappingGateway, 7, gateway.CodecBinary)
+	rig := newChaosRig(t, fleet.ChaosFlappingGateway, 7)
 	st, err := rig.fleet.Stream(context.Background(), chaosStreams(4), 0, 20, rig.agg)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +100,7 @@ func TestFleetChaosCrashResumeDeliversEverything(t *testing.T) {
 
 func TestFleetChaosDeterministicAcrossRuns(t *testing.T) {
 	run := func() (fleet.StreamStats, int, []float64) {
-		rig := newChaosRig(t, fleet.ChaosLossyRack, 21, gateway.CodecBinary)
+		rig := newChaosRig(t, fleet.ChaosLossyRack, 21)
 		st, err := rig.fleet.Stream(context.Background(), chaosStreams(3), 0, 15, rig.agg)
 		if err != nil {
 			t.Fatal(err)
@@ -138,7 +137,7 @@ func TestFleetChaosDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestFleetChaosSplitBrainPartitionsOddNodesOnly(t *testing.T) {
-	rig := newChaosRig(t, fleet.ChaosSplitBrain, 5, gateway.CodecBinary)
+	rig := newChaosRig(t, fleet.ChaosSplitBrain, 5)
 	st, err := rig.fleet.Stream(context.Background(), chaosStreams(4), 0, 20, rig.agg)
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +159,7 @@ func TestFleetChaosSplitBrainPartitionsOddNodesOnly(t *testing.T) {
 }
 
 func TestFleetChaosCorruptWireNeverSilentlyIngests(t *testing.T) {
-	rig := newChaosRig(t, fleet.ChaosCorruptWire, 3, gateway.CodecJSON)
+	rig := newChaosRig(t, fleet.ChaosCorruptWire, 3)
 	st, err := rig.fleet.Stream(context.Background(), chaosStreams(3), 0, 20, rig.agg)
 	if err != nil {
 		t.Fatal(err)

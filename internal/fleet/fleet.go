@@ -60,9 +60,6 @@ type GatewaySpec struct {
 	ClientPrefix string
 	// SeedBase offsets the per-node monitor noise seeds (default 1000).
 	SeedBase int64
-	// Codec selects the batch wire format every gateway publishes:
-	// gateway.CodecBinary (the default) or gateway.CodecJSON.
-	Codec gateway.Codec
 	// Faults, when non-nil, injects deterministic transport faults into
 	// every gateway's MQTT link: a *chaos.Plan (one schedule, see
 	// ChaosPreset) or a *chaos.Composite (phase-windowed preset stack,
@@ -99,9 +96,6 @@ func (sp GatewaySpec) withDefaults() GatewaySpec {
 func (sp GatewaySpec) Validate() error {
 	if sp.SampleRate <= 0 {
 		return errors.New("fleet: sample rate must be positive")
-	}
-	if err := sp.Codec.Validate(); err != nil {
-		return fmt.Errorf("fleet: %w", err)
 	}
 	if sp.Faults != nil {
 		if err := sp.Faults.Validate(); err != nil {
@@ -256,7 +250,6 @@ func (f *Fleet) member(node int) (*member, error) {
 		_ = client.Close()
 		return nil, fmt.Errorf("fleet: node %d: %w", node, err)
 	}
-	gw.Codec = f.spec.Codec
 	if fm := f.obs.Load(); fm != nil {
 		gw.Trace = fm.trace
 	}

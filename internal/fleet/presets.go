@@ -13,12 +13,12 @@ import (
 )
 
 // Named chaos scenarios for fleet replays — the fault environments the
-// E18 soak suite (and `davide-sim -chaos <preset>`) runs every codec
-// through. Each preset documents the MaxEnergyErrPct bound its injected
-// loss pattern must respect on scheduled pilot signals (piecewise-
-// constant power, where a lost batch's span is bridged by the last
-// power level, so the error a hole can cause is bounded by the power
-// steps inside it). The bounds are asserted by the E18 suite; see
+// E18 soak suite (and `davide-sim -chaos <preset>`) replays through.
+// Each preset documents the MaxEnergyErrPct bound its injected loss
+// pattern must respect on scheduled pilot signals (piecewise-constant
+// power, where a lost batch's span is bridged by the last power level,
+// so the error a hole can cause is bounded by the power steps inside
+// it). The bounds are asserted by the E18 suite; see
 // DESIGN.md §6.
 const (
 	// ChaosLossyRack models a congested rack switch: steady loss,

@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -9,41 +8,16 @@ import (
 	"davide/internal/wire"
 )
 
-// Codec selects the batch wire format a gateway publishes.
-//
-// The binary codec is the versioned compressed frame below; JSON is the
-// original self-describing format, kept for interoperability and
-// debugging. DecodeBatch accepts either by sniffing the first payload
-// byte (a binary frame starts with the magic byte 0xDA, JSON with '{'),
-// so mixed-codec fleets share one broker and one aggregator.
+// Codec names the batch wire format. There is one: the versioned
+// compressed binary frame below.
 type Codec string
 
-// Wire codecs. The zero value selects the binary codec.
-const (
-	CodecBinary Codec = "binary"
-	CodecJSON   Codec = "json"
-)
-
-// withDefault maps the zero value to the default codec.
-func (c Codec) withDefault() Codec {
-	if c == "" {
-		return CodecBinary
-	}
-	return c
-}
-
-// Validate reports whether the codec name is known.
-func (c Codec) Validate() error {
-	switch c.withDefault() {
-	case CodecBinary, CodecJSON:
-		return nil
-	}
-	return fmt.Errorf("gateway: unknown codec %q", string(c))
-}
+// CodecBinary is the only batch wire format; the zero value selects it.
+const CodecBinary Codec = "binary"
 
 // The binary batch frame (version 1):
 //
-//	byte 0      magic 0xDA (cannot begin a JSON document)
+//	byte 0      magic 0xDA
 //	byte 1      version (0x01)
 //	uvarint     node ID
 //	uvarint     sample count n (>= 1)
@@ -56,8 +30,9 @@ func (c Codec) Validate() error {
 //
 // Timestamps ride the same 100 ns tick grid the tsdb store quantises to
 // (wire.TickHz), so the transport adds no loss beyond what the store
-// already applies; watts are bit-exact. Unknown versions are rejected,
-// never guessed at: bumping the version byte is the upgrade path.
+// already applies; watts are bit-exact. Any other first byte and any
+// other version are refused, never guessed at: bumping the version byte
+// is the upgrade path.
 const (
 	binMagic   = 0xDA
 	binVersion = 0x01
@@ -66,25 +41,18 @@ const (
 // ErrShortPayload reports a payload too short to carry any batch frame.
 var ErrShortPayload = errors.New("gateway: decode: short payload")
 
-// AppendEncode serialises the batch in the given codec, appending to dst
-// (which may be nil). Passing a retained buffer's [:0] reslice makes
-// steady-state encoding allocation-free once the buffer has grown to the
-// batch size.
+// AppendEncode serialises the batch as a binary frame, appending to dst
+// (which may be nil). c must be CodecBinary or ""; any other name is
+// refused. Passing a retained buffer's [:0] reslice makes steady-state
+// encoding allocation-free once the buffer has grown to the batch size.
 func (b Batch) AppendEncode(dst []byte, c Codec) ([]byte, error) {
+	if c != "" && c != CodecBinary {
+		return nil, fmt.Errorf("gateway: unknown codec %q", string(c))
+	}
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	switch c.withDefault() {
-	case CodecJSON:
-		j, err := json.Marshal(b)
-		if err != nil {
-			return nil, err
-		}
-		return append(dst, j...), nil
-	case CodecBinary:
-		return b.appendBinary(dst), nil
-	}
-	return nil, c.Validate()
+	return b.appendBinary(dst), nil
 }
 
 // appendBinary emits the version-1 binary frame. The batch is already
@@ -122,87 +90,36 @@ func (b Batch) appendBinary(dst []byte) []byte {
 	return w.Bytes()
 }
 
-// DecodeBatch parses an MQTT payload back into a batch, sniffing the
-// codec from the first byte. The returned batch owns its samples.
-func DecodeBatch(payload []byte) (Batch, error) {
-	return DecodeBatchInto(payload, nil)
-}
-
-// DecodeBatchInto is DecodeBatch with a caller-supplied scratch slice:
-// the decoded samples reuse scratch's backing array when it is large
-// enough, so a steady-state decode loop (one scratch per worker, fed
-// back each call) runs allocation-free on binary frames. The returned
-// Batch.Samples aliases scratch; the caller owns both and must not reuse
-// scratch while the batch is live.
-func DecodeBatchInto(payload []byte, scratch []float64) (Batch, error) {
-	if len(payload) == 0 {
-		return Batch{}, ErrShortPayload
-	}
-	if payload[0] == binMagic {
-		return decodeBinary(payload, scratch)
-	}
-	b := Batch{Samples: scratch[:0]}
-	if err := json.Unmarshal(payload, &b); err != nil {
-		return Batch{}, fmt.Errorf("gateway: decode: %w", err)
-	}
-	if err := b.Validate(); err != nil {
-		return Batch{}, err
-	}
-	return b, nil
-}
-
 // PayloadSamples reports how many power samples a batch payload
-// carries, in either codec, without materialising the samples — for a
-// binary frame only the header varints are read. Returns 0 when the
-// payload is not a decodable batch. Delivery accounting (the chaos
-// link's sample sizer) uses this to translate faulted packets into
-// exact sample counts.
+// carries without materialising the samples: only the header varints
+// are read. Returns 0 when the payload is not a decodable batch.
+// Delivery accounting (the chaos link's sample sizer) uses this to
+// translate faulted packets into exact sample counts.
 func PayloadSamples(payload []byte) int {
-	if len(payload) == 0 {
-		return 0
-	}
-	if payload[0] == binMagic {
-		var r wire.BitReader
-		h, err := readBinaryHeader(payload, &r)
-		if err != nil {
-			return 0
-		}
-		return h.count
-	}
-	b, err := DecodeBatch(payload)
+	var r wire.BitReader
+	h, err := readBinaryHeader(payload, &r)
 	if err != nil {
 		return 0
 	}
-	return len(b.Samples)
+	return h.count
 }
 
 // PayloadTickInfo extracts the node ID and the oldest/newest sample
 // wire ticks from a batch payload without materialising the samples —
 // the stage-trace stamp used at payload-agnostic pipeline points
-// (broker fan-out, bridge uplink). For a binary frame only the header
-// varints are read and the newest tick is reconstructed from the
-// uniform grid (tick0 + (n-1)·dt, which is what the gateway encoded up
-// to per-sample rounding); JSON payloads pay a full decode. Returns
-// ok=false for anything that is not a decodable power batch, so
-// callers can feed it every routed message and stamp only telemetry.
+// (broker fan-out, bridge uplink). Only the header varints are read and
+// the newest tick is reconstructed from the uniform grid
+// (tick0 + (n-1)·dt, which is what the gateway encoded up to per-sample
+// rounding). Returns ok=false for anything that is not a decodable power
+// batch, so callers can feed it every routed message and stamp only
+// telemetry.
 func PayloadTickInfo(payload []byte) (node int, oldestTick, newestTick int64, ok bool) {
-	if len(payload) == 0 {
-		return 0, 0, 0, false
-	}
-	if payload[0] == binMagic {
-		var r wire.BitReader
-		h, err := readBinaryHeader(payload, &r)
-		if err != nil {
-			return 0, 0, 0, false
-		}
-		return h.node, h.tick0, h.tick0 + int64(h.count-1)*h.dtTicks, true
-	}
-	b, err := DecodeBatch(payload)
+	var r wire.BitReader
+	h, err := readBinaryHeader(payload, &r)
 	if err != nil {
 		return 0, 0, 0, false
 	}
-	t0 := wire.ToTick(b.T0)
-	return b.Node, t0, wire.ToTick(b.T0 + float64(len(b.Samples)-1)*b.Dt), true
+	return h.node, h.tick0, h.tick0 + int64(h.count-1)*h.dtTicks, true
 }
 
 // binHeader is the validated varint prefix of a version-1 binary frame.
@@ -215,9 +132,16 @@ type binHeader struct {
 
 // readBinaryHeader parses and validates a version-1 frame's header,
 // leaving r positioned at the first timestamp DoD bucket. It is the
-// single definition of which headers the codec accepts — decodeBinary
-// and PayloadSamples (the chaos sizer) must never diverge on that.
+// single definition of which payloads the codec accepts — DecodeBatchInto,
+// PayloadSamples (the chaos sizer) and PayloadTickInfo (the stage-trace
+// stamp) must never diverge on that.
 func readBinaryHeader(payload []byte, r *wire.BitReader) (binHeader, error) {
+	if len(payload) == 0 {
+		return binHeader{}, ErrShortPayload
+	}
+	if payload[0] != binMagic {
+		return binHeader{}, fmt.Errorf("gateway: decode: not a batch frame (first byte %#02x)", payload[0])
+	}
 	if len(payload) < 2 {
 		return binHeader{}, ErrShortPayload
 	}
@@ -255,11 +179,29 @@ func readBinaryHeader(payload []byte, r *wire.BitReader) (binHeader, error) {
 	if err != nil {
 		return binHeader{}, fmt.Errorf("gateway: decode: %w", err)
 	}
-	return binHeader{node: int(node), count: int(count), dtTicks: dtTicks, tick0: wire.Unzigzag(u)}, nil
+	tick0 := wire.Unzigzag(u)
+	// The grid's last tick, tick0 + (count-1)·dt, must fit in int64: the
+	// unsigned headroom above tick0 is at most 2^64-1, so one division
+	// bounds dt without computing the product.
+	if n := count - 1; n > 0 && dtu > (uint64(math.MaxInt64)-uint64(tick0))/n {
+		return binHeader{}, fmt.Errorf("gateway: decode: tick grid overflows (%d samples, dt %d ticks)", count, dtTicks)
+	}
+	return binHeader{node: int(node), count: int(count), dtTicks: dtTicks, tick0: tick0}, nil
 }
 
-// decodeBinary parses a version-1 binary frame.
-func decodeBinary(payload []byte, scratch []float64) (Batch, error) {
+// DecodeBatch parses a binary-frame MQTT payload back into a batch. The
+// returned batch owns its samples.
+func DecodeBatch(payload []byte) (Batch, error) {
+	return DecodeBatchInto(payload, nil)
+}
+
+// DecodeBatchInto is DecodeBatch with a caller-supplied scratch slice:
+// the decoded samples reuse scratch's backing array when it is large
+// enough, so a steady-state decode loop (one scratch per worker, fed
+// back each call) runs allocation-free. The returned Batch.Samples
+// aliases scratch; the caller owns both and must not reuse scratch
+// while the batch is live.
+func DecodeBatchInto(payload []byte, scratch []float64) (Batch, error) {
 	var r wire.BitReader
 	h, err := readBinaryHeader(payload, &r)
 	if err != nil {

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,17 +12,24 @@ import (
 	"davide/internal/wire"
 )
 
+// TestCodecValidate: AppendEncode writes the binary frame for
+// CodecBinary and the zero value, and refuses any other codec name
+// rather than silently encoding something else.
 func TestCodecValidate(t *testing.T) {
-	for _, c := range []Codec{"", CodecBinary, CodecJSON} {
-		if err := c.Validate(); err != nil {
-			t.Errorf("Validate(%q) = %v", c, err)
+	b := Batch{Node: 1, Dt: 1, Samples: []float64{1}}
+	for _, c := range []Codec{"", CodecBinary} {
+		p, err := b.AppendEncode(nil, c)
+		if err != nil {
+			t.Fatalf("AppendEncode(%q) = %v", c, err)
+		}
+		if p[0] != binMagic {
+			t.Errorf("AppendEncode(%q) wrote first byte %#x, want the frame magic", c, p[0])
 		}
 	}
-	if err := Codec("protobuf").Validate(); err == nil {
-		t.Error("unknown codec should error")
-	}
-	if _, err := (Batch{Node: 1, Dt: 1, Samples: []float64{1}}).AppendEncode(nil, "nope"); err == nil {
-		t.Error("encode with unknown codec should error")
+	for _, c := range []Codec{"json", "protobuf", "nope"} {
+		if p, err := b.AppendEncode([]byte("x"), c); err == nil || p != nil {
+			t.Errorf("AppendEncode(%q) = %q, %v; want a refusal", c, p, err)
+		}
 	}
 }
 
@@ -34,32 +42,20 @@ func TestBinaryRoundTripSniffed(t *testing.T) {
 	if bin[0] != binMagic || bin[1] != binVersion {
 		t.Fatalf("frame header = %x", bin[:2])
 	}
-	jsn, err := b.AppendEncode(nil, CodecJSON)
+	got, err := DecodeBatch(bin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if jsn[0] != '{' {
-		t.Fatalf("JSON payload starts with %q", jsn[0])
+	if got.Node != b.Node || len(got.Samples) != len(b.Samples) {
+		t.Fatalf("round trip = %+v", got)
 	}
-	for name, payload := range map[string][]byte{"binary": bin, "json": jsn} {
-		got, err := DecodeBatch(payload)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got.Node != b.Node || len(got.Samples) != len(b.Samples) {
-			t.Fatalf("%s: round trip = %+v", name, got)
-		}
-		for i, s := range b.Samples {
-			if got.Samples[i] != s {
-				t.Errorf("%s: sample %d = %v, want %v (watts must be exact)", name, i, got.Samples[i], s)
-			}
-		}
-		if math.Abs(got.T0-b.T0) > 1.0/wire.TickHz {
-			t.Errorf("%s: T0 = %v, want %v", name, got.T0, b.T0)
+	for i, s := range b.Samples {
+		if got.Samples[i] != s {
+			t.Errorf("sample %d = %v, want %v (watts must be exact)", i, got.Samples[i], s)
 		}
 	}
-	if len(bin) >= len(jsn) {
-		t.Errorf("binary frame (%d B) not smaller than JSON (%d B)", len(bin), len(jsn))
+	if math.Abs(got.T0-b.T0) > 1.0/wire.TickHz {
+		t.Errorf("T0 = %v, want %v", got.T0, b.T0)
 	}
 }
 
@@ -80,7 +76,7 @@ func TestBinarySingleSample(t *testing.T) {
 
 // Property: random non-uniform batches round-trip through the binary
 // codec with exact watts and timestamps within the tick quantisation of
-// the JSON-decoded truth (one tick at each reconstruction boundary).
+// the encoded truth (one tick at each reconstruction boundary).
 func TestBinaryRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const tick = 1.0 / wire.TickHz
@@ -105,33 +101,25 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		jsn, err := b.AppendEncode(nil, CodecJSON)
-		if err != nil {
-			t.Fatal(err)
-		}
 		fromBin, err := DecodeBatch(bin)
 		if err != nil {
 			t.Fatalf("trial %d: binary decode: %v", trial, err)
 		}
-		fromJSON, err := DecodeBatch(jsn)
-		if err != nil {
-			t.Fatalf("trial %d: json decode: %v", trial, err)
+		if fromBin.Node != b.Node || len(fromBin.Samples) != len(b.Samples) {
+			t.Fatalf("trial %d: shape mismatch: %+v vs %+v", trial, fromBin, b)
 		}
-		if fromBin.Node != fromJSON.Node || len(fromBin.Samples) != len(fromJSON.Samples) {
-			t.Fatalf("trial %d: shape mismatch: %+v vs %+v", trial, fromBin, fromJSON)
-		}
-		for i := range fromJSON.Samples {
-			if fromBin.Samples[i] != fromJSON.Samples[i] {
-				t.Fatalf("trial %d: sample %d: binary %v != json %v",
-					trial, i, fromBin.Samples[i], fromJSON.Samples[i])
+		for i := range b.Samples {
+			if fromBin.Samples[i] != b.Samples[i] {
+				t.Fatalf("trial %d: sample %d: decoded %v != encoded %v",
+					trial, i, fromBin.Samples[i], b.Samples[i])
 			}
-			tj := fromJSON.T0 + float64(i)*fromJSON.Dt
+			tj := b.T0 + float64(i)*b.Dt
 			tb := fromBin.T0 + float64(i)*fromBin.Dt
 			// Encode quantises each stamp to the grid (±half a tick) and
 			// decode linearises through the two endpoint ticks (±half a
 			// tick each): 2 ticks bounds the reconstruction.
 			if math.Abs(tb-tj) > 2*tick {
-				t.Fatalf("trial %d: timestamp %d off by %v s (> 2 ticks): bin %v json %v",
+				t.Fatalf("trial %d: timestamp %d off by %v s (> 2 ticks): decoded %v encoded %v",
 					trial, i, tb-tj, tb, tj)
 			}
 		}
@@ -168,14 +156,14 @@ func TestDecodeBinaryCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := map[string][]byte{
-		"empty":           {},
-		"magic only":      {binMagic},
-		"bad version":     {binMagic, 0x7F, 0x01},
-		"header only":     good[:4],
-		"truncated body":  good[:len(good)-2],
-		"zero dt":         {binMagic, binVersion, 0x01, 0x01, 0x00, 0x00},
-		"huge count":      {binMagic, binVersion, 0x01, 0xFF, 0xFF, 0xFF, 0x7F, 0x01, 0x00},
-		"not json either": []byte("not a batch"),
+		"empty":          {},
+		"magic only":     {binMagic},
+		"bad version":    {binMagic, 0x7F, 0x01},
+		"header only":    good[:4],
+		"truncated body": good[:len(good)-2],
+		"zero dt":        {binMagic, binVersion, 0x01, 0x01, 0x00, 0x00},
+		"huge count":     {binMagic, binVersion, 0x01, 0xFF, 0xFF, 0xFF, 0x7F, 0x01, 0x00},
+		"not a frame":    []byte("not a batch"),
 	}
 	// A frame is well-formed bit for bit and still refused when a sample
 	// is not a finite number: appendBinary skips the encoder's validation,
@@ -201,10 +189,13 @@ func TestDecodeBinaryCorrupt(t *testing.T) {
 	}
 }
 
-// FuzzDecodeBatch drives the sniffing decoder with arbitrary payloads:
-// it must never panic, never return a batch that fails validation or
-// holds a sample that is not finite, and must round-trip anything it does
-// accept.
+// FuzzDecodeBatch drives the batch decoder with arbitrary payloads: it
+// must never panic, never accept a payload that does not open with the
+// frame magic, never return a batch that fails validation or holds a
+// sample that is not finite, must agree with the header-only readers
+// (PayloadSamples, PayloadTickInfo) on anything it accepts, and must
+// round-trip it. The JSON seeds are text a foreign publisher might send:
+// they must be refused.
 func FuzzDecodeBatch(f *testing.F) {
 	seed := []Batch{
 		{Node: 0, T0: 0, Dt: 0.02, Samples: []float64{360}},
@@ -212,7 +203,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	}
 	for _, b := range seed {
 		bin, _ := b.AppendEncode(nil, CodecBinary)
-		jsn, _ := b.AppendEncode(nil, CodecJSON)
+		jsn, _ := json.Marshal(b)
 		f.Add(bin)
 		f.Add(jsn)
 	}
@@ -225,8 +216,17 @@ func FuzzDecodeBatch(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if payload[0] != binMagic {
+			t.Fatalf("accepted a payload opening with %#x", payload[0])
+		}
 		if verr := b.Validate(); verr != nil {
 			t.Fatalf("accepted invalid batch %+v: %v", b, verr)
+		}
+		if n := PayloadSamples(payload); n != len(b.Samples) {
+			t.Fatalf("PayloadSamples = %d, decoded %d samples", n, len(b.Samples))
+		}
+		if node, oldest, newest, ok := PayloadTickInfo(payload); !ok || node != b.Node || newest < oldest {
+			t.Fatalf("PayloadTickInfo = node %d, ticks %d..%d, ok %v; decoded node %d", node, oldest, newest, ok, b.Node)
 		}
 		// Whatever decoded must re-encode and decode to the same samples.
 		re, err := b.AppendEncode(nil, CodecBinary)
@@ -251,24 +251,101 @@ func FuzzDecodeBatch(f *testing.F) {
 	})
 }
 
+// TestSniffJSONWhitespace: a well-formed JSON batch, with or without
+// leading whitespace, does not open with the frame magic, so every entry
+// point refuses it.
 func TestSniffJSONWhitespace(t *testing.T) {
-	// JSON with leading whitespace still decodes (first byte is not magic).
-	payload := []byte("  {\"node\":1,\"t0\":0,\"dt\":0.5,\"p\":[1,2]}")
-	b, err := DecodeBatch(payload)
-	if err != nil {
-		t.Fatal(err)
+	for _, payload := range []string{
+		`{"node":1,"t0":0,"dt":0.5,"p":[1,2]}`,
+		`  {"node":1,"t0":0,"dt":0.5,"p":[1,2]}`,
+	} {
+		if b, err := DecodeBatch([]byte(payload)); err == nil {
+			t.Errorf("DecodeBatch(%q) = %+v, want a refusal", payload, b)
+		}
+		if n := PayloadSamples([]byte(payload)); n != 0 {
+			t.Errorf("PayloadSamples(%q) = %d, want 0", payload, n)
+		}
+		if _, _, _, ok := PayloadTickInfo([]byte(payload)); ok {
+			t.Errorf("PayloadTickInfo(%q) ok, want a refusal", payload)
+		}
 	}
-	if b.Node != 1 || len(b.Samples) != 2 {
-		t.Errorf("decoded %+v", b)
+}
+
+// gridFrame hand-builds a version-1 frame on a uniform tick grid (every
+// timestamp delta-of-delta zero) with constant watts, so the header can
+// carry a grid the encoder would never produce from float seconds.
+func gridFrame(tick0, dtTicks int64, n int) []byte {
+	var w wire.BitWriter
+	w.Reset([]byte{binMagic, binVersion})
+	w.WriteUvarint(9)
+	w.WriteUvarint(uint64(n))
+	w.WriteUvarint(uint64(dtTicks))
+	w.WriteUvarint(wire.Zigzag(tick0))
+	for i := 1; i < n; i++ {
+		w.WriteDoD(0)
+	}
+	bits := math.Float64bits(500)
+	w.WriteBits(bits, 64)
+	var xs wire.XORState
+	for i := 1; i < n; i++ {
+		w.WriteXOR(bits, bits, &xs)
+	}
+	return w.Bytes()
+}
+
+// TestTickGridOverflowRefused: a header whose last grid tick,
+// tick0 + (n-1)·dt, does not fit in int64 is refused by every entry
+// point. Unchecked, the 6-sample frame decoded with a wrapped last tick
+// (Dt 9.22e10 s where the header says 4.61e11 s) and the 3-sample
+// frame's PayloadTickInfo reported newest = math.MinInt64.
+func TestTickGridOverflowRefused(t *testing.T) {
+	const dt = int64(1) << 62
+	for _, c := range []struct {
+		name  string
+		tick0 int64
+		dt    int64
+		n     int
+	}{
+		{"6 samples", 0, dt, 6},
+		{"3 samples", 0, dt, 3},
+		{"one tick past max", dt, dt, 2},
+	} {
+		payload := gridFrame(c.tick0, c.dt, c.n)
+		if b, err := DecodeBatch(payload); err == nil {
+			t.Errorf("%s: DecodeBatch accepted %+v", c.name, b)
+		}
+		if n := PayloadSamples(payload); n != 0 {
+			t.Errorf("%s: PayloadSamples = %d, want 0", c.name, n)
+		}
+		if node, oldest, newest, ok := PayloadTickInfo(payload); ok {
+			t.Errorf("%s: PayloadTickInfo = node %d, ticks %d..%d, ok", c.name, node, oldest, newest)
+		}
+	}
+	// Grids that end exactly at either edge of int64 still fit.
+	for _, c := range []struct {
+		tick0, dt, newest int64
+		n                 int
+	}{
+		{dt - 1, dt, math.MaxInt64, 2},
+		{math.MinInt64, math.MaxInt64, math.MaxInt64 - 1, 3},
+	} {
+		payload := gridFrame(c.tick0, c.dt, c.n)
+		if _, err := DecodeBatch(payload); err != nil {
+			t.Errorf("grid %d + %d·%d: %v", c.tick0, c.n-1, c.dt, err)
+		}
+		if _, oldest, newest, ok := PayloadTickInfo(payload); !ok || oldest != c.tick0 || newest != c.newest {
+			t.Errorf("grid %d + %d·%d: PayloadTickInfo = %d..%d, ok %v; want %d..%d", c.tick0, c.n-1, c.dt, oldest, newest, ok, c.tick0, c.newest)
+		}
 	}
 }
 
 // TestBinaryBeatsJSONOnWire pins the E17 transport claim on a batch a
 // real EG-class monitor chain produced (ADC quantisation and noise
 // included): the binary frame carries it in >= 4x fewer bytes than the
-// JSON text and decodes >= 5x faster (~11x and ~16x measured). Decode
-// speed is compared head to head in one process on the fastest of five
-// timings per codec, so a scheduling hiccup cannot fake a slow side.
+// batch's JSON text (encoding/json over Batch's tags) and decodes >= 5x
+// faster (~11x and ~16x measured). Decode speed is compared head to head
+// in one process on the fastest of five timings per format, so a
+// scheduling hiccup cannot fake a slow side.
 func TestBinaryBeatsJSONOnWire(t *testing.T) {
 	const n, rate = 512, 50.0
 	mon, err := monitors.NewBuiltin(monitors.EnergyGateway, rate, 1)
@@ -287,7 +364,7 @@ func TestBinaryBeatsJSONOnWire(t *testing.T) {
 	for _, s := range obsd[:n] {
 		batch.Samples = append(batch.Samples, s.P)
 	}
-	jsn, err := batch.AppendEncode(nil, CodecJSON)
+	jsn, err := json.Marshal(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,12 +377,12 @@ func TestBinaryBeatsJSONOnWire(t *testing.T) {
 	}
 
 	scratch := make([]float64, 0, n)
-	fastest := func(payload []byte) time.Duration {
+	fastest := func(decode func() (Batch, error)) time.Duration {
 		best := time.Duration(math.MaxInt64)
 		for trial := 0; trial < 5; trial++ {
 			start := time.Now()
 			for r := 0; r < 100; r++ {
-				got, err := DecodeBatchInto(payload, scratch)
+				got, err := decode()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -315,7 +392,15 @@ func TestBinaryBeatsJSONOnWire(t *testing.T) {
 		}
 		return best
 	}
-	if binT, jsonT := fastest(bin), fastest(jsn); jsonT < 5*binT {
+	binT := fastest(func() (Batch, error) { return DecodeBatchInto(bin, scratch) })
+	jsonT := fastest(func() (Batch, error) {
+		got := Batch{Samples: scratch[:0]}
+		if err := json.Unmarshal(jsn, &got); err != nil {
+			return Batch{}, err
+		}
+		return got, got.Validate()
+	})
+	if jsonT < 5*binT {
 		t.Errorf("binary decode %v vs JSON %v per 100 batches: want >= 5x faster", binT, jsonT)
 	}
 }

@@ -35,7 +35,9 @@ func EnergyTopic(nodeID int) string {
 	return fmt.Sprintf("%s/node%02d/energy", TopicPrefix, nodeID)
 }
 
-// Batch is one published window of power samples.
+// Batch is one published window of power samples. On the wire it is a
+// binary frame (codec.go); the json tags name the text layout that E17
+// measures the frame against.
 type Batch struct {
 	Node    int       `json:"node"`
 	T0      float64   `json:"t0"` // gateway-clock timestamp of Samples[0]
@@ -45,8 +47,8 @@ type Batch struct {
 
 // Validate reports whether the batch is well-formed: a node ID, a
 // positive finite spacing and at least one sample, every one finite. It
-// is the trust boundary of both decoders — one NaN or Inf watt reaching
-// the store would poison that node's rollup buckets for good.
+// is the decoder's trust boundary — one NaN or Inf watt reaching the
+// store would poison that node's rollup buckets for good.
 func (b Batch) Validate() error {
 	switch {
 	case b.Node < 0:
@@ -66,16 +68,6 @@ func (b Batch) Validate() error {
 
 // finite reports whether x is neither NaN nor an infinity.
 func finite(x float64) bool { return x-x == 0 }
-
-// Encode serialises the batch to its JSON MQTT payload (the original
-// self-describing wire format; see codec.go for the binary codec and the
-// sniffing DecodeBatch that accepts both).
-func (b Batch) Encode() ([]byte, error) {
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	return json.Marshal(b)
-}
 
 // EnergySummary is a per-window energy record. The gateway no longer
 // publishes it; its only remaining user is the benchmark's per-layer
@@ -121,8 +113,6 @@ type Gateway struct {
 	Pub Publisher
 	// BatchSamples is the number of samples per published batch.
 	BatchSamples int
-	// Codec selects the batch wire format ("" = binary).
-	Codec Codec
 	// Trace, when set, stamps every published batch at the encode stage
 	// of the obs stage trace (DESIGN.md §9).
 	Trace *obs.StageTrace
@@ -147,8 +137,7 @@ type Stats struct {
 }
 
 // WireBytesPerSample is the mean encoded payload size per power sample —
-// the wire-compression figure the batch codec controls (~20 bytes/sample
-// as JSON text, a fraction of that in the binary format).
+// the wire-compression figure the binary batch frame controls.
 func (s Stats) WireBytesPerSample() float64 {
 	if s.Samples == 0 {
 		return 0
@@ -240,9 +229,6 @@ func (g *Gateway) PublishWindowResume(sig sensor.Signal, t0, t1 float64, cur *Cu
 		if t1 == t0 {
 			return 0, errors.New("gateway: empty window")
 		}
-		if err := g.Codec.Validate(); err != nil {
-			return 0, err
-		}
 		samples, err := g.Monitor.Observe(sig, t0, t1)
 		if err != nil {
 			return 0, err
@@ -273,7 +259,7 @@ func (g *Gateway) PublishWindowResume(sig sensor.Signal, t0, t1 float64, cur *Cu
 			b.Samples = append(b.Samples, s.P)
 		}
 		g.sampleBuf = b.Samples
-		payload, err := b.AppendEncode(g.encBuf[:0], g.Codec)
+		payload, err := b.AppendEncode(g.encBuf[:0], CodecBinary)
 		if err != nil {
 			return 0, err
 		}

@@ -75,7 +75,7 @@ func TestTopics(t *testing.T) {
 
 func TestBatchCodec(t *testing.T) {
 	b := Batch{Node: 3, T0: 1.5, Dt: 2e-5, Samples: []float64{100, 200, 300}}
-	payload, err := b.Encode()
+	payload, err := b.AppendEncode(nil, CodecBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,14 +83,11 @@ func TestBatchCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Node != 3 || got.T0 != 1.5 || got.Dt != 2e-5 || len(got.Samples) != 3 {
+	if got.Node != 3 || got.T0 != 1.5 || math.Abs(got.Dt-2e-5) > 1e-15 || len(got.Samples) != 3 {
 		t.Errorf("round trip = %+v", got)
 	}
-	if _, err := DecodeBatch([]byte("not json")); err == nil {
+	if _, err := DecodeBatch([]byte("not a frame")); err == nil {
 		t.Error("bad payload should error")
-	}
-	if _, err := DecodeBatch([]byte(`{"node":-1,"dt":1,"p":[1]}`)); err == nil {
-		t.Error("invalid batch should error")
 	}
 }
 
@@ -111,16 +108,14 @@ func TestBatchValidation(t *testing.T) {
 		if err := b.Validate(); err == nil {
 			t.Errorf("sample %v should error", p)
 		}
-		for _, c := range []Codec{CodecBinary, CodecJSON} {
-			if _, err := b.AppendEncode(nil, c); err == nil {
-				t.Errorf("%s encode of sample %v should error", c, p)
-			}
+		if _, err := b.AppendEncode(nil, CodecBinary); err == nil {
+			t.Errorf("encode of sample %v should error", p)
 		}
 	}
 	if err := (Batch{Node: 0, Dt: 5e-324, Samples: []float64{math.MaxFloat64, -math.MaxFloat64, 0, 5e-324}}).Validate(); err != nil {
 		t.Errorf("extreme finite values refused: %v", err)
 	}
-	if _, err := (Batch{Node: 0, Dt: 1}).Encode(); err == nil {
+	if _, err := (Batch{Node: 0, Dt: 1}).AppendEncode(nil, CodecBinary); err == nil {
 		t.Error("encode of invalid batch should error")
 	}
 }

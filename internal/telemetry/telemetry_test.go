@@ -107,10 +107,7 @@ func TestCorrelatePhases(t *testing.T) {
 func TestConsumeRoutesAndDrops(t *testing.T) {
 	a := NewAggregator()
 	h := a.Handler()
-	b, err := mkBatch(4, 0, 1, 10, 20).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := mustEncode(t, mkBatch(4, 0, 1, 10, 20))
 	h(mqtt.Message{Topic: "davide/node04/power", Payload: b})
 	if a.Samples(4) != 2 {
 		t.Errorf("Samples = %d", a.Samples(4))
@@ -181,6 +178,18 @@ func TestNonFiniteFrameIsDropped(t *testing.T) {
 				t.Errorf("EnergyAt(0, %v, res %v) = %v, %v; want a finite energy", t1, res, e, err)
 			}
 		}
+	}
+}
+
+// TestJSONBatchIsDropped: the batch wire format is the binary frame
+// only, so a JSON batch on a power topic is one dropped message and
+// ingests nothing.
+func TestJSONBatchIsDropped(t *testing.T) {
+	a := NewAggregator()
+	h := a.Handler()
+	h(mqtt.Message{Topic: "davide/node04/power", Payload: []byte(`{"node":4,"t0":0,"dt":1,"p":[10,20]}`)})
+	if a.Dropped() != 1 || a.Samples(4) != 0 {
+		t.Errorf("Dropped = %d, Samples = %d; want 1 and 0", a.Dropped(), a.Samples(4))
 	}
 }
 
@@ -272,10 +281,7 @@ func TestMultipleAgents(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = pubClient.Close() }()
-	payload, err := mkBatch(1, 0, 1, 500, 600, 700).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := mustEncode(t, mkBatch(1, 0, 1, 500, 600, 700))
 	if err := pubClient.Publish(gateway.PowerTopic(1), payload, 1, false); err != nil {
 		t.Fatal(err)
 	}
@@ -397,10 +403,7 @@ func TestIngestParallelDecodePreservesPerNodeOrder(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		for node := 0; node < 4; node++ {
 			b := mkBatch(node, float64(i*2), 1, 100, 200)
-			payload, err := b.Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
+			payload := mustEncode(t, b)
 			h(mqtt.Message{Topic: gateway.PowerTopic(node), Payload: payload})
 		}
 	}
@@ -451,10 +454,7 @@ func TestSubscribeParallelEndToEnd(t *testing.T) {
 	}
 	defer func() { _ = pub.Close() }()
 	b := mkBatch(2, 0, 0.5, 100, 100, 100, 100)
-	payload, err := b.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := mustEncode(t, b)
 	if err := pub.Publish(gateway.PowerTopic(2), payload, 0, false); err != nil {
 		t.Fatal(err)
 	}
