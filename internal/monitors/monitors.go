@@ -128,7 +128,7 @@ func New(spec Spec, seed int64) (*Monitor, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	adc, err := sensor.NewADC(spec.RawRate, spec.Bits, spec.FullScale, spec.NoiseLSB, 0, seed)
+	adc, err := sensor.NewADC(spec.RawRate, spec.Bits, spec.FullScale, spec.NoiseLSB, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +168,7 @@ func (m *Monitor) Observe(sig sensor.Signal, t0, t1 float64) ([]sensor.Sample, e
 		// Non-averaged monitors convert instantaneously at OutputRate:
 		// model by sampling with a slow ADC at the output rate (factor 1).
 		var err error
-		adc, err = sensor.NewADC(m.spec.OutputRate, m.spec.Bits, m.spec.FullScale, m.spec.NoiseLSB, 0, m.rng.Int63())
+		adc, err = sensor.NewADC(m.spec.OutputRate, m.spec.Bits, m.spec.FullScale, m.spec.NoiseLSB, m.rng.Int63())
 		if err != nil {
 			return nil, err
 		}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // Sample is one timestamped power reading.
@@ -14,20 +13,19 @@ type Sample struct {
 }
 
 // ADC models the BeagleBone Black's 12-bit SAR converter (TI Sitara
-// AM335x): fixed sampling rate, full-scale range, quantisation, additive
-// Gaussian noise and aperture jitter. The paper runs it at 800 kS/s
-// (hardware-averaged from the 1.6 MS/s maximum across channels).
+// AM335x): fixed sampling rate, full-scale range, quantisation and additive
+// Gaussian noise, converting at the nominal instants. The paper runs it at
+// 800 kS/s (hardware-averaged from the 1.6 MS/s maximum across channels).
 type ADC struct {
 	Rate      float64 // samples per second
 	Bits      int     // resolution
 	FullScale float64 // watts mapped to the top code
 	NoiseLSB  float64 // Gaussian noise sigma, in LSBs
-	JitterSec float64 // Gaussian aperture jitter sigma, seconds
-	rng       *rand.Rand
+	rng       noise
 }
 
 // NewADC constructs an ADC. seed makes the noise deterministic.
-func NewADC(rate float64, bits int, fullScale, noiseLSB, jitterSec float64, seed int64) (*ADC, error) {
+func NewADC(rate float64, bits int, fullScale, noiseLSB float64, seed int64) (*ADC, error) {
 	switch {
 	case rate <= 0:
 		return nil, errors.New("sensor: ADC rate must be positive")
@@ -35,23 +33,18 @@ func NewADC(rate float64, bits int, fullScale, noiseLSB, jitterSec float64, seed
 		return nil, fmt.Errorf("sensor: ADC bits %d out of range [1,24]", bits)
 	case fullScale <= 0:
 		return nil, errors.New("sensor: ADC full scale must be positive")
-	case noiseLSB < 0 || jitterSec < 0:
-		return nil, errors.New("sensor: negative noise or jitter")
+	case noiseLSB < 0:
+		return nil, errors.New("sensor: negative noise")
 	}
-	return &ADC{
-		Rate:      rate,
-		Bits:      bits,
-		FullScale: fullScale,
-		NoiseLSB:  noiseLSB,
-		JitterSec: jitterSec,
-		rng:       rand.New(rand.NewSource(seed)),
-	}, nil
+	a := &ADC{Rate: rate, Bits: bits, FullScale: fullScale, NoiseLSB: noiseLSB}
+	a.rng.seed(seed)
+	return a, nil
 }
 
 // BBBADC returns the paper's converter: 12-bit SAR, 800 kS/s effective,
-// sized for a 3 kW node backplane, with 0.5 LSB RMS noise and 50 ns jitter.
+// sized for a 3 kW node backplane, with 0.5 LSB RMS noise.
 func BBBADC(seed int64) *ADC {
-	a, err := NewADC(800e3, 12, 3000, 0.5, 50e-9, seed)
+	a, err := NewADC(800e3, 12, 3000, 0.5, seed)
 	if err != nil {
 		panic("sensor: BBBADC defaults invalid: " + err.Error())
 	}
@@ -63,26 +56,31 @@ func (a *ADC) LSB() float64 { return a.FullScale / float64(uint64(1)<<a.Bits) }
 
 // Convert quantises one instantaneous power value (without sampling-time
 // effects): clamp to [0, FullScale], add noise, round to the LSB grid.
-func (a *ADC) Convert(p float64) float64 { return a.convert(p, a.LSB()) }
-
-// convert is Convert with the quantisation step supplied, so a sampling
-// loop computes it once per window instead of once per conversion.
-func (a *ADC) convert(p, lsb float64) float64 {
-	p += a.rng.NormFloat64() * a.NoiseLSB * lsb
-	if p < 0 {
-		p = 0
-	}
-	if p > a.FullScale {
-		p = a.FullScale
-	}
-	code := math.Round(p / lsb)
-	return code * lsb
+func (a *ADC) Convert(p float64) float64 {
+	pw, z := [1]float64{p}, [1]float64{a.rng.norm()}
+	a.quantise(pw[:], z[:], a.LSB())
+	return pw[0]
 }
 
-// SampleSignal samples s over [t0, t1) at the ADC rate, applying jitter to
-// the sampling instants and quantising each reading. The returned sample
-// timestamps are the *nominal* (jitter-free) instants, as a real converter
-// reports them.
+// quantise converts the powers pw in place: add the standard normal draw
+// z[i] scaled to NoiseLSB, clamp to [0, FullScale], round to the lsb grid.
+func (a *ADC) quantise(pw, z []float64, lsb float64) {
+	z = z[:len(pw)]
+	for i, p := range pw {
+		p += z[i] * a.NoiseLSB * lsb
+		if p < 0 {
+			p = 0
+		}
+		if p > a.FullScale {
+			p = a.FullScale
+		}
+		code := math.Round(p / lsb)
+		pw[i] = code * lsb
+	}
+}
+
+// SampleSignal samples s over [t0, t1) at the ADC rate, quantising each
+// reading at its nominal instant.
 func (a *ADC) SampleSignal(s Signal, t0, t1 float64) ([]Sample, error) {
 	return a.SampleDecimated(s, t0, t1, 1)
 }
@@ -92,14 +90,27 @@ func (a *ADC) SampleSignal(s Signal, t0, t1 float64) ([]Sample, error) {
 // window is refused, not truncated: split it.
 const MaxRawSamples = 1 << 24
 
+// block is the most conversions the synthesis kernel holds at once, in
+// three stack arrays (instants, powers, noise draws) of 2 KiB each.
+const block = 256
+
 // SampleDecimated is SampleSignal followed by an n:1 Decimator, bit for
 // bit, without building the raw train: the package's one synthesis loop.
-// Per raw conversion it draws the aperture jitter, then the conversion
-// noise; each full group of n yields one sample at the mean nominal instant
-// with the mean power, summed in index order. A trailing partial group is
-// converted and dropped, so the noise stream ends where the two-pass form
-// left it. A window CheckWindow refuses, or one of more than
-// MaxRawSamples conversions, is an error returned before any draw.
+// It works in blocks of up to 256 conversions, in three phases:
+//
+//  1. Draw: per conversion in order, one standard normal it discards, then
+//     the conversion noise. The discarded draw sits where the aperture
+//     jitter was drawn before the jitter was removed, so every seed still
+//     yields the noise it always did. No draw depends on the signal.
+//  2. Evaluate: powerSpan fills the block's powers at the nominal instants.
+//  3. Quantise and decimate: each full group of n conversions yields one
+//     sample at the mean nominal instant with the mean power, summed in
+//     index order.
+//
+// A trailing partial group is drawn, converted and dropped, so the noise
+// stream ends where the two-pass form left it. A window CheckWindow
+// refuses, or one of more than MaxRawSamples conversions, is an error
+// returned before any draw.
 func (a *ADC) SampleDecimated(s Signal, t0, t1 float64, n int) ([]Sample, error) {
 	if n < 1 {
 		return nil, errDecimation
@@ -113,25 +124,75 @@ func (a *ADC) SampleDecimated(s Signal, t0, t1 float64, n int) ([]Sample, error)
 	}
 	total := int(raw)
 	out := make([]Sample, 0, total/n)
+	g := &a.rng
 	dt, lsb, fn := 1/a.Rate, a.LSB(), float64(n)
 	sumP, sumT, k := 0.0, 0.0, 0
-	for i := 0; i < total; i++ {
-		nominal := t0 + float64(i)*dt
-		actual := nominal + a.rng.NormFloat64()*a.JitterSec
-		p := a.convert(s.PowerAt(actual), lsb)
-		if n == 1 {
-			// Stored as converted: 0 + p below would turn a -0 into +0.
-			out = append(out, Sample{T: nominal, P: p})
-			continue
+	var ts, pw, z [block]float64
+	for base := 0; base < total; base += block {
+		m := min(block, total-base)
+		for i := range m {
+			// norm twice, spelled out so that both fast paths inline:
+			// the jitter's slot, discarded, then the noise.
+			if _, ok := g.normFast(); !ok {
+				g.normSlow()
+			}
+			x, ok := g.normFast()
+			if !ok {
+				x = g.normSlow()
+			}
+			z[i] = x
+			ts[i] = t0 + float64(base+i)*dt
 		}
-		sumP += p
-		sumT += nominal
-		if k++; k == n {
-			out = append(out, Sample{T: sumT / fn, P: sumP / fn})
-			sumP, sumT, k = 0, 0, 0
+		powerSpan(s, ts[:m], pw[:m])
+		a.quantise(pw[:m], z[:m], lsb)
+		for i, nominal := range ts[:m] {
+			p := pw[i]
+			if n == 1 {
+				// Stored as converted: 0 + p below would turn a -0 into +0.
+				out = append(out, Sample{T: nominal, P: p})
+				continue
+			}
+			sumP += p
+			sumT += nominal
+			if k++; k == n {
+				out = append(out, Sample{T: sumT / fn, P: sumP / fn})
+				sumP, sumT, k = 0, 0, 0
+			}
 		}
 	}
 	return out, nil
+}
+
+// powerSpan sets pw[i] to s.PowerAt(ts[i]) for every i, bit for bit, with
+// one dynamic dispatch per call instead of one per instant for the
+// signals the plant synthesises. A Sum zeroes pw and adds its components
+// in order, the operations of Sum.PowerAt. len(ts) and len(pw) are equal
+// and at most block.
+func powerSpan(s Signal, ts, pw []float64) {
+	switch s := s.(type) {
+	case Const:
+		for i := range pw {
+			pw[i] = float64(s)
+		}
+	case Square:
+		for i, t := range ts {
+			pw[i] = s.PowerAt(t)
+		}
+	case Sum:
+		clear(pw)
+		var buf [block]float64
+		part := buf[:len(ts)]
+		for _, c := range s {
+			powerSpan(c, ts, part)
+			for i, p := range part {
+				pw[i] += p
+			}
+		}
+	default:
+		for i, t := range ts {
+			pw[i] = s.PowerAt(t)
+		}
+	}
 }
 
 var errDecimation = errors.New("sensor: decimation factor must be >= 1")

@@ -173,25 +173,25 @@ func TestPiecewiseSetRules(t *testing.T) {
 }
 
 func TestADCValidation(t *testing.T) {
-	if _, err := NewADC(0, 12, 100, 0, 0, 1); err == nil {
+	if _, err := NewADC(0, 12, 100, 0, 1); err == nil {
 		t.Error("zero rate should error")
 	}
-	if _, err := NewADC(1e3, 0, 100, 0, 0, 1); err == nil {
+	if _, err := NewADC(1e3, 0, 100, 0, 1); err == nil {
 		t.Error("zero bits should error")
 	}
-	if _, err := NewADC(1e3, 30, 100, 0, 0, 1); err == nil {
+	if _, err := NewADC(1e3, 30, 100, 0, 1); err == nil {
 		t.Error("too many bits should error")
 	}
-	if _, err := NewADC(1e3, 12, 0, 0, 0, 1); err == nil {
+	if _, err := NewADC(1e3, 12, 0, 0, 1); err == nil {
 		t.Error("zero full-scale should error")
 	}
-	if _, err := NewADC(1e3, 12, 100, -1, 0, 1); err == nil {
+	if _, err := NewADC(1e3, 12, 100, -1, 1); err == nil {
 		t.Error("negative noise should error")
 	}
 }
 
 func TestADCQuantisation(t *testing.T) {
-	a, err := NewADC(1e3, 12, 4096, 0, 0, 1) // LSB = 1 W exactly
+	a, err := NewADC(1e3, 12, 4096, 0, 1) // LSB = 1 W exactly
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestADCSampleCount(t *testing.T) {
 }
 
 func TestADCNoiseStatistics(t *testing.T) {
-	a, err := NewADC(100e3, 12, 3000, 2.0, 0, 42)
+	a, err := NewADC(100e3, 12, 3000, 2.0, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestDecimator(t *testing.T) {
 func TestDecimationPreservesEnergy(t *testing.T) {
 	// Boxcar decimation preserves the mean, hence the rectangle-integrated
 	// energy over whole groups.
-	a, err := NewADC(800e3, 12, 3000, 0, 0, 7)
+	a, err := NewADC(800e3, 12, 3000, 0, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestEnergyRefusesBadWindows(t *testing.T) {
 func TestADCAccuracyProperty(t *testing.T) {
 	f := func(raw float64) bool {
 		p := math.Mod(math.Abs(raw), 3000)
-		a, err := NewADC(10e3, 12, 3000, 0, 0, 1)
+		a, err := NewADC(10e3, 12, 3000, 0, 1)
 		if err != nil {
 			return false
 		}

@@ -20,11 +20,11 @@ func TestSampleDecimatedMatchesTwoPass(t *testing.T) {
 	const rate = 64e3
 	windows := [][2]float64{{0.25, 0.25 + 1003.5/rate}, {6000.3, 6000.3 + 1005.5/rate}}
 	for _, n := range []int{1, 2, 7, 16} {
-		ref, err := NewADC(rate, 12, 3000, 0.7, 50e-9, 99)
+		ref, err := NewADC(rate, 12, 3000, 0.7, 99)
 		if err != nil {
 			t.Fatal(err)
 		}
-		one, _ := NewADC(rate, 12, 3000, 0.7, 50e-9, 99)
+		one, _ := NewADC(rate, 12, 3000, 0.7, 99)
 		d, _ := NewDecimator(n)
 		for w, win := range windows {
 			raw, err := ref.SampleSignal(sig, win[0], win[1])
@@ -56,7 +56,7 @@ func TestSampleDecimatedMatchesTwoPass(t *testing.T) {
 func TestSampleDecimatedRefusals(t *testing.T) {
 	inf, nan := math.Inf(1), math.NaN()
 	newADC := func() *ADC {
-		a, err := NewADC(1, 12, 3000, 0.5, 0, 5)
+		a, err := NewADC(1, 12, 3000, 0.5, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestSampleDecimatedRefusals(t *testing.T) {
 		if out, err := a.SampleDecimated(Const(1), c.t0, c.t1, c.n); err == nil {
 			t.Errorf("%s: %d samples, want an error", c.name, len(out))
 		}
-		if a.rng.Int63() != twin.rng.Int63() {
+		if a.rng.uint64() != twin.rng.uint64() {
 			t.Errorf("%s: the refused call took a draw", c.name)
 		}
 	}
@@ -161,4 +161,200 @@ func FuzzFmod(f *testing.F) {
 			t.Fatalf("fmod(%v, %v) = %v (%#x), math.Mod = %v (%#x)", x, y, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	})
+}
+
+// twinADC is the synthesis loop as it stood before the block kernel,
+// kept as the reference the kernel shares no code with: a *rand.Rand,
+// one s.PowerAt per conversion at the jittered instant (sigma 0 now, so
+// the draw only moves the stream), math.Round.
+type twinADC struct {
+	Rate      float64
+	Bits      int
+	FullScale float64
+	NoiseLSB  float64
+	JitterSec float64
+	rng       *rand.Rand
+}
+
+func newTwinADC(rate float64, bits int, fullScale, noiseLSB float64, seed int64) *twinADC {
+	return &twinADC{Rate: rate, Bits: bits, FullScale: fullScale, NoiseLSB: noiseLSB, rng: rand.New(rand.NewSource(seed))}
+}
+
+func (a *twinADC) LSB() float64 { return a.FullScale / float64(uint64(1)<<a.Bits) }
+
+func (a *twinADC) convert(p, lsb float64) float64 {
+	p += a.rng.NormFloat64() * a.NoiseLSB * lsb
+	if p < 0 {
+		p = 0
+	}
+	if p > a.FullScale {
+		p = a.FullScale
+	}
+	code := math.Round(p / lsb)
+	return code * lsb
+}
+
+func (a *twinADC) SampleDecimated(s Signal, t0, t1 float64, n int) []Sample {
+	total := int(math.Floor((t1 - t0) * a.Rate))
+	out := make([]Sample, 0, total/n)
+	dt, lsb, fn := 1/a.Rate, a.LSB(), float64(n)
+	sumP, sumT, k := 0.0, 0.0, 0
+	for i := 0; i < total; i++ {
+		nominal := t0 + float64(i)*dt
+		actual := nominal + a.rng.NormFloat64()*a.JitterSec
+		p := a.convert(s.PowerAt(actual), lsb)
+		if n == 1 {
+			out = append(out, Sample{T: nominal, P: p})
+			continue
+		}
+		sumP += p
+		sumT += nominal
+		if k++; k == n {
+			out = append(out, Sample{T: sumT / fn, P: sumP / fn})
+			sumP, sumT, k = 0, 0, 0
+		}
+	}
+	return out
+}
+
+// ramp is a Signal powerSpan has no arm for.
+type ramp struct{ base, slope float64 }
+
+func (r ramp) PowerAt(t float64) float64 { return r.base + r.slope*t }
+func (r ramp) Energy(t0, t1 float64) (float64, error) {
+	return r.base*(t1-t0) + r.slope*(t1*t1-t0*t0)/2, nil
+}
+
+// TestSampleDecimatedMatchesTwin holds the block kernel to twinADC on
+// bits: every signal type powerSpan distinguishes (and one it does not),
+// factors that divide a block and ones that do not, raw counts either
+// side of one and two blocks, three windows back to back on one ADC so a
+// window that leaves the stream a draw off shows in the next.
+func TestSampleDecimatedMatchesTwin(t *testing.T) {
+	const rate, dt = 1000.0, 1 / 1000.0
+	counts := []int{255, 256, 257, 513}
+	window := func(ci, w int) (t0, t1 float64) {
+		span := (float64(counts[ci]) + 0.5) / rate
+		t0 = 0.25 + 12.5*float64(ci) + float64(w)*span
+		return t0, t0 + span
+	}
+	at := func(ci, w int, i float64) float64 {
+		t0, _ := window(ci, w)
+		return t0 + i*dt
+	}
+	square := Square{Low: 3, High: 933, Period: 0.237, Duty: 0.374, Phase: 0.041}
+	sine := Sine{Offset: 100, Amp: 140, Freq: 11.7, Phase: 0.3} // dips below 0: the clamp
+	pw := NewPiecewise(0, 900)
+	// Breakpoints inside blocks, between instants and on them (the
+	// exact-match arm), one on the first instant of a second block.
+	for _, bp := range []float64{at(0, 0, 100.5), at(0, 2, 7), at(1, 1, 200), at(3, 0, 300.5), at(3, 2, 256)} {
+		if err := pw.Set(bp, bp*100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	signals := map[string]Signal{
+		"Const":     Const(2999.9), // noise crosses full scale: the clamp
+		"Square":    square,
+		"Sine":      sine,
+		"Sum":       Sum{Const(311), square},
+		"nestedSum": Sum{Const(11), Sum{square, Sum{sine}}, ramp{1, 2}},
+		"Piecewise": pw,
+		"default":   ramp{500, 3.5},
+	}
+	for name, sig := range signals {
+		for _, n := range []int{1, 2, 7, 16, 256, 257} {
+			got, err := NewADC(rate, 12, 3000, 0.7, 4242)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := newTwinADC(rate, 12, 3000, 0.7, 4242)
+			for ci, count := range counts {
+				for w := 0; w < 3; w++ {
+					t0, t1 := window(ci, w)
+					g, err := got.SampleDecimated(sig, t0, t1, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					r := want.SampleDecimated(sig, t0, t1, n)
+					if len(g) != len(r) || len(r) != count/n {
+						t.Fatalf("%s n=%d count %d window %d: %d samples, twin %d, want %d", name, n, count, w, len(g), len(r), count/n)
+					}
+					for i := range r {
+						if !sameBits(g[i].T, r[i].T) || !sameBits(g[i].P, r[i].P) {
+							t.Fatalf("%s n=%d count %d window %d sample %d: %+v, twin %+v", name, n, count, w, i, g[i], r[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzPowerSpan holds powerSpan to PowerAt on bits over raw bit patterns:
+// Square and Sine parameters, the first instant and the spacing, up to a
+// full block of instants, each signal alone and in a nested Sum.
+func FuzzPowerSpan(f *testing.F) {
+	bits := math.Float64bits
+	add := func(q Square, s Sine, t0, dt float64, m uint8) {
+		f.Add(bits(q.Low), bits(q.High), bits(q.Period), bits(q.Duty), bits(q.Phase),
+			bits(s.Offset), bits(s.Amp), bits(s.Freq), bits(s.Phase), bits(t0), bits(dt), m)
+	}
+	add(Square{Low: 0.1, High: 933, Period: 2.37, Duty: 0.374, Phase: 0.41}, Sine{Amp: 40, Freq: 117, Phase: 0.3}, 6000.3, 1.0/800, 255)
+	add(Square{High: 700, Period: 2, Duty: 0.3}, Sine{Offset: 1, Amp: 2, Freq: 3, Phase: 4}, 0, 1.0/64, 15)
+	add(Square{Low: math.NaN(), High: math.Inf(1), Period: 0, Duty: 1}, Sine{Freq: math.Inf(-1)}, -1, 0, 0)
+	add(Square{Period: -1, Phase: math.NaN()}, Sine{Amp: math.NaN()}, math.Inf(1), math.Inf(-1), 3)
+	add(Square{High: 1, Period: 5e-324, Duty: 0.5}, Sine{Amp: 1, Freq: 1e300}, 1e300, -1e300, 200)
+	f.Fuzz(func(t *testing.T, lo, hi, period, duty, phase, off, amp, freq, sphase, t0bits, dtbits uint64, m uint8) {
+		fb := math.Float64frombits
+		q := Square{Low: fb(lo), High: fb(hi), Period: fb(period), Duty: fb(duty), Phase: fb(phase)}
+		s := Sine{Offset: fb(off), Amp: fb(amp), Freq: fb(freq), Phase: fb(sphase)}
+		t0, dt := fb(t0bits), fb(dtbits)
+		ts := make([]float64, int(m)+1)
+		for i := range ts {
+			ts[i] = t0 + float64(i)*dt
+		}
+		pw := make([]float64, len(ts))
+		for _, sig := range []Signal{q, s, Sum{s, Const(fb(lo)), q, Sum{q, s, Const(fb(sphase))}}} {
+			powerSpan(sig, ts, pw)
+			for i, at := range ts {
+				if want := sig.PowerAt(at); !sameBits(pw[i], want) {
+					t.Fatalf("%#v at %v: powerSpan %v (%#x), PowerAt %v (%#x)", sig, at, pw[i], bits(pw[i]), want, bits(want))
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkSampleDecimated times one window of each shape the benchmark's
+// workloads synthesise, per raw conversion: control-loop's Const at
+// 64 S/s raw over a 15 s tick and fabric-1k's Const+Square at 800 S/s raw
+// over a 2 s window, both decimated 16:1.
+func BenchmarkSampleDecimated(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		sig    Signal
+		rate   float64
+		window float64
+	}{
+		{"Const/64Sps", Const(900), 64, 15},
+		{"ConstSquare/800Sps", Sum{Const(311), Square{High: 933, Period: 2.37, Duty: 0.374}}, 800, 2},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			a, err := NewADC(c.rate, 12, 20000, 0.5, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			conversions := 0
+			t0 := 0.0
+			for b.Loop() {
+				out, err := a.SampleDecimated(c.sig, t0, t0+c.window, 16)
+				if err != nil || len(out) == 0 {
+					b.Fatal(out, err)
+				}
+				conversions += len(out) * 16
+				t0 += c.window
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(conversions), "ns/conversion")
+		})
+	}
 }
