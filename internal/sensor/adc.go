@@ -165,9 +165,10 @@ func (a *ADC) SampleDecimated(s Signal, t0, t1 float64, n int) ([]Sample, error)
 
 // powerSpan sets pw[i] to s.PowerAt(ts[i]) for every i, bit for bit, with
 // one dynamic dispatch per call instead of one per instant for the
-// signals the plant synthesises. A Sum zeroes pw and adds its components
-// in order, the operations of Sum.PowerAt. len(ts) and len(pw) are equal
-// and at most block.
+// signals the plant synthesises. A Const fills pw, a Square fills its
+// level runs (squareSpan), a Sum zeroes pw and adds its components in
+// order, the operations of Sum.PowerAt. ts never decreases; len(ts) and
+// len(pw) are equal and at most block.
 func powerSpan(s Signal, ts, pw []float64) {
 	switch s := s.(type) {
 	case Const:
@@ -175,9 +176,7 @@ func powerSpan(s Signal, ts, pw []float64) {
 			pw[i] = float64(s)
 		}
 	case Square:
-		for i, t := range ts {
-			pw[i] = s.PowerAt(t)
-		}
+		squareSpan(s, ts, pw)
 	case Sum:
 		clear(pw)
 		var buf [block]float64
@@ -193,6 +192,90 @@ func powerSpan(s Signal, ts, pw []float64) {
 			pw[i] = s.PowerAt(t)
 		}
 	}
+}
+
+// minRun is the fewest instants per period for which squareSpan fills
+// runs: below it a block holds so many edges that splitting down to them
+// costs more than evaluating every instant.
+const minRun = 16
+
+// squareSpan is powerSpan's Square arm. Over ascending instants the offset
+// x = t - Phase never decreases, and neither does its period index
+// k = floor(x/Period). fmod's remainder x - k·Period is exact, so within
+// one period the level is High up to Duty·Period and Low after it: two
+// instants with the same (k, level) bound a run of that level. squareSpan
+// evaluates a block's two ends and, where they differ, splits the block
+// until they agree. It calls PowerAt per instant instead when q.cell
+// refuses an end, when the first instant is after the last, and when the
+// block holds fewer than minRun instants per period it spans.
+func squareSpan(q Square, ts, pw []float64) {
+	if last := len(ts) - 1; last >= 0 && ts[0] <= ts[last] {
+		lo, okLo := q.cell(ts[0])
+		hi, okHi := q.cell(ts[last])
+		if okLo && okHi && (hi.k-lo.k)*minRun < float64(len(ts)) {
+			q.fill(ts, pw, lo, hi)
+			return
+		}
+	}
+	for i, t := range ts {
+		pw[i] = q.PowerAt(t)
+	}
+}
+
+// squareCell is an instant's period index and level.
+type squareCell struct {
+	k    float64
+	high bool
+}
+
+// cell returns the cell of instant t by the steps PowerAt and fmod take,
+// and false where they would take any other: t - Phase negative or not
+// finite, Period not > 0, or a quotient of 2^52 or more.
+func (q Square) cell(t float64) (squareCell, bool) {
+	x, y := t-q.Phase, q.Period
+	if !(x >= 0 && x <= math.MaxFloat64 && y > 0) {
+		return squareCell{}, false
+	}
+	c, r := squareCell{}, x
+	if x >= y {
+		c.k = math.Trunc(x / y)
+		if c.k >= 1<<52 {
+			return squareCell{}, false
+		}
+		if r = math.FMA(-c.k, y, x); r < 0 {
+			r += y
+			c.k--
+		}
+	}
+	c.high = r < q.Duty*q.Period
+	return c, true
+}
+
+// fill sets pw to the levels at ts, given the cells lo of ts[0] and hi of
+// its last instant.
+func (q Square) fill(ts, pw []float64, lo, hi squareCell) {
+	for lo != hi && len(ts) > 2 {
+		mid := len(ts) / 2
+		c, _ := q.cell(ts[mid])
+		q.fill(ts[:mid+1], pw[:mid+1], lo, c)
+		ts, pw, lo = ts[mid:], pw[mid:], c
+	}
+	if lo != hi { // two instants, one either side of an edge
+		pw[0], pw[1] = q.level(lo), q.level(hi)
+		return
+	}
+	v := q.level(lo)
+	for i := range pw {
+		pw[i] = v
+	}
+}
+
+// level returns the power of cell c.
+func (q Square) level(c squareCell) float64 {
+	if c.high {
+		return q.High
+	}
+	return q.Low
 }
 
 var errDecimation = errors.New("sensor: decimation factor must be >= 1")

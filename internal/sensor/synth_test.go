@@ -229,7 +229,10 @@ func (r ramp) Energy(t0, t1 float64) (float64, error) {
 // bits: every signal type powerSpan distinguishes (and one it does not),
 // factors that divide a block and ones that do not, raw counts either
 // side of one and two blocks, three windows back to back on one ADC so a
-// window that leaves the stream a draw off shows in the next.
+// window that leaves the stream a draw off shows in the next. The
+// squares beyond the first reach each of squareSpan's branches: edges on
+// instants, a phase origin inside the windows, quotients near and past
+// 2^52, a dozen edges per block, a period shorter than a spacing.
 func TestSampleDecimatedMatchesTwin(t *testing.T) {
 	const rate, dt = 1000.0, 1 / 1000.0
 	counts := []int{255, 256, 257, 513}
@@ -252,14 +255,37 @@ func TestSampleDecimatedMatchesTwin(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Square waves for squareSpan's branches. Period 2 and 0.25 s at 1 ms
+	// put edges on instants, or within rounding of them. The origin
+	// at 13 s falls inside the second count's windows: blocks that start
+	// before it take the per-instant loop, the rest the run fill. A phase
+	// of about -4e15 s gives quotients in [2^51, 2^52), where x/Period
+	// rounds up to the next integer often and fmod's correction decides
+	// the level; the one at 13 - 2^52 crosses 2^52 at 13 s. 40 ms holds
+	// six periods per block, 0.7 ms less than one spacing.
+	edges := Square{Low: 7, High: 901, Period: 2, Duty: 0.4}
+	quarter := Square{Low: 2, High: 1200, Period: 0.25, Duty: 0.5}
+	origin := Square{Low: 5, High: 1500, Period: 0.3, Duty: 0.6, Phase: 13}
+	bigQuotient := Square{Low: 1, High: 800, Period: 1.3, Duty: 0.45, Phase: -4.1e15}
+	pastQuotient := Square{Low: 4, High: 1100, Period: 1, Duty: 0.4, Phase: 13 - 1<<52}
+	manyEdges := Square{Low: 9, High: 990, Period: 0.04, Duty: 0.374, Phase: 0.0013}
+	short := Square{Low: 6, High: 600, Period: 0.7e-3, Duty: 0.3}
 	signals := map[string]Signal{
-		"Const":     Const(2999.9), // noise crosses full scale: the clamp
-		"Square":    square,
-		"Sine":      sine,
-		"Sum":       Sum{Const(311), square},
-		"nestedSum": Sum{Const(11), Sum{square, Sum{sine}}, ramp{1, 2}},
-		"Piecewise": pw,
-		"default":   ramp{500, 3.5},
+		"Const":        Const(2999.9), // noise crosses full scale: the clamp
+		"Square":       square,
+		"edges":        edges,
+		"quarter":      quarter,
+		"origin":       origin,
+		"bigQuotient":  bigQuotient,
+		"pastQuotient": pastQuotient,
+		"manyEdges":    manyEdges,
+		"short":        short,
+		"squaresInSum": Sum{Const(13), Sum{edges, Sum{origin, bigQuotient}}, quarter, Sum{pastQuotient, manyEdges, short}},
+		"Sine":         sine,
+		"Sum":          Sum{Const(311), square},
+		"nestedSum":    Sum{Const(11), Sum{square, Sum{sine}}, ramp{1, 2}},
+		"Piecewise":    pw,
+		"default":      ramp{500, 3.5},
 	}
 	for name, sig := range signals {
 		for _, n := range []int{1, 2, 7, 16, 256, 257} {
@@ -325,10 +351,47 @@ func FuzzPowerSpan(f *testing.F) {
 	})
 }
 
+// FuzzSquareSpan holds powerSpan to PowerAt on bits where squareSpan's
+// run fill can apply, which FuzzPowerSpan's raw grids mostly miss: the
+// spacing is |dt|, so the grid never decreases, and the first instant is
+// Phase + |off|, so no offset is negative. Up to a full block of instants.
+func FuzzSquareSpan(f *testing.F) {
+	bits := math.Float64bits
+	add := func(q Square, off, dt float64, m uint8) {
+		f.Add(bits(q.Low), bits(q.High), bits(q.Period), bits(q.Duty), bits(q.Phase), bits(off), bits(dt), m)
+	}
+	add(Square{High: 933, Period: 2.37, Duty: 0.374}, 6000.3, 1.0/800, 255)
+	add(Square{Low: 7, High: 901, Period: 2, Duty: 0.4}, 1.8, 1.0/800, 255)
+	add(Square{High: 990, Period: 0.04, Duty: 0.374, Phase: 0.0013}, 0.25, 1.0/1000, 255)
+	add(Square{High: 800, Period: 1.3, Duty: 0.45, Phase: -4.1e15}, 3, 1.0/1000, 255)
+	add(Square{High: 1100, Period: 1, Duty: 0.4, Phase: 13 - 1<<52}, 12.9, 1.0/1000, 255)
+	add(Square{High: 600, Period: 0.7e-3, Duty: 0.3}, 0, 1.0/1000, 255)
+	add(Square{High: 1, Period: 3, Duty: 0.5, Phase: 1e300}, 0, 1e290, 200)
+	add(Square{Low: math.NaN(), High: math.Inf(1), Period: math.Inf(1), Duty: 2}, math.Inf(1), math.NaN(), 9)
+	f.Fuzz(func(t *testing.T, lo, hi, period, duty, phase, off, dt uint64, m uint8) {
+		fb := math.Float64frombits
+		q := Square{Low: fb(lo), High: fb(hi), Period: fb(period), Duty: fb(duty), Phase: fb(phase)}
+		t0, step := q.Phase+math.Abs(fb(off)), math.Abs(fb(dt))
+		ts := make([]float64, int(m)+1)
+		for i := range ts {
+			ts[i] = t0 + float64(i)*step
+		}
+		pw := make([]float64, len(ts))
+		powerSpan(q, ts, pw)
+		for i, at := range ts {
+			if want := q.PowerAt(at); !sameBits(pw[i], want) {
+				t.Fatalf("%#v at %v (instant %d): powerSpan %v (%#x), PowerAt %v (%#x)", q, at, i, pw[i], bits(pw[i]), want, bits(want))
+			}
+		}
+	})
+}
+
 // BenchmarkSampleDecimated times one window of each shape the benchmark's
 // workloads synthesise, per raw conversion: control-loop's Const at
 // 64 S/s raw over a 15 s tick and fabric-1k's Const+Square at 800 S/s raw
-// over a 2 s window, both decimated 16:1.
+// over a 2 s window, both decimated 16:1. Two more squares bracket
+// squareSpan's guard: a period of 3 conversion spacings, which it leaves
+// to PowerAt per instant, and one of 40, whose blocks hold a dozen edges.
 func BenchmarkSampleDecimated(b *testing.B) {
 	for _, c := range []struct {
 		name   string
@@ -338,6 +401,8 @@ func BenchmarkSampleDecimated(b *testing.B) {
 	}{
 		{"Const/64Sps", Const(900), 64, 15},
 		{"ConstSquare/800Sps", Sum{Const(311), Square{High: 933, Period: 2.37, Duty: 0.374}}, 800, 2},
+		{"ConstSquare3dt/800Sps", Sum{Const(311), Square{High: 933, Period: 3.0 / 800, Duty: 0.374}}, 800, 2},
+		{"ConstSquare40dt/800Sps", Sum{Const(311), Square{High: 933, Period: 40.0 / 800, Duty: 0.374}}, 800, 2},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			a, err := NewADC(c.rate, 12, 20000, 0.5, 1)

@@ -6,58 +6,6 @@ import (
 	"testing"
 )
 
-// TestHistogramQuantileTable pins Quantile's contract on the fixed-width
-// histogram, including the under/over clamping the obs endpoint relies
-// on: out-of-range mass is counted, and quantiles landing in it clamp to
-// the range ends instead of inventing values.
-func TestHistogramQuantileTable(t *testing.T) {
-	cases := []struct {
-		name    string
-		lo, hi  float64
-		buckets int
-		samples []float64
-		q       float64
-		want    float64
-		tol     float64
-	}{
-		{"median-uniform", 0, 100, 100, ramp(0, 100), 0.5, 50, 1},
-		{"p99-uniform", 0, 100, 100, ramp(0, 100), 0.99, 99, 1.5},
-		{"q0-first-sample", 0, 10, 10, []float64{3, 7}, 0, 3.5, 0.01},
-		{"q1-last-bucket", 0, 10, 10, []float64{3, 7}, 1, 7.5, 0.01},
-		{"under-clamps-to-lo", 0, 10, 10, []float64{-5, -4, -3, 9}, 0.5, 0, 0},
-		{"over-clamps-to-hi", 0, 10, 10, []float64{1, 11, 12, 13}, 0.9, 10, 0},
-		{"all-under", 0, 10, 10, []float64{-1, -2}, 0.5, 0, 0},
-		{"all-over", 0, 10, 10, []float64{99, 98}, 0.5, 10, 0},
-		{"mixed-tails", 0, 10, 5, []float64{-1, 5, 20}, 0.5, 5, 1.01},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			h, err := NewHistogram(tc.lo, tc.hi, tc.buckets)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, x := range tc.samples {
-				h.Add(x)
-			}
-			got, err := h.Quantile(tc.q)
-			if err != nil {
-				t.Fatalf("Quantile(%v): %v", tc.q, err)
-			}
-			if math.Abs(got-tc.want) > tc.tol {
-				t.Errorf("Quantile(%v) = %v, want %v ± %v", tc.q, got, tc.want, tc.tol)
-			}
-		})
-	}
-}
-
-func ramp(lo, hi int) []float64 {
-	out := make([]float64, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		out = append(out, float64(i))
-	}
-	return out
-}
-
 func TestLogHistogramBuckets(t *testing.T) {
 	cases := []struct {
 		v    int64

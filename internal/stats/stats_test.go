@@ -251,63 +251,6 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestHistogramBasics(t *testing.T) {
-	h, err := NewHistogram(0, 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{0, 0.5, 5, 9.999, -1, 10, 42} {
-		h.Add(x)
-	}
-	if h.N() != 7 {
-		t.Errorf("N = %d, want 7", h.N())
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Errorf("Under/Over = %d/%d, want 1/2", h.Under, h.Over)
-	}
-	if h.Counts[0] != 2 || h.Counts[5] != 1 || h.Counts[9] != 1 {
-		t.Errorf("Counts = %v", h.Counts)
-	}
-	if h.BucketWidth() != 1 {
-		t.Errorf("BucketWidth = %v", h.BucketWidth())
-	}
-	if s := h.String(); len(s) == 0 {
-		t.Error("String should be non-empty")
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("0 buckets should error")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("lo==hi should error")
-	}
-	h, _ := NewHistogram(0, 1, 4)
-	if _, err := h.Quantile(0.5); err == nil {
-		t.Error("Quantile on empty should error")
-	}
-	h.Add(0.5)
-	if _, err := h.Quantile(1.5); err == nil {
-		t.Error("q>1 should error")
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h, _ := NewHistogram(0, 100, 100)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i))
-	}
-	q, err := h.Quantile(0.5)
-	if err != nil || math.Abs(q-50) > 1.0 {
-		t.Errorf("median = %v,%v want ~50", q, err)
-	}
-	q, _ = h.Quantile(0.99)
-	if math.Abs(q-99) > 1.5 {
-		t.Errorf("p99 = %v want ~99", q)
-	}
-}
-
 // Property: for any data set, mean lies within [min, max].
 func TestMeanBoundedProperty(t *testing.T) {
 	f := func(xs []float64) bool {
@@ -353,32 +296,6 @@ func TestGiniScaleInvariantProperty(t *testing.T) {
 		return almost(g1, g2, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: histogram never loses samples.
-func TestHistogramConservationProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		h, err := NewHistogram(-10, 10, 7)
-		if err != nil {
-			return false
-		}
-		n := 0
-		for _, x := range raw {
-			if math.IsNaN(x) {
-				continue
-			}
-			h.Add(x)
-			n++
-		}
-		var inRange uint64
-		for _, c := range h.Counts {
-			inRange += c
-		}
-		return h.N() == uint64(n) && inRange+h.Under+h.Over == uint64(n)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
