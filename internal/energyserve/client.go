@@ -125,15 +125,3 @@ func (c *Client) RackPower(rack int) (RackPower, error) {
 	err := c.get("/v1/racks/"+strconv.Itoa(rack)+"/power", &out)
 	return out, err
 }
-
-// Report returns the pwrcmd-style hierarchy report rooted at root
-// ("" = the platform).
-func (c *Client) Report(root string) (string, error) {
-	path := "/v1/power/report"
-	if root != "" {
-		path += "?root=" + root
-	}
-	var out string
-	err := c.get(path, &out)
-	return out, err
-}

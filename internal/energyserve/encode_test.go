@@ -2,12 +2,14 @@ package energyserve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"math/bits"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -22,10 +24,12 @@ func adcWatts(code int) float64 { return float64(code) * 3000 / 4096 / 4 }
 
 // reportShapes are window reports shaped like the three kinds the store
 // hands the handler — raw samples, 1-s buckets, 60-s buckets — at the
-// given point count, plus the shapes that defeat each byte-copy shortcut
-// and one whose watts are exact decimals, copied after being written so.
+// given point count, plus one whose bounds never repeat a neighbour's, one
+// whose watts walk the ADC grid and one whose raw samples keep to the few
+// dozen ADC levels a node's draw actually sits on.
 func reportShapes(n int) map[string]WindowReport {
 	raw := make([]tsdb.Point, n)
+	levels := make([]tsdb.Point, n)
 	sec := make([]tsdb.Point, n)
 	minute := make([]tsdb.Point, n)
 	gaps := make([]tsdb.Point, n)
@@ -44,12 +48,15 @@ func reportShapes(n int) map[string]WindowReport {
 		gaps[i] = tsdb.Point{T0: g, T1: g + 1.1, MeanW: w, MaxW: w, EnergyJ: w}
 		a := adcWatts((i * 977) % 4096)
 		adc[i] = tsdb.Point{T0: t, T1: t + 0.25, MeanW: a, MaxW: a + adcWatts(1), EnergyJ: a}
+		l, lt := adcWatts(1536+8*(i*7%24)), 7200+float64(i)/1000
+		levels[i] = tsdb.Point{T0: lt, T1: lt, MeanW: l, MaxW: l}
 	}
 	head := func(res float64, pts []tsdb.Point) WindowReport {
 		return WindowReport{Node: 44, T0: 7200, T1: 7245.5, Res: res, EnergyJ: 50227.34159, MeanW: 50227.34159 / 45.5, Points: pts}
 	}
 	return map[string]WindowReport{
 		"raw": head(0, raw), "1s": head(1, sec), "60s": head(60, minute), "gaps": head(0.25, gaps), "adc": head(1, adc),
+		"levels": head(0, levels),
 	}
 }
 
@@ -81,6 +88,22 @@ func TestAppendWindowReportMatchesJSON(t *testing.T) {
 	// different bits, different bytes.
 	check("zeros", WindowReport{Points: []tsdb.Point{{}, {T1: math.Copysign(0, -1)}, {MeanW: math.Copysign(0, -1)}}})
 
+	// The shapes that would catch a memo trusting the wrong slot: two
+	// values sharing one, interleaved; +0 and -0 throughout one body; and
+	// more distinct values than slots, then a repeat of the evicted first.
+	a, b := collidingPair()
+	check("collision", WindowReport{T0: a, T1: b, Res: a, EnergyJ: b, MeanW: a,
+		Points: []tsdb.Point{{T0: b, T1: a, MeanW: b, MaxW: a, EnergyJ: b}, {T0: a, T1: b, MeanW: a, MaxW: b, EnergyJ: a}}})
+	neg := math.Copysign(0, -1)
+	check("signed zeros", WindowReport{T0: 0, T1: neg, Res: 0, EnergyJ: neg, MeanW: 0,
+		Points: []tsdb.Point{{T0: neg, T1: 0, MeanW: neg, MaxW: 0, EnergyJ: neg}, {T0: 0, T1: neg, MeanW: 0, MaxW: neg}}})
+	var evict []tsdb.Point
+	for i := 0; i < 1<<memoBits; i++ {
+		w := adcWatts(i)
+		evict = append(evict, tsdb.Point{T0: float64(i) + 0.5, T1: float64(i) + 1.25, MeanW: w, MaxW: w + 0.1, EnergyJ: w * 1.5})
+	}
+	check("eviction", WindowReport{Points: append(evict, evict[0], evict[1<<memoBits-1])})
+
 	// NaN or ±Inf anywhere is an error, as it is for encoding/json.
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for field := 0; field < 10; field++ {
@@ -94,6 +117,20 @@ func TestAppendWindowReportMatchesJSON(t *testing.T) {
 				t.Errorf("%v in field %d: no error", bad, field)
 			}
 		}
+	}
+}
+
+// collidingPair returns two ADC-grid watt values of different bits whose
+// forms share one memo slot.
+func collidingPair() (float64, float64) {
+	first := make(map[uint64]float64)
+	for code := 0; ; code++ {
+		w := adcWatts(code)
+		slot := memoSlot(math.Float64bits(w))
+		if v, ok := first[slot]; ok {
+			return v, w
+		}
+		first[slot] = w
 	}
 }
 
@@ -194,6 +231,87 @@ func FuzzAppendFloat(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzAppendWindowReport holds the whole body, memo included, to
+// json.Marshal: every header and point field is drawn from a palette of at
+// most eight raw bit patterns, so repeats, slot collisions and evictions
+// are the rule, and a non-finite value anywhere must be refused.
+func FuzzAppendWindowReport(f *testing.F) {
+	raw := func(vs ...float64) []byte {
+		var p []byte
+		for _, v := range vs {
+			p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v))
+		}
+		return p
+	}
+	a, b := collidingPair()
+	f.Add(int64(44), raw(a, b), []byte{0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0})
+	f.Add(int64(0), raw(0, math.Copysign(0, -1)), []byte{0, 1, 1, 0, 0, 1, 0, 1, 1, 0})
+	f.Add(int64(-3), raw(7200.25, adcWatts(977), 1e21, 5e-324, 0.1, 1e-7, -1.5, 86399.999), []byte{7, 6, 5, 4, 3, 2, 1, 0, 9, 200, 31})
+	f.Add(int64(1), raw(1, math.NaN()), []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Add(int64(1), raw(math.Inf(-1)), []byte{})
+	f.Add(int64(1), []byte{}, []byte{0})
+	f.Fuzz(func(t *testing.T, node int64, palette, picks []byte) {
+		var pal []float64
+		for len(palette) >= 8 && len(pal) < 8 {
+			pal = append(pal, math.Float64frombits(binary.LittleEndian.Uint64(palette)))
+			palette = palette[8:]
+		}
+		if len(pal) == 0 {
+			pal = []float64{0}
+		}
+		next := func() float64 {
+			if len(picks) == 0 {
+				return pal[0]
+			}
+			v := pal[int(picks[0])%len(pal)]
+			picks = picks[1:]
+			return v
+		}
+		rep := WindowReport{Node: int(node), T0: next(), T1: next(), Res: next(), EnergyJ: next(), MeanW: next()}
+		if len(picks) > 0 {
+			rep.Points = make([]tsdb.Point, (len(picks)+4)/5)
+			for i := range rep.Points {
+				rep.Points[i] = tsdb.Point{T0: next(), T1: next(), MeanW: next(), MaxW: next(), EnergyJ: next()}
+			}
+		}
+		want, err := json.Marshal(rep)
+		got, gotErr := appendWindowReport([]byte("prefix"), &rep)
+		if err != nil {
+			if gotErr == nil {
+				t.Fatalf("appendWindowReport accepted what json.Marshal refused (%v): %s", err, got)
+			}
+			return
+		}
+		if gotErr != nil || !bytes.Equal(got, append([]byte("prefix"), want...)) {
+			t.Fatalf("err %v\n got %s\nwant prefix%s", gotErr, got, want)
+		}
+	})
+}
+
+// BenchmarkAppendWindowReport times the encoder alone on each shape at
+// 1000 points, the layer the window query's cold path spends most in.
+func BenchmarkAppendWindowReport(b *testing.B) {
+	shapes := reportShapes(1000)
+	names := make([]string, 0, len(shapes))
+	for name := range shapes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		rep := shapes[name]
+		b.Run(name, func(b *testing.B) {
+			var dst []byte
+			var err error
+			for i := 0; i < b.N; i++ {
+				if dst, err = appendWindowReport(dst[:0], &rep); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(rep.Points)), "ns/point")
+		})
+	}
 }
 
 // FuzzWindowQuery throws query strings a client could send at the three

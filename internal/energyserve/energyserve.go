@@ -1,12 +1,12 @@
 // Package energyserve is the multi-tenant energy query service of the
-// control plane: an HTTP/JSON front end over the accounting ledger, the
-// telemetry store and the PowerAPI hierarchy. It is the piece that turns
-// the paper's per-user/per-job energy accounting (§III-A1) and the §IV
-// phase views into something site users and tools can actually query
-// while a run is in flight — with per-tenant token-bucket quotas so one
-// user's dashboard cannot starve the plane, and a sharded result cache
-// over the hot window queries kept coherent with ingest by the store's
-// watermark (see DESIGN.md §11 for the coherence contract).
+// control plane: an HTTP/JSON front end over the accounting ledger and the
+// telemetry store. It is the piece that turns the paper's per-user/per-job
+// energy accounting (§III-A1) and the §IV phase views into something site
+// users and tools can actually query while a run is in flight — with
+// per-tenant token-bucket quotas so one user's dashboard cannot starve the
+// plane, and a sharded result cache over the hot window queries kept
+// coherent with ingest by the store's watermark (see DESIGN.md §11 for the
+// coherence contract).
 package energyserve
 
 import (
@@ -25,7 +25,6 @@ import (
 	"davide/internal/accounting"
 	"davide/internal/energyapi"
 	"davide/internal/obs"
-	"davide/internal/powerapi"
 	"davide/internal/tsdb"
 )
 
@@ -41,8 +40,6 @@ type Backend struct {
 	// Assignments maps job ID to the concrete nodes it ran on (nil
 	// disables the job-phase endpoint).
 	Assignments func() map[int][]int
-	// Power, when non-nil, serves pwrcmd-style hierarchy reports.
-	Power *powerapi.Hierarchy
 	// Nodes and RackSize describe the machine geometry for the per-rack
 	// power endpoint.
 	Nodes    int
@@ -132,7 +129,6 @@ func NewServer(opts Options) *Server {
 	s.route("GET /v1/nodes/{n}/phases", "node_phases", s.handleNodePhases)
 	s.route("GET /v1/nodes/{n}/window", "window", s.handleWindow)
 	s.route("GET /v1/racks/{r}/power", "rack_power", s.handleRackPower)
-	s.route("GET /v1/power/report", "power_report", s.handleReport)
 	return s
 }
 
@@ -539,9 +535,9 @@ func (s *Server) handleRackPower(w http.ResponseWriter, r *http.Request, _ url.V
 	if last > b.Nodes {
 		last = b.Nodes
 	}
-	// Served from the store's newest samples, not the powerapi models:
-	// model reads would race with the controller actuating mid-run,
-	// while the store is the measured truth and internally locked.
+	// Served from the store's newest samples, not node models: a model
+	// read would race with the controller actuating mid-run, while the
+	// store is the measured truth and internally locked.
 	out := RackPower{Rack: rk, FirstNode: first}
 	for n := first; n < last; n++ {
 		t, pw, err := b.Store.Latest(n)
@@ -559,26 +555,4 @@ func (s *Server) handleRackPower(w http.ResponseWriter, r *http.Request, _ url.V
 		return
 	}
 	writeJSON(w, out)
-}
-
-func (s *Server) handleReport(w http.ResponseWriter, _ *http.Request, q url.Values, b *Backend) {
-	if b.Power == nil {
-		http.Error(w, "energyserve: no power hierarchy bound", http.StatusNotFound)
-		return
-	}
-	root := q.Get("root")
-	if root == "" {
-		root = "davide"
-	}
-	rep, err := b.Power.Report(root)
-	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, powerapi.ErrNoSuchObject) {
-			status = http.StatusNotFound
-		}
-		http.Error(w, err.Error(), status)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	_, _ = w.Write([]byte(rep))
 }

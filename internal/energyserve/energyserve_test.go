@@ -16,9 +16,7 @@ import (
 
 	"davide/internal/accounting"
 	"davide/internal/energyapi"
-	"davide/internal/node"
 	"davide/internal/obs"
-	"davide/internal/powerapi"
 	"davide/internal/tsdb"
 )
 
@@ -583,17 +581,8 @@ func TestQuotaExhaustionAndRefill(t *testing.T) {
 	}
 }
 
-func TestRackPowerAndReport(t *testing.T) {
+func TestRackPower(t *testing.T) {
 	b, db := testBackend(t)
-	n, err := node.New(0, node.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := powerapi.NewNodeHierarchy(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Power = h
 	s := NewServer(Options{})
 	s.Bind(b)
 
@@ -619,14 +608,6 @@ func TestRackPowerAndReport(t *testing.T) {
 	}
 	if rr := doReq(s, "", "/v1/racks/9/power"); rr.Code != http.StatusNotFound {
 		t.Errorf("out-of-range rack: %d", rr.Code)
-	}
-
-	rr = doReq(s, "", "/v1/power/report?root=node00")
-	if rr.Code != http.StatusOK || !strings.Contains(rr.Body.String(), "node00") {
-		t.Errorf("report: %d\n%s", rr.Code, rr.Body)
-	}
-	if rr := doReq(s, "", "/v1/power/report?root=missing"); rr.Code != http.StatusNotFound {
-		t.Errorf("missing root: %d", rr.Code)
 	}
 }
 
