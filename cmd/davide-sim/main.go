@@ -347,7 +347,7 @@ func main() {
 	}
 
 	fmt.Printf("D.A.V.I.D.E. pilot simulation — %d nodes, policy %s\n",
-		sys.Cluster.NodeCount(), res.Policy)
+		core.PilotNodes, res.Policy)
 	fmt.Printf("  jobs                 %d\n", res.Jobs)
 	fmt.Printf("  makespan             %.1f h\n", res.Makespan/3600)
 	fmt.Printf("  mean wait            %.1f min\n", res.MeanWait/60)

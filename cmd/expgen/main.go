@@ -1,6 +1,7 @@
-// Command expgen regenerates every experiment in DESIGN.md §4 (E1-E14)
-// and prints the result tables as markdown — the rows recorded in
-// EXPERIMENTS.md. Each experiment is deterministic given its seed.
+// Command expgen regenerates experiments E1-E15 of DESIGN.md §4 and
+// prints their result tables as markdown, or as CSV with -csv. The
+// package's TestGoldenTables pins, byte for byte, every table that carries
+// no wall-clock column.
 //
 // Usage:
 //

@@ -103,6 +103,9 @@ func TestNodeCapperHoldsCap(t *testing.T) {
 	}
 }
 
+// TestPilotClusterShapeAndEfficiency also holds core's pilot constants and
+// idle draw, which stand in for the hardware model in the control plane,
+// to that model.
 func TestPilotClusterShapeAndEfficiency(t *testing.T) {
 	c, err := cluster.New(cluster.PilotConfig())
 	if err != nil {
@@ -110,6 +113,19 @@ func TestPilotClusterShapeAndEfficiency(t *testing.T) {
 	}
 	if c.NodeCount() != 45 {
 		t.Errorf("NodeCount = %d", c.NodeCount())
+	}
+	if core.PilotNodes != c.NodeCount() {
+		t.Errorf("core.PilotNodes = %d, cluster has %d nodes", core.PilotNodes, c.NodeCount())
+	}
+	if want := cluster.PilotConfig().NodesPerRack; core.PilotRackSize != want {
+		t.Errorf("core.PilotRackSize = %d, cluster racks hold %d nodes", core.PilotRackSize, want)
+	}
+	sys, err := core.NewSystem(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idle := float64(c.Nodes[0].IdlePower()); sys.IdleNodePowerW != idle {
+		t.Errorf("core idle draw %v W, node model idles at %v W", sys.IdleNodePowerW, idle)
 	}
 	res, err := c.RunLinpack(0.75)
 	if err != nil {

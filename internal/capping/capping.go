@@ -3,14 +3,10 @@
 // feedback controllers which tune the operating points of the internal
 // components in the compute node to track the maximum power set point."
 //
-// Two mechanisms are provided, mirroring the DVFS/RAPL discussion in §V-D:
-//
-//   - NodeCapper: a feedback controller stepping the socket P-state ladder
-//     and the GPU power limits, sampling node power each control period —
-//     the DVFS-style actuator;
-//   - RAPLWindow: a power-averaging accountant that enforces a cap over a
-//     sliding window like Intel's RAPL, used to evaluate cap-tracking
-//     error.
+// NodeCapper is that controller: it steps the socket P-state ladder and
+// the GPU power limits, sampling node power each control period — the
+// DVFS-style actuator of §V-D. Analyze scores a trace it produced against
+// the cap.
 package capping
 
 import (
@@ -186,74 +182,4 @@ func Analyze(trace []units.Watt, cap units.Watt) (TrackingError, error) {
 	te.MaxPowerW = max
 	te.OvershootRMSW = math.Sqrt(sq / float64(len(trace)))
 	return te, nil
-}
-
-// RAPLWindow enforces a cap on the running average over a sliding window,
-// the way RAPL's PL1 works: short excursions are fine as long as the
-// window average stays at or below the limit.
-type RAPLWindow struct {
-	LimitW  units.Watt
-	Window  int // number of samples in the window
-	samples []float64
-	idx     int
-	full    bool
-}
-
-// NewRAPLWindow creates a window-average limiter.
-func NewRAPLWindow(limit units.Watt, window int) (*RAPLWindow, error) {
-	if limit <= 0 {
-		return nil, errors.New("capping: limit must be positive")
-	}
-	if window <= 0 {
-		return nil, errors.New("capping: window must be positive")
-	}
-	return &RAPLWindow{LimitW: limit, Window: window, samples: make([]float64, window)}, nil
-}
-
-// Observe records one power sample and reports whether the window average
-// currently satisfies the limit.
-func (r *RAPLWindow) Observe(p units.Watt) bool {
-	r.samples[r.idx] = float64(p)
-	r.idx = (r.idx + 1) % r.Window
-	if r.idx == 0 {
-		r.full = true
-	}
-	return r.Average() <= float64(r.LimitW)
-}
-
-// Average returns the current window-average power.
-func (r *RAPLWindow) Average() float64 {
-	n := r.Window
-	if !r.full {
-		n = r.idx
-		if n == 0 {
-			return 0
-		}
-	}
-	s := 0.0
-	for i := 0; i < n; i++ {
-		s += r.samples[i]
-	}
-	return s / float64(n)
-}
-
-// Headroom returns how much instantaneous power the next sample may draw
-// while keeping the window average at the limit.
-func (r *RAPLWindow) Headroom() float64 {
-	// Window sum budget minus the sum that will remain after the oldest
-	// sample rotates out.
-	budget := float64(r.LimitW) * float64(r.Window)
-	s := 0.0
-	for _, v := range r.samples {
-		s += v
-	}
-	oldest := r.samples[r.idx]
-	if !r.full {
-		oldest = 0
-	}
-	h := budget - (s - oldest)
-	if h < 0 {
-		h = 0
-	}
-	return h
 }

@@ -204,85 +204,3 @@ func TestCappingCostsPerformance(t *testing.T) {
 		t.Errorf("capped flops %v should be below free %v", c.Node.PeakFlops(), free.PeakFlops())
 	}
 }
-
-func TestRAPLWindowValidation(t *testing.T) {
-	if _, err := NewRAPLWindow(0, 10); err == nil {
-		t.Error("zero limit should error")
-	}
-	if _, err := NewRAPLWindow(100, 0); err == nil {
-		t.Error("zero window should error")
-	}
-}
-
-func TestRAPLWindowAverage(t *testing.T) {
-	r, err := NewRAPLWindow(1000, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Average() != 0 {
-		t.Error("empty average should be 0")
-	}
-	ok := r.Observe(800)
-	if !ok {
-		t.Error("800 under limit should be ok")
-	}
-	r.Observe(1200) // avg 1000: still ok
-	if !r.Observe(1000) {
-		t.Error("window avg at limit should be ok")
-	}
-	if r.Observe(1600) { // avg (800+1200+1000+1600)/4 = 1150 > 1000
-		t.Error("window avg above limit should fail")
-	}
-	if math.Abs(r.Average()-1150) > 1e-9 {
-		t.Errorf("Average = %v", r.Average())
-	}
-	// Rotation: adding low samples recovers.
-	r.Observe(400) // replaces 800
-	if math.Abs(r.Average()-1050) > 1e-9 {
-		t.Errorf("Average after rotation = %v", r.Average())
-	}
-}
-
-func TestRAPLShortBurstsAllowed(t *testing.T) {
-	// RAPL's point vs instantaneous caps: a brief excursion above the
-	// limit is fine when the window average holds.
-	r, err := NewRAPLWindow(1000, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	okAll := true
-	for i := 0; i < 9; i++ {
-		okAll = r.Observe(900) && okAll
-	}
-	if !r.Observe(1800) { // avg = (9*900+1800)/10 = 990
-		t.Error("short burst within window budget should pass")
-	}
-	if !okAll {
-		t.Error("baseline samples should pass")
-	}
-}
-
-func TestRAPLHeadroom(t *testing.T) {
-	r, err := NewRAPLWindow(1000, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Empty window: full budget available.
-	if r.Headroom() != 2000 {
-		t.Errorf("initial headroom = %v, want 2000", r.Headroom())
-	}
-	r.Observe(500)
-	// One slot holds 500; the incoming sample may draw 1500.
-	if r.Headroom() != 1500 {
-		t.Errorf("headroom = %v, want 1500", r.Headroom())
-	}
-	r.Observe(1500)
-	// Window full at exactly the limit; next sample replaces the 500.
-	if r.Headroom() != 500 {
-		t.Errorf("headroom = %v, want 500", r.Headroom())
-	}
-	r.Observe(2500) // blows the average
-	if r.Headroom() != 0 {
-		t.Errorf("headroom = %v, want 0 after overdraw", r.Headroom())
-	}
-}

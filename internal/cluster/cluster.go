@@ -110,10 +110,6 @@ func New(cfg Config) (*Cluster, error) {
 // NodeCount returns the number of compute nodes.
 func (c *Cluster) NodeCount() int { return len(c.Nodes) }
 
-// NodesPerRack returns the rack width of the configuration — the group
-// size the live control plane's per-rack report defaults to.
-func (c *Cluster) NodesPerRack() int { return c.cfg.NodesPerRack }
-
 // SetLoad drives all nodes to a utilisation level.
 func (c *Cluster) SetLoad(u float64) {
 	for _, n := range c.Nodes {

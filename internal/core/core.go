@@ -1,9 +1,9 @@
 // Package core wires the substrates into the full D.A.V.I.D.E. power-aware
-// stack of Fig. 4 in the paper: the pilot cluster (hardware models), the
-// per-node energy gateways publishing over a real MQTT broker, the
-// telemetry aggregator and per-job energy accounting (EA), the job power
-// predictors (EP), and the power-aware scheduler. It is the paper's
-// "system middleware software" in one object.
+// stack of Fig. 4 in the paper: the pilot's shape (PilotNodes nodes in
+// racks of PilotRackSize), the per-node energy gateways publishing over a
+// real MQTT broker, the telemetry aggregator and per-job energy accounting
+// (EA), the job power predictors (EP), and the power-aware scheduler. It
+// is the paper's "system middleware software" in one object.
 //
 // Two planes coexist:
 //
@@ -28,7 +28,6 @@ import (
 
 	"davide/internal/accounting"
 	"davide/internal/chaos"
-	"davide/internal/cluster"
 	"davide/internal/fleet"
 	"davide/internal/mqtt"
 	"davide/internal/obs"
@@ -40,19 +39,21 @@ import (
 	"davide/internal/workload"
 )
 
+// The pilot's shape: its node count and the nodes per OpenRack. The root
+// package's TestPilotClusterShapeAndEfficiency holds both to the hardware
+// model (cluster.PilotConfig).
+const (
+	PilotNodes    = 45
+	PilotRackSize = 15
+)
+
 // System is the assembled D.A.V.I.D.E. stack.
 type System struct {
-	Cluster   *cluster.Cluster
 	Ledger    *accounting.Ledger
 	Predictor predictor.Predictor
 
 	// IdleNodePowerW is the idle draw used in node signals and billing.
 	IdleNodePowerW float64
-
-	// StoreOptions tunes the telemetry store each replay writes into
-	// (chunk size, rollup resolutions, raw retention). Zero value =
-	// tsdb defaults.
-	StoreOptions tsdb.Options
 
 	// StreamFaults, when non-nil, runs telemetry replays under
 	// deterministic fault injection (see internal/chaos and
@@ -125,12 +126,7 @@ func (s *System) obsSelfIngest() *SelfIngest {
 
 // NewSystem builds the pilot system with a trained power predictor.
 func NewSystem(trainJobs []workload.Job) (*System, error) {
-	c, err := cluster.New(cluster.PilotConfig())
-	if err != nil {
-		return nil, err
-	}
 	s := &System{
-		Cluster:        c,
 		Ledger:         accounting.NewLedger(),
 		IdleNodePowerW: 360,
 	}
@@ -153,10 +149,10 @@ func NewSystem(trainJobs []workload.Job) (*System, error) {
 // as in RunLive.
 func (s *System) RunScheduled(jobs []workload.Job, cfg sched.Config, strategy sched.Strategy) (*sched.Result, error) {
 	if cfg.Nodes == 0 {
-		cfg.Nodes = s.Cluster.NodeCount()
+		cfg.Nodes = PilotNodes
 	}
-	if cfg.Nodes != s.Cluster.NodeCount() {
-		return nil, fmt.Errorf("core: config nodes %d != cluster %d", cfg.Nodes, s.Cluster.NodeCount())
+	if cfg.Nodes != PilotNodes {
+		return nil, fmt.Errorf("core: config nodes %d != cluster %d", cfg.Nodes, PilotNodes)
 	}
 	if cfg.IdleNodePowerW == 0 {
 		cfg.IdleNodePowerW = s.IdleNodePowerW
@@ -316,7 +312,7 @@ type StreamResult struct {
 // HoldSpan × batch samples or late releases fall behind the sealed
 // horizon as unaccounted loss, silently voiding the preset's energy
 // error bound. A nil plan passes batchSamples through unchanged.
-func chaosSafeBatch(plan chaos.Planner, nodes, batchSamples int, opts tsdb.Options) (int, error) {
+func chaosSafeBatch(plan chaos.Planner, nodes, batchSamples int) (int, error) {
 	if plan == nil {
 		return batchSamples, nil
 	}
@@ -329,10 +325,7 @@ func chaosSafeBatch(plan chaos.Planner, nodes, batchSamples int, opts tsdb.Optio
 	if maxSpan == 0 {
 		return batchSamples, nil
 	}
-	chunk := opts.ChunkSize
-	if chunk <= 0 {
-		chunk = tsdb.DefaultChunkSize
-	}
+	const chunk = tsdb.DefaultChunkSize
 	if batchSamples == 0 {
 		// The fleet default of 512 samples/batch would violate the
 		// constraint; pick the largest compliant batch.
@@ -350,12 +343,12 @@ func chaosSafeBatch(plan chaos.Planner, nodes, batchSamples int, opts tsdb.Optio
 
 // newPlane stands up the telemetry plant every replay and live run
 // streams through: a fleet.Plane over max(1, StreamRacks) racks, built
-// from the System's transport knobs (faults, batch size, store options,
-// registry). nodes bounds the node IDs streamed (chaos
-// hold-span check, queue sizing); prefix and seedBase keep different
-// plants' client IDs and monitor noise streams distinct.
+// from the System's transport knobs (faults, batch size, registry). nodes
+// bounds the node IDs streamed (chaos hold-span check, queue sizing);
+// prefix and seedBase keep different plants' client IDs and monitor noise
+// streams distinct.
 func (s *System) newPlane(nodes int, sampleRate float64, prefix string, seedBase int64) (*fleet.Plane, error) {
-	batchSamples, err := chaosSafeBatch(s.StreamFaults, nodes, s.StreamBatchSamples, s.StoreOptions)
+	batchSamples, err := chaosSafeBatch(s.StreamFaults, nodes, s.StreamBatchSamples)
 	if err != nil {
 		return nil, err
 	}
@@ -368,7 +361,6 @@ func (s *System) newPlane(nodes int, sampleRate float64, prefix string, seedBase
 			Faults: s.StreamFaults, BatchSamples: batchSamples,
 		},
 		BridgeFaults: s.BridgeFaults,
-		StoreOptions: s.StoreOptions,
 		Obs:          s.Obs,
 	})
 	if err != nil {

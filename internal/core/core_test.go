@@ -33,9 +33,6 @@ func newSystem(t *testing.T) *System {
 
 func TestNewSystem(t *testing.T) {
 	s := newSystem(t)
-	if s.Cluster.NodeCount() != 45 {
-		t.Errorf("NodeCount = %d", s.Cluster.NodeCount())
-	}
 	if s.Predictor == nil {
 		t.Error("predictor should be trained")
 	}
@@ -109,7 +106,7 @@ func TestLedgerMatchesSignalEnergy(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sigTotal float64
-	for n := 0; n < s.Cluster.NodeCount(); n++ {
+	for n := 0; n < PilotNodes; n++ {
 		sig, err := s.NodeSignal(n)
 		if err != nil {
 			t.Fatal(err)
@@ -122,7 +119,7 @@ func TestLedgerMatchesSignalEnergy(t *testing.T) {
 	}
 	// Ledger energy counts job power above zero; signals include idle
 	// power on all nodes at all times plus (job - idle) during jobs.
-	idleTotal := s.IdleNodePowerW * float64(s.Cluster.NodeCount()) * res.Makespan
+	idleTotal := s.IdleNodePowerW * PilotNodes * res.Makespan
 	var jobDyn float64
 	for _, j := range jobs {
 		rec, err := s.Ledger.Job(j.ID)

@@ -126,10 +126,10 @@ type LiveResult struct {
 func (s *System) RunLive(jobs []workload.Job, cfg LiveConfig) (*LiveResult, error) {
 	nodes := cfg.Nodes
 	if nodes <= 0 {
-		nodes = s.Cluster.NodeCount()
+		nodes = PilotNodes
 	}
-	if nodes > s.Cluster.NodeCount() {
-		return nil, fmt.Errorf("core: live machine of %d nodes exceeds the %d-node cluster", nodes, s.Cluster.NodeCount())
+	if nodes > PilotNodes {
+		return nil, fmt.Errorf("core: live machine of %d nodes exceeds the %d-node cluster", nodes, PilotNodes)
 	}
 	scfg := cfg.Sched
 	scfg.Nodes = nodes
@@ -163,7 +163,7 @@ func (s *System) RunLive(jobs []workload.Job, cfg LiveConfig) (*LiveResult, erro
 	// A per-node share below idle draw admits no operating point: refuse
 	// it before anything listens, or a power-aware run would spin toward
 	// the controller's tick limit.
-	idle := s.Cluster.Nodes[0].IdlePower()
+	idle := units.Watt(s.IdleNodePowerW)
 	share := 0.0
 	if scfg.PowerCapW > 0 {
 		share = scfg.PowerCapW / float64(nodes)
@@ -173,7 +173,7 @@ func (s *System) RunLive(jobs []workload.Job, cfg LiveConfig) (*LiveResult, erro
 	}
 	rackSize := cfg.RackSize
 	if rackSize <= 0 {
-		rackSize = s.Cluster.NodesPerRack()
+		rackSize = PilotRackSize
 	}
 	var racks []RackStats
 	for first := 0; first < nodes; first += rackSize {

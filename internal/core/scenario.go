@@ -65,7 +65,7 @@ func (s *System) RunScenario(sc *scenario.Scenario, seed int64, jobs []workload.
 
 	nodes := cfg.Nodes
 	if nodes <= 0 {
-		nodes = s.Cluster.NodeCount()
+		nodes = PilotNodes
 	}
 	idleW := cfg.Sched.IdleNodePowerW
 	if idleW == 0 {

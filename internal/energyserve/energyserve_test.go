@@ -420,12 +420,7 @@ func TestWindowReplyIsOneSnapshot(t *testing.T) {
 		}
 		sum := 0.0
 		for _, p := range rep.Points {
-			// Past t1 = 16384 s the store also lists the bucket that starts
-			// at t1 (rollup.overlap's 1e-12 guard is below half an ulp there);
-			// it is outside the window and carries none of its energy.
-			if p.T0 < rep.T1 {
-				sum += p.EnergyJ
-			}
+			sum += p.EnergyJ
 		}
 		if math.Float64bits(sum) != math.Float64bits(rep.EnergyJ) {
 			torn++

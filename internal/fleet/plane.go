@@ -71,8 +71,6 @@ type PlaneSpec struct {
 	// of the stream — the primary aggregator sits below the bridges and
 	// never sees them.
 	BridgeFaults chaos.Planner
-	// StoreOptions tunes the shared store the plane aggregates into.
-	StoreOptions tsdb.Options
 	// Obs, when non-nil, instruments the plane: a stage trace stamps
 	// every batch at encode/fanout/uplink/decode/commit, and broker,
 	// bridge, fleet, aggregator and store counters are published into
@@ -171,7 +169,7 @@ func NewPlane(spec PlaneSpec) (*Plane, error) {
 		}
 	}
 	spec = spec.withDefaults()
-	db := tsdb.New(spec.StoreOptions)
+	db := tsdb.New(tsdb.Options{})
 	p := &Plane{spec: spec, db: db, agg: telemetry.NewAggregatorOn(db)}
 	if spec.Racks > 1 {
 		spine, err := mqtt.NewBroker("pipe:")

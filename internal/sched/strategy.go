@@ -91,9 +91,6 @@ func (e *DispatchEnv) Now() float64 { return e.m.now }
 // Start consumes them.
 func (e *DispatchEnv) FreeNodes() int { return len(e.m.free) }
 
-// MachineNodes returns the machine size in nodes.
-func (e *DispatchEnv) MachineNodes() int { return e.m.cfg.Nodes }
-
 // IdleNodePowerW returns the idle draw of one node in watts.
 func (e *DispatchEnv) IdleNodePowerW() float64 { return e.m.cfg.IdleNodePowerW }
 

@@ -24,6 +24,17 @@ type bucket struct {
 // idx maps a time to its bucket index.
 func (r *rollup) idx(t float64) int64 { return int64(math.Floor(t / r.width)) }
 
+// lastBefore returns the index of the last bucket that starts before t1,
+// as a float so that callers can clamp infinities before converting. A
+// bucket whose start float64(i)*width is ≥ t1 lies outside [t0, t1).
+func (r *rollup) lastBefore(t1 float64) float64 {
+	i := math.Floor(t1 / r.width)
+	if i*r.width >= t1 {
+		i--
+	}
+	return i
+}
+
 // bucketAt grows the dense run as needed and returns the bucket for index
 // i. Growth is geometric both ways, amortised O(1) per new bucket: a front
 // reallocation leaves headroom as long as the run and keeps its tail slack,
@@ -92,7 +103,7 @@ func (r *rollup) addRect(t0, t1, p float64, cover bool) {
 		if i := r.idx(t0); i < lo {
 			lo = i
 		}
-		if i := r.idx(t1-1e-12) + 1; i > hi {
+		if i := int64(r.lastBefore(t1)) + 1; i > hi {
 			hi = i
 		}
 		if hi-lo-int64(n) > maxRectBuckets {
@@ -138,7 +149,7 @@ func (r *rollup) overlap(t0, t1 float64) (first, last int64) {
 	} else if i > float64(first) {
 		first = int64(i)
 	}
-	if i := math.Floor((t1 - 1e-12) / r.width); i < float64(first) {
+	if i := r.lastBefore(t1); i < float64(first) {
 		return 0, -1
 	} else if i < float64(last) {
 		last = int64(i)

@@ -18,11 +18,20 @@ type refRollup struct {
 
 func (m *refRollup) idx(t float64) int64 { return int64(math.Floor(t / m.width)) }
 
+// last is the index of the last bucket starting before t1.
+func (m *refRollup) last(t1 float64) int64 {
+	i := m.idx(t1)
+	if float64(i)*m.width >= t1 {
+		i--
+	}
+	return i
+}
+
 func (m *refRollup) addRect(t0, t1, p float64, cover bool) {
 	if t1 <= t0 || (t1-t0)/m.width > maxRectBuckets {
 		return
 	}
-	first, end := m.idx(t0), m.idx(t1-1e-12)+1
+	first, end := m.idx(t0), m.last(t1)+1
 	if len(m.b) > 0 && max(end, m.hi)-min(first, m.lo)-(m.hi-m.lo) > maxRectBuckets {
 		return
 	}
@@ -58,7 +67,7 @@ func (m *refRollup) energy(t0, t1 float64) float64 {
 	if t1 <= t0 {
 		return e
 	}
-	for i := m.idx(t0); i <= m.idx(t1-1e-12); i++ {
+	for i := m.idx(t0); i <= m.last(t1); i++ {
 		b := m.b[i]
 		if b.energyJ == 0 {
 			continue
@@ -75,7 +84,7 @@ func (m *refRollup) maxPower(t0, t1 float64) float64 {
 	if t1 <= t0 {
 		return mx
 	}
-	for i := m.idx(t0); i <= m.idx(t1-1e-12); i++ {
+	for i := m.idx(t0); i <= m.last(t1); i++ {
 		mx = math.Max(mx, m.b[i].maxW)
 	}
 	return mx
@@ -86,7 +95,7 @@ func (m *refRollup) points(t0, t1 float64) []Point {
 	if t1 <= t0 {
 		return out
 	}
-	for i := m.idx(t0); i <= m.idx(t1-1e-12); i++ {
+	for i := m.idx(t0); i <= m.last(t1); i++ {
 		b := m.b[i]
 		if b.cover <= 0 {
 			continue
@@ -193,7 +202,7 @@ func TestRollupGrowthChangesNoBit(t *testing.T) {
 // tick grid — and on the cases where "inside one bucket" is decided by a
 // rounding: rectangles that end or start exactly on a bucket edge, cross
 // one or three, open the run, lie at negative times or past 16384 s (where
-// t1-1e-12 == t1), fall a glitch-sized gap away, or are energy-only
+// 1e-12 is below half an ulp), fall a glitch-sized gap away, or are energy-only
 // corrections; widths 0.1 and 7 have edges a float cannot hold exactly.
 func TestAddRectFastPathMatchesReference(t *testing.T) {
 	powers := []float64{0, -50, 360, 420.146484375, 1890.5, 360, 5e-324}

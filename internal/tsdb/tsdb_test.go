@@ -468,3 +468,49 @@ func TestOptionsDoNotAliasCallerSlice(t *testing.T) {
 		t.Errorf("store resolutions = %v, want [1 60]", got)
 	}
 }
+
+// TestRollupWindowStopsBeforeT1: a rollup window [t0, t1) lists exactly
+// the buckets that start before t1, at any magnitude of t1. Past
+// t1 = 16384 s, t1 - 1e-12 rounds back to t1, so a guard built on it also
+// listed the bucket starting at t1. That bucket adds +0 J, so the energy
+// stays the sum of the listed points.
+func TestRollupWindowStopsBeforeT1(t *testing.T) {
+	db := New(Options{})
+	for ts := 16000.0; ts <= 24700; ts++ {
+		db.Append(0, ts, 360+math.Mod(ts, 7))
+	}
+	for _, c := range []struct {
+		t1, res float64
+		want    int
+	}{
+		{16384, 1, 10},
+		{16385, 1, 10},
+		{20000, 1, 10},
+		{16200, 60, 3},
+		{24000, 60, 10},
+	} {
+		t0 := c.t1 - float64(c.want)*c.res
+		pts, err := db.Fetch(0, t0, c.t1, c.res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pts) != c.want {
+			t.Errorf("Fetch(%v, %v, res %v): %d buckets, want %d", t0, c.t1, c.res, len(pts), c.want)
+			continue
+		}
+		if last := pts[len(pts)-1]; last.T1 != c.t1 {
+			t.Errorf("Fetch(%v, %v, res %v): last bucket [%v, %v)", t0, c.t1, c.res, last.T0, last.T1)
+		}
+		e, err := db.EnergyAt(0, t0, c.t1, c.res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := 0.0
+		for _, p := range pts {
+			sum += p.EnergyJ
+		}
+		if math.Float64bits(e) != math.Float64bits(sum) {
+			t.Errorf("EnergyAt(%v, %v, res %v) = %v, its points sum to %v", t0, c.t1, c.res, e, sum)
+		}
+	}
+}
