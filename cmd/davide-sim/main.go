@@ -114,12 +114,13 @@ func main() {
 	flag.Parse()
 
 	// NaN passes every `x <= 0` test below and reaches the controller as a
-	// cap that never admits a job; Inf never ends a replay. Both are usage
-	// errors before anything listens.
+	// cap that never admits a job, or the API as a quota that refuses every
+	// request; Inf never ends a replay. Both are usage errors before
+	// anything listens.
 	for _, f := range []struct {
 		name string
 		v    float64
-	}{{"-cap", *capKW}, {"-tick", *tick}, {"-stream", *stream}} {
+	}{{"-cap", *capKW}, {"-tick", *tick}, {"-stream", *stream}, {"-api-quota", *apiQuota}} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			log.Printf("%s %g: want a finite number", f.name, f.v)
 			os.Exit(2)

@@ -12,15 +12,16 @@ import (
 )
 
 // volatile matches the only output that differs between two runs of one
-// mode: Go durations on the lines that time the run, and the pooled
-// buffer-reuse counters (scheduling-dependent). It is applied to both
-// sides, so a golden file is a plain redirect of the command's stdout:
+// mode: Go durations on the lines that time the run, the pooled
+// buffer-reuse counters (scheduling-dependent) and the energy API's
+// listening address. It is applied to both sides, so a golden file is a
+// plain redirect of the command's stdout:
 //
 //	go run ./cmd/davide-sim -jobs 60 -seed 3 > cmd/davide-sim/testdata/batch.golden
 //
 // usage.golden is `davide-sim -h` (stderr; only the binary's path is
 // masked), so the flag surface changes as a reviewed diff.
-var volatile = regexp.MustCompile(`(?m)(wall clock +|cells in |pooled buffer reuse +|^Usage of ).*$`)
+var volatile = regexp.MustCompile(`(?m)(wall clock +|cells in |pooled buffer reuse +|^Usage of ).*$|(serving http://)[^/]+`)
 
 // build compiles the command into a temporary directory.
 func build(t *testing.T) (bin, dir string) {
@@ -47,6 +48,7 @@ func TestGoldenModes(t *testing.T) {
 		{name: "batch", args: []string{"-jobs", "60", "-seed", "3"}},
 		{name: "stream", args: []string{"-jobs", "60", "-seed", "3", "-stream", "10", "-stream-nodes", "8"}},
 		{name: "live", args: []string{"-sched", "power", "-jobs", "24", "-seed", "3", "-stream-nodes", "12"}},
+		{name: "api", args: []string{"-sched", "power", "-jobs", "24", "-seed", "3", "-stream-nodes", "12", "-api-addr", "127.0.0.1:0"}},
 		{name: "scenario", args: []string{"-scenario", "dr-ramp", "-jobs", "24", "-seed", "3", "-stream-nodes", "12"}},
 		{name: "racks", args: []string{"-jobs", "60", "-seed", "3", "-stream", "10", "-stream-nodes", "8", "-racks", "2"}},
 		{name: "chaos", args: []string{"-jobs", "60", "-seed", "3", "-stream", "10", "-stream-nodes", "8", "-chaos", "lossy-rack"}},
@@ -63,7 +65,7 @@ func TestGoldenModes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, want = volatile.ReplaceAll(got, []byte("$1~")), volatile.ReplaceAll(want, []byte("$1~"))
+			got, want = volatile.ReplaceAll(got, []byte("$1$2~")), volatile.ReplaceAll(want, []byte("$1$2~"))
 			if !bytes.Equal(got, want) {
 				t.Fatalf("output differs from testdata/%s.golden:\n got:\n%s\nwant:\n%s", m.name, got, want)
 			}
@@ -79,7 +81,8 @@ func TestGoldenModes(t *testing.T) {
 // TestHostileFlags: a non-finite number is a usage error — exit 2 with
 // one line on stderr, nothing on stdout, before anything listens. At the
 // parent `-sched power -cap NaN` never admitted a job and streamed
-// telemetry for up to 200 000 ticks. Not skipped under -short.
+// telemetry for up to 200 000 ticks, and `-api-quota NaN` served every
+// request a 429. Not skipped under -short.
 func TestHostileFlags(t *testing.T) {
 	bin, _ := build(t)
 	for _, args := range [][]string{
@@ -90,6 +93,8 @@ func TestHostileFlags(t *testing.T) {
 		{"-jobs", "10", "-stream", "NaN"},
 		{"-jobs", "10", "-stream", "Inf"},
 		{"-scenario", "dr-ramp", "-cap", "-Inf", "-obs-addr", "127.0.0.1:0"},
+		{"-sched", "power", "-api-addr", "127.0.0.1:0", "-api-quota", "NaN"},
+		{"-sched", "power", "-api-addr", "127.0.0.1:0", "-api-quota", "Inf"},
 	} {
 		var stdout, stderr bytes.Buffer
 		cmd := exec.Command(bin, args...)

@@ -13,23 +13,13 @@
 // -res picks the resolution (0 = raw samples, else a rollup width in
 // seconds).
 //
-// Every run is instrumented and surfaces the plane's own health counters
-// post-hoc instead of leaving them buried in davide-sim summaries: the
-// replay prints per-stage latency quantiles and, with -racks > 1,
-// per-rack bridge drop / queue high-water counters; -live runs the
-// closed-loop control plane and prints the scheduler's fresh/stale
-// telemetry reads (the hold-last-safe events) and the per-rack capping
-// holds. In both -metric queries the self-ingested health series after
-// the run (-metric list enumerates them).
-//
-// A third mode, -cap-track <scenario>, runs a named
-// scenario (dynamic cap trajectory, composed chaos, thermal events; see
-// internal/scenario) on the live control plane and then interrogates
-// the telemetry store *post hoc*: the scenario's ramp-limited cap
-// trajectory is reconstructed tick by tick and overlaid on the measured
-// machine power, reporting max/mean overshoot per scenario phase — the
-// grid-operator's compliance view, computed entirely from stored
-// telemetry.
+// Every replay is instrumented and surfaces the plane's own health
+// counters post-hoc instead of leaving them buried in davide-sim
+// summaries: it prints per-stage latency quantiles and, with -racks > 1,
+// per-rack bridge drop / queue high-water counters. -metric queries the
+// self-ingested health series after the run (-metric list enumerates
+// them). The control plane — the live loop and named scenarios — is
+// davide-sim's (-sched, -scenario).
 //
 // With -api URL egmon stops simulating anything and becomes a client of
 // a running energy query service (davide-sim -api-addr): top users and
@@ -40,8 +30,6 @@
 // Usage:
 //
 //	egmon [-racks R] [-nodes N] [-window SEC] [-rate S/s] [-node K -t0 T -t1 T -res SEC] [-metric NAME | -metric list]
-//	egmon -live [-nodes N] [-jobs N] [-metric NAME | -metric list]
-//	egmon -cap-track dr-ramp [-nodes N] [-jobs N] [-cap KW] [-seed S]
 //	egmon -api 127.0.0.1:9200 [-tenant NAME] [-node K -t0 T -t1 T -res SEC]
 package main
 
@@ -51,7 +39,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"os"
 	"strings"
 
@@ -59,10 +46,7 @@ import (
 	"davide/internal/energyserve"
 	"davide/internal/fleet"
 	"davide/internal/obs"
-	"davide/internal/scenario"
-	"davide/internal/sched"
 	"davide/internal/sensor"
-	"davide/internal/workload"
 )
 
 // oversample is the replay gateways' raw-to-delivered rate ratio, the
@@ -81,12 +65,6 @@ func main() {
 	qT1 := flag.Float64("t1", -1, "query window end (default: stream end)")
 	qRes := flag.Float64("res", 1, "query resolution in seconds (0 = raw samples)")
 	racks := flag.Int("racks", 1, "rack broker cells of the replay's telemetry plane (1 = one broker; more add bridge uplinks into a spine)")
-	live := flag.Bool("live", false, "run the closed-loop control plane instead of the gateway replay")
-	capTrack := flag.String("cap-track", "", "run this named scenario on the live control plane and print the post-hoc "+
-		"cap-trajectory-vs-measured-power overlay per phase: "+strings.Join(scenario.Names(), ", "))
-	capKW := flag.Float64("cap", 0, "nominal machine power cap in kW for -cap-track (0 = 2.2 kW per node)")
-	jobs := flag.Int("jobs", 8, "jobs for the live control plane (-live, -cap-track)")
-	seed := flag.Int64("seed", 1, "workload seed (-live, -cap-track)")
 	metric := flag.String("metric", "", "post-hoc health-series query against the self-ingested registry snapshot ('list' enumerates)")
 	api := flag.String("api", "", "query a running energy service (davide-sim -api-addr) at this address instead of simulating in-process")
 	tenant := flag.String("tenant", "egmon", "tenant identity for -api requests (per-tenant quotas apply server-side)")
@@ -103,22 +81,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: egmon [-racks R] [-nodes N] [-window SEC] [-rate S/s] ... (egmon -h lists every flag)")
 		os.Exit(2)
 	}
-	if math.IsNaN(*capKW) || math.IsInf(*capKW, 0) {
-		// NaN fails runCapTrack's `<= 0` default test and would reach the
-		// controller as a cap that never admits a job.
-		log.Printf("-cap %g: want a finite number", *capKW)
-		os.Exit(2)
-	}
 	if *racks < 1 {
 		log.Fatal("-racks must be >= 1")
-	}
-	if *capTrack != "" {
-		runCapTrack(*capTrack, *nodes, *jobs, *seed, *capKW*1000)
-		return
-	}
-	if *live {
-		runLive(*nodes, *jobs, *seed, *metric, *qRes)
-		return
 	}
 	runPlane(*nodes, *racks, *window, *rate, *metric, *qNode, *qT0, *qT1, *qRes)
 }
@@ -271,141 +235,11 @@ func runPlane(nodes, racks int, window, rate float64, metric string, qNode int, 
 	queryHealth(si, metric, t0, t1, res)
 }
 
-// liveWorkload draws the live modes' training batch and work trace,
-// rebased to t=0. The default trace requests up to 8 nodes; it is clamped
-// to the machine so a small -nodes run cannot draw an unschedulable job.
-func liveWorkload(nodes, jobs int, seed int64) (train, work []workload.Job) {
-	cfg := workload.DefaultGeneratorConfig(seed)
-	if cfg.MaxNodes > nodes {
-		cfg.MaxNodes = nodes
-	}
-	gen, err := workload.NewGenerator(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if train, err = gen.Batch(300); err != nil {
-		log.Fatal(err)
-	}
-	if work, err = gen.Batch(jobs); err != nil {
-		log.Fatal(err)
-	}
-	if len(work) > 0 {
-		base := work[0].SubmitAt
-		for i := range work {
-			work[i].SubmitAt -= base
-		}
-	}
-	return train, work
-}
-
-// runLive executes the closed-loop control plane with the registry
-// attached and surfaces the scheduler's telemetry-health counters —
-// fresh vs. stale reads (the hold-last-safe path) and the per-rack
-// capping holds — post-hoc.
-func runLive(nodes, jobs int, seed int64, metric string, res float64) {
-	train, work := liveWorkload(nodes, jobs, seed)
-	sys, err := core.NewSystem(train)
-	if err != nil {
-		log.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	sys.Obs = reg
-	lres, err := sys.RunLive(work, core.LiveConfig{
-		Nodes: nodes,
-		Sched: sched.ControllerConfig{
-			Admission: sched.AdmitPowerAware,
-			// Generous cap: the demo surfaces telemetry health, not
-			// cap pressure (pilot jobs draw up to ~2 kW/node).
-			Config: sched.Config{PowerCapW: 2500 * float64(nodes), ReactiveCapping: true},
-		},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("Live control plane — %d jobs on %d nodes over %d ticks, %s wall\n",
-		lres.Jobs, nodes, lres.Ticks, lres.WallClock)
-
-	snap := reg.Snapshot(true)
-	fmt.Println("\nScheduler telemetry health (from the obs registry):")
-	fmt.Printf("  reads                %.0f fresh / %.0f stale (hold-last-safe)\n",
-		snapValue(snap, "davide_sched_fresh_reads_total", ""),
-		snapValue(snap, "davide_sched_stale_reads_total", ""))
-	fmt.Printf("  admissions refused   %.0f (power headroom)\n",
-		snapValue(snap, "davide_sched_refused_admissions_total", ""))
-	fmt.Printf("  measure failures     %.0f\n",
-		snapValue(snap, "davide_sched_measure_failures_total", ""))
-	fmt.Println("\nPer-rack capping holds (stale-telemetry fail-safe):")
-	for _, r := range lres.Racks {
-		fmt.Printf("  rack %d (nodes %d-%d): held %d of %d steps\n",
-			r.Rack, r.FirstNode, r.FirstNode+r.Nodes-1, r.Held, r.Steps)
-	}
-	queryHealth(sys.SelfIngest(), metric, 0, lres.Makespan, res)
-}
-
-// runCapTrack executes a named scenario on the live control plane and
-// then queries the telemetry store post hoc: the ramp-limited cap
-// trajectory is reconstructed and scored against the measured machine
-// power, per scenario phase.
-func runCapTrack(name string, nodes, jobs int, seed int64, capW float64) {
-	sc, err := scenario.Get(name)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if capW <= 0 {
-		capW = 2200 * float64(nodes)
-	}
-	train, work := liveWorkload(nodes, jobs, seed)
-	sys, err := core.NewSystem(train)
-	if err != nil {
-		log.Fatal(err)
-	}
-	const tickS = 15.0
-	res, err := sys.RunScenario(sc, seed, work, core.LiveConfig{
-		Nodes:      nodes,
-		SampleRate: 4,
-		Sched: sched.ControllerConfig{
-			Admission: sched.AdmitPowerAware,
-			Config:    sched.Config{PowerCapW: capW, ReactiveCapping: true},
-			TickS:     tickS,
-		},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("Scenario %q — %s\n", sc.Name, sc.Desc)
-	fmt.Printf("%d jobs on %d nodes over %d ticks, nominal cap %.1f kW, %s wall\n",
-		res.Jobs, nodes, res.Ticks, capW/1000, res.WallClock)
-
-	// The overlay proper (RunScenario's scenario.CapTrack): the
-	// ramp-limited cap trajectory reconstructed from the scenario alone,
-	// scored against the *stored* telemetry.
-	fmt.Println("\nPost-hoc cap tracking (measured rack power vs reconstructed cap trajectory):")
-	fmt.Printf("%-14s %18s %7s %6s %14s %11s %10s %10s\n",
-		"phase", "window", "ticks", "over", "max over", "mean over", "mean cap", "mean power")
-	for _, ph := range res.PhaseOvershoot {
-		t1 := fmt.Sprintf("%.0f", ph.T1)
-		if ph.T1 > res.Makespan {
-			t1 = "end"
-		}
-		fmt.Printf("%-14s [%6.0f, %7s) %7d %6d %7.0f W %4.1f%% %9.0f W %8.0f W %8.0f W\n",
-			ph.Phase, ph.T0, t1, ph.Ticks, ph.OverTicks, ph.MaxOverW, ph.MaxOverPct, ph.MeanOverW, ph.MeanCapW, ph.MeanPowerW)
-	}
-	if sc.MaxOverPct > 0 {
-		worst := res.WorstOverPct()
-		verdict := "within"
-		if worst > sc.MaxOverPct {
-			verdict = "EXCEEDS"
-		}
-		fmt.Printf("\nworst phase overshoot %.2f %% — %s the scenario's documented %g %% bound\n",
-			worst, verdict, sc.MaxOverPct)
-	}
-}
-
 // snapValue returns the value of the first snapshot row whose name
-// starts with base and contains label ("" matches any labels).
+// starts with base and contains label.
 func snapValue(snap []obs.Metric, base, label string) float64 {
 	for _, m := range snap {
-		if strings.HasPrefix(m.Name, base) && (label == "" || strings.Contains(m.Name, label)) {
+		if strings.HasPrefix(m.Name, base) && strings.Contains(m.Name, label) {
 			return m.Value
 		}
 	}
@@ -415,7 +249,7 @@ func snapValue(snap []obs.Metric, base, label string) float64 {
 // queryHealth resolves the -metric post-hoc query against the
 // self-ingested health store.
 func queryHealth(si *core.SelfIngest, metric string, t0, t1, res float64) {
-	if metric == "" || si == nil {
+	if metric == "" {
 		return
 	}
 	if metric == "list" {
@@ -425,9 +259,9 @@ func queryHealth(si *core.SelfIngest, metric string, t0, t1, res float64) {
 		}
 		return
 	}
-	// Snapshots recorded on the window's closing edge (runTiered records
-	// exactly once, at t1) would fall outside a half-open [t0, t1)
-	// fetch; widen by one bucket so the final record is always included.
+	// The snapshot recorded on the window's closing edge would fall
+	// outside a half-open [t0, t1) fetch; widen by one bucket so it is
+	// always included.
 	end := t1 + res
 	if res <= 0 {
 		end = t1 + 1

@@ -9,22 +9,27 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-	"time"
+
+	"davide/internal/accounting"
+	"davide/internal/energyserve"
+	"davide/internal/tsdb"
 )
 
 // volatile matches the only output that differs between two runs of one
-// mode: the brokers' listening addresses, the trailing wall time of a
-// summary line, and two counters that depend on scheduling — the bridge
-// queue high-water column and the broker's received bytes (the last
-// PUBACK may or may not have been read when the line prints). It is
-// applied to both sides, so a golden file is a plain redirect of the
-// command's stdout:
+// mode: the brokers' and the energy service's addresses, the trailing
+// wall time of a summary line, and two counters that depend on
+// scheduling — the bridge queue high-water column and the broker's
+// received bytes (the last PUBACK may or may not have been read when the
+// line prints). It is applied to both sides, so a golden file is a plain
+// redirect of the command's stdout:
 //
 //	go run ./cmd/egmon -racks 2 -node 1 > cmd/egmon/testdata/racks.golden
 //
 // usage.golden is `egmon -h` (stderr; only the binary's path is masked),
-// so the flag surface changes as a reviewed diff.
-var volatile = regexp.MustCompile(`(?m)(listening on ).*$|(, )\S+ wall$|^(r\d\d +\d+ +\d+) +\d+$|(dropped, )\d+ B received$|^(Usage of ).*$`)
+// so the flag surface changes as a reviewed diff. api.golden is egmon
+// -api against apiServer's store; on a diff the failure prints the masked
+// output.
+var volatile = regexp.MustCompile(`(?m)(listening on ).*$|(, )\S+ wall$|^(r\d\d +\d+ +\d+) +\d+$|(dropped, )\d+ B received$|^(Usage of ).*$|(service at )\S+`)
 
 // build compiles the command into a temporary directory.
 func build(t *testing.T) string {
@@ -40,11 +45,10 @@ func build(t *testing.T) string {
 func TestGoldenModes(t *testing.T) {
 	bin := build(t)
 	for name, args := range map[string]string{
-		"default":   "",
-		"racks":     "-racks 2 -node 1",
-		"cap-track": "-cap-track dr-ramp",
-		"live":      "-live",
-		"usage":     "-h",
+		"default": "",
+		"racks":   "-racks 2 -node 1",
+		"api":     "-api " + apiServer(t) + " -node 0 -t0 0 -t1 12 -res 1",
+		"usage":   "-h",
 	} {
 		t.Run(name, func(t *testing.T) {
 			got, err := exec.Command(bin, strings.Fields(args)...).CombinedOutput()
@@ -55,7 +59,7 @@ func TestGoldenModes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, want = volatile.ReplaceAll(got, []byte("$1$2$3$4$5~")), volatile.ReplaceAll(want, []byte("$1$2$3$4$5~"))
+			got, want = volatile.ReplaceAll(got, []byte("$1$2$3$4$5$6~")), volatile.ReplaceAll(want, []byte("$1$2$3$4$5$6~"))
 			if !bytes.Equal(got, want) {
 				t.Fatalf("output differs from testdata/%s.golden:\n got:\n%s\nwant:\n%s", name, got, want)
 			}
@@ -71,36 +75,6 @@ func TestGoldenModes(t *testing.T) {
 				t.Fatalf("egmon -window %s: %v, want exit status 2 with a usage line and no broker\n%s", w, err, out)
 			}
 		})
-	}
-}
-
-// TestHostileFlags: a non-finite -cap is a usage error — exit 2 with one
-// line on stderr, nothing on stdout, before any broker listens. At the
-// parent a NaN cap reached the controller, which never admits a job under
-// it. Not skipped under -short.
-func TestHostileFlags(t *testing.T) {
-	bin := build(t)
-	for _, args := range []string{
-		"-cap-track dr-ramp -cap NaN",
-		"-cap-track dr-ramp -cap Inf",
-		"-cap -Inf",
-	} {
-		var stdout, stderr bytes.Buffer
-		cmd := exec.Command(bin, strings.Fields(args)...)
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		start := time.Now()
-		err := cmd.Run()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("egmon %s: %v, want exit status 2\n%s", args, err, stderr.Bytes())
-		}
-		if d := time.Since(start); d > 2*time.Second {
-			t.Errorf("egmon %s took %s, want a refusal before any work", args, d)
-		}
-		if stdout.Len() != 0 || bytes.Count(stderr.Bytes(), []byte("\n")) != 1 {
-			t.Errorf("egmon %s: want nothing on stdout and one line on stderr, got\nstdout: %s\nstderr: %s",
-				args, stdout.Bytes(), stderr.Bytes())
-		}
 	}
 }
 
@@ -129,4 +103,34 @@ func TestNonFiniteQueryWindow(t *testing.T) {
 			t.Errorf("egmon %s printed a query table:\n%s", args, stdout.Bytes())
 		}
 	}
+}
+
+// apiServer serves the energy query API on a loopback port over a small
+// store and ledger: four nodes in two racks sampled every half second for
+// a minute, and three accounted jobs of two users. It returns the
+// address; the server closes with the test.
+func apiServer(t *testing.T) string {
+	db := tsdb.New(tsdb.Options{})
+	for n := 0; n < 4; n++ {
+		for i := 0; i <= 120; i++ {
+			db.Append(n, float64(i)/2, 300+100*float64(n)+40*float64(i%8))
+		}
+	}
+	led := accounting.NewLedger()
+	for _, r := range []accounting.Record{
+		{JobID: 1, User: 7, App: "cfd", Nodes: 2, StartAt: 0, EndAt: 40, EnergyJ: 4e4},
+		{JobID: 2, User: 7, App: "md", Nodes: 1, StartAt: 10, EndAt: 60, EnergyJ: 1.5e4},
+		{JobID: 3, User: 9, App: "qcd", Nodes: 1, StartAt: 5, EndAt: 55, EnergyJ: 6e4},
+	} {
+		if err := led.Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := energyserve.Serve("127.0.0.1:0", energyserve.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	s.Bind(energyserve.Backend{Store: db, Ledger: led, Nodes: 4, RackSize: 2})
+	return s.Addr()
 }

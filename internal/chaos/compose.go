@@ -98,18 +98,11 @@ func (ph Phase) activeAt(t float64) bool {
 type Composite struct {
 	Phases []Phase
 	// TimeOf extracts a payload's virtual time in seconds (ok=false
-	// when the payload carries none, e.g. non-batch traffic). The
-	// fleet installs the gateway batch-header reader via EnsureTimeOf;
-	// a Composite without one passes every packet through.
+	// when the payload carries none, e.g. non-batch traffic).
+	// fleet.ChaosStack sets the gateway batch-header reader; tests
+	// inject synthetic clocks. A Composite without one passes every
+	// packet through.
 	TimeOf func(payload []byte) (float64, bool)
-}
-
-// EnsureTimeOf installs f as the payload-time extractor if none is set
-// (explicit assignments win — tests inject synthetic clocks).
-func (c *Composite) EnsureTimeOf(f func(payload []byte) (float64, bool)) {
-	if c.TimeOf == nil {
-		c.TimeOf = f
-	}
 }
 
 // Validate implements Planner.

@@ -83,10 +83,9 @@ type System struct {
 
 	// Obs, when non-nil, instruments every replay and live run: stage
 	// traces, broker/bridge/fleet/store/scheduler counters all publish
-	// into this registry (DESIGN.md §9), live runs self-ingest a health
-	// snapshot per control tick, and replays one at end of window. The
-	// registry outlives individual plants, so counters accumulate across
-	// replays and func-backed series re-point to the newest plant.
+	// into this registry (DESIGN.md §9). The registry outlives individual
+	// plants, so counters accumulate across replays and func-backed
+	// series re-point to the newest plant.
 	Obs *obs.Registry
 
 	// Node power signals from the last RunScheduled, one per node.
@@ -101,27 +100,6 @@ type System struct {
 	// trainJobs is the predictor's initial history, kept so RunLive can
 	// seed an online-retraining wrapper around the same model.
 	trainJobs []workload.Job
-	// selfIngest writes periodic registry snapshots into its own health
-	// store when Obs is set (lazily built; see SelfIngest).
-	selfIngest *SelfIngest
-}
-
-// SelfIngest returns the health-series store the instrumented plane
-// writes its own registry snapshots into (one point per live control
-// tick, one at the end of each replay window) — the plane monitoring
-// itself through the same tsdb machinery it monitors the cluster with.
-// Nil until Obs is set and a replay or live run has executed.
-func (s *System) SelfIngest() *SelfIngest { return s.selfIngest }
-
-// obsSelfIngest lazily builds the self-ingest sink for the registry.
-func (s *System) obsSelfIngest() *SelfIngest {
-	if s.Obs == nil {
-		return nil
-	}
-	if s.selfIngest == nil {
-		s.selfIngest = NewSelfIngest(s.Obs)
-	}
-	return s.selfIngest
 }
 
 // NewSystem builds the pilot system with a trained power predictor.
@@ -493,9 +471,6 @@ func (s *System) StreamWindow(t0, t1, sampleRate float64, nodes int) (StreamResu
 				}
 			}
 		}
-	}
-	if si := s.obsSelfIngest(); si != nil {
-		si.Record(t1)
 	}
 	res.WallClock = time.Since(start)
 	return res, nil

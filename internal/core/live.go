@@ -268,11 +268,6 @@ func (s *System) RunLive(jobs []workload.Job, cfg LiveConfig) (*LiveResult, erro
 					rk.Violations++
 				}
 			}
-			if si := s.obsSelfIngest(); si != nil {
-				// One health point per control tick, stamped in virtual
-				// time: the plane monitoring itself through its own tsdb.
-				si.Record(tk.T1)
-			}
 			return nil
 		},
 	}

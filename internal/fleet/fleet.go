@@ -161,11 +161,6 @@ func New(brokerAddr string, spec GatewaySpec, workers int) (*Fleet, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if comp, ok := spec.Faults.(*chaos.Composite); ok {
-		// Phase-windowed chaos keys off payload virtual time; teach the
-		// composite to read it from the gateway batch header.
-		comp.EnsureTimeOf(payloadSeconds)
-	}
 	if brokerAddr == "" {
 		return nil, errors.New("fleet: broker address required")
 	}

@@ -164,9 +164,6 @@ func NewPlane(spec PlaneSpec) (*Plane, error) {
 		if err := spec.BridgeFaults.Validate(); err != nil {
 			return nil, fmt.Errorf("fleet: bridge faults: %w", err)
 		}
-		if comp, ok := spec.BridgeFaults.(*chaos.Composite); ok {
-			comp.EnsureTimeOf(payloadSeconds)
-		}
 	}
 	spec = spec.withDefaults()
 	db := tsdb.New(tsdb.Options{})

@@ -195,7 +195,7 @@ func ChaosStack(seed int64, phases ...ChaosPhase) (chaos.Planner, error) {
 	if len(phases) == 0 {
 		return nil, errors.New("fleet: empty chaos stack")
 	}
-	comp := &chaos.Composite{Phases: make([]chaos.Phase, len(phases))}
+	comp := &chaos.Composite{Phases: make([]chaos.Phase, len(phases)), TimeOf: payloadSeconds}
 	for i, ph := range phases {
 		p, err := lookupChaosPreset(ph.Preset)
 		if err != nil {

@@ -1,9 +1,8 @@
 // Package obs is the plane's meta-monitoring fabric (DESIGN.md §9): a
 // sharded registry of named counters, gauges, and log-bucketed latency
 // histograms that every pipeline subsystem publishes into, with
-// deterministic ordered snapshots, Prometheus-text exposition, and a
-// self-ingest mode that writes the plane's own health series into a
-// tsdb of its own.
+// deterministic ordered snapshots and Prometheus-text exposition.
+// core.SelfIngest writes snapshots into a tsdb of their own.
 //
 // Hot paths never touch the registry: callers resolve a *Counter /
 // *Gauge / *Histogram once at wiring time and then mutate lock-free

@@ -10,7 +10,7 @@ import (
 // Post-hoc cap tracking: replay the scenario's cap trajectory against
 // the measured rack power left behind in the tsdb and report how well
 // the machine held the moving cap, per report phase. This is the
-// `egmon -cap-track` query — it needs only the store, not the run's
+// overlay `davide-sim -scenario` prints — it needs only the store, not the run's
 // in-memory controller, so it works on any telemetry the plane kept.
 
 // PowerSource is the slice of the telemetry store CapTrack reads
