@@ -49,6 +49,10 @@ func TestGoldenModes(t *testing.T) {
 		"racks":   "-racks 2 -node 1",
 		"api":     "-api " + apiServer(t) + " -node 0 -t0 0 -t1 12 -res 1",
 		"usage":   "-h",
+		// The one program that lists raw samples: a window that opens on
+		// the first sample and closes on one, and a window past the end.
+		"raw":     "-node 1 -t0 30 -t1 32 -res 0",
+		"raw-end": "-node 1 -t0 59.5 -t1 61 -res 0",
 	} {
 		t.Run(name, func(t *testing.T) {
 			got, err := exec.Command(bin, strings.Fields(args)...).CombinedOutput()

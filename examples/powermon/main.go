@@ -49,10 +49,12 @@ func main() {
 		log.Fatal(err)
 	}
 	defer func() { _ = broker.Close() }()
-	agg, sub, err := telemetry.Subscribe(broker.Addr(), "powermon-agent")
+	agg := telemetry.NewAggregator()
+	ingest, sub, err := agg.AttachParallel(broker.Addr(), "powermon-agent", 0)
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer ingest.Close()
 	defer func() { _ = sub.Close() }()
 
 	client, err := mqtt.Dial(broker.Addr(), mqtt.ClientOptions{ClientID: "gw00"})

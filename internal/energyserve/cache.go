@@ -39,25 +39,21 @@ type cacheShard struct {
 	probation, protected map[windowKey]cacheEntry
 }
 
+// The cache holds at most cacheCap entries on cacheShards lock stripes (a
+// power of two); an eighth of each stripe's share is probation.
+const (
+	cacheShards = 16
+	cacheCap    = 4096
+	probCap     = cacheCap / cacheShards / 8
+	protectCap  = cacheCap/cacheShards - probCap
+)
+
 type windowCache struct {
-	shards              []cacheShard
-	probCap, protectCap int // per shard
+	shards [cacheShards]cacheShard
 }
 
-// newWindowCache builds a cache of at most totalCap entries, on the
-// requested stripe count rounded up to a power of two or, when the cap
-// would not give each stripe an entry, on fewer.
-func newWindowCache(shards, totalCap int) *windowCache {
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	for n > totalCap && n > 1 {
-		n >>= 1
-	}
-	per := max(totalCap/n, 1)
-	c := &windowCache{shards: make([]cacheShard, n), probCap: max(per/8, 1)}
-	c.protectCap = per - c.probCap
+func newWindowCache() *windowCache {
+	c := &windowCache{}
 	for i := range c.shards {
 		c.shards[i].probation = make(map[windowKey]cacheEntry)
 		c.shards[i].protected = make(map[windowKey]cacheEntry)
@@ -72,7 +68,7 @@ func (c *windowCache) shard(k windowKey) *cacheShard {
 	h := (uint64(k.node)*m ^ k.t0) * m
 	h = (h ^ k.t1) * m
 	h = (h ^ k.res) * m
-	return &c.shards[(h>>32)&uint64(len(c.shards)-1)]
+	return &c.shards[(h>>32)&(cacheShards-1)]
 }
 
 // insert stores e under k in a segment of at most limit entries.
@@ -92,9 +88,9 @@ func (c *windowCache) get(k windowKey) (cacheEntry, bool) {
 	defer sh.mu.Unlock()
 	e, ok := sh.protected[k]
 	if !ok {
-		if e, ok = sh.probation[k]; ok && c.protectCap > 0 {
+		if e, ok = sh.probation[k]; ok {
 			delete(sh.probation, k)
-			insert(sh.protected, c.protectCap, k, e)
+			insert(sh.protected, protectCap, k, e)
 		}
 	}
 	return e, ok
@@ -108,5 +104,5 @@ func (c *windowCache) put(k windowKey, e cacheEntry) {
 		sh.protected[k] = e
 		return
 	}
-	insert(sh.probation, c.probCap, k, e)
+	insert(sh.probation, probCap, k, e)
 }

@@ -46,19 +46,14 @@ type Backend struct {
 	RackSize int
 }
 
-// Options tunes a Server. The zero value serves unthrottled with a
-// default-sized cache and no metrics.
+// Options tunes a Server. The zero value serves unthrottled with no
+// metrics.
 type Options struct {
 	// QuotaRate is each tenant's sustained request budget in requests
 	// per second; 0 disables quota enforcement.
 	QuotaRate float64
 	// QuotaBurst is the token-bucket depth (default: QuotaRate).
 	QuotaBurst float64
-	// CacheShards is the window cache's lock-stripe count, rounded up
-	// to a power of two (default 16).
-	CacheShards int
-	// CacheCap bounds the total cached window entries (default 4096).
-	CacheCap int
 	// Obs, when non-nil, receives the service metrics (request counts,
 	// cache hit/miss, per-tenant quota rejects, latency histograms) —
 	// all registered volatile, so deterministic snapshots ignore them.
@@ -71,12 +66,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.QuotaBurst <= 0 {
 		o.QuotaBurst = o.QuotaRate
-	}
-	if o.CacheShards <= 0 {
-		o.CacheShards = 16
-	}
-	if o.CacheCap <= 0 {
-		o.CacheCap = 4096
 	}
 	if o.Now == nil {
 		o.Now = func() float64 { return float64(time.Now().UnixNano()) / 1e9 }
@@ -105,7 +94,7 @@ func NewServer(opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
 		opts:   opts,
-		cache:  newWindowCache(opts.CacheShards, opts.CacheCap),
+		cache:  newWindowCache(),
 		quotas: newQuotaTable(opts.QuotaRate, opts.QuotaBurst, opts.Now, opts.Obs),
 		mux:    http.NewServeMux(),
 	}

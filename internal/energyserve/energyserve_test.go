@@ -442,34 +442,32 @@ func (c *windowCache) size() int {
 	return n
 }
 
-// TestCacheCapIsABound: Options.CacheCap bounds the entries held whatever
-// the stripe count, with keys that are only written and keys that are read
-// back into the protected segment.
+// TestCacheCapIsABound: cacheCap bounds the entries held, with keys that
+// are only written and keys that are read back into the protected segment,
+// filled to several times the cap.
 func TestCacheCapIsABound(t *testing.T) {
-	for _, limit := range []int{1, 4, 17, 4096} {
-		c := newWindowCache(16, limit)
-		for i := 0; i < 10_000; i++ {
-			k := keyOf(i%45, float64(i), float64(i)+60, float64(i%2))
-			c.put(k, cacheEntry{wm: uint64(i)})
-			if i%3 == 0 {
-				if e, ok := c.get(k); !ok || e.wm != uint64(i) {
-					t.Fatalf("cap %d: key %d read back %v %v right after it was put", limit, i, e, ok)
-				}
-			}
-			if n := c.size(); n > limit {
-				t.Fatalf("cap %d: %d entries held after %d keys", limit, n, i+1)
+	c := newWindowCache()
+	for i := 0; i < 4*cacheCap; i++ {
+		k := keyOf(i%45, float64(i), float64(i)+60, float64(i%2))
+		c.put(k, cacheEntry{wm: uint64(i)})
+		if i%3 == 0 {
+			if e, ok := c.get(k); !ok || e.wm != uint64(i) {
+				t.Fatalf("key %d read back %v %v right after it was put", i, e, ok)
 			}
 		}
-		if n := c.size(); n < min(limit, 8) {
-			t.Errorf("cap %d: only %d entries held", limit, n)
+		if n := c.size(); n > cacheCap {
+			t.Fatalf("%d entries held after %d keys, cap %d", n, i+1, cacheCap)
 		}
+	}
+	if n := c.size(); n < cacheCap/2 {
+		t.Errorf("only %d entries held of %d", n, cacheCap)
 	}
 }
 
 // TestScanDoesNotEvictHotSet: keys that were hit once stay resident while
 // any number of never-repeated keys pass through.
 func TestScanDoesNotEvictHotSet(t *testing.T) {
-	c := newWindowCache(16, 4096)
+	c := newWindowCache()
 	rng := rand.New(rand.NewSource(5))
 	hot := make([]windowKey, 256)
 	for i := range hot {

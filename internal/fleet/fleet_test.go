@@ -19,17 +19,29 @@ func newTestRig(t *testing.T, spec GatewaySpec, workers int) (*Fleet, *telemetry
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = broker.Close() })
-	agg, sub, err := telemetry.Subscribe(broker.Addr(), "fleet-test-agg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = sub.Close() })
+	agg, detach := attach(t, broker.Addr(), "fleet-test-agg")
+	t.Cleanup(detach)
 	fl, err := New(broker.Addr(), spec, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = fl.Close() })
 	return fl, agg
+}
+
+// attach subscribes a fresh aggregator to a broker the way the plant does,
+// through a decode pool; detach closes the client, then the pool.
+func attach(t *testing.T, addr, clientID string) (*telemetry.Aggregator, func()) {
+	t.Helper()
+	agg := telemetry.NewAggregator()
+	in, sub, err := agg.AttachParallel(addr, clientID, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return agg, func() {
+		_ = sub.Close()
+		in.Close()
+	}
 }
 
 func TestSpecDefaults(t *testing.T) {
@@ -229,20 +241,14 @@ func TestFreshAggregatorMidLife(t *testing.T) {
 	defer func() { _ = fl.Close() }()
 	nodes := []NodeStream{{Node: 0, Signal: sensor.Const(500)}}
 
-	agg1, sub1, err := telemetry.Subscribe(broker.Addr(), "agg-one")
-	if err != nil {
-		t.Fatal(err)
-	}
+	agg1, detach1 := attach(t, broker.Addr(), "agg-one")
 	if _, err := fl.Stream(context.Background(), nodes, 0, 5, agg1); err != nil {
 		t.Fatal(err)
 	}
-	_ = sub1.Close()
+	detach1()
 
-	agg2, sub2, err := telemetry.Subscribe(broker.Addr(), "agg-two")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = sub2.Close() }()
+	agg2, detach2 := attach(t, broker.Addr(), "agg-two")
+	defer detach2()
 	st, err := fl.Stream(context.Background(), nodes, 5, 10, agg2)
 	if err != nil {
 		t.Fatal(err)

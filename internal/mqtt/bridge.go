@@ -39,6 +39,9 @@ import (
 // ErrBridgeClosed is returned by operations on a closed bridge.
 var ErrBridgeClosed = errors.New("mqtt: bridge closed")
 
+// redialWait paces a bridge's reconnect attempts.
+const redialWait = 10 * time.Millisecond
+
 // BridgeOptions configures NewBridge. Source and UplinkID default from
 // Name; Filters must be non-empty.
 type BridgeOptions struct {
@@ -52,17 +55,10 @@ type BridgeOptions struct {
 	// and counts it (Stats.Dropped) — explicit backpressure, mirroring
 	// the broker's own QoS-0 session-queue policy. Default 4096.
 	QueueDepth int
-	// ForceQoS1 upgrades QoS-0 messages to QoS 1 on the uplink: every
-	// forward then blocks for a PUBACK, which makes the bridge lossless
-	// across uplink teardown (at the cost of per-message latency and
-	// possible duplicates, which the store's timestamp dedup absorbs).
-	ForceQoS1 bool
 	// Link, when non-nil, intercepts uplink publishes — the chaos seam
 	// for rack→spine faults. The link outlives uplink redials, exactly
 	// as it outlives client reconnects on the gateway hop.
 	Link Link
-	// RedialWait paces reconnect attempts (default 10 ms).
-	RedialWait time.Duration
 	// OnForward, when set, observes every message after it is
 	// successfully published on the uplink (the obs uplink stage
 	// stamp). The payload is only valid for the duration of the call.
@@ -78,9 +74,6 @@ func (o BridgeOptions) withDefaults() (BridgeOptions, error) {
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 4096
-	}
-	if o.RedialWait <= 0 {
-		o.RedialWait = 10 * time.Millisecond
 	}
 	return o, nil
 }
@@ -230,15 +223,11 @@ func (b *Bridge) forwardLoop() {
 // forward publishes one message on the uplink, redialing and retrying
 // until it succeeds or the bridge closes.
 func (b *Bridge) forward(m queuedMsg) {
-	qos := m.qos
-	if b.opts.ForceQoS1 {
-		qos = 1
-	}
 	for attempt := 0; ; attempt++ {
 		b.mu.Lock()
 		up := b.up
 		b.mu.Unlock()
-		err := up.Publish(m.topic, *m.payload, qos, false)
+		err := up.Publish(m.topic, *m.payload, m.qos, false)
 		if err == nil {
 			b.forwarded.Add(1)
 			b.forwardedBytes.Add(int64(len(*m.payload)))
@@ -280,7 +269,7 @@ func (b *Bridge) redialUplink(old *Client) bool {
 		select {
 		case <-b.quit:
 			return false
-		case <-time.After(b.opts.RedialWait):
+		case <-time.After(redialWait):
 		}
 	}
 }
@@ -311,7 +300,7 @@ func (b *Bridge) watchSource() {
 				select {
 				case <-b.quit:
 					return
-				case <-time.After(b.opts.RedialWait):
+				case <-time.After(redialWait):
 				}
 			}
 		}

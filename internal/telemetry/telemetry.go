@@ -170,20 +170,11 @@ func (a *Aggregator) Store() *tsdb.DB { return a.db }
 // should be installed before streaming starts.
 func (a *Aggregator) SetTrace(t *obs.StageTrace) { a.trace.Store(t) }
 
-// Handler returns the mqtt.MessageHandler that feeds this aggregator.
-func (a *Aggregator) Handler() mqtt.MessageHandler {
-	return func(m mqtt.Message) { a.consume(m) }
-}
-
-// consume routes one MQTT message. The payload may borrow from a pooled
-// read buffer: decoding happens synchronously within the call.
-func (a *Aggregator) consume(m mqtt.Message) { a.consumeWith(m, nil) }
-
-// consumeWith is consume with a reusable sample-decode scratch slice: it
-// returns the (possibly grown) scratch for the caller's next call, which
-// is what makes the Ingest workers' steady-state decode allocation-free
-// on binary batches. Nothing decoded into scratch is retained — AddBatch
-// copies samples into the store before returning.
+// consumeWith routes one MQTT message, decoding into a reusable sample
+// scratch slice: it returns the (possibly grown) scratch for the caller's
+// next call, which is what makes the Ingest workers' steady-state decode
+// allocation-free on binary batches. Nothing decoded into scratch is
+// retained — AddBatch copies samples into the store before returning.
 func (a *Aggregator) consumeWith(m mqtt.Message, scratch []float64) []float64 {
 	if !mqtt.TopicMatches(gateway.TopicPrefix+"/+/power", m.Topic) {
 		a.drop()
@@ -434,44 +425,22 @@ func (in *Ingest) Close() {
 	in.wg.Wait()
 }
 
-// subscribe dials a client with the given handler and subscribes it to
-// every gateway's power topic.
-func subscribe(brokerAddr, clientID string, h mqtt.MessageHandler) (*mqtt.Client, error) {
+// AttachParallel subscribes this aggregator to every gateway's power topic
+// on a broker through a sharded decode pool; it is the one way ingest
+// attaches to a broker. Close the client first, then the ingest pool.
+func (a *Aggregator) AttachParallel(brokerAddr, clientID string, workers int) (*Ingest, *mqtt.Client, error) {
+	in := NewIngest(a, workers, 0)
 	c, err := mqtt.Dial(brokerAddr, mqtt.ClientOptions{
 		ClientID:     clientID,
 		CleanSession: true,
-		OnMessage:    h,
+		OnMessage:    in.Handler(),
 	})
 	if err != nil {
-		return nil, err
+		in.Close()
+		return nil, nil, err
 	}
 	if err := c.Subscribe(mqtt.Subscription{Filter: gateway.TopicPrefix + "/+/power", QoS: 0}); err != nil {
 		_ = c.Close()
-		return nil, err
-	}
-	return c, nil
-}
-
-// Subscribe attaches the aggregator to a broker by creating an MQTT client
-// subscribed to every gateway's power topic. Decoding runs inline on the
-// client's reader goroutine. The caller owns the returned client and must
-// Close it.
-func Subscribe(brokerAddr, clientID string) (*Aggregator, *mqtt.Client, error) {
-	a := NewAggregator()
-	c, err := subscribe(brokerAddr, clientID, a.Handler())
-	if err != nil {
-		return nil, nil, err
-	}
-	return a, c, nil
-}
-
-// AttachParallel subscribes this aggregator to a broker through a sharded
-// decode pool — the hook callers use to aggregate into a store they own
-// (NewAggregatorOn). Close the client first, then the ingest pool.
-func (a *Aggregator) AttachParallel(brokerAddr, clientID string, workers int) (*Ingest, *mqtt.Client, error) {
-	in := NewIngest(a, workers, 0)
-	c, err := subscribe(brokerAddr, clientID, in.Handler())
-	if err != nil {
 		in.Close()
 		return nil, nil, err
 	}

@@ -106,7 +106,7 @@ func TestCorrelatePhases(t *testing.T) {
 
 func TestConsumeRoutesAndDrops(t *testing.T) {
 	a := NewAggregator()
-	h := a.Handler()
+	h := func(m mqtt.Message) { a.consumeWith(m, nil) }
 	b := mustEncode(t, mkBatch(4, 0, 1, 10, 20))
 	h(mqtt.Message{Topic: "davide/node04/power", Payload: b})
 	if a.Samples(4) != 2 {
@@ -160,7 +160,7 @@ func TestNonFiniteFrameIsDropped(t *testing.T) {
 	}
 
 	a := NewAggregator()
-	h := a.Handler()
+	h := func(m mqtt.Message) { a.consumeWith(m, nil) }
 	for _, payload := range [][]byte{
 		mustEncode(t, mkBatch(node, 0, dt, good...)),
 		append([]byte(nil), w.Bytes()...),
@@ -186,11 +186,27 @@ func TestNonFiniteFrameIsDropped(t *testing.T) {
 // ingests nothing.
 func TestJSONBatchIsDropped(t *testing.T) {
 	a := NewAggregator()
-	h := a.Handler()
+	h := func(m mqtt.Message) { a.consumeWith(m, nil) }
 	h(mqtt.Message{Topic: "davide/node04/power", Payload: []byte(`{"node":4,"t0":0,"dt":1,"p":[10,20]}`)})
 	if a.Dropped() != 1 || a.Samples(4) != 0 {
 		t.Errorf("Dropped = %d, Samples = %d; want 1 and 0", a.Dropped(), a.Samples(4))
 	}
+}
+
+// attach subscribes a fresh aggregator to a broker the way the plant does,
+// through a decode pool, and detaches it when the test ends.
+func attach(t *testing.T, addr, clientID string) *Aggregator {
+	t.Helper()
+	a := NewAggregator()
+	in, sub, err := a.AttachParallel(addr, clientID, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		_ = sub.Close()
+		in.Close()
+	})
+	return a
 }
 
 func mustEncode(t *testing.T, b gateway.Batch) []byte {
@@ -211,11 +227,7 @@ func TestEndToEndOverMQTT(t *testing.T) {
 	}
 	defer func() { _ = broker.Close() }()
 
-	agg, sub, err := Subscribe(broker.Addr(), "agg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = sub.Close() }()
+	agg := attach(t, broker.Addr(), "agg")
 
 	pubClient, err := mqtt.Dial(broker.Addr(), mqtt.ClientOptions{ClientID: "gw07"})
 	if err != nil {
@@ -265,16 +277,8 @@ func TestMultipleAgents(t *testing.T) {
 	}
 	defer func() { _ = broker.Close() }()
 
-	agg1, sub1, err := Subscribe(broker.Addr(), "agent-accounting")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = sub1.Close() }()
-	agg2, sub2, err := Subscribe(broker.Addr(), "agent-profiler")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = sub2.Close() }()
+	agg1 := attach(t, broker.Addr(), "agent-accounting")
+	agg2 := attach(t, broker.Addr(), "agent-profiler")
 
 	pubClient, err := mqtt.Dial(broker.Addr(), mqtt.ClientOptions{ClientID: "gw01"})
 	if err != nil {
@@ -340,7 +344,7 @@ func TestWaitDropped(t *testing.T) {
 	if err := a.WaitDropped(ctx, 0); err != nil {
 		t.Errorf("zero-target wait should return nil, got %v", err)
 	}
-	a.consume(garbage)
+	a.consumeWith(garbage, nil)
 	if err := a.WaitDropped(ctx, 1); err != nil {
 		t.Errorf("satisfied wait should return nil, got %v", err)
 	}
@@ -351,8 +355,8 @@ func TestWaitDropped(t *testing.T) {
 		done <- a.WaitDropped(wctx, 3)
 	}()
 	time.Sleep(10 * time.Millisecond)
-	a.consume(garbage) // 2 drops: not enough yet
-	a.consume(garbage) // 3 drops: wakes the waiter
+	a.consumeWith(garbage, nil) // 2 drops: not enough yet
+	a.consumeWith(garbage, nil) // 3 drops: wakes the waiter
 	select {
 	case err := <-done:
 		if err != nil {
@@ -420,16 +424,14 @@ func TestIngestParallelDecodePreservesPerNodeOrder(t *testing.T) {
 		t.Fatalf("sharded pool let %d batches arrive out of order", n)
 	}
 	for node := 0; node < 4; node++ {
-		prev := math.Inf(-1)
-		err := a.Store().Range(node, -math.MaxFloat64, math.MaxFloat64, func(ts, _ float64) bool {
-			if ts <= prev {
-				t.Errorf("node %d series out of order: %v after %v", node, ts, prev)
-			}
-			prev = ts
-			return true
-		})
+		pts, err := a.Store().Fetch(node, -math.MaxFloat64, math.MaxFloat64, 0)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for i := 1; i < len(pts); i++ {
+			if pts[i].T0 <= pts[i-1].T0 {
+				t.Errorf("node %d series out of order: %v after %v", node, pts[i].T0, pts[i-1].T0)
+			}
 		}
 	}
 }

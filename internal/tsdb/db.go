@@ -8,12 +8,14 @@
 // keeping the rollups, so month-scale replays stay queryable at a bounded
 // memory footprint.
 //
-// Query cost: Energy/MeanPower locate the window by binary search over
-// the chunk index and combine precomputed partial sums, decoding only the
-// chunks the window boundaries cut — O(log chunks + boundary samples)
-// instead of the O(samples) scan of a flat slice. Queries reaching behind
-// the raw retention horizon are served from the finest surviving rollup,
-// accurate to one bucket width per window boundary.
+// Raw chunks are read by one walk, series.integrate, which serves Energy,
+// MeanPower, and EnergyAt, Fetch and Window at res = 0. It locates the
+// window by binary search over the chunk index and combines precomputed
+// partial sums, decoding only the chunks the window boundaries cut —
+// O(log chunks + boundary samples) instead of the O(samples) scan of a
+// flat slice; listing the raw points decodes the interior chunks too.
+// Energy reaching behind the raw retention horizon is served from the
+// finest surviving rollup, accurate to one bucket width per boundary.
 package tsdb
 
 import (
@@ -238,44 +240,6 @@ func (db *DB) MeanPower(node int, t0, t1 float64) (float64, error) {
 	return e / (t1 - t0), nil
 }
 
-// MaxPower returns the maximum power observed in [t0, t1].
-func (db *DB) MaxPower(node int, t0, t1 float64) (float64, error) {
-	s, sh, err := db.get(node)
-	if err != nil {
-		return 0, err
-	}
-	defer sh.mu.RUnlock()
-	if !goodWindow(t0, t1) {
-		return 0, ErrBadWindow
-	}
-	if s.total < 1 {
-		return 0, fmt.Errorf("%w (node %d)", ErrShortSeries, node)
-	}
-	m := 0.0
-	if rs := s.rawStart(); s.droppedRaw && t0 < rs && len(s.rolls) > 0 {
-		m = s.rolls[0].maxPower(t0, math.Min(t1, rs))
-	}
-	if raw := s.maxPower(t0, t1); raw > m {
-		m = raw
-	}
-	return m, nil
-}
-
-// Range streams the retained raw samples with timestamps in [t0, t1] in
-// time order; fn returning false stops the iteration.
-func (db *DB) Range(node int, t0, t1 float64, fn func(t, w float64) bool) error {
-	s, sh, err := db.get(node)
-	if err != nil {
-		return err
-	}
-	defer sh.mu.RUnlock()
-	if !goodWindow(t0, t1) {
-		return ErrBadWindow
-	}
-	s.scan(t0, t1, fn)
-	return nil
-}
-
 // Point is one downsampled bucket (or one raw sample, with T0 == T1).
 type Point struct {
 	T0, T1  float64 // bucket bounds, seconds
@@ -285,8 +249,8 @@ type Point struct {
 }
 
 // Fetch returns the series over [t0, t1] at the given resolution: res = 0
-// streams raw samples, otherwise res must be one of the maintained rollup
-// widths.
+// lists the retained raw samples with t in [t0, t1], otherwise res must be
+// one of the maintained rollup widths.
 func (db *DB) Fetch(node int, t0, t1, res float64) ([]Point, error) {
 	var out []Point
 	_, err := db.window(node, t0, t1, res, false, &out)
@@ -295,7 +259,7 @@ func (db *DB) Fetch(node int, t0, t1, res float64) ([]Point, error) {
 
 // EnergyAt integrates over [t0, t1] at a fixed resolution: res = 0 uses
 // raw chunks (exact), otherwise the matching rollup (boundary buckets
-// pro-rata — accurate to res×maxPower per boundary). Mainly for
+// pro-rata — accurate to res × the peak power per boundary). Mainly for
 // raw-vs-rollup agreement checks and for interrogating what a retention
 // policy would preserve.
 func (db *DB) EnergyAt(node int, t0, t1, res float64) (float64, error) {
@@ -327,10 +291,8 @@ func (db *DB) window(node int, t0, t1, res float64, energy bool, pts *[]Point) (
 		if energy {
 			return s.rawEnergy(t0, t1, pts)
 		}
-		s.scan(t0, t1, func(t, w float64) bool {
-			*pts = append(*pts, rawPoint(t, w))
-			return true
-		})
+		// Points alone: a series of one sample still lists it.
+		s.integrate(t0, t1, pts)
 		return 0, nil
 	}
 	for _, r := range s.rolls {
@@ -379,23 +341,11 @@ func (db *DB) Nodes() []int {
 	return out
 }
 
-// Samples returns the retained raw sample count for a node (ingested
-// minus retention-dropped; duplicates count once).
-func (db *DB) Samples(node int) int {
-	sh := db.shard(node)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if s := sh.series[node]; s != nil {
-		return s.retained()
-	}
-	return 0
-}
-
 // IngestedSamples returns the monotonic count of samples ever accepted
 // for a node. It is the freshness watermark for telemetry-fed control:
-// unlike Samples, it never decreases when the retention policy drops
-// sealed raw chunks, so a chunk drop cannot masquerade as telemetry
-// loss.
+// unlike the retained count in Stats, it never decreases when the
+// retention policy drops sealed raw chunks, so a chunk drop cannot
+// masquerade as telemetry loss.
 func (db *DB) IngestedSamples(node int) int {
 	sh := db.shard(node)
 	sh.mu.RLock()

@@ -158,8 +158,8 @@ func TestWindowBitsGolden(t *testing.T) {
 				db.DropRawBefore(next - 20)
 			}
 		}
-		if st := db.Stats(); st.Chunks < 100 || st.HeadBytes == 0 || db.Samples(0) == db.IngestedSamples(0) {
-			t.Fatalf("seed %d: store shape %+v, %d of %d samples retained", seed, st, db.Samples(0), db.IngestedSamples(0))
+		if st := db.Stats(); st.Chunks < 100 || st.HeadBytes == 0 || st.Samples == db.IngestedSamples(0) {
+			t.Fatalf("seed %d: store shape %+v, %d of %d samples retained", seed, st, st.Samples, db.IngestedSamples(0))
 		}
 		for k, res := range []float64{0, 1, 60} {
 			h := fnv.New64a()

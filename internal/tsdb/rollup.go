@@ -159,7 +159,7 @@ func (r *rollup) overlap(t0, t1 float64) (first, last int64) {
 
 // energy integrates the rollup over [t0, t1]. Boundary buckets contribute
 // pro-rata by overlap fraction, so the result deviates from the raw
-// integral by at most width*maxPower per boundary.
+// integral by at most width × the peak power per boundary.
 func (r *rollup) energy(t0, t1 float64) float64 {
 	e := 0.0
 	first, last := r.overlap(t0, t1)
@@ -173,18 +173,6 @@ func (r *rollup) energy(t0, t1 float64) float64 {
 		e += b.energyJ * (hi - lo) / r.width
 	}
 	return e
-}
-
-// maxPower returns the max bucket power over buckets overlapping [t0, t1].
-func (r *rollup) maxPower(t0, t1 float64) float64 {
-	m := 0.0
-	first, last := r.overlap(t0, t1)
-	for i := first; i <= last; i++ {
-		if b := r.buckets[i-r.start]; b.maxW > m {
-			m = b.maxW
-		}
-	}
-	return m
 }
 
 // points appends one Point per non-empty bucket overlapping [t0, t1] to out.

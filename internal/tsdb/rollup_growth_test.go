@@ -121,9 +121,6 @@ func TestRollupReadCostIsTheRun(t *testing.T) {
 		if first < r.start || last >= r.start+int64(len(r.buckets)) || last < first {
 			t.Errorf("overlap%v = [%d, %d], want within the run [%d, %d)", w, first, last, r.start, r.start+int64(len(r.buckets)))
 		}
-		if got := r.maxPower(w[0], w[1]); got != 400 {
-			t.Errorf("maxPower%v = %v, want 400", w, got)
-		}
 	}
 	for _, w := range [][2]float64{{-1e300, 99}, {200, 1e300}, {inf, inf}, {5, 5}, {1e300, -1e300}} {
 		if first, last := r.overlap(w[0], w[1]); last >= first {

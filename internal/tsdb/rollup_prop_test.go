@@ -79,17 +79,6 @@ func (m *refRollup) energy(t0, t1 float64) float64 {
 	return e
 }
 
-func (m *refRollup) maxPower(t0, t1 float64) float64 {
-	mx := 0.0
-	if t1 <= t0 {
-		return mx
-	}
-	for i := m.idx(t0); i <= m.last(t1); i++ {
-		mx = math.Max(mx, m.b[i].maxW)
-	}
-	return mx
-}
-
 func (m *refRollup) points(t0, t1 float64) []Point {
 	var out []Point
 	if t1 <= t0 {
@@ -175,9 +164,6 @@ func TestRollupGrowthChangesNoBit(t *testing.T) {
 					t1 := t0 + rng.Float64()*(tail-head)/4
 					if got, want := r.energy(t0, t1), ref.energy(t0, t1); got != want {
 						t.Fatalf("width %v seed %d step %d: energy(%v,%v) = %v, want %v", width, seed, step, t0, t1, got, want)
-					}
-					if got, want := r.maxPower(t0, t1), ref.maxPower(t0, t1); got != want {
-						t.Fatalf("width %v seed %d step %d: maxPower(%v,%v) = %v, want %v", width, seed, step, t0, t1, got, want)
 					}
 					got, want := r.points(t0, t1, nil), ref.points(t0, t1)
 					if len(got) != len(want) {

@@ -16,7 +16,6 @@ type chunkMeta struct {
 	tLast   int64
 	lastW   float64 // power of the chunk's last sample (spans the gap)
 	energyJ float64 // left-rectangle energy over [tFirst, tLast)
-	maxW    float64
 }
 
 // series is one node's store: sealed compressed chunks plus an
@@ -162,17 +161,14 @@ func (s *series) seal(n int) {
 	if n == 0 {
 		return
 	}
-	e, maxW := 0.0, s.headW[0]
+	e := 0.0
 	for i := 0; i < n-1; i++ {
 		e += s.headW[i] * (toSec(s.headT[i+1]) - toSec(s.headT[i]))
-		if s.headW[i+1] > maxW {
-			maxW = s.headW[i+1]
-		}
 	}
 	meta := chunkMeta{
 		data: encodeChunk(s.headT[:n], s.headW[:n]), count: n,
 		tFirst: s.headT[0], tLast: s.headT[n-1],
-		lastW: s.headW[n-1], energyJ: e, maxW: maxW,
+		lastW: s.headW[n-1], energyJ: e,
 	}
 	if k := len(s.chunks); k > 0 {
 		prev := s.chunks[k-1]
@@ -356,87 +352,4 @@ func clipRect(lo, hi, p, t0, t1 float64) float64 {
 		return 0
 	}
 	return p * (hi - lo)
-}
-
-// maxPower scans chunk maxima (decoding only boundary chunks) and the head.
-func (s *series) maxPower(t0, t1 float64) float64 {
-	m := 0.0
-	nc := len(s.chunks)
-	lo := sort.Search(nc, func(k int) bool { return s.chunkSpanEnd(k) > t0 })
-	for k := lo; k < nc && toSec(s.chunks[k].tFirst) < t1; k++ {
-		c := &s.chunks[k]
-		if toSec(c.tFirst) >= t0 && s.chunkSpanEnd(k) <= t1 {
-			if c.maxW > m {
-				m = c.maxW
-			}
-			continue
-		}
-		spanEnd := s.chunkSpanEnd(k)
-		var prevT, prevW float64
-		first := true
-		_ = decodeChunk(c.data, c.count, func(tick int64, w float64) bool {
-			ts := toSec(tick)
-			if !first && clipRect(prevT, ts, 1, t0, t1) > 0 && prevW > m {
-				m = prevW
-			}
-			prevT, prevW, first = ts, w, false
-			return prevT < t1
-		})
-		if clipRect(prevT, spanEnd, 1, t0, t1) > 0 && prevW > m {
-			m = prevW
-		}
-	}
-	for i, tk := range s.headT {
-		ts := toSec(tk)
-		end := s.end()
-		if i+1 < len(s.headT) {
-			end = toSec(s.headT[i+1])
-		}
-		if clipRect(ts, end, 1, t0, t1) > 0 && s.headW[i] > m {
-			m = s.headW[i]
-		}
-	}
-	return m
-}
-
-// scan streams retained raw samples with t in [t0, t1] in time order.
-func (s *series) scan(t0, t1 float64, fn func(t, w float64) bool) {
-	stop := false
-	for k := range s.chunks {
-		c := &s.chunks[k]
-		if toSec(c.tLast) < t0 {
-			continue
-		}
-		if toSec(c.tFirst) > t1 || stop {
-			break
-		}
-		_ = decodeChunk(c.data, c.count, func(tick int64, w float64) bool {
-			ts := toSec(tick)
-			if ts > t1 {
-				stop = true
-				return false
-			}
-			if ts >= t0 {
-				if !fn(ts, w) {
-					stop = true
-					return false
-				}
-			}
-			return true
-		})
-	}
-	if stop {
-		return
-	}
-	for i, tk := range s.headT {
-		ts := toSec(tk)
-		if ts > t1 {
-			return
-		}
-		if ts >= t0 {
-			if !fn(ts, s.headW[i]) {
-				return
-			}
-		}
-	}
 }

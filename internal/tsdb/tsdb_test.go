@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -229,15 +230,12 @@ func TestOutOfOrderAndDuplicates(t *testing.T) {
 
 // TestRollupAgreementProperty is the documented accuracy contract: for
 // windows inside the ingested range, the rollup integral deviates from
-// the raw integral by at most res×maxPower per window boundary.
+// the raw integral by at most res × the peak power per window boundary.
 func TestRollupAgreementProperty(t *testing.T) {
 	db := New(Options{ChunkSize: 128, Resolutions: []float64{1, 60}})
-	ts, _ := buildSeries(db, 11, 5000, 5)
+	ts, ws := buildSeries(db, 11, 5000, 5)
 	last := ts[len(ts)-1]
-	maxW, err := db.MaxPower(11, 0, last)
-	if err != nil {
-		t.Fatal(err)
-	}
+	maxW := slices.Max(ws)
 	rng := rand.New(rand.NewSource(6))
 	for _, res := range []float64{1, 60} {
 		bound := 2*res*maxW + 1e-6
@@ -313,7 +311,7 @@ func TestRetentionKeepsRollups(t *testing.T) {
 	}
 }
 
-func TestMaxPowerAndFetch(t *testing.T) {
+func TestFetchRawAndRollup(t *testing.T) {
 	db := New(Options{ChunkSize: 16})
 	for i := 0; i < 100; i++ {
 		w := 100.0
@@ -321,14 +319,6 @@ func TestMaxPowerAndFetch(t *testing.T) {
 			w = 900
 		}
 		db.Append(6, float64(i), w)
-	}
-	m, err := db.MaxPower(6, 0, 100)
-	if err != nil || m != 900 {
-		t.Errorf("MaxPower = %v, %v; want 900", m, err)
-	}
-	m, err = db.MaxPower(6, 0, 39.5)
-	if err != nil || m != 100 {
-		t.Errorf("MaxPower early = %v, %v; want 100", m, err)
 	}
 	pts, err := db.Fetch(6, 0, 100, 60)
 	if err != nil {
@@ -343,16 +333,6 @@ func TestMaxPowerAndFetch(t *testing.T) {
 	raw, err := db.Fetch(6, 10, 20, 0)
 	if err != nil || len(raw) != 11 {
 		t.Fatalf("raw fetch = %d points, %v; want 11", len(raw), err)
-	}
-	count := 0
-	if err := db.Range(6, 0, 100, func(tt, ww float64) bool {
-		count++
-		return count < 5
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if count != 5 {
-		t.Errorf("Range early stop visited %d, want 5", count)
 	}
 }
 
@@ -390,8 +370,8 @@ func TestNodesAndSamples(t *testing.T) {
 	if len(nodes) != 3 || nodes[0] != 3 || nodes[1] != 5 || nodes[2] != 19 {
 		t.Errorf("Nodes = %v", nodes)
 	}
-	if db.Samples(3) != 1 || db.Samples(99) != 0 {
-		t.Errorf("Samples = %d/%d", db.Samples(3), db.Samples(99))
+	if db.IngestedSamples(3) != 1 || db.IngestedSamples(99) != 0 {
+		t.Errorf("IngestedSamples = %d/%d", db.IngestedSamples(3), db.IngestedSamples(99))
 	}
 }
 

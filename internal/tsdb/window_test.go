@@ -27,9 +27,6 @@ func TestWindowMatchesEnergyAtAndFetch(t *testing.T) {
 			db.Append(0, ts-0.125, 500) // placed out of order, inside the head
 		}
 	}
-	if db.DropRawBefore(60) == 0 {
-		t.Fatal("retention dropped nothing")
-	}
 	db.Append(1, 5, 100) // one sample: raw energy is ErrShortSeries, rollups answer
 	db.Append(2, 10, 100)
 	db.Append(2, 5, 50) // newest sample at 10 with no gap observed after it
@@ -84,6 +81,47 @@ func TestWindowMatchesEnergyAtAndFetch(t *testing.T) {
 		}
 	}
 
+	// edges are the windows where a walk that lists the points and one
+	// that integrates could part: a window of zero width on a sample, one
+	// closing exactly on a sample or on a chunk's span end, windows wholly
+	// before the first sample or after the pending one, and the series of
+	// one sample, whose raw listing is that sample with no error.
+	edges := func() {
+		t.Helper()
+		if pts, err := db.Fetch(1, 0, 100, 0); err != nil || len(pts) != 1 || pts[0] != rawPoint(5, 100) {
+			t.Fatalf("one-sample Fetch = %+v, %v; want its one point", pts, err)
+		}
+		s := db.shard(0).series[0]
+		var cuts []float64
+		for k := range s.chunks {
+			cuts = append(cuts, toSec(s.chunks[k].tFirst), toSec(s.chunks[k].tLast), s.chunkSpanEnd(k))
+		}
+		cuts = append(cuts, toSec(s.headT[0]), toSec(s.pendT), s.end())
+		for _, res := range []float64{0, 1, 60} {
+			for _, c := range cuts {
+				check(0, c, c, res)
+				check(0, c-7.3, c, res)
+				check(0, c-0.25, c, res)
+				check(0, c, c+0.25, res)
+			}
+			first := s.rawStart()
+			check(0, first-50, first-1, res)
+			check(0, first-50, first, res)
+			check(0, s.end(), s.end()+50, res)
+			check(0, toSec(s.pendT)+0.1, s.end()+50, res)
+			for _, node := range []int{1, 2} {
+				for _, w := range [][2]float64{{5, 5}, {10, 10}, {0, 4}, {11, 20}, {0, 5}, {5, 10}} {
+					check(node, w[0], w[1], res)
+				}
+			}
+		}
+	}
+	edges()
+	if db.DropRawBefore(60) == 0 {
+		t.Fatal("retention dropped nothing")
+	}
+	edges()
+
 	raw, err := db.Fetch(0, -1, 1e9, 0)
 	if err != nil || len(raw) == 0 {
 		t.Fatal(len(raw), err)
@@ -135,13 +173,9 @@ func TestNonFiniteWindowRefused(t *testing.T) {
 	entries := map[string]func(t0, t1 float64) error{
 		"Energy":    func(t0, t1 float64) error { _, err := db.Energy(0, t0, t1); return err },
 		"MeanPower": func(t0, t1 float64) error { _, err := db.MeanPower(0, t0, t1); return err },
-		"MaxPower":  func(t0, t1 float64) error { _, err := db.MaxPower(0, t0, t1); return err },
-		"Range": func(t0, t1 float64) error {
-			return db.Range(0, t0, t1, func(_, _ float64) bool { return true })
-		},
-		"Fetch":    func(t0, t1 float64) error { _, err := db.Fetch(0, t0, t1, 1); return err },
-		"EnergyAt": func(t0, t1 float64) error { _, err := db.EnergyAt(0, t0, t1, 0); return err },
-		"Window":   func(t0, t1 float64) error { _, _, err := db.Window(0, t0, t1, 60, nil); return err },
+		"Fetch":     func(t0, t1 float64) error { _, err := db.Fetch(0, t0, t1, 1); return err },
+		"EnergyAt":  func(t0, t1 float64) error { _, err := db.EnergyAt(0, t0, t1, 0); return err },
+		"Window":    func(t0, t1 float64) error { _, _, err := db.Window(0, t0, t1, 60, nil); return err },
 	}
 	nan, inf := math.NaN(), math.Inf(1)
 	for name, call := range entries {
