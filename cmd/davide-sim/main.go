@@ -523,7 +523,7 @@ func runScenario(sys *core.System, work []workload.Job, sc *scenario.Scenario, m
 	fmt.Printf("  energy true          %s (%.1f kWh)\n",
 		units.Joule(res.EnergyJ), units.Joule(res.EnergyJ).KWh())
 	fmt.Printf("  energy measured      %s (error %.3f %%, bound %g %%)\n",
-		units.Joule(res.MeasuredEnergyJ), res.EnergyErrPct, sc.MaxEnergyErrPct)
+		units.Joule(res.MeasuredEnergyJ), res.EnergyErrPct(), sc.MaxEnergyErrPct)
 	if res.CapW > 0 {
 		fmt.Printf("  nominal cap          %.1f kW (final tracked %.1f kW)\n", res.CapW/1000, res.FinalCapW/1000)
 		fmt.Printf("  true violation       %.0f s (max over %.2f %%, bound %g %%)\n",
@@ -541,7 +541,7 @@ func runScenario(sys *core.System, work []workload.Job, sc *scenario.Scenario, m
 	}
 	fmt.Printf("  wall clock           %s\n", res.WallClock)
 	if len(res.PhaseOvershoot) > 0 {
-		fmt.Println("\nCap tracking per phase (measured vs ramp-limited cap):")
+		fmt.Println("\nCap tracking per phase (true vs ramp-limited cap):")
 		for _, ph := range res.PhaseOvershoot {
 			t1 := fmt.Sprintf("%.0f", ph.T1)
 			if ph.T1 > res.Makespan {

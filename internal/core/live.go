@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -56,6 +57,10 @@ type LiveConfig struct {
 	// progresses (the store and ledger are internally locked;
 	// Assignments snapshots under the controller's assignment lock).
 	OnPlant func(LivePlant)
+
+	// afterTick, when non-nil, folds each tick record after RunLive's
+	// own rack and registry folds: RunScenario's per-phase overlay.
+	afterTick func(*sched.Tick)
 }
 
 // LivePlant is the live run's queryable surface, handed to
@@ -119,6 +124,15 @@ type LiveResult struct {
 	Assignments map[int][]int
 	// Ledger is the run's telemetry-derived accounting ledger.
 	Ledger *accounting.Ledger
+}
+
+// EnergyErrPct is |measured − true| machine energy in percent of the
+// true energy (0 for a run that drew none).
+func (r *LiveResult) EnergyErrPct() float64 {
+	if r.EnergyJ <= 0 {
+		return 0
+	}
+	return 100 * math.Abs(r.MeasuredEnergyJ-r.EnergyJ) / r.EnergyJ
 }
 
 // RunLive executes the workload on the closed-loop control plane and
@@ -267,6 +281,9 @@ func (s *System) RunLive(jobs []workload.Job, cfg LiveConfig) (*LiveResult, erro
 				if share > 0 && sum/float64(rk.Nodes) > share {
 					rk.Violations++
 				}
+			}
+			if cfg.afterTick != nil {
+				cfg.afterTick(tk)
 			}
 			return nil
 		},

@@ -94,14 +94,14 @@ func TestRackReportFoldsControllerReads(t *testing.T) {
 	}
 }
 
-// TestCapTrackHonoursIdleFloor: the post-hoc overlay steps the
-// controller's own cap tracker, idle floor included. The dr-ramp shed
+// TestOverlayHonoursIdleFloor: the per-phase overlay scores against
+// the cap the controller tracked, idle floor included. The dr-ramp shed
 // targets 80 % of a nominal cap set at the machine's idle draw / 0.85,
 // below the 4 × 360 W idle floor, so the controller holds the floor for
 // the whole phase and the overlay's shed cap must be the floor too. An
 // overlay that replays the ramp without the floor scores the phase
 // against a 1355.9 W cap the controller never enforced.
-func TestCapTrackHonoursIdleFloor(t *testing.T) {
+func TestOverlayHonoursIdleFloor(t *testing.T) {
 	const nodes = 4
 	s, err := NewSystem(nil)
 	if err != nil {
@@ -128,6 +128,97 @@ func TestCapTrackHonoursIdleFloor(t *testing.T) {
 		if ph.MeanCapW < floorW || ph.Phase == "shed" && ph.MeanCapW != floorW {
 			t.Errorf("phase %s: mean cap %.1f W, want the %.0f W idle floor or above (exactly it in shed)",
 				ph.Phase, ph.MeanCapW, floorW)
+		}
+	}
+}
+
+// TestScenarioOverlayFoldsControllerTicks: the per-phase overlay is a
+// fold of the controller's tick record, like the rack report and the
+// registry mirror, so on every registered scenario its phases split the
+// run's ticks exactly, its over-cap ticks are the controller's
+// cap-violation ticks and its worst phase is the controller's
+// MaxOverPct, bit for bit. If this fails, the fold sees a different
+// tick set or cap than the controller scores. The capped FIFO run
+// (nominal cap at idle / 0.3, so the scenario ramps stay above the idle
+// floor) overshoots on loaded ticks. Not skipped under -short.
+func TestScenarioOverlayFoldsControllerTicks(t *testing.T) {
+	const nodes = 4
+	for _, name := range scenario.Names() {
+		t.Run(name, func(t *testing.T) {
+			s, err := NewSystem(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := scenario.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const tickS = 15
+			res, err := s.RunScenario(sc, 3, scenarioObsJobs(t, 3), LiveConfig{
+				Nodes:      nodes,
+				SampleRate: 4,
+				Sched: sched.ControllerConfig{
+					Admission: sched.AdmitFIFO,
+					Config:    sched.Config{PowerCapW: nodes * s.IdleNodePowerW / 0.3, ReactiveCapping: true},
+					TickS:     tickS,
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ticks, over, worst := 0, 0, 0.0
+			for _, ph := range res.PhaseOvershoot {
+				ticks += ph.Ticks
+				over += ph.OverTicks
+				worst = max(worst, ph.MaxOverPct)
+			}
+			if ticks != res.Ticks {
+				t.Errorf("phases score %d ticks, the controller ran %d", ticks, res.Ticks)
+			}
+			if want := int(res.CapViolationSec / tickS); over != want || over == 0 {
+				t.Errorf("phases count %d over-cap ticks, the controller %d (%g s)", over, want, res.CapViolationSec)
+			}
+			if worst != res.MaxOverPct {
+				t.Errorf("worst phase overshoot %v%%, controller MaxOverPct %v%%", worst, res.MaxOverPct)
+			}
+		})
+	}
+}
+
+// TestPhaseFoldArithmetic checks the overlay fold by hand: a cap that
+// ramps 1200 → 600 W in 100 W steps from t = 100 under a flat 900 W
+// draw, then a phase whose worst watts and worst percent fall on
+// different ticks, then a tick outside every phase.
+func TestPhaseFoldArithmetic(t *testing.T) {
+	f := phaseFold{
+		{Phase: "pre", T0: 0, T1: 100},
+		{Phase: "shed", T0: 100, T1: 400},
+		{Phase: "mixed", T0: 400, T1: 420},
+	}
+	capW := 1200.0
+	for t0 := 0.0; t0 < 400; t0 += 10 {
+		if t0 >= 100 {
+			capW = max(capW-100, 600)
+		}
+		f.add(t0, capW, 900)
+	}
+	f.add(400, 1000, 1200) // 200 W over, 20 %
+	f.add(410, 500, 650)   // 150 W over, 30 %
+	f.add(500, 500, 5000)  // outside every phase
+	f.means()
+
+	want := []PhaseOvershoot{
+		{Phase: "pre", T0: 0, T1: 100, Ticks: 10, MeanCapW: 1200, MeanPowerW: 900},
+		// Caps 1100, 1000, 900, 800, 700, then 600 for 25 ticks: over
+		// from the fourth tick on, 100 + 200 + 25 × 300 W over 30 ticks.
+		{Phase: "shed", T0: 100, T1: 400, Ticks: 30, OverTicks: 27,
+			MaxOverW: 300, MaxOverPct: 50, MeanOverW: 260, MeanCapW: 650, MeanPowerW: 900},
+		{Phase: "mixed", T0: 400, T1: 420, Ticks: 2, OverTicks: 2,
+			MaxOverW: 200, MaxOverPct: 30, MeanOverW: 175, MeanCapW: 750, MeanPowerW: 925},
+	}
+	for i := range want {
+		if f[i] != want[i] {
+			t.Errorf("phase %s:\n got %+v\nwant %+v", want[i].Phase, f[i], want[i])
 		}
 	}
 }

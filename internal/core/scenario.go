@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"davide/internal/scenario"
+	"davide/internal/sched"
 	"davide/internal/workload"
 )
 
@@ -17,33 +17,76 @@ import (
 // Everything is seeded: same scenario + seed + jobs + config ⇒ a
 // bit-identical result.
 
-// ScenarioResult is one scenario run's outcome: the live run plus the
-// post-hoc cap-tracking overlay and the energy-measurement error the
-// scenario's documented bounds are asserted against.
+// ScenarioResult is one scenario run's outcome: the live run plus its
+// per-phase cap-tracking overlay.
 type ScenarioResult struct {
 	LiveResult
 
 	// Scenario is the configuration's name.
 	Scenario string
-	// PhaseOvershoot scores measured machine power against the
-	// reconstructed ramp-limited cap per report phase (empty when the
-	// run is uncapped).
-	PhaseOvershoot []scenario.PhaseOvershoot
-	// EnergyErrPct is |measured − true| machine energy in percent of
-	// the true energy.
-	EnergyErrPct float64
+	// PhaseOvershoot scores true machine power against the tracked
+	// ramp-limited cap per report phase (empty when the run is
+	// uncapped). It is folded from the controller's tick record, so its
+	// worst MaxOverPct is the run's MaxOverPct.
+	PhaseOvershoot []PhaseOvershoot
 }
 
-// WorstOverPct returns the worst per-phase cap overshoot in percent
-// of the tracked cap (0 when uncapped or never over).
-func (r *ScenarioResult) WorstOverPct() float64 {
-	worst := 0.0
-	for _, ph := range r.PhaseOvershoot {
-		if ph.MaxOverPct > worst {
-			worst = ph.MaxOverPct
+// PhaseOvershoot reports one report phase's cap tracking.
+type PhaseOvershoot struct {
+	Phase  string
+	T0, T1 float64
+	// Ticks is the number of ticks starting in the phase; OverTicks how
+	// many of them had true power above the tracked cap.
+	Ticks     int
+	OverTicks int
+	// MaxOverW and MaxOverPct are the worst overshoot above the tracked
+	// cap in watts and in percent of the cap of that moment (each its
+	// own maximum: under a moving cap they can come from different
+	// ticks); MeanOverW is the mean positive overshoot over all phase
+	// ticks.
+	MaxOverW   float64
+	MaxOverPct float64
+	MeanOverW  float64
+	// MeanCapW is the mean tracked cap across the phase — the overlay
+	// baseline.
+	MeanCapW float64
+	// MeanPowerW is the mean true machine power across the phase.
+	MeanPowerW float64
+}
+
+// phaseFold accumulates the overlay one tick at a time; means turns
+// its sums into means once the run is over.
+type phaseFold []PhaseOvershoot
+
+// add scores the tick starting at t0: true power trueW against the
+// tracked cap capW, the controller's own violation test.
+func (f phaseFold) add(t0, capW, trueW float64) {
+	over := trueW - capW
+	for i := range f {
+		o := &f[i]
+		if t0 < o.T0 || t0 >= o.T1 {
+			continue
+		}
+		o.Ticks++
+		o.MeanCapW += capW
+		o.MeanPowerW += trueW
+		if over > 0 {
+			o.OverTicks++
+			o.MeanOverW += over
+			o.MaxOverW = max(o.MaxOverW, over)
+			o.MaxOverPct = max(o.MaxOverPct, 100*over/capW)
 		}
 	}
-	return worst
+}
+
+func (f phaseFold) means() {
+	for i := range f {
+		if n := float64(f[i].Ticks); n > 0 {
+			f[i].MeanCapW /= n
+			f[i].MeanPowerW /= n
+			f[i].MeanOverW /= n
+		}
+	}
 }
 
 // RunScenario executes the workload under the scenario on the live
@@ -105,6 +148,16 @@ func (s *System) RunScenario(sc *scenario.Scenario, seed int64, jobs []workload.
 	cfg.Sched.CapRampWPerS = sc.RampWPerS
 	cfg.Sched.BrownoutStaleFrac = sc.BrownoutStaleFrac
 
+	// Overlay side: fold each tick's true power against its tracked
+	// cap.
+	var fold phaseFold
+	if nominal > 0 {
+		for _, ph := range sc.ReportPhases() {
+			fold = append(fold, PhaseOvershoot{Phase: ph.Name, T0: ph.T0, T1: ph.T1})
+		}
+		cfg.afterTick = func(tk *sched.Tick) { fold.add(tk.T1-tickS, tk.CapW, tk.TrueW) }
+	}
+
 	// Thermal side: per-node dies sized for this machine's loaded
 	// draw; the perturber rides the controller's Perturb hook ahead of
 	// any caller-supplied perturbation.
@@ -145,16 +198,6 @@ func (s *System) RunScenario(sc *scenario.Scenario, seed int64, jobs []workload.
 		return nil, err
 	}
 
-	res := &ScenarioResult{LiveResult: *live, Scenario: sc.Name}
-	if live.EnergyJ > 0 {
-		res.EnergyErrPct = 100 * math.Abs(live.MeasuredEnergyJ-live.EnergyJ) / live.EnergyJ
-	}
-	if nominal > 0 {
-		overs, err := scenario.CapTrack(s.Store(), nodes, nominal, float64(nodes)*idleW, tickS, live.Makespan, sc)
-		if err != nil {
-			return nil, err
-		}
-		res.PhaseOvershoot = overs
-	}
-	return res, nil
+	fold.means()
+	return &ScenarioResult{LiveResult: *live, Scenario: sc.Name, PhaseOvershoot: fold}, nil
 }

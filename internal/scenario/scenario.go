@@ -18,6 +18,7 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"davide/internal/chaos"
 	"davide/internal/fleet"
@@ -25,8 +26,8 @@ import (
 
 // Phase names one report window [T0, T1) of the run, in virtual
 // seconds — the granularity cap-overshoot is reported at (see
-// CapTrack). Scenario phases are descriptive only; they do not alter
-// the run.
+// core.PhaseOvershoot). Scenario phases are descriptive only; they do
+// not alter the run.
 type Phase struct {
 	Name   string
 	T0, T1 float64
@@ -193,10 +194,10 @@ func (sc *Scenario) BuildChaos(seed int64) (chaos.Planner, error) {
 }
 
 // ReportPhases returns the scenario's named report windows, or one
-// whole-run window [0, horizon) when none are declared.
-func (sc *Scenario) ReportPhases(horizon float64) []Phase {
+// open-ended whole-run window when none are declared.
+func (sc *Scenario) ReportPhases() []Phase {
 	if len(sc.Phases) > 0 {
 		return sc.Phases
 	}
-	return []Phase{{Name: "run", T0: 0, T1: horizon}}
+	return []Phase{{Name: "run", T0: 0, T1: math.Inf(1)}}
 }

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -232,70 +231,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	for i, sc := range bad {
 		if err := sc.Validate(); err == nil {
 			t.Errorf("bad scenario %d accepted", i)
-		}
-	}
-}
-
-// rampSource serves a constant per-node power so CapTrack arithmetic is
-// checkable by hand.
-type rampSource struct {
-	perNode float64
-}
-
-func (r rampSource) MeanPower(node int, t0, t1 float64) (float64, error) {
-	if node == 1 {
-		return 0, fmt.Errorf("node 1 window empty") // lossy telemetry tolerated
-	}
-	return r.perNode, nil
-}
-
-func TestCapTrackArithmetic(t *testing.T) {
-	sc := &Scenario{
-		Name:      "track",
-		Cap:       &CapTrajectory{Steps: []CapStep{{T0: 100, T1: 1e9, Frac: 0.5}}},
-		RampWPerS: 10,
-		Phases: []Phase{
-			{Name: "pre", T0: 0, T1: 100},
-			{Name: "shed", T0: 100, T1: 400},
-		},
-	}
-	// 4 nodes at 300 W each, one node's telemetry missing -> 900 W
-	// measured. Nominal cap 1200 W; target drops to 600 W at t=100 and
-	// ramps there at 10 W/s (100 W per 10 s tick), above the 400 W idle
-	// floor throughout.
-	got, err := CapTrack(rampSource{perNode: 300}, 4, 1200, 400, 10, 400, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("got %d phases, want 2", len(got))
-	}
-	pre, shed := got[0], got[1]
-	if pre.Ticks != 10 || pre.OverTicks != 0 {
-		t.Fatalf("pre phase: %+v (want 10 clean ticks)", pre)
-	}
-	if pre.MeanCapW != 1200 || pre.MeanPowerW != 900 {
-		t.Fatalf("pre phase means: %+v", pre)
-	}
-	if shed.Ticks != 30 {
-		t.Fatalf("shed phase ticks = %d, want 30", shed.Ticks)
-	}
-	// Cap walks 1200 -> 1100 -> ... -> 600; measured stays 900, so the
-	// worst overshoot is 900 - 600 = 300 W = 50% of the 600 W cap.
-	if shed.MaxOverW != 300 || shed.MaxOverPct != 50 {
-		t.Fatalf("shed overshoot: %+v (want max 300 W / 50%%)", shed)
-	}
-	if shed.OverTicks == 0 || shed.OverTicks >= shed.Ticks {
-		t.Fatalf("shed OverTicks = %d of %d: ramp should cross measured power mid-phase", shed.OverTicks, shed.Ticks)
-	}
-	// Determinism: same inputs, identical report.
-	again, err := CapTrack(rampSource{perNode: 300}, 4, 1200, 400, 10, 400, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != again[i] {
-			t.Fatalf("CapTrack not deterministic at phase %d", i)
 		}
 	}
 }

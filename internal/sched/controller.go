@@ -101,7 +101,7 @@ type ControllerConfig struct {
 	// CapSchedule, when non-nil, makes the power cap dynamic: it maps
 	// virtual time to the *target* cap in watts (demand-response ramps,
 	// price/carbon step schedules). The controller tracks the target
-	// with a ramp-rate limit rather than jumping — see TrackCap.
+	// with a ramp-rate limit rather than jumping — see trackCap.
 	// Admission, reactive capping and cap-violation accounting all run
 	// against the tracked cap; Config.PowerCapW stays the nominal cap
 	// (the fail-fast schedulability check and result summary use it).
@@ -224,6 +224,9 @@ type Tick struct {
 	// CapW is the effective cap enforced this tick: the ramp-limited
 	// tracker of CapSchedule, or the nominal PowerCapW without one.
 	CapW float64
+	// TrueW is the machine's true effective power this tick (after
+	// Perturb): the total cap violations are scored on.
+	TrueW float64
 	Counts
 }
 
@@ -240,6 +243,9 @@ type ControllerResult struct {
 	// exceeded the cap; CapViolationSec (in Result) counts the true
 	// effective power.
 	MeasuredCapViolationSec float64
+	// MaxMeasuredOverPct is the worst tick-time measured overshoot above
+	// the cap in percent: the total the controller acted on.
+	MaxMeasuredOverPct float64
 	// MaxOverPct is the worst true overshoot above the cap in percent.
 	MaxOverPct float64
 	// Retrains is the online predictor's refit count (0 without Trainer).
@@ -273,11 +279,12 @@ type Controller struct {
 	ledger *accounting.Ledger
 	trace  *sensor.Piecewise
 
-	capViolSec  float64
-	capOverSq   float64
-	measViolSec float64
-	maxOverPct  float64
-	consumed    bool
+	capViolSec     float64
+	capOverSq      float64
+	measViolSec    float64
+	maxMeasOverPct float64
+	maxOverPct     float64
+	consumed       bool
 
 	// trim is the anti-windup integral admission correction (a fraction
 	// of the effective cap held back while measured power persistently
@@ -325,13 +332,12 @@ func NewController(cfg ControllerConfig, jobs []workload.Job, src TelemetrySourc
 // fills as jobs complete (the paper's EA agent view of the machine).
 func (c *Controller) Ledger() *accounting.Ledger { return c.ledger }
 
-// TrackCap advances a ramp-limited effective cap one tick of tickS
+// trackCap advances a ramp-limited effective cap one tick of tickS
 // seconds toward target: the target is first clamped up to floorW, the
 // machine's idle draw (a cap below idle is unenforceable — the capping
 // actuators reject it), then approached by at most rampWPerS·tickS
-// watts (rampWPerS 0 jumps to it). The controller's tracker and the
-// post-hoc scenario.CapTrack overlay both step through it.
-func TrackCap(capW, target, floorW, rampWPerS, tickS float64) float64 {
+// watts (rampWPerS 0 jumps to it).
+func trackCap(capW, target, floorW, rampWPerS, tickS float64) float64 {
 	target = max(target, floorW)
 	if rampWPerS <= 0 {
 		return target
@@ -609,7 +615,7 @@ func (c *Controller) Run() (*ControllerResult, error) {
 		if c.cfg.CapSchedule != nil && c.cfg.PowerCapW > 0 {
 			// Without a schedule the effective cap stays pinned at the
 			// nominal cap, keeping legacy runs bit-identical.
-			tk.CapW = TrackCap(tk.CapW, c.cfg.CapSchedule(t0),
+			tk.CapW = trackCap(tk.CapW, c.cfg.CapSchedule(t0),
 				float64(c.cfg.Nodes)*c.cfg.IdleNodePowerW, c.cfg.CapRampWPerS, c.cfg.TickS)
 		}
 		c.arrive(t0)
@@ -622,11 +628,11 @@ func (c *Controller) Run() (*ControllerResult, error) {
 		if c.hooks.Perturb != nil {
 			c.hooks.Perturb(t0, t1, levels)
 		}
-		trueEff := 0.0
+		tk.TrueW = 0
 		for _, l := range levels {
-			trueEff += l
+			tk.TrueW += l
 		}
-		if err := c.trace.Set(t0, trueEff); err != nil {
+		if err := c.trace.Set(t0, tk.TrueW); err != nil {
 			return nil, err
 		}
 		if err := c.hooks.StreamTick(t0, t1, levels); err != nil {
@@ -637,15 +643,18 @@ func (c *Controller) Run() (*ControllerResult, error) {
 			// Violations are judged against the *tracked* cap — under a
 			// demand-response ramp the machine must honour the cap of
 			// the moment, not the nominal one.
-			if over := trueEff - tk.CapW; over > 0 {
+			if over := tk.TrueW - tk.CapW; over > 0 {
 				c.capViolSec += c.cfg.TickS
 				c.capOverSq += over * over * c.cfg.TickS
 				if pct := 100 * over / tk.CapW; pct > c.maxOverPct {
 					c.maxOverPct = pct
 				}
 			}
-			if c.measuredTotal() > tk.CapW {
+			if over := c.measuredTotal() - tk.CapW; over > 0 {
 				c.measViolSec += c.cfg.TickS
+				if pct := 100 * over / tk.CapW; pct > c.maxMeasOverPct {
+					c.maxMeasOverPct = pct
+				}
 			}
 		}
 		c.advance(t1)
@@ -682,6 +691,7 @@ func (c *Controller) collect() (*ControllerResult, error) {
 		Result:                  *base,
 		Counts:                  c.tick.Counts,
 		MeasuredCapViolationSec: c.measViolSec,
+		MaxMeasuredOverPct:      c.maxMeasOverPct,
 		MaxOverPct:              c.maxOverPct,
 		FinalCapW:               c.tick.CapW,
 	}

@@ -2,7 +2,6 @@ package tournament
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -213,10 +212,7 @@ func (c Config) runCell(pol Policy, axis string) (Cell, error) {
 		submits[j.ID] = j.SubmitAt
 	}
 
-	var (
-		live     *core.LiveResult
-		energyEP float64
-	)
+	var live *core.LiveResult
 	switch kind {
 	case AxisClean:
 		live, err = sys.RunLive(work, lcfg)
@@ -244,14 +240,10 @@ func (c Config) runCell(pol Policy, axis string) (Cell, error) {
 		res, err = sys.RunScenario(sc, c.Seed, work, lcfg)
 		if err == nil {
 			live = &res.LiveResult
-			energyEP = res.EnergyErrPct
 		}
 	}
 	if err != nil {
 		return Cell{}, fmt.Errorf("tournament: %s on %s: %w", pol.Name, axis, err)
-	}
-	if kind != axisScenario && live.EnergyJ > 0 {
-		energyEP = 100 * math.Abs(live.MeasuredEnergyJ-live.EnergyJ) / live.EnergyJ
 	}
 
 	waits := make([]float64, 0, len(live.Starts))
@@ -271,7 +263,7 @@ func (c Config) runCell(pol Policy, axis string) (Cell, error) {
 		Axis:              axis,
 		MaxOverPct:        live.MaxOverPct,
 		CapViolationSec:   live.CapViolationSec,
-		EnergyErrPct:      energyEP,
+		EnergyErrPct:      live.EnergyErrPct(),
 		MeanWaitS:         live.MeanWait,
 		P95WaitS:          p95,
 		MakespanS:         live.Makespan,

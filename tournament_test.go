@@ -141,10 +141,10 @@ func TestE24Tournament(t *testing.T) {
 				cell.CapViolationSec != res.CapViolationSec ||
 				cell.MeanWaitS != res.MeanWait ||
 				cell.MakespanS != res.Makespan ||
-				cell.EnergyErrPct != res.EnergyErrPct ||
+				cell.EnergyErrPct != res.EnergyErrPct() ||
 				float64(cell.BrownoutS) != float64(res.BrownoutTicks)*15 {
 				t.Errorf("%s/%s diverged from E22:\ncell %+v\nE22  over=%v viol=%v wait=%v energy-err=%v",
-					ref.policy, axis, cell, res.MaxOverPct, res.CapViolationSec, res.MeanWait, res.EnergyErrPct)
+					ref.policy, axis, cell, res.MaxOverPct, res.CapViolationSec, res.MeanWait, res.EnergyErrPct())
 			}
 		}
 	})
