@@ -135,23 +135,31 @@ func (r *LiveResult) EnergyErrPct() float64 {
 	return 100 * math.Abs(r.MeasuredEnergyJ-r.EnergyJ) / r.EnergyJ
 }
 
+// withDefaults returns cfg with the live run's defaults in its unset
+// fields: the pilot's node count (copied to Sched.Nodes), the System's
+// idle draw and a 30 s tick. RunLive and RunScenario both resolve them
+// here, so the scenario overlay places each tick by the tick RunLive ran.
+func (s *System) withDefaults(cfg LiveConfig) LiveConfig {
+	if cfg.Nodes <= 0 {
+		cfg.Nodes = PilotNodes
+	}
+	cfg.Sched.Nodes = cfg.Nodes
+	if cfg.Sched.IdleNodePowerW == 0 {
+		cfg.Sched.IdleNodePowerW = s.IdleNodePowerW
+	}
+	if cfg.Sched.TickS == 0 {
+		cfg.Sched.TickS = 30
+	}
+	return cfg
+}
+
 // RunLive executes the workload on the closed-loop control plane and
 // leaves the telemetry store queryable via Store().
 func (s *System) RunLive(jobs []workload.Job, cfg LiveConfig) (*LiveResult, error) {
-	nodes := cfg.Nodes
-	if nodes <= 0 {
-		nodes = PilotNodes
-	}
+	cfg = s.withDefaults(cfg)
+	nodes, scfg := cfg.Nodes, cfg.Sched
 	if nodes > PilotNodes {
 		return nil, fmt.Errorf("core: live machine of %d nodes exceeds the %d-node cluster", nodes, PilotNodes)
-	}
-	scfg := cfg.Sched
-	scfg.Nodes = nodes
-	if scfg.IdleNodePowerW == 0 {
-		scfg.IdleNodePowerW = s.IdleNodePowerW
-	}
-	if scfg.TickS == 0 {
-		scfg.TickS = 30
 	}
 	rate := cfg.SampleRate
 	if rate == 0 {

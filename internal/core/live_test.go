@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -182,6 +183,45 @@ func TestScenarioOverlayFoldsControllerTicks(t *testing.T) {
 				t.Errorf("worst phase overshoot %v%%, controller MaxOverPct %v%%", worst, res.MaxOverPct)
 			}
 		})
+	}
+}
+
+// TestScenarioTickDefault runs one scenario twice, with TickS left at 0
+// and with RunLive's 30 s default set, and wants the same per-phase
+// overlay bit for bit: the overlay must place each tick by the tick the
+// run used. If this fails it would indicate that RunScenario and RunLive
+// resolve the tick default apart.
+func TestScenarioTickDefault(t *testing.T) {
+	const nodes = 4
+	sc, err := scenario.Get("dr-ramp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var overlays [2]string // %v prints each float's shortest exact form
+	for i, tickS := range []float64{0, 30} {
+		s, err := NewSystem(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.RunScenario(sc, 3, scenarioObsJobs(t, 3), LiveConfig{
+			Nodes:      nodes,
+			SampleRate: 4,
+			Sched: sched.ControllerConfig{
+				Admission: sched.AdmitFIFO,
+				Config:    sched.Config{PowerCapW: nodes * s.IdleNodePowerW / 0.3, ReactiveCapping: true},
+				TickS:     tickS,
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.PhaseOvershoot) == 0 {
+			t.Fatalf("TickS %g: no overlay", tickS)
+		}
+		overlays[i] = fmt.Sprintf("%+v", res.PhaseOvershoot)
+	}
+	if overlays[0] != overlays[1] {
+		t.Errorf("TickS 0 scores %s,\nTickS 30 scores %s", overlays[0], overlays[1])
 	}
 }
 

@@ -106,18 +106,8 @@ func (s *System) RunScenario(sc *scenario.Scenario, seed int64, jobs []workload.
 		return nil, fmt.Errorf("core: scenario %s owns the cap schedule; clear Sched.CapSchedule", sc.Name)
 	}
 
-	nodes := cfg.Nodes
-	if nodes <= 0 {
-		nodes = PilotNodes
-	}
-	idleW := cfg.Sched.IdleNodePowerW
-	if idleW == 0 {
-		idleW = s.IdleNodePowerW
-	}
-	tickS := cfg.Sched.TickS
-	if tickS == 0 {
-		tickS = 30 // RunLive's default
-	}
+	cfg = s.withDefaults(cfg)
+	nodes, idleW, tickS := cfg.Nodes, cfg.Sched.IdleNodePowerW, cfg.Sched.TickS
 
 	// Workload side: reshape arrivals through the scenario's process.
 	warped, err := sc.RetimeArrivals(jobs)

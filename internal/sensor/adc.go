@@ -22,6 +22,8 @@ type ADC struct {
 	FullScale float64 // watts mapped to the top code
 	NoiseLSB  float64 // Gaussian noise sigma, in LSBs
 	rng       noise
+	tables    [levelTables]levelTable // level.go's cache, filled in turn
+	nextTable int
 }
 
 // NewADC constructs an ADC. seed makes the noise deterministic.
@@ -57,26 +59,60 @@ func (a *ADC) LSB() float64 { return a.FullScale / float64(uint64(1)<<a.Bits) }
 // Convert quantises one instantaneous power value (without sampling-time
 // effects): clamp to [0, FullScale], add noise, round to the LSB grid.
 func (a *ADC) Convert(p float64) float64 {
-	pw, z := [1]float64{p}, [1]float64{a.rng.norm()}
-	a.quantise(pw[:], z[:], a.LSB())
-	return pw[0]
+	lsb := a.LSB()
+	return a.code(p+a.rng.norm()*a.NoiseLSB*lsb, lsb) * lsb
 }
 
-// quantise converts the powers pw in place: add the standard normal draw
-// z[i] scaled to NoiseLSB, clamp to [0, FullScale], round to the lsb grid.
-func (a *ADC) quantise(pw, z []float64, lsb float64) {
-	z = z[:len(pw)]
-	for i, p := range pw {
-		p += z[i] * a.NoiseLSB * lsb
-		if p < 0 {
-			p = 0
-		}
-		if p > a.FullScale {
-			p = a.FullScale
-		}
-		code := math.Round(p / lsb)
-		pw[i] = code * lsb
+// code returns the converter code of the noisy power p: p clamped to
+// [0, FullScale], in lsb steps, rounded half away from zero.
+func (a *ADC) code(p, lsb float64) float64 {
+	if p < 0 {
+		p = 0
 	}
+	if p > a.FullScale {
+		p = a.FullScale
+	}
+	return math.Round(p / lsb)
+}
+
+// convert draws the noise of the conversions of pw in order and
+// quantises pw in place: per conversion, one standard normal it
+// discards, then the conversion noise z, and the power becomes
+// code(p + z·NoiseLSB·lsb)·lsb. The discarded draw sits where the
+// aperture jitter was drawn before the jitter was removed, so the
+// per-conversion path still yields the noise it always did.
+func (a *ADC) convert(pw []float64, lsb float64) {
+	g := &a.rng
+	for i, p := range pw {
+		// norm twice, spelled out so that both fast paths inline.
+		if _, ok := g.normFast(); !ok {
+			g.normSlow()
+		}
+		z, ok := g.normFast()
+		if !ok {
+			z = g.normSlow()
+		}
+		pw[i] = a.code(p+z*a.NoiseLSB*lsb, lsb) * lsb
+	}
+}
+
+// convertLevel converts k conversions of level in order, as convert
+// would, and returns the sum of their quantised powers, added in order.
+func (a *ADC) convertLevel(level float64, k int, lsb float64) float64 {
+	var pw [block]float64
+	sum := 0.0
+	for k > 0 {
+		c := pw[:min(k, block)]
+		for i := range c {
+			c[i] = level
+		}
+		a.convert(c, lsb)
+		for _, p := range c {
+			sum += p
+		}
+		k -= len(c)
+	}
+	return sum
 }
 
 // SampleSignal samples s over [t0, t1) at the ADC rate, quantising each
@@ -91,26 +127,33 @@ func (a *ADC) SampleSignal(s Signal, t0, t1 float64) ([]Sample, error) {
 const MaxRawSamples = 1 << 24
 
 // block is the most conversions the synthesis kernel holds at once, in
-// three stack arrays (instants, powers, noise draws) of 2 KiB each.
+// stack arrays of 2 KiB each.
 const block = 256
 
-// SampleDecimated is SampleSignal followed by an n:1 Decimator, bit for
-// bit, without building the raw train: the package's one synthesis loop.
-// It works in blocks of up to 256 conversions, in three phases:
+// SampleDecimated samples s over [t0, t1) at the ADC rate and averages
+// each group of n conversions into one sample, as an n:1 Decimator
+// would, without building the raw train: the package's one synthesis
+// loop. It works in blocks of up to 256 conversions. powerSpan fills a
+// block's powers at the nominal instants first; then each full group
+// yields one sample at the mean nominal instant (summed in index order,
+// as the Decimator sums), by one of two paths:
 //
-//  1. Draw: per conversion in order, one standard normal it discards, then
-//     the conversion noise. The discarded draw sits where the aperture
-//     jitter was drawn before the jitter was removed, so every seed still
-//     yields the noise it always did. No draw depends on the signal.
-//  2. Evaluate: powerSpan fills the block's powers at the nominal instants.
-//  3. Quantise and decimate: each full group of n conversions yields one
-//     sample at the mean nominal instant with the mean power, summed in
-//     index order.
+//   - A level group, one of n ≥ 2 conversions whose n powers are
+//     bit-equal and not NaN, is one draw from the exact distribution of
+//     its code sum S (level.go): one uniform and a CDF search, from a
+//     table per level and n that the ADC caches. Its power is S·lsb/n.
+//   - Every other group (one that straddles an edge or holds a NaN, one
+//     whose table would span more than maxTableSpan codes, and every
+//     group at n = 1) is converted one conversion at a time (convert)
+//     and its quantised powers averaged.
 //
-// A trailing partial group is drawn, converted and dropped, so the noise
-// stream ends where the two-pass form left it. A window CheckWindow
-// refuses, or one of more than MaxRawSamples conversions, is an error
-// returned before any draw.
+// The two paths agree in distribution, not in bits: a level group
+// draws one uniform where the per-conversion path draws 2n normals. At
+// NoiseLSB 0 a level table is one point, at a noiseless conversion's
+// code, so the sample equals the per-conversion mean wherever the
+// codes' sum in watts is exact. A trailing partial group is neither
+// evaluated nor drawn. A window CheckWindow refuses, or one of more
+// than MaxRawSamples conversions, is an error returned before any draw.
 func (a *ADC) SampleDecimated(s Signal, t0, t1 float64, n int) ([]Sample, error) {
 	if n < 1 {
 		return nil, errDecimation
@@ -123,44 +166,70 @@ func (a *ADC) SampleDecimated(s Signal, t0, t1 float64, n int) ([]Sample, error)
 		return nil, fmt.Errorf("sensor: window [%g, %g) at %g S/s exceeds %d conversions", t0, t1, a.Rate, MaxRawSamples)
 	}
 	total := int(raw)
+	total -= total % n
 	out := make([]Sample, 0, total/n)
-	g := &a.rng
 	dt, lsb, fn := 1/a.Rate, a.LSB(), float64(n)
-	sumP, sumT, k := 0.0, 0.0, 0
-	var ts, pw, z [block]float64
+	tables := n > 1 && a.tableFits(n)
+	// The group in progress: k conversions so far. While level holds,
+	// all k had power lv and none has been converted.
+	sumP, sumT, k, lv, level := 0.0, 0.0, 0, 0.0, tables
+	var ts, pw [block]float64
 	for base := 0; base < total; base += block {
 		m := min(block, total-base)
 		for i := range m {
-			// norm twice, spelled out so that both fast paths inline:
-			// the jitter's slot, discarded, then the noise.
-			if _, ok := g.normFast(); !ok {
-				g.normSlow()
-			}
-			x, ok := g.normFast()
-			if !ok {
-				x = g.normSlow()
-			}
-			z[i] = x
 			ts[i] = t0 + float64(base+i)*dt
 		}
 		powerSpan(s, ts[:m], pw[:m])
-		a.quantise(pw[:m], z[:m], lsb)
-		for i, nominal := range ts[:m] {
-			p := pw[i]
-			if n == 1 {
-				// Stored as converted: 0 + p below would turn a -0 into +0.
-				out = append(out, Sample{T: nominal, P: p})
-				continue
+		if n == 1 {
+			a.convert(pw[:m], lsb)
+			for i, nominal := range ts[:m] {
+				// Stored as converted: a sum would turn a -0 into +0.
+				out = append(out, Sample{T: nominal, P: pw[i]})
 			}
-			sumP += p
-			sumT += nominal
-			if k++; k == n {
+			continue
+		}
+		for i := 0; i < m; {
+			j := min(m, i+n-k)
+			span := pw[i:j]
+			for _, nominal := range ts[i:j] {
+				sumT += nominal
+			}
+			if level {
+				if k == 0 {
+					lv = span[0]
+				}
+				if level = lv == lv && allBits(span, lv); !level {
+					sumP = a.convertLevel(lv, k, lsb)
+				}
+			}
+			if !level {
+				a.convert(span, lsb)
+				for _, p := range span {
+					sumP += p
+				}
+			}
+			if k += j - i; k == n {
+				if level {
+					sumP = float64(a.levelTable(lv, n).draw(&a.rng)) * lsb
+				}
 				out = append(out, Sample{T: sumT / fn, P: sumP / fn})
-				sumP, sumT, k = 0, 0, 0
+				sumP, sumT, k, level = 0, 0, 0, tables
 			}
+			i = j
 		}
 	}
 	return out, nil
+}
+
+// allBits reports whether every power in pw has the bits of v.
+func allBits(pw []float64, v float64) bool {
+	b := math.Float64bits(v)
+	for _, p := range pw {
+		if math.Float64bits(p) != b {
+			return false
+		}
+	}
+	return true
 }
 
 // powerSpan sets pw[i] to s.PowerAt(ts[i]) for every i, bit for bit, with

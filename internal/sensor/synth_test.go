@@ -3,6 +3,7 @@ package sensor
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -11,40 +12,43 @@ func sameBits(a, b float64) bool {
 }
 
 // TestSampleDecimatedMatchesTwoPass holds the one synthesis loop to the
-// reference boxcar: two ADCs on one seed, Decimate(SampleSignal) against
-// SampleDecimated, every T and P equal on bits. Both raw counts leave a
-// partial group for every n > 1, and the second window only agrees if the
-// first left both noise streams at the same position.
+// reference boxcar, Decimate(SampleSignal), on two ADCs of one seed. At
+// NoiseLSB 0 every T and P must be equal on bits (a level group's table
+// is one point, and at this full scale the codes' sum in watts is
+// exact); with noise, every T, and at n = 1 every P too. Both raw counts
+// leave a partial group for every n > 1.
 func TestSampleDecimatedMatchesTwoPass(t *testing.T) {
 	sig := Sum{Const(311), Square{High: 933, Period: 2.37, Duty: 0.374, Phase: 0.41}, Sine{Amp: 40, Freq: 117}}
 	const rate = 64e3
 	windows := [][2]float64{{0.25, 0.25 + 1003.5/rate}, {6000.3, 6000.3 + 1005.5/rate}}
-	for _, n := range []int{1, 2, 7, 16} {
-		ref, err := NewADC(rate, 12, 3000, 0.7, 99)
-		if err != nil {
-			t.Fatal(err)
-		}
-		one, _ := NewADC(rate, 12, 3000, 0.7, 99)
-		d, _ := NewDecimator(n)
-		for w, win := range windows {
-			raw, err := ref.SampleSignal(sig, win[0], win[1])
+	for _, noise := range []float64{0, 0.7} {
+		for _, n := range []int{1, 2, 7, 16} {
+			ref, err := NewADC(rate, 12, 3000, noise, 99)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n > 1 && len(raw)%n == 0 {
-				t.Fatalf("n=%d window %d: %d raw samples leave no partial group", n, w, len(raw))
-			}
-			want := d.Decimate(raw)
-			got, err := one.SampleDecimated(sig, win[0], win[1], n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("n=%d window %d: %d samples, want %d", n, w, len(got), len(want))
-			}
-			for i := range want {
-				if !sameBits(got[i].T, want[i].T) || !sameBits(got[i].P, want[i].P) {
-					t.Fatalf("n=%d window %d sample %d: %+v, want %+v", n, w, i, got[i], want[i])
+			one, _ := NewADC(rate, 12, 3000, noise, 99)
+			d, _ := NewDecimator(n)
+			for w, win := range windows {
+				raw, err := ref.SampleSignal(sig, win[0], win[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n > 1 && len(raw)%n == 0 {
+					t.Fatalf("n=%d window %d: %d raw samples leave no partial group", n, w, len(raw))
+				}
+				want := d.Decimate(raw)
+				got, err := one.SampleDecimated(sig, win[0], win[1], n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("noise %g n=%d window %d: %d samples, want %d", noise, n, w, len(got), len(want))
+				}
+				for i := range want {
+					if !sameBits(got[i].T, want[i].T) || (noise == 0 || n == 1) && !sameBits(got[i].P, want[i].P) {
+						t.Fatalf("noise %g n=%d window %d sample %d: %+v, want %+v", noise, n, w, i, got[i], want[i])
+					}
 				}
 			}
 		}
@@ -163,10 +167,19 @@ func FuzzFmod(f *testing.F) {
 	})
 }
 
-// twinADC is the synthesis loop as it stood before the block kernel,
-// kept as the reference the kernel shares no code with: a *rand.Rand,
-// one s.PowerAt per conversion at the jittered instant (sigma 0 now, so
-// the draw only moves the stream), math.Round.
+// twinADC is the per-conversion synthesis loop as it stood before the
+// block kernel, kept as the reference the kernel shares no code with: a
+// *rand.Rand, one s.PowerAt per conversion at the jittered instant
+// (sigma 0 now, so the draw only moves the stream), math.Round. Every
+// group converts its n conversions, and a trailing partial group is
+// converted and dropped.
+//
+// With levels set it is the kernel's twin instead: each whole group
+// whose n powers are bit-equal and not NaN, where levels.tableFits(n),
+// is one rand.Float64 (the same uniform as noise.float64) searched in
+// levels.levelCDF, and a trailing partial group draws nothing. Only the
+// table is shared with the kernel; the grouping, the order of the draws
+// and the sums are the twin's own.
 type twinADC struct {
 	Rate      float64
 	Bits      int
@@ -174,6 +187,7 @@ type twinADC struct {
 	NoiseLSB  float64
 	JitterSec float64
 	rng       *rand.Rand
+	levels    *ADC
 }
 
 func newTwinADC(rate float64, bits int, fullScale, noiseLSB float64, seed int64) *twinADC {
@@ -197,9 +211,31 @@ func (a *twinADC) convert(p, lsb float64) float64 {
 func (a *twinADC) SampleDecimated(s Signal, t0, t1 float64, n int) []Sample {
 	total := int(math.Floor((t1 - t0) * a.Rate))
 	out := make([]Sample, 0, total/n)
-	dt, lsb, fn := 1/a.Rate, a.LSB(), float64(n)
+	dt, fn := 1/a.Rate, float64(n)
+	if a.levels != nil {
+		for first := 0; first+n <= total; first += n {
+			if p, ok := a.levelSample(s, t0, dt, first, n); ok {
+				sumT := 0.0
+				for i := 0; i < n; i++ {
+					sumT += t0 + float64(first+i)*dt
+				}
+				out = append(out, Sample{T: sumT / fn, P: p})
+				continue
+			}
+			out = append(out, a.perConversion(s, t0, dt, first, first+n, n)...)
+		}
+		return out
+	}
+	return a.perConversion(s, t0, dt, 0, total, n)
+}
+
+// perConversion converts instants first to end-1 of the window from t0,
+// n to a sample.
+func (a *twinADC) perConversion(s Signal, t0, dt float64, first, end, n int) []Sample {
+	var out []Sample
+	lsb, fn := a.LSB(), float64(n)
 	sumP, sumT, k := 0.0, 0.0, 0
-	for i := 0; i < total; i++ {
+	for i := first; i < end; i++ {
 		nominal := t0 + float64(i)*dt
 		actual := nominal + a.rng.NormFloat64()*a.JitterSec
 		p := a.convert(s.PowerAt(actual), lsb)
@@ -217,6 +253,28 @@ func (a *twinADC) SampleDecimated(s Signal, t0, t1 float64, n int) []Sample {
 	return out
 }
 
+// levelSample draws the group of instants first to first+n-1 of the
+// window from t0 as one level sample, or reports false where the group
+// is no level group.
+func (a *twinADC) levelSample(s Signal, t0, dt float64, first, n int) (float64, bool) {
+	if n < 2 || !a.levels.tableFits(n) {
+		return 0, false
+	}
+	level := s.PowerAt(t0 + float64(first)*dt)
+	for i := first + 1; i < first+n; i++ {
+		if p := s.PowerAt(t0 + float64(i)*dt); math.Float64bits(p) != math.Float64bits(level) {
+			return 0, false
+		}
+	}
+	if math.IsNaN(level) {
+		return 0, false
+	}
+	lo, cdf := a.levels.levelCDF(level, n)
+	u := a.rng.Float64()
+	code := lo + sort.Search(len(cdf), func(i int) bool { return cdf[i] > u })
+	return float64(code) * a.LSB() / float64(n), true
+}
+
 // ramp is a Signal powerSpan has no arm for.
 type ramp struct{ base, slope float64 }
 
@@ -225,14 +283,21 @@ func (r ramp) Energy(t0, t1 float64) (float64, error) {
 	return r.base*(t1-t0) + r.slope*(t1*t1-t0*t0)/2, nil
 }
 
-// TestSampleDecimatedMatchesTwin holds the block kernel to twinADC on
+// TestSampleDecimatedMatchesTwin holds the block kernel to its twins on
 // bits: every signal type powerSpan distinguishes (and one it does not),
 // factors that divide a block and ones that do not, raw counts either
 // side of one and two blocks, three windows back to back on one ADC so a
-// window that leaves the stream a draw off shows in the next. The
-// squares beyond the first reach each of squareSpan's branches: edges on
-// instants, a phase origin inside the windows, quotients near and past
-// 2^52, a dozen edges per block, a period shorter than a spacing.
+// window that leaves the stream a draw off shows in the next. Against
+// the level twin, every T and P at noise 0 and 0.7. Against the
+// per-conversion twin (ED-2): every P at noise 0, where a level table is
+// one point and the effect of drawing from it must vanish, every P at
+// n = 1, and every T. A second ADC of the same seed repeats the kernel's
+// every bit. The squares beyond the first reach each of squareSpan's
+// branches: edges on instants, a phase origin inside the windows,
+// quotients near and past 2^52, a dozen edges per block, a period
+// shorter than a spacing; the windows hold level groups, groups that an
+// edge splits within a block and across one, and at n = 256 and 257
+// groups whose level breaks only in their last block.
 func TestSampleDecimatedMatchesTwin(t *testing.T) {
 	const rate, dt = 1000.0, 1 / 1000.0
 	counts := []int{255, 256, 257, 513}
@@ -272,6 +337,9 @@ func TestSampleDecimatedMatchesTwin(t *testing.T) {
 	short := Square{Low: 6, High: 600, Period: 0.7e-3, Duty: 0.3}
 	signals := map[string]Signal{
 		"Const":        Const(2999.9), // noise crosses full scale: the clamp
+		"negative":     Const(-0.5),   // noise crosses 0: the other clamp
+		"Inf":          Const(math.Inf(1)),
+		"NaN":          Const(math.NaN()), // bit-equal, and still no level
 		"Square":       square,
 		"edges":        edges,
 		"quarter":      quarter,
@@ -288,26 +356,43 @@ func TestSampleDecimatedMatchesTwin(t *testing.T) {
 		"default":      ramp{500, 3.5},
 	}
 	for name, sig := range signals {
-		for _, n := range []int{1, 2, 7, 16, 256, 257} {
-			got, err := NewADC(rate, 12, 3000, 0.7, 4242)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := newTwinADC(rate, 12, 3000, 0.7, 4242)
-			for ci, count := range counts {
-				for w := 0; w < 3; w++ {
-					t0, t1 := window(ci, w)
-					g, err := got.SampleDecimated(sig, t0, t1, n)
-					if err != nil {
-						t.Fatal(err)
-					}
-					r := want.SampleDecimated(sig, t0, t1, n)
-					if len(g) != len(r) || len(r) != count/n {
-						t.Fatalf("%s n=%d count %d window %d: %d samples, twin %d, want %d", name, n, count, w, len(g), len(r), count/n)
-					}
-					for i := range r {
-						if !sameBits(g[i].T, r[i].T) || !sameBits(g[i].P, r[i].P) {
-							t.Fatalf("%s n=%d count %d window %d sample %d: %+v, twin %+v", name, n, count, w, i, g[i], r[i])
+		for _, noise := range []float64{0, 0.7} {
+			for _, n := range []int{1, 2, 7, 16, 256, 257} {
+				got, err := NewADC(rate, 12, 3000, noise, 4242)
+				if err != nil {
+					t.Fatal(err)
+				}
+				again, _ := NewADC(rate, 12, 3000, noise, 4242)
+				perConv := newTwinADC(rate, 12, 3000, noise, 4242)
+				levels := newTwinADC(rate, 12, 3000, noise, 4242)
+				levels.levels, _ = NewADC(rate, 12, 3000, noise, 0)
+				for ci, count := range counts {
+					for w := 0; w < 3; w++ {
+						t0, t1 := window(ci, w)
+						g, err := got.SampleDecimated(sig, t0, t1, n)
+						if err != nil {
+							t.Fatal(err)
+						}
+						a, _ := again.SampleDecimated(sig, t0, t1, n)
+						r := perConv.SampleDecimated(sig, t0, t1, n)
+						l := levels.SampleDecimated(sig, t0, t1, n)
+						if len(g) != count/n || len(a) != len(g) || len(r) != len(g) || len(l) != len(g) {
+							t.Fatalf("%s noise %g n=%d count %d window %d: %d samples, again %d, twins %d and %d, want %d",
+								name, noise, n, count, w, len(g), len(a), len(r), len(l), count/n)
+						}
+						for i := range g {
+							at := func(twin string) {
+								t.Fatalf("%s noise %g n=%d count %d window %d sample %d: %+v, %s %+v, %+v, %+v",
+									name, noise, n, count, w, i, g[i], twin, a[i], r[i], l[i])
+							}
+							switch {
+							case !sameBits(g[i].T, a[i].T) || !sameBits(g[i].P, a[i].P):
+								at("same seed")
+							case !sameBits(g[i].T, l[i].T) || !sameBits(g[i].P, l[i].P):
+								at("level twin")
+							case !sameBits(g[i].T, r[i].T) || (noise == 0 || n == 1) && !sameBits(g[i].P, r[i].P):
+								at("per-conversion twin")
+							}
 						}
 					}
 				}
