@@ -131,21 +131,27 @@ const MaxRawSamples = 1 << 24
 const block = 256
 
 // SampleDecimated samples s over [t0, t1) at the ADC rate and averages
-// each group of n conversions into one sample, as an n:1 Decimator
-// would, without building the raw train: the package's one synthesis
-// loop. It works in blocks of up to 256 conversions. powerSpan fills a
-// block's powers at the nominal instants first; then each full group
-// yields one sample at the mean nominal instant (summed in index order,
-// as the Decimator sums), by one of two paths:
+// each group of n conversions into one sample, without building the raw
+// train: the package's one synthesis loop. It works in blocks of up to
+// 256 conversions; each full group yields one sample at the mean nominal
+// instant (summed in index order), by one of two paths:
 //
 //   - A level group, one of n ≥ 2 conversions whose n powers are
 //     bit-equal and not NaN, is one draw from the exact distribution of
-//     its code sum S (level.go): one uniform and a CDF search, from a
-//     table per level and n that the ADC caches. Its power is S·lsb/n.
+//     its code sum S (level.go): one uniform and an indexed search of a
+//     CDF table, from a table per level and n that the ADC caches. The
+//     search returns the binary search's index bit for bit. Its power is
+//     S·lsb/n.
 //   - Every other group (one that straddles an edge or holds a NaN, one
 //     whose table would span more than maxTableSpan codes, and every
 //     group at n = 1) is converted one conversion at a time (convert)
 //     and its quantised powers averaged.
+//
+// Where level groups may be drawn, the signal's structure is asked
+// first whether it holds one level over the whole block (blockLevel). A
+// block it proves level is not evaluated per instant: every group in it
+// is a level group at that level. Any other block's powers are filled
+// at the nominal instants first (powerSpan).
 //
 // The two paths agree in distribution, not in bits: a level group
 // draws one uniform where the per-conversion path draws 2n normals. At
@@ -173,13 +179,24 @@ func (a *ADC) SampleDecimated(s Signal, t0, t1 float64, n int) ([]Sample, error)
 	// The group in progress: k conversions so far. While level holds,
 	// all k had power lv and none has been converted.
 	sumP, sumT, k, lv, level := 0.0, 0.0, 0, 0.0, tables
+	// The last level group's table. n and the ADC's fields are fixed for
+	// the call, so the level's bits alone tell whether it still serves.
+	var tab *levelTable
 	var ts, pw [block]float64
 	for base := 0; base < total; base += block {
 		m := min(block, total-base)
 		for i := range m {
 			ts[i] = t0 + float64(base+i)*dt
 		}
-		powerSpan(s, ts[:m], pw[:m])
+		// flat: every power in the block is bl, and bl is no NaN.
+		bl, flat := 0.0, false
+		if tables {
+			bl, flat = blockLevel(s, ts[0], ts[m-1])
+			flat = flat && bl == bl
+		}
+		if !flat {
+			powerSpan(s, ts[:m], pw[:m])
+		}
 		if n == 1 {
 			a.convert(pw[:m], lsb)
 			for i, nominal := range ts[:m] {
@@ -196,13 +213,26 @@ func (a *ADC) SampleDecimated(s Signal, t0, t1 float64, n int) ([]Sample, error)
 			}
 			if level {
 				if k == 0 {
-					lv = span[0]
+					lv = bl
+					if !flat {
+						lv = span[0]
+					}
 				}
-				if level = lv == lv && allBits(span, lv); !level {
+				if flat {
+					level = math.Float64bits(lv) == math.Float64bits(bl)
+				} else {
+					level = lv == lv && allBits(span, lv)
+				}
+				if !level {
 					sumP = a.convertLevel(lv, k, lsb)
 				}
 			}
 			if !level {
+				if flat {
+					for x := range span {
+						span[x] = bl
+					}
+				}
 				a.convert(span, lsb)
 				for _, p := range span {
 					sumP += p
@@ -210,7 +240,10 @@ func (a *ADC) SampleDecimated(s Signal, t0, t1 float64, n int) ([]Sample, error)
 			}
 			if k += j - i; k == n {
 				if level {
-					sumP = float64(a.levelTable(lv, n).draw(&a.rng)) * lsb
+					if tab == nil || tab.key.level != math.Float64bits(lv) {
+						tab = a.levelTable(lv, n)
+					}
+					sumP = float64(tab.draw(&a.rng)) * lsb
 				}
 				out = append(out, Sample{T: sumT / fn, P: sumP / fn})
 				sumP, sumT, k, level = 0, 0, 0, tables
@@ -219,6 +252,38 @@ func (a *ADC) SampleDecimated(s Signal, t0, t1 float64, n int) ([]Sample, error)
 		}
 	}
 	return out, nil
+}
+
+// blockLevel reports the one level s holds at every instant from first
+// to last, where the signal's structure proves it holds one: a Const
+// always; a Square where both ends fall in one cell, the (k, high) rule
+// squareSpan relies on; a Sum where every part does, its level summed
+// from 0 in part order, the additions of Sum.PowerAt. Any other signal
+// is not asked. The instants between first and last never decrease.
+func blockLevel(s Signal, first, last float64) (float64, bool) {
+	switch s := s.(type) {
+	case Const:
+		return float64(s), true
+	case Square:
+		if first <= last {
+			lo, okLo := s.cell(first)
+			hi, okHi := s.cell(last)
+			if okLo && okHi && lo == hi {
+				return s.level(lo), true
+			}
+		}
+	case Sum:
+		v := 0.0
+		for _, c := range s {
+			p, ok := blockLevel(c, first, last)
+			if !ok {
+				return 0, false
+			}
+			v += p
+		}
+		return v, true
+	}
+	return 0, false
 }
 
 // allBits reports whether every power in pw has the bits of v.
@@ -348,44 +413,6 @@ func (q Square) level(c squareCell) float64 {
 }
 
 var errDecimation = errors.New("sensor: decimation factor must be >= 1")
-
-// Decimator performs N:1 boxcar averaging, the hardware decimation the
-// paper uses to turn 800 kS/s raw conversions into 50 kS/s power samples
-// (N = 16). Averaging rather than dropping preserves energy content and
-// suppresses noise by sqrt(N).
-type Decimator struct {
-	N int
-}
-
-// NewDecimator creates an N:1 decimator.
-func NewDecimator(n int) (*Decimator, error) {
-	if n < 1 {
-		return nil, errDecimation
-	}
-	return &Decimator{N: n}, nil
-}
-
-// Decimate averages consecutive groups of N samples. The output timestamp
-// is the centre of each group. A trailing partial group is dropped (as the
-// hardware does).
-func (d *Decimator) Decimate(in []Sample) []Sample {
-	if d.N == 1 {
-		out := make([]Sample, len(in))
-		copy(out, in)
-		return out
-	}
-	groups := len(in) / d.N
-	out := make([]Sample, 0, groups)
-	for g := 0; g < groups; g++ {
-		sumP, sumT := 0.0, 0.0
-		for i := g * d.N; i < (g+1)*d.N; i++ {
-			sumP += in[i].P
-			sumT += in[i].T
-		}
-		out = append(out, Sample{T: sumT / float64(d.N), P: sumP / float64(d.N)})
-	}
-	return out
-}
 
 // EnergyFromSamples estimates energy over [t0, t1] from a sample train by
 // rectangle integration at the sampling interval, the estimator a telemetry

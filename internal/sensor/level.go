@@ -1,6 +1,9 @@
 package sensor
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // A level group is a group of n ≥ 2 conversions that all see one power
 // level. The sum S of its n codes has an exact discrete distribution:
@@ -31,26 +34,43 @@ type levelKey struct {
 
 // levelTable is the distribution of S for one key: S = lo + i with
 // probability cdf[i] − cdf[i−1]. cdf never decreases and ends at 1.
+// guide indexes it (Chen & Asau's guide table): its length G is the
+// least power of two ≥ len(cdf), and guide[k] is the smallest i with
+// cdf[i] > k/G.
 type levelTable struct {
-	key levelKey
-	lo  int
-	cdf []float64
+	key   levelKey
+	lo    int
+	cdf   []float64
+	guide []int32
 }
 
-// draw returns one S: the smallest lo + i with cdf[i] > u for one
-// uniform u in [0, 1).
-func (t *levelTable) draw(g *noise) int {
-	u := g.float64()
-	i, j := 0, len(t.cdf)-1
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		if t.cdf[h] > u {
-			j = h
-		} else {
-			i = h + 1
-		}
+// draw returns one S for one uniform u in [0, 1): lo + search(u).
+func (t *levelTable) draw(g *noise) int { return t.lo + t.search(g.float64()) }
+
+// search returns the smallest i with cdf[i] > u, for u in [0, 1): the
+// index a binary search returns, bit for bit. u·G and k/G are exact, G
+// being a power of two, so k = ⌊u·G⌋ has k/G ≤ u and every i with
+// cdf[i] > u is at or past guide[k]; the scan from there ends at the
+// first, at the latest at cdf's last entry, 1.
+func (t *levelTable) search(u float64) int {
+	i := int(t.guide[int(u*float64(len(t.guide)))])
+	for t.cdf[i] <= u {
+		i++
 	}
-	return t.lo + i
+	return i
+}
+
+// guideFor returns levelTable's guide for cdf, which ends at 1.
+func guideFor(cdf []float64) []int32 {
+	guide := make([]int32, 1<<bits.Len(uint(len(cdf)-1)))
+	g, i := float64(len(guide)), 0
+	for k := range guide {
+		for cdf[i] <= float64(k)/g {
+			i++
+		}
+		guide[k] = int32(i)
+	}
+	return guide
 }
 
 // tableFits reports whether a group of n conversions may take a level
@@ -77,6 +97,7 @@ func (a *ADC) levelTable(level float64, n int) *levelTable {
 	a.nextTable = (a.nextTable + 1) % levelTables
 	t.key = k
 	t.lo, t.cdf = a.levelCDF(level, n)
+	t.guide = guideFor(t.cdf)
 	return t
 }
 

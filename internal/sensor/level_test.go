@@ -160,6 +160,7 @@ func pmfMoments(lo int, w []float64) (mean, variance float64) {
 // the pmf's, to within 1e-9 relative (or 1e-9 code, code² absolute
 // below one, where trimmed tails of under 1e-30 may weigh); and at
 // NoiseLSB 0 one point, at n times the code of a noiseless conversion.
+// It holds the table's guide too (checkGuide).
 func FuzzLevelTable(f *testing.F) {
 	bits := math.Float64bits
 	for _, level := range []float64{1234.5, 1500.3, 0.9, 3000 - 0.9, 1000.5 * 3000 / 4096, 0, math.Copysign(0, -1), -1,
@@ -168,6 +169,9 @@ func FuzzLevelTable(f *testing.F) {
 			f.Add(bits(level), uint16(c[0]), uint8(c[1]), uint16(c[2]))
 		}
 	}
+	// A half-LSB level at almost no noise: two codes of mass 1/2, so at
+	// n = 2 the CDF is 1/4, 3/4, 1 and entries fall on k/G.
+	f.Add(bits(1000.5*3000/4096), uint16(1), uint8(11), uint16(0))
 	f.Fuzz(func(t *testing.T, levelBits uint64, noise uint16, bitsIn uint8, nIn uint16) {
 		level := math.Float64frombits(levelBits)
 		if math.IsNaN(level) {
@@ -198,6 +202,7 @@ func FuzzLevelTable(f *testing.F) {
 				t.Fatalf("level %v bits %d n %d at NoiseLSB 0: %d points from %d, want one at %d", level, b, n, len(cdf), lo, want)
 			}
 		}
+		checkGuide(t, cdf)
 		m, v := pmfMoments(lo, pmf)
 		m1, v1 := pmfMoments(a.codePMF(level))
 		fn := float64(n)
@@ -206,4 +211,43 @@ func FuzzLevelTable(f *testing.F) {
 			t.Fatalf("level %v sigma %v bits %d n %d: mean %v variance %v, want n× the code's %v and %v", level, sigma, b, n, m, v, fn*m1, fn*v1)
 		}
 	})
+}
+
+// checkGuide holds the guide built for cdf to its definition, and the
+// indexed search to a binary search for the smallest i with cdf[i] > u,
+// at u = 0, at every k/G, at both neighbours of each in [0, 1), and at
+// the largest float64 below 1. The guide's length G is the least power
+// of two ≥ len(cdf); its entries never decrease and stay below len(cdf).
+func checkGuide(t *testing.T, cdf []float64) {
+	t.Helper()
+	tab := levelTable{cdf: cdf, guide: guideFor(cdf)}
+	g := len(tab.guide)
+	if g&(g-1) != 0 || g < len(cdf) || g > 1 && g/2 >= len(cdf) {
+		t.Fatalf("guide of %d entries for a CDF of %d", g, len(cdf))
+	}
+	if last := int(tab.guide[g-1]); last >= len(cdf) {
+		t.Fatalf("guide[%d] = %d, past the CDF's %d entries", g-1, last, len(cdf))
+	}
+	binary := func(u float64) int { return sort.Search(len(cdf), func(i int) bool { return cdf[i] > u }) }
+	check := func(u float64) {
+		if got, want := tab.search(u), binary(u); got != want {
+			t.Fatalf("search(%v) = %d, binary search %d (CDF of %d, guide of %d)", u, got, want, len(cdf), g)
+		}
+	}
+	check(0)
+	check(math.Nextafter(1, 0))
+	for k := range g {
+		u := float64(k) / float64(g)
+		if k > 0 && tab.guide[k] < tab.guide[k-1] {
+			t.Fatalf("guide falls at %d: %d < %d", k, tab.guide[k], tab.guide[k-1])
+		}
+		if got, want := int(tab.guide[k]), binary(u); got != want {
+			t.Fatalf("guide[%d] = %d, want the smallest i with cdf[i] > %v, %d", k, got, u, want)
+		}
+		check(u)
+		check(math.Nextafter(u, 1))
+		if k > 0 {
+			check(math.Nextafter(u, 0))
+		}
+	}
 }

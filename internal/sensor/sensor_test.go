@@ -245,20 +245,16 @@ func TestADCNoiseStatistics(t *testing.T) {
 	}
 }
 
+// TestDecimator pins the reference boxcar the two-pass tests decimate
+// with: group means at group-centre instants, a trailing partial group
+// dropped, and n = 1 a copy.
 func TestDecimator(t *testing.T) {
-	if _, err := NewDecimator(0); err == nil {
-		t.Error("factor 0 should error")
-	}
-	d, err := NewDecimator(4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	in := []Sample{
 		{0, 1}, {1, 2}, {2, 3}, {3, 4},
 		{4, 10}, {5, 10}, {6, 10}, {7, 10},
 		{8, 99}, // trailing partial group dropped
 	}
-	out := d.Decimate(in)
+	out := boxcar(in, 4)
 	if len(out) != 2 {
 		t.Fatalf("out = %v, want 2 groups", out)
 	}
@@ -269,8 +265,7 @@ func TestDecimator(t *testing.T) {
 		t.Errorf("group1 = %+v", out[1])
 	}
 	// N=1 is identity (copy).
-	d1, _ := NewDecimator(1)
-	id := d1.Decimate(in)
+	id := boxcar(in, 1)
 	if len(id) != len(in) || id[0] != in[0] {
 		t.Error("N=1 should copy input")
 	}
@@ -292,8 +287,7 @@ func TestDecimationPreservesEnergy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, _ := NewDecimator(16)
-	dec := d.Decimate(raw)
+	dec := boxcar(raw, 16)
 	eRaw, err := EnergyFromSamples(raw, 0, 0.064)
 	if err != nil {
 		t.Fatal(err)

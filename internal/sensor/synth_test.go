@@ -11,8 +11,28 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
 }
 
+// boxcar is the reference n:1 decimation of a raw train: each whole
+// group of n samples averaged, P and T summed in index order, at the
+// group's mean instant; a trailing partial group is dropped, as the
+// hardware drops it. At n = 1 it returns a copy of in.
+func boxcar(in []Sample, n int) []Sample {
+	if n == 1 {
+		return append([]Sample(nil), in...)
+	}
+	out := make([]Sample, 0, len(in)/n)
+	for g := 0; g+n <= len(in); g += n {
+		sumP, sumT := 0.0, 0.0
+		for _, s := range in[g : g+n] {
+			sumP += s.P
+			sumT += s.T
+		}
+		out = append(out, Sample{T: sumT / float64(n), P: sumP / float64(n)})
+	}
+	return out
+}
+
 // TestSampleDecimatedMatchesTwoPass holds the one synthesis loop to the
-// reference boxcar, Decimate(SampleSignal), on two ADCs of one seed. At
+// reference boxcar, boxcar(SampleSignal), on two ADCs of one seed. At
 // NoiseLSB 0 every T and P must be equal on bits (a level group's table
 // is one point, and at this full scale the codes' sum in watts is
 // exact); with noise, every T, and at n = 1 every P too. Both raw counts
@@ -28,7 +48,6 @@ func TestSampleDecimatedMatchesTwoPass(t *testing.T) {
 				t.Fatal(err)
 			}
 			one, _ := NewADC(rate, 12, 3000, noise, 99)
-			d, _ := NewDecimator(n)
 			for w, win := range windows {
 				raw, err := ref.SampleSignal(sig, win[0], win[1])
 				if err != nil {
@@ -37,7 +56,7 @@ func TestSampleDecimatedMatchesTwoPass(t *testing.T) {
 				if n > 1 && len(raw)%n == 0 {
 					t.Fatalf("n=%d window %d: %d raw samples leave no partial group", n, w, len(raw))
 				}
-				want := d.Decimate(raw)
+				want := boxcar(raw, n)
 				got, err := one.SampleDecimated(sig, win[0], win[1], n)
 				if err != nil {
 					t.Fatal(err)
@@ -335,6 +354,22 @@ func TestSampleDecimatedMatchesTwin(t *testing.T) {
 	pastQuotient := Square{Low: 4, High: 1100, Period: 1, Duty: 0.4, Phase: 13 - 1<<52}
 	manyEdges := Square{Low: 9, High: 990, Period: 0.04, Duty: 0.374, Phase: 0.0013}
 	short := Square{Low: 6, High: 600, Period: 0.7e-3, Duty: 0.3}
+	// An edge on instant i of window w of count ci: Phase = T - 4 and
+	// T - Phase = 4 are exact (T is in [16, 64)), so T opens period 2.
+	edgeOn := func(ci, w int, i float64) Square {
+		q := Square{Low: 17, High: 1300, Period: 2, Duty: 0.5, Phase: at(ci, w, i) - 4}
+		if q.PowerAt(at(ci, w, i-1)) == q.PowerAt(at(ci, w, i)) {
+			t.Fatalf("no edge on instant %v of window %d of count %d", i, w, counts[ci])
+		}
+		return q
+	}
+	edgeFirst := edgeOn(3, 1, 256) // the first instant of the second block
+	edgeLast := edgeOn(2, 0, 255)  // the last instant of the first block
+	negZero := math.Copysign(0, -1)
+	sineInSum := Sum{Const(311), edgeFirst, Sine{Offset: 2, Amp: 1e-9, Freq: 3}}
+	if v, ok := blockLevel(sineInSum, at(3, 1, 256), at(3, 1, 511)); ok {
+		t.Fatalf("blockLevel %v over a Sum with a Sine part", v)
+	}
 	signals := map[string]Signal{
 		"Const":        Const(2999.9), // noise crosses full scale: the clamp
 		"negative":     Const(-0.5),   // noise crosses 0: the other clamp
@@ -354,6 +389,10 @@ func TestSampleDecimatedMatchesTwin(t *testing.T) {
 		"nestedSum":    Sum{Const(11), Sum{square, Sum{sine}}, ramp{1, 2}},
 		"Piecewise":    pw,
 		"default":      ramp{500, 3.5},
+		"edgeFirst":    edgeFirst,
+		"edgeLast":     edgeLast,
+		"negZeroSum":   Sum{Const(negZero), Square{Low: negZero, High: 640, Period: 0.237, Duty: 0.374, Phase: 0.041}},
+		"sineInSum":    sineInSum,
 	}
 	for name, sig := range signals {
 		for _, noise := range []float64{0, 0.7} {
@@ -401,9 +440,29 @@ func TestSampleDecimatedMatchesTwin(t *testing.T) {
 	}
 }
 
+// checkBlockLevel fails t where blockLevel reports a level over ts that
+// PowerAt does not hold at every instant, on bits. Any NaN equals any
+// NaN: which payload a sum of two keeps is the compiler's choice, and the
+// kernel takes no NaN level.
+func checkBlockLevel(t *testing.T, sig Signal, ts []float64) {
+	t.Helper()
+	v, ok := blockLevel(sig, ts[0], ts[len(ts)-1])
+	if !ok {
+		return
+	}
+	for i, at := range ts {
+		if p := sig.PowerAt(at); !sameBits(p, v) {
+			t.Fatalf("%#v at %v (instant %d): blockLevel %v (%#x), PowerAt %v (%#x)", sig, at, i, v, math.Float64bits(v), p, math.Float64bits(p))
+		}
+	}
+}
+
 // FuzzPowerSpan holds powerSpan to PowerAt on bits over raw bit patterns:
 // Square and Sine parameters, the first instant and the spacing, up to a
-// full block of instants, each signal alone and in a nested Sum.
+// full block of instants, each signal alone and in nested Sums. It holds
+// blockLevel to PowerAt too, wherever it reports a level (a Const, and
+// Sums of Consts and Squares, over ±0, NaN and ±Inf), and holds it to
+// reporting none for any signal with a Sine in it.
 func FuzzPowerSpan(f *testing.F) {
 	bits := math.Float64bits
 	add := func(q Square, s Sine, t0, dt float64, m uint8) {
@@ -415,6 +474,10 @@ func FuzzPowerSpan(f *testing.F) {
 	add(Square{Low: math.NaN(), High: math.Inf(1), Period: 0, Duty: 1}, Sine{Freq: math.Inf(-1)}, -1, 0, 0)
 	add(Square{Period: -1, Phase: math.NaN()}, Sine{Amp: math.NaN()}, math.Inf(1), math.Inf(-1), 3)
 	add(Square{High: 1, Period: 5e-324, Duty: 0.5}, Sine{Amp: 1, Freq: 1e300}, 1e300, -1e300, 200)
+	// Level blocks: a -0 low run beside -0 parts, whose sum from 0 is +0,
+	// and an +Inf high run beside a -Inf part, whose sum is NaN.
+	add(Square{Low: math.Copysign(0, -1), High: math.Inf(1), Period: 2, Duty: 0.5}, Sine{Phase: math.Copysign(0, -1)}, 1.25, 1.0/256, 127)
+	add(Square{Low: math.Copysign(0, -1), High: math.Inf(1), Period: 2, Duty: 0.5}, Sine{Phase: math.Inf(-1)}, 0.25, 1.0/256, 127)
 	f.Fuzz(func(t *testing.T, lo, hi, period, duty, phase, off, amp, freq, sphase, t0bits, dtbits uint64, m uint8) {
 		fb := math.Float64frombits
 		q := Square{Low: fb(lo), High: fb(hi), Period: fb(period), Duty: fb(duty), Phase: fb(phase)}
@@ -425,12 +488,22 @@ func FuzzPowerSpan(f *testing.F) {
 			ts[i] = t0 + float64(i)*dt
 		}
 		pw := make([]float64, len(ts))
-		for _, sig := range []Signal{q, s, Sum{s, Const(fb(lo)), q, Sum{q, s, Const(fb(sphase))}}} {
+		levels := []Signal{Const(fb(lo)), q, Sum{Const(fb(lo)), q, Sum{q, Const(fb(sphase))}}}
+		sines := []Signal{s, Sum{s, Const(fb(lo)), q, Sum{q, s, Const(fb(sphase))}}, Sum{q, Sum{Const(fb(off)), s}}}
+		for _, sig := range append(levels, sines...) {
 			powerSpan(sig, ts, pw)
 			for i, at := range ts {
 				if want := sig.PowerAt(at); !sameBits(pw[i], want) {
 					t.Fatalf("%#v at %v: powerSpan %v (%#x), PowerAt %v (%#x)", sig, at, pw[i], bits(pw[i]), want, bits(want))
 				}
+			}
+		}
+		for _, sig := range levels {
+			checkBlockLevel(t, sig, ts)
+		}
+		for _, sig := range sines {
+			if v, ok := blockLevel(sig, ts[0], ts[len(ts)-1]); ok {
+				t.Fatalf("%#v: blockLevel %v over a signal with a Sine in it", sig, v)
 			}
 		}
 	})
@@ -440,6 +513,8 @@ func FuzzPowerSpan(f *testing.F) {
 // run fill can apply, which FuzzPowerSpan's raw grids mostly miss: the
 // spacing is |dt|, so the grid never decreases, and the first instant is
 // Phase + |off|, so no offset is negative. Up to a full block of instants.
+// On the same grids it holds blockLevel to PowerAt wherever it reports a
+// level, for the square alone and in a Sum after a Const of off's bits.
 func FuzzSquareSpan(f *testing.F) {
 	bits := math.Float64bits
 	add := func(q Square, off, dt float64, m uint8) {
@@ -453,6 +528,12 @@ func FuzzSquareSpan(f *testing.F) {
 	add(Square{High: 600, Period: 0.7e-3, Duty: 0.3}, 0, 1.0/1000, 255)
 	add(Square{High: 1, Period: 3, Duty: 0.5, Phase: 1e300}, 0, 1e290, 200)
 	add(Square{Low: math.NaN(), High: math.Inf(1), Period: math.Inf(1), Duty: 2}, math.Inf(1), math.NaN(), 9)
+	// A block of 256 instants 1/256 s apart, all exact: an edge on its
+	// first instant (a low-to-high one at x = Period, a high-to-low one at
+	// x = Duty·Period), and one on its last (x = 255/256 = Duty·Period).
+	add(Square{Low: 5, High: 900, Period: 2, Duty: 0.5, Phase: 0.5}, 2, 1.0/256, 255)
+	add(Square{Low: 5, High: 900, Period: 2, Duty: 0.5, Phase: 0.5}, 1, 1.0/256, 255)
+	add(Square{Low: 5, High: 900, Period: 255.0 / 128, Duty: 0.5}, 0, 1.0/256, 255)
 	f.Fuzz(func(t *testing.T, lo, hi, period, duty, phase, off, dt uint64, m uint8) {
 		fb := math.Float64frombits
 		q := Square{Low: fb(lo), High: fb(hi), Period: fb(period), Duty: fb(duty), Phase: fb(phase)}
@@ -468,6 +549,8 @@ func FuzzSquareSpan(f *testing.F) {
 				t.Fatalf("%#v at %v (instant %d): powerSpan %v (%#x), PowerAt %v (%#x)", q, at, i, pw[i], bits(pw[i]), want, bits(want))
 			}
 		}
+		checkBlockLevel(t, q, ts)
+		checkBlockLevel(t, Sum{Const(fb(off)), q}, ts)
 	})
 }
 
