@@ -61,9 +61,9 @@ func e23Replay(tb testing.TB) core.LivePlant {
 			SampleRate: 4,
 			RackSize:   6,
 			Sched: sched.ControllerConfig{
-				Admission: sched.AdmitPowerAware,
-				Config:    sched.Config{PowerCapW: e19CapW, ReactiveCapping: true},
-				TickS:     e19Tick,
+				Strategy: sched.NewPowerAwareStrategy(),
+				Config:   sched.Config{PowerCapW: e19CapW, ReactiveCapping: true},
+				TickS:    e19Tick,
 			},
 			OnPlant: func(p core.LivePlant) { e23Plant = p },
 		})
@@ -233,9 +233,9 @@ func TestE23APIService(t *testing.T) {
 			SampleRate: 4,
 			RackSize:   6,
 			Sched: sched.ControllerConfig{
-				Admission: sched.AdmitPowerAware,
-				Config:    sched.Config{PowerCapW: e19CapW, ReactiveCapping: true},
-				TickS:     e19Tick,
+				Strategy: sched.NewPowerAwareStrategy(),
+				Config:   sched.Config{PowerCapW: e19CapW, ReactiveCapping: true},
+				TickS:    e19Tick,
 			},
 			OnPlant: func(p core.LivePlant) {
 				srv.Bind(energyserve.Backend{

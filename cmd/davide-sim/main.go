@@ -4,6 +4,10 @@
 // machine power cap, and prints scheduling QoS, power tracking and energy
 // accounting summaries.
 //
+// -policy names the batch simulator's dispatch strategy and -sched the
+// live control plane's, both by their sched registry name (the list is in
+// -h); a power-aware strategy admits on the trained predictor under -cap.
+//
 // With -sched the batch simulator is replaced by the live control plane:
 // a tick-driven closed loop in which per-node gateways stream the
 // cluster's power over real MQTT into the compressed store, and
@@ -27,8 +31,8 @@
 //
 // Usage:
 //
-//	davide-sim [-jobs N] [-cap kW] [-policy fcfs|easy] [-reactive] [-seed S]
-//	davide-sim -sched power [-tick S] [-jobs N] [-cap kW] [-chaos preset] [-racks N]
+//	davide-sim [-jobs N] [-cap kW] [-policy easy-power|easy|fifo|...] [-reactive] [-seed S]
+//	davide-sim -sched power|fifo|... [-tick S] [-jobs N] [-cap kW] [-chaos preset] [-racks N]
 //	davide-sim -stream 600 -racks 8 [-chaos bridge-flap] [-cpuprofile cpu.out]
 //	davide-sim -tournament [-policies fifo,power] [-axes clean] [-tournament-out tournament.json] [-ledger STRATEGY_LEDGER.md]
 //	davide-sim -tournament -tournament-from tournament.json -ledger STRATEGY_LEDGER.md
@@ -74,8 +78,8 @@ func main() {
 
 	jobs := flag.Int("jobs", 300, "number of jobs to schedule")
 	capKW := flag.Float64("cap", 52, "machine power cap in kW (0 disables)")
-	policy := flag.String("policy", "easy", "batch dispatch strategy: fcfs (strict FIFO) or easy (EASY backfill); "+
-		"with -cap > 0 their power-aware variants, admitting on the trained predictor")
+	policy := flag.String("policy", "easy-power", "batch dispatch strategy: "+strings.Join(sched.StrategyNames(), ", ")+
+		" (the power-aware ones admit on the trained predictor and need -cap > 0)")
 	reactive := flag.Bool("reactive", true, "enable reactive node capping")
 	seed := flag.Int64("seed", 1, "workload seed")
 	stream := flag.Float64("stream", 0, "replay this many virtual seconds of telemetry over real MQTT (0 disables)")
@@ -85,11 +89,11 @@ func main() {
 		"bridge presets ("+strings.Join(fleet.ChaosBridgePresetNames(), ", ")+") fault the rack→spine uplinks and require -racks > 1; "+
 		"a comma-separated list stacks gateway presets into one composed plan")
 	racks := flag.Int("racks", 1, "rack broker cells of the telemetry plane, replay or live (1 = one broker, >1 = tiered fabric with spine bridges)")
-	schedMode := flag.String("sched", "", "run the live closed-loop control plane instead of the batch simulator: "+
-		"fifo (AdmitFIFO, the FIFO strategy) or power (AdmitPowerAware, greedy backfill under the cap)")
+	schedMode := flag.String("sched", "", "run the live closed-loop control plane under this dispatch strategy "+
+		"(a -policy name) instead of the batch simulator")
 	scenarioName := flag.String("scenario", "", "run a named scenario on the live control plane: "+
 		strings.Join(scenario.Names(), ", ")+" (arrival shaping, cap trajectories, thermal events and composed chaos; "+
-		"seeded by -seed; policy from -sched, default power)")
+		"seeded by -seed; strategy from -sched, default power)")
 	tick := flag.Float64("tick", 30, "live control period in virtual seconds (with -sched)")
 	obsAddr := flag.String("obs-addr", "", "serve the observability registry at this address while the run executes "+
 		"(e.g. 127.0.0.1:9100; Prometheus text at /metrics, ASCII histograms at /histograms)")
@@ -122,9 +126,42 @@ func main() {
 		v    float64
 	}{{"-cap", *capKW}, {"-tick", *tick}, {"-stream", *stream}, {"-api-quota", *apiQuota}} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			log.Printf("%s %g: want a finite number", f.name, f.v)
-			os.Exit(2)
+			usageError("%s %g: want a finite number", f.name, f.v)
 		}
+	}
+
+	// Names resolve before anything listens: the scenario, and the run's
+	// dispatch strategy by registry name — -policy on the batch simulator,
+	// -sched (default power under -scenario) on the live control plane.
+	// A power-aware strategy has nothing to admit under at -cap 0.
+	strategy, err := sched.Lookup(*policy)
+	if err != nil {
+		usageError("-policy: %v", err)
+	}
+	var sc *scenario.Scenario
+	if *scenarioName != "" {
+		if sc, err = scenario.Get(*scenarioName); err != nil {
+			usageError("-scenario: %v", err)
+		}
+	}
+	strategyFlag := "-policy"
+	if *schedMode != "" || *scenarioName != "" {
+		mode := *schedMode
+		if mode == "" {
+			mode = "power"
+		}
+		if strategy, err = sched.Lookup(mode); err != nil {
+			usageError("-sched: %v", err)
+		}
+		strategyFlag = "-sched"
+	}
+	if strategy.PowerAware() && *capKW <= 0 && !*tourn {
+		twin := "fifo"
+		if s, err := sched.Lookup(strings.TrimSuffix(strategy.Name(), "-power")); err == nil && !s.PowerAware() {
+			twin = s.Name()
+		}
+		usageError("%s %s admits under the power cap, which -cap 0 disables: pass %s %s",
+			strategyFlag, strategy.Name(), strategyFlag, twin)
 	}
 
 	// Pure flag validation: reject a bad chaos setup before the
@@ -225,24 +262,6 @@ func main() {
 		return
 	}
 
-	// With a cap the batch run is the paper's proactive configuration:
-	// the same order, admitting on predicted power.
-	var strategy sched.Strategy
-	switch {
-	case *policy == "fcfs" && *capKW > 0:
-		strategy = sched.NewFIFOPowerStrategy()
-	case *policy == "fcfs":
-		strategy = sched.NewFIFOStrategy()
-	case *policy == "easy" && *capKW > 0:
-		strategy = sched.NewEASYPowerStrategy()
-	case *policy == "easy":
-		strategy = sched.NewEASYStrategy()
-	default:
-		log.Printf("unknown policy %q", *policy)
-		flag.Usage()
-		os.Exit(2)
-	}
-
 	gen, err := workload.NewGenerator(workload.DefaultGeneratorConfig(*seed))
 	if err != nil {
 		log.Fatal(err)
@@ -314,26 +333,25 @@ func main() {
 		}
 	}
 
-	if *scenarioName != "" {
-		sc, err := scenario.Get(*scenarioName)
-		if err != nil {
-			log.Fatal(err)
+	if *scenarioName != "" || *schedMode != "" {
+		lcfg := core.LiveConfig{
+			Nodes:   *streamNodes,
+			OnPlant: apiOnPlant,
+			Sched: sched.ControllerConfig{
+				Strategy: strategy,
+				Config:   sched.Config{PowerCapW: *capKW * 1000, ReactiveCapping: *reactive},
+				TickS:    *tick,
+			},
 		}
-		mode := *schedMode
-		if mode == "" {
-			mode = "power"
+		if sc != nil {
+			runScenario(sys, work, sc, lcfg, *seed)
+		} else {
+			if chaosPlan != nil {
+				sys.StreamFaults = chaosPlan
+				sys.StreamBatchSamples = chaosBatchSamples
+			}
+			runLive(sys, work, lcfg, *chaosName, *seed)
 		}
-		runScenario(sys, work, sc, mode, *capKW*1000, *reactive, *tick, *streamNodes, *seed, apiOnPlant)
-		lingerAPI(*apiAddr, *apiLinger)
-		return
-	}
-
-	if *schedMode != "" {
-		if chaosPlan != nil {
-			sys.StreamFaults = chaosPlan
-			sys.StreamBatchSamples = chaosBatchSamples
-		}
-		runLive(sys, work, *schedMode, *capKW*1000, *reactive, *tick, *streamNodes, *chaosName, *seed, apiOnPlant)
 		lingerAPI(*apiAddr, *apiLinger)
 		return
 	}
@@ -433,42 +451,14 @@ func lingerAPI(addr string, d time.Duration) {
 	time.Sleep(d)
 }
 
-// liveConfig maps the -sched mode and the shared flags to a closed-loop
-// run configuration.
-func liveConfig(mode string, capW float64, reactive bool, tick float64, nodes int, onPlant func(core.LivePlant)) core.LiveConfig {
-	var adm sched.Admission
-	switch mode {
-	case "fifo":
-		adm = sched.AdmitFIFO
-	case "power":
-		adm = sched.AdmitPowerAware
-	default:
-		log.Printf("unknown live policy %q (want fifo or power)", mode)
-		flag.Usage()
-		os.Exit(2)
-	}
-	return core.LiveConfig{
-		Nodes:   nodes,
-		OnPlant: onPlant,
-		Sched: sched.ControllerConfig{
-			Admission: adm,
-			Config: sched.Config{
-				PowerCapW:       capW,
-				ReactiveCapping: reactive,
-			},
-			TickS: tick,
-		},
-	}
-}
-
 // runLive executes the closed-loop control plane and prints its summary.
-func runLive(sys *core.System, work []workload.Job, mode string, capW float64, reactive bool, tick float64, nodes int, chaosName string, seed int64, onPlant func(core.LivePlant)) {
-	res, err := sys.RunLive(work, liveConfig(mode, capW, reactive, tick, nodes, onPlant))
+func runLive(sys *core.System, work []workload.Job, cfg core.LiveConfig, chaosName string, seed int64) {
+	res, err := sys.RunLive(work, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("D.A.V.I.D.E. live control plane — policy %s, %.0f s ticks\n", res.Policy, tick)
+	fmt.Printf("D.A.V.I.D.E. live control plane — policy %s, %.0f s ticks\n", res.Policy, cfg.Sched.TickS)
 	fmt.Printf("  jobs                 %d over %d ticks\n", res.Jobs, res.Ticks)
 	fmt.Printf("  makespan             %.1f h\n", res.Makespan/3600)
 	fmt.Printf("  mean wait            %.1f min (max %.1f)\n", res.MeanWait/60, res.MaxWait/60)
@@ -508,14 +498,14 @@ func runLive(sys *core.System, work []workload.Job, mode string, capW float64, r
 
 // runScenario executes a named scenario on the live control plane and
 // prints its summary plus the per-phase cap-tracking overlay.
-func runScenario(sys *core.System, work []workload.Job, sc *scenario.Scenario, mode string, capW float64, reactive bool, tick float64, nodes int, seed int64, onPlant func(core.LivePlant)) {
-	res, err := sys.RunScenario(sc, seed, work, liveConfig(mode, capW, reactive, tick, nodes, onPlant))
+func runScenario(sys *core.System, work []workload.Job, sc *scenario.Scenario, cfg core.LiveConfig, seed int64) {
+	res, err := sys.RunScenario(sc, seed, work, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("D.A.V.I.D.E. scenario %q — %s\n", sc.Name, sc.Desc)
-	fmt.Printf("  policy               %s, %.0f s ticks, seed %d\n", res.Policy, tick, seed)
+	fmt.Printf("  policy               %s, %.0f s ticks, seed %d\n", res.Policy, cfg.Sched.TickS, seed)
 	fmt.Printf("  jobs                 %d over %d ticks\n", res.Jobs, res.Ticks)
 	fmt.Printf("  makespan             %.1f h\n", res.Makespan/3600)
 	fmt.Printf("  mean wait            %.1f min (max %.1f)\n", res.MeanWait/60, res.MaxWait/60)
@@ -551,6 +541,13 @@ func runScenario(sys *core.System, work []workload.Job, sc *scenario.Scenario, m
 				ph.Phase, ph.T0, t1, ph.Ticks, ph.OverTicks, ph.MaxOverW, ph.MaxOverPct, ph.MeanOverW, ph.MeanCapW, ph.MeanPowerW)
 		}
 	}
+}
+
+// usageError reports a bad flag value on one line and exits with the
+// flag package's usage status, 2.
+func usageError(format string, args ...any) {
+	log.Printf(format, args...)
+	os.Exit(2)
 }
 
 // splitList parses a comma-separated flag value.

@@ -78,11 +78,13 @@ func TestGoldenModes(t *testing.T) {
 	}
 }
 
-// TestHostileFlags: a non-finite number is a usage error — exit 2 with
-// one line on stderr, nothing on stdout, before anything listens. At the
-// parent `-sched power -cap NaN` never admitted a job and streamed
-// telemetry for up to 200 000 ticks, and `-api-quota NaN` served every
-// request a 429. Not skipped under -short.
+// TestHostileFlags: a non-finite number, an unregistered strategy or
+// scenario name and a power-aware strategy at -cap 0 are usage errors — exit 2 with
+// one line on stderr, nothing on stdout, before anything listens.
+// Unchecked, `-sched power -cap NaN` never admitted a job and streamed
+// telemetry for up to 200 000 ticks, `-api-quota NaN` served every
+// request a 429, and `-sched bogus -api-addr …` announced its API before
+// it refused the name. Not skipped under -short.
 func TestHostileFlags(t *testing.T) {
 	bin, _ := build(t)
 	for _, args := range [][]string{
@@ -95,6 +97,11 @@ func TestHostileFlags(t *testing.T) {
 		{"-scenario", "dr-ramp", "-cap", "-Inf", "-obs-addr", "127.0.0.1:0"},
 		{"-sched", "power", "-api-addr", "127.0.0.1:0", "-api-quota", "NaN"},
 		{"-sched", "power", "-api-addr", "127.0.0.1:0", "-api-quota", "Inf"},
+		{"-jobs", "10", "-policy", "bogus"},
+		{"-sched", "bogus", "-api-addr", "127.0.0.1:0"},
+		{"-scenario", "dr-ramp", "-sched", "bogus"},
+		{"-scenario", "bogus", "-api-addr", "127.0.0.1:0"},
+		{"-jobs", "10", "-cap", "0"},
 	} {
 		var stdout, stderr bytes.Buffer
 		cmd := exec.Command(bin, args...)

@@ -159,7 +159,7 @@ func TestProactiveCapUsesTrainedPredictor(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The system auto-wires its predictor: policy must say proactive.
-	if res.Policy != "live-easy-power+reactive" {
+	if res.Policy != "easy-power+reactive" {
 		t.Errorf("policy = %q", res.Policy)
 	}
 	if res.CapViolationSec > 0.02*res.Makespan {

@@ -64,9 +64,9 @@ func TestRackReportFoldsControllerReads(t *testing.T) {
 		SampleRate: 4,
 		RackSize:   rackSize,
 		Sched: sched.ControllerConfig{
-			Admission: sched.AdmitFIFO,
-			Config:    sched.Config{PowerCapW: nodes * 500},
-			TickS:     15,
+			Strategy: sched.NewFIFOStrategy(),
+			Config:   sched.Config{PowerCapW: nodes * 500},
+			TickS:    15,
 		},
 	})
 	if err != nil {
@@ -117,9 +117,9 @@ func TestOverlayHonoursIdleFloor(t *testing.T) {
 		Nodes:      nodes,
 		SampleRate: 4,
 		Sched: sched.ControllerConfig{
-			Admission: sched.AdmitFIFO,
-			Config:    sched.Config{PowerCapW: floorW / 0.85, ReactiveCapping: true},
-			TickS:     15,
+			Strategy: sched.NewFIFOStrategy(),
+			Config:   sched.Config{PowerCapW: floorW / 0.85, ReactiveCapping: true},
+			TickS:    15,
 		},
 	})
 	if err != nil {
@@ -159,9 +159,9 @@ func TestScenarioOverlayFoldsControllerTicks(t *testing.T) {
 				Nodes:      nodes,
 				SampleRate: 4,
 				Sched: sched.ControllerConfig{
-					Admission: sched.AdmitFIFO,
-					Config:    sched.Config{PowerCapW: nodes * s.IdleNodePowerW / 0.3, ReactiveCapping: true},
-					TickS:     tickS,
+					Strategy: sched.NewFIFOStrategy(),
+					Config:   sched.Config{PowerCapW: nodes * s.IdleNodePowerW / 0.3, ReactiveCapping: true},
+					TickS:    tickS,
 				},
 			})
 			if err != nil {
@@ -207,9 +207,9 @@ func TestScenarioTickDefault(t *testing.T) {
 			Nodes:      nodes,
 			SampleRate: 4,
 			Sched: sched.ControllerConfig{
-				Admission: sched.AdmitFIFO,
-				Config:    sched.Config{PowerCapW: nodes * s.IdleNodePowerW / 0.3, ReactiveCapping: true},
-				TickS:     tickS,
+				Strategy: sched.NewFIFOStrategy(),
+				Config:   sched.Config{PowerCapW: nodes * s.IdleNodePowerW / 0.3, ReactiveCapping: true},
+				TickS:    tickS,
 			},
 		})
 		if err != nil {
@@ -288,7 +288,7 @@ func TestRegistryMirrorsControllerCounts(t *testing.T) {
 			Nodes:      nodes,
 			SampleRate: 4,
 			Sched: sched.ControllerConfig{
-				Admission: sched.AdmitPowerAware,
+				Strategy: sched.NewPowerAwareStrategy(),
 				Config: sched.Config{PowerCapW: nodes * 1000,
 					Estimator: func(j workload.Job) (float64, error) { return j.TruePowerPerNode, nil }},
 				TickS:             15,

@@ -59,9 +59,9 @@ func runInstrumentedScenario(t *testing.T) (string, *ScenarioResult) {
 		SampleRate: 4,
 		RackSize:   4,
 		Sched: sched.ControllerConfig{
-			Admission: sched.AdmitFIFO,
-			Config:    sched.Config{PowerCapW: 8 * 500, ReactiveCapping: false},
-			TickS:     15,
+			Strategy: sched.NewFIFOStrategy(),
+			Config:   sched.Config{PowerCapW: 8 * 500, ReactiveCapping: false},
+			TickS:    15,
 		},
 	})
 	if err != nil {

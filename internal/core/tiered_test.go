@@ -152,9 +152,9 @@ func TestRunLiveDeterministicAcrossRacks(t *testing.T) {
 			SampleRate: 4,
 			RackSize:   4,
 			Sched: sched.ControllerConfig{
-				Admission: sched.AdmitPowerAware,
-				Config:    sched.Config{PowerCapW: nodes * 1500, ReactiveCapping: true},
-				TickS:     15,
+				Strategy: sched.NewPowerAwareStrategy(),
+				Config:   sched.Config{PowerCapW: nodes * 1500, ReactiveCapping: true},
+				TickS:    15,
 			},
 		})
 		if err != nil {

@@ -22,28 +22,16 @@ import (
 // value instead of being assumed idle, so lost telemetry can never open
 // phantom headroom under the power cap.
 
-// Admission is shorthand for the two built-in strategies: a
-// ControllerConfig with a nil Strategy dispatches through the one its
-// Admission names.
+// Admission is the shim bench/ still compiles against; nothing else sets
+// ControllerConfig.Admission, and ROADMAP item 12 deletes both.
+//
+// Deprecated: set ControllerConfig.Strategy (Lookup("power")).
 type Admission int
 
-const (
-	// AdmitFIFO starts jobs strictly in submission order as soon as
-	// nodes are free, ignoring the power cap (the paper's baseline).
-	AdmitFIFO Admission = iota
-	// AdmitPowerAware starts a job only when measured machine power plus
-	// the job's predicted draw fits under the cap, greedily backfilling
-	// queued jobs that fit both nodes and power.
-	AdmitPowerAware
-)
-
-// String names the admission discipline.
-func (a Admission) String() string {
-	if a == AdmitFIFO {
-		return "live-fifo"
-	}
-	return "live-power-aware"
-}
+// AdmitPowerAware makes a config with a nil Strategy run Lookup("power").
+//
+// Deprecated: set ControllerConfig.Strategy (Lookup("power")).
+const AdmitPowerAware Admission = 1
 
 // TelemetrySource is the slice of the telemetry store the controller
 // reads: mean power over a tick window, per-node energy integrals for
@@ -82,16 +70,12 @@ type Hooks struct {
 type ControllerConfig struct {
 	Config // machine size, cap, estimator, reactive capping, idle power
 
-	// Admission selects FIFO or power-aware dispatch (the two built-in
-	// disciplines). Ignored when Strategy is set.
-	Admission Admission
-	// Strategy, when non-nil, supersedes Admission as the dispatch
-	// discipline — the pluggable seam the policy tournament sweeps
-	// (internal/tournament). The built-in constructors
-	// (NewFIFOStrategy, NewPowerAwareStrategy) reproduce the Admission
-	// disciplines bit-identically; see Strategy for the determinism
-	// contract implementations must keep.
+	// Strategy is the dispatch discipline — the pluggable seam the
+	// policy tournament sweeps (internal/tournament); nil is strict FIFO.
+	// See Strategy for the determinism contract implementations keep.
 	Strategy Strategy
+	// Deprecated: Admission is the bench/ shim (see Admission).
+	Admission Admission
 	// TickS is the control period in virtual seconds (default 30).
 	TickS float64
 	// Trainer, when non-nil, supersedes Config.Estimator and is retrained
@@ -155,8 +139,6 @@ func (c ControllerConfig) Validate() error {
 	switch {
 	case !nonNegFinite(c.TickS):
 		return fmt.Errorf("sched: tick period %g s is not a finite value >= 0", c.TickS)
-	case c.Admission != AdmitFIFO && c.Admission != AdmitPowerAware:
-		return fmt.Errorf("sched: unknown admission discipline %d", int(c.Admission))
 	case !nonNegFinite(c.CapRampWPerS):
 		return fmt.Errorf("sched: cap ramp rate %g W/s is not a finite value >= 0", c.CapRampWPerS)
 	case !(c.BrownoutStaleFrac >= 0 && c.BrownoutStaleFrac <= 1):
@@ -177,7 +159,7 @@ func (c ControllerConfig) Validate() error {
 func (c ControllerConfig) PowerAware() bool { return c.strategy().PowerAware() }
 
 // strategy resolves the dispatch discipline: the configured Strategy,
-// or the built-in one matching Admission.
+// else strict FIFO, or "power" for the deprecated Admission shim.
 func (c ControllerConfig) strategy() Strategy {
 	if c.Strategy != nil {
 		return c.Strategy

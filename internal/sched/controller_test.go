@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -19,7 +20,7 @@ func TestControllerConfigValidation(t *testing.T) {
 		wantErr string
 	}{
 		{"ok-fifo", ControllerConfig{Config: Config{Nodes: 8}}, ""},
-		{"ok-power", ControllerConfig{Config: ok, Admission: AdmitPowerAware}, ""},
+		{"ok-power", ControllerConfig{Config: ok, Strategy: NewPowerAwareStrategy()}, ""},
 		{"base-config-checked", ControllerConfig{Config: Config{Nodes: 0}}, "at least one node"},
 		{"negative-tick", ControllerConfig{Config: ok, TickS: -1}, "tick period -1"},
 		// NaN passes every `x < 0` test; a NaN cap never admits a job.
@@ -28,11 +29,10 @@ func TestControllerConfigValidation(t *testing.T) {
 		{"nan-cap", ControllerConfig{Config: Config{Nodes: 8, PowerCapW: math.NaN(), Estimator: est}}, "power cap NaN"},
 		{"nan-ramp", ControllerConfig{Config: ok, CapRampWPerS: math.NaN()}, "cap ramp rate NaN"},
 		{"nan-brownout", ControllerConfig{Config: ok, BrownoutStaleFrac: math.NaN()}, "BrownoutStaleFrac NaN"},
-		{"unknown-admission", ControllerConfig{Config: ok, Admission: Admission(9)}, "unknown admission"},
 		{"power-without-cap", ControllerConfig{
-			Config: Config{Nodes: 8, Estimator: est}, Admission: AdmitPowerAware}, "needs a power cap"},
+			Config: Config{Nodes: 8, Estimator: est}, Strategy: NewPowerAwareStrategy()}, "needs a power cap"},
 		{"power-without-estimator", ControllerConfig{
-			Config: Config{Nodes: 8, PowerCapW: 10000}, Admission: AdmitPowerAware}, "estimator or trainer"},
+			Config: Config{Nodes: 8, PowerCapW: 10000}, Strategy: NewPowerAwareStrategy()}, "estimator or trainer"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -109,19 +109,16 @@ func ctlJobs() []workload.Job {
 
 func TestControllerFIFOViolatesCapPowerAwareHolds(t *testing.T) {
 	const capW = 8 * 1100 // idle 360*8 plus room for ~4 hot nodes
-	run := func(adm Admission) *ControllerResult {
+	run := func(cfg ControllerConfig) *ControllerResult {
 		plant := newDirectPlant(2)
-		cfg := ControllerConfig{
-			Config: Config{
-				Nodes: 8, PowerCapW: capW, IdleNodePowerW: 360,
-				ReactiveCapping: adm == AdmitPowerAware,
-				// Exact estimator: isolates the control loop from
-				// prediction error.
-				Estimator: func(j workload.Job) (float64, error) { return j.TruePowerPerNode, nil },
-			},
-			Admission: adm,
-			TickS:     10,
+		cfg.Config = Config{
+			Nodes: 8, PowerCapW: capW, IdleNodePowerW: 360,
+			ReactiveCapping: cfg.PowerAware(),
+			// Exact estimator: isolates the control loop from
+			// prediction error.
+			Estimator: func(j workload.Job) (float64, error) { return j.TruePowerPerNode, nil },
 		}
+		cfg.TickS = 10
 		c, err := NewController(cfg, ctlJobs(), plant.db, plant.hooks())
 		if err != nil {
 			t.Fatal(err)
@@ -132,8 +129,13 @@ func TestControllerFIFOViolatesCapPowerAwareHolds(t *testing.T) {
 		}
 		return res
 	}
-	fifo := run(AdmitFIFO)
-	power := run(AdmitPowerAware)
+	fifo := run(ControllerConfig{Strategy: mustLookup(t, "fifo")})
+	power := run(ControllerConfig{Strategy: mustLookup(t, "power")})
+	// The deprecated shim bench/ sets — a nil Strategy with the
+	// AdmitPowerAware Admission — must stay "power" bit for bit.
+	if shim := run(ControllerConfig{Admission: AdmitPowerAware}); !reflect.DeepEqual(shim, power) {
+		t.Errorf("Admission shim diverged from Lookup(\"power\"):\nshim  %+v\npower %+v", shim, power)
+	}
 	if fifo.CapViolationSec == 0 || fifo.MaxOverPct < 10 {
 		t.Errorf("FIFO should blow through the cap: viol=%gs over=%g%%", fifo.CapViolationSec, fifo.MaxOverPct)
 	}
@@ -164,8 +166,8 @@ func TestControllerHoldsLastSafeOnTelemetryLoss(t *testing.T) {
 			ReactiveCapping: true,
 			Estimator:       func(j workload.Job) (float64, error) { return j.TruePowerPerNode, nil },
 		},
-		Admission: AdmitPowerAware,
-		TickS:     10,
+		Strategy: NewPowerAwareStrategy(),
+		TickS:    10,
 	}
 	c, err := NewController(cfg, ctlJobs(), plant.db, plant.hooks())
 	if err != nil {
@@ -202,8 +204,8 @@ func TestControllerRejectsUnschedulableJobFast(t *testing.T) {
 			Nodes: 8, PowerCapW: 10000, IdleNodePowerW: 360,
 			Estimator: func(j workload.Job) (float64, error) { return j.TruePowerPerNode, nil },
 		},
-		Admission: AdmitPowerAware,
-		TickS:     10,
+		Strategy: NewPowerAwareStrategy(),
+		TickS:    10,
 	}
 	c, err := NewController(cfg, jobs, plant.db, plant.hooks())
 	if err != nil {
@@ -246,9 +248,8 @@ func TestLiveTruePowerMatchesStoreMeanPower(t *testing.T) {
 			at += float64(rng.Intn(40))
 		}
 		cfg := ControllerConfig{
-			Config:    Config{Nodes: nodes, IdleNodePowerW: 360},
-			Admission: AdmitFIFO,
-			TickS:     tick,
+			Config: Config{Nodes: nodes, IdleNodePowerW: 360},
+			TickS:  tick,
 		}
 		c, err := NewController(cfg, jobs, plant.db, plant.hooks())
 		if err != nil {
@@ -300,9 +301,8 @@ func TestControllerRejectsDuplicateJobIDs(t *testing.T) {
 	jobs := ctlJobs()
 	jobs[3].ID = jobs[2].ID
 	_, err := NewController(ControllerConfig{
-		Config:    Config{Nodes: 8, IdleNodePowerW: 360},
-		Admission: AdmitFIFO,
-		TickS:     10,
+		Config: Config{Nodes: 8, IdleNodePowerW: 360},
+		TickS:  10,
 	}, jobs, plant.db, plant.hooks())
 	if err == nil || !strings.Contains(err.Error(), "duplicate job ID") {
 		t.Fatalf("want duplicate-ID error, got %v", err)
@@ -317,9 +317,8 @@ func TestControllerFreshnessSurvivesRetention(t *testing.T) {
 	// Aggressive retention: keep only ~4 ticks of raw samples.
 	plant.db = tsdb.New(tsdb.Options{ChunkSize: 32, RetainRaw: 40})
 	cfg := ControllerConfig{
-		Config:    Config{Nodes: 4, IdleNodePowerW: 360},
-		Admission: AdmitFIFO,
-		TickS:     10,
+		Config: Config{Nodes: 4, IdleNodePowerW: 360},
+		TickS:  10,
 	}
 	jobs := []workload.Job{{
 		ID: 1, User: 0, App: workload.Generic, Nodes: 2,

@@ -347,7 +347,7 @@ func TestCapIgnoredCountsViolations(t *testing.T) {
 	if res.CapOverRMSW <= 0 {
 		t.Error("violations should have positive RMS overshoot")
 	}
-	if res.Policy != "live-easy" {
+	if res.Policy != "easy" {
 		t.Errorf("policy name = %q", res.Policy)
 	}
 }

@@ -2,10 +2,10 @@ package sched
 
 import "sort"
 
-// The policy space beyond the two built-ins: classic power-blind
-// disciplines (SJF, EASY-backfill) and power-aware refinements (SJF and
-// EASY under the cap, weighted-scoring admission, a deadline-aware EDF
-// variant). Every strategy here decides only from
+// The policy space beyond FIFO and the paper's power-aware admission:
+// classic power-blind disciplines (SJF, EASY-backfill) and power-aware
+// refinements (SJF and EASY under the cap, weighted-scoring admission, a
+// deadline-aware EDF variant). Every strategy here decides only from
 // the DispatchEnv's scheduler-visible view — wall limits, predictions,
 // measured power — never from hidden true durations or powers, and all
 // orderings break ties on the queue index so dispatch is deterministic.
@@ -27,9 +27,9 @@ func NewSJFPowerStrategy() Strategy { return &sjfStrategy{power: true} }
 
 func (s *sjfStrategy) Name() string {
 	if s.power {
-		return "live-sjf-power"
+		return "sjf-power"
 	}
-	return "live-sjf"
+	return "sjf"
 }
 
 func (s *sjfStrategy) PowerAware() bool { return s.power }
@@ -73,9 +73,9 @@ func NewEASYPowerStrategy() Strategy { return easyStrategy{power: true} }
 
 func (e easyStrategy) Name() string {
 	if e.power {
-		return "live-easy-power"
+		return "easy-power"
 	}
-	return "live-easy"
+	return "easy"
 }
 
 func (e easyStrategy) PowerAware() bool { return e.power }
@@ -127,50 +127,31 @@ func (e easyStrategy) Dispatch(env *DispatchEnv) error {
 	return nil
 }
 
-// WeightedConfig tunes the weighted-scoring admission strategy. Each
-// weight scales one normalized term of a pending job's dispatch score;
-// jobs are considered in descending score order. Zero values take the
-// defaults below.
-type WeightedConfig struct {
-	// AgeW rewards queue age: wait seconds normalized by the
-	// env's HeadReserveS. Unbounded growth is the anti-starvation
-	// mechanism — any job eventually outscores the field. Default 1.
-	AgeW float64
-	// PowerW penalises the job's predicted machine power delta as a
+// The weighted strategy's score weights. Each scales one normalized
+// term of a pending job's dispatch score; jobs are considered in
+// descending score order.
+const (
+	// weightAge rewards queue age: wait seconds normalized by the env's
+	// HeadReserveS. Unbounded growth is the anti-starvation mechanism —
+	// any job eventually outscores the field.
+	weightAge = 1
+	// weightPower penalises the job's predicted machine power delta as a
 	// fraction of the nominal cap (prefer frugal jobs when the machine
-	// is tight). Default 0.4.
-	PowerW float64
-	// EnergyW penalises predicted energy — delta × wall limit,
-	// normalized by one nominal-cap-hour (admit cheap-to-run work
-	// first). Default 0.3.
-	EnergyW float64
-	// FitW rewards how snugly the job's delta fills the current
+	// is tight).
+	weightPower = 0.4
+	// weightEnergy penalises predicted energy — delta × wall limit,
+	// normalized by one nominal-cap-hour (admit cheap-to-run work first).
+	weightEnergy = 0.3
+	// weightFit rewards how snugly the job's delta fills the current
 	// admission headroom (best-fit packing reduces stranded headroom;
 	// the term is delta/headroom in [0, 1] when the job fits, 0
-	// otherwise). Default 0.25.
-	FitW float64
-}
-
-// withDefaults fills unset weights.
-func (c WeightedConfig) withDefaults() WeightedConfig {
-	if c.AgeW == 0 {
-		c.AgeW = 1
-	}
-	if c.PowerW == 0 {
-		c.PowerW = 0.4
-	}
-	if c.EnergyW == 0 {
-		c.EnergyW = 0.3
-	}
-	if c.FitW == 0 {
-		c.FitW = 0.25
-	}
-	return c
-}
+	// otherwise).
+	weightFit = 0.25
+)
 
 // weightedStrategy scores the queue each tick and admits under the cap
 // in score order.
-type weightedStrategy struct{ cfg WeightedConfig }
+type weightedStrategy struct{}
 
 // NewWeightedStrategy returns weighted-scoring power-aware admission:
 // each tick every pending job gets a score mixing queue age (reward),
@@ -180,14 +161,12 @@ type weightedStrategy struct{ cfg WeightedConfig }
 // their predicted delta fits under the tick's admission cap. The age
 // term replaces the built-in head-reserve rule: starvation is priced,
 // not policed.
-func NewWeightedStrategy(cfg WeightedConfig) Strategy {
-	return &weightedStrategy{cfg: cfg.withDefaults()}
-}
+func NewWeightedStrategy() Strategy { return &weightedStrategy{} }
 
-func (*weightedStrategy) Name() string     { return "live-weighted" }
+func (*weightedStrategy) Name() string     { return "weighted" }
 func (*weightedStrategy) PowerAware() bool { return true }
 
-func (w *weightedStrategy) Dispatch(env *DispatchEnv) error {
+func (*weightedStrategy) Dispatch(env *DispatchEnv) error {
 	n := env.Len()
 	if n == 0 {
 		return nil
@@ -207,7 +186,7 @@ func (w *weightedStrategy) Dispatch(env *DispatchEnv) error {
 		if headroom > 0 && delta <= headroom {
 			fit = delta / headroom
 		}
-		scores[i] = w.cfg.AgeW*age - w.cfg.PowerW*powerFrac - w.cfg.EnergyW*energy + w.cfg.FitW*fit
+		scores[i] = weightAge*age - weightPower*powerFrac - weightEnergy*energy + weightFit*fit
 	}
 	order := queueOrder(n, func(a, b int) bool {
 		if scores[a] != scores[b] {
@@ -228,35 +207,29 @@ func (w *weightedStrategy) Dispatch(env *DispatchEnv) error {
 	return nil
 }
 
-// DefaultEDFSlack is the deadline slack factor the EDF strategy uses
-// when none is given: each job's synthetic deadline is its submission
-// time plus slack × its wall limit.
-const DefaultEDFSlack = 3
+// edfSlack is the EDF strategy's deadline slack factor: each job's
+// synthetic deadline is its submission time plus edfSlack × its wall
+// limit.
+const edfSlack = 3
 
 // edfStrategy dispatches earliest-deadline-first under the cap.
-type edfStrategy struct{ slack float64 }
+type edfStrategy struct{}
 
 // NewEDFStrategy returns deadline-aware power admission: every job gets
-// a synthetic deadline SubmitAt + slack × WallLimit (slack <= 0 takes
-// DefaultEDFSlack), pending jobs are considered earliest-deadline-first
+// a synthetic deadline SubmitAt + edfSlack × WallLimit, pending jobs are considered earliest-deadline-first
 // (ties: submission order) under the power cap, and once the most
 // urgent job must start immediately to make its deadline (now +
 // WallLimit past it), backfill behind it pauses — the deadline-driven
 // analogue of the built-in head-reserve rule.
-func NewEDFStrategy(slack float64) Strategy {
-	if slack <= 0 {
-		slack = DefaultEDFSlack
-	}
-	return &edfStrategy{slack: slack}
-}
+func NewEDFStrategy() Strategy { return &edfStrategy{} }
 
-func (*edfStrategy) Name() string     { return "live-edf-power" }
+func (*edfStrategy) Name() string     { return "edf-power" }
 func (*edfStrategy) PowerAware() bool { return true }
 
 // deadline computes queue job i's synthetic deadline.
-func (e *edfStrategy) deadline(env *DispatchEnv, i int) float64 {
+func (*edfStrategy) deadline(env *DispatchEnv, i int) float64 {
 	j := env.Job(i)
-	return j.SubmitAt + e.slack*j.WallLimit
+	return j.SubmitAt + edfSlack*j.WallLimit
 }
 
 func (e *edfStrategy) Dispatch(env *DispatchEnv) error {

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"davide/internal/workload"
 )
@@ -10,12 +11,10 @@ import (
 // This file is the admission seam: Strategy is the pluggable dispatch
 // discipline the scheduler core consults once per dispatch pass (every
 // Controller tick, every Simulator event), and DispatchEnv is the
-// sandboxed view of the core it decides over. The Controller's Admission
-// values (AdmitFIFO, AdmitPowerAware) are shorthand for two of the
-// strategies here, so a ControllerConfig that names an Admission and one
-// that passes the corresponding Strategy produce bit-identical runs —
-// the contract the tournament's policy comparisons (internal/tournament,
-// E24) rest on.
+// sandboxed view of the core it decides over. A strategy's Name is its
+// registry key: Lookup resolves every name StrategyNames lists, and the
+// CLI, the tournament (internal/tournament, E24) and Result.Policy all
+// spell a discipline that one way.
 
 // Strategy is a pluggable admission discipline. Once per dispatch pass
 // the driver hands the strategy a DispatchEnv over the pending queue;
@@ -39,6 +38,37 @@ type Strategy interface {
 	PowerAware() bool
 	// Dispatch runs one admission pass over env's pending queue.
 	Dispatch(env *DispatchEnv) error
+}
+
+// strategies is the registry: one constructor per discipline, listed
+// power-blind and power-aware twins pairwise, then the disciplines that
+// only exist under the cap. A constructor's key is the Name of what it
+// returns.
+var strategies = []func() Strategy{
+	NewFIFOStrategy, NewFIFOPowerStrategy,
+	NewSJFStrategy, NewSJFPowerStrategy,
+	NewEASYStrategy, NewEASYPowerStrategy,
+	NewPowerAwareStrategy, NewWeightedStrategy, NewEDFStrategy,
+}
+
+// StrategyNames lists the registered strategy names in registry order.
+func StrategyNames() []string {
+	names := make([]string, len(strategies))
+	for i, newStrategy := range strategies {
+		names[i] = newStrategy().Name()
+	}
+	return names
+}
+
+// Lookup returns a fresh instance of the strategy named name; every run
+// needs its own, since a Strategy may carry per-run state.
+func Lookup(name string) (Strategy, error) {
+	for _, newStrategy := range strategies {
+		if s := newStrategy(); s.Name() == name {
+			return s, nil
+		}
+	}
+	return nil, fmt.Errorf("sched: unknown strategy %q (have %s)", name, strings.Join(StrategyNames(), ", "))
 }
 
 // RunningJob is a strategy's read-only view of one running job — what a
@@ -224,25 +254,24 @@ func admits(env *DispatchEnv, i int, power bool) (bool, error) {
 	return ok, err
 }
 
-// fifoStrategy is strict submission order — the paper's baseline;
-// power-blind it is the built-in AdmitFIFO discipline.
+// fifoStrategy is strict submission order — the paper's baseline.
 type fifoStrategy struct{ power bool }
 
 // NewFIFOStrategy returns the built-in FIFO discipline as a Strategy:
 // jobs start strictly in submission order as soon as nodes are free,
-// ignoring the power cap. Bit-identical to Admission: AdmitFIFO.
+// ignoring the power cap ("fifo"; a nil Strategy runs it too).
 func NewFIFOStrategy() Strategy { return fifoStrategy{} }
 
 // NewFIFOPowerStrategy is FIFO with power-aware admission: the same
 // strict order, but the head also waits until the believed machine power
-// plus its predicted delta fits under the admission cap.
+// plus its predicted delta fits under the admission cap ("fifo-power").
 func NewFIFOPowerStrategy() Strategy { return fifoStrategy{power: true} }
 
 func (s fifoStrategy) Name() string {
 	if s.power {
-		return "live-fifo-power"
+		return "fifo-power"
 	}
-	return AdmitFIFO.String()
+	return "fifo"
 }
 
 func (s fifoStrategy) PowerAware() bool { return s.power }
@@ -252,18 +281,17 @@ func (s fifoStrategy) Dispatch(env *DispatchEnv) error {
 	return err
 }
 
-// powerAwareStrategy is the built-in AdmitPowerAware discipline: greedy
+// powerAwareStrategy is the paper's power-aware admission: greedy
 // backfill under the cap with the HeadReserve anti-starvation rule.
 type powerAwareStrategy struct{}
 
-// NewPowerAwareStrategy returns the built-in power-aware discipline as
-// a Strategy: a job starts only when measured machine power plus its
+// NewPowerAwareStrategy returns the paper's power-aware discipline
+// ("power"): a job starts only when measured machine power plus its
 // predicted delta fits under the tick's admission cap, with greedy
-// backfill and the HeadReserveS anti-starvation pause. Bit-identical to
-// Admission: AdmitPowerAware.
+// backfill and the HeadReserveS anti-starvation pause.
 func NewPowerAwareStrategy() Strategy { return powerAwareStrategy{} }
 
-func (powerAwareStrategy) Name() string     { return AdmitPowerAware.String() }
+func (powerAwareStrategy) Name() string     { return "power" }
 func (powerAwareStrategy) PowerAware() bool { return true }
 
 func (powerAwareStrategy) Dispatch(env *DispatchEnv) error {

@@ -135,8 +135,8 @@ func TestPowerVariantVanishesWithoutCapPressure(t *testing.T) {
 	}
 }
 
-// TestEveryStrategyRunsOnSimulator runs each tournament strategy and the
-// two batch-only power variants on the event-driven driver: a capped
+// TestEveryStrategyRunsOnSimulator runs each registered strategy on the
+// event-driven driver: a capped
 // 150-job workload must complete and, with reactive capping on, never
 // spend a second above the cap.
 func TestEveryStrategyRunsOnSimulator(t *testing.T) {
@@ -145,27 +145,21 @@ func TestEveryStrategyRunsOnSimulator(t *testing.T) {
 		Nodes: 45, IdleNodePowerW: 360, PowerCapW: 45 * 1000,
 		ReactiveCapping: true, Estimator: trainedEstimator(t),
 	}
-	strategies := []Strategy{
-		NewFIFOStrategy(), NewSJFStrategy(), NewEASYStrategy(),
-		NewPowerAwareStrategy(), NewSJFPowerStrategy(),
-		NewWeightedStrategy(WeightedConfig{}), NewEDFStrategy(0),
-		NewFIFOPowerStrategy(), NewEASYPowerStrategy(),
-	}
-	for _, strategy := range strategies {
-		sim, err := NewSimulator(cfg, strategy, jobs)
+	for _, name := range StrategyNames() {
+		sim, err := NewSimulator(cfg, mustLookup(t, name), jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := sim.Run()
 		if err != nil {
-			t.Errorf("%s: %v", strategy.Name(), err)
+			t.Errorf("%s: %v", name, err)
 			continue
 		}
 		if len(res.Ends) != len(jobs) {
-			t.Errorf("%s: %d of %d jobs finished", strategy.Name(), len(res.Ends), len(jobs))
+			t.Errorf("%s: %d of %d jobs finished", name, len(res.Ends), len(jobs))
 		}
 		if res.CapViolationSec != 0 {
-			t.Errorf("%s: %g s above the cap despite reactive capping", strategy.Name(), res.CapViolationSec)
+			t.Errorf("%s: %g s above the cap despite reactive capping", name, res.CapViolationSec)
 		}
 	}
 }

@@ -19,10 +19,11 @@ import (
 	"davide/internal/sched"
 )
 
-// Policy is one tournament entrant: a named admission discipline plus
-// the run settings it competes under.
+// Policy is one tournament entrant: a registered admission discipline
+// plus what the tournament adds to it.
 type Policy struct {
-	// Name is the stable registry key (leaderboard rows, CLI -policies).
+	// Name is the discipline's sched registry key (sched.Lookup), the
+	// leaderboard row and the CLI -policies spelling.
 	Name string
 	// Desc is the one-line description shown in the ledger.
 	Desc string
@@ -31,58 +32,53 @@ type Policy struct {
 	// baseline geometry); power-aware policies run with it (the
 	// configuration the paper advocates).
 	Reactive bool
-	// New returns a fresh Strategy instance for one run (strategies may
-	// carry per-run state and must not be shared across runs).
-	New func() sched.Strategy
 }
 
-// PowerAware reports whether the policy consults power predictions.
-func (p Policy) PowerAware() bool { return p.New().PowerAware() }
+// PowerAware reports whether the policy consults power predictions. An
+// entrant the sched registry does not know reads false; runCell refuses
+// to run it.
+func (p Policy) PowerAware() bool {
+	s, err := sched.Lookup(p.Name)
+	return err == nil && s.PowerAware()
+}
 
-// policies is the registry, in leaderboard-stable declaration order:
+// policies lists the entrants, in leaderboard-stable declaration order:
 // power-blind baselines first, power-aware refinements after.
 var policies = []Policy{
 	{
 		Name:     "fifo",
 		Desc:     "strict submission order, power-blind — the paper's baseline",
 		Reactive: false,
-		New:      sched.NewFIFOStrategy,
 	},
 	{
 		Name:     "sjf",
 		Desc:     "shortest-job-first by user wall limit, power-blind",
 		Reactive: false,
-		New:      sched.NewSJFStrategy,
 	},
 	{
 		Name:     "easy",
 		Desc:     "EASY-backfill with a shadow-time head reservation, power-blind",
 		Reactive: false,
-		New:      sched.NewEASYStrategy,
 	},
 	{
 		Name:     "power",
 		Desc:     "greedy backfill under the cap with head-reserve — the paper's power-aware admission",
 		Reactive: true,
-		New:      sched.NewPowerAwareStrategy,
 	},
 	{
 		Name:     "sjf-power",
 		Desc:     "shortest-first ordering with power-aware admission under the cap",
 		Reactive: true,
-		New:      sched.NewSJFPowerStrategy,
 	},
 	{
 		Name:     "weighted",
 		Desc:     "weighted scoring: queue-age reward, predicted power+energy penalties, headroom best-fit",
 		Reactive: true,
-		New:      func() sched.Strategy { return sched.NewWeightedStrategy(sched.WeightedConfig{}) },
 	},
 	{
 		Name:     "edf-power",
 		Desc:     "earliest-deadline-first under the cap (synthetic deadlines at 3x wall limit)",
 		Reactive: true,
-		New:      func() sched.Strategy { return sched.NewEDFStrategy(0) },
 	},
 }
 

@@ -194,12 +194,16 @@ func (c Config) runCell(pol Policy, axis string) (Cell, error) {
 	if err != nil {
 		return Cell{}, err
 	}
+	strategy, err := sched.Lookup(pol.Name)
+	if err != nil {
+		return Cell{}, err
+	}
 	lcfg := core.LiveConfig{
 		Nodes:      c.Nodes,
 		SampleRate: c.SampleRate,
 		RackSize:   c.RackSize,
 		Sched: sched.ControllerConfig{
-			Strategy: pol.New(),
+			Strategy: strategy,
 			Config:   sched.Config{PowerCapW: c.CapW, ReactiveCapping: pol.Reactive},
 			TickS:    c.TickS,
 		},

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"testing"
+
+	"davide/internal/sched"
 )
 
 // TestCommittedCellsReproduce guards the committed tournament.json: an
@@ -49,5 +51,21 @@ func TestCommittedCellsReproduce(t *testing.T) {
 	if !bytes.Equal(enc, data) {
 		t.Errorf("regenerated report (%d cells) differs from the committed tournament.json; "+
 			"run davide-sim -tournament -tournament-out and diff", len(full.Cells))
+	}
+}
+
+// TestEveryEntrantResolves: an entrant is a sched registry name plus
+// what the tournament adds, so each must resolve to a strategy of that
+// name.
+func TestEveryEntrantResolves(t *testing.T) {
+	for _, p := range Policies() {
+		s, err := sched.Lookup(p.Name)
+		if err != nil {
+			t.Errorf("entrant %q: %v", p.Name, err)
+			continue
+		}
+		if s.Name() != p.Name {
+			t.Errorf("entrant %q resolves to %q", p.Name, s.Name())
+		}
 	}
 }

@@ -80,8 +80,18 @@ const (
 	e19Tick  = 15
 )
 
-// e19Run executes one closed-loop scenario.
-func e19Run(tb testing.TB, adm sched.Admission, reactive bool, preset string, seed int64) *core.LiveResult {
+// lookupStrategy resolves a sched registry name or fails the test.
+func lookupStrategy(tb testing.TB, name string) sched.Strategy {
+	tb.Helper()
+	s, err := sched.Lookup(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// e19Run executes one closed-loop scenario under the named strategy.
+func e19Run(tb testing.TB, policy string, reactive bool, preset string, seed int64) *core.LiveResult {
 	tb.Helper()
 	train, work := e19Workload(tb, seed)
 	sys, err := core.NewSystem(train)
@@ -101,9 +111,9 @@ func e19Run(tb testing.TB, adm sched.Admission, reactive bool, preset string, se
 		SampleRate: 4,
 		RackSize:   6, // two capping racks on the 12-node machine
 		Sched: sched.ControllerConfig{
-			Admission: adm,
-			Config:    sched.Config{PowerCapW: e19CapW, ReactiveCapping: reactive},
-			TickS:     e19Tick,
+			Strategy: lookupStrategy(tb, policy),
+			Config:   sched.Config{PowerCapW: e19CapW, ReactiveCapping: reactive},
+			TickS:    e19Tick,
 		},
 	})
 	if err != nil {
@@ -125,8 +135,8 @@ func TestE19ClosedLoop(t *testing.T) {
 			label = "clean"
 		}
 		t.Run(label, func(t *testing.T) {
-			power := e19Run(t, sched.AdmitPowerAware, true, preset, seed)
-			fifo := e19Run(t, sched.AdmitFIFO, false, preset, seed)
+			power := e19Run(t, "power", true, preset, seed)
+			fifo := e19Run(t, "fifo", false, preset, seed)
 
 			// Cap holding under (possibly degraded) telemetry.
 			bound := e19Bounds[preset]
@@ -169,7 +179,7 @@ func TestE19ClosedLoop(t *testing.T) {
 	}
 
 	t.Run("degraded-path-exercised", func(t *testing.T) {
-		res := e19Run(t, sched.AdmitPowerAware, true, fleet.ChaosSplitBrain, seed)
+		res := e19Run(t, "power", true, fleet.ChaosSplitBrain, seed)
 		if res.StaleReads == 0 {
 			t.Error("split-brain produced no stale telemetry reads")
 		}
@@ -183,8 +193,8 @@ func TestE19ClosedLoop(t *testing.T) {
 	})
 
 	t.Run("deterministic", func(t *testing.T) {
-		a := e19Run(t, sched.AdmitPowerAware, true, fleet.ChaosLossyRack, seed)
-		b := e19Run(t, sched.AdmitPowerAware, true, fleet.ChaosLossyRack, seed)
+		a := e19Run(t, "power", true, fleet.ChaosLossyRack, seed)
+		b := e19Run(t, "power", true, fleet.ChaosLossyRack, seed)
 		if a.Faults != b.Faults {
 			t.Errorf("fault ledgers differ:\n%+v\n%+v", a.Faults, b.Faults)
 		}

@@ -45,7 +45,7 @@ const (
 // e22Run executes one scenario on the live control plane (same machine
 // geometry as E19: 12 nodes, 14 kW, 15 s ticks, 24 jobs hot enough to
 // oversubscribe the cap).
-func e22Run(tb testing.TB, name string, adm sched.Admission, reactive bool, seed int64) *core.ScenarioResult {
+func e22Run(tb testing.TB, name, policy string, reactive bool, seed int64) *core.ScenarioResult {
 	tb.Helper()
 	sc, err := scenario.Get(name)
 	if err != nil {
@@ -61,9 +61,9 @@ func e22Run(tb testing.TB, name string, adm sched.Admission, reactive bool, seed
 		SampleRate: 4,
 		RackSize:   6,
 		Sched: sched.ControllerConfig{
-			Admission: adm,
-			Config:    sched.Config{PowerCapW: e22CapW, ReactiveCapping: reactive},
-			TickS:     e22Tick,
+			Strategy: lookupStrategy(tb, policy),
+			Config:   sched.Config{PowerCapW: e22CapW, ReactiveCapping: reactive},
+			TickS:    e22Tick,
 		},
 	})
 	if err != nil {
@@ -83,8 +83,8 @@ func TestE22ScenarioMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			power := e22Run(t, name, sched.AdmitPowerAware, true, e22Seed)
-			fifo := e22Run(t, name, sched.AdmitFIFO, false, e22Seed)
+			power := e22Run(t, name, "power", true, e22Seed)
+			fifo := e22Run(t, name, "fifo", false, e22Seed)
 
 			// Documented degradation bounds, controller view: worst true
 			// overshoot above the ramp-limited effective cap.
@@ -142,7 +142,7 @@ func TestE22ScenarioMatrix(t *testing.T) {
 	}
 
 	t.Run("brownout-engages-and-releases", func(t *testing.T) {
-		res := e22Run(t, scenario.ScenarioStaleBrownout, sched.AdmitPowerAware, true, e22Seed)
+		res := e22Run(t, scenario.ScenarioStaleBrownout, "power", true, e22Seed)
 		if res.StaleReads == 0 {
 			t.Fatal("split-brain window produced no stale telemetry reads")
 		}
@@ -180,9 +180,9 @@ func TestE22ScenarioMatrix(t *testing.T) {
 			SampleRate: 4,
 			RackSize:   6,
 			Sched: sched.ControllerConfig{
-				Admission: sched.AdmitPowerAware,
-				Config:    sched.Config{PowerCapW: e22CapW, ReactiveCapping: true},
-				TickS:     e22Tick,
+				Strategy: sched.NewPowerAwareStrategy(),
+				Config:   sched.Config{PowerCapW: e22CapW, ReactiveCapping: true},
+				TickS:    e22Tick,
 			},
 		})
 		if err != nil {
@@ -199,8 +199,8 @@ func TestE22ScenarioMatrix(t *testing.T) {
 
 	t.Run("deterministic", func(t *testing.T) {
 		// The fullest composition: cap ramp + windowed chaos + brownout.
-		a := e22Run(t, scenario.ScenarioRampChaos, sched.AdmitPowerAware, true, e22Seed)
-		b := e22Run(t, scenario.ScenarioRampChaos, sched.AdmitPowerAware, true, e22Seed)
+		a := e22Run(t, scenario.ScenarioRampChaos, "power", true, e22Seed)
+		b := e22Run(t, scenario.ScenarioRampChaos, "power", true, e22Seed)
 		if a.Faults != b.Faults {
 			t.Errorf("fault ledgers differ:\n%+v\n%+v", a.Faults, b.Faults)
 		}

@@ -31,7 +31,6 @@ import (
 
 	"davide/internal/fleet"
 	"davide/internal/scenario"
-	"davide/internal/sched"
 	"davide/internal/stats"
 	"davide/internal/tournament"
 )
@@ -76,24 +75,23 @@ func TestE24Tournament(t *testing.T) {
 	t.Run("anchors-e19", func(t *testing.T) {
 		// The fifo and power tournament cells on the live axes must equal
 		// the E19 suite's figures exactly: same geometry, same seed, and
-		// built-in strategies bit-identical to the Admission enum path.
+		// strategies resolved from the same registry names.
 		cells := e24Cells(t,
 			[]string{"fifo", "power"},
 			[]string{"clean", "chaos/" + fleet.ChaosLossyRack})
 		refs := []struct {
 			policy string
 			axis   string
-			adm    sched.Admission
 			react  bool
 			preset string
 		}{
-			{"fifo", "clean", sched.AdmitFIFO, false, ""},
-			{"power", "clean", sched.AdmitPowerAware, true, ""},
-			{"fifo", "chaos/" + fleet.ChaosLossyRack, sched.AdmitFIFO, false, fleet.ChaosLossyRack},
-			{"power", "chaos/" + fleet.ChaosLossyRack, sched.AdmitPowerAware, true, fleet.ChaosLossyRack},
+			{"fifo", "clean", false, ""},
+			{"power", "clean", true, ""},
+			{"fifo", "chaos/" + fleet.ChaosLossyRack, false, fleet.ChaosLossyRack},
+			{"power", "chaos/" + fleet.ChaosLossyRack, true, fleet.ChaosLossyRack},
 		}
 		for _, ref := range refs {
-			res := e19Run(t, ref.adm, ref.react, ref.preset, e24Seed)
+			res := e19Run(t, ref.policy, ref.react, ref.preset, e24Seed)
 			cell, ok := cells[[2]string{ref.policy, ref.axis}]
 			if !ok {
 				t.Fatalf("no cell for %s on %s", ref.policy, ref.axis)
@@ -126,13 +124,12 @@ func TestE24Tournament(t *testing.T) {
 		cells := e24Cells(t, []string{"fifo", "power"}, []string{axis})
 		for _, ref := range []struct {
 			policy string
-			adm    sched.Admission
 			react  bool
 		}{
-			{"fifo", sched.AdmitFIFO, false},
-			{"power", sched.AdmitPowerAware, true},
+			{"fifo", false},
+			{"power", true},
 		} {
-			res := e22Run(t, scenario.ScenarioDRRamp, ref.adm, ref.react, e24Seed)
+			res := e22Run(t, scenario.ScenarioDRRamp, ref.policy, ref.react, e24Seed)
 			cell, ok := cells[[2]string{ref.policy, axis}]
 			if !ok {
 				t.Fatalf("no cell for %s on %s", ref.policy, axis)
