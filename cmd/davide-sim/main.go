@@ -168,12 +168,13 @@ func main() {
 	// scheduled simulation burns minutes of wall clock. A single -chaos
 	// name resolves to its plain preset plan (bridge presets included);
 	// a comma-separated list composes gateway presets into one stacked
-	// plan, every name validated up front against both registries.
+	// plan, every name validated up front against both registries. Each
+	// refusal below is a usage error, made before anything listens.
 	var chaosPlan chaos.Planner
 	bridgeChaos := false
 	if *chaosName != "" {
 		if *stream <= 0 && *schedMode == "" && *scenarioName == "" {
-			log.Fatalf("-chaos %q needs a telemetry path: pass -stream <seconds> or -sched <policy>", *chaosName)
+			usageError("-chaos %q needs a telemetry path: pass -stream <seconds> or -sched <policy>", *chaosName)
 		}
 		names := strings.Split(*chaosName, ",")
 		for i := range names {
@@ -182,14 +183,14 @@ func main() {
 		if len(names) == 1 {
 			bridgeChaos = fleet.IsBridgePreset(names[0])
 			if bridgeChaos && *racks <= 1 {
-				log.Fatalf("-chaos %q faults rack→spine uplinks: pass -racks > 1", names[0])
+				usageError("-chaos %q faults rack→spine uplinks: pass -racks > 1", names[0])
 			}
 			if bridgeChaos && *schedMode != "" {
-				log.Fatalf("-chaos %q shapes the spine copy, which only a -stream replay verifies; drop -sched", names[0])
+				usageError("-chaos %q shapes the spine copy, which only a -stream replay verifies; drop -sched", names[0])
 			}
 			plan, err := fleet.ChaosPreset(names[0], *seed)
 			if err != nil {
-				log.Fatal(err)
+				usageError("-chaos: %v", err)
 			}
 			chaosPlan = plan
 		} else {
@@ -199,26 +200,29 @@ func main() {
 			}
 			stack, err := fleet.ChaosStack(*seed, phases...)
 			if err != nil {
-				log.Fatal(err)
+				usageError("-chaos: %v", err)
 			}
 			chaosPlan = stack
 		}
 	}
 	if *scenarioName != "" && *chaosName != "" {
-		log.Fatalf("-scenario %q owns its chaos stack; drop -chaos", *scenarioName)
+		usageError("-scenario %q owns its chaos stack; drop -chaos", *scenarioName)
 	}
 	if *scenarioName != "" && *stream > 0 {
-		log.Fatalf("-scenario %q runs on the live control plane; drop -stream", *scenarioName)
+		usageError("-scenario %q runs on the live control plane; drop -stream", *scenarioName)
 	}
 	if *racks < 1 {
-		log.Fatal("-racks must be >= 1")
+		usageError("-racks must be >= 1")
 	}
 	if !*tourn && (*tournPolicies != "" || *tournAxes != "" || *tournOut != "" || *ledgerPath != "" || *tournFrom != "") {
-		log.Fatal("-policies/-axes/-tournament-out/-ledger/-tournament-from need -tournament")
+		usageError("-policies/-axes/-tournament-out/-ledger/-tournament-from need -tournament")
 	}
 	if *tourn && (*schedMode != "" || *scenarioName != "" || *stream > 0 || *chaosName != "" ||
 		*obsAddr != "" || *obsDump != "" || *apiAddr != "") {
-		log.Fatal("-tournament owns its runs; drop -sched/-scenario/-stream/-chaos/-obs-addr/-obs-dump/-api-addr")
+		usageError("-tournament owns its runs; drop -sched/-scenario/-stream/-chaos/-obs-addr/-obs-dump/-api-addr")
+	}
+	if *apiAddr != "" && *schedMode == "" && *scenarioName == "" {
+		usageError("-api-addr serves a live run: pass -sched <policy> or -scenario <name>")
 	}
 
 	if *cpuprofile != "" {
@@ -310,9 +314,6 @@ func main() {
 	// exists (OnPlant), so clients can connect from the first tick.
 	var apiOnPlant func(core.LivePlant)
 	if *apiAddr != "" {
-		if *schedMode == "" && *scenarioName == "" {
-			log.Fatal("-api-addr serves a live run: pass -sched <policy> or -scenario <name>")
-		}
 		apiSrv, err := energyserve.Serve(*apiAddr, energyserve.Options{
 			QuotaRate: *apiQuota,
 			Obs:       sys.Obs,

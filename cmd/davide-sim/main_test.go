@@ -78,9 +78,10 @@ func TestGoldenModes(t *testing.T) {
 	}
 }
 
-// TestHostileFlags: a non-finite number, an unregistered strategy or
-// scenario name and a power-aware strategy at -cap 0 are usage errors — exit 2 with
-// one line on stderr, nothing on stdout, before anything listens.
+// TestHostileFlags: a non-finite number, an unregistered strategy,
+// scenario or chaos name, a power-aware strategy at -cap 0 and a flag
+// combination the run cannot honour are usage errors — exit 2 with one
+// line on stderr, nothing on stdout, before anything listens.
 // Unchecked, `-sched power -cap NaN` never admitted a job and streamed
 // telemetry for up to 200 000 ticks, `-api-quota NaN` served every
 // request a 429, and `-sched bogus -api-addr …` announced its API before
@@ -102,6 +103,17 @@ func TestHostileFlags(t *testing.T) {
 		{"-scenario", "dr-ramp", "-sched", "bogus"},
 		{"-scenario", "bogus", "-api-addr", "127.0.0.1:0"},
 		{"-jobs", "10", "-cap", "0"},
+		{"-jobs", "10", "-racks", "0"},
+		{"-jobs", "10", "-policies", "fifo"},
+		{"-jobs", "10", "-api-addr", "127.0.0.1:0", "-obs-addr", "127.0.0.1:0"},
+		{"-tournament", "-sched", "power"},
+		{"-jobs", "10", "-chaos", "lossy-rack"},
+		{"-jobs", "10", "-chaos", "bogus", "-stream", "10"},
+		{"-jobs", "10", "-chaos", "lossy-rack,bogus", "-stream", "10"},
+		{"-jobs", "10", "-chaos", "bridge-flap", "-stream", "10"},
+		{"-sched", "power", "-chaos", "bridge-flap", "-racks", "2"},
+		{"-scenario", "diurnal", "-chaos", "lossy-rack"},
+		{"-scenario", "diurnal", "-stream", "10"},
 	} {
 		var stdout, stderr bytes.Buffer
 		cmd := exec.Command(bin, args...)

@@ -4,6 +4,12 @@
 // telemetry-derived energy-to-solution (ETS), distributes energy cost
 // between centre and user, and answers the queries an operator needs —
 // per-user totals, top consumers, energy-vs-allocation reports.
+//
+// It owns the one question both a record and the §IV phase view ask of
+// the monitoring plane — what a set of nodes drew over an interval —
+// through one EnergySource: RecordFromSource bills a job's interval and
+// Phases reports marked intervals, both from the same node sum, so a
+// job's one-phase view equals its record bit for bit.
 package accounting
 
 import (
@@ -69,13 +75,9 @@ func RecordFromSource(src EnergySource, jobID, user int, app string, nodes []int
 	if len(nodes) == 0 {
 		return Record{}, errors.New("accounting: record needs nodes")
 	}
-	total := 0.0
-	for _, n := range nodes {
-		e, err := src.Energy(n, t0, t1)
-		if err != nil {
-			return Record{}, fmt.Errorf("accounting: job %d node %d: %w", jobID, n, err)
-		}
-		total += e
+	total, err := nodeEnergy(src, nodes, t0, t1)
+	if err != nil {
+		return Record{}, fmt.Errorf("accounting: job %d %w", jobID, err)
 	}
 	r := Record{
 		JobID: jobID, User: user, App: app, Nodes: len(nodes),
@@ -85,6 +87,67 @@ func RecordFromSource(src EnergySource, jobID, user int, app string, nodes []int
 		return Record{}, err
 	}
 	return r, nil
+}
+
+// nodeEnergy sums the source's energy integral over [t0, t1] across
+// nodes, in node order: the one sum behind records and phases. An error
+// names the node that failed.
+func nodeEnergy(src EnergySource, nodes []int, t0, t1 float64) (float64, error) {
+	total := 0.0
+	for _, n := range nodes {
+		e, err := src.Energy(n, t0, t1)
+		if err != nil {
+			return 0, fmt.Errorf("node %d: %w", n, err)
+		}
+		total += e
+	}
+	return total, nil
+}
+
+// Phase is one measured interval of an application run (§IV: marked
+// program phases correlated with the power the monitoring plane saw).
+type Phase struct {
+	Name    string
+	T0, T1  float64
+	EnergyJ float64
+	MeanW   float64
+}
+
+// Duration returns the phase's wall time.
+func (p Phase) Duration() float64 { return p.T1 - p.T0 }
+
+// Phases rebuilds a phase report of a set of nodes from the energy
+// source: names[i] labels the interval between bounds[i] and
+// bounds[i+1], and its energy is the node sum RecordFromSource bills.
+// Bounds must increase; len(names) == len(bounds)-1.
+func Phases(src EnergySource, nodes []int, names []string, bounds []float64) ([]Phase, error) {
+	if src == nil {
+		return nil, errors.New("accounting: nil energy source")
+	}
+	if len(nodes) == 0 {
+		return nil, errors.New("accounting: phase needs nodes")
+	}
+	if len(bounds) < 2 {
+		return nil, errors.New("accounting: need at least two bounds")
+	}
+	if len(names) != len(bounds)-1 {
+		return nil, fmt.Errorf("accounting: %d names for %d phases", len(names), len(bounds)-1)
+	}
+	for i := 1; i < len(bounds); i++ {
+		if !(bounds[i] > bounds[i-1]) {
+			return nil, errors.New("accounting: bounds must increase")
+		}
+	}
+	out := make([]Phase, len(names))
+	for i, name := range names {
+		t0, t1 := bounds[i], bounds[i+1]
+		e, err := nodeEnergy(src, nodes, t0, t1)
+		if err != nil {
+			return nil, fmt.Errorf("accounting: phase %q %w", name, err)
+		}
+		out[i] = Phase{Name: name, T0: t0, T1: t1, EnergyJ: e, MeanW: e / (t1 - t0)}
+	}
+	return out, nil
 }
 
 // AddFromSource builds a record from the energy source and appends it.

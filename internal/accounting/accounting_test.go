@@ -1,9 +1,12 @@
 package accounting
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
+
+	"davide/internal/tsdb"
 )
 
 func rec(id, user, nodes int, start, end, energy float64) Record {
@@ -233,5 +236,93 @@ func TestRecordFromSource(t *testing.T) {
 	}
 	if _, err := l.AddFromSource(src, 7, 42, "bqcd", []int{0}, 0, 1); err == nil {
 		t.Error("duplicate job via AddFromSource should error")
+	}
+}
+
+// TestPhases asks Phases of a real store: marked intervals of one node
+// (the §IV correlation of phases with measured power), multi-node sums
+// that are RecordFromSource's bit for bit, and every malformed request.
+func TestPhases(t *testing.T) {
+	db := tsdb.New(tsdb.Options{})
+	for i := 0; i < 10; i++ {
+		w := 100.0
+		if i >= 5 {
+			w = 300
+		}
+		db.Append(0, float64(i), w)                // 100 W for t < 5, then 300 W
+		db.Append(1, float64(i), 200+7*float64(i)) // a ramp
+	}
+	db.Append(2, 0, 50) // one sample: no interval to integrate
+
+	cases := []struct {
+		name   string
+		src    EnergySource
+		nodes  []int
+		names  []string
+		bounds []float64
+		meanW  []float64 // nil: the request must fail
+	}{
+		{"lo then hi", db, []int{0}, []string{"lo", "hi"}, []float64{0, 5, 10}, []float64{100, 300}},
+		{"nil source", nil, []int{0}, []string{"a"}, []float64{0, 1}, nil},
+		{"no nodes", db, nil, []string{"a"}, []float64{0, 1}, nil},
+		{"no bounds", db, []int{0}, nil, nil, nil},
+		{"one bound", db, []int{0}, nil, []float64{1}, nil},
+		{"too many names", db, []int{0}, []string{"a", "b"}, []float64{0, 1}, nil},
+		{"too few names", db, []int{0}, []string{"a"}, []float64{0, 1, 2}, nil},
+		{"equal bounds", db, []int{0}, []string{"a"}, []float64{5, 5}, nil},
+		{"reversed bounds", db, []int{0}, []string{"a"}, []float64{3, 1}, nil},
+		{"NaN bound", db, []int{0}, []string{"a", "b"}, []float64{0, math.NaN(), 10}, nil},
+		{"unknown node", db, []int{42}, []string{"a"}, []float64{0, 1}, nil},
+		{"unknown node after a known one", db, []int{0, 42}, []string{"a"}, []float64{0, 1}, nil},
+		{"one-sample series", db, []int{2}, []string{"a"}, []float64{0, 1}, nil},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got, err := Phases(c.src, c.nodes, c.names, c.bounds)
+			if c.meanW == nil {
+				if err == nil {
+					t.Fatalf("want an error, got %+v", got)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(c.meanW) {
+				t.Fatalf("got %d phases, want %d", len(got), len(c.meanW))
+			}
+			for i, ph := range got {
+				if ph.Name != c.names[i] || ph.T0 != c.bounds[i] || ph.T1 != c.bounds[i+1] ||
+					math.Abs(ph.MeanW-c.meanW[i]) > 1e-9 || math.Abs(ph.MeanW*ph.Duration()-ph.EnergyJ) > 1e-9 {
+					t.Errorf("phase %d = %+v, want %q at %v W", i, ph, c.names[i], c.meanW[i])
+				}
+			}
+		})
+	}
+
+	// The store's sentinel survives the wrapping: the query service maps
+	// it to 404.
+	if _, err := Phases(db, []int{0, 42}, []string{"a"}, []float64{0, 1}); !errors.Is(err, tsdb.ErrUnknownNode) {
+		t.Errorf("unknown node error = %v, want tsdb.ErrUnknownNode", err)
+	}
+
+	// A job's phases and its record are one node sum: equal bit for bit,
+	// whatever the node order.
+	for _, nodes := range [][]int{{0, 1}, {1, 0}, {1}} {
+		bounds := []float64{0.25, 3, 4.5, 7.75, 11}
+		got, err := Phases(db, nodes, []string{"a", "b", "c", "d"}, bounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, ph := range got {
+			r, err := RecordFromSource(db, 1, 1, "x", nodes, bounds[i], bounds[i+1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ph.EnergyJ != r.EnergyJ || ph.MeanW != r.MeanPowerW() {
+				t.Errorf("nodes %v phase %d: %v J at %v W, record %v J at %v W",
+					nodes, i, ph.EnergyJ, ph.MeanW, r.EnergyJ, r.MeanPowerW())
+			}
+		}
 	}
 }

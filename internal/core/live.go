@@ -10,7 +10,6 @@ import (
 
 	"davide/internal/accounting"
 	"davide/internal/chaos"
-	"davide/internal/energyapi"
 	"davide/internal/fleet"
 	"davide/internal/obs"
 	"davide/internal/predictor"
@@ -117,9 +116,9 @@ type LiveResult struct {
 	// Racks reports each rack of RackSize nodes.
 	Racks []RackStats
 	// JobPhases is the measured §IV phase view of every completed job,
-	// rebuilt from the store (energyapi.JobPhase); it must agree with
+	// rebuilt from the store (accounting.Phases); it must agree with
 	// the controller's accounting ledger.
-	JobPhases map[int]energyapi.Phase
+	JobPhases map[int]accounting.Phase
 	// Assignments maps job ID to the concrete nodes it ran on.
 	Assignments map[int][]int
 	// Ledger is the run's telemetry-derived accounting ledger.
@@ -336,17 +335,17 @@ func (s *System) RunLive(jobs []workload.Job, cfg LiveConfig) (*LiveResult, erro
 	// store the run just filled.
 	res.Ledger = ctrl.Ledger()
 	res.Assignments = ctrl.Assignments()
-	res.JobPhases = make(map[int]energyapi.Phase, len(jobs))
+	res.JobPhases = make(map[int]accounting.Phase, len(jobs))
 	for id, nn := range res.Assignments {
 		rec, err := ctrl.Ledger().Job(id)
 		if err != nil {
 			continue // measure failure: the record was never built
 		}
-		ph, err := energyapi.JobPhase(db, rec.App, nn, rec.StartAt, rec.EndAt)
+		ph, err := accounting.Phases(db, nn, []string{rec.App}, []float64{rec.StartAt, rec.EndAt})
 		if err != nil {
 			continue
 		}
-		res.JobPhases[id] = ph
+		res.JobPhases[id] = ph[0]
 	}
 	// Fold the measured records into the system ledger so PerUser /
 	// billing queries see the live run (duplicate IDs are skipped:

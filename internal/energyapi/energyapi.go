@@ -6,12 +6,17 @@
 // system "size the node around the job requirements" and letting the
 // developer "compare time-to-solution versus energy-to-solution and
 // identify the right tradeoff".
+//
+// It runs on the node model, and only examples/appenergy and the
+// figures reach it. Its phases are accounting.Phase, the type
+// accounting.Phases rebuilds after the fact from the monitoring plane.
 package energyapi
 
 import (
 	"errors"
 	"fmt"
 
+	"davide/internal/accounting"
 	"davide/internal/node"
 )
 
@@ -20,24 +25,13 @@ import (
 // clock.
 type Clock func() float64
 
-// Phase is one completed application phase.
-type Phase struct {
-	Name    string
-	T0, T1  float64
-	EnergyJ float64
-	MeanW   float64
-}
-
-// Duration returns the phase's wall time.
-func (p Phase) Duration() float64 { return p.T1 - p.T0 }
-
 // Session instruments one application run on one node.
 type Session struct {
 	node    *node.Node
 	clock   Clock
 	started float64
-	phases  []Phase
-	open    *Phase
+	phases  []accounting.Phase
+	open    *accounting.Phase
 	closed  bool
 }
 
@@ -73,7 +67,7 @@ func (s *Session) PhaseBegin(name string) error {
 	if err := s.node.RecordPower(now); err != nil {
 		return err
 	}
-	s.open = &Phase{Name: name, T0: now}
+	s.open = &accounting.Phase{Name: name, T0: now}
 	return nil
 }
 
@@ -165,7 +159,7 @@ func (s *Session) ReleaseCores(keepPerSocket int) error {
 
 // Report is the whole-run summary the developer iterates on.
 type Report struct {
-	Phases      []Phase
+	Phases      []accounting.Phase
 	TotalTimeS  float64 // time-to-solution
 	TotalJ      float64 // energy-to-solution
 	MeanPowerW  float64
@@ -190,7 +184,7 @@ func (s *Session) Close() (Report, error) {
 		return Report{}, err
 	}
 	r := Report{
-		Phases:     append([]Phase(nil), s.phases...),
+		Phases:     append([]accounting.Phase(nil), s.phases...),
 		TotalTimeS: now - s.started,
 		TotalJ:     float64(e),
 	}
@@ -199,76 +193,6 @@ func (s *Session) Close() (Report, error) {
 	}
 	r.EnergyDelay = r.TotalJ * r.TotalTimeS
 	return r, nil
-}
-
-// PowerStore answers per-node energy-integral queries — the telemetry
-// store (tsdb.DB) satisfies it. It lets phase reports be reconstructed
-// after the fact from the monitoring plane instead of from the node
-// model, the §IV loop of correlating marked phases with measured power.
-type PowerStore interface {
-	Energy(node int, t0, t1 float64) (float64, error)
-}
-
-// PhasesFromStore rebuilds a phase report from stored telemetry: names[i]
-// labels the phase between boundaries[i] and boundaries[i+1]. Boundaries
-// must increase; len(names) == len(boundaries)-1.
-func PhasesFromStore(store PowerStore, node int, names []string, boundaries []float64) ([]Phase, error) {
-	if store == nil {
-		return nil, errors.New("energyapi: nil store")
-	}
-	if len(boundaries) < 2 {
-		return nil, errors.New("energyapi: need at least two boundaries")
-	}
-	if len(names) != len(boundaries)-1 {
-		return nil, fmt.Errorf("energyapi: %d names for %d phases", len(names), len(boundaries)-1)
-	}
-	for i := 1; i < len(boundaries); i++ {
-		if boundaries[i] <= boundaries[i-1] {
-			return nil, errors.New("energyapi: boundaries must increase")
-		}
-	}
-	out := make([]Phase, 0, len(names))
-	for i, name := range names {
-		t0, t1 := boundaries[i], boundaries[i+1]
-		e, err := store.Energy(node, t0, t1)
-		if err != nil {
-			return nil, fmt.Errorf("energyapi: phase %q: %w", name, err)
-		}
-		ph := Phase{Name: name, T0: t0, T1: t1, EnergyJ: e}
-		if d := ph.Duration(); d > 0 {
-			ph.MeanW = e / d
-		}
-		out = append(out, ph)
-	}
-	return out, nil
-}
-
-// JobPhase reconstructs one job's whole execution as a single measured
-// phase from stored telemetry, summing the energy integral over every
-// node the job ran on. It is the §IV phase view of a *scheduled* job —
-// the live control plane uses it to cross-check the accounting ledger's
-// telemetry-derived records against the store they were built from.
-func JobPhase(store PowerStore, name string, nodes []int, t0, t1 float64) (Phase, error) {
-	if store == nil {
-		return Phase{}, errors.New("energyapi: nil store")
-	}
-	if len(nodes) == 0 {
-		return Phase{}, errors.New("energyapi: phase needs nodes")
-	}
-	if t1 <= t0 {
-		return Phase{}, errors.New("energyapi: empty interval")
-	}
-	total := 0.0
-	for _, n := range nodes {
-		e, err := store.Energy(n, t0, t1)
-		if err != nil {
-			return Phase{}, fmt.Errorf("energyapi: job phase %q node %d: %w", name, n, err)
-		}
-		total += e
-	}
-	ph := Phase{Name: name, T0: t0, T1: t1, EnergyJ: total}
-	ph.MeanW = total / ph.Duration()
-	return ph, nil
 }
 
 // TradeoffPoint is one (configuration, TTS, ETS) sample of the §IV design

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"davide/internal/accounting"
 	"davide/internal/cpu"
 	"davide/internal/node"
 )
@@ -307,53 +308,66 @@ func TestParetoFrontTies(t *testing.T) {
 	}
 }
 
-// stubStore is a two-level PowerStore: 200 W before t=10, 600 W after.
-type stubStore struct{}
+// traceSource reads one node's own power trace as an
+// accounting.EnergySource: the monitoring plane's view of the run.
+type traceSource struct{ n *node.Node }
 
-func (stubStore) Energy(node int, t0, t1 float64) (float64, error) {
-	if node != 3 {
-		return 0, errors.New("stub: unknown node")
+func (s traceSource) Energy(id int, t0, t1 float64) (float64, error) {
+	if id != s.n.ID {
+		return 0, errors.New("trace: unknown node")
 	}
-	e := 0.0
-	if t0 < 10 {
-		hi := math.Min(t1, 10)
-		e += 200 * (hi - t0)
-	}
-	if t1 > 10 {
-		lo := math.Max(t0, 10)
-		e += 600 * (t1 - lo)
-	}
-	return e, nil
+	e, err := s.n.Energy(t0, t1)
+	return float64(e), err
 }
 
+// TestPhasesFromStore: the phases a Session marks live are the phases
+// accounting.Phases rebuilds after the fact from the node's power, bit
+// for bit, and a source error reaches the caller.
 func TestPhasesFromStore(t *testing.T) {
-	phases, err := PhasesFromStore(stubStore{}, 3, []string{"setup", "solve"}, []float64{0, 10, 20})
+	s, clk, n := newSession(t)
+	if err := s.PhaseBegin("setup"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetLoad(0.2); err != nil {
+		t.Fatal(err)
+	}
+	clk.advance(10)
+	if err := s.PhaseEnd(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PhaseBegin("solve"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetLoad(1); err != nil {
+		t.Fatal(err)
+	}
+	clk.advance(20)
+	if err := s.PhaseEnd(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(phases) != 2 {
-		t.Fatalf("got %d phases", len(phases))
-	}
-	if phases[0].Name != "setup" || math.Abs(phases[0].EnergyJ-2000) > 1e-9 || math.Abs(phases[0].MeanW-200) > 1e-9 {
-		t.Errorf("setup = %+v", phases[0])
-	}
-	if phases[1].Name != "solve" || math.Abs(phases[1].EnergyJ-6000) > 1e-9 || math.Abs(phases[1].MeanW-600) > 1e-9 {
-		t.Errorf("solve = %+v", phases[1])
+	if len(rep.Phases) != 2 {
+		t.Fatalf("session phases = %+v", rep.Phases)
 	}
 
-	if _, err := PhasesFromStore(nil, 3, []string{"a"}, []float64{0, 1}); err == nil {
-		t.Error("nil store should error")
+	src := traceSource{n}
+	got, err := accounting.Phases(src, []int{n.ID}, []string{"setup", "solve"}, []float64{0, 10, 30})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := PhasesFromStore(stubStore{}, 3, []string{"a"}, []float64{0}); err == nil {
-		t.Error("single boundary should error")
+	for i, ph := range got {
+		if ph != rep.Phases[i] {
+			t.Errorf("phase %d from store = %+v, session measured %+v", i, ph, rep.Phases[i])
+		}
 	}
-	if _, err := PhasesFromStore(stubStore{}, 3, []string{"a", "b"}, []float64{0, 1}); err == nil {
-		t.Error("name/phase count mismatch should error")
+	if !(got[1].MeanW > got[0].MeanW) {
+		t.Errorf("solve at %v W should draw more than setup at %v W", got[1].MeanW, got[0].MeanW)
 	}
-	if _, err := PhasesFromStore(stubStore{}, 3, []string{"a"}, []float64{1, 1}); err == nil {
-		t.Error("non-increasing boundaries should error")
-	}
-	if _, err := PhasesFromStore(stubStore{}, 9, []string{"a"}, []float64{0, 1}); err == nil {
-		t.Error("store error should propagate")
+
+	if _, err := accounting.Phases(src, []int{n.ID + 1}, []string{"a"}, []float64{0, 1}); err == nil {
+		t.Error("source error should propagate")
 	}
 }

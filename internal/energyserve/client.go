@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"davide/internal/accounting"
-	"davide/internal/energyapi"
 )
 
 // QuotaError reports a 429 from the service, carrying the server's
@@ -99,8 +98,8 @@ func (c *Client) Job(id int) (accounting.Record, error) {
 }
 
 // JobPhases returns the measured phase view of one scheduled job.
-func (c *Client) JobPhases(id int) ([]energyapi.Phase, error) {
-	var out []energyapi.Phase
+func (c *Client) JobPhases(id int) ([]accounting.Phase, error) {
+	var out []accounting.Phase
 	err := c.get("/v1/jobs/"+strconv.Itoa(id)+"/phases", &out)
 	return out, err
 }

@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"davide/internal/accounting"
-	"davide/internal/energyapi"
 	"davide/internal/obs"
 	"davide/internal/tsdb"
 )
@@ -298,21 +297,22 @@ func parseFinite(s string) (float64, bool) {
 	return v, err == nil && finite(v)
 }
 
-// parseFloats parses a comma-separated float list ("" -> nil).
-func parseFloats(s string) ([]float64, error) {
-	if s == "" {
-		return nil, nil
+// phaseArgs reads a phase route's optional names and its bounds, a
+// comma-separated list of finite numbers ("" -> nil).
+func phaseArgs(q url.Values) (names []string, bounds []float64, err error) {
+	if n := q.Get("names"); n != "" {
+		names = strings.Split(n, ",")
 	}
-	parts := strings.Split(s, ",")
-	out := make([]float64, len(parts))
-	for i, p := range parts {
-		v, ok := parseFinite(strings.TrimSpace(p))
-		if !ok {
-			return nil, fmt.Errorf("energyserve: bad boundary %q", p)
+	if s := q.Get("bounds"); s != "" {
+		for _, p := range strings.Split(s, ",") {
+			v, ok := parseFinite(strings.TrimSpace(p))
+			if !ok {
+				return nil, nil, fmt.Errorf("energyserve: bad boundary %q", p)
+			}
+			bounds = append(bounds, v)
 		}
-		out[i] = v
 	}
-	return out, nil
+	return names, bounds, nil
 }
 
 func (s *Server) handleJobPhases(w http.ResponseWriter, r *http.Request, q url.Values, b *Backend) {
@@ -335,42 +335,26 @@ func (s *Server) handleJobPhases(w http.ResponseWriter, r *http.Request, q url.V
 		http.Error(w, fmt.Sprintf("energyserve: job %d has no node assignment", id), http.StatusNotFound)
 		return
 	}
-	bounds, err := parseFloats(q.Get("bounds"))
+	names, bounds, err := phaseArgs(q)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var names []string
-	if n := q.Get("names"); n != "" {
-		names = strings.Split(n, ",")
-	}
 	if bounds == nil {
 		bounds = []float64{rec.StartAt, rec.EndAt}
 	}
-	if len(bounds) < 2 {
-		http.Error(w, "energyserve: need at least two bounds", http.StatusBadRequest)
-		return
-	}
-	if names == nil {
+	if names == nil && len(bounds) > 1 {
 		names = make([]string, len(bounds)-1)
 		for i := range names {
 			names[i] = rec.App
 		}
 	}
-	if len(names) != len(bounds)-1 {
-		http.Error(w, fmt.Sprintf("energyserve: %d names for %d phases", len(names), len(bounds)-1), http.StatusBadRequest)
+	phases, err := accounting.Phases(b.Store, nodes, names, bounds)
+	if err != nil {
+		http.Error(w, err.Error(), storeStatus(err))
 		return
 	}
-	out := make([]energyapi.Phase, 0, len(names))
-	for i, name := range names {
-		ph, err := energyapi.JobPhase(b.Store, name, nodes, bounds[i], bounds[i+1])
-		if err != nil {
-			http.Error(w, err.Error(), storeStatus(err))
-			return
-		}
-		out = append(out, ph)
-	}
-	writeJSON(w, out)
+	writeJSON(w, phases)
 }
 
 func (s *Server) handleNodePhases(w http.ResponseWriter, r *http.Request, q url.Values, b *Backend) {
@@ -379,21 +363,17 @@ func (s *Server) handleNodePhases(w http.ResponseWriter, r *http.Request, q url.
 		http.Error(w, "energyserve: bad node", http.StatusBadRequest)
 		return
 	}
-	bounds, err := parseFloats(q.Get("bounds"))
+	names, bounds, err := phaseArgs(q)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var names []string
-	if n := q.Get("names"); n != "" {
-		names = strings.Split(n, ",")
-	}
-	phases, err := energyapi.PhasesFromStore(b.Store, node, names, bounds)
+	phases, err := accounting.Phases(b.Store, []int{node}, names, bounds)
 	if err != nil {
 		http.Error(w, err.Error(), storeStatus(err))
 		return
 	}
-	// The body is exactly json.Marshal of the direct PhasesFromStore
+	// The body is exactly json.Marshal of the direct accounting.Phases
 	// result — the contract the report-equivalence property test pins.
 	writeJSON(w, phases)
 }

@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"davide/internal/accounting"
-	"davide/internal/energyapi"
 	"davide/internal/obs"
 	"davide/internal/tsdb"
 )
@@ -118,14 +117,15 @@ func TestJobPhasesMatchesDirect(t *testing.T) {
 	if rr.Code != http.StatusOK {
 		t.Fatalf("job phases: %d %s", rr.Code, rr.Body)
 	}
-	var got []energyapi.Phase
+	var got []accounting.Phase
 	if err := json.Unmarshal(rr.Body.Bytes(), &got); err != nil {
 		t.Fatal(err)
 	}
-	want, err := energyapi.JobPhase(db, "cfd", []int{0, 1}, 10, 110)
+	direct, err := accounting.Phases(db, []int{0, 1}, []string{"cfd"}, []float64{10, 110})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := direct[0]
 	if len(got) != 1 || got[0] != want {
 		t.Errorf("served %+v, direct %+v", got, want)
 	}
@@ -148,7 +148,7 @@ func TestJobPhasesMatchesDirect(t *testing.T) {
 
 // TestNodePhasesPropertyEqualDirect pins the report-equivalence
 // contract: the served body is byte-for-byte json.Marshal of the direct
-// energyapi.PhasesFromStore result, across randomized windows — and a
+// accounting.Phases result, across randomized windows — and a
 // window reply over the same span, which a hand encoder writes, is
 // byte-for-byte json.Marshal of the directly assembled WindowReport, on
 // the miss that encodes it and on the hit that replays it.
@@ -169,7 +169,7 @@ func TestNodePhasesPropertyEqualDirect(t *testing.T) {
 			bounds = append(bounds, at)
 			names = append(names, fmt.Sprintf("ph%d", i))
 		}
-		direct, err := energyapi.PhasesFromStore(db, n, names, bounds)
+		direct, err := accounting.Phases(db, []int{n}, names, bounds)
 		if err != nil {
 			t.Fatal(err)
 		}

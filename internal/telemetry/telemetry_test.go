@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"davide/internal/accounting"
-	"davide/internal/energyapi"
 	"davide/internal/gateway"
 	"davide/internal/monitors"
 	"davide/internal/mqtt"
@@ -84,22 +83,22 @@ func TestJobEnergy(t *testing.T) {
 
 // TestCorrelatePhases: mean power within application phase markers — the
 // profiling (Pr) view of Fig. 4, asked of the aggregator's store through
-// energyapi.PhasesFromStore.
+// accounting.Phases.
 func TestCorrelatePhases(t *testing.T) {
 	a := NewAggregator()
 	// Power: 100 W for t<5, then 300 W.
 	a.AddBatch(mkBatch(0, 0, 1, 100, 100, 100, 100, 100, 300, 300, 300, 300, 300))
-	phases, err := energyapi.PhasesFromStore(a.Store(), 0, []string{"lo", "hi"}, []float64{0, 5, 10})
+	phases, err := accounting.Phases(a.Store(), []int{0}, []string{"lo", "hi"}, []float64{0, 5, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(phases) != 2 || math.Abs(phases[0].MeanW-100) > 1e-9 || math.Abs(phases[1].MeanW-300) > 1e-9 {
 		t.Errorf("phases = %+v", phases)
 	}
-	if _, err := energyapi.PhasesFromStore(a.Store(), 0, nil, []float64{1}); err == nil {
+	if _, err := accounting.Phases(a.Store(), []int{0}, nil, []float64{1}); err == nil {
 		t.Error("single boundary should error")
 	}
-	if _, err := energyapi.PhasesFromStore(a.Store(), 0, []string{"a"}, []float64{5, 5}); err == nil {
+	if _, err := accounting.Phases(a.Store(), []int{0}, []string{"a"}, []float64{5, 5}); err == nil {
 		t.Error("non-increasing boundaries should error")
 	}
 }
@@ -581,15 +580,6 @@ func TestQueryErrorPaths(t *testing.T) {
 	a.AddBatch(mkBatch(2, 0, 1, 50)) // single-sample (empty) series
 	db := a.Store()
 
-	if _, err := energyapi.PhasesFromStore(db, 0, []string{"a"}, []float64{3, 1}); err == nil {
-		t.Error("reversed boundaries should error")
-	}
-	if _, err := energyapi.PhasesFromStore(db, 42, []string{"a"}, []float64{0, 1}); err == nil {
-		t.Error("unknown node should error")
-	}
-	if _, err := energyapi.PhasesFromStore(db, 2, []string{"a"}, []float64{0, 1}); err == nil {
-		t.Error("too-short series should error")
-	}
 	if _, err := accounting.RecordFromSource(db, 1, 1, "x", []int{2}, 0, 1); err == nil {
 		t.Error("empty series should error")
 	}
