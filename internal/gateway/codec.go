@@ -210,20 +210,19 @@ func DecodeBatchInto(payload []byte, scratch []float64) (Batch, error) {
 	n := h.count
 	dtTicks := h.dtTicks
 	tick0 := h.tick0
-	delta := dtTicks
-	lastTick := tick0
-	for i := 1; i < n; i++ {
-		dod, err := r.ReadDoD()
-		if err != nil {
-			return Batch{}, fmt.Errorf("gateway: decode: %w", err)
-		}
-		delta += dod
-		lastTick += delta
+	// Only the last tick is kept: it fixes the mean delta below.
+	span, err := r.ReadDoDSpan(n-1, dtTicks)
+	if err != nil {
+		return Batch{}, fmt.Errorf("gateway: decode: %w", err)
 	}
+	lastTick := tick0 + span
 	vb, err := r.ReadBits(64)
 	if err != nil {
 		return Batch{}, fmt.Errorf("gateway: decode: %w", err)
 	}
+	// A sample whose exponent bits are all ones is an infinity or a NaN;
+	// Validate names it below. Testing here spares a second pass.
+	bad := vb&expBits == expBits
 	out := append(scratch[:0], math.Float64frombits(vb))
 	var xs wire.XORState
 	for i := 1; i < n; i++ {
@@ -231,6 +230,7 @@ func DecodeBatchInto(payload []byte, scratch []float64) (Batch, error) {
 		if err != nil {
 			return Batch{}, fmt.Errorf("gateway: decode: %w", err)
 		}
+		bad = bad || vb&expBits == expBits
 		out = append(out, math.Float64frombits(vb))
 	}
 	b := Batch{Node: h.node, T0: wire.ToSec(tick0), Samples: out}
@@ -241,8 +241,13 @@ func DecodeBatchInto(payload []byte, scratch []float64) (Batch, error) {
 		// reproduces them is the mean observed delta.
 		b.Dt = (wire.ToSec(lastTick) - b.T0) / float64(n-1)
 	}
-	if err := b.Validate(); err != nil {
-		return Batch{}, err
+	if bad || !(b.Dt > 0 && finite(b.Dt)) {
+		if err := b.Validate(); err != nil {
+			return Batch{}, err
+		}
 	}
 	return b, nil
 }
+
+// expBits masks a float64's exponent field.
+const expBits = 0x7ff << 52

@@ -8,6 +8,10 @@
 // keeping the rollups, so month-scale replays stay queryable at a bounded
 // memory footprint.
 //
+// A batch is ingested as a run: the in-order part goes into the head and
+// the rollups in bulk, sealing where single appends would, and leaves the
+// state one Append per sample would, bit for bit.
+//
 // Raw chunks are read by one walk, series.integrate, which serves Energy,
 // MeanPower, and EnergyAt, Fetch and Window at res = 0. It locates the
 // window by binary search over the chunk index and combines precomputed
@@ -157,11 +161,12 @@ func (db *DB) Append(node int, t, w float64) {
 		s = newSeries(node, db.opts.Resolutions)
 		sh.series[node] = s
 	}
-	s.append(toTick(t), w, db.opts.ChunkSize, db.opts.RetainRaw)
+	s.append(t, 0, []float64{w}, db.opts.ChunkSize, db.opts.RetainRaw)
 	sh.mu.Unlock()
 }
 
-// AppendBatch ingests a uniformly spaced batch starting at t0.
+// AppendBatch ingests a uniformly spaced batch starting at t0: sample i
+// at t0+i*dt, exactly as if each were passed to Append in turn.
 func (db *DB) AppendBatch(node int, t0, dt float64, samples []float64) {
 	if len(samples) == 0 {
 		return
@@ -173,9 +178,7 @@ func (db *DB) AppendBatch(node int, t0, dt float64, samples []float64) {
 		s = newSeries(node, db.opts.Resolutions)
 		sh.series[node] = s
 	}
-	for i, w := range samples {
-		s.append(toTick(t0+float64(i)*dt), w, db.opts.ChunkSize, db.opts.RetainRaw)
-	}
+	s.append(t0, dt, samples, db.opts.ChunkSize, db.opts.RetainRaw)
 	sh.mu.Unlock()
 }
 

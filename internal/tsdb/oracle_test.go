@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -82,17 +83,46 @@ const oracleUnit = tickHz / 1000
 // query, then every node over windows cut at its samples, against the
 // model: Energy within rounding, Window's energy on Energy's bits, the
 // raw points of Window and Fetch exactly, IngestedSamples, and the
-// too-old and duplicate counts in Stats.
+// too-old and duplicate counts in Stats. A twin store takes the same
+// samples one Append at a time; at every query and at the end, Window at
+// res 0, 1 and 60 and Stats must equal the twin's bit for bit, so a batch
+// applied as a run leaves what its samples one by one would.
 func checkStoreOracle(t testing.TB, data []byte) {
 	const chunkSize, nodes = 8, 3
 	db := New(Options{ChunkSize: chunkSize})
+	// twin takes every sample by one Append, batches included.
+	twin := New(Options{ChunkSize: chunkSize})
 	models := make([]*modelSeries, nodes)
 	for i := range models {
 		models[i] = &modelSeries{}
 	}
 	put := func(node int, tick int64, w float64) {
 		db.Append(node, toSec(tick), w)
+		twin.Append(node, toSec(tick), w)
 		models[node].append(tick, w, chunkSize)
+	}
+	// sameAsTwin holds the store to the twin: Window at every resolution
+	// with the same bits, the same error and the same points, and Stats.
+	sameAsTwin := func(node int, t0, t1 float64) {
+		t.Helper()
+		for _, res := range []float64{0, 1, 60} {
+			e, pts, err := db.Window(node, t0, t1, res, nil)
+			we, wpts, werr := twin.Window(node, t0, t1, res, nil)
+			if math.Float64bits(e) != math.Float64bits(we) || fmt.Sprint(err) != fmt.Sprint(werr) || len(pts) != len(wpts) {
+				t.Fatalf("node %d [%v, %v] res %v: Window %v, %d points, %v; twin %v, %d points, %v",
+					node, t0, t1, res, e, len(pts), err, we, len(wpts), werr)
+			}
+			for i := range pts {
+				if p, q := pts[i], wpts[i]; math.Float64bits(p.T0) != math.Float64bits(q.T0) || math.Float64bits(p.T1) != math.Float64bits(q.T1) ||
+					math.Float64bits(p.MeanW) != math.Float64bits(q.MeanW) || math.Float64bits(p.MaxW) != math.Float64bits(q.MaxW) ||
+					math.Float64bits(p.EnergyJ) != math.Float64bits(q.EnergyJ) {
+					t.Fatalf("node %d [%v, %v] res %v: point %d = %+v, twin %+v", node, t0, t1, res, i, p, q)
+				}
+			}
+		}
+		if st, wst := db.Stats(), twin.Stats(); st != wst {
+			t.Fatalf("Stats %+v, twin %+v", st, wst)
+		}
 	}
 	newest := func(m *modelSeries) int64 {
 		if len(m.ticks) == 0 {
@@ -174,6 +204,7 @@ func checkStoreOracle(t testing.TB, data []byte) {
 			}
 			db.AppendBatch(node, toSec(start), dt, samples)
 			for i, s := range samples {
+				twin.Append(node, toSec(start)+float64(i)*dt, s)
 				m.append(toTick(toSec(start)+float64(i)*dt), s, chunkSize)
 			}
 		case 3: // out of order: on the grid or between two units
@@ -192,6 +223,7 @@ func checkStoreOracle(t testing.TB, data []byte) {
 				t0, t1 = t1, t0
 			}
 			check(node, t0, t1)
+			sameAsTwin(node, t0, t1)
 		}
 	}
 	var oo, dups int
@@ -203,10 +235,12 @@ func checkStoreOracle(t testing.TB, data []byte) {
 		dups += m.dups
 		if len(m.ticks) == 0 {
 			check(node, 0, 1)
+			sameAsTwin(node, 0, 1)
 			continue
 		}
 		first, end := toSec(m.ticks[0]), toSec(newest(m))+m.lastGap
 		check(node, first-1, end+1)
+		sameAsTwin(node, first-1, end+1)
 		check(node, first-1, first-0.5)
 		check(node, end, end+1)
 		for k := 0; k < len(m.ticks); k += 1 + len(m.ticks)/16 {
@@ -235,6 +269,11 @@ func TestStoreMatchesFlatModel(t *testing.T) {
 func FuzzStoreOracle(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 0, 0, 2, 0, 7, 0, 1})
+	// A batch of 20 across the seal at 16 samples, then another.
+	f.Add([]byte{0, 3, 0, 2, 19, 0, 7, 0, 5, 2, 19, 1, 7, 3, 30})
+	// 24 samples, then a batch of 20 whose first half re-delivers the
+	// newest ten (duplicates) before it continues.
+	f.Add([]byte{2, 23, 0, 2, 19, 0x8a, 7, 20, 40, 2, 11, 0x85, 7, 2, 9})
 	rng := rand.New(rand.NewSource(40))
 	for i := 0; i < 4; i++ {
 		data := make([]byte, 300)

@@ -81,8 +81,7 @@ func (r *rollup) addRect(t0, t1, p float64, cover bool) {
 	// the run already holds: the loop below would clip nothing and run
 	// once, so these are its three operations in its order. idx stays a
 	// division so that widths a float cannot hold exactly agree with it.
-	if i := r.idx(t0); cover && uint64(i-r.start) < uint64(len(r.buckets)) &&
-		t0 >= float64(i)*r.width && t1 <= float64(i+1)*r.width {
+	if i := r.idx(t0); cover && uint64(i-r.start) < uint64(len(r.buckets)) && r.inside(i, t0, t1) {
 		b := &r.buckets[i-r.start]
 		b.energyJ += p * (t1 - t0)
 		b.cover += t1 - t0
@@ -132,6 +131,89 @@ func (r *rollup) addRect(t0, t1, p float64, cover bool) {
 			break
 		}
 	}
+}
+
+// addRun adds the covering rectangles of an in-order run: [a, ts[0]) at
+// p, then [ts[k], ts[k+1]) at ws[k]. It is addRect on each in turn, bit
+// for bit. A rectangle that addRect's fast path would take is added to the
+// open bucket, whose sums live in locals and go back to the run when a
+// rectangle lands elsewhere, so every bucket sees the same float additions
+// in the same order. Any other rectangle goes through addRect itself.
+//
+// The run first grows to the bucket of its last rectangle, by one
+// bucketAt, when addRect would grow it that far in any case: the
+// rectangle lies inside that one bucket, the run exists and the growth is
+// well inside the glitch guard. Every rectangle before it ends at or
+// before its start, so the run ends up exactly as long as one addRect per
+// rectangle leaves it, and in between a rectangle inside a new bucket
+// stays on the fast path.
+func (r *rollup) addRun(a, p float64, ts, ws []float64) {
+	lo, hi := a, ts[len(ts)-1]
+	if n := len(ts); n > 1 {
+		lo = ts[n-2]
+	}
+	if i, end := r.idx(lo), r.start+int64(len(r.buckets)); len(r.buckets) > 0 && hi > lo &&
+		i >= end && i-end < maxRectBuckets/2 && r.inside(i, lo, hi) {
+		r.bucketAt(i)
+	}
+	var (
+		b          *bucket // the open bucket, at index cur
+		cur        int64
+		e, c, maxW float64 // its sums
+		edge, sure float64 // its upper edge, and sureIdx's bound
+	)
+	for k, t := range ts {
+		if t > a {
+			if b == nil || a > sure || t > edge {
+				// Locate the rectangle as addRect's fast path does.
+				i := r.idx(a)
+				if b != nil && (i != cur || t > edge) {
+					b.energyJ, b.cover, b.maxW = e, c, maxW
+					b = nil
+				}
+				if b == nil && uint64(i-r.start) < uint64(len(r.buckets)) && r.inside(i, a, t) {
+					b, cur = &r.buckets[i-r.start], i
+					e, c, maxW = b.energyJ, b.cover, b.maxW
+					edge = float64(i+1) * r.width
+					sure = r.sureIdx(i, edge)
+				}
+			}
+			if b != nil {
+				e += p * (t - a)
+				c += t - a
+				if p > maxW {
+					maxW = p
+				}
+			} else {
+				r.addRect(a, t, p, true)
+			}
+		}
+		a, p = t, ws[k]
+	}
+	if b != nil {
+		b.energyJ, b.cover, b.maxW = e, c, maxW
+	}
+}
+
+// inside reports whether [t0, t1) lies inside bucket i, decided as
+// addRect's fast path decides it.
+func (r *rollup) inside(i int64, t0, t1 float64) bool {
+	return t0 >= float64(i)*r.width && t1 <= float64(i+1)*r.width
+}
+
+// sureIdx returns a bound up to which idx is i for every t at or after
+// one that idx puts in bucket i, so addRun can skip the division there;
+// edge is float64(i+1)*width. idx(t) = floor(fl(t/width)) is monotone in
+// t, so it is at least i from such a t on, and below i+1 while
+// fl(t/width) < i+1. That holds for t <= edge*(1-2^-50): with edge > 0
+// and normal, and i+1 < 2^52 exact, t/width is then below
+// (i+1)*(1-2^-51), two or more ulps short of i+1, and rounding moves it
+// half an ulp at most. Anywhere else, -Inf leaves every t to the division.
+func (r *rollup) sureIdx(i int64, edge float64) float64 {
+	if !(edge >= 0x1p-1000) || i >= 1<<52 {
+		return math.Inf(-1)
+	}
+	return edge * (1 - 0x1p-50)
 }
 
 // overlap returns the first and last bucket index of the run that [t0, t1)

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
@@ -76,6 +77,48 @@ func BenchmarkAppendAged(b *testing.B) {
 		tick(agedTicks + i)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nodes*len(batch)), "ns/sample")
+}
+
+// BenchmarkAppendBatch is the store's ingest at the batch shapes of the
+// benchmark's three streaming workloads: 512 samples at 1 kS/s for 45
+// nodes (pilot-bulk), 60 at 4 S/s for 45 (control-loop) and 64 at 50 S/s
+// for 1024 (fabric-1k). One op is one batch per node. The watts sit on the
+// pilot ADC's grid (12 bits over 3 kW) with a code or two of noise, so the
+// XOR stream, and with it the cost of a seal, is the plant's: constant
+// watts would compress to a bit a sample.
+func BenchmarkAppendBatch(b *testing.B) {
+	for _, sh := range []struct {
+		name     string
+		nodes, n int
+		rate     float64
+	}{
+		{"pilot-bulk", 45, 512, 1000},
+		{"control-loop", 45, 60, 4},
+		{"fabric-1k", 1024, 64, 50},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			const lsb = 3000.0 / 4096
+			rng := rand.New(rand.NewSource(1))
+			batches := make([][]float64, 16)
+			for k := range batches {
+				level := math.Round((300 + 1500*rng.Float64()) / lsb)
+				batches[k] = make([]float64, sh.n)
+				for i := range batches[k] {
+					batches[k][i] = (level + float64(rng.Intn(5)-2)) * lsb
+				}
+			}
+			db := New(Options{})
+			span := float64(sh.n) / sh.rate
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for node := 0; node < sh.nodes; node++ {
+					db.AppendBatch(node, float64(i)*span, 1/sh.rate, batches[(i+node)%len(batches)])
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sh.nodes*sh.n), "ns/sample")
+		})
+	}
 }
 
 // TestRollupReadCostIsTheRun is the read-path cost contract: a query costs

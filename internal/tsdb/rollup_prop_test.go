@@ -262,3 +262,33 @@ func TestAddRectFastPathMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestSureIdxBound holds sureIdx to idx: at its bound, idx must not yet
+// have reached the next bucket (idx is monotone, so nothing between a time
+// in bucket i and the bound can have), over widths a float holds and ones
+// it does not, at bucket indexes up to 2^52 and at powers of two, where
+// the ulp below i+1 halves. On the tick grid the next tick lies past the
+// upper edge wherever the bound bites, so only this test sees it.
+func TestSureIdxBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	widths := []float64{1, 60, 0.1, 7, 0.25, 0.3, 1.1, 3.3, 1e-3, 1e-7}
+	for k := 0; k < 200_000; k++ {
+		w := widths[k%len(widths)]
+		if k%3 == 0 {
+			w = math.Ldexp(1+rng.Float64(), rng.Intn(40)-20)
+		}
+		i := rng.Int63n(1 << uint(1+rng.Intn(52)))
+		if k%7 == 0 {
+			i = 1<<uint(rng.Intn(52)) - 1 // i+1 a power of two
+		}
+		r := &rollup{width: w}
+		edge := float64(i+1) * w
+		sure := r.sureIdx(i, edge)
+		if math.IsInf(sure, -1) {
+			continue
+		}
+		if got := r.idx(sure); got > i {
+			t.Fatalf("width %v bucket %d: idx(%v) = %d past the bucket (edge %v)", w, i, sure, got, edge)
+		}
+	}
+}

@@ -58,27 +58,80 @@ func (s *series) sealedEnd() int64 {
 	return s.chunks[len(s.chunks)-1].tLast
 }
 
-// append ingests one sample. chunkSize bounds the head; retainRaw > 0
-// drops sealed chunks older than that horizon behind the newest sample.
-func (s *series) append(tick int64, w float64, chunkSize int, retainRaw float64) {
+// append ingests samples[k] at toTick(t0+k*dt), in order: a run of
+// samples whose ticks increase strictly past the newest goes in as one
+// unit (appendRun), and any other sample goes through place, one at a
+// time. chunkSize bounds the head; retainRaw > 0 drops sealed chunks
+// older than that horizon behind the newest sample. The state afterwards
+// is, bit for bit, what one place per sample would leave.
+func (s *series) append(t0, dt float64, samples []float64, chunkSize int, retainRaw float64) {
+	for i := 0; i < len(samples); {
+		tick := toTick(t0 + float64(i)*dt)
+		if s.total > 0 && tick <= s.pendT {
+			s.place(tick, samples[i], chunkSize, retainRaw)
+			i++
+			continue
+		}
+		i = s.appendRun(tick, i, t0, dt, samples, chunkSize, retainRaw)
+	}
+}
+
+// appendRun appends samples[i:j] as one run and returns j. Sample i, at
+// tick, is in order; the run ends before the first sample whose tick does
+// not increase, or where the head reaches 2*chunkSize and seals, so the
+// head holds exactly what it would after j-i in-order appends and every
+// seal, and dropRawBefore, happens at the sample it would.
+func (s *series) appendRun(tick int64, i int, t0, dt float64, samples []float64, chunkSize int, retainRaw float64) int {
+	base := len(s.headT)
+	stop := min(len(samples), i+2*chunkSize-base)
+	s.headT = append(s.headT, tick)
+	j := i + 1
+	for ; j < stop; j++ {
+		next := toTick(t0 + float64(j)*dt)
+		if next <= tick {
+			break
+		}
+		s.headT = append(s.headT, next)
+		tick = next
+	}
+	ticks, ws := s.headT[base:], samples[i:j]
+	s.headW = append(s.headW, ws...)
+	// Each sample's rectangle enters the rollups once its right neighbour
+	// is known: the pending sample's first, unless this run opens the
+	// series. Each tick's seconds are computed once for every rollup, a
+	// block at a time.
+	a, p := toSec(s.pendT), s.pendW
+	if s.total == 0 {
+		a, p, ticks, ws = toSec(ticks[0]), ws[0], ticks[1:], ws[1:]
+	}
+	var buf [128]float64
+	for len(ticks) > 0 {
+		ts := buf[:min(len(ticks), len(buf))]
+		for k := range ts {
+			ts[k] = toSec(ticks[k])
+		}
+		for _, r := range s.rolls {
+			r.addRun(a, p, ts, ws)
+		}
+		n := len(ts)
+		if n > 1 {
+			a = ts[n-2]
+		}
+		s.lastGap = ts[n-1] - a
+		a, p, ticks, ws = ts[n-1], ws[n-1], ticks[n:], ws[n:]
+	}
+	s.pendT, s.pendW = tick, samples[j-1]
+	s.total += j - i
+	s.maybeSeal(chunkSize, retainRaw)
+	return j
+}
+
+// place ingests one sample at or before the newest: a duplicate of the
+// newest, one too old to place, or an out-of-order insert.
+func (s *series) place(tick int64, w float64, chunkSize int, retainRaw float64) {
 	ts := toSec(tick)
 	n := len(s.headT)
 	switch {
-	case s.total == 0:
-		s.headT = append(s.headT, tick)
-		s.headW = append(s.headW, w)
-		s.pendT, s.pendW = tick, w
-	case tick > s.pendT:
-		// Fast path: in-order append. The pending sample's width is now
-		// known, so its rectangle enters the rollups.
-		prevT := toSec(s.pendT)
-		for _, r := range s.rolls {
-			r.addRect(prevT, ts, s.pendW, true)
-		}
-		s.lastGap = ts - prevT
-		s.headT = append(s.headT, tick)
-		s.headW = append(s.headW, w)
-		s.pendT, s.pendW = tick, w
 	case tick == s.pendT:
 		// Duplicate of the newest sample: overwrite in place (unless it
 		// was just sealed into an immutable chunk).
@@ -139,10 +192,14 @@ func (s *series) append(tick int64, w float64, chunkSize int, retainRaw float64)
 		s.headW[i] = w
 	}
 	s.total++
-	// Seal once the head holds two chunks' worth, compressing only the
-	// older half: the newest chunkSize samples stay open, so the
-	// reordering tolerance is a rolling window of at least chunkSize
-	// samples behind the newest — it never resets to zero at a seal.
+	s.maybeSeal(chunkSize, retainRaw)
+}
+
+// maybeSeal seals once the head holds two chunks' worth, compressing only
+// the older half: the newest chunkSize samples stay open, so the
+// reordering tolerance is a rolling window of at least chunkSize samples
+// behind the newest — it never resets to zero at a seal.
+func (s *series) maybeSeal(chunkSize int, retainRaw float64) {
 	if len(s.headT) >= 2*chunkSize {
 		s.seal(chunkSize)
 		if retainRaw > 0 {
@@ -161,9 +218,11 @@ func (s *series) seal(n int) {
 	if n == 0 {
 		return
 	}
-	e := 0.0
+	e, prev := 0.0, toSec(s.headT[0])
 	for i := 0; i < n-1; i++ {
-		e += s.headW[i] * (toSec(s.headT[i+1]) - toSec(s.headT[i]))
+		next := toSec(s.headT[i+1])
+		e += s.headW[i] * (next - prev)
+		prev = next
 	}
 	meta := chunkMeta{
 		data: encodeChunk(s.headT[:n], s.headW[:n]), count: n,

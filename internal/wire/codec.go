@@ -126,6 +126,35 @@ func (r *BitReader) ReadDoD() (int64, error) {
 	return int64(v), nil
 }
 
+// ReadDoDSpan consumes n timestamp delta-of-delta buckets that follow a
+// delta and returns the sum of the n deltas they make, each the one before
+// plus its bucket: the span from the tick before the first bucket to the
+// tick after the last. It is n ReadDoD calls, with the same sum (wrapping
+// as int64 sums wrap), error and bit position, but a run of zero buckets,
+// one bit each on a uniform grid, is taken a word at a time.
+func (r *BitReader) ReadDoDSpan(n int, delta int64) (int64, error) {
+	var span int64
+	for n > 0 {
+		if r.n <= 56 {
+			r.refill()
+		}
+		if z := min(uint(bits.LeadingZeros64(r.acc)), r.n, uint(min(n, 64))); z > 0 {
+			r.skip(z)
+			span += int64(z) * delta
+			n -= int(z)
+			continue
+		}
+		dod, err := r.ReadDoD()
+		if err != nil {
+			return 0, err
+		}
+		delta += dod
+		span += delta
+		n--
+	}
+	return span, nil
+}
+
 // XORState carries the reusable leading-zero / significant-bit window of
 // a Gorilla XOR value stream. The zero value starts a fresh stream.
 type XORState struct {

@@ -23,6 +23,10 @@ func bitAt(b []byte, i int) byte { return b[i/8] >> (7 - uint(i%8)) & 1 }
 // the reader takes a fresh window where the writer would reuse the old
 // one, at any relative cost — so there only the value must survive.
 //
+// A DoD op with a non-zero width reads that many buckets with
+// ReadDoDSpan, starting from a delta taken from the last XOR value and the
+// width, and is held to as many ReadDoD calls of the reference.
+//
 // Every op is also replayed on refReader, the byte-at-a-time reader the
 // package used to ship: value, error-or-not, bits consumed (after a
 // failure too) and window state must be equal on every input.
@@ -41,6 +45,16 @@ func FuzzBitReader(f *testing.F) {
 	w.WriteXOR(0x4076800000000000, 0x4076800000000000, &ws)
 	w.WriteXOR(0x4076900000000000, 0x4076800000000000, &ws)
 	f.Add(w.Bytes(), []byte{6 << 2, 1, 2, 2, 2, 3, 3, 3})
+	// Zero buckets across a word, a jitter between, and a span that runs
+	// out of input inside its zero run.
+	var z BitWriter
+	for k := 0; k < 150; k++ {
+		if k == 70 {
+			z.WriteDoD(-3)
+		}
+		z.WriteDoD(0)
+	}
+	f.Add(z.Bytes(), []byte{3 << 2, 63<<2 | 2, 63<<2 | 2, 63<<2 | 2})
 	addReaderSeeds(f)
 	f.Fuzz(func(t *testing.T, data, ops []byte) {
 		var r BitReader
@@ -72,6 +86,13 @@ func FuzzBitReader(f *testing.F) {
 					again, rerr = back.ReadUvarint()
 				}
 			case 2:
+				if m := int(op >> 2); m > 0 {
+					// m buckets at once: held below to m ReadDoD calls.
+					var span int64
+					span, err = r.ReadDoDSpan(m, int64(prev)+int64(m))
+					got = uint64(span)
+					break
+				}
 				var d, d2 int64
 				if d, err = r.ReadDoD(); err == nil {
 					re.WriteDoD(d)
@@ -97,6 +118,18 @@ func FuzzBitReader(f *testing.F) {
 				want, werr = ref.ReadUvarint()
 			case 2:
 				var d int64
+				if m := int(op >> 2); m > 0 {
+					delta, span := int64(prev)+int64(m), int64(0)
+					for k := 0; k < m && werr == nil; k++ {
+						d, werr = ref.ReadDoD()
+						delta += d
+						span += delta
+					}
+					if werr == nil {
+						want = uint64(span)
+					}
+					break
+				}
 				d, werr = ref.ReadDoD()
 				want = uint64(d)
 			case 3:
@@ -115,6 +148,9 @@ func FuzzBitReader(f *testing.F) {
 			end := r.bitPos()
 			if end <= start || end > 8*len(data) {
 				t.Fatalf("op %#x: reader moved from bit %d to %d of %d", op, start, end, 8*len(data))
+			}
+			if kind == 2 && op>>2 > 0 {
+				continue // a span has no one value to rewrite
 			}
 			if rerr != nil || again != got {
 				t.Fatalf("op %#x at bit %d: read %#x, rewrite reads back %#x (%v)", op, start, got, again, rerr)
