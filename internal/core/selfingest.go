@@ -31,7 +31,7 @@ type SelfIngest struct {
 func NewSelfIngest(reg *obs.Registry) *SelfIngest {
 	return &SelfIngest{
 		reg: reg,
-		db:  tsdb.New(tsdb.Options{ChunkSize: 128, Shards: 16}),
+		db:  tsdb.New(tsdb.Options{ChunkSize: 128}),
 		ids: make(map[string]int),
 	}
 }

@@ -182,7 +182,7 @@ func (b *Bridge) dialSource() (*Client, error) {
 }
 
 // drainFence is a filter no bridge subscribes to; Drain unsubscribes from
-// it for the round trip through the source session.
+// it for the round trip through the source session, then the uplink's.
 const drainFence = "$bridge/drain-fence"
 
 // enqueue runs on the source client's reader goroutine: copy the borrowed
@@ -317,10 +317,11 @@ func (b *Bridge) isClosed() bool {
 }
 
 // Drain blocks until every message the source broker has routed to the
-// bridge so far has been forwarded, then flushes the uplink Link
-// (releasing any held/delayed messages). Call it after the upstream
-// publishers have finished, as Plane.Stream does; a racing publisher can
-// re-fill the queue after Drain returns.
+// bridge so far has been forwarded, flushes the uplink Link (releasing
+// any held/delayed messages), and waits until the target broker has read
+// them all. Call it after the upstream publishers have finished, as
+// Plane.Stream does; a racing publisher can re-fill the queue after Drain
+// returns.
 func (b *Bridge) Drain(ctx context.Context) error {
 	// Fence the source session first: the UNSUBACK travels the broker's
 	// per-session queue behind every publish already routed to the bridge,
@@ -343,7 +344,15 @@ func (b *Bridge) Drain(ctx context.Context) error {
 	b.mu.Lock()
 	up := b.up
 	b.mu.Unlock()
-	return up.Flush()
+	if err := up.Flush(); err != nil {
+		return err
+	}
+	// Fence the uplink session the same way: a written publish may still
+	// sit unread in the target broker's connection, and its UNSUBACK comes
+	// back only once the broker has read (and counted) every one before it.
+	// A dead uplink has nothing left in flight for the target to read.
+	_ = up.Unsubscribe(drainFence)
+	return nil
 }
 
 // Stats snapshots the bridge's counters.

@@ -102,8 +102,10 @@ func TestBridgeForwardsMatchingTopics(t *testing.T) {
 // TestBridgeDrainCoversRoutedMessages: once the rack broker has routed a
 // message (the closing QoS-1 PUBACK says so for everything before it on
 // the connection), Drain must wait for it even if it is still on its way
-// to the bridge's source session. Plane.Stream's forwarded counts and the
-// same-seed snapshot contract rest on this.
+// to the bridge's source session, and until the spine has read every
+// message the bridge forwarded, not only until the uplink wrote it.
+// Plane.Stream's forwarded counts and the same-seed snapshot contract
+// (the spine's publishes-in series) rest on this.
 func TestBridgeDrainCoversRoutedMessages(t *testing.T) {
 	forEachTransport(t, testBridgeDrainCoversRoutedMessages)
 }
@@ -126,8 +128,12 @@ func testBridgeDrainCoversRoutedMessages(t *testing.T, listen string) {
 		if err := f.bridge.Drain(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if st := f.bridge.Stats(); st.Forwarded+st.Dropped != total {
+		st := f.bridge.Stats()
+		if st.Forwarded+st.Dropped != total {
 			t.Fatalf("round %d: drained with %d forwarded + %d dropped, want %d", round, st.Forwarded, st.Dropped, total)
+		}
+		if in := f.spine.Stats.PublishesIn.Load(); in != st.Forwarded {
+			t.Fatalf("round %d: spine read %d publishes after Drain, want the %d forwarded", round, in, st.Forwarded)
 		}
 	}
 }

@@ -52,7 +52,7 @@ type aggShard struct {
 // feeds it while experiment code queries the store).
 //
 // Per-node state is striped across power-of-two shards sized like the
-// store's (tsdb.ShardCountFor), so N rack-parallel ingest pools feeding
+// store's (tsdb.DB.Shards), so N rack-parallel ingest pools feeding
 // one aggregator scale with cores instead of serialising on a single
 // mutex. The only global state is the dropped-message counter, which is
 // off the sample hot path.
@@ -145,7 +145,7 @@ func NewAggregator() *Aggregator {
 // NewAggregatorOn creates an aggregator writing through to the given
 // store (which may be shared with other readers).
 func NewAggregatorOn(db *tsdb.DB) *Aggregator {
-	n := tsdb.ShardCountFor(0)
+	n := db.Shards()
 	a := &Aggregator{db: db, shards: make([]*aggShard, n), mask: uint32(n - 1)}
 	for i := range a.shards {
 		a.shards[i] = &aggShard{meta: make(map[int]*nodeMeta)}

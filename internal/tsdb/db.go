@@ -53,54 +53,14 @@ type Options struct {
 	// ChunkSize positions behind the newest always still places.
 	// Default 256.
 	ChunkSize int
-	// Resolutions are the rollup bucket widths in seconds, ascending.
-	// Default [1, 60].
+	// Resolutions are the rollup bucket widths in seconds, ascending,
+	// each rounded to a whole number of 100 ns ticks, from one tick up to
+	// 2^30 s. Default [1, 60].
 	Resolutions []float64
 	// RetainRaw drops sealed raw chunks older than this many seconds
 	// behind each node's newest sample. 0 keeps raw data forever.
 	RetainRaw float64
-	// Shards is the lock-stripe count, rounded up to a power of two so
-	// node→shard routing is a mask instead of a modulo. 0 sizes the
-	// store to the machine: the smallest power of two ≥ 4×GOMAXPROCS
-	// (and ≥ MinShards), so rack-parallel writers land on distinct
-	// stripes with headroom even when node IDs cluster. Each shard
-	// seals its own heads, so writers on different stripes never
-	// contend on one chunk head.
-	Shards int
 }
-
-// MinShards is the smallest stripe count New will build (the historical
-// fixed layout), MaxShards the largest an explicit Options.Shards can
-// request.
-const (
-	MinShards = 16
-	MaxShards = 1024
-)
-
-// shardCountFor normalises a shard request to the power-of-two stripe
-// count a DB (or any other node-striped structure) should use.
-func shardCountFor(req int) int {
-	n := req
-	if n <= 0 {
-		n = 4 * runtime.GOMAXPROCS(0)
-		if n < MinShards {
-			n = MinShards
-		}
-	}
-	if n > MaxShards {
-		n = MaxShards
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-// ShardCountFor exposes the sizing rule so sibling packages (the
-// telemetry aggregator stripes the same node space) stay in lockstep
-// with the store.
-func ShardCountFor(req int) int { return shardCountFor(req) }
 
 func (o Options) withDefaults() Options {
 	if o.ChunkSize <= 0 {
@@ -110,6 +70,9 @@ func (o Options) withDefaults() Options {
 		o.Resolutions = []float64{1, 60}
 	} else {
 		o.Resolutions = append([]float64(nil), o.Resolutions...)
+		for i, w := range o.Resolutions {
+			o.Resolutions[i] = toSec(max(1, toTick(min(w, 1<<30))))
+		}
 		sort.Float64s(o.Resolutions)
 	}
 	return o
@@ -122,7 +85,11 @@ type shard struct {
 
 // DB is a sharded, append-optimised time-series store for per-node power
 // streams. Safe for concurrent use. The stripe count is fixed at New
-// time (see Options.Shards); node→shard routing is a power-of-two mask.
+// time: the smallest power of two ≥ max(16, 4×GOMAXPROCS), so
+// rack-parallel writers land on distinct stripes with headroom even when
+// node IDs cluster, and node→shard routing is a mask. Each shard seals
+// its own heads, so writers on different stripes never contend on one
+// chunk head.
 type DB struct {
 	opts   Options
 	shards []shard
@@ -131,7 +98,10 @@ type DB struct {
 
 // New creates a store.
 func New(opts Options) *DB {
-	n := shardCountFor(opts.Shards)
+	n := 16
+	for n < 4*runtime.GOMAXPROCS(0) {
+		n <<= 1
+	}
 	db := &DB{opts: opts.withDefaults(), shards: make([]shard, n), mask: uint32(n - 1)}
 	for i := range db.shards {
 		db.shards[i].series = make(map[int]*series)
@@ -139,7 +109,8 @@ func New(opts Options) *DB {
 	return db
 }
 
-// Shards reports the stripe count the store was built with.
+// Shards reports the stripe count the store was built with; the
+// telemetry aggregator stripes the same node space by it.
 func (db *DB) Shards() int { return len(db.shards) }
 
 func (db *DB) shard(node int) *shard {
@@ -153,17 +124,7 @@ func (db *DB) shard(node int) *shard {
 // as long as they land inside the open head window (a rolling window of
 // at least the ChunkSize newest samples); duplicates overwrite; anything
 // older than the sealed horizon is counted and dropped.
-func (db *DB) Append(node int, t, w float64) {
-	sh := db.shard(node)
-	sh.mu.Lock()
-	s := sh.series[node]
-	if s == nil {
-		s = newSeries(node, db.opts.Resolutions)
-		sh.series[node] = s
-	}
-	s.append(t, 0, []float64{w}, db.opts.ChunkSize, db.opts.RetainRaw)
-	sh.mu.Unlock()
-}
+func (db *DB) Append(node int, t, w float64) { db.AppendBatch(node, t, 0, []float64{w}) }
 
 // AppendBatch ingests a uniformly spaced batch starting at t0: sample i
 // at t0+i*dt, exactly as if each were passed to Append in turn.

@@ -11,10 +11,11 @@ import (
 )
 
 // The hashes in this file are FNV-64a, generated at commit a1eff6a —
-// before internal/wire moved to a 64-bit accumulator and addRect gained
-// its one-bucket fast path — so "chunk bytes and window answers keep
-// their bits" is asserted against the old code and not only against a
-// reference written beside the new. A deliberate change of format or
+// before internal/wire moved to a 64-bit accumulator, before addRect
+// gained (and later lost) a one-bucket fast path, and before rollup
+// buckets moved to the tick grid — so "chunk bytes and window answers
+// keep their bits" is asserted against the old code and not only against
+// a reference written beside the new. A deliberate change of format or
 // arithmetic regenerates them (empty an entry; the failure prints the new
 // value).
 

@@ -8,8 +8,14 @@ import "math"
 // on ingest — a sample's rectangle is added the moment its right neighbour
 // (and therefore its width) is known — so they survive raw-chunk
 // retention and serve coarse queries without touching compressed chunks.
+//
+// A rollup keeps the store's clock: its width is a whole number of ticks,
+// bucket i holds the ticks [i·w, (i+1)·w), and its edges in seconds are
+// those ticks' seconds. Which bucket a tick falls in is integer arithmetic;
+// only the energy, cover and query pro-rating are float seconds.
 type rollup struct {
-	width   float64  // bucket width, seconds
+	width   float64  // bucket width, seconds: toSec(w)
+	w       int64    // bucket width, ticks (>= 1)
 	start   int64    // bucket index of buckets[0]
 	buckets []bucket // the dense run
 	spare   []bucket // zeroed headroom ending where buckets begins, left by front growth
@@ -21,19 +27,21 @@ type bucket struct {
 	maxW    float64
 }
 
-// idx maps a time to its bucket index.
-func (r *rollup) idx(t float64) int64 { return int64(math.Floor(t / r.width)) }
+// newRollup returns an empty rollup of a width that is a whole number of
+// ticks (Options.withDefaults rounds every width to one).
+func newRollup(width float64) *rollup { return &rollup{width: width, w: toTick(width)} }
 
-// lastBefore returns the index of the last bucket that starts before t1,
-// as a float so that callers can clamp infinities before converting. A
-// bucket whose start float64(i)*width is ≥ t1 lies outside [t0, t1).
-func (r *rollup) lastBefore(t1 float64) float64 {
-	i := math.Floor(t1 / r.width)
-	if i*r.width >= t1 {
+// bucketOf is the index of the bucket holding tick k: ⌊k / w⌋.
+func (r *rollup) bucketOf(k int64) int64 {
+	i := k / r.w
+	if k%r.w < 0 {
 		i--
 	}
 	return i
 }
+
+// edge is the lower edge of bucket i in seconds.
+func (r *rollup) edge(i int64) float64 { return toSec(i * r.w) }
 
 // bucketAt grows the dense run as needed and returns the bucket for index
 // i. Growth is geometric both ways, amortised O(1) per new bucket: a front
@@ -69,52 +77,31 @@ func (r *rollup) bucketAt(i int64) *bucket {
 // the pathological gap lose it).
 const maxRectBuckets = 100_000
 
-// addRect spreads one power rectangle [t0, t1) at p watts across the
-// bucket run. cover=false applies an energy-only correction (used when an
-// out-of-order insert re-attributes an already-covered span to a new
+// addRect spreads one power rectangle over the ticks [k0, k1) at p watts
+// across buckets ⌊k0/w⌋ … ⌊(k1−1)/w⌋, each of which it overlaps by at
+// least one tick. cover=false applies an energy-only correction (used when
+// an out-of-order insert re-attributes an already-covered span to a new
 // power level), leaving covered seconds untouched.
-func (r *rollup) addRect(t0, t1, p float64, cover bool) {
-	if t1 <= t0 {
+func (r *rollup) addRect(k0, k1 int64, p float64, cover bool) {
+	if k1 <= k0 {
 		return
 	}
-	// The common case on ingest, a covering rectangle inside one bucket
-	// the run already holds: the loop below would clip nothing and run
-	// once, so these are its three operations in its order. idx stays a
-	// division so that widths a float cannot hold exactly agree with it.
-	if i := r.idx(t0); cover && uint64(i-r.start) < uint64(len(r.buckets)) && r.inside(i, t0, t1) {
-		b := &r.buckets[i-r.start]
-		b.energyJ += p * (t1 - t0)
-		b.cover += t1 - t0
-		if p > b.maxW {
-			b.maxW = p
-		}
+	first, last := r.bucketOf(k0), r.bucketOf(k1-1)
+	if uint64(last-first) >= maxRectBuckets {
 		return
 	}
-	if (t1-t0)/r.width > maxRectBuckets {
-		return
-	}
-	if n := len(r.buckets); n > 0 {
+	if n := int64(len(r.buckets)); n > 0 {
 		// Refuse to grow the dense run by more than maxRectBuckets in one
 		// step: a rectangle landing that far from the existing run is a
 		// clock glitch, and materialising the gap would allocate without
 		// bound.
-		lo, hi := r.start, r.start+int64(n)
-		if i := r.idx(t0); i < lo {
-			lo = i
-		}
-		if i := int64(r.lastBefore(t1)) + 1; i > hi {
-			hi = i
-		}
-		if hi-lo-int64(n) > maxRectBuckets {
+		if uint64(max(last+1, r.start+n)-min(first, r.start))-uint64(n) > maxRectBuckets {
 			return
 		}
 	}
-	for i := r.idx(t0); ; i++ {
-		lo := math.Max(t0, float64(i)*r.width)
-		hi := math.Min(t1, float64(i+1)*r.width)
-		if hi <= lo {
-			break
-		}
+	lo := toSec(k0)
+	for i := first; i <= last; i++ {
+		hi := toSec(min(k1, (i+1)*r.w))
 		b := r.bucketAt(i)
 		b.energyJ += p * (hi - lo)
 		if cover {
@@ -127,18 +114,17 @@ func (r *rollup) addRect(t0, t1, p float64, cover bool) {
 			// lower bound on what was observed there).
 			b.maxW = p
 		}
-		if hi >= t1 {
-			break
-		}
+		lo = hi
 	}
 }
 
-// addRun adds the covering rectangles of an in-order run: [a, ts[0]) at
-// p, then [ts[k], ts[k+1]) at ws[k]. It is addRect on each in turn, bit
-// for bit. A rectangle that addRect's fast path would take is added to the
-// open bucket, whose sums live in locals and go back to the run when a
-// rectangle lands elsewhere, so every bucket sees the same float additions
-// in the same order. Any other rectangle goes through addRect itself.
+// addRun adds the covering rectangles of an in-order run: [a, ks[0]) at
+// p, then [ks[j], ks[j+1]) at ws[j], with ks rising strictly and ts[j] =
+// toSec(ks[j]). It is addRect on each in turn, bit for bit. The open
+// bucket's sums live in locals while each rectangle ends at or before its
+// upper edge tick (it starts inside, where the one before it ended); they
+// go back to the run when one does not, and that rectangle goes through
+// addRect unless it lies inside one bucket the run already holds.
 //
 // The run first grows to the bucket of its last rectangle, by one
 // bucketAt, when addRect would grow it that far in any case: the
@@ -146,97 +132,73 @@ func (r *rollup) addRect(t0, t1, p float64, cover bool) {
 // well inside the glitch guard. Every rectangle before it ends at or
 // before its start, so the run ends up exactly as long as one addRect per
 // rectangle leaves it, and in between a rectangle inside a new bucket
-// stays on the fast path.
-func (r *rollup) addRun(a, p float64, ts, ws []float64) {
-	lo, hi := a, ts[len(ts)-1]
-	if n := len(ts); n > 1 {
-		lo = ts[n-2]
+// opens that bucket too.
+func (r *rollup) addRun(a int64, p float64, ks []int64, ts, ws []float64) {
+	lo, hi := a, ks[len(ks)-1]
+	if n := len(ks); n > 1 {
+		lo = ks[n-2]
 	}
-	if i, end := r.idx(lo), r.start+int64(len(r.buckets)); len(r.buckets) > 0 && hi > lo &&
-		i >= end && i-end < maxRectBuckets/2 && r.inside(i, lo, hi) {
+	if i, end := r.bucketOf(lo), r.start+int64(len(r.buckets)); len(r.buckets) > 0 &&
+		i >= end && i-end < maxRectBuckets/2 && hi <= (i+1)*r.w {
 		r.bucketAt(i)
 	}
 	var (
-		b          *bucket // the open bucket, at index cur
-		cur        int64
+		b          *bucket // the open bucket
+		edge       int64   // its upper edge tick
 		e, c, maxW float64 // its sums
-		edge, sure float64 // its upper edge, and sureIdx's bound
 	)
-	for k, t := range ts {
-		if t > a {
-			if b == nil || a > sure || t > edge {
-				// Locate the rectangle as addRect's fast path does.
-				i := r.idx(a)
-				if b != nil && (i != cur || t > edge) {
-					b.energyJ, b.cover, b.maxW = e, c, maxW
-					b = nil
-				}
-				if b == nil && uint64(i-r.start) < uint64(len(r.buckets)) && r.inside(i, a, t) {
-					b, cur = &r.buckets[i-r.start], i
-					e, c, maxW = b.energyJ, b.cover, b.maxW
-					edge = float64(i+1) * r.width
-					sure = r.sureIdx(i, edge)
-				}
-			}
-			if b != nil {
-				e += p * (t - a)
-				c += t - a
-				if p > maxW {
-					maxW = p
-				}
-			} else {
-				r.addRect(a, t, p, true)
+	as := toSec(a)
+	ts, ws = ts[:len(ks)], ws[:len(ks)] // one bounds check per run, not per sample
+	for j, k := range ks {
+		if b != nil && k > edge {
+			b.energyJ, b.cover, b.maxW = e, c, maxW
+			b = nil
+		}
+		if b == nil {
+			if i := r.bucketOf(a); uint64(i-r.start) < uint64(len(r.buckets)) && k <= (i+1)*r.w {
+				b, edge = &r.buckets[i-r.start], (i+1)*r.w
+				e, c, maxW = b.energyJ, b.cover, b.maxW
 			}
 		}
-		a, p = t, ws[k]
+		t := ts[j]
+		if b != nil {
+			e += p * (t - as)
+			c += t - as
+			if p > maxW {
+				maxW = p
+			}
+		} else {
+			r.addRect(a, k, p, true)
+		}
+		a, as, p = k, t, ws[j]
 	}
 	if b != nil {
 		b.energyJ, b.cover, b.maxW = e, c, maxW
 	}
 }
 
-// inside reports whether [t0, t1) lies inside bucket i, decided as
-// addRect's fast path decides it.
-func (r *rollup) inside(i int64, t0, t1 float64) bool {
-	return t0 >= float64(i)*r.width && t1 <= float64(i+1)*r.width
-}
-
-// sureIdx returns a bound up to which idx is i for every t at or after
-// one that idx puts in bucket i, so addRun can skip the division there;
-// edge is float64(i+1)*width. idx(t) = floor(fl(t/width)) is monotone in
-// t, so it is at least i from such a t on, and below i+1 while
-// fl(t/width) < i+1. That holds for t <= edge*(1-2^-50): with edge > 0
-// and normal, and i+1 < 2^52 exact, t/width is then below
-// (i+1)*(1-2^-51), two or more ulps short of i+1, and rounding moves it
-// half an ulp at most. Anywhere else, -Inf leaves every t to the division.
-func (r *rollup) sureIdx(i int64, edge float64) float64 {
-	if !(edge >= 0x1p-1000) || i >= 1<<52 {
-		return math.Inf(-1)
-	}
-	return edge * (1 - 0x1p-50)
-}
-
 // overlap returns the first and last bucket index of the run that [t0, t1)
 // touches (last < first when none): a read costs O(buckets of the run in
 // the window), never O(window), whatever bounds a caller sends. The bounds
-// are compared as floats before converting, so ±1e300 and ±Inf clamp to the
-// run instead of overflowing int64.
+// are clamped to the run in seconds before they go to the tick grid, so
+// ±1e300 and ±Inf cost and answer what the run's own edges do; a bound
+// inside the run is read on the grid, as a sample's time is.
 func (r *rollup) overlap(t0, t1 float64) (first, last int64) {
-	first, last = r.start, r.start+int64(len(r.buckets))-1
-	if t1 <= t0 {
+	end := r.start + int64(len(r.buckets))
+	k0, k1 := r.start*r.w, end*r.w
+	if !(t0 < t1 && t0 < toSec(k1) && t1 > toSec(k0)) {
 		return 0, -1
 	}
-	if i := math.Floor(t0 / r.width); i > float64(last) {
-		return 0, -1
-	} else if i > float64(first) {
-		first = int64(i)
+	if t0 > toSec(k0) {
+		k0 = toTick(t0)
 	}
-	if i := r.lastBefore(t1); i < float64(first) {
-		return 0, -1
-	} else if i < float64(last) {
-		last = int64(i)
+	if t1 < toSec(k1) {
+		k1 = toTick(t1)
 	}
-	return first, last
+	if k1 <= k0 {
+		return 0, -1
+	}
+	return r.bucketOf(k0), r.bucketOf(k1 - 1)
 }
 
 // energy integrates the rollup over [t0, t1]. Boundary buckets contribute
@@ -245,14 +207,13 @@ func (r *rollup) overlap(t0, t1 float64) (first, last int64) {
 func (r *rollup) energy(t0, t1 float64) float64 {
 	e := 0.0
 	first, last := r.overlap(t0, t1)
+	lo := r.edge(first)
 	for i := first; i <= last; i++ {
-		b := r.buckets[i-r.start]
-		if b.energyJ == 0 {
-			continue
+		hi := r.edge(i + 1)
+		if b := r.buckets[i-r.start]; b.energyJ != 0 {
+			e += b.energyJ * (math.Min(t1, hi) - math.Max(t0, lo)) / r.width
 		}
-		lo := math.Max(t0, float64(i)*r.width)
-		hi := math.Min(t1, float64(i+1)*r.width)
-		e += b.energyJ * (hi - lo) / r.width
+		lo = hi
 	}
 	return e
 }
@@ -266,7 +227,7 @@ func (r *rollup) points(t0, t1 float64, out []Point) []Point {
 			continue
 		}
 		out = append(out, Point{
-			T0: float64(i) * r.width, T1: float64(i+1) * r.width,
+			T0: r.edge(i), T1: r.edge(i + 1),
 			MeanW: b.energyJ / b.cover, MaxW: b.maxW, EnergyJ: b.energyJ,
 		})
 	}

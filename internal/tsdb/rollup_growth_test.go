@@ -18,22 +18,22 @@ func TestRollupGrowthIsLinear(t *testing.T) {
 	const n = 20_000
 	for _, tc := range []struct {
 		name  string
-		bound uint64 // total bytes allocated, in final-run sizes (n × 24 B)
-		at    func(i int) float64
+		bound uint64            // total bytes allocated, in final-run sizes (n × 24 B)
+		at    func(i int) int64 // a bucket index
 	}{
-		{"forward", 8, func(i int) float64 { return float64(i) }},
-		{"backward", 8, func(i int) float64 { return float64(-i) }},
+		{"forward", 8, func(i int) int64 { return int64(i) }},
+		{"backward", 8, func(i int) int64 { return int64(-i) }},
 		// Each end's reallocation costs the other its slack, so the
 		// constant is larger; what matters is that it is one.
-		{"alternating", 16, func(i int) float64 { return float64((i + 1) / 2 * (1 - 2*(i%2))) }}, // 0, -1, 1, -2, 2, ...
+		{"alternating", 16, func(i int) int64 { return int64((i + 1) / 2 * (1 - 2*(i%2))) }}, // 0, -1, 1, -2, 2, ...
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r := &rollup{width: 1}
+			r := newRollup(1)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for i := 0; i < n; i++ {
-				t0 := tc.at(i)
-				r.addRect(t0, t0+1, 400, true)
+				k0 := tc.at(i) * r.w
+				r.addRect(k0, k0+r.w, 400, true)
 				// cap ≤ 2 × len, give or take the allocator's size-class
 				// rounding (at most an eighth).
 				if l := len(r.buckets); l > 64 && (cap(r.buckets) > 2*l+l/8 || len(r.spare) > l) {
@@ -157,8 +157,8 @@ func TestRollupReadCostIsTheRun(t *testing.T) {
 	}
 	// The iteration count itself, on the rollup: never more than the run,
 	// and nothing for a window that misses it.
-	r := &rollup{width: 1}
-	r.addRect(100, 200, 400, true)
+	r := newRollup(1)
+	r.addRect(toTick(100), toTick(200), 400, true)
 	for _, w := range [][2]float64{{0, 1e9}, {-1e300, 1e300}, {-inf, inf}, {150, 1e300}, {-1e300, 150}} {
 		first, last := r.overlap(w[0], w[1])
 		if first < r.start || last >= r.start+int64(len(r.buckets)) || last < first {

@@ -103,9 +103,9 @@ func adcWatts(rng *rand.Rand, n int, level float64) []float64 {
 
 // TestAppendBatchMatchesAppend is the run path's differential: a store fed
 // by AppendBatch and a twin fed the same samples by one Append each must
-// hold the same state, bit for bit, after every batch. Widths 0.1 and 7
-// have bucket edges a float cannot hold, so "inside one bucket" is decided
-// by a rounding there.
+// hold the same state, bit for bit, after every batch. The odd widths
+// 0.1 and 7 put bucket edges where the batch spans' binary fractions do
+// not fall, and an edge at width 0.1 has seconds a float cannot hold.
 func TestAppendBatchMatchesAppend(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	uniform := func(node, n int, from, dt float64, count int, level float64) []runBatch {

@@ -44,7 +44,7 @@ type series struct {
 func newSeries(node int, widths []float64) *series {
 	s := &series{node: node}
 	for _, w := range widths {
-		s.rolls = append(s.rolls, &rollup{width: w})
+		s.rolls = append(s.rolls, newRollup(w))
 	}
 	return s
 }
@@ -100,25 +100,26 @@ func (s *series) appendRun(tick int64, i int, t0, dt float64, samples []float64,
 	// is known: the pending sample's first, unless this run opens the
 	// series. Each tick's seconds are computed once for every rollup, a
 	// block at a time.
-	a, p := toSec(s.pendT), s.pendW
+	a, p := s.pendT, s.pendW
 	if s.total == 0 {
-		a, p, ticks, ws = toSec(ticks[0]), ws[0], ticks[1:], ws[1:]
+		a, p, ticks, ws = ticks[0], ws[0], ticks[1:], ws[1:]
 	}
 	var buf [128]float64
 	for len(ticks) > 0 {
-		ts := buf[:min(len(ticks), len(buf))]
-		for k := range ts {
-			ts[k] = toSec(ticks[k])
+		n := min(len(ticks), len(buf))
+		ks, ts := ticks[:n], buf[:n]
+		for k, tick := range ks {
+			ts[k] = toSec(tick)
 		}
 		for _, r := range s.rolls {
-			r.addRun(a, p, ts, ws)
+			r.addRun(a, p, ks, ts, ws)
 		}
-		n := len(ts)
+		prev := toSec(a)
 		if n > 1 {
-			a = ts[n-2]
+			prev = ts[n-2]
 		}
-		s.lastGap = ts[n-1] - a
-		a, p, ticks, ws = ts[n-1], ws[n-1], ticks[n:], ws[n:]
+		s.lastGap = ts[n-1] - prev
+		a, p, ticks, ws = ks[n-1], ws[n-1], ticks[n:], ws[n:]
 	}
 	s.pendT, s.pendW = tick, samples[j-1]
 	s.total += j - i
@@ -129,7 +130,6 @@ func (s *series) appendRun(tick int64, i int, t0, dt float64, samples []float64,
 // place ingests one sample at or before the newest: a duplicate of the
 // newest, one too old to place, or an out-of-order insert.
 func (s *series) place(tick int64, w float64, chunkSize int, retainRaw float64) {
-	ts := toSec(tick)
 	n := len(s.headT)
 	switch {
 	case tick == s.pendT:
@@ -160,7 +160,7 @@ func (s *series) place(tick int64, w float64, chunkSize int, retainRaw float64) 
 			}
 			if s.headT[i] != s.pendT {
 				for _, r := range s.rolls {
-					r.addRect(ts, toSec(end), w-old, false)
+					r.addRect(tick, end, w-old, false)
 				}
 			}
 			return
@@ -176,12 +176,12 @@ func (s *series) place(tick int64, w float64, chunkSize int, retainRaw float64) 
 		} else {
 			covered = false // inserting before the first-ever sample
 		}
-		next := toSec(s.headT[i])
+		next := s.headT[i]
 		for _, r := range s.rolls {
 			if covered {
-				r.addRect(ts, next, w-prevW, false)
+				r.addRect(tick, next, w-prevW, false)
 			} else {
-				r.addRect(ts, next, w, true)
+				r.addRect(tick, next, w, true)
 			}
 		}
 		s.headT = append(s.headT, 0)
@@ -208,16 +208,9 @@ func (s *series) maybeSeal(chunkSize int, retainRaw float64) {
 	}
 }
 
-// seal compresses the oldest n head samples into one immutable chunk,
-// leaving the rest as the open reorder window (n <= 0 or out of range
-// seals the whole head).
+// seal compresses the oldest n head samples, 0 < n <= len(head), into
+// one immutable chunk, leaving the rest as the open reorder window.
 func (s *series) seal(n int) {
-	if n <= 0 || n > len(s.headT) {
-		n = len(s.headT)
-	}
-	if n == 0 {
-		return
-	}
 	e, prev := 0.0, toSec(s.headT[0])
 	for i := 0; i < n-1; i++ {
 		next := toSec(s.headT[i+1])

@@ -362,12 +362,12 @@ func TestCompressionRatio(t *testing.T) {
 }
 
 func TestNodesAndSamples(t *testing.T) {
-	db := New(Options{Shards: 16})
+	db := New(Options{})
 	db.Append(3, 0, 1)
-	db.Append(19, 0, 1) // same shard as 3: exercises map, not slot, identity
+	db.Append(3+db.Shards(), 0, 1) // same shard as 3: exercises map, not slot, identity
 	db.Append(5, 0, 1)
 	nodes := db.Nodes()
-	if len(nodes) != 3 || nodes[0] != 3 || nodes[1] != 5 || nodes[2] != 19 {
+	if len(nodes) != 3 || nodes[0] != 3 || nodes[1] != 5 || nodes[2] != 3+db.Shards() {
 		t.Errorf("Nodes = %v", nodes)
 	}
 	if db.IngestedSamples(3) != 1 || db.IngestedSamples(99) != 0 {
@@ -403,25 +403,20 @@ func TestGlitchGapDoesNotExplodeRollups(t *testing.T) {
 	}
 }
 
-// TestShardSizing pins the stripe-count rule: auto mode follows
-// GOMAXPROCS (power of two, ≥ MinShards), explicit requests round up to
-// a power of two and clamp to MaxShards, and routing stays correct for
-// node IDs far beyond the stripe count (mask, not identity).
+// TestShardSizing pins the stripe-count rule, the smallest power of two
+// ≥ max(16, 4×GOMAXPROCS), and that routing stays correct for node IDs
+// far beyond the stripe count and negative ones (mask, not identity).
 func TestShardSizing(t *testing.T) {
-	auto := New(Options{})
-	want := 4 * runtime.GOMAXPROCS(0)
-	if want < MinShards {
-		want = MinShards
-	}
-	if n := auto.Shards(); n < want || n&(n-1) != 0 {
-		t.Errorf("auto shards = %d, want power of two >= %d", n, want)
-	}
-	for req, want := range map[int]int{1: 1, 3: 4, 16: 16, 17: 32, 1 << 20: MaxShards} {
-		if got := New(Options{Shards: req}).Shards(); got != want {
-			t.Errorf("Shards %d -> %d, want %d", req, got, want)
+	for _, procs := range []int{1, 2, 4, 5, 16} {
+		want := map[int]int{1: 16, 2: 16, 4: 16, 5: 32, 16: 64}[procs]
+		prev := runtime.GOMAXPROCS(procs)
+		got := New(Options{}).Shards()
+		runtime.GOMAXPROCS(prev)
+		if got != want {
+			t.Errorf("GOMAXPROCS %d: %d shards, want %d", procs, got, want)
 		}
 	}
-	db := New(Options{Shards: 4})
+	db := New(Options{})
 	for _, node := range []int{0, 3, 4, 1027, -9, 1 << 30} {
 		db.Append(node, 0, 50)
 		db.Append(node, 1, 50)
@@ -446,6 +441,25 @@ func TestOptionsDoNotAliasCallerSlice(t *testing.T) {
 	got := db.Resolutions()
 	if got[0] != 1 || got[1] != 60 {
 		t.Errorf("store resolutions = %v, want [1 60]", got)
+	}
+}
+
+// TestResolutionsRoundToTicks: a rollup width is a whole number of 100 ns
+// ticks, one at least and 2^30 s at most (a width whose ticks overflow an
+// int64 must not wrap to one tick); widths already on the grid keep their
+// bits.
+func TestResolutionsRoundToTicks(t *testing.T) {
+	db := New(Options{Resolutions: []float64{60, 0.1, 1e-9, 0.12345678, 7, 1e300}})
+	want := []float64{1e-7, 0.1, 0.1234568, 7, 60, 1 << 30}
+	if got := db.Resolutions(); !slices.Equal(got, want) {
+		t.Fatalf("Resolutions() = %v, want %v", got, want)
+	}
+	db.Append(0, 0, 100)
+	db.Append(0, 1, 100)
+	for _, res := range want {
+		if _, err := db.EnergyAt(0, 0, 1, res); err != nil {
+			t.Errorf("res %v: %v", res, err)
+		}
 	}
 }
 
