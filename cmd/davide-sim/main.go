@@ -166,11 +166,11 @@ func main() {
 
 	// Pure flag validation: reject a bad chaos setup before the
 	// scheduled simulation burns minutes of wall clock. A single -chaos
-	// name resolves to its plain preset plan (bridge presets included);
-	// a comma-separated list composes gateway presets into one stacked
-	// plan, every name validated up front against both registries. Each
+	// name resolves to its preset (bridge presets included); a
+	// comma-separated list stacks gateway presets into one composite,
+	// every name validated up front against both registries. Each
 	// refusal below is a usage error, made before anything listens.
-	var chaosPlan chaos.Planner
+	var chaosPlan *chaos.Composite
 	bridgeChaos := false
 	if *chaosName != "" {
 		if *stream <= 0 && *schedMode == "" && *scenarioName == "" {

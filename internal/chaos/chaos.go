@@ -14,7 +14,9 @@
 // The package plugs into the transport as an mqtt.Link (see
 // internal/mqtt/link.go): it only ever touches QoS-0 application
 // messages — the paper's loss-tolerant streaming data — and passes
-// QoS-1 traffic through untouched.
+// QoS-1 traffic through untouched. It reads the sample count and the
+// payload time of a gateway batch from the frame header itself
+// (gateway.PayloadSamples, gateway.PayloadTickInfo).
 package chaos
 
 import (
@@ -24,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"davide/internal/gateway"
 	"davide/internal/mqtt"
 )
 
@@ -156,8 +159,9 @@ type Counters struct {
 	Delayed int64 // deliveries preceded by jitter
 
 	// SamplesLost / SamplesDuplicated are the payload-sample totals
-	// behind the packet counts, filled when the link has a Sizer. They
-	// are what delivery accounting (fleet's WaitSamples target) needs.
+	// behind the packet counts, read from each faulted batch's frame
+	// header (0 for a payload that is not a batch). They are what
+	// delivery accounting (fleet's WaitSamples target) needs.
 	SamplesLost       int64
 	SamplesDuplicated int64
 }
@@ -219,9 +223,8 @@ type heldMsg struct {
 // crash-and-resume replay stays on the same deterministic fault
 // schedule.
 type Link struct {
-	spec  Spec
-	rng   *rand.Rand
-	sizer func(payload []byte) int
+	spec Spec
+	rng  *rand.Rand
 
 	mu           sync.Mutex
 	seq          int64 // QoS-0 publishes seen (crashed attempts included)
@@ -239,27 +242,11 @@ func NewLink(spec Spec, seed int64) (*Link, error) {
 	return &Link{spec: spec, rng: rand.New(rand.NewSource(seed))}, nil
 }
 
-// SetSizer installs the payload→sample-count function used to fill the
-// Samples* counters (internal/fleet passes the gateway batch header
-// reader). Without a sizer those counters stay zero.
-func (l *Link) SetSizer(f func(payload []byte) int) {
-	l.mu.Lock()
-	l.sizer = f
-	l.mu.Unlock()
-}
-
 // Counters returns a snapshot of the link's fault ledger.
 func (l *Link) Counters() Counters {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.c
-}
-
-// HeldCount returns how many packets are currently held back.
-func (l *Link) HeldCount() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.held)
 }
 
 // Send implements mqtt.Link: it injects at most one fault into the
@@ -278,14 +265,9 @@ func (l *Link) Send(m mqtt.Message, deliver mqtt.DeliverFunc) error {
 		return ErrCrash
 	}
 	l.c.Sent++
-	// The sizer decodes the payload header, so only faulted packets —
-	// the ones whose sample count enters the ledger — pay for it.
-	samples := func() int64 {
-		if l.sizer == nil {
-			return 0
-		}
-		return int64(l.sizer(m.Payload))
-	}
+	// Only faulted packets — the ones whose sample count enters the
+	// ledger — pay for reading the frame header.
+	samples := func() int64 { return int64(gateway.PayloadSamples(m.Payload)) }
 	if l.inPartition(seq) {
 		l.c.Partitioned++
 		l.c.SamplesLost += samples()
@@ -370,7 +352,7 @@ func (l *Link) release(deliver mqtt.DeliverFunc, due func(heldMsg) bool) error {
 // read (everything but corrupted payloads) for late-release tracking.
 // Callers hold l.mu; the RNG draws happen under it (keeping the fault
 // schedule deterministic), but the sleep and the blocking wire write
-// release it so concurrent stat snapshots (Counters, HeldCount) don't
+// release it so concurrent ledger snapshots (Counters) don't
 // stall behind them — the single-publisher contract guarantees no
 // other Send or Flush can interleave.
 func (l *Link) deliverOne(m mqtt.Message, seq int64, ordered bool, deliver mqtt.DeliverFunc) error {

@@ -58,7 +58,6 @@ func TestLinkDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l.SetSizer(gateway.PayloadSamples)
 		wire := drive(t, l, 500, 16)
 		return l.Counters(), wire
 	}
@@ -75,7 +74,6 @@ func TestLinkDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l3.SetSizer(gateway.PayloadSamples)
 	drive(t, l3, 500, 16)
 	if reflect.DeepEqual(c1, l3.Counters()) {
 		t.Fatal("different seeds produced identical counters (suspicious)")

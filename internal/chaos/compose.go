@@ -1,11 +1,13 @@
-// Composed chaos: phase-windowed stacks of fault plans. A Composite
-// activates each constituent Plan only while a packet's *payload*
-// virtual time falls inside the phase's [T0, T1) window, so a scenario
-// can aim a fault burst at exactly the moment the system is most
-// fragile (e.g. flapping-gateway active only during a demand-response
-// cap ramp). Windowing is keyed off payload time rather than wall
-// time: replay runs faster than real time and wall clocks would make
-// the fault schedule nondeterministic.
+// Composed chaos: phase-windowed stacks of fault plans. A Composite is
+// the one fault schedule the plant takes; a named preset is a composite
+// of one always-on phase. A Composite activates each windowed
+// constituent Plan only while a packet's *payload* virtual time (the
+// batch frame's first sample) falls inside the phase's [T0, T1) window,
+// so a scenario can aim a fault burst at exactly the moment the system
+// is most fragile (e.g. flapping-gateway active only during a
+// demand-response cap ramp). Windowing is keyed off payload time rather
+// than wall time: replay runs faster than real time and wall clocks
+// would make the fault schedule nondeterministic.
 //
 // Per-packet fault mutual exclusion is preserved structurally: every
 // QoS-0 packet is routed to at most ONE constituent link (the owner),
@@ -22,55 +24,16 @@ import (
 	"fmt"
 	"sync"
 
+	"davide/internal/gateway"
 	"davide/internal/mqtt"
+	"davide/internal/wire"
 )
-
-// FaultLink is the per-link surface transport layers consume: the
-// mqtt.Link interceptor plus the ledger and payload-metadata hooks
-// internal/fleet wires up. *Link and *CompositeLink implement it.
-type FaultLink interface {
-	mqtt.Link
-	// SetSizer installs the payload→sample-count reader that fills the
-	// Samples* ledger fields.
-	SetSizer(f func(payload []byte) int)
-	// Counters snapshots the link's exact fault ledger.
-	Counters() Counters
-	// HeldCount reports packets currently held back for reordering.
-	HeldCount() int
-}
-
-// Planner builds per-node fault links: the plan-level abstraction
-// fleet.GatewaySpec.Faults and fleet.PlaneSpec.BridgeFaults accept.
-// *Plan is the single-schedule implementation; *Composite stacks
-// phase-windowed plans.
-type Planner interface {
-	// Validate rejects unusable configuration before any link exists.
-	Validate() error
-	// BuildLink constructs node's deterministic fault link.
-	BuildLink(node int) (FaultLink, error)
-	// MaxHoldSpan reports the largest hold-release span any spec can
-	// apply to the node (0 = no holds) — what reorder-tolerance sizing
-	// checks against (see core's chaos-safe batch check).
-	MaxHoldSpan(node int) int
-}
-
-// BuildLink implements Planner for a single Plan.
-func (p *Plan) BuildLink(node int) (FaultLink, error) {
-	l, err := p.NewLink(node)
-	if err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
-// MaxHoldSpan implements Planner for a single Plan.
-func (p *Plan) MaxHoldSpan(node int) int {
-	return p.SpecFor(node).EffectiveHoldSpan()
-}
 
 // Phase is one windowed constituent of a Composite: a fault plan that
 // owns packets whose payload time t satisfies T0 <= t < T1. A zero
-// window (T0 == T1 == 0) is active for the whole run.
+// window (T0 == T1 == 0) is always on: it claims every QoS-0 packet,
+// whether or not its frame header can be read, the way a standalone
+// Plan link does.
 type Phase struct {
 	// Name labels the phase in per-phase ledgers and reports.
 	Name string
@@ -83,29 +46,25 @@ type Phase struct {
 	T0, T1 float64
 }
 
-// activeAt reports whether payload time t falls in the phase window.
-func (ph Phase) activeAt(t float64) bool {
-	if ph.T0 == 0 && ph.T1 == 0 {
-		return true
-	}
-	return t >= ph.T0 && t < ph.T1
+// alwaysOn reports whether the phase has no window.
+func (ph Phase) alwaysOn() bool { return ph.T0 == 0 && ph.T1 == 0 }
+
+// claims reports whether the phase owns a packet whose payload time is
+// t (timed=false when the frame header cannot be read).
+func (ph Phase) claims(t float64, timed bool) bool {
+	return ph.alwaysOn() || timed && t >= ph.T0 && t < ph.T1
 }
 
-// Composite stacks phase-windowed plans into one Planner. Packets
-// whose payload time no phase claims — or whose time TimeOf cannot
-// read — pass through untouched and are tallied separately (see
-// CompositeLink.Passthrough), never faulted.
+// Composite stacks phase-windowed plans into one fault schedule.
+// Packets that no phase claims — outside every window, or with an
+// unreadable frame header and no always-on phase — pass through
+// untouched and are tallied separately (see CompositeLink.Passthrough),
+// never faulted.
 type Composite struct {
 	Phases []Phase
-	// TimeOf extracts a payload's virtual time in seconds (ok=false
-	// when the payload carries none, e.g. non-batch traffic).
-	// fleet.ChaosStack sets the gateway batch-header reader; tests
-	// inject synthetic clocks. A Composite without one passes every
-	// packet through.
-	TimeOf func(payload []byte) (float64, bool)
 }
 
-// Validate implements Planner.
+// Validate rejects unusable configuration before any link exists.
 func (c *Composite) Validate() error {
 	if c == nil {
 		return nil
@@ -123,30 +82,32 @@ func (c *Composite) Validate() error {
 		if ph.T0 < 0 || ph.T1 < 0 {
 			return fmt.Errorf("chaos: composite phase %d (%s) has a negative window bound", i, ph.Name)
 		}
-		if (ph.T0 != 0 || ph.T1 != 0) && ph.T1 <= ph.T0 {
+		if !ph.alwaysOn() && ph.T1 <= ph.T0 {
 			return fmt.Errorf("chaos: composite phase %d (%s) window [%g, %g) is empty", i, ph.Name, ph.T0, ph.T1)
 		}
 	}
 	return nil
 }
 
-// MaxHoldSpan implements Planner: the widest span any phase can apply.
+// MaxHoldSpan reports the largest hold-release span any phase can
+// apply to the node (0 = no holds) — what reorder-tolerance sizing
+// checks against (see core's chaos-safe batch check).
 func (c *Composite) MaxHoldSpan(node int) int {
 	max := 0
 	for _, ph := range c.Phases {
-		if s := ph.Plan.MaxHoldSpan(node); s > max {
+		if s := ph.Plan.SpecFor(node).EffectiveHoldSpan(); s > max {
 			max = s
 		}
 	}
 	return max
 }
 
-// BuildLink implements Planner.
-func (c *Composite) BuildLink(node int) (FaultLink, error) {
+// BuildLink constructs node's deterministic fault link.
+func (c *Composite) BuildLink(node int) (*CompositeLink, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	cl := &CompositeLink{timeOf: c.TimeOf, phases: make([]compPhase, len(c.Phases))}
+	cl := &CompositeLink{phases: make([]compPhase, len(c.Phases))}
 	for i, ph := range c.Phases {
 		sub, err := ph.Plan.NewLink(node)
 		if err != nil {
@@ -169,7 +130,6 @@ type compPhase struct {
 // single-publisher contract fixes per-link publish order), so mutual
 // exclusion holds even when phases overlap.
 type CompositeLink struct {
-	timeOf func(payload []byte) (float64, bool)
 	phases []compPhase
 
 	mu    sync.Mutex
@@ -194,29 +154,34 @@ func (cl *CompositeLink) Send(m mqtt.Message, deliver mqtt.DeliverFunc) error {
 
 // pick selects the owning sub-link for a payload, or nil when the
 // packet passes through. Exactly one owner per packet is what makes
-// per-packet fault mutual exclusion compose.
+// per-packet fault mutual exclusion compose. It counts the claiming
+// phases, then takes the (owned mod count)-th of them, so it allocates
+// nothing.
 func (cl *CompositeLink) pick(payload []byte) *Link {
-	if cl.timeOf == nil {
-		return nil
-	}
-	t, ok := cl.timeOf(payload)
-	if !ok {
-		return nil
-	}
-	var active []*Link
+	_, oldest, _, timed := gateway.PayloadTickInfo(payload)
+	t := wire.ToSec(oldest)
+	n := 0
 	for i := range cl.phases {
-		if cl.phases[i].phase.activeAt(t) {
-			active = append(active, cl.phases[i].link)
+		if cl.phases[i].phase.claims(t, timed) {
+			n++
 		}
 	}
-	if len(active) == 0 {
+	if n == 0 {
 		return nil
 	}
 	cl.mu.Lock()
-	owner := active[int(cl.owned)%len(active)]
+	k := int(cl.owned % int64(n))
 	cl.owned++
 	cl.mu.Unlock()
-	return owner
+	for i := range cl.phases {
+		if cl.phases[i].phase.claims(t, timed) {
+			if k == 0 {
+				return cl.phases[i].link
+			}
+			k--
+		}
+	}
+	panic("unreachable")
 }
 
 // Flush implements mqtt.Link: every phase releases its held packets,
@@ -230,14 +195,7 @@ func (cl *CompositeLink) Flush(deliver mqtt.DeliverFunc) error {
 	return nil
 }
 
-// SetSizer implements FaultLink by propagating to every sub-link.
-func (cl *CompositeLink) SetSizer(f func(payload []byte) int) {
-	for i := range cl.phases {
-		cl.phases[i].link.SetSizer(f)
-	}
-}
-
-// Counters implements FaultLink: the exact component-wise sum of the
+// Counters snapshots the exact fault ledger: the component-wise sum of the
 // constituent ledgers. Packets no phase claimed are NOT folded in —
 // they appear only in Passthrough — so the composite ledger always
 // equals the sum of its constituents' ledgers by construction, and
@@ -265,13 +223,4 @@ func (cl *CompositeLink) Passthrough() int64 {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	return cl.pass
-}
-
-// HeldCount implements FaultLink: total packets held across phases.
-func (cl *CompositeLink) HeldCount() int {
-	n := 0
-	for i := range cl.phases {
-		n += cl.phases[i].link.HeldCount()
-	}
-	return n
 }

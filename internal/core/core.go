@@ -56,11 +56,11 @@ type System struct {
 	IdleNodePowerW float64
 
 	// StreamFaults, when non-nil, runs telemetry replays under
-	// deterministic fault injection (see internal/chaos and
-	// fleet.ChaosPreset): the E18 chaos-soak path. A *chaos.Plan runs
-	// one schedule; a *chaos.Composite (fleet.ChaosStack) runs a
-	// phase-windowed stack keyed off payload virtual time.
-	StreamFaults chaos.Planner
+	// deterministic fault injection (see internal/chaos): the E18
+	// chaos-soak path. fleet.ChaosPreset builds one always-on schedule;
+	// fleet.ChaosStack a phase-windowed stack keyed off payload virtual
+	// time.
+	StreamFaults *chaos.Composite
 
 	// StreamBatchSamples overrides the per-batch sample count of
 	// telemetry replays (0 = the fleet default of 512). Chaos soaks use
@@ -79,7 +79,7 @@ type System struct {
 	// fleet.ChaosBridgePresetNames), so it requires StreamRacks > 1.
 	// StreamWindow then also attaches a spine-side verification
 	// aggregator and reports the spine copy's accounting in the result.
-	BridgeFaults chaos.Planner
+	BridgeFaults *chaos.Composite
 
 	// Obs, when non-nil, instruments every replay and live run: stage
 	// traces, broker/bridge/fleet/store/scheduler counters all publish
@@ -290,7 +290,7 @@ type StreamResult struct {
 // HoldSpan × batch samples or late releases fall behind the sealed
 // horizon as unaccounted loss, silently voiding the preset's energy
 // error bound. A nil plan passes batchSamples through unchanged.
-func chaosSafeBatch(plan chaos.Planner, nodes, batchSamples int) (int, error) {
+func chaosSafeBatch(plan *chaos.Composite, nodes, batchSamples int) (int, error) {
 	if plan == nil {
 		return batchSamples, nil
 	}

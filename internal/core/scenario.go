@@ -117,14 +117,14 @@ func (s *System) RunScenario(sc *scenario.Scenario, seed int64, jobs []workload.
 
 	// Fault side: the scenario's phase-windowed chaos stack replaces
 	// the System's stream faults for the duration of the run.
-	planner, err := sc.BuildChaos(seed)
+	faults, err := sc.BuildChaos(seed)
 	if err != nil {
 		return nil, err
 	}
-	if planner != nil {
+	if faults != nil {
 		savedFaults, savedBatch := s.StreamFaults, s.StreamBatchSamples
 		defer func() { s.StreamFaults, s.StreamBatchSamples = savedFaults, savedBatch }()
-		s.StreamFaults = planner
+		s.StreamFaults = faults
 		if s.StreamBatchSamples == 0 {
 			// Small batches bound what one held/dropped packet can hide
 			// (the E19 chaos geometry).

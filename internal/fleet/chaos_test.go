@@ -207,7 +207,10 @@ func TestChaosPresetRegistry(t *testing.T) {
 		if err := plan.Validate(); err != nil {
 			t.Fatalf("preset %s invalid: %v", n, err)
 		}
-		if !plan.SpecFor(0).Active() && !plan.SpecFor(1).Active() {
+		if len(plan.Phases) != 1 || plan.Phases[0].T0 != 0 || plan.Phases[0].T1 != 0 {
+			t.Fatalf("preset %s is not one always-on phase: %+v", n, plan.Phases)
+		}
+		if sp := plan.Phases[0].Plan; !sp.SpecFor(0).Active() && !sp.SpecFor(1).Active() {
 			t.Fatalf("preset %s injects nothing", n)
 		}
 		if _, err := fleet.ChaosErrBound(n); err != nil {
@@ -221,7 +224,7 @@ func TestChaosPresetRegistry(t *testing.T) {
 		t.Fatal("unknown bound accepted")
 	}
 	// An invalid fault plan must be rejected at fleet construction.
-	bad := &chaos.Plan{Default: chaos.Spec{CrashEvery: 1}}
+	bad := &chaos.Composite{Phases: []chaos.Phase{{Name: "bad", Plan: &chaos.Plan{Default: chaos.Spec{CrashEvery: 1}}}}}
 	if _, err := fleet.New("127.0.0.1:1", fleet.GatewaySpec{SampleRate: 10, Faults: bad}, 1); err == nil {
 		t.Fatal("fleet accepted an invalid fault plan")
 	}

@@ -61,12 +61,12 @@ type GatewaySpec struct {
 	// SeedBase offsets the per-node monitor noise seeds (default 1000).
 	SeedBase int64
 	// Faults, when non-nil, injects deterministic transport faults into
-	// every gateway's MQTT link: a *chaos.Plan (one schedule, see
-	// ChaosPreset) or a *chaos.Composite (phase-windowed preset stack,
-	// see ChaosStack). Injected session crashes are recovered
-	// transparently: the fleet tears the member's session down,
-	// redials, and resumes the window from the gateway's replay cursor.
-	Faults chaos.Planner
+	// every gateway's MQTT link: a named preset (ChaosPreset, one
+	// always-on phase) or a phase-windowed preset stack (ChaosStack).
+	// Injected session crashes are recovered transparently: the fleet
+	// tears the member's session down, redials, and resumes the window
+	// from the gateway's replay cursor.
+	Faults *chaos.Composite
 }
 
 // maxGatewayRestarts bounds crash/reconnect cycles per node per window,
@@ -128,7 +128,7 @@ type member struct {
 	// link is the node's fault-injection interceptor (nil without
 	// chaos). It survives session restarts, keeping the node on one
 	// deterministic fault schedule.
-	link     chaos.FaultLink
+	link     *chaos.CompositeLink
 	restarts int
 }
 
@@ -217,14 +217,13 @@ func (f *Fleet) member(node int) (*member, error) {
 	}
 	f.mu.Unlock()
 
-	var link chaos.FaultLink
+	var link *chaos.CompositeLink
 	if f.spec.Faults != nil {
 		var err error
 		link, err = f.spec.Faults.BuildLink(node)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: node %d: %w", node, err)
 		}
-		link.SetSizer(gateway.PayloadSamples)
 	}
 	client, err := f.dialMember(node, link)
 	if err != nil {
@@ -266,7 +265,7 @@ func (f *Fleet) member(node int) (*member, error) {
 
 // dialMember opens one node's broker session, with the node's chaos
 // link (if any) installed on the client.
-func (f *Fleet) dialMember(node int, link chaos.FaultLink) (*mqtt.Client, error) {
+func (f *Fleet) dialMember(node int, link *chaos.CompositeLink) (*mqtt.Client, error) {
 	opts := mqtt.ClientOptions{ClientID: fmt.Sprintf("%s%02d", f.spec.ClientPrefix, node)}
 	if link != nil {
 		opts.Link = link

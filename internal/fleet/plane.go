@@ -70,7 +70,7 @@ type PlaneSpec struct {
 	// *rack index*, not node ID. Faults here only shape the spine copy
 	// of the stream — the primary aggregator sits below the bridges and
 	// never sees them.
-	BridgeFaults chaos.Planner
+	BridgeFaults *chaos.Composite
 	// Obs, when non-nil, instruments the plane: a stage trace stamps
 	// every batch at encode/fanout/uplink/decode/commit, and broker,
 	// bridge, fleet, aggregator and store counters are published into
@@ -118,8 +118,8 @@ type rackCell struct {
 	fleet  *Fleet
 	ingest *telemetry.Ingest
 	sub    *mqtt.Client
-	bridge *mqtt.Bridge    // nil in a one-rack plane
-	link   chaos.FaultLink // uplink chaos link, nil without BridgeFaults
+	bridge *mqtt.Bridge         // nil in a one-rack plane
+	link   *chaos.CompositeLink // uplink chaos link, nil without BridgeFaults
 }
 
 // Plane owns Racks rack cells, the spine broker above them when there
@@ -237,13 +237,14 @@ func (p *Plane) buildRack(r int) (*rackCell, error) {
 		if err != nil {
 			return fail(err)
 		}
-		cell.link.SetSizer(gateway.PayloadSamples)
 	}
 	bopts := mqtt.BridgeOptions{
 		Name:       fmt.Sprintf("bridge-r%02d", r),
 		Filters:    []mqtt.Subscription{{Filter: gateway.TopicPrefix + "/+/power", QoS: 0}},
 		QueueDepth: p.spec.rackQueueDepth(),
-		Link:       linkOrNil(cell.link),
+	}
+	if cell.link != nil {
+		bopts.Link = cell.link
 	}
 	if p.spec.Obs != nil {
 		bopts.OnForward = stampHook(p.trace, obs.StageUplink)
@@ -267,14 +268,6 @@ func stampHook(tr *obs.StageTrace, stage obs.Stage) func(topic string, payload [
 			tr.Stamp(stage, node, newest)
 		}
 	}
-}
-
-// linkOrNil avoids handing mqtt a typed-nil Link interface.
-func linkOrNil(l chaos.FaultLink) mqtt.Link {
-	if l == nil {
-		return nil
-	}
-	return l
 }
 
 func (c *rackCell) close() {

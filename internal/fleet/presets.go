@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"davide/internal/chaos"
-	"davide/internal/gateway"
-	"davide/internal/wire"
 )
 
 // Named chaos scenarios for fleet replays — the fault environments the
@@ -164,14 +162,16 @@ func ChaosBridgePresetNames() []string {
 	return names
 }
 
-// ChaosPreset builds the named fault plan with the given seed. The same
-// (name, seed) pair injects an identical fault schedule on every run.
-func ChaosPreset(name string, seed int64) (*chaos.Plan, error) {
+// ChaosPreset builds the named fault plan with the given seed: a
+// composite of one always-on phase, which faults every QoS-0 packet as
+// the preset's plan standing alone would. The same (name, seed) pair
+// injects an identical fault schedule on every run.
+func ChaosPreset(name string, seed int64) (*chaos.Composite, error) {
 	p, err := lookupChaosPreset(name)
 	if err != nil {
 		return nil, err
 	}
-	return p.mk(seed), nil
+	return &chaos.Composite{Phases: []chaos.Phase{{Name: name, Plan: p.mk(seed)}}}, nil
 }
 
 // ChaosPhase names one windowed constituent of a composed chaos plan:
@@ -189,13 +189,12 @@ type ChaosPhase struct {
 // phase's plan is seeded with the same base seed a standalone
 // ChaosPreset run would use — so a phase's ledger over its window
 // matches the standalone preset's over the same packets exactly. A
-// single always-on phase degenerates to the plain preset plan,
-// byte-identical to ChaosPreset.
-func ChaosStack(seed int64, phases ...ChaosPhase) (chaos.Planner, error) {
+// single always-on phase is the same composite ChaosPreset builds.
+func ChaosStack(seed int64, phases ...ChaosPhase) (*chaos.Composite, error) {
 	if len(phases) == 0 {
 		return nil, errors.New("fleet: empty chaos stack")
 	}
-	comp := &chaos.Composite{Phases: make([]chaos.Phase, len(phases)), TimeOf: payloadSeconds}
+	comp := &chaos.Composite{Phases: make([]chaos.Phase, len(phases))}
 	for i, ph := range phases {
 		p, err := lookupChaosPreset(ph.Preset)
 		if err != nil {
@@ -206,21 +205,8 @@ func ChaosStack(seed int64, phases ...ChaosPhase) (chaos.Planner, error) {
 		}
 		comp.Phases[i] = chaos.Phase{Name: ph.Preset, Plan: p.mk(seed), T0: ph.T0, T1: ph.T1}
 	}
-	if len(phases) == 1 && phases[0].T0 == 0 && phases[0].T1 == 0 {
-		return comp.Phases[0].Plan, nil
-	}
 	if err := comp.Validate(); err != nil {
 		return nil, err
 	}
 	return comp, nil
-}
-
-// payloadSeconds reads a gateway batch payload's virtual start time —
-// the payload-time extractor phase-windowed chaos keys off.
-func payloadSeconds(payload []byte) (float64, bool) {
-	_, oldest, _, ok := gateway.PayloadTickInfo(payload)
-	if !ok {
-		return 0, false
-	}
-	return wire.ToSec(oldest), true
 }

@@ -20,11 +20,19 @@ type bridgeFixture struct {
 
 func newBridgeFixture(t *testing.T, listen string, opts BridgeOptions) *bridgeFixture {
 	t.Helper()
+	return newTracedBridgeFixture(t, listen, opts, nil)
+}
+
+// newTracedBridgeFixture is newBridgeFixture with spineTrace installed
+// as the spine broker's Trace hook before the uplink dials.
+func newTracedBridgeFixture(t *testing.T, listen string, opts BridgeOptions, spineTrace func(topic string, payload []byte)) *bridgeFixture {
+	t.Helper()
 	f := &bridgeFixture{
 		rack:  newTestBrokerOn(t, listen),
 		spine: newTestBrokerOn(t, listen),
 		got:   make(map[string]int),
 	}
+	f.spine.Trace = spineTrace
 	sub := dialTest(t, f.spine.Addr(), "spine-sub", func(m Message) {
 		f.mu.Lock()
 		f.got[string(m.Payload)]++
@@ -106,12 +114,24 @@ func TestBridgeForwardsMatchingTopics(t *testing.T) {
 // message the bridge forwarded, not only until the uplink wrote it.
 // Plane.Stream's forwarded counts and the same-seed snapshot contract
 // (the spine's publishes-in series) rest on this.
+//
+// The bridge takes both topics at QoS 0, as a plane's bridges do, so no
+// uplink PUBACK marks the end of a round. The spine's Trace hook runs in
+// the uplink session's serve loop after PublishesIn is counted and before
+// the next packet is read, so a hook that sleeps holds the spine's reader
+// back: each round's 200 KiB is still unread on the uplink connection
+// when the bridge has written it, and a Drain that does not wait for the
+// spine fails on an idle machine.
 func TestBridgeDrainCoversRoutedMessages(t *testing.T) {
 	forEachTransport(t, testBridgeDrainCoversRoutedMessages)
 }
 
 func testBridgeDrainCoversRoutedMessages(t *testing.T, listen string) {
-	f := newBridgeFixture(t, listen, BridgeOptions{})
+	slowSpine := func(string, []byte) { time.Sleep(20 * time.Microsecond) }
+	f := newTracedBridgeFixture(t, listen, BridgeOptions{Filters: []Subscription{
+		{Filter: "davide/+/power", QoS: 0},
+		{Filter: "davide/+/energy", QoS: 0},
+	}}, slowSpine)
 	pub := dialTest(t, f.rack.Addr(), "gw", nil)
 	payload := make([]byte, 2048)
 	total := int64(0)

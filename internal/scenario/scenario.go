@@ -179,10 +179,10 @@ func (sc *Scenario) CapSchedule(nominalCapW float64) func(t float64) float64 {
 	return func(t float64) float64 { return nominalCapW * traj.FracAt(t) }
 }
 
-// BuildChaos composes the scenario's chaos phases into one planner
+// BuildChaos composes the scenario's chaos phases into one composite
 // (nil when the scenario injects no faults). Preset names are checked
 // against both fleet registries up front.
-func (sc *Scenario) BuildChaos(seed int64) (chaos.Planner, error) {
+func (sc *Scenario) BuildChaos(seed int64) (*chaos.Composite, error) {
 	if len(sc.Chaos) == 0 {
 		return nil, nil
 	}

@@ -41,7 +41,7 @@ var (
 
 // DefaultChunkSize is the chunk size used when Options.ChunkSize is
 // unset — also the default reordering tolerance of the ingest path,
-// which transport-fault planners size against.
+// which the chaos hold-span check (core.chaosSafeBatch) sizes against.
 const DefaultChunkSize = 256
 
 // Options tunes a DB. The zero value is ready to use.
