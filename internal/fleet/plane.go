@@ -102,7 +102,10 @@ func (sp PlaneSpec) coresPerRack() int {
 // messages, a bridge queue this depth again), so a rack window of up to
 // this depth plus 1024 batches is drop-free even if nothing decodes
 // until the last publish. The in-process conn between session and
-// consumer, bounded at 256 KiB unread, only adds slack to that.
+// consumer, bounded at 256 KiB unread, only adds slack to that. The depth
+// is a bound, not an allocation: every session gets it, but a queue's
+// storage follows what it holds, so a gateway session, which publishes at
+// QoS 0 and never subscribes, holds none.
 func (sp PlaneSpec) rackQueueDepth() int {
 	nodesPerRack := (sp.NodesHint + sp.Racks - 1) / sp.Racks
 	return max(1024, 4*nodesPerRack)

@@ -43,9 +43,11 @@ type Broker struct {
 	closed atomic.Bool
 	wg     sync.WaitGroup
 	Stats  BrokerStats
-	// QueueDepth is the per-subscriber outbound buffer; a full buffer
-	// drops QoS-0 messages (matching mosquitto's max_queued_messages
-	// behaviour) rather than stalling the whole broker.
+	// QueueDepth bounds each session's outbound queue, read when the
+	// session connects (a depth below 1 counts as 1). A full queue drops
+	// routed messages (mosquitto's max_queued_messages behaviour) rather
+	// than stalling the whole broker. It is a bound, not an allocation:
+	// a queue's storage grows with what it holds (see outQueue).
 	QueueDepth int
 	// Trace, when set, observes every inbound publish once before
 	// fan-out (the obs fan-out stage stamp). The broker stays
@@ -112,7 +114,7 @@ func (b *Broker) acceptLoop() {
 type session struct {
 	id        string
 	conn      net.Conn
-	out       chan []byte     // pre-encoded packets to send
+	q         outQueue        // pre-encoded packets to send
 	subs      map[string]byte // filter -> granted QoS, guarded by Broker.mu
 	closeOnce sync.Once
 	done      chan struct{}
@@ -174,7 +176,7 @@ func (b *Broker) serve(conn net.Conn) {
 	s := &session{
 		id:   cp.ClientID,
 		conn: conn,
-		out:  make(chan []byte, b.QueueDepth),
+		q:    outQueue{limit: max(1, b.QueueDepth), ready: make(chan struct{}, 1)},
 		subs: make(map[string]byte),
 		done: make(chan struct{}),
 	}
@@ -224,37 +226,33 @@ func (b *Broker) serve(conn net.Conn) {
 		w := io.Writer(s.conn)
 		for {
 			select {
-			case pkt := <-s.out:
-				batched := int64(0)
-				for pkt != nil {
-					var next []byte
-					select {
-					case next = <-s.out:
-					default:
-					}
-					if next != nil && bw == nil {
-						bw = bufio.NewWriterSize(s.conn, 16<<10)
-						w = bw
-					}
-					if _, err := w.Write(pkt); err != nil {
-						s.close()
-						return
-					}
-					batched += int64(len(pkt))
-					pkt = next
-				}
-				if bw != nil {
-					if err := bw.Flush(); err != nil {
-						s.close()
-						return
-					}
-				}
-				// Counted only once the batch reached the socket, so the
-				// stat never includes bytes lost in an unflushed buffer.
-				b.Stats.BytesOut.Add(batched)
+			case <-s.q.ready:
 			case <-s.done:
 				return
 			}
+			batched := int64(0)
+			for pkt := s.q.pop(); pkt != nil; {
+				next := s.q.pop()
+				if next != nil && bw == nil {
+					bw = bufio.NewWriterSize(s.conn, 16<<10)
+					w = bw
+				}
+				if _, err := w.Write(pkt); err != nil {
+					s.close()
+					return
+				}
+				batched += int64(len(pkt))
+				pkt = next
+			}
+			if bw != nil {
+				if err := bw.Flush(); err != nil {
+					s.close()
+					return
+				}
+			}
+			// Counted only once the batch reached the socket, so the
+			// stat never includes bytes lost in an unflushed buffer.
+			b.Stats.BytesOut.Add(batched)
 		}
 	}()
 
@@ -387,10 +385,9 @@ func (b *Broker) route(p *PublishPacket) {
 		} else {
 			b.Stats.FanoutEncodedOnce.Add(1)
 		}
-		select {
-		case t.s.out <- pkt:
+		if t.s.q.tryPush(pkt) {
 			b.Stats.PublishesOut.Add(1)
-		default:
+		} else {
 			b.Stats.Dropped.Add(1)
 		}
 	}
@@ -414,14 +411,10 @@ func (b *Broker) match(dst []subEntry, topic string) []subEntry {
 	return dst
 }
 
-// send enqueues a pre-encoded control packet for the session.
+// send enqueues a pre-encoded control packet for the session, waiting
+// for room if its queue is full: a control packet is never dropped.
 func (b *Broker) send(s *session, pkt []byte) error {
-	select {
-	case s.out <- pkt:
-		return nil
-	case <-s.done:
-		return io.ErrClosedPipe
-	}
+	return s.q.push(pkt, s.done)
 }
 
 // Kick abruptly closes the named client's session — no DISCONNECT, the

@@ -290,7 +290,8 @@ func TestSubscriptionIndexMatchesSessionWalk(t *testing.T) {
 
 // TestRouteAllocatesOnlyThePacket: a non-retained QoS-0 publish with one
 // matching subscriber among many sessions allocates the encoded packet
-// and nothing else — no target slices, no topic splitting.
+// and nothing else — no target slices, no topic splitting, and, once the
+// subscriber's queue has grown to its high-water mark, no queue storage.
 func TestRouteAllocatesOnlyThePacket(t *testing.T) {
 	const runs = 200
 	b := &Broker{sessions: map[string]*session{}}
@@ -298,16 +299,28 @@ func TestRouteAllocatesOnlyThePacket(t *testing.T) {
 		id := fmt.Sprintf("gw%02d", i)
 		b.sessions[id] = &session{id: id, subs: map[string]byte{}}
 	}
-	// Buffered for every run (AllocsPerRun adds a warm-up): nothing
-	// drains the queue here.
-	sub := &session{id: "ingest", out: make(chan []byte, runs+1), subs: map[string]byte{"davide/+/power": 0, "davide/+/energy": 1}}
+	// Room for every run (AllocsPerRun adds a warm-up): nothing drains
+	// the queue while it is measured.
+	sub := &session{id: "ingest", q: outQueue{limit: runs + 1}, subs: map[string]byte{"davide/+/power": 0, "davide/+/energy": 1}}
 	b.sessions[sub.id] = sub
 	b.reindex()
 	p := &PublishPacket{Topic: "davide/node0042/power", Payload: make([]byte, 180)}
+	// Grow the queue to the high-water mark the measurement reaches, then
+	// empty it: the queue keeps its storage, so steady state allocates
+	// the packet alone.
+	for i := 0; i < runs+1; i++ {
+		b.route(p)
+	}
+	for sub.q.pop() != nil {
+	}
+	grown := len(sub.q.ring)
 	if allocs := testing.AllocsPerRun(runs, func() { b.route(p) }); allocs != 1 {
 		t.Errorf("route allocated %.1f times per publish, want 1 (the encoded packet)", allocs)
 	}
-	if got := b.Stats.PublishesOut.Load(); got != runs+1 {
-		t.Errorf("PublishesOut = %d, want %d", got, runs+1)
+	if len(sub.q.ring) != grown {
+		t.Errorf("queue storage grew from %d to %d slots while measured", grown, len(sub.q.ring))
+	}
+	if got := b.Stats.PublishesOut.Load(); got != 2*(runs+1) {
+		t.Errorf("PublishesOut = %d, want %d", got, 2*(runs+1))
 	}
 }

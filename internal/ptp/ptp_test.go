@@ -2,6 +2,7 @@ package ptp
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -11,6 +12,35 @@ func TestClockValidation(t *testing.T) {
 	}
 	if _, err := NewClock(0, 0.01, 0, 1); err == nil {
 		t.Error("absurd frequency error should error")
+	}
+}
+
+// TestClockDrawsOnlyWhenItWalks: a walk-free clock seeds no generator,
+// and a walking clock draws the sequence of rand.New(rand.NewSource(seed)).
+func TestClockDrawsOnlyWhenItWalks(t *testing.T) {
+	still, err := NewClock(1e-3, 10e-6, 0, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if still.rng != nil {
+		t.Error("a walk-0 clock holds a generator it never draws from")
+	}
+	const seed, walk = 42, 1e-6
+	c, err := NewClock(0, 0, walk, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := rand.New(rand.NewSource(seed))
+	want := 0.0
+	for i := 1; i <= 100; i++ {
+		dt := 0.25 * float64(i%4+1)
+		want += ref.NormFloat64() * walk * math.Sqrt(dt)
+		if err := c.Advance(c.lastT + dt); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Offset(); got != want {
+			t.Fatalf("step %d: offset %v, want %v from the reference generator", i, got, want)
+		}
 	}
 }
 
