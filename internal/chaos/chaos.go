@@ -214,7 +214,7 @@ func (c *Counters) Add(o Counters) {
 // heldMsg is one publish held back for delayed release.
 type heldMsg struct {
 	seq int64
-	m   mqtt.Message // cloned: owns its payload
+	m   mqtt.Message // cloned: owns its topic and payload
 }
 
 // Link injects the faults of one Spec into one client's publish stream.

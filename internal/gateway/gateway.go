@@ -126,6 +126,9 @@ type Gateway struct {
 	// (see the Publisher ownership contract).
 	encBuf    []byte
 	sampleBuf []float64
+	// topic is PowerTopic(topicNode), formatted once, not per window.
+	topic     string
+	topicNode int
 }
 
 // Stats summarises a gateway's cumulative publishing activity.
@@ -247,7 +250,7 @@ func (g *Gateway) PublishWindowResume(sig sensor.Signal, t0, t1 float64, cur *Cu
 		cur.clockShift = stamp0 - samples[0].T
 	}
 
-	topic := PowerTopic(g.NodeID)
+	topic := g.powerTopic()
 	for cur.next < len(cur.samples) {
 		start := cur.next
 		end := start + g.BatchSamples
@@ -284,6 +287,15 @@ func (g *Gateway) PublishWindowResume(sig sensor.Signal, t0, t1 float64, cur *Cu
 	cur.energyJ = energy
 	cur.done = true
 	return energy, nil
+}
+
+// powerTopic returns PowerTopic(g.NodeID), formatted again only when
+// NodeID changed since the last call.
+func (g *Gateway) powerTopic() string {
+	if g.topic == "" || g.topicNode != g.NodeID {
+		g.topic, g.topicNode = PowerTopic(g.NodeID), g.NodeID
+	}
+	return g.topic
 }
 
 // OverheadModel quantifies experiment E13: in-band monitoring steals node

@@ -189,6 +189,44 @@ func TestPublishWindow(t *testing.T) {
 	}
 }
 
+// discardPublisher accepts every publish and keeps nothing.
+type discardPublisher struct{}
+
+func (discardPublisher) Publish(string, []byte, byte, bool) error { return nil }
+
+// TestWindowPublishAllocatesNothing: once a window is observed and the
+// gateway's encode buffers have grown, publishing its batches allocates
+// nothing — the topic is formatted once per gateway, not per window.
+func TestWindowPublishAllocatesNothing(t *testing.T) {
+	g := newGateway(t, discardPublisher{})
+	var sig sensor.Signal = sensor.Const(1800) // boxed once, not per run
+	var cur Cursor
+	if _, err := g.PublishWindowResume(sig, 0, 0.1, &cur); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		cur.next, cur.done = 0, false // republish the observed window
+		if _, err := g.PublishWindowResume(sig, 0, 0.1, &cur); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("window publish = %v allocs, want 0", allocs)
+	}
+	if g.Published() != 5*102 { // the first window, AllocsPerRun's warm-up, 100 runs
+		t.Errorf("Published = %d, want %d", g.Published(), 5*102)
+	}
+	g.NodeID = 8 // a changed node ID publishes on its own topic
+	pub := &memPublisher{}
+	g.Pub = pub
+	if _, err := g.PublishWindow(sig, 0, 0.1); err != nil {
+		t.Fatal(err)
+	}
+	if pub.msgs[0].topic != PowerTopic(8) {
+		t.Errorf("topic after NodeID change = %q, want %q", pub.msgs[0].topic, PowerTopic(8))
+	}
+}
+
 func TestPublishWindowTimestampsUseClock(t *testing.T) {
 	pub := &memPublisher{}
 	mon, err := monitors.NewBuiltin(monitors.EnergyGateway, 3000, 1)

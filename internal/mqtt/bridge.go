@@ -61,7 +61,8 @@ type BridgeOptions struct {
 	Link Link
 	// OnForward, when set, observes every message after it is
 	// successfully published on the uplink (the obs uplink stage
-	// stamp). The payload is only valid for the duration of the call.
+	// stamp). The topic and the payload borrow the bridge's pooled
+	// carrier and are only valid for the duration of the call.
 	OnForward func(topic string, payload []byte)
 }
 
@@ -89,13 +90,19 @@ type BridgeStats struct {
 	HighWater      int64 // max queue occupancy observed
 }
 
-// queuedMsg is one buffered message; payload points into a pooled buffer
-// owned by the forward goroutine until it recycles it.
+// queuedMsg is one buffered message: its topic bytes, then its payload,
+// in one pooled buffer owned by the forward goroutine until it recycles
+// it. The received topic is borrowed like the payload, so it is copied
+// into the carrier too.
 type queuedMsg struct {
-	topic   string
-	payload *[]byte
-	qos     byte
+	buf      *[]byte
+	topicLen int
+	qos      byte
 }
+
+// topic and payload view the carrier; both are valid until it recycles.
+func (m queuedMsg) topic() string   { return borrowString((*m.buf)[:m.topicLen]) }
+func (m queuedMsg) payload() []byte { return (*m.buf)[m.topicLen:] }
 
 // Bridge forwards telemetry from a source broker to a target broker.
 // Safe for concurrent inspection; Close is idempotent.
@@ -109,7 +116,7 @@ type Bridge struct {
 	up  *Client
 
 	q    chan queuedMsg
-	bufs sync.Pool // *[]byte payload carriers
+	bufs sync.Pool // *[]byte topic-and-payload carriers
 	quit chan struct{}
 	once sync.Once
 	wg   sync.WaitGroup
@@ -186,16 +193,16 @@ func (b *Bridge) dialSource() (*Client, error) {
 const drainFence = "$bridge/drain-fence"
 
 // enqueue runs on the source client's reader goroutine: copy the borrowed
-// payload into a pooled buffer and hand it to the forward goroutine, or
-// drop-and-count when the queue is full.
+// topic and payload into a pooled buffer and hand it to the forward
+// goroutine, or drop-and-count when the queue is full.
 func (b *Bridge) enqueue(m Message) {
 	bp, _ := b.bufs.Get().(*[]byte)
 	if bp == nil {
 		bp = new([]byte)
 	}
-	*bp = append((*bp)[:0], m.Payload...)
+	*bp = append(append((*bp)[:0], m.Topic...), m.Payload...)
 	select {
-	case b.q <- queuedMsg{topic: m.Topic, payload: bp, qos: m.QoS}:
+	case b.q <- queuedMsg{buf: bp, topicLen: len(m.Topic), qos: m.QoS}:
 		b.accepted.Add(1)
 		if depth := int64(len(b.q)); depth > b.highWater.Load() {
 			b.highWater.Store(depth) // racy max is fine for a gauge
@@ -212,7 +219,7 @@ func (b *Bridge) forwardLoop() {
 		select {
 		case m := <-b.q:
 			b.forward(m)
-			b.bufs.Put(m.payload)
+			b.bufs.Put(m.buf)
 			b.completed.Add(1)
 		case <-b.quit:
 			return
@@ -227,12 +234,13 @@ func (b *Bridge) forward(m queuedMsg) {
 		b.mu.Lock()
 		up := b.up
 		b.mu.Unlock()
-		err := up.Publish(m.topic, *m.payload, m.qos, false)
+		topic, payload := m.topic(), m.payload()
+		err := up.Publish(topic, payload, m.qos, false)
 		if err == nil {
 			b.forwarded.Add(1)
-			b.forwardedBytes.Add(int64(len(*m.payload)))
+			b.forwardedBytes.Add(int64(len(payload)))
 			if b.opts.OnForward != nil {
-				b.opts.OnForward(m.topic, *m.payload)
+				b.opts.OnForward(topic, payload)
 			}
 			return
 		}

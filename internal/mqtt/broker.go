@@ -52,8 +52,9 @@ type Broker struct {
 	// Trace, when set, observes every inbound publish once before
 	// fan-out (the obs fan-out stage stamp). The broker stays
 	// payload-agnostic: the hook owns any decoding. Set it before
-	// clients start publishing; the payload is only valid for the
-	// duration of the call.
+	// clients start publishing; the topic and the payload both borrow
+	// the session's read buffer and are only valid for the duration of
+	// the call.
 	Trace func(topic string, payload []byte)
 	// bufs pools per-packet read buffers across all session readers.
 	bufs bufPool
@@ -180,6 +181,14 @@ func (b *Broker) serve(conn net.Conn) {
 		subs: make(map[string]byte),
 		done: make(chan struct{}),
 	}
+	// The writer starts on the first packet queued on the session, from
+	// route or send, both of which run on a reader goroutine b.wg counts,
+	// so the Add below never races Close's Wait from zero. A publish-only
+	// gateway session never gets one.
+	s.q.start = func() {
+		b.wg.Add(1)
+		go b.writeLoop(s)
+	}
 	if cp.KeepAliveSec > 0 {
 		s.keepAlive = time.Duration(cp.KeepAliveSec) * time.Second * 3 / 2
 	}
@@ -215,50 +224,10 @@ func (b *Broker) serve(conn net.Conn) {
 		return
 	}
 
-	// Writer goroutine: serialises all outbound traffic for this client.
-	// A packet with nothing queued behind it goes straight to the socket;
-	// the first time a second one is already waiting the session gets a
-	// bufio.Writer, flushed only once the queue drains, so fan-out bursts
-	// coalesce into few syscalls and a gateway session, which receives
-	// one PUBACK at a time, never pays the 16 KiB.
-	go func() {
-		var bw *bufio.Writer
-		w := io.Writer(s.conn)
-		for {
-			select {
-			case <-s.q.ready:
-			case <-s.done:
-				return
-			}
-			batched := int64(0)
-			for pkt := s.q.pop(); pkt != nil; {
-				next := s.q.pop()
-				if next != nil && bw == nil {
-					bw = bufio.NewWriterSize(s.conn, 16<<10)
-					w = bw
-				}
-				if _, err := w.Write(pkt); err != nil {
-					s.close()
-					return
-				}
-				batched += int64(len(pkt))
-				pkt = next
-			}
-			if bw != nil {
-				if err := bw.Flush(); err != nil {
-					s.close()
-					return
-				}
-			}
-			// Counted only once the batch reached the socket, so the
-			// stat never includes bytes lost in an unflushed buffer.
-			b.Stats.BytesOut.Add(batched)
-		}
-	}()
-
 	// Reader loop. Packet bodies come from the broker-wide buffer pool;
 	// every packet is fully handled before its buffer is recycled, which
-	// is what lets decodePublish borrow the payload instead of copying it.
+	// is what lets decodePublish borrow the topic and the payload instead
+	// of copying them.
 	_ = conn.SetReadDeadline(time.Time{}) // the CONNECT deadline
 	for {
 		if s.keepAlive > 0 {
@@ -277,6 +246,48 @@ func (b *Broker) serve(conn net.Conn) {
 	}
 }
 
+// writeLoop is a session's writer: it serialises all outbound traffic for
+// the client. A packet with nothing queued behind it goes straight to the
+// socket; the first time a second one is already waiting the session gets
+// a bufio.Writer, flushed only once the queue drains, so fan-out bursts
+// coalesce into few syscalls and a session that receives one PUBACK at a
+// time never pays the 16 KiB.
+func (b *Broker) writeLoop(s *session) {
+	defer b.wg.Done()
+	var bw *bufio.Writer
+	w := io.Writer(s.conn)
+	for {
+		select {
+		case <-s.q.ready:
+		case <-s.done:
+			return
+		}
+		batched := int64(0)
+		for pkt := s.q.pop(); pkt != nil; {
+			next := s.q.pop()
+			if next != nil && bw == nil {
+				bw = bufio.NewWriterSize(s.conn, 16<<10)
+				w = bw
+			}
+			if _, err := w.Write(pkt); err != nil {
+				s.close()
+				return
+			}
+			batched += int64(len(pkt))
+			pkt = next
+		}
+		if bw != nil {
+			if err := bw.Flush(); err != nil {
+				s.close()
+				return
+			}
+		}
+		// Counted only once the batch reached the socket, so the
+		// stat never includes bytes lost in an unflushed buffer.
+		b.Stats.BytesOut.Add(batched)
+	}
+}
+
 // handle processes one inbound packet; body is only valid for the call.
 // It reports whether the session should keep reading.
 func (b *Broker) handle(s *session, hdr FixedHeader, body []byte) bool {
@@ -291,7 +302,7 @@ func (b *Broker) handle(s *session, hdr FixedHeader, body []byte) bool {
 		// PUBACK may assume every subscriber session already has the
 		// message queued, which is what lets a later fence on another
 		// session (Bridge.Drain) order itself behind it.
-		b.route(p)
+		b.route(&p)
 		if p.QoS == 1 {
 			if err := b.send(s, encodedPuback(p.PacketID)); err != nil {
 				return false
@@ -342,7 +353,9 @@ func (b *Broker) handle(s *session, hdr FixedHeader, body []byte) bool {
 	return true
 }
 
-// route fans a publish out to every matching subscriber. The broker keeps
+// route fans a publish out to every matching subscriber. p's topic and
+// payload may borrow a read buffer: route keeps neither past the call,
+// copying both into the encoded packet it queues. The broker keeps
 // no retained store: a RETAIN publish reaches the current subscribers
 // once, flag cleared, and is stored nowhere. route walks the subscription
 // index, not the sessions: a publish costs the handful of subscriptions

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,9 +14,11 @@ import (
 
 // Message is a received application message handed to the client callback.
 //
-// Ownership: Payload borrows from a pooled read buffer and is only valid
-// for the duration of the handler call. A handler that hands the message
-// to another goroutine or retains it must copy the payload (Clone).
+// Ownership: Topic and Payload both borrow from a pooled read buffer and
+// are only valid for the duration of the handler call; the buffer is
+// overwritten by the next packet. A handler that hands the message to
+// another goroutine or retains it must copy both (Clone), or copy out the
+// parts it keeps.
 type Message struct {
 	Topic    string
 	Payload  []byte
@@ -23,8 +26,9 @@ type Message struct {
 	Retained bool
 }
 
-// Clone returns a message that owns its payload.
+// Clone returns a message that owns its topic and payload.
 func (m Message) Clone() Message {
+	m.Topic = strings.Clone(m.Topic)
 	m.Payload = append([]byte(nil), m.Payload...)
 	return m
 }
@@ -388,8 +392,8 @@ func (c *Client) readLoop() {
 	br := bufio.NewReaderSize(c.conn, readBufSize)
 	for {
 		// Bodies come from the client's buffer pool; the packet (and a
-		// PUBLISH payload handed to OnMessage) borrows from it until the
-		// switch completes, then the buffer recycles.
+		// PUBLISH topic and payload handed to OnMessage) borrows from it
+		// until the switch completes, then the buffer recycles.
 		hdr, pb, err := readPacket(br, &c.bufs)
 		if err != nil {
 			c.fail(err)

@@ -10,6 +10,7 @@ import (
 	"net"
 	"runtime"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 )
@@ -322,5 +323,75 @@ func TestRouteAllocatesOnlyThePacket(t *testing.T) {
 	}
 	if got := b.Stats.PublishesOut.Load(); got != 2*(runs+1) {
 		t.Errorf("PublishesOut = %d, want %d", got, 2*(runs+1))
+	}
+}
+
+// TestPublishAllocatesOnlyThePacket: a steady-state QoS-0 publish from a
+// client through a pipe: broker to one subscriber allocates one object,
+// the packet route encodes for the subscriber's queue. The publisher
+// assembles it in its retained buffer; the broker and the subscriber
+// decode it into values whose topic and payload borrow pooled read
+// buffers; the writer and the pipe copy without allocating.
+func TestPublishAllocatesOnlyThePacket(t *testing.T) {
+	b := newTestBrokerOn(t, pipeScheme)
+	delivered := make(chan struct{}, 1)
+	sub := dialTest(t, b.Addr(), "ingest", func(Message) { delivered <- struct{}{} })
+	if err := sub.Subscribe(Subscription{Filter: "davide/+/power", QoS: 0}); err != nil {
+		t.Fatal(err)
+	}
+	pub := dialTest(t, b.Addr(), "gw", nil)
+	payload := make([]byte, 180)
+	publish := func() {
+		if err := pub.Publish("davide/node0042/power", payload, 0, false); err != nil {
+			t.Fatal(err)
+		}
+		<-delivered
+	}
+	for i := 0; i < 100; i++ { // grow the buffers and fill the pools
+		publish()
+	}
+	allocs := testing.AllocsPerRun(200, publish)
+	if raceEnabled {
+		// The race detector's sync.Pool drops a quarter of the buffers
+		// put back, so the readers allocate a fresh one at random.
+		t.Skipf("allocation count not defined under -race (read %.1f per publish)", allocs)
+	}
+	if allocs != 1 {
+		t.Errorf("a publish allocated %.1f times, want 1 (the routed packet)", allocs)
+	}
+}
+
+// TestClonedMessageOutlivesReadBuffer: the topic and payload a handler
+// receives borrow the client's pooled read buffer, which later packets
+// overwrite; a clone taken in the handler keeps both.
+func TestClonedMessageOutlivesReadBuffer(t *testing.T) {
+	const n = 32
+	b := newTestBrokerOn(t, pipeScheme)
+	var mu sync.Mutex
+	var clones []Message
+	sub := dialTest(t, b.Addr(), "sub", func(m Message) {
+		mu.Lock()
+		clones = append(clones, m.Clone())
+		mu.Unlock()
+	})
+	if err := sub.Subscribe(Subscription{Filter: "davide/+/power", QoS: 0}); err != nil {
+		t.Fatal(err)
+	}
+	pub := dialTest(t, b.Addr(), "gw", nil)
+	for i := range n {
+		if err := pub.Publish(fmt.Sprintf("davide/node%02d/power", i), []byte(fmt.Sprintf("p%02d", i)), 0, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(clones) == n }, "every publish delivered")
+	if sub.Stats.BufReuses.Load() == 0 {
+		t.Fatal("the subscriber never reused a read buffer, so no clone was put to the test")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, m := range clones {
+		if want := fmt.Sprintf("davide/node%02d/power", i); m.Topic != want || string(m.Payload) != fmt.Sprintf("p%02d", i) {
+			t.Errorf("clone %d = %q %q, want %q p%02d", i, m.Topic, m.Payload, want, i)
+		}
 	}
 }

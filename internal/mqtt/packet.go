@@ -18,6 +18,7 @@ import (
 	"io"
 	"strings"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // PacketType is the MQTT control-packet type from the fixed header.
@@ -188,9 +189,10 @@ func readPacket(br *bufio.Reader, bufs *bufPool) (FixedHeader, *pbuf, error) {
 	return hdr, pb, nil
 }
 
-// readString consumes an MQTT UTF-8 prefixed string from buf, returning the
-// string and the remaining bytes.
-func readString(buf []byte) (string, []byte, error) {
+// readStringView consumes an MQTT UTF-8 prefixed string from buf,
+// returning the string, borrowed from buf (see borrowString), and the
+// remaining bytes.
+func readStringView(buf []byte) (string, []byte, error) {
 	if len(buf) < 2 {
 		return "", nil, ErrMalformed
 	}
@@ -198,11 +200,17 @@ func readString(buf []byte) (string, []byte, error) {
 	if len(buf) < 2+n {
 		return "", nil, ErrMalformed
 	}
-	s := string(buf[2 : 2+n])
-	if !utf8.ValidString(s) {
+	if !utf8.Valid(buf[2 : 2+n]) {
 		return "", nil, ErrMalformed
 	}
-	return s, buf[2+n:], nil
+	return borrowString(buf[2 : 2+n]), buf[2+n:], nil
+}
+
+// readString is readStringView returning a copy of the string, which the
+// caller may keep.
+func readString(buf []byte) (string, []byte, error) {
+	s, rest, err := readStringView(buf)
+	return strings.Clone(s), rest, err
 }
 
 // ConnectPacket is the CONNECT payload subset we support (no will, no
@@ -282,10 +290,11 @@ func decodeConnack(body []byte) (sessionPresent bool, code ConnackCode, err erro
 
 // PublishPacket is an application message.
 //
-// Ownership: a packet produced by decodePublish borrows Payload from the
-// read buffer the body was parsed out of (zero-copy); it is only valid
-// until that buffer is reused. The broker handles every packet within
-// its read cycle and keeps none beyond it.
+// Ownership: a packet produced by decodePublish borrows both Topic and
+// Payload from the read buffer the body was parsed out of (zero-copy);
+// neither is valid once that buffer is reused. The broker handles every
+// packet within its read cycle and keeps none beyond it: route copies the
+// topic and payload into the encoded packet it queues.
 type PublishPacket struct {
 	Topic    string
 	Payload  []byte
@@ -331,34 +340,45 @@ func appendPublish(dst []byte, p *PublishPacket) ([]byte, error) {
 	return append(dst, p.Payload...), nil
 }
 
-// decodePublish parses a PUBLISH body. The returned packet's Payload
-// borrows from body — see the PublishPacket ownership note.
-func decodePublish(flags byte, body []byte) (*PublishPacket, error) {
-	p := &PublishPacket{
+// decodePublish parses a PUBLISH body into a value, so neither reader puts
+// a packet on the heap. Topic and Payload borrow from body — see the
+// PublishPacket ownership note.
+func decodePublish(flags byte, body []byte) (PublishPacket, error) {
+	p := PublishPacket{
 		Retain: flags&0x01 != 0,
 		QoS:    (flags >> 1) & 0x03,
 		Dup:    flags&0x08 != 0,
 	}
 	if p.QoS > 1 {
-		return nil, fmt.Errorf("%w: QoS %d unsupported", ErrMalformed, p.QoS)
+		return PublishPacket{}, fmt.Errorf("%w: QoS %d unsupported", ErrMalformed, p.QoS)
 	}
-	topic, rest, err := readString(body)
+	topic, rest, err := readStringView(body)
 	if err != nil {
-		return nil, err
+		return PublishPacket{}, err
 	}
 	if err := ValidateTopicName(topic); err != nil {
-		return nil, err
+		return PublishPacket{}, err
 	}
 	p.Topic = topic
 	if p.QoS > 0 {
 		if len(rest) < 2 {
-			return nil, ErrMalformed
+			return PublishPacket{}, ErrMalformed
 		}
 		p.PacketID = binary.BigEndian.Uint16(rest)
 		rest = rest[2:]
 	}
 	p.Payload = rest
 	return p, nil
+}
+
+// borrowString views b as a string without copying it. The string is
+// only as immutable as b: it is valid while b is not overwritten, which
+// is the borrow a decoded topic makes of its read buffer.
+func borrowString(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
 }
 
 func encodedPuback(id uint16) []byte {

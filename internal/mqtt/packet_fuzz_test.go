@@ -12,7 +12,9 @@ import (
 // parsers sit directly behind the TCP socket on both broker and
 // client, so they must never panic, and a PUBLISH that decodes
 // successfully must survive a re-encode/re-decode round trip
-// (corrupt chaos frames and hostile peers lean on exactly this).
+// (corrupt chaos frames and hostile peers lean on exactly this). A
+// decoded topic and payload borrow the body, so the fuzzer also
+// overwrites it and checks that a Clone taken before kept both.
 func FuzzDecodePacket(f *testing.F) {
 	// Seed with one valid encoding of every packet type we speak.
 	var buf bytes.Buffer
@@ -106,9 +108,12 @@ func FuzzDecodePacket(f *testing.F) {
 			if err := ValidateTopicName(p.Topic); err != nil {
 				t.Fatalf("decodePublish accepted invalid topic %q: %v", p.Topic, err)
 			}
+			// A clone owns its topic and payload: it is taken now and
+			// checked once body, which p borrows, has been overwritten.
+			clone := Message{Topic: p.Topic, Payload: p.Payload, QoS: p.QoS, Retained: p.Retain}.Clone()
 			// Round trip: what decoded must re-encode and decode back
 			// to the same message.
-			pkt, err := appendPublish(nil, p)
+			pkt, err := appendPublish(nil, &p)
 			if err != nil {
 				t.Fatalf("re-encode of decoded publish failed: %v", err)
 			}
@@ -128,6 +133,13 @@ func FuzzDecodePacket(f *testing.F) {
 			if p2.Topic != p.Topic || p2.QoS != p.QoS || p2.Retain != p.Retain ||
 				p2.Dup != p.Dup || p2.PacketID != p.PacketID || !bytes.Equal(p2.Payload, p.Payload) {
 				t.Fatalf("round trip mismatch: %+v vs %+v", p2, p)
+			}
+			for i := range body {
+				body[i] = ^body[i]
+			}
+			if clone.Topic != p2.Topic || !bytes.Equal(clone.Payload, p2.Payload) {
+				t.Fatalf("clone changed with the read buffer: topic %q payload %q, want %q %q",
+					clone.Topic, clone.Payload, p2.Topic, p2.Payload)
 			}
 		case PUBACK, UNSUBACK:
 			_, _ = decodePacketID(body)

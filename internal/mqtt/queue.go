@@ -27,6 +27,11 @@ type outQueue struct {
 	// ready (capacity 1) wakes the writer after a push; a nil ready, as
 	// in a test that drains with pop itself, wakes nobody.
 	ready chan struct{}
+	// start, when set, starts the writer: put calls it, under mu, with
+	// the first packet ever queued, so a queue that never holds a packet
+	// never has a writer. It must not block; the writer's first wait
+	// takes that packet's wake-up.
+	start func()
 }
 
 // queueWaiter is one push held for room; queued closes once its packet
@@ -108,6 +113,10 @@ func (q *outQueue) put(pkt []byte) {
 	}
 	q.ring[i] = pkt
 	q.n++
+	if q.start != nil {
+		q.start()
+		q.start = nil
+	}
 }
 
 func (q *outQueue) wake() {

@@ -172,15 +172,27 @@ func (a *Aggregator) SetTrace(t *obs.StageTrace) { a.trace.Store(t) }
 
 // consumeWith routes one MQTT message, decoding into a reusable sample
 // scratch slice: it returns the (possibly grown) scratch for the caller's
-// next call, which is what makes the Ingest workers' steady-state decode
-// allocation-free on binary batches. Nothing decoded into scratch is
-// retained — AddBatch copies samples into the store before returning.
+// next call. A message off the power topics is dropped.
 func (a *Aggregator) consumeWith(m mqtt.Message, scratch []float64) []float64 {
-	if !mqtt.TopicMatches(gateway.TopicPrefix+"/+/power", m.Topic) {
+	if !isPowerTopic(m.Topic) {
 		a.drop()
 		return scratch
 	}
-	b, err := gateway.DecodeBatchInto(m.Payload, scratch)
+	return a.consumePayload(m.Payload, scratch)
+}
+
+// isPowerTopic reports whether topic is a gateway's power stream.
+func isPowerTopic(topic string) bool {
+	return mqtt.TopicMatches(gateway.TopicPrefix+"/+/power", topic)
+}
+
+// consumePayload decodes one power batch into scratch and ingests it,
+// returning the (possibly grown) scratch for the caller's next call,
+// which is what makes the Ingest workers' steady-state decode
+// allocation-free on binary batches. Nothing decoded into scratch is
+// retained — AddBatch copies samples into the store before returning.
+func (a *Aggregator) consumePayload(payload []byte, scratch []float64) []float64 {
+	b, err := gateway.DecodeBatchInto(payload, scratch)
 	if err != nil {
 		a.drop()
 		return scratch
@@ -334,24 +346,21 @@ func (a *Aggregator) MeanPower(node int, t0, t1 float64) (float64, error) {
 // goroutine. Messages are sharded by topic, which preserves the per-node
 // arrival order the reorder accounting relies on.
 //
-// Buffers are pooled end to end: the handler copies each borrowed MQTT
-// payload into a pooled buffer (the payload is only valid during the
-// handler call — see mqtt.Message), and every worker reuses one
-// sample-decode scratch slice, so steady-state ingest of binary batches
-// allocates nothing per message.
+// Buffers are pooled end to end: the topic and the payload of an MQTT
+// message are only valid during the handler call (see mqtt.Message), so
+// the handler checks and shards by the topic there and copies only the
+// payload into a pooled buffer, and every worker reuses one sample-decode
+// scratch slice, so steady-state ingest of binary batches allocates
+// nothing per message.
 type Ingest struct {
-	shards []chan ingestMsg
+	agg *Aggregator
+	// Each shard carries pooled payload buffers, owned by the receiving
+	// worker until it recycles them.
+	shards []chan *[]byte
 	bufs   sync.Pool // *[]byte payload carriers
 	quit   chan struct{}
 	wg     sync.WaitGroup
 	once   sync.Once
-}
-
-// ingestMsg is one queued message; payload points into a pooled buffer
-// owned by the receiving worker until it recycles it.
-type ingestMsg struct {
-	topic   string
-	payload *[]byte
 }
 
 // NewIngest starts a decode pool feeding the aggregator. workers <= 0 uses
@@ -364,11 +373,12 @@ func NewIngest(a *Aggregator, workers, depth int) *Ingest {
 		depth = 1024
 	}
 	in := &Ingest{
-		shards: make([]chan ingestMsg, workers),
+		agg:    a,
+		shards: make([]chan *[]byte, workers),
 		quit:   make(chan struct{}),
 	}
 	for i := range in.shards {
-		ch := make(chan ingestMsg, depth)
+		ch := make(chan *[]byte, depth)
 		in.shards[i] = ch
 		in.wg.Add(1)
 		go func() {
@@ -376,9 +386,9 @@ func NewIngest(a *Aggregator, workers, depth int) *Ingest {
 			var scratch []float64
 			for {
 				select {
-				case m := <-ch:
-					scratch = a.consumeWith(mqtt.Message{Topic: m.topic, Payload: *m.payload}, scratch[:0])
-					in.bufs.Put(m.payload)
+				case bp := <-ch:
+					scratch = a.consumePayload(*bp, scratch[:0])
+					in.bufs.Put(bp)
 				case <-in.quit:
 					return
 				}
@@ -394,14 +404,17 @@ func NewIngest(a *Aggregator, workers, depth int) *Ingest {
 // messages drop, as mosquitto does) instead of growing memory here.
 func (in *Ingest) Handler() mqtt.MessageHandler {
 	return func(m mqtt.Message) {
+		if !isPowerTopic(m.Topic) {
+			in.agg.drop()
+			return
+		}
 		bp, _ := in.bufs.Get().(*[]byte)
 		if bp == nil {
 			bp = new([]byte)
 		}
 		*bp = append((*bp)[:0], m.Payload...)
-		msg := ingestMsg{topic: m.Topic, payload: bp}
 		select {
-		case in.shards[shardOf(m.Topic, len(in.shards))] <- msg:
+		case in.shards[shardOf(m.Topic, len(in.shards))] <- bp:
 		case <-in.quit:
 			in.bufs.Put(bp)
 		}
